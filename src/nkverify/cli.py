@@ -41,7 +41,6 @@ from .lagrangian import (
     rotation_matrix,
 )
 from .nkgeom import (
-    Chart,
     G_tensor,
     apply_J,
     apply_P,
@@ -67,6 +66,18 @@ LAGRANGIAN_LABELS = ("factor_left", "factor_right", "diagonal")
 
 def default_seed() -> int:
     return int(os.environ.get("NKVERIFY_SEED", "0"))
+
+
+def _require_count(name: str, value: int) -> None:
+    """Reject a sample, grid or trial count that would leave checks with
+    nothing to check."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _require_tol(tol: float | None) -> None:
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite non-negative number, got {tol}")
 
 
 def _stamp(records: Sequence[CheckRecord], start: float) -> list[CheckRecord]:
@@ -145,13 +156,10 @@ def structure_g_records(
     anti_worst = 0.0
     for _ in range(g_samples):
         base = random_point(rng)
-        chart = Chart(base)
         X = random_tangent(rng, base)
         Y = random_tangent(rng, base)
-        diag_worst = max(diag_worst, g_norm(G_tensor(X, X, chart)))
-        anti_worst = max(
-            anti_worst, g_norm(G_tensor(X, Y, chart) + G_tensor(Y, X, chart))
-        )
+        diag_worst = max(diag_worst, g_norm(G_tensor(X, X)))
+        anti_worst = max(anti_worst, g_norm(G_tensor(X, Y) + G_tensor(Y, X)))
     return [
         CheckRecord(
             check_id=name,
@@ -196,6 +204,8 @@ def cmd_structure(
 ) -> VerificationReport:
     """Pointwise invariants of J, P and g, the skewness of G, and the
     canonical frame form of G on adapted Lagrangian frames."""
+    _require_count("samples", samples)
+    _require_tol(tol)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     records = _stamp(structure_algebra_records(samples, rng, seed, tol), start)
@@ -280,6 +290,8 @@ def cmd_lagrangian(
     seed: int = 0,
 ) -> VerificationReport:
     """Analyzer sweep over immersions on a grid x grid x grid parameter box."""
+    _require_count("grid", grid)
+    _require_tol(tol)
     if example is not None:
         imms = [example_by_label(example)]
     elif manifest is not None:
@@ -341,8 +353,8 @@ def cmd_proof(
     the determinant factorization, and the numeric constrained-angle case."""
     if mode not in ("exact", "numeric", "all"):
         raise ValueError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _require_count("trials", trials)
+    _require_tol(tol)
     exact_checks = (
         ("frame-relation", lambda s: frame_relation_check(trials=trials, seed=s)),
         ("derivative-comparison", lambda s: system1_check(seed=s, trials=trials)),
@@ -395,6 +407,7 @@ def cmd_proof(
 
 def cmd_fit(path: str, tol: float = 1e-6) -> VerificationReport:
     """H-umbilical detection on a cubic tensor loaded from JSON."""
+    _require_tol(tol)
     tensor = CubicTensor.from_json(Path(path).read_text())
     start = time.perf_counter()
     result = fit(tensor, tol)

@@ -17,12 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .nkgeom import (
-    Chart,
     G_tensor,
     PointS3S3,
     TangentVector,
     apply_J,
     apply_P,
+    connection,
     g_norm,
     metric_g,
 )
@@ -182,7 +182,6 @@ class _PointData:
     """Per-point frame package: orthonormal frame, its ambient derivatives,
     and the induced component tables."""
 
-    chart: Chart
     E: list[TangentVector]
     JE: list[TangentVector]
     directions: np.ndarray  # rows: parameter directions pushing to E_a
@@ -193,45 +192,44 @@ class _PointData:
 
 
 def _frame_derivatives(
-    imm: Immersion,
     u: np.ndarray,
-    chart: Chart,
     frame_fn: Callable[[np.ndarray], list[TangentVector]],
     directions: np.ndarray,
     E0: list[TangentVector],
 ) -> list[list[TangentVector]]:
-    """Ambient connection derivatives nabla_{E_a} E_b of a frame field given
-    by frame_fn, along the parameter directions matching E_a."""
+    """Ambient connection derivatives nabla_{E_a} F_b of the frame field
+    F = frame_fn, along the parameter directions whose pushforwards are the
+    E_a = E0[a]; F(u) is E0.
+
+    With w the (alpha, beta) components of F_b, nabla_X F_b = X(w) + Gamma(x, w):
+    X(w) is the Richardson derivative of w along the direction and Gamma is
+    the closed-form connection of nkgeom.
+    """
     h = FRAME_FIELD_STEP
-    x0 = chart.coords(imm.point(u))
-    gamma = chart.christoffel(x0)
-    comps0 = np.array([chart.tangent_to_coords(x0, e) for e in E0])
+    base = E0[0].base
+    comps0 = [e.components() for e in E0]
     nabla: list[list[TangentVector]] = []
     for a in range(3):
         d = directions[a]
-        xs = {}
-        ws = {}
-        for t in (h, -h, h / 2, -h / 2):
-            x_t = chart.coords(imm.point(u + t * d))
-            F = frame_fn(u + t * d)
-            xs[t] = x_t
-            ws[t] = np.array([chart.tangent_to_coords(x_t, f) for f in F])
-        cdot = _richardson(xs[h], xs[-h], xs[h / 2], xs[-h / 2], h)
+        ws = {
+            t: np.array([f.components() for f in frame_fn(u + t * d)])
+            for t in (h, -h, h / 2, -h / 2)
+        }
         wdot = _richardson(ws[h], ws[-h], ws[h / 2], ws[-h / 2], h)
-        row = []
-        for b in range(3):
-            comps = wdot[b] + np.einsum("dab,a,b->d", gamma, cdot, comps0[b])
-            row.append(chart.tangent_from_coords(x0, comps))
-        nabla.append(row)
+        nabla.append(
+            [
+                TangentVector.from_components(
+                    base, wdot[b] + connection(comps0[a], comps0[b])
+                )
+                for b in range(3)
+            ]
+        )
     return nabla
 
 
 def _point_data(imm: Immersion, u: np.ndarray) -> _PointData:
-    chart = Chart(imm.point(u))
     E, S = _frame_at(imm, u)
-    nabla = _frame_derivatives(
-        imm, u, chart, lambda w: _frame_at(imm, w)[0], S, E
-    )
+    nabla = _frame_derivatives(u, lambda w: _frame_at(imm, w)[0], S, E)
     JE = [apply_J(e) for e in E]
     c = np.zeros((3, 3, 3))
     omega = np.zeros((3, 3, 3))
@@ -246,7 +244,7 @@ def _point_data(imm: Immersion, u: np.ndarray) -> _PointData:
         for k in range(3):
             normal = normal - E[k].scaled(omega[a, a, k])
         H = H + normal.scaled(1.0 / 3.0)
-    return _PointData(chart, E, JE, S, nabla, c, omega, H)
+    return _PointData(E, JE, S, nabla, c, omega, H)
 
 
 def second_fundamental_form(
@@ -428,9 +426,8 @@ def frame_components(imm: Immersion, u: Sequence[float]) -> AdaptedFrameData:
     ang = angle_functions(A0, B0)
     R = ang.coeffs.copy()
 
-    chart = Chart(imm.point(u))
     frame = [_combine(E, R[i]) for i in range(3)]
-    probe = metric_g(G_tensor(frame[0], frame[1], chart), apply_J(frame[2]))
+    probe = metric_g(G_tensor(frame[0], frame[1]), apply_J(frame[2]))
     if probe > 0:  # canonical form requires g(G(E1,E2), JE3) = -1/sqrt(3)
         R[2] = -R[2]
         frame[2] = frame[2].scaled(-1.0)
@@ -442,7 +439,7 @@ def frame_components(imm: Immersion, u: Sequence[float]) -> AdaptedFrameData:
             for k in range(3):
                 target = target - jframe[k].scaled(EPSILON[i, j, k] / _SQRT3)
             orientation_residual = max(
-                orientation_residual, g_norm(G_tensor(frame[i], frame[j], chart) - target)
+                orientation_residual, g_norm(G_tensor(frame[i], frame[j]) - target)
             )
 
     directions = R @ S
@@ -451,7 +448,7 @@ def frame_components(imm: Immersion, u: Sequence[float]) -> AdaptedFrameData:
         Ew, _ = _frame_at(imm, w)
         return [_combine(Ew, R[i]) for i in range(3)]
 
-    nabla = _frame_derivatives(imm, u, chart, frozen_frame, directions, frame)
+    nabla = _frame_derivatives(u, frozen_frame, directions, frame)
     h = np.zeros((3, 3, 3))
     omega = np.zeros((3, 3, 3))
     for a in range(3):
@@ -472,7 +469,7 @@ def frame_components(imm: Immersion, u: Sequence[float]) -> AdaptedFrameData:
     dtheta_residual = None
     if not ang.degenerate:
         eq_residual, dtheta_residual = _eigenfield_checks(
-            imm, u, chart, E, S, R, frame, jframe, ang, directions
+            imm, u, R, frame, jframe, ang, directions
         )
 
     return AdaptedFrameData(
@@ -519,9 +516,6 @@ def _eigenangles_at(
 def _eigenfield_checks(
     imm: Immersion,
     u: np.ndarray,
-    chart: Chart,
-    E: list[TangentVector],
-    S: np.ndarray,
     R: np.ndarray,
     frame: list[TangentVector],
     jframe: list[TangentVector],
@@ -531,7 +525,7 @@ def _eigenfield_checks(
     """Frame relation and angle-derivative checks with the true eigenframe
     field (only meaningful when the eigenstructure is simple)."""
     nabla = _frame_derivatives(
-        imm, u, chart, lambda w: _eigenangles_at(imm, w, R)[1], directions, frame
+        u, lambda w: _eigenangles_at(imm, w, R)[1], directions, frame
     )
     h = np.zeros((3, 3, 3))
     omega = np.zeros((3, 3, 3))
@@ -575,7 +569,7 @@ def codazzi_residual(imm: Immersion, u: Sequence[float]) -> float:
     E, JE, c, omega = data.E, data.JE, data.c, data.omega
     A = np.array([[metric_g(apply_P(x), y) for y in E] for x in E])
     B = np.array([[metric_g(apply_P(x), jy) for jy in JE] for x in E])
-    G = [[G_tensor(E[x], E[k], data.chart) for k in range(3)] for x in range(3)]
+    G = [[G_tensor(E[x], E[k]) for k in range(3)] for x in range(3)]
 
     step = CUBIC_DERIVATIVE_STEP
     dc = np.zeros((3, 3, 3, 3))

@@ -5,10 +5,17 @@ the imaginary-quaternion pair (alpha, beta) standing for (p*alpha, q*beta);
 in that representation the metric g, the almost complex structure J and the
 product-swap tensor P are closed-form one-liners.
 
-Derivatives are another matter: the Levi-Civita connection of g and the
-tensor G = (nabla J) have no closed form here, so charts built from the
-quaternion exponential provide coordinates, and Christoffel symbols come from
-Richardson-extrapolated central differences of the chart metric.
+The (alpha, beta) components are those of a left-invariant frame, and g, J
+and P are left-invariant, so derivatives have a closed form too.  The
+Levi-Civita connection of a left-invariant metric follows from the Koszul
+formula on the Lie algebra (Milnor 1976), with bracket
+[X, Y] = (2 alpha x alpha', 2 beta x beta'): one constant array CONNECTION.
+For any field W with components w, nabla_X W = X(w) + Gamma(x, w), and
+G = nabla J is the constant array G_ARRAY.
+
+Charts built from the quaternion exponential, with Christoffel symbols from
+Richardson-extrapolated central differences of the chart metric, are kept as
+an independent finite-difference reference for the closed forms.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ class PointS3S3:
 
     def __post_init__(self) -> None:
         for name, val in (("p", self.p), ("q", self.q)):
-            if abs(val.norm() - 1.0) > BASE_TOL:
+            # written so that NaN and infinite norms fail the test too
+            if not abs(val.norm() - 1.0) <= BASE_TOL:
                 raise ValueError(f"{name} is not a unit quaternion: |{name}| = {val.norm()}")
 
     @classmethod
@@ -75,11 +83,22 @@ class TangentVector:
         qb = self.base.q * self.beta.promote()
         return np.concatenate([pa.as_array(), qb.as_array()])
 
+    @classmethod
+    def from_components(cls, base: PointS3S3, comps: np.ndarray) -> "TangentVector":
+        """Inverse of components(): the vector at base with (alpha, beta) = comps."""
+        return cls(
+            base,
+            ImaginaryQuaternion.from_array(comps[:3]),
+            ImaginaryQuaternion.from_array(comps[3:]),
+        )
+
     def components(self) -> np.ndarray:
         """(alpha, beta) flattened to R^6."""
         return np.concatenate([self.alpha.as_array(), self.beta.as_array()])
 
     def _require_same_base(self, other: "TangentVector") -> None:
+        if self.base is other.base:
+            return
         if not self.base.close_to(other.base):
             raise ValueError("tangent vectors live at different base points")
 
@@ -161,6 +180,46 @@ def random_tangent(
     )
 
 
+def _left_invariant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(BRACKET, METRIC, J_MATRIX, CONNECTION) in the left-invariant basis
+    e_0..e_5 = (p*i, 0), (p*j, 0), (p*k, 0), (0, q*i), (0, q*j), (0, q*k).
+
+    BRACKET[c, a, b] is the c-component of [e_a, e_b]; CONNECTION[d, a, b] is
+    the d-component of nabla_{e_a} e_b, from the Koszul formula
+    2 g(nabla_a e_b, e_c) = g([e_a, e_b], e_c) - g([e_b, e_c], e_a)
+    + g([e_c, e_a], e_b), whose metric terms drop out because g(e_a, e_b) is
+    constant.
+    """
+    eye = np.eye(3)
+    metric = np.block(
+        [[4.0 / 3.0 * eye, -2.0 / 3.0 * eye], [-2.0 / 3.0 * eye, 4.0 / 3.0 * eye]]
+    )
+    j_matrix = np.block([[-eye, 2.0 * eye], [-2.0 * eye, eye]]) / _SQRT3
+    bracket = np.zeros((6, 6, 6))
+    for off in (0, 3):
+        for a in range(3):
+            for b in range(3):
+                bracket[off : off + 3, off + a, off + b] = 2.0 * np.cross(eye[a], eye[b])
+    lowered = np.einsum("cd,dab->cab", metric, bracket)  # g([e_a, e_b], e_c)
+    koszul = 0.5 * (lowered - lowered.transpose(2, 0, 1) + lowered.transpose(1, 2, 0))
+    connection = np.einsum("dc,cab->dab", np.linalg.inv(metric), koszul)
+    return bracket, metric, j_matrix, connection
+
+
+BRACKET, METRIC, J_MATRIX, CONNECTION = _left_invariant_tables()
+#: G_ARRAY[d, a, b] is the d-component of
+#: G(e_a, e_b) = Gamma(e_a, J e_b) - J Gamma(e_a, e_b).
+G_ARRAY = np.einsum("dac,cb->dab", CONNECTION, J_MATRIX) - np.einsum(
+    "dc,cab->dab", J_MATRIX, CONNECTION
+)
+
+
+def connection(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gamma(x, w): components of nabla_X W for the left-invariant fields
+    with (alpha, beta) components x and w."""
+    return CONNECTION @ w @ x
+
+
 class Chart:
     """Product-exponential chart centered at a base point.
 
@@ -172,7 +231,8 @@ class Chart:
 
     Frames, metric components and Christoffel symbols are memoized per
     coordinate vector.  The chart itself is immutable; the caches are pure
-    memoization.
+    memoization.  The analyzer does not use charts: they are the
+    finite-difference reference the closed-form connection is tested against.
     """
 
     def __init__(self, base: PointS3S3) -> None:
@@ -353,30 +413,17 @@ def covariant_derivative(
     )
 
 
-def G_tensor(X: TangentVector, Y: TangentVector, chart: Chart | None = None) -> TangentVector:
-    """G(X, Y) = (nabla J)(X, Y), computed in a chart centered at the base.
+def G_tensor(X: TangentVector, Y: TangentVector) -> TangentVector:
+    """G(X, Y) = (nabla_X J) Y in closed form.
 
-    Y is extended with constant chart components; the result is
-    extension-independent up to discretization error.  Passing a chart
-    already centered at X.base reuses its cached Christoffel symbols.
+    nabla_X W = X(w) + Gamma(x, w) for a field W with (alpha, beta)
+    components w.  Extend Y with constant components y; J is constant in this
+    representation, so the X(w) terms cancel and
+    G(X, Y) = Gamma(x, J y) - J Gamma(x, y), the contraction of G_ARRAY.
     """
     X._require_same_base(Y)
-    if chart is None or not chart.base.close_to(X.base):
-        chart = Chart(X.base)
-    zero = np.zeros(6)
-    xdir = X.components()
-    y = Y.components()
-
-    def j_field(t: float) -> np.ndarray:
-        c = t * xdir
-        ybar = chart.tangent_from_coords(c, y)
-        return chart.tangent_to_coords(c, apply_J(ybar))
-
-    term1 = covariant_derivative_along(chart, lambda t: t * xdir, j_field, 0.0)
-    gamma0 = chart.christoffel(zero)
-    nabla_y = np.einsum("dab,a,b->d", gamma0, xdir, y)
-    term2 = apply_J(chart.tangent_from_coords(zero, nabla_y))
-    return term1 - term2
+    comps = G_ARRAY @ Y.components() @ X.components()
+    return TangentVector.from_components(X.base, comps)
 
 
 def integrate_geodesic(

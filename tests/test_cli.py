@@ -292,6 +292,22 @@ def test_main_unknown_example_exits_two(capsys) -> None:
     assert "no built-in example named 'no-such-thing'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lagrangian", "--grid", "0"],
+        ["structure", "--samples", "0"],
+        ["proof", "--trials", "0"],
+        ["structure", "--tol", "nan"],
+        ["lagrangian", "--tol", "inf"],
+        ["proof", "--tol=-1e-8"],
+    ],
+)
+def test_main_bad_count_or_tolerance_exits_two(argv, capsys) -> None:
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("nkverify: error:")
+
+
 def test_main_example_and_manifest_conflict_exits_two(tmp_path, capsys) -> None:
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"example": "diagonal"}))

@@ -311,3 +311,39 @@ def test_lagrangian_suite_skips_downstream_on_control():
     for rec in records[1:]:
         assert rec.status == "skip"
         assert rec.passed
+
+
+#: Codazzi residual of the conjugation immersion below at grid 2 when the
+#: ambient connection came from chart finite differences; the closed-form
+#: connection must not exceed it by more than 0.1%.
+CHART_CODAZZI_RESIDUAL = 9.197168498026804e-06
+
+
+def _conjugation_immersion():
+    """u -> (e^u i e^-u, e^u j e^-u): Lagrangian with constant angles and
+    |h| = sqrt(3/8), so every point takes the non-degenerate eigenframe path."""
+    i = Quaternion(0.0, 1.0, 0.0, 0.0)
+    j = Quaternion(0.0, 0.0, 1.0, 0.0)
+
+    def conj_map(u):
+        e = exp_im(ImaginaryQuaternion.from_array(u))
+        ebar = e.conjugate()
+        return PointS3S3(e * i * ebar, e * j * ebar)
+
+    return Immersion("conjugation", Box((-0.4,) * 3, (0.4,) * 3), conj_map)
+
+
+def test_curved_immersion_suite_and_eigenframe_checks():
+    imm = _conjugation_immersion()
+    records = lagrangian_suite(imm, grid=2)
+    assert len(records) == 7
+    assert all(r.passed and r.status is None for r in records)
+    codazzi = next(r for r in records if r.check_id.startswith("codazzi-residual"))
+    assert codazzi.max_residual <= 1.001 * CHART_CODAZZI_RESIDUAL
+    for u in imm.domain.grid(2):
+        fc = frame_components(imm, u)
+        assert not fc.degenerate
+        assert fc.eq_residual is not None and fc.dtheta_residual is not None
+        assert fc.eq_residual < 1e-5 and fc.dtheta_residual < 1e-5
+        h_norm = math.sqrt(float(np.sum(fc.h**2)))
+        assert h_norm == pytest.approx(math.sqrt(3 / 8), abs=1e-6)

@@ -1,4 +1,6 @@
-"""Tests for the nearly Kahler structure tensors, charts, and G = nabla J."""
+"""Tests for the nearly Kahler structure tensors, the closed-form connection
+and G = nabla J, and the finite-difference chart reference they are checked
+against."""
 
 import math
 
@@ -6,12 +8,17 @@ import numpy as np
 import pytest
 
 from nkverify.nkgeom import (
+    BRACKET,
+    CONNECTION,
+    J_MATRIX,
+    METRIC,
     Chart,
     PointS3S3,
     TangentVector,
     G_tensor,
     apply_J,
     apply_P,
+    connection,
     covariant_derivative,
     covariant_derivative_along,
     g_norm,
@@ -78,6 +85,26 @@ def test_base_point_mismatch_raises() -> None:
         metric_g(X, Y)
     with pytest.raises(ValueError):
         X + Y
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_rejected(bad: float) -> None:
+    with pytest.raises(ValueError):
+        PointS3S3(Quaternion(bad, 0.0, 0.0, 0.0), Quaternion.one())
+    with pytest.raises(ValueError):
+        PointS3S3(Quaternion.one(), Quaternion(1.0, bad, 0.0, 0.0))
+
+
+def test_shared_base_object_skips_close_to(monkeypatch) -> None:
+    rng = np.random.default_rng(22)
+    base = random_point(rng)
+    X, Y = random_tangent(rng, base), random_tangent(rng, base)
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("close_to called for one shared base object")
+
+    monkeypatch.setattr(PointS3S3, "close_to", fail)
+    assert metric_g(X + Y, X - Y) == pytest.approx(metric_g(X, X) - metric_g(Y, Y))
 
 
 def test_J_squares_to_minus_id() -> None:
@@ -216,6 +243,90 @@ def test_geodesic_in_first_factor_stays_there() -> None:
     assert abs(path[-1, 0] - 1.0) < 1e-8
 
 
+def _chart_nabla(ch: Chart, x: np.ndarray, field) -> TangentVector:
+    """nabla_X W by finite differences in the chart centered at X.base, along
+    the coordinate line t -> t x; field(t) is the tangent vector W at the
+    chart point t x."""
+    return covariant_derivative_along(
+        ch, lambda t: t * x, lambda t: ch.tangent_to_coords(t * x, field(t)), 0.0
+    )
+
+
+def _G_chart(
+    ch: Chart, X: TangentVector, Y: TangentVector, z: np.ndarray
+) -> TangentVector:
+    """G(X, Y) = nabla_X (J Ybar) - J nabla_X Ybar in the chart, with Y
+    extended by the chart components y + t z along the line t x."""
+    xdir, y = X.components(), Y.components()
+
+    def j_field(t: float) -> TangentVector:
+        return apply_J(ch.tangent_from_coords(t * xdir, y + t * z))
+
+    term1 = _chart_nabla(ch, xdir, j_field)
+    gamma0 = ch.christoffel(np.zeros(6))
+    nabla = z + np.einsum("dab,a,b->d", gamma0, xdir, y)
+    term2 = apply_J(ch.tangent_from_coords(np.zeros(6), nabla))
+    return term1 - term2
+
+
+def test_bracket_is_the_quaternion_commutator() -> None:
+    # [X, Y] of left-invariant fields is X Y - Y X in each factor
+    basis = [
+        ImaginaryQuaternion(1.0, 0.0, 0.0),
+        ImaginaryQuaternion(0.0, 1.0, 0.0),
+        ImaginaryQuaternion(0.0, 0.0, 1.0),
+    ]
+    for a in range(3):
+        for b in range(3):
+            ea, eb = basis[a].promote(), basis[b].promote()
+            comm = (ea * eb - eb * ea).imag.as_array()
+            assert np.array_equal(BRACKET[:3, a, b], comm)
+            assert np.array_equal(BRACKET[3:, 3 + a, 3 + b], comm)
+    assert not BRACKET[:, :3, 3:].any() and not BRACKET[:, 3:, :3].any()
+
+
+def test_constant_tables_match_pointwise_structure() -> None:
+    # the left-invariant basis vectors at any base reproduce METRIC and J_MATRIX
+    base = random_point(np.random.default_rng(25))
+    basis = [TangentVector.from_components(base, row) for row in np.eye(6)]
+    for a, ea in enumerate(basis):
+        assert np.array_equal(apply_J(ea).components(), J_MATRIX[:, a])
+        for b, eb in enumerate(basis):
+            assert metric_g(ea, eb) == METRIC[a, b]
+
+
+def test_connection_torsion_free_exact() -> None:
+    # nabla_a e_b - nabla_b e_a = [e_a, e_b]
+    assert np.array_equal(CONNECTION - CONNECTION.transpose(0, 2, 1), BRACKET)
+
+
+def test_connection_metric_compatible_exact() -> None:
+    # g(nabla_a e_b, e_c) + g(e_b, nabla_a e_c) = e_a(g(e_b, e_c)) = 0
+    lowered = np.einsum("cd,dab->cab", METRIC, CONNECTION)
+    assert not (lowered + lowered.transpose(2, 1, 0)).any()
+
+
+def test_connection_matches_chart_reference() -> None:
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        base = random_point(rng)
+        ch = Chart(base)
+        x, w = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
+        got = _chart_nabla(
+            ch, x, lambda t: TangentVector.from_components(ch.point(t * x), w)
+        )
+        assert np.max(np.abs(got.components() - connection(x, w))) < 1e-9
+
+
+def test_G_matches_chart_reference() -> None:
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        base = random_point(rng)
+        X, Y = random_tangent(rng, base), random_tangent(rng, base)
+        ref = _G_chart(Chart(base), X, Y, np.zeros(6))
+        assert np.max(np.abs((G_tensor(X, Y) - ref).components())) < 1e-9
+
+
 def test_G_vanishes_on_diagonal() -> None:
     rng = np.random.default_rng(18)
     for _ in range(10):
@@ -229,8 +340,7 @@ def test_G_antisymmetric() -> None:
     for _ in range(10):
         base = random_point(rng)
         X, Y = random_tangent(rng, base), random_tangent(rng, base)
-        ch = Chart(base)
-        s = G_tensor(X, Y, ch) + G_tensor(Y, X, ch)
+        s = G_tensor(X, Y) + G_tensor(Y, X)
         assert g_norm(s) < 1e-5
 
 
@@ -247,18 +357,5 @@ def test_G_extension_independent() -> None:
     rng = np.random.default_rng(21)
     base = random_point(rng)
     X, Y = random_tangent(rng, base), random_tangent(rng, base)
-    ch = Chart(base)
-    xdir, y = X.components(), Y.components()
-    z = rng.uniform(-1, 1, 6)
-
-    def j_field(t: float) -> np.ndarray:
-        c = t * xdir
-        ybar = ch.tangent_from_coords(c, y + t * z)
-        return ch.tangent_to_coords(c, apply_J(ybar))
-
-    term1 = covariant_derivative_along(ch, lambda t: t * xdir, j_field, 0.0)
-    gamma0 = ch.christoffel(np.zeros(6))
-    nabla = z + np.einsum("dab,a,b->d", gamma0, xdir, y)
-    term2 = apply_J(ch.tangent_from_coords(np.zeros(6), nabla))
-    alt = term1 - term2
-    assert np.max(np.abs((alt - G_tensor(X, Y, ch)).components())) < 1e-7
+    alt = _G_chart(Chart(base), X, Y, rng.uniform(-1, 1, 6))
+    assert np.max(np.abs((alt - G_tensor(X, Y)).components())) < 1e-7
