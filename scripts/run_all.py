@@ -3,7 +3,9 @@
 
 Produces structure, lagrangian, proof and fit reports under --out (default
 reports/), prints each text summary, and exits with the worst status seen:
-0 all passed, 1 a verification failed.
+0 all passed, 1 a verification failed, 2 bad arguments (a count below 1).
+With --timings the JSON reports keep each check's elapsed_ms; without it they
+are byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ def run(argv: list[str] | None = None) -> int:
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--out", type=str, default="reports")
+    parser.add_argument(
+        "--timings", action="store_true",
+        help="keep each check's elapsed_ms in the JSON reports",
+    )
     args = parser.parse_args(argv)
+    for name in ("grid", "samples", "trials"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1, got {getattr(args, name)}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -42,7 +51,7 @@ def run(argv: list[str] | None = None) -> int:
     for name, build in suites:
         report = build()
         json_out = out_dir / f"{name}.json"
-        json_out.write_text(report.to_json() + "\n")
+        json_out.write_text(report.to_json(timings=args.timings) + "\n")
         print(f"== {name} (report {json_out}) ==")
         print(report.to_text())
         print()

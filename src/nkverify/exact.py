@@ -128,6 +128,9 @@ class QSqrt3:
         return QSqrt3(o._a - self._a, o._b - self._b)
 
     def __mul__(self, other: object) -> "QSqrt3":
+        if isinstance(other, (int, Fraction)):
+            # a rational factor scales both coefficients; no coercion needed
+            return QSqrt3(self._a * other, self._b * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

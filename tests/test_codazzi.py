@@ -1,5 +1,7 @@
 """Tests for the exact Codazzi verification: tables, solver, case checks."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from nkverify import codazzi
+from nkverify.cli import cmd_proof
 from nkverify.codazzi import (
     AXES,
     AffineExpr,
@@ -23,8 +27,10 @@ from nkverify.codazzi import (
     codazzi_components,
     codazzi_scalar,
     constrained_theta2,
+    delta,
     det_factorization_check,
     det_product_form,
+    epsilon,
     frame_relation_check,
     hijk_from_cubic_contraction,
     hijk_from_v,
@@ -77,23 +83,116 @@ def test_h_matches_contraction_construction() -> None:
 
 
 def test_h_gradient_by_richardson_differences() -> None:
-    # for a cubic polynomial (4 D(h/2) - D(h)) / 3 is the exact derivative
+    # for a cubic polynomial (4 D(h/2) - D(h)) / 3 is the exact derivative;
+    # the zero patterns are the ones the case checks sample
     rng = random.Random(8)
-    v = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)]
-    dh = hijk_gradient(v)
-    h = Fraction(1, 3)
+    base = [Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 5)) for _ in range(3)]
+    for zero in ((), (1,), (2,), (2, 3), (1, 2, 3)):
+        v = [Fraction(0) if m in zero else base[m - 1] for m in AXES]
+        dh = hijk_gradient(v)
+        h = Fraction(1, 3)
+        for m in AXES:
+            def shifted(step):
+                w = list(v)
+                w[m - 1] += step
+                return hijk_from_v(w)
+            d_full = {k: (a - b) / (2 * h) for (k, a), b
+                      in zip(shifted(h).items(), shifted(-h).values())}
+            d_half = {k: (a - b) / h for (k, a), b
+                      in zip(shifted(h / 2).items(), shifted(-h / 2).values())}
+            for (j, k, l) in product(AXES, AXES, AXES):
+                exact = (4 * d_half[(j, k, l)] - d_full[(j, k, l)]) / 3
+                assert dh[(j, k, l, m)] == exact
+
+
+# ---------------------------------------------------------------------------
+# the zero-skipping tables against the dense formulas
+
+
+def _dense_h(v):
+    vv = {m: v[m - 1] for m in AXES}
+    v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
+    return {
+        (i, j, k): v2 * (vv[i] * delta(j, k) + vv[j] * delta(k, i) + vv[k] * delta(i, j))
+        - 5 * vv[i] * vv[j] * vv[k]
+        for i, j, k in product(AXES, AXES, AXES)
+    }
+
+
+def _dense_dh(v):
+    vv = {m: v[m - 1] for m in AXES}
+    v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
+    out = {}
+    for j, k, l, m in product(AXES, AXES, AXES, AXES):
+        out[(j, k, l, m)] = (
+            2 * vv[m] * (vv[j] * delta(k, l) + vv[k] * delta(l, j) + vv[l] * delta(j, k))
+            + v2 * (delta(j, m) * delta(k, l) + delta(k, m) * delta(l, j)
+                    + delta(l, m) * delta(j, k))
+            - 5 * (delta(j, m) * vv[k] * vv[l] + vv[j] * delta(k, m) * vv[l]
+                   + vv[j] * vv[k] * delta(l, m))
+        )
+    return out
+
+
+def _dense_shifted(st_):
+    om = omega_from_state(st_)
+    return {
+        (i, m, l): om[(i, m, l)] - st_.inv_sqrt3 * epsilon(i, m, l)
+        for i, m, l in product(AXES, AXES, AXES)
+    }
+
+
+def _dense_scalar_const(st_, i, j, k, l):
+    h, om = _dense_h([st_.v[m] for m in AXES]), omega_from_state(st_)
+    const = st_.zero
     for m in AXES:
-        def shifted(step):
-            w = list(v)
-            w[m - 1] += step
-            return hijk_from_v(w)
-        d_full = {k: (a - b) / (2 * h) for (k, a), b
-                  in zip(shifted(h).items(), shifted(-h).values())}
-        d_half = {k: (a - b) / h for (k, a), b
-                  in zip(shifted(h / 2).items(), shifted(-h / 2).values())}
-        for (j, k, l) in product(AXES, AXES, AXES):
-            exact = (4 * d_half[(j, k, l)] - d_full[(j, k, l)]) / 3
-            assert dh[(j, k, l, m)] == exact
+        const = const + h[(j, k, m)] * (om[(i, m, l)] - st_.inv_sqrt3 * epsilon(i, m, l))
+        const = const - h[(i, k, m)] * (om[(j, m, l)] - st_.inv_sqrt3 * epsilon(j, m, l))
+        const = const - (om[(i, j, m)] - om[(j, i, m)]) * h[(m, k, l)]
+        const = const - om[(i, k, m)] * h[(j, m, l)]
+        const = const + om[(j, k, m)] * h[(i, m, l)]
+    return const - st_.third * st_.sin2(i, j) * (
+        delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
+    )
+
+
+ZERO_PATTERNS = [(), (1,), (2,), (2, 3), (1, 2, 3)]
+
+
+def _assert_tables_match_dense(st_) -> None:
+    v = [st_.v[m] for m in AXES]
+    assert st_.h_table() == _dense_h(v)
+    assert st_.dh_table() == _dense_dh(v)
+    assert st_.shifted_omega_table() == _dense_shifted(st_)
+    for i, j, k, l in product(AXES, AXES, AXES, AXES):
+        assert codazzi_scalar(st_, i, j, k, l).const == _dense_scalar_const(st_, i, j, k, l)
+
+
+@pytest.mark.parametrize("zero", ZERO_PATTERNS)
+def test_exact_tables_match_dense_formulas(zero) -> None:
+    rng = random.Random(30 + len(zero))
+    for _ in range(5):
+        _assert_tables_match_dense(random_frame_state(rng, require_ec=False, zero=zero))
+
+
+@pytest.mark.parametrize("zero", ZERO_PATTERNS)
+def test_float_tables_match_dense_formulas_exactly(zero) -> None:
+    # the mpmath state must see the same rounding as the dense sums: exact ==
+    rng = random.Random(40 + len(zero))
+    with mp.workdps(50):
+        for _ in range(3):
+            v = [0 if m in zero else mp.mpf(rng.randint(30, 150)) / 100 for m in AXES]
+            th1 = mp.mpf(rng.randint(5, 70)) / 100
+            th2 = constrained_theta2(v[0] or mp.mpf(1), v[2] or mp.mpf(1), th1)
+            _assert_tables_match_dense(FloatFrameState(v, th1, th2, sin_margin=1e-3))
+
+
+def test_proof_report_golden_digest() -> None:
+    # recorded before the zero-skipping tables and the rational QSqrt3 product
+    report = cmd_proof(trials=5, seed=4).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "a7346376e749a5e6c0369f01fb7aadec0043923f58ae42d9eb39664b83294c02"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +463,34 @@ def test_det_factorization_identity() -> None:
     rec = det_factorization_check(seed=26, trials=60)
     assert rec.passed
     assert rec.details["angle_parity"] is True
+
+
+@pytest.mark.parametrize("which", [(0, 1), (0,), (1,)])
+def test_case3_nan_closed_form_fails(monkeypatch, which) -> None:
+    real = codazzi.case3_closed_forms
+
+    def with_nan(v1, v3):
+        out = list(real(v1, v3))
+        for idx in which:
+            out[idx] = mp.nan
+        return tuple(out)
+
+    monkeypatch.setattr(codazzi, "case3_closed_forms", with_nan)
+    rec = case3_check(trials=5, seed=7)
+    assert not rec.passed
+    assert math.isnan(rec.max_residual)
+
+
+def test_case3_nan_companion_leftover_fails(monkeypatch) -> None:
+    real = codazzi.solve_triple_system
+
+    def nan_companion(st_, triples, unknowns, vanishing=frozenset(), free_vars=()):
+        res = real(st_, triples, unknowns, vanishing, free_vars)
+        if vanishing == frozenset({2, 3}):
+            res.leftovers = [AffineExpr(mp.nan, res.leftovers[0].coeffs)]
+        return res
+
+    monkeypatch.setattr(codazzi, "solve_triple_system", nan_companion)
+    rec = case3_check(trials=2, seed=7)
+    assert not rec.passed
+    assert any(f.get("reason") == "companion obstruction mismatch" for f in rec.failures)

@@ -157,3 +157,15 @@ def test_poly_identity_check_handles_qsqrt3_values() -> None:
     f = lambda x: SQRT3 * x[0] * (SQRT3 * x[0])
     g = lambda x: 3 * x[0] ** 2
     assert poly_identity_check(f, g, n_vars=1, trials=20, seed=3)
+
+
+@given(qsqrt3s, rationals, st.integers(-50, 50))
+def test_rational_factor_matches_coerced_product(x, q, n) -> None:
+    # the rational fast path of __mul__/__rmul__ against the full field product
+    for r in (q, n, True, False):
+        full = x * QSqrt3(r, 0)
+        for got in (x * r, r * x):
+            assert isinstance(got, QSqrt3)
+            assert got == full
+            assert (got.a, got.b) == (full.a, full.b)
+            assert type(got.a) is Fraction and type(got.b) is Fraction

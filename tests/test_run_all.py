@@ -1,0 +1,59 @@
+"""Tests for scripts/run_all.py: argument checks and the --timings flag."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "run_all.py"
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--samples", "--trials"])
+def test_zero_count_exits_2_before_any_suite(tmp_path, flag) -> None:
+    counts = {"--grid": "1", "--samples": "5", "--trials": "1"}
+    counts[flag] = "0"
+    out = tmp_path / "reports"
+    args = [a for kv in counts.items() for a in kv]
+    proc = _run(*args, "--out", str(out))
+    assert proc.returncode == 2
+    assert f"error: {flag} must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def _checks(out: Path) -> dict:
+    return {
+        name: json.loads((out / f"{name}.json").read_text())["checks"]
+        for name in ("structure", "lagrangian", "proof", "fit")
+    }
+
+
+def test_timings_flag_keeps_elapsed_ms(tmp_path) -> None:
+    # both runs write to one directory, since the fit report names its input
+    small = ["--grid", "1", "--samples", "5", "--trials", "1", "--out", str(tmp_path)]
+    assert _run(*small).returncode == 0
+    plain = _checks(tmp_path)
+    assert _run(*small, "--timings").returncode == 0
+    timed = _checks(tmp_path)
+    for name, checks in timed.items():
+        assert all(c["elapsed_ms"] is None for c in plain[name])
+        assert any(isinstance(c["elapsed_ms"], float) for c in checks)
+        for c in checks:
+            c["elapsed_ms"] = None
+        assert checks == plain[name]
