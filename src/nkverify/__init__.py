@@ -7,108 +7,3 @@ rigidity of H-umbilical Lagrangian immersions.
 """
 
 __version__ = "0.1.0"
-
-from .codazzi import (
-    AffineExpr,
-    DerivativeUnknowns,
-    FloatFrameState,
-    FrameState,
-    SolveResult,
-    case1_check,
-    case2_check,
-    case3_check,
-    codazzi_components,
-    det_factorization_check,
-    frame_relation_check,
-    hijk_from_v,
-    omega_from_state,
-    random_frame_state,
-    solve_triple_system,
-    system1_check,
-    system2_coefficients,
-)
-from .humfit import (
-    CubicTensor,
-    HUmbilicalFit,
-    build_h_from_V,
-    fit,
-    pattern_tensor,
-    theorem_harness,
-    umbilical_lemma_check,
-)
-from .lagrangian import (
-    AdaptedFrameData,
-    AngleData,
-    Box,
-    Immersion,
-    LagrangianCheck,
-    ab_operators,
-    angle_functions,
-    angle_sum_defect,
-    builtin_examples,
-    codazzi_residual,
-    example_by_label,
-    frame_components,
-    is_lagrangian,
-    lagrangian_suite,
-    relation_h_omega_residual,
-    second_fundamental_form,
-)
-from .exact import CirclePoint, QSqrt3, Rational, angle_add, poly_identity_check, rat_circle_point
-from .quat import ImaginaryQuaternion, Quaternion, exp_im, log_unit
-from .report import CheckRecord, VerificationReport
-
-__all__ = [
-    "AdaptedFrameData",
-    "AffineExpr",
-    "AngleData",
-    "Box",
-    "CheckRecord",
-    "CirclePoint",
-    "CubicTensor",
-    "DerivativeUnknowns",
-    "FloatFrameState",
-    "FrameState",
-    "HUmbilicalFit",
-    "ImaginaryQuaternion",
-    "Immersion",
-    "LagrangianCheck",
-    "QSqrt3",
-    "Quaternion",
-    "Rational",
-    "SolveResult",
-    "VerificationReport",
-    "ab_operators",
-    "angle_add",
-    "angle_functions",
-    "angle_sum_defect",
-    "build_h_from_V",
-    "builtin_examples",
-    "case1_check",
-    "case2_check",
-    "case3_check",
-    "codazzi_components",
-    "codazzi_residual",
-    "det_factorization_check",
-    "example_by_label",
-    "exp_im",
-    "fit",
-    "frame_components",
-    "frame_relation_check",
-    "hijk_from_v",
-    "is_lagrangian",
-    "lagrangian_suite",
-    "omega_from_state",
-    "pattern_tensor",
-    "poly_identity_check",
-    "random_frame_state",
-    "rat_circle_point",
-    "relation_h_omega_residual",
-    "second_fundamental_form",
-    "solve_triple_system",
-    "system1_check",
-    "system2_coefficients",
-    "theorem_harness",
-    "umbilical_lemma_check",
-    "__version__",
-]

@@ -51,7 +51,7 @@ from .nkgeom import (
     random_tangent,
 )
 from .quat import ImaginaryQuaternion, exp_im
-from .report import CheckRecord, VerificationReport
+from .report import CheckRecord, VerificationReport, max_keep_nan
 
 #: Parameter points at which adapted frames of the built-ins are probed.
 FRAME_SAMPLE_POINTS = (
@@ -113,20 +113,22 @@ def structure_algebra_records(
         base = random_point(rng)
         X = random_tangent(rng, base)
         Y = random_tangent(rng, base)
-        worst["j-squared"] = max(worst["j-squared"], g_norm(apply_J(apply_J(X)) + X))
-        worst["j-isometry"] = max(
+        worst["j-squared"] = max_keep_nan(
+            worst["j-squared"], g_norm(apply_J(apply_J(X)) + X)
+        )
+        worst["j-isometry"] = max_keep_nan(
             worst["j-isometry"],
             abs(metric_g(apply_J(X), apply_J(Y)) - metric_g(X, Y)),
         )
         pp = apply_P(apply_P(X))
-        worst["p-squared"] = max(
+        worst["p-squared"] = max_keep_nan(
             worst["p-squared"], float(np.max(np.abs(pp.components() - X.components())))
         )
-        worst["jp-anticommute"] = max(
+        worst["jp-anticommute"] = max_keep_nan(
             worst["jp-anticommute"],
             g_norm(apply_J(apply_P(X)) + apply_P(apply_J(X))),
         )
-        worst["metric-forms-agree"] = max(
+        worst["metric-forms-agree"] = max_keep_nan(
             worst["metric-forms-agree"],
             abs(metric_g(X, Y) - metric_g_ambient(X, Y)),
         )
@@ -158,8 +160,8 @@ def structure_g_records(
         base = random_point(rng)
         X = random_tangent(rng, base)
         Y = random_tangent(rng, base)
-        diag_worst = max(diag_worst, g_norm(G_tensor(X, X)))
-        anti_worst = max(anti_worst, g_norm(G_tensor(X, Y) + G_tensor(Y, X)))
+        diag_worst = max_keep_nan(diag_worst, g_norm(G_tensor(X, X)))
+        anti_worst = max_keep_nan(anti_worst, g_norm(G_tensor(X, Y) + G_tensor(Y, X)))
     return [
         CheckRecord(
             check_id=name,
@@ -185,7 +187,7 @@ def structure_frame_record(seed: int, tol: float | None = None) -> CheckRecord:
     for label in LAGRANGIAN_LABELS:
         imm = example_by_label(label)
         for u in FRAME_SAMPLE_POINTS:
-            frame_worst = max(
+            frame_worst = max_keep_nan(
                 frame_worst, frame_components(imm, np.array(u)).orientation_residual
             )
             count += 1

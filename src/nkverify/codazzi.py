@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from mpmath import mp
 
 from .exact import (
+    CIRCLE_ONE,
     CirclePoint,
     QSqrt3,
     angle_add,
@@ -40,7 +41,7 @@ from .exact import (
     poly_identity_check,
     rat_circle_point,
 )
-from .report import CheckRecord
+from .report import CheckRecord, max_keep_nan
 
 AXES = (1, 2, 3)
 
@@ -186,8 +187,11 @@ class FrameState(_StateCaches):
         theta3 = angle_add(theta1, theta2).conjugate()
         self.angles = {1: theta1, 2: theta2, 3: theta3}
         self._diffs: dict[tuple[int, int], CirclePoint] = {}
-        for a, b in product(AXES, AXES):
-            self._diffs[(a, b)] = angle_sub(self.angles[a], self.angles[b])
+        for a, b in ((1, 2), (1, 3), (2, 3)):
+            d = angle_sub(self.angles[a], self.angles[b])
+            self._diffs[(a, b)], self._diffs[(b, a)] = d, d.conjugate()
+        for a in AXES:
+            self._diffs[(a, a)] = CIRCLE_ONE
         if any(self._diffs[(a, b)].s == 0 for a in AXES for b in AXES if a < b):
             raise ValueError("state rejected: some sin(theta_a - theta_b) vanishes")
         self._h = self._dh = self._omega = self._shifted = None
@@ -1035,19 +1039,6 @@ def constrained_theta2(v1, v3, theta1):
     return mp.atan2(num, den) / 2
 
 
-def _max_keep_nan(a, b):
-    """max(a, b), except that a NaN in either argument is the result.
-
-    The builtin max drops a NaN that is not its first argument, and every
-    comparison with NaN is False, so a NaN residual would otherwise pass.
-    """
-    if a != a:
-        return a
-    if b != b:
-        return b
-    return max(a, b)
-
-
 def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckRecord:
     """The case v2 = 0 with the angle constraint: forced back to v = 0.
 
@@ -1101,8 +1092,8 @@ def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckReco
             d23, d21 = case3_closed_forms(v1, v3)
             got23 = res.solutions[(2, 3)].const
             got21 = res.solutions[(2, 1)].const
-            err = _max_keep_nan(abs(got23 - d23), abs(got21 - d21))
-            max_residual = _max_keep_nan(max_residual, float(err))
+            err = max_keep_nan(abs(got23 - d23), abs(got21 - d21))
+            max_residual = max_keep_nan(max_residual, float(err))
             if not err <= tol:
                 fail("closed form mismatch", {"err": float(err)})
                 continue
@@ -1115,7 +1106,7 @@ def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckReco
                 if e.coeffs and any(abs(c) > st.zero_tol for c in e.coeffs.values()):
                     fail("unresolved unknowns in final components")
                     break
-                resid = _max_keep_nan(resid, abs(e.const))
+                resid = max_keep_nan(resid, abs(e.const))
             else:
                 forcing = abs(v3) * (q1 + q3)
                 ratio = float(resid / forcing)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .lagrangian import Immersion, is_lagrangian, second_fundamental_form
-from .report import CheckRecord
+from .report import CheckRecord, max_keep_nan
 
 #: Ten independent slots of a symmetric cubic tensor on R^3, ascending indices.
 COMPONENT_KEYS = ("111", "112", "113", "122", "123", "133", "222", "223", "233", "333")
@@ -99,10 +99,13 @@ class CubicTensor:
 def symmetry_defect(full: np.ndarray) -> float:
     """Largest deviation of a 3x3x3 array from full symmetry."""
     full = np.asarray(full, dtype=float)
-    worst = 0.0
-    for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        worst = max(worst, float(np.max(np.abs(full - full.transpose(axes)))))
-    return worst
+    return max_keep_nan(
+        0.0,
+        *(
+            float(np.max(np.abs(full - full.transpose(axes))))
+            for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+        ),
+    )
 
 
 def build_h_from_V(V: Sequence) -> CubicTensor:
@@ -269,13 +272,15 @@ def umbilical_cubic(n: int, xi: Sequence[float]) -> np.ndarray:
 
 
 def _full_asymmetry(c: np.ndarray) -> float:
-    worst = 0.0
-    n = c.ndim
-    for axes in permutations(range(n)):
-        if axes == tuple(range(n)):
-            continue
-        worst = max(worst, float(np.max(np.abs(c - np.transpose(c, axes)))))
-    return worst
+    identity = tuple(range(c.ndim))
+    return max_keep_nan(
+        0.0,
+        *(
+            float(np.max(np.abs(c - np.transpose(c, axes))))
+            for axes in permutations(identity)
+            if axes != identity
+        ),
+    )
 
 
 def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> CheckRecord:
@@ -297,7 +302,7 @@ def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> Check
         xi = xi / np.linalg.norm(xi)
         asym = _full_asymmetry(umbilical_cubic(n, xi))
         min_asym = min(min_asym, asym)
-        if asym < floor * (1.0 - 1e-12):
+        if not asym >= floor * (1.0 - 1e-12):
             failures.append({"trial": t, "xi": xi.tolist(), "asymmetry": asym})
     zero_ok = _full_asymmetry(umbilical_cubic(n, np.zeros(n))) == 0.0
     if not zero_ok:
@@ -339,15 +344,17 @@ def theorem_harness(
     max_sym_defect = 0.0
     for u in points:
         c, _ = second_fundamental_form(imm, u)
-        max_sym_defect = max(max_sym_defect, symmetry_defect(c))
-        tensor = CubicTensor.from_full(c)
+        max_sym_defect = max_keep_nan(max_sym_defect, symmetry_defect(c))
         h_norm = float(np.linalg.norm(c))
-        max_h = max(max_h, h_norm)
-        result = fit(tensor, fit_tol)
+        max_h = max_keep_nan(max_h, h_norm)
+        if not math.isfinite(h_norm):  # nothing to fit, and no pass on it
+            failures.append({"u": np.asarray(u).tolist(), "h_norm": h_norm})
+            continue
+        result = fit(CubicTensor.from_full(c), fit_tol)
         if result is not None:
             fits += 1
-            max_lam = max(max_lam, abs(result.lam))
-            max_mu = max(max_mu, abs(result.mu))
+            max_lam = max_keep_nan(max_lam, abs(result.lam))
+            max_mu = max_keep_nan(max_mu, abs(result.mu))
             if h_norm >= tol:
                 failures.append(
                     {

@@ -17,6 +17,19 @@ from typing import Any
 from .exact import CirclePoint, QSqrt3
 
 
+def max_keep_nan(*values):
+    """max(values), except that a NaN among them is the result.
+
+    The builtin max drops a NaN that is not its first argument, and every
+    comparison with NaN is False, so a NaN residual would otherwise vanish
+    inside a running maximum and pass its check.
+    """
+    for v in values:
+        if v != v:
+            return v
+    return max(values)
+
+
 def jsonable(x: Any) -> Any:
     """Recursively convert exact and numpy scalars to JSON-stable values."""
     if x is None or isinstance(x, (bool, int, str)):

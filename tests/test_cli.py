@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from nkverify import cli
 from nkverify.cli import (
     LAGRANGIAN_LABELS,
     cmd_fit,
@@ -66,6 +68,35 @@ def test_structure_impossible_tolerance_fails_with_finite_residuals() -> None:
     # the exact involution really does hit zero, so it survives any tol > 0
     assert by_id["p-squared"].passed
     assert all(math.isfinite(r.max_residual) for r in report.records)
+
+
+def test_structure_nan_residuals_fail_their_checks(monkeypatch) -> None:
+    # each running maximum keeps a NaN, so the check fails and reports it
+    monkeypatch.setattr(cli, "metric_g_ambient", lambda X, Y: math.nan)
+    monkeypatch.setattr(cli, "G_tensor", lambda X, Y: X.scaled(math.nan))
+    real_frame = cli.frame_components
+    frames = []
+
+    def nan_at_second_frame(imm, u):
+        fc = real_frame(imm, u)
+        frames.append(fc)
+        if len(frames) == 2:
+            fc.orientation_residual = math.nan
+        return fc
+
+    monkeypatch.setattr(cli, "frame_components", nan_at_second_frame)
+    rng = np.random.default_rng(0)
+    records = (
+        cli.structure_algebra_records(3, rng, 0)
+        + cli.structure_g_records(3, rng, 0)
+        + [cli.structure_frame_record(0)]
+    )
+    failed = {r.check_id for r in records if not r.passed}
+    assert failed == {
+        "metric-forms-agree", "g-vanishing-diagonal", "g-antisymmetry", "frame-g-form"
+    }
+    for rec in records:
+        assert math.isnan(rec.max_residual) == (rec.check_id in failed)
 
 
 def test_structure_reports_are_byte_identical() -> None:

@@ -42,7 +42,7 @@ from nkverify.codazzi import (
     system2_coefficients,
     _case2_displays,
 )
-from nkverify.exact import QSqrt3, rat_circle_point
+from nkverify.exact import QSqrt3, angle_sub, rat_circle_point
 
 small_fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -193,6 +193,14 @@ def test_proof_report_golden_digest() -> None:
     assert hashlib.sha256(report.encode()).hexdigest() == (
         "a7346376e749a5e6c0369f01fb7aadec0043923f58ae42d9eb39664b83294c02"
     )
+
+
+def test_frame_state_angle_differences_match_angle_sub() -> None:
+    # three differences are built; the reverse pairs and the diagonal follow
+    for seed in range(5):
+        st_ = _state(seed)
+        for a, b in product(AXES, AXES):
+            assert st_._diffs[(a, b)] == angle_sub(st_.angles[a], st_.angles[b])
 
 
 # ---------------------------------------------------------------------------

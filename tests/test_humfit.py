@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nkverify import humfit
 from nkverify.humfit import (
     COMPONENT_KEYS,
     CubicTensor,
@@ -161,6 +162,33 @@ def test_theorem_harness_builtins():
         assert rec.details["fit_successes"] == rec.details["grid_points"] == 8
         assert rec.details["max_abs_lambda"] == 0.0
         assert rec.details["max_abs_mu"] == 0.0
+
+
+def test_theorem_harness_nan_cubic_form_fails(monkeypatch):
+    # a NaN in h fails the harness and is its max_residual, instead of
+    # vanishing inside the running maxima
+    real = humfit.second_fundamental_form
+    calls = []
+
+    def nan_at_second_point(imm, u):
+        c, H = real(imm, u)
+        calls.append(u)
+        return (c * math.nan if len(calls) == 2 else c), H
+
+    monkeypatch.setattr(humfit, "second_fundamental_form", nan_at_second_point)
+    rec = theorem_harness(example_by_label("diagonal"), grid=2)
+    assert not rec.passed
+    assert math.isnan(rec.max_residual)
+    assert math.isnan(rec.details["max_symmetry_defect"])
+    assert len(rec.failures) == 1 and math.isnan(rec.failures[0]["h_norm"])
+    assert rec.details["fit_successes"] == 7
+
+
+def test_symmetry_defects_keep_nan():
+    full = np.zeros((3, 3, 3))
+    full[0, 1, 2] = math.nan
+    assert math.isnan(symmetry_defect(full))
+    assert math.isnan(_full_asymmetry(full))
 
 
 def test_theorem_harness_rejects_control():

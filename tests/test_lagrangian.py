@@ -1,12 +1,16 @@
 """Lagrangian analyzer: built-in immersions, operators, angles, Codazzi."""
 
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+from nkverify import lagrangian
+from nkverify.cli import cmd_lagrangian
 from nkverify.codazzi import hijk_from_v, omega_from_state, random_frame_state
+from nkverify.humfit import theorem_harness
 from nkverify.lagrangian import (
     EPSILON,
     TWIST_ROTATION,
@@ -301,7 +305,8 @@ def test_lagrangian_suite_diagonal():
     assert all(r.passed for r in records)
     assert all(r.status is None for r in records)
     angle = next(r for r in records if r.check_id.startswith("angle-sum"))
-    assert angle.details["degenerate_points"] == 8
+    # all points degenerate: no eigenframe residuals, details as before
+    assert angle.details == {"degenerate_points": 8, "grid_points": 8}
 
 
 def test_lagrangian_suite_skips_downstream_on_control():
@@ -333,6 +338,20 @@ def _conjugation_immersion():
     return Immersion("conjugation", Box((-0.4,) * 3, (0.4,) * 3), conj_map)
 
 
+#: (passed, max_residual) of each record for the conjugation immersion at
+#: grid 2, recorded before the suite shared one frame package per point.
+CONJUGATION_RECORDS = {
+    "lagrangian[conjugation]": (True, 1.4591897135041165e-11),
+    "minimality[conjugation]": (True, 3.900165452616786e-09),
+    "cubic-symmetry[conjugation]": (True, 8.259152761008748e-09),
+    "ab-structure[conjugation]": (True, 2.188786651924346e-11),
+    "angle-sum[conjugation]": (True, 1.4927614699900005e-11),
+    "orientation[conjugation]": (True, 1.4283547823193144e-11),
+    "codazzi-residual[conjugation]": (True, 9.196799082146872e-06),
+    "theorem-shadow[conjugation]": (True, 0.6123724398258565),
+}
+
+
 def test_curved_immersion_suite_and_eigenframe_checks():
     imm = _conjugation_immersion()
     records = lagrangian_suite(imm, grid=2)
@@ -340,6 +359,13 @@ def test_curved_immersion_suite_and_eigenframe_checks():
     assert all(r.passed and r.status is None for r in records)
     codazzi = next(r for r in records if r.check_id.startswith("codazzi-residual"))
     assert codazzi.max_residual <= 1.001 * CHART_CODAZZI_RESIDUAL
+    records.append(theorem_harness(imm, grid=2))
+    got = {r.check_id: (r.passed, r.max_residual) for r in records}
+    assert got == CONJUGATION_RECORDS
+    angle = records[4]
+    assert angle.details["degenerate_points"] == 0
+    for key in ("frame_relation_worst", "dtheta_worst"):
+        assert 0.0 < angle.details[key] < 1e-7
     for u in imm.domain.grid(2):
         fc = frame_components(imm, u)
         assert not fc.degenerate
@@ -347,3 +373,63 @@ def test_curved_immersion_suite_and_eigenframe_checks():
         assert fc.eq_residual < 1e-5 and fc.dtheta_residual < 1e-5
         h_norm = math.sqrt(float(np.sum(fc.h**2)))
         assert h_norm == pytest.approx(math.sqrt(3 / 8), abs=1e-6)
+
+
+def test_lagrangian_report_golden_digest():
+    # recorded before the suite shared one frame package per point
+    report = cmd_lagrangian(grid=2, seed=1).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "f734b453461c4fcb3f005693a907f2d631273bac6334cf803a66523bdf3492f2"
+    )
+
+
+@pytest.mark.parametrize(
+    "injected", [(1e-3, 0.0), (0.0, 1e-3), (math.nan, 0.0), (0.0, math.nan)]
+)
+def test_angle_sum_gates_on_eigenframe_residuals(monkeypatch, injected):
+    monkeypatch.setattr(lagrangian, "_eigenfield_checks", lambda *args: injected)
+    records = lagrangian_suite(_conjugation_immersion(), grid=1)
+    angle = next(r for r in records if r.check_id.startswith("angle-sum"))
+    assert not angle.passed
+    assert angle.max_residual < angle.tolerance  # the angle sum itself is fine
+    got = (angle.details["frame_relation_worst"], angle.details["dtheta_worst"])
+    assert np.array_equal(got, injected, equal_nan=True)
+    assert all(r.passed for r in records if r is not angle)
+
+
+@pytest.mark.parametrize(
+    "target, check",
+    [
+        ("_codazzi", "codazzi-residual"),
+        ("_p_split", "ab-structure"),
+        ("angle_sum_defect", "angle-sum"),
+    ],
+)
+def test_suite_nan_residual_fails_its_check(monkeypatch, target, check):
+    monkeypatch.setattr(lagrangian, target, lambda *args: math.nan)
+    records = lagrangian_suite(by_label("diagonal"), grid=1)
+    rec = next(r for r in records if r.check_id.startswith(check))
+    assert not rec.passed and math.isnan(rec.max_residual)
+    assert all(r.passed for r in records if r is not rec)
+
+
+def test_nan_lagrangian_residual_fails_and_skips_downstream(monkeypatch):
+    monkeypatch.setattr(
+        lagrangian._PointData, "lagrangian_residual", property(lambda self: math.nan)
+    )
+    assert not is_lagrangian(by_label("diagonal"), SAMPLE_POINTS[0])
+    records = lagrangian_suite(by_label("diagonal"), grid=1)
+    assert not records[0].passed and math.isnan(records[0].max_residual)
+    assert all(r.status == "skip" for r in records[1:])
+
+
+@pytest.mark.parametrize("label, per_point", [("diagonal", 637), ("conjugation", 763)])
+def test_suite_builds_one_frame_package_per_point(monkeypatch, label, per_point):
+    # 7 map calls for the frame, 84 for its derivative pass, 6 x 91 for the
+    # Codazzi neighbours, and 126 more where the eigenframe path runs
+    calls = []
+    point = Immersion.point
+    monkeypatch.setattr(Immersion, "point", lambda self, u: calls.append(1) or point(self, u))
+    imm = _conjugation_immersion() if label == "conjugation" else by_label(label)
+    lagrangian_suite(imm, grid=1)
+    assert len(calls) == per_point
