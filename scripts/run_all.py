@@ -4,8 +4,9 @@
 Produces structure, lagrangian, proof and fit reports under --out (default
 reports/), prints each text summary, and exits with the worst status seen:
 0 all passed, 1 a verification failed, 2 bad arguments (a count below 1).
-With --timings the JSON reports keep each check's elapsed_ms; without it they
-are byte-identical for a fixed seed.
+Each suite's header line gives its wall time.  With --timings the JSON
+reports keep each check's elapsed_ms; without it they are byte-identical for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -49,10 +50,12 @@ def run(argv: list[str] | None = None) -> int:
     worst = 0
     started = time.perf_counter()
     for name, build in suites:
+        suite_start = time.perf_counter()
         report = build()
+        suite_s = time.perf_counter() - suite_start
         json_out = out_dir / f"{name}.json"
         json_out.write_text(report.to_json(timings=args.timings) + "\n")
-        print(f"== {name} (report {json_out}) ==")
+        print(f"== {name} in {suite_s:.2f}s (report {json_out}) ==")
         print(report.to_text())
         print()
         worst = max(worst, 0 if report.passed else 1)

@@ -41,7 +41,7 @@ from .exact import (
     poly_identity_check,
     rat_circle_point,
 )
-from .report import CheckRecord, max_keep_nan
+from .report import CheckRecord, max_keep_nan, min_keep_nan
 
 AXES = (1, 2, 3)
 
@@ -1110,7 +1110,9 @@ def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckReco
             else:
                 forcing = abs(v3) * (q1 + q3)
                 ratio = float(resid / forcing)
-                min_forcing_ratio = ratio if min_forcing_ratio is None else min(min_forcing_ratio, ratio)
+                min_forcing_ratio = (
+                    ratio if min_forcing_ratio is None else min_keep_nan(min_forcing_ratio, ratio)
+                )
                 if not resid >= mp.mpf("0.02") * forcing:
                     fail("final components fail to force v3 (v1^2+v3^2) = 0",
                          {"residual": float(resid), "forcing_scale": float(forcing)})

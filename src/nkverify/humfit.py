@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .lagrangian import Immersion, is_lagrangian, second_fundamental_form
-from .report import CheckRecord, max_keep_nan
+from .report import CheckRecord, max_keep_nan, min_keep_nan
 
 #: Ten independent slots of a symmetric cubic tensor on R^3, ascending indices.
 COMPONENT_KEYS = ("111", "112", "113", "122", "123", "133", "222", "223", "233", "333")
@@ -301,7 +301,7 @@ def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> Check
         xi = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
         xi = xi / np.linalg.norm(xi)
         asym = _full_asymmetry(umbilical_cubic(n, xi))
-        min_asym = min(min_asym, asym)
+        min_asym = min_keep_nan(min_asym, asym)
         if not asym >= floor * (1.0 - 1e-12):
             failures.append({"trial": t, "xi": xi.tolist(), "asymmetry": asym})
     zero_ok = _full_asymmetry(umbilical_cubic(n, np.zeros(n))) == 0.0

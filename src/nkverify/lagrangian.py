@@ -17,16 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .nkgeom import (
-    G_tensor,
-    PointS3S3,
-    TangentVector,
-    apply_J,
-    apply_P,
-    connection,
-    g_norm,
-    metric_g,
-)
+from .nkgeom import G_ARRAY, PointS3S3, TangentVector, connection
 from .quat import ImaginaryQuaternion, Quaternion, exp_im
 from .report import CheckRecord, max_keep_nan
 
@@ -90,75 +81,157 @@ class Immersion:
         return self.map_fn(np.asarray(u, dtype=float))
 
     def pushforward(self, u: Sequence[float]) -> list[TangentVector]:
-        u = np.asarray(u, dtype=float)
-        vecs = self.jacobian(u) if self.jacobian else _pushforward_numeric(self, u)
-        gram = np.array([[metric_g(x, y) for y in vecs] for x in vecs])
-        if float(np.min(np.linalg.eigvalsh(gram))) <= RANK_FLOOR:
-            raise ValueError(f"{self.label}: pushforward rank-deficient at u={u.tolist()}")
-        return vecs
+        bases, V = _pushforwards(self, u)
+        return [TangentVector.from_components(bases[0], v) for v in V[0]]
 
 
-def _pushforward_numeric(imm: Immersion, u: np.ndarray) -> list[TangentVector]:
-    h = PUSHFORWARD_STEP
-    base = imm.point(u)
-    out = []
-    for a in range(3):
-        e = np.zeros(3)
-        e[a] = h
-        plus, minus = imm.point(u + e), imm.point(u - e)
-        dp = Quaternion.from_array((plus.p.as_array() - minus.p.as_array()) / (2 * h))
-        dq = Quaternion.from_array((plus.q.as_array() - minus.q.as_array()) / (2 * h))
-        out.append(
-            TangentVector(
-                base,
-                (base.p.conjugate() * dp).imag,
-                (base.q.conjugate() * dq).imag,
-            )
+# ---------------------------------------------------------------------------
+# frame layer: tangent data as (..., 6) arrays of (alpha, beta) components,
+# batched over leading axes.  Every entry is computed with the same sequence
+# of floating-point operations as the TangentVector algebra of nkgeom, so a
+# batch reproduces the per-vector results bit for bit.
+
+
+def _g(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """metric_g of component arrays, in metric_g's order of operations."""
+    xy = X * Y
+    ab = X[..., :3] * Y[..., 3:]
+    ba = Y[..., :3] * X[..., 3:]
+    aa = (xy[..., 0] + xy[..., 1] + xy[..., 2]) + (xy[..., 3] + xy[..., 4] + xy[..., 5])
+    cross = (ab[..., 0] + ab[..., 1] + ab[..., 2]) + (ba[..., 0] + ba[..., 1] + ba[..., 2])
+    return (4.0 / 3.0) * aa - (2.0 / 3.0) * cross
+
+
+def _norm(X: np.ndarray) -> np.ndarray:
+    return np.sqrt(_g(X, X))
+
+
+def _J(X: np.ndarray) -> np.ndarray:
+    """apply_J of component arrays: (2b - a, b - 2a) / sqrt(3)."""
+    a, b = X[..., :3], X[..., 3:]
+    return np.concatenate(
+        ((2.0 * b - a) * (1.0 / _SQRT3), (b - 2.0 * a) * (1.0 / _SQRT3)), axis=-1
+    )
+
+
+def _P(X: np.ndarray) -> np.ndarray:
+    """apply_P of component arrays: (b, a)."""
+    return np.concatenate((X[..., 3:], X[..., :3]), axis=-1)
+
+
+def _G(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """G_tensor of two component vectors."""
+    return G_ARRAY @ y @ x
+
+
+def _combine(coeffs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] vectors[k], summed in k order."""
+    return (
+        coeffs[..., 0, None] * vectors[0]
+        + coeffs[..., 1, None] * vectors[1]
+        + coeffs[..., 2, None] * vectors[2]
+    )
+
+
+def _worst(residuals: np.ndarray) -> float:
+    """The largest residual, at least 0.0; a NaN among them is the result."""
+    return max_keep_nan(0.0, *np.ravel(residuals).tolist())
+
+
+def _conj_mul_imag(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Im(conj(p) d) of quaternion arrays (..., 4), as Quaternion.__mul__."""
+    w, x, y, z = p[..., 0], -p[..., 1], -p[..., 2], -p[..., 3]
+    dw, dx, dy, dz = d[..., 0], d[..., 1], d[..., 2], d[..., 3]
+    return np.stack(
+        (
+            w * dx + x * dw + y * dz - z * dy,
+            w * dy - x * dz + y * dw + z * dx,
+            w * dz + x * dy - y * dx + z * dw,
+        ),
+        axis=-1,
+    )
+
+
+def _pushforwards(
+    imm: Immersion, us: Sequence[float] | np.ndarray
+) -> tuple[list[PointS3S3], np.ndarray]:
+    """Base points and pushforward components (n, 3, 6) at the rows of us.
+
+    Without a jacobian, each row u costs 7 map calls: u, then u + h e_a and
+    u - h e_a for each axis, whose central difference is left-translated to
+    the identity.  Raises where the pushforward Gram matrix has an eigenvalue
+    at or below RANK_FLOOR (or NaN).
+    """
+    us = np.asarray(us, dtype=float).reshape(-1, 3)
+    if imm.jacobian is not None:
+        vecs = [imm.jacobian(u) for u in us]
+        bases = [v[0].base for v in vecs]
+        V = np.array([[x.components() for x in v] for v in vecs])
+    else:
+        h = PUSHFORWARD_STEP
+        bases = []
+        pq = np.empty((len(us), 7, 8))  # (p, q) at u, u + h e_0, u - h e_0, ...
+        for i, u in enumerate(us):
+            pts = [imm.point(u)]
+            for e in h * np.eye(3):
+                pts += (imm.point(u + e), imm.point(u - e))
+            bases.append(pts[0])
+            pq[i] = [(x.p.w, x.p.x, x.p.y, x.p.z, x.q.w, x.q.x, x.q.y, x.q.z) for x in pts]
+        at, dpq = pq[:, None, 0], (pq[:, 1::2] - pq[:, 2::2]) / (2 * h)
+        V = np.concatenate(
+            (
+                _conj_mul_imag(at[..., :4], dpq[..., :4]),
+                _conj_mul_imag(at[..., 4:], dpq[..., 4:]),
+            ),
+            axis=-1,
         )
-    return out
+    low = np.linalg.eigvalsh(_g(V[:, :, None], V[:, None])).min(axis=-1)
+    for u, m in zip(us, low):
+        if not m > RANK_FLOOR:
+            raise ValueError(f"{imm.label}: pushforward rank-deficient at u={u.tolist()}")
+    return bases, V
 
 
-def _gram_schmidt(vecs: list[TangentVector]) -> tuple[list[TangentVector], np.ndarray]:
-    """g-orthonormalize; rows of the returned matrix express the output frame
-    in terms of the input vectors."""
-    out: list[TangentVector] = []
-    rows = np.zeros((3, 3))
-    for a, v in enumerate(vecs):
-        w = v
-        comb = np.zeros(3)
-        comb[a] = 1.0
-        for b, e in enumerate(out):
-            c = metric_g(v, e)
-            w = w - e.scaled(c)
-            comb = comb - c * rows[b]
-        n = g_norm(w)
-        if n <= 1e-8:
+def _orthonormalize(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classical Gram-Schmidt in g of the vectors V (n, 3, 6): the frames E
+    (n, 3, 6) and S (n, 3, 3), whose rows express E_a in the input vectors."""
+    E = np.empty_like(V)
+    S = np.zeros(V.shape[:2] + (3,))
+    for a in range(3):
+        w = V[:, a]
+        comb = np.zeros((len(V), 3))
+        comb[:, a] = 1.0
+        for b in range(a):
+            c = _g(V[:, a], E[:, b])[:, None]
+            w = w - c * E[:, b]
+            comb = comb - c * S[:, b]
+        n = _norm(w)[:, None]
+        if np.any(n <= 1e-8):
             raise ValueError("frame degenerated during orthonormalization")
-        out.append(w.scaled(1.0 / n))
-        rows[a] = comb / n
-    return out, rows
+        E[:, a] = (1.0 / n) * w
+        S[:, a] = comb / n
+    return E, S
 
 
-def _frame_at(imm: Immersion, u: np.ndarray) -> tuple[list[TangentVector], np.ndarray]:
-    return _gram_schmidt(imm.pushforward(u))
+def _frames(imm: Immersion, us: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g-orthonormal frames E (n, 3, 6) at the rows of us, and the parameter
+    directions S (n, 3, 3) pushing to them."""
+    return _orthonormalize(_pushforwards(imm, us)[1])
 
 
-def _ab(E: list[TangentVector], JE: list[TangentVector]) -> tuple[np.ndarray, np.ndarray]:
-    """A_ab = g(P E_a, E_b) and B_ab = g(P E_a, J E_b) on the frame E."""
-    PE = [apply_P(x) for x in E]
-    A = np.array([[metric_g(px, y) for y in E] for px in PE])
-    B = np.array([[metric_g(px, jy) for jy in JE] for px in PE])
-    return A, B
+def _ab(E: np.ndarray, JE: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A_ab = g(P E_a, E_b) and B_ab = g(P E_a, J E_b) on frames E (..., 3, 6)."""
+    PE = _P(E)[..., :, None, :]
+    return _g(PE, E[..., None, :, :]), _g(PE, JE[..., None, :, :])
 
 
 def _tables(
-    nabla: list[list[TangentVector]], E: list[TangentVector], JE: list[TangentVector]
+    nabla: np.ndarray, E: np.ndarray, JE: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cubic components g(nabla_a E_b, JE_k) and connection components
-    g(nabla_a E_b, E_k) of the frame E."""
-    c = np.array([[[metric_g(v, jk) for jk in JE] for v in row] for row in nabla])
-    omega = np.array([[[metric_g(v, ek) for ek in E] for v in row] for row in nabla])
-    return c, omega
+    g(nabla_a E_b, E_k) of frames E (..., 3, 6), nabla (..., 3, 3, 6)."""
+    nabla = nabla[..., None, :]
+    return _g(nabla, JE[..., None, None, :, :]), _g(nabla, E[..., None, None, :, :])
 
 
 def _richardson(f_plus, f_minus, f_hplus, f_hminus, h: float) -> np.ndarray:
@@ -168,86 +241,74 @@ def _richardson(f_plus, f_minus, f_hplus, f_hminus, h: float) -> np.ndarray:
 
 
 def _frame_derivatives(
-    u: np.ndarray,
-    frame_fn: Callable[[np.ndarray], list[TangentVector]],
+    us: np.ndarray,
+    frames_fn: Callable[[np.ndarray], np.ndarray],
     directions: np.ndarray,
-    E0: list[TangentVector],
-) -> list[list[TangentVector]]:
-    """Ambient connection derivatives nabla_{E_a} F_b of the frame field
-    F = frame_fn, along the parameter directions whose pushforwards are the
-    E_a = E0[a]; F(u) is E0.
+    E0: np.ndarray,
+) -> np.ndarray:
+    """Ambient connection derivatives nabla_{E_a} F_b (m, 3, 3, 6) of the
+    frame field F = frames_fn at the m centres us, along the parameter
+    directions (m, 3, 3) whose pushforwards are the E_a = E0[:, a]; F(us) is
+    E0.  frames_fn takes all 12 m stencil points in one call.
 
     With w the (alpha, beta) components of F_b, nabla_X F_b = X(w) + Gamma(x, w):
     X(w) is the Richardson derivative of w along the direction and Gamma is
     the closed-form connection of nkgeom.
     """
     h = FRAME_FIELD_STEP
-    base = E0[0].base
-    comps0 = [e.components() for e in E0]
-    nabla: list[list[TangentVector]] = []
-    for a in range(3):
-        d = directions[a]
-        ws = {
-            t: np.array([f.components() for f in frame_fn(u + t * d)])
-            for t in (h, -h, h / 2, -h / 2)
-        }
-        wdot = _richardson(ws[h], ws[-h], ws[h / 2], ws[-h / 2], h)
-        nabla.append(
-            [
-                TangentVector.from_components(
-                    base, wdot[b] + connection(comps0[a], comps0[b])
-                )
-                for b in range(3)
-            ]
-        )
-    return nabla
+    ts = np.array((h, -h, h / 2, -h / 2))
+    stencil = us[:, None, None, :] + ts[:, None] * directions[:, :, None, :]
+    F = frames_fn(stencil.reshape(-1, 3)).reshape(stencil.shape[:3] + (3, 6))
+    wdot = _richardson(F[:, :, 0], F[:, :, 1], F[:, :, 2], F[:, :, 3], h)
+    gamma = [[[connection(e[a], e[b]) for b in range(3)] for a in range(3)] for e in E0]
+    return wdot + np.array(gamma)
 
 
 class _PointData:
     """Frame package at one parameter point.
 
-    Holds the orthonormal frame E, its image JE and the parameter directions
-    S (rows) pushing to E.  A/B, the Lagrangian residual and the centre
-    derivative tables (nabla, the cubic components c, the connection
-    components omega and the mean curvature H) are computed on first use and
-    then read by every check at the point.
+    Holds the base point, the orthonormal frame E (3, 6), its image JE and
+    the parameter directions S (rows) pushing to E.  A/B, the Lagrangian
+    residual and the centre derivative tables (nabla, the cubic components c,
+    the connection components omega and the mean curvature H) are computed on
+    first use and then read by every check at the point.
     """
 
     def __init__(self, imm: Immersion, u: np.ndarray) -> None:
         self.imm = imm
         self.u = u
-        self.E, self.S = _frame_at(imm, u)
-        self.JE = [apply_J(e) for e in self.E]
+        bases, V = _pushforwards(imm, u)
+        E, S = _orthonormalize(V)
+        self.base, self.E, self.S = bases[0], E[0], S[0]
+        self.JE = _J(self.E)
 
     @cached_property
     def lagrangian_residual(self) -> float:
-        return max_keep_nan(0.0, *(abs(metric_g(jx, y)) for jx in self.JE for y in self.E))
+        return _worst(np.abs(_g(self.JE[:, None], self.E[None])))
 
     @cached_property
     def ab(self) -> tuple[np.ndarray, np.ndarray]:
         return _ab(self.E, self.JE)
 
     @cached_property
-    def nabla(self) -> list[list[TangentVector]]:
+    def nabla(self) -> np.ndarray:
         return _frame_derivatives(
-            self.u, lambda w: _frame_at(self.imm, w)[0], self.S, self.E
-        )
+            self.u[None], lambda w: _frames(self.imm, w)[0], self.S[None], self.E[None]
+        )[0]
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         return _tables(self.nabla, self.E, self.JE)
 
     @cached_property
-    def H(self) -> TangentVector:
+    def H(self) -> np.ndarray:
+        diag = [0, 1, 2]
+        normal = self.nabla[diag, diag]
         omega = self.tables[1]
-        zero = ImaginaryQuaternion.zero()
-        H = TangentVector(self.E[0].base, zero, zero)
-        for a in range(3):
-            normal = self.nabla[a][a]
-            for k in range(3):
-                normal = normal - self.E[k].scaled(omega[a, a, k])
-            H = H + normal.scaled(1.0 / 3.0)
-        return H
+        for k in range(3):
+            normal = normal - omega[diag, diag, k, None] * self.E[k]
+        third = (1.0 / 3.0) * normal
+        return 0.0 + third[0] + third[1] + third[2]
 
 
 @dataclass(frozen=True)
@@ -290,7 +351,7 @@ def second_fundamental_form(
     """Cubic components c_abk = g(h(E_a, E_b), JE_k) in an orthonormal frame,
     and the mean curvature vector H."""
     data = _checked_point(imm, u)
-    return data.tables[0], data.H
+    return data.tables[0], TangentVector.from_components(data.base, data.H)
 
 
 def ab_operators(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -310,13 +371,10 @@ def p_split_residual(imm: Immersion, u: Sequence[float]) -> float:
 def _p_split(data: _PointData) -> float:
     E, JE = data.E, data.JE
     A, B = data.ab
-    worst = 0.0
-    for a in range(3):
-        recon = E[0].scaled(0.0)
-        for b in range(3):
-            recon = recon + E[b].scaled(A[a, b]) + JE[b].scaled(B[a, b])
-        worst = max_keep_nan(worst, g_norm(apply_P(E[a]) - recon))
-    return worst
+    recon = 0.0 * E[0]
+    for b in range(3):
+        recon = recon + A[:, b, None] * E[b] + B[:, b, None] * JE[b]
+    return _worst(_norm(_P(E) - recon))
 
 
 @dataclass
@@ -461,21 +519,17 @@ def _adapted_frame(data: _PointData) -> AdaptedFrameData:
     ang = angle_functions(*data.ab)
     R = ang.coeffs.copy()
 
-    frame = [_combine(data.E, R[i]) for i in range(3)]
-    probe = metric_g(G_tensor(frame[0], frame[1]), apply_J(frame[2]))
+    frame = _combine(R, data.E)
+    probe = _g(_G(frame[0], frame[1]), _J(frame[2]))
     if probe > 0:  # canonical form requires g(G(E1,E2), JE3) = -1/sqrt(3)
         R[2] = -R[2]
-        frame[2] = frame[2].scaled(-1.0)
-    jframe = [apply_J(e) for e in frame]
-    orientation_residual = 0.0
-    for i in range(3):
-        for j in range(3):
-            target = frame[0].scaled(0.0)
-            for k in range(3):
-                target = target - jframe[k].scaled(EPSILON[i, j, k] / _SQRT3)
-            orientation_residual = max_keep_nan(
-                orientation_residual, g_norm(G_tensor(frame[i], frame[j]) - target)
-            )
+        frame[2] = -1.0 * frame[2]
+    jframe = _J(frame)
+    target = 0.0 * frame[0]
+    for k in range(3):
+        target = target - (EPSILON[:, :, k, None] / _SQRT3) * jframe[k]
+    G = np.array([[_G(frame[i], frame[j]) for j in range(3)] for i in range(3)])
+    orientation_residual = _worst(_norm(G - target))
 
     c, omega = data.tables
     A, B = _ab(frame, jframe)
@@ -486,13 +540,13 @@ def _adapted_frame(data: _PointData) -> AdaptedFrameData:
 
     return AdaptedFrameData(
         u=data.u,
-        frame=frame,
+        frame=[TangentVector.from_components(data.base, f) for f in frame],
         thetas=ang.thetas,
         A=A,
         B=B,
         h=_rotated(R, c),
         omega=_rotated(R, omega),
-        H=data.H,
+        H=TangentVector.from_components(data.base, data.H),
         degenerate=ang.degenerate,
         orientation_residual=orientation_residual,
         eq_residual=eq_residual,
@@ -500,34 +554,28 @@ def _adapted_frame(data: _PointData) -> AdaptedFrameData:
     )
 
 
-def _combine(E: list[TangentVector], coeffs: np.ndarray) -> TangentVector:
-    out = E[0].scaled(float(coeffs[0]))
-    for b in (1, 2):
-        out = out + E[b].scaled(float(coeffs[b]))
-    return out
-
-
-def _eigenangles_at(
-    imm: Immersion, w: np.ndarray, reference: np.ndarray
-) -> tuple[np.ndarray, list[TangentVector], np.ndarray]:
-    """Eigen coefficients, frame and angle values at w, continuity-matched to
-    the reference coefficient rows."""
-    data = _PointData(imm, w)
-    Aw, Bw = data.ab
-    ang = angle_functions(Aw, Bw)
-    matched = _match_to_reference(ang.coeffs, reference)
-    cos2 = np.array([float(row @ Aw @ row) for row in matched])
-    sin2 = np.array([float(row @ Bw @ row) for row in matched])
-    thetas = np.array([math.atan2(s, c) / 2 % math.pi for c, s in zip(cos2, sin2)])
-    framew = [_combine(data.E, matched[i]) for i in range(3)]
-    return matched, framew, thetas
+def _eigenframes(
+    imm: Immersion, us: np.ndarray, reference: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenframes (m, 3, 6) and angle values (m, 3) at the rows of us, each
+    continuity-matched to the reference coefficient rows."""
+    E = _frames(imm, us)[0]
+    frames, thetas = [], []
+    for Ew, Aw, Bw in zip(E, *_ab(E, _J(E))):
+        ang = angle_functions(Aw, Bw)
+        matched = _match_to_reference(ang.coeffs, reference)
+        cos2 = np.array([float(row @ Aw @ row) for row in matched])
+        sin2 = np.array([float(row @ Bw @ row) for row in matched])
+        thetas.append([math.atan2(s, c) / 2 % math.pi for c, s in zip(cos2, sin2)])
+        frames.append(_combine(matched, Ew))
+    return np.array(frames), np.array(thetas)
 
 
 def _eigenfield_checks(
     data: _PointData,
     R: np.ndarray,
-    frame: list[TangentVector],
-    jframe: list[TangentVector],
+    frame: np.ndarray,
+    jframe: np.ndarray,
     ang: AngleData,
 ) -> tuple[float, float]:
     """Frame relation and angle-derivative checks with the true eigenframe
@@ -535,21 +583,18 @@ def _eigenfield_checks(
     parameter directions are R @ S."""
     imm, u, directions = data.imm, data.u, R @ data.S
     nabla = _frame_derivatives(
-        u, lambda w: _eigenangles_at(imm, w, R)[1], directions, frame
-    )
+        u[None], lambda w: _eigenframes(imm, w, R)[0], directions[None], frame[None]
+    )[0]
     h, omega = _tables(nabla, frame, jframe)
     eq_residual = relation_h_omega_residual(h, omega, ang.thetas)
 
     step = CUBIC_DERIVATIVE_STEP
-    dtheta_residual = 0.0
     center = np.array(ang.thetas)
-    for i in range(3):
-        d = directions[i]
-        th_plus = _unwrap(_eigenangles_at(imm, u + step * d, R)[2], center)
-        th_minus = _unwrap(_eigenangles_at(imm, u - step * d, R)[2], center)
-        for j in range(3):
-            deriv = (th_plus[j] - th_minus[j]) / (2 * step)
-            dtheta_residual = max_keep_nan(dtheta_residual, abs(deriv + h[j, j, i]))
+    shifts = step * directions
+    thetas = _eigenframes(imm, np.stack((u + shifts, u - shifts), axis=1), R)[1]
+    th = _unwrap(thetas.reshape(3, 2, 3), center)
+    deriv = (th[:, 0] - th[:, 1]) / (2 * step)  # [i, j]: E_i(theta_j)
+    dtheta_residual = _worst(np.abs(deriv + h.diagonal(0, 0, 1)))
     return eq_residual, dtheta_residual
 
 
@@ -574,54 +619,40 @@ def _codazzi(data: _PointData) -> float:
     E, JE = data.E, data.JE
     c, omega = data.tables
     A, B = data.ab
-    G = [[G_tensor(E[x], E[k]) for k in range(3)] for x in range(3)]
+    G = np.array([[_G(E[x], E[k]) for k in range(3)] for x in range(3)])
 
+    # c at u +- step S_x: 6 neighbour frames, then their 72 stencil frames
     step = CUBIC_DERIVATIVE_STEP
-    dc = np.zeros((3, 3, 3, 3))
-    for x in range(3):
-        d = data.S[x]
-        c_plus = _PointData(data.imm, data.u + step * d).tables[0]
-        c_minus = _PointData(data.imm, data.u - step * d).tables[0]
-        dc[x] = (c_plus - c_minus) / (2 * step)
+    shifts = step * data.S
+    us = np.stack((data.u + shifts, data.u - shifts), axis=1).reshape(6, 3)
+    En, Sn = _frames(data.imm, us)
+    nabla = _frame_derivatives(us, lambda w: _frames(data.imm, w)[0], Sn, En)
+    cn = _tables(nabla, En, _J(En))[0].reshape(3, 2, 3, 3, 3)
+    dc = (cn[:, 0] - cn[:, 1]) / (2 * step)
 
-    def h_vec(a: int, b: int) -> TangentVector:
-        out = JE[0].scaled(c[a, b, 0])
-        for k in (1, 2):
-            out = out + JE[k].scaled(c[a, b, k])
-        return out
+    # (del h)(X, Y, Z) at every frame triple [x, y, z]
+    term = G  # [x, k]: G(E_x, E_k) + sum_m omega_xk^m JE_m
+    for m in range(3):
+        term = term + omega[:, :, m, None] * JE[m]
+    h_vec = _combine(c, JE)
+    del_h = 0.0 * E[0]
+    for k in range(3):
+        del_h = del_h + dc[..., k, None] * JE[k]
+        del_h = del_h + c[:, :, k, None] * term[:, None, None, k]
+    for m in range(3):
+        del_h = del_h - omega[:, :, None, m, None] * h_vec[m]
+        del_h = del_h - omega[:, None, :, m, None] * h_vec[:, None, m]
 
-    def del_h(x: int, y: int, z: int) -> TangentVector:
-        out = E[0].scaled(0.0)
-        for k in range(3):
-            out = out + JE[k].scaled(dc[x, y, z, k])
-            term = G[x][k]
-            for m in range(3):
-                term = term + JE[m].scaled(omega[x, k, m])
-            out = out + term.scaled(c[y, z, k])
-        for m in range(3):
-            out = out - h_vec(m, z).scaled(omega[x, y, m])
-            out = out - h_vec(y, m).scaled(omega[x, z, m])
-        return out
-
-    def j_op(mat: np.ndarray, x: int) -> TangentVector:
-        out = JE[0].scaled(mat[x, 0])
-        for m in (1, 2):
-            out = out + JE[m].scaled(mat[x, m])
-        return out
-
-    worst = 0.0
-    for x in range(3):
-        for y in range(x + 1, 3):
-            lhs = [del_h(x, y, z) - del_h(y, x, z) for z in range(3)]
-            for z in range(3):
-                rhs = (
-                    j_op(B, x).scaled(A[y, z])
-                    - j_op(B, y).scaled(A[x, z])
-                    - j_op(A, x).scaled(B[y, z])
-                    + j_op(A, y).scaled(B[x, z])
-                ).scaled(1.0 / 3.0)
-                worst = max_keep_nan(worst, g_norm(lhs[z] - rhs))
-    return worst
+    xs, ys = [0, 0, 1], [1, 2, 2]
+    lhs = del_h[xs, ys] - del_h[ys, xs]
+    jA, jB = _combine(A, JE)[:, None], _combine(B, JE)[:, None]
+    rhs = (1.0 / 3.0) * (
+        jB[xs] * A[ys, :, None]
+        - jB[ys] * A[xs, :, None]
+        - jA[xs] * B[ys, :, None]
+        + jA[ys] * B[xs, :, None]
+    )
+    return _worst(_norm(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +765,7 @@ def lagrangian_suite(
     for data in frames:
         _require_lagrangian(tag, data.u, data.lagrangian_residual)
         c = data.tables[0]
-        worsts["minimality"] = max_keep_nan(worsts["minimality"], g_norm(data.H))
+        worsts["minimality"] = max_keep_nan(worsts["minimality"], float(_norm(data.H)))
         worsts["cubic-symmetry"] = max_keep_nan(
             worsts["cubic-symmetry"],
             float(np.max(np.abs(c - c.transpose(1, 0, 2)))),

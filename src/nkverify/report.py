@@ -30,6 +30,16 @@ def max_keep_nan(*values):
     return max(values)
 
 
+def min_keep_nan(*values):
+    """min(values), except that a NaN among them is the result: the twin of
+    max_keep_nan for running minima, where the builtin min drops a NaN the
+    same way."""
+    for v in values:
+        if v != v:
+            return v
+    return min(values)
+
+
 def jsonable(x: Any) -> Any:
     """Recursively convert exact and numpy scalars to JSON-stable values."""
     if x is None or isinstance(x, (bool, int, str)):

@@ -502,3 +502,24 @@ def test_case3_nan_companion_leftover_fails(monkeypatch) -> None:
     rec = case3_check(trials=2, seed=7)
     assert not rec.passed
     assert any(f.get("reason") == "companion obstruction mismatch" for f in rec.failures)
+
+
+def test_case3_nan_forcing_ratio_is_kept(monkeypatch) -> None:
+    # a NaN final component on the second forced trial: min(ratio, nan) would
+    # drop it from min_forcing_ratio while the trial fails
+    real = codazzi.codazzi_scalar
+    final_calls = []
+
+    def nan_on_second_trial(st_, i, j, k, l, vanishing=frozenset()):
+        expr = real(st_, i, j, k, l, vanishing)
+        if (i, j, k) == (1, 2, 3) and vanishing == frozenset({2}):
+            final_calls.append(l)
+            if 3 < len(final_calls) <= 6:
+                expr = AffineExpr(mp.nan, expr.coeffs)
+        return expr
+
+    monkeypatch.setattr(codazzi, "codazzi_scalar", nan_on_second_trial)
+    rec = case3_check(trials=5, seed=7)
+    assert len(final_calls) > 6
+    assert not rec.passed
+    assert math.isnan(rec.details["min_forcing_ratio"])

@@ -154,6 +154,22 @@ def test_umbilical_lemma_dimensions():
         umbilical_lemma_check(1)
 
 
+@pytest.mark.parametrize("nan_at", ["every call", "second call"])
+def test_umbilical_lemma_keeps_nan_asymmetry(monkeypatch, nan_at):
+    # min(inf, nan) and min(x, nan) both drop the NaN; the detail must not
+    real = humfit._full_asymmetry
+    calls = []
+
+    def nan_asymmetry(c):
+        calls.append(c)
+        return math.nan if nan_at == "every call" or len(calls) == 2 else real(c)
+
+    monkeypatch.setattr(humfit, "_full_asymmetry", nan_asymmetry)
+    rec = umbilical_lemma_check(3, trials=5, seed=1)
+    assert not rec.passed
+    assert math.isnan(rec.details["min_asymmetry"])
+
+
 def test_theorem_harness_builtins():
     for label in ("diagonal", "factor_left"):
         rec = theorem_harness(example_by_label(label), grid=2)

@@ -6,9 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkverify import lagrangian
-from nkverify.cli import cmd_lagrangian
+from nkverify.cli import cmd_lagrangian, graph_immersion
 from nkverify.codazzi import hijk_from_v, omega_from_state, random_frame_state
 from nkverify.humfit import theorem_harness
 from nkverify.lagrangian import (
@@ -238,7 +240,8 @@ def test_rank_guard():
         flat.pushforward(np.zeros(3))
 
 
-def test_analytic_jacobian_matches_numeric():
+def _diagonal_pair() -> tuple[Immersion, Immersion]:
+    """The diagonal u -> (e^u, e^u), with a numeric and an analytic pushforward."""
     basis = [
         ImaginaryQuaternion(1.0, 0.0, 0.0),
         ImaginaryQuaternion(0.0, 1.0, 0.0),
@@ -259,7 +262,11 @@ def test_analytic_jacobian_matches_numeric():
     box = Box((-0.6,) * 3, (0.6,) * 3)
     numeric = Immersion("diag_n", box, lambda u: PointS3S3(exp_im(ImaginaryQuaternion.from_array(u)),
                                                            exp_im(ImaginaryQuaternion.from_array(u))))
-    analytic = Immersion("diag_a", box, numeric.map_fn, jacobian=jac)
+    return numeric, Immersion("diag_a", box, numeric.map_fn, jacobian=jac)
+
+
+def test_analytic_jacobian_matches_numeric():
+    numeric, analytic = _diagonal_pair()
     u = SAMPLE_POINTS[0]
     vn, va = numeric.pushforward(u), analytic.pushforward(u)
     for x, y in zip(vn, va):
@@ -433,3 +440,141 @@ def test_suite_builds_one_frame_package_per_point(monkeypatch, label, per_point)
     imm = _conjugation_immersion() if label == "conjugation" else by_label(label)
     lagrangian_suite(imm, grid=1)
     assert len(calls) == per_point
+
+
+def _pushforward_reference(imm, u):
+    """The TangentVector pushforward the array frame builder replaced: central
+    differences left-translated with Quaternion products."""
+    if imm.jacobian:
+        return imm.jacobian(u)
+    h = lagrangian.PUSHFORWARD_STEP
+    base = imm.point(u)
+    out = []
+    for a in range(3):
+        e = np.zeros(3)
+        e[a] = h
+        plus, minus = imm.point(u + e), imm.point(u - e)
+        dp = Quaternion.from_array((plus.p.as_array() - minus.p.as_array()) / (2 * h))
+        dq = Quaternion.from_array((plus.q.as_array() - minus.q.as_array()) / (2 * h))
+        out.append(
+            TangentVector(
+                base,
+                (base.p.conjugate() * dp).imag,
+                (base.q.conjugate() * dq).imag,
+            )
+        )
+    return out
+
+
+def _gram_schmidt_reference(vecs):
+    """The TangentVector Gram-Schmidt the array frame builder replaced."""
+    out = []
+    rows = np.zeros((3, 3))
+    for a, v in enumerate(vecs):
+        w = v
+        comb = np.zeros(3)
+        comb[a] = 1.0
+        for b, e in enumerate(out):
+            c = metric_g(v, e)
+            w = w - e.scaled(c)
+            comb = comb - c * rows[b]
+        n = g_norm(w)
+        out.append(w.scaled(1.0 / n))
+        rows[a] = comb / n
+    return out, rows
+
+
+def _rotation_graph():
+    R = lagrangian.rotation_matrix((0.3, -1.2, 0.8), 1.1)
+    return graph_immersion(R, R, "rotation-graph", Box((-0.5,) * 3, (0.5,) * 3))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: by_label("diagonal"),
+        _rotation_graph,
+        _conjugation_immersion,
+        lambda: _diagonal_pair()[1],
+    ],
+    ids=["diagonal", "rotation-graph", "conjugation", "analytic-jacobian"],
+)
+def test_frame_builder_matches_tangent_vector_path(make):
+    # the batched builder must reproduce the per-vector frames bit for bit
+    imm = make()
+    us = np.random.default_rng(11).uniform(-0.4, 0.4, (50, 3))
+    E, S = lagrangian._frames(imm, us)
+    for u, Eu, Su in zip(us, E, S):
+        vecs = _pushforward_reference(imm, u)
+        frame, rows = _gram_schmidt_reference(vecs)
+        assert np.array_equal(Eu, [e.components() for e in frame])
+        assert np.array_equal(Su, rows)
+    for u in us[:5]:
+        got = [v.components() for v in imm.pushforward(u)]
+        assert np.array_equal(got, [v.components() for v in _pushforward_reference(imm, u)])
+
+
+def test_frame_builder_rank_guard():
+    flat = Immersion(
+        "flat",
+        Box((-0.5,) * 3, (0.5,) * 3),
+        lambda u: PointS3S3(Quaternion.one(), Quaternion.one()),
+    )
+    with pytest.raises(ValueError, match="rank-deficient"):
+        lagrangian._frames(flat, np.zeros((2, 3)))
+    numeric, _ = _diagonal_pair()
+    base = numeric.point(np.zeros(3))
+    nan = ImaginaryQuaternion(math.nan, 0.0, 0.0)
+    broken = Immersion(
+        "nan-jacobian", numeric.domain, numeric.map_fn,
+        jacobian=lambda u: [TangentVector(base, nan, nan)] * 3,
+    )
+    with pytest.raises(ValueError):
+        lagrangian._frames(broken, np.zeros((1, 3)))
+
+
+_UNIT_QUATERNIONS = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+    .filter(lambda v: math.hypot(*v) > 0.1)
+    .map(lambda v: Quaternion(*v).normalized())
+)
+
+
+def _moved(imm, a, b, c):
+    """imm followed by the isometry (p, q) -> (a p c*, b q c*)."""
+    cbar = c.conjugate()
+
+    def moved_map(u):
+        x = imm.map_fn(u)
+        return PointS3S3(a * x.p * cbar, b * x.q * cbar)
+
+    return Immersion(imm.label, imm.domain, moved_map)
+
+
+def _invariants(imm):
+    u = imm.domain.grid(1)[0]
+    records = lagrangian_suite(imm, grid=1) + [theorem_harness(imm, grid=1)]
+    c, H = second_fundamental_form(imm, u)
+    thetas = angle_functions(*ab_operators(imm, u)).thetas
+    return records, float(np.linalg.norm(c)), g_norm(H), thetas
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(a=_UNIT_QUATERNIONS, b=_UNIT_QUATERNIONS, c=_UNIT_QUATERNIONS)
+def test_isometry_leaves_the_analysis_unchanged(a, b, c):
+    for imm in (_conjugation_immersion(), _rotation_graph()):
+        records, h_norm, H_norm, thetas = _invariants(imm)
+        moved, h_moved, H_moved, thetas_moved = _invariants(_moved(imm, a, b, c))
+        assert [(r.check_id, r.passed, r.status) for r in moved] == [
+            (r.check_id, r.passed, r.status) for r in records
+        ]
+        assert h_moved == pytest.approx(h_norm, abs=1e-6)
+        assert H_moved == pytest.approx(H_norm, abs=1e-6)
+        # the same angles mod pi; their order is not compared, because
+        # angle_functions orders equal cos(2 theta) by roundoff
+        for one, other in ((thetas, thetas_moved), (thetas_moved, thetas)):
+            for t in one:
+                assert min(abs(math.remainder(t - s, math.pi)) for s in other) < 1e-6
+        for rec in moved:
+            if rec.check_id.split("[")[0] in ("lagrangian", "codazzi-residual"):
+                assert rec.max_residual < rec.tolerance

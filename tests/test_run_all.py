@@ -1,7 +1,10 @@
-"""Tests for scripts/run_all.py: argument checks and the --timings flag."""
+"""Tests for scripts/run_all.py: argument checks, the --timings flag, the
+per-suite wall times and a golden digest of the whole pipeline."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +60,29 @@ def test_timings_flag_keeps_elapsed_ms(tmp_path) -> None:
         for c in checks:
             c["elapsed_ms"] = None
         assert checks == plain[name]
+
+
+#: SHA-256 of the reports of `run_all.py --grid 1 --samples 20 --trials 2
+#: --seed 3`, recorded before the analyzer's frame layer moved from
+#: TangentVector objects to batched component arrays.  fit.json is left out
+#: because it names its input path.
+PIPELINE_DIGESTS = {
+    "structure": "658345ef8f9108d6a372d6e60e09e209c3567eea726f6e8055f9b2363e412ccc",
+    "lagrangian": "dc5915231ec03063e5530f2562542823a087dd15dd727abf7f229e8c20c997ae",
+    "proof": "2ed6784c1aab9c8b94c8c8080ecaf2d83bc63c43b254a91232314d9b59ce6bab",
+}
+
+
+def test_pipeline_reports_golden_digest_and_suite_times(tmp_path) -> None:
+    args = ["--grid", "1", "--samples", "20", "--trials", "2", "--seed", "3"]
+    proc = _run(*args, "--out", str(tmp_path))
+    assert proc.returncode == 0
+    got = {
+        name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+        for name in PIPELINE_DIGESTS
+    }
+    assert got == PIPELINE_DIGESTS
+    headers = [line for line in proc.stdout.splitlines() if line.startswith("== ")]
+    assert [h.split()[1] for h in headers] == ["structure", "lagrangian", "proof", "fit"]
+    for header in headers:
+        assert re.fullmatch(r"== \w+ in \d+\.\d\ds \(report .+\.json\) ==", header)
