@@ -4,31 +4,27 @@ Given a parametrized immersion, tests the Lagrangian condition, computes the
 induced frame geometry (second fundamental form, mean curvature, the split of
 the product structure P into A + JB, angle functions), fixes the frame
 orientation against the G tensor, and evaluates the Codazzi-equation residual.
-Ships the built-in example immersions: the two sphere factors, the diagonal,
-and a twisted non-Lagrangian control.
+Every derivative comes from evaluating the map once on truncated Taylor jets
+(see jet.py) for a whole batch of parameter points.  Ships the built-in
+example immersions: the two sphere factors, the diagonal, and a twisted
+non-Lagrangian control.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .nkgeom import G_ARRAY, PointS3S3, TangentVector, connection
+from .jet import Jet, size, stack
+from .nkgeom import CONNECTION, G_ARRAY, J_MATRIX, PointS3S3, TangentVector
 from .quat import ImaginaryQuaternion, Quaternion, exp_im
 from .report import CheckRecord, max_keep_nan
 
 _SQRT3 = math.sqrt(3.0)
 
-#: Central-difference step for numeric pushforwards.
-PUSHFORWARD_STEP = 1e-5
-#: Step for directional derivatives of the cubic-form components.
-CUBIC_DERIVATIVE_STEP = 1e-3
-#: Richardson step for frame-field derivatives along curves.
-FRAME_FIELD_STEP = 1e-3
 #: Immersion rank guard: smallest eigenvalue of the pushforward Gram matrix.
 RANK_FLOOR = 1e-6
 #: Two eigenpairs of (A, B) closer than this are treated as coinciding.
@@ -68,37 +64,51 @@ class Box:
 class Immersion:
     """A parametrized map from a box in R^3 into S3 x S3.
 
-    The pushforward is computed by central differences of the map unless an
-    analytic jacobian (u -> three tangent vectors) is supplied.
+    The map is written with the quat and nkgeom types, so it also takes a
+    jet argument (`jet.Jet.variables`) and then returns the jets of its
+    point: the analyzer reads every derivative it needs from one such call
+    per batch of points.
     """
 
     label: str
     domain: Box
     map_fn: Callable[[np.ndarray], PointS3S3]
-    jacobian: Callable[[np.ndarray], list[TangentVector]] | None = None
 
-    def point(self, u: Sequence[float]) -> PointS3S3:
+    def point(self, u: Sequence[float] | Jet) -> PointS3S3:
+        if isinstance(u, Jet):
+            return self.map_fn(u)
         return self.map_fn(np.asarray(u, dtype=float))
 
     def pushforward(self, u: Sequence[float]) -> list[TangentVector]:
-        bases, V = _pushforwards(self, u)
-        return [TangentVector.from_components(bases[0], v) for v in V[0]]
+        pkg = _Package(self, u, 1)
+        return [TangentVector.from_components(pkg.base(0), v) for v in pkg.V[0]]
 
 
 # ---------------------------------------------------------------------------
 # frame layer: tangent data as (..., 6) arrays of (alpha, beta) components,
-# batched over leading axes.  Every entry is computed with the same sequence
-# of floating-point operations as the TangentVector algebra of nkgeom, so a
-# batch reproduces the per-vector results bit for bit.
+# or as jets of them, batched over leading axes.
+
+_P_MATRIX = np.roll(np.eye(6), 3, axis=0)
+#: sqrt(3) J^T, an integer matrix: X @ _J_INTEGER is (2b - a, b - 2a).
+_J_INTEGER = np.rint(_SQRT3 * J_MATRIX.T)
+#: _CONJ_MUL[4 j + k, i] is the i-th imaginary component of conj(e_j) e_k.
+_CONJ_MUL = np.array(
+    [
+        (a.conjugate() * b).imag.as_array()
+        for a in map(Quaternion.from_array, np.eye(4))
+        for b in map(Quaternion.from_array, np.eye(4))
+    ]
+)
+#: _CONNECTION_FLAT[6 a + b, d] = CONNECTION[d, a, b].
+_CONNECTION_FLAT = CONNECTION.transpose(1, 2, 0).reshape(36, 6)
 
 
-def _g(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """metric_g of component arrays, in metric_g's order of operations."""
+def _g(X, Y):
+    """metric_g of component arrays or jets, in metric_g's order of operations:
+    (4/3)(<a, a'> + <b, b'>) - (2/3)(<a, b'> + <a', b>)."""
     xy = X * Y
-    ab = X[..., :3] * Y[..., 3:]
-    ba = Y[..., :3] * X[..., 3:]
-    aa = (xy[..., 0] + xy[..., 1] + xy[..., 2]) + (xy[..., 3] + xy[..., 4] + xy[..., 5])
-    cross = (ab[..., 0] + ab[..., 1] + ab[..., 2]) + (ba[..., 0] + ba[..., 1] + ba[..., 2])
+    aa = xy[..., :3].sum(-1) + xy[..., 3:].sum(-1)
+    cross = (X[..., :3] * Y[..., 3:]).sum(-1) + (Y[..., :3] * X[..., 3:]).sum(-1)
     return (4.0 / 3.0) * aa - (2.0 / 3.0) * cross
 
 
@@ -106,17 +116,14 @@ def _norm(X: np.ndarray) -> np.ndarray:
     return np.sqrt(_g(X, X))
 
 
-def _J(X: np.ndarray) -> np.ndarray:
-    """apply_J of component arrays: (2b - a, b - 2a) / sqrt(3)."""
-    a, b = X[..., :3], X[..., 3:]
-    return np.concatenate(
-        ((2.0 * b - a) * (1.0 / _SQRT3), (b - 2.0 * a) * (1.0 / _SQRT3)), axis=-1
-    )
+def _J(X):
+    """apply_J of component arrays or jets: (2b - a, b - 2a) / sqrt(3)."""
+    return (X @ _J_INTEGER) * (1.0 / _SQRT3)
 
 
-def _P(X: np.ndarray) -> np.ndarray:
-    """apply_P of component arrays: (b, a)."""
-    return np.concatenate((X[..., 3:], X[..., :3]), axis=-1)
+def _P(X):
+    """apply_P of component arrays or jets: (b, a)."""
+    return X @ _P_MATRIX
 
 
 def _G(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,13 +131,10 @@ def _G(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return G_ARRAY @ y @ x
 
 
-def _combine(coeffs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[..., k] vectors[k], summed in k order."""
-    return (
-        coeffs[..., 0, None] * vectors[0]
-        + coeffs[..., 1, None] * vectors[1]
-        + coeffs[..., 2, None] * vectors[2]
-    )
+def _gamma(X: Jet, W: Jet) -> Jet:
+    """The closed-form connection Gamma(X, W) = CONNECTION @ w @ x of jets."""
+    outer = X[..., :, None] * W[..., None, :]
+    return outer.reshape(*outer.shape[:-2], 36) @ _CONNECTION_FLAT
 
 
 def _worst(residuals: np.ndarray) -> float:
@@ -138,177 +142,113 @@ def _worst(residuals: np.ndarray) -> float:
     return max_keep_nan(0.0, *np.ravel(residuals).tolist())
 
 
-def _conj_mul_imag(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Im(conj(p) d) of quaternion arrays (..., 4), as Quaternion.__mul__."""
-    w, x, y, z = p[..., 0], -p[..., 1], -p[..., 2], -p[..., 3]
-    dw, dx, dy, dz = d[..., 0], d[..., 1], d[..., 2], d[..., 3]
-    return np.stack(
-        (
-            w * dx + x * dw + y * dz - z * dy,
-            w * dy - x * dz + y * dw + z * dx,
-            w * dz + x * dy - y * dx + z * dw,
-        ),
-        axis=-1,
-    )
+def _per_point(residuals: np.ndarray) -> np.ndarray:
+    """The largest residual at each point (the first axis); NaN stays NaN."""
+    return np.max(residuals.reshape(len(residuals), -1), axis=1)
 
 
-def _pushforwards(
-    imm: Immersion, us: Sequence[float] | np.ndarray
-) -> tuple[list[PointS3S3], np.ndarray]:
-    """Base points and pushforward components (n, 3, 6) at the rows of us.
-
-    Without a jacobian, each row u costs 7 map calls: u, then u + h e_a and
-    u - h e_a for each axis, whose central difference is left-translated to
-    the identity.  Raises where the pushforward Gram matrix has an eigenvalue
-    at or below RANK_FLOOR (or NaN).
-    """
-    us = np.asarray(us, dtype=float).reshape(-1, 3)
-    if imm.jacobian is not None:
-        vecs = [imm.jacobian(u) for u in us]
-        bases = [v[0].base for v in vecs]
-        V = np.array([[x.components() for x in v] for v in vecs])
-    else:
-        h = PUSHFORWARD_STEP
-        bases = []
-        pq = np.empty((len(us), 7, 8))  # (p, q) at u, u + h e_0, u - h e_0, ...
-        for i, u in enumerate(us):
-            pts = [imm.point(u)]
-            for e in h * np.eye(3):
-                pts += (imm.point(u + e), imm.point(u - e))
-            bases.append(pts[0])
-            pq[i] = [(x.p.w, x.p.x, x.p.y, x.p.z, x.q.w, x.q.x, x.q.y, x.q.z) for x in pts]
-        at, dpq = pq[:, None, 0], (pq[:, 1::2] - pq[:, 2::2]) / (2 * h)
-        V = np.concatenate(
-            (
-                _conj_mul_imag(at[..., :4], dpq[..., :4]),
-                _conj_mul_imag(at[..., 4:], dpq[..., 4:]),
-            ),
-            axis=-1,
-        )
-    low = np.linalg.eigvalsh(_g(V[:, :, None], V[:, None])).min(axis=-1)
-    for u, m in zip(us, low):
-        if not m > RANK_FLOOR:
-            raise ValueError(f"{imm.label}: pushforward rank-deficient at u={u.tolist()}")
-    return bases, V
+def _map_jet(imm: Immersion, us: np.ndarray, order: int) -> Jet:
+    """The jets (n, 2, 4) of (p, q) at the rows of us, from one map call.
+    Float components of the result (a constant factor) become constant jets."""
+    try:
+        pt = imm.point(Jet.variables(us, order))
+        c = np.zeros((len(us), 8, size(order)))
+        for i, x in enumerate((pt.p.w, pt.p.x, pt.p.y, pt.p.z, pt.q.w, pt.q.x, pt.q.y, pt.q.z)):
+            if isinstance(x, Jet):
+                c[:, i] = x.c
+            else:
+                c[:, i, 0] = float(x)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{imm.label}: the map does not take jet arguments ({exc})") from exc
+    return Jet(c.reshape(len(us), 2, 4, -1), order)
 
 
-def _orthonormalize(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classical Gram-Schmidt in g of the vectors V (n, 3, 6): the frames E
+def _orthonormalize(V: Jet) -> tuple[Jet, Jet]:
+    """Classical Gram-Schmidt in g of the jets V (n, 3, 6): the frames E
     (n, 3, 6) and S (n, 3, 3), whose rows express E_a in the input vectors."""
-    E = np.empty_like(V)
-    S = np.zeros(V.shape[:2] + (3,))
+    E: list[Jet] = []
+    S: list[Jet] = []
     for a in range(3):
-        w = V[:, a]
-        comb = np.zeros((len(V), 3))
-        comb[:, a] = 1.0
+        w, comb = V[:, a], np.eye(3)[a]
         for b in range(a):
-            c = _g(V[:, a], E[:, b])[:, None]
-            w = w - c * E[:, b]
-            comb = comb - c * S[:, b]
-        n = _norm(w)[:, None]
-        if np.any(n <= 1e-8):
-            raise ValueError("frame degenerated during orthonormalization")
-        E[:, a] = (1.0 / n) * w
-        S[:, a] = comb / n
-    return E, S
+            c = _g(V[:, a], E[b])[:, None]
+            w = w - c * E[b]
+            comb = comb - c * S[b]
+        inv = _g(w, w).power(-0.5)[:, None]
+        E.append(inv * w)
+        S.append(inv * comb)
+    return stack(E, 1), stack(S, 1)
 
 
-def _frames(imm: Immersion, us: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g-orthonormal frames E (n, 3, 6) at the rows of us, and the parameter
-    directions S (n, 3, 3) pushing to them."""
-    return _orthonormalize(_pushforwards(imm, us)[1])
-
-
-def _ab(E: np.ndarray, JE: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A_ab = g(P E_a, E_b) and B_ab = g(P E_a, J E_b) on frames E (..., 3, 6)."""
+def _ab(E, JE):
+    """A_ab = g(P E_a, E_b) and B_ab = g(P E_a, J E_b) on frames E (..., 3, 6),
+    arrays or jets."""
     PE = _P(E)[..., :, None, :]
     return _g(PE, E[..., None, :, :]), _g(PE, JE[..., None, :, :])
 
 
-def _tables(
-    nabla: np.ndarray, E: np.ndarray, JE: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _tables(nabla, E, JE):
     """Cubic components g(nabla_a E_b, JE_k) and connection components
     g(nabla_a E_b, E_k) of frames E (..., 3, 6), nabla (..., 3, 3, 6)."""
     nabla = nabla[..., None, :]
     return _g(nabla, JE[..., None, None, :, :]), _g(nabla, E[..., None, None, :, :])
 
 
-def _richardson(f_plus, f_minus, f_hplus, f_hminus, h: float) -> np.ndarray:
-    d1 = (f_plus - f_minus) / (2.0 * h)
-    d2 = (f_hplus - f_hminus) / h
-    return (4.0 * d2 - d1) / 3.0
+class _Package:
+    """Frame package at the rows of us, from one jet evaluation of the map.
 
-
-def _frame_derivatives(
-    us: np.ndarray,
-    frames_fn: Callable[[np.ndarray], np.ndarray],
-    directions: np.ndarray,
-    E0: np.ndarray,
-) -> np.ndarray:
-    """Ambient connection derivatives nabla_{E_a} F_b (m, 3, 3, 6) of the
-    frame field F = frames_fn at the m centres us, along the parameter
-    directions (m, 3, 3) whose pushforwards are the E_a = E0[:, a]; F(us) is
-    E0.  frames_fn takes all 12 m stencil points in one call.
-
-    With w the (alpha, beta) components of F_b, nabla_X F_b = X(w) + Gamma(x, w):
-    X(w) is the Richardson derivative of w along the direction and Gamma is
-    the closed-form connection of nkgeom.
-    """
-    h = FRAME_FIELD_STEP
-    ts = np.array((h, -h, h / 2, -h / 2))
-    stencil = us[:, None, None, :] + ts[:, None] * directions[:, :, None, :]
-    F = frames_fn(stencil.reshape(-1, 3)).reshape(stencil.shape[:3] + (3, 6))
-    wdot = _richardson(F[:, :, 0], F[:, :, 1], F[:, :, 2], F[:, :, 3], h)
-    gamma = [[[connection(e[a], e[b]) for b in range(3)] for a in range(3)] for e in E0]
-    return wdot + np.array(gamma)
-
-
-class _PointData:
-    """Frame package at one parameter point.
-
-    Holds the base point, the orthonormal frame E (3, 6), its image JE and
-    the parameter directions S (rows) pushing to E.  A/B, the Lagrangian
-    residual and the centre derivative tables (nabla, the cubic components c,
-    the connection components omega and the mean curvature H) are computed on
-    first use and then read by every check at the point.
+    The pushforward V_a = Im(conj(p) d_a p), Im(conj(q) d_a q) is the
+    left-translated first-order part of the map's jet, and Gram-Schmidt runs
+    on its jets.  Every order gives the frame E (n, 3, 6), JE, the parameter
+    directions S (n, 3, 3) pushing to E, A/B and the Lagrangian residuals.
+    Order 2 adds the ambient derivatives nabla_{E_a} E_b = E_a(e_b) +
+    Gamma(e_a, e_b), with E_a(f) = sum_c S_ac d_c f read from the frame's
+    jet, the cubic components c, the connection components omega, the mean
+    curvature H and the derivatives dA, dB (n, 3, 3, 3) of A/B along the
+    parameter axes (last index).  Order 3 adds dc (n, 3, 3, 3, 3), the
+    derivative of c along E_x (first index after n), for Codazzi.
     """
 
-    def __init__(self, imm: Immersion, u: np.ndarray) -> None:
-        self.imm = imm
-        self.u = u
-        bases, V = _pushforwards(imm, u)
+    def __init__(self, imm: Immersion, us: Sequence[float] | np.ndarray, order: int) -> None:
+        self.us = np.asarray(us, dtype=float).reshape(-1, 3)
+        pq = _map_jet(imm, self.us, order)
+        self._pq = pq.value
+        n = len(self.us)
+        # V_a = Im(conj(p) d_a p), Im(conj(q) d_a q), a jet of order - 1
+        p, dp = pq.truncate(order - 1)[:, None], pq.grad().moveaxis(-1, 1)
+        V = (p[..., :, None] * dp[..., None, :]).reshape(n, 3, 2, 16) @ _CONJ_MUL
+        V = V.reshape(n, 3, 6)
+        self.V = V.value
+        low = np.linalg.eigvalsh(_g(self.V[:, :, None], self.V[:, None])).min(axis=-1)
+        for u, m in zip(self.us, low):
+            if not m > RANK_FLOOR:
+                raise ValueError(f"{imm.label}: pushforward rank-deficient at u={u.tolist()}")
         E, S = _orthonormalize(V)
-        self.base, self.E, self.S = bases[0], E[0], S[0]
-        self.JE = _J(self.E)
-
-    @cached_property
-    def lagrangian_residual(self) -> float:
-        return _worst(np.abs(_g(self.JE[:, None], self.E[None])))
-
-    @cached_property
-    def ab(self) -> tuple[np.ndarray, np.ndarray]:
-        return _ab(self.E, self.JE)
-
-    @cached_property
-    def nabla(self) -> np.ndarray:
-        return _frame_derivatives(
-            self.u[None], lambda w: _frames(self.imm, w)[0], self.S[None], self.E[None]
-        )[0]
-
-    @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return _tables(self.nabla, self.E, self.JE)
-
-    @cached_property
-    def H(self) -> np.ndarray:
+        JE = _J(E)
+        first = min(order - 1, 1)  # A/B are read to first order: values, dA, dB
+        A, B = _ab(E.truncate(first), JE.truncate(first))
+        self.E, self.S, self.JE, self.A, self.B = E.value, S.value, JE.value, A.value, B.value
+        self.lagrangian_residual = _per_point(np.abs(_g(self.JE[:, :, None], self.E[:, None])))
+        if order < 2:
+            return
+        # nabla_{E_a} E_b, c and omega as jets of order - 2
+        E2, S2 = E.truncate(order - 2), S.truncate(order - 2)
+        along = (S2[:, :, None, None, :] * E.grad()[:, None]).sum(-1)
+        nabla = along + _gamma(E2[:, :, None], E2[:, None])
+        c, omega = _tables(nabla, E2, JE.truncate(order - 2))
+        self.c, self.omega = c.value, omega.value
         diag = [0, 1, 2]
-        normal = self.nabla[diag, diag]
-        omega = self.tables[1]
-        for k in range(3):
-            normal = normal - omega[diag, diag, k, None] * self.E[k]
-        third = (1.0 / 3.0) * normal
-        return 0.0 + third[0] + third[1] + third[2]
+        normal = nabla.value[:, diag, diag] - np.einsum(
+            "nak,nkd->nad", self.omega[:, diag, diag], self.E
+        )
+        self.H = normal.sum(axis=1) / 3.0
+        self.dA, self.dB = A.grad().value, B.grad().value
+        if order >= 3:
+            self.dc = np.einsum("nxd,nabkd->nxabk", self.S, c.grad().value)
+
+    def base(self, i: int) -> PointS3S3:
+        p, q = self._pq[i]
+        return PointS3S3(Quaternion.from_array(p), Quaternion.from_array(q))
 
 
 @dataclass(frozen=True)
@@ -326,7 +266,7 @@ def is_lagrangian(imm: Immersion, u: Sequence[float], tol: float = 1e-9) -> Lagr
     The residual is the largest |g(J E_a, E_b)| over an orthonormal tangent
     frame, so the test is scale-free in the parametrization.
     """
-    r = _PointData(imm, np.asarray(u, dtype=float)).lagrangian_residual
+    r = float(_Package(imm, u, 1).lagrangian_residual[0])
     return LagrangianCheck(r < tol, r)
 
 
@@ -337,12 +277,13 @@ def _require_lagrangian(label: str, u: np.ndarray, residual: float) -> None:
         )
 
 
-def _checked_point(imm: Immersion, u: Sequence[float]) -> _PointData:
-    """Frame package at u, once is_lagrangian has passed the precondition."""
+def _checked_point(imm: Immersion, u: Sequence[float], order: int) -> _Package:
+    """Frame package of the given order at u, once is_lagrangian has passed
+    the precondition."""
     u = np.asarray(u, dtype=float)
     chk = is_lagrangian(imm, u, LAGRANGIAN_PRECONDITION_TOL)
     _require_lagrangian(imm.label, u, chk.residual)
-    return _PointData(imm, u)
+    return _Package(imm, u, order)
 
 
 def second_fundamental_form(
@@ -350,8 +291,8 @@ def second_fundamental_form(
 ) -> tuple[np.ndarray, TangentVector]:
     """Cubic components c_abk = g(h(E_a, E_b), JE_k) in an orthonormal frame,
     and the mean curvature vector H."""
-    data = _checked_point(imm, u)
-    return data.tables[0], TangentVector.from_components(data.base, data.H)
+    pkg = _checked_point(imm, u, 2)
+    return pkg.c[0], TangentVector.from_components(pkg.base(0), pkg.H[0])
 
 
 def ab_operators(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -360,21 +301,28 @@ def ab_operators(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, np.nda
     The sign of B is fixed by that expansion: B_ab = g(P E_a, J E_b), since
     {E_b, JE_b} is a g-orthonormal basis of the pulled-back tangent bundle.
     """
-    return _checked_point(imm, u).ab
+    pkg = _checked_point(imm, u, 1)
+    return pkg.A[0], pkg.B[0]
 
 
 def p_split_residual(imm: Immersion, u: Sequence[float]) -> float:
     """Reconstruction error max_a |P E_a - sum_b (A_ab E_b + B_ab J E_b)|."""
-    return _p_split(_checked_point(imm, u))
+    return float(_p_split(_checked_point(imm, u, 1))[0])
 
 
-def _p_split(data: _PointData) -> float:
-    E, JE = data.E, data.JE
-    A, B = data.ab
-    recon = 0.0 * E[0]
-    for b in range(3):
-        recon = recon + A[:, b, None] * E[b] + B[:, b, None] * JE[b]
-    return _worst(_norm(_P(E) - recon))
+def _p_split(pkg: _Package) -> np.ndarray:
+    """The P-split reconstruction error at each package point."""
+    recon = np.einsum("nab,nbd->nad", pkg.A, pkg.E) + np.einsum("nab,nbd->nad", pkg.B, pkg.JE)
+    return _per_point(_norm(_P(pkg.E) - recon))
+
+
+def _ab_structure(pkg: _Package) -> np.ndarray:
+    """Symmetry, commutation and A^2 + B^2 = 1 defects of A/B, and the
+    P-split error, at each package point."""
+    A, B = pkg.A, pkg.B
+    At, Bt = A.transpose(0, 2, 1), B.transpose(0, 2, 1)
+    defects = np.stack((A - At, B - Bt, A @ B - B @ A, A @ A + B @ B - np.eye(3)), axis=1)
+    return np.maximum(_per_point(np.abs(defects)), _p_split(pkg))
 
 
 @dataclass
@@ -386,14 +334,27 @@ class AngleData:
     sin2: np.ndarray
 
 
+def _clusters(values: np.ndarray, gap: float = 1e-8):
+    """(start, stop) of the runs of ascending values that lie within gap of
+    their run's first value."""
+    i = 0
+    while i < len(values):
+        j = i + 1
+        while j < len(values) and values[j] - values[i] < gap:
+            j += 1
+        yield i, j
+        i = j
+
+
 def angle_functions(A: np.ndarray, B: np.ndarray) -> AngleData:
     """Simultaneous eigenstructure of the commuting pair (A, B).
 
     Eigenvectors satisfy A e_i = cos(2 theta_i) e_i, B e_i = sin(2 theta_i) e_i
-    with theta_i in [0, pi), ordered by ascending cos(2 theta) with ties broken
-    by the B eigenvalue; eigenvector signs are canonicalized.  The degeneracy
-    flag is set when two (cos, sin) eigenpairs coincide within the gap
-    threshold, which predicts a totally geodesic submanifold.
+    with theta_i in [0, pi), ordered by ascending cos(2 theta); values of
+    cos(2 theta) within 1e-8 of each other count as equal and are ordered by
+    ascending sin(2 theta).  Eigenvector signs are canonicalized.  The
+    degeneracy flag is set when two (cos, sin) eigenpairs coincide within the
+    gap threshold, which predicts a totally geodesic submanifold.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -404,21 +365,18 @@ def angle_functions(A: np.ndarray, B: np.ndarray) -> AngleData:
     ):
         raise ValueError("angle functions need symmetric commuting A, B")
     w, U = np.linalg.eigh(A)
-    i = 0
-    while i < 3:  # diagonalize B inside each A-eigenvalue cluster
-        j = i + 1
-        while j < 3 and w[j] - w[i] < 1e-8:
-            j += 1
+    for i, j in _clusters(w):  # diagonalize B inside each A-eigenvalue cluster
         if j - i > 1:
             block = U[:, i:j]
             _, Ub = np.linalg.eigh(block.T @ B @ block)
             U[:, i:j] = block @ Ub
-        i = j
     cos2 = np.diag(U.T @ A @ U).copy()
     sin2 = np.diag(U.T @ B @ U).copy()
     if np.max(np.abs(U.T @ B @ U - np.diag(sin2))) > 1e-6:
         raise ValueError("A and B could not be jointly diagonalized")
-    order = np.lexsort((np.round(sin2, 12), np.round(cos2, 12)))
+    order = np.argsort(cos2, kind="stable")
+    for i, j in _clusters(cos2[order]):
+        order[i:j] = order[i:j][np.argsort(sin2[order[i:j]], kind="stable")]
     cos2, sin2, U = cos2[order], sin2[order], U[:, order]
     for col in range(3):  # canonical signs: largest-magnitude entry positive
         lead = int(np.argmax(np.abs(U[:, col])))
@@ -472,27 +430,10 @@ class AdaptedFrameData:
     H: TangentVector
     degenerate: bool
     orientation_residual: float
-    eq_residual: float | None  # frame relation, non-degenerate points only
-    dtheta_residual: float | None  # E_i(theta_j) = -h_jj^i, same restriction
-
-
-def _match_to_reference(coeffs: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Permute and flip eigenvector rows to follow the reference frame."""
-    out = np.zeros_like(reference)
-    used: set[int] = set()
-    for i in range(3):
-        overlaps = [
-            (abs(float(np.dot(coeffs[j], reference[i]))), j)
-            for j in range(3)
-            if j not in used
-        ]
-        _, best = max(overlaps)
-        used.add(best)
-        row = coeffs[best]
-        if float(np.dot(row, reference[i])) < 0:
-            row = -row
-        out[i] = row
-    return out
+    # the eigenframe checks, at non-degenerate points only
+    eq_residual: float | None  # frame relation
+    dtheta_residual: float | None  # E_i(theta_j) = -h_jj^i
+    dtheta_max_abs: float | None  # the largest |E_i(theta_j)|
 
 
 def frame_components(imm: Immersion, u: Sequence[float]) -> AdaptedFrameData:
@@ -506,7 +447,7 @@ def frame_components(imm: Immersion, u: Sequence[float]) -> AdaptedFrameData:
     built-in examples are all degenerate (hence totally geodesic), so there
     the flag is reported instead.
     """
-    return _adapted_frame(_checked_point(imm, u))
+    return _adapted_frame(_checked_point(imm, u, 2), 0)
 
 
 def _rotated(R: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -515,92 +456,81 @@ def _rotated(R: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("ai,bj,kl,ijl->abk", R, R, R, table)
 
 
-def _adapted_frame(data: _PointData) -> AdaptedFrameData:
-    ang = angle_functions(*data.ab)
+def _adapted_frame(pkg: _Package, i: int) -> AdaptedFrameData:
+    """The adapted-frame analysis at point i of an order >= 2 package."""
+    ang = angle_functions(pkg.A[i], pkg.B[i])
     R = ang.coeffs.copy()
 
-    frame = _combine(R, data.E)
+    frame = R @ pkg.E[i]
     probe = _g(_G(frame[0], frame[1]), _J(frame[2]))
     if probe > 0:  # canonical form requires g(G(E1,E2), JE3) = -1/sqrt(3)
         R[2] = -R[2]
         frame[2] = -1.0 * frame[2]
     jframe = _J(frame)
-    target = 0.0 * frame[0]
-    for k in range(3):
-        target = target - (EPSILON[:, :, k, None] / _SQRT3) * jframe[k]
-    G = np.array([[_G(frame[i], frame[j]) for j in range(3)] for i in range(3)])
+    target = np.einsum("ijk,kd->ijd", -EPSILON / _SQRT3, jframe)
+    G = np.einsum("dab,ia,jb->ijd", G_ARRAY, frame, frame)
     orientation_residual = _worst(_norm(G - target))
 
-    c, omega = data.tables
     A, B = _ab(frame, jframe)
-    eq_residual = None
-    dtheta_residual = None
+    eigen = (None, None, None)
     if not ang.degenerate:
-        eq_residual, dtheta_residual = _eigenfield_checks(data, R, frame, jframe, ang)
+        eigen = _eigenfield_checks(pkg, i, R, ang)
 
+    base = pkg.base(i)
     return AdaptedFrameData(
-        u=data.u,
-        frame=[TangentVector.from_components(data.base, f) for f in frame],
+        u=pkg.us[i],
+        frame=[TangentVector.from_components(base, f) for f in frame],
         thetas=ang.thetas,
         A=A,
         B=B,
-        h=_rotated(R, c),
-        omega=_rotated(R, omega),
-        H=TangentVector.from_components(data.base, data.H),
+        h=_rotated(R, pkg.c[i]),
+        omega=_rotated(R, pkg.omega[i]),
+        H=TangentVector.from_components(base, pkg.H[i]),
         degenerate=ang.degenerate,
         orientation_residual=orientation_residual,
-        eq_residual=eq_residual,
-        dtheta_residual=dtheta_residual,
+        eq_residual=eigen[0],
+        dtheta_residual=eigen[1],
+        dtheta_max_abs=eigen[2],
     )
 
 
-def _eigenframes(
-    imm: Immersion, us: np.ndarray, reference: np.ndarray
+def _eigenframe_rates(
+    pkg: _Package, i: int, R: np.ndarray, ang: AngleData
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenframes (m, 3, 6) and angle values (m, 3) at the rows of us, each
-    continuity-matched to the reference coefficient rows."""
-    E = _frames(imm, us)[0]
-    frames, thetas = [], []
-    for Ew, Aw, Bw in zip(E, *_ab(E, _J(E))):
-        ang = angle_functions(Aw, Bw)
-        matched = _match_to_reference(ang.coeffs, reference)
-        cos2 = np.array([float(row @ Aw @ row) for row in matched])
-        sin2 = np.array([float(row @ Bw @ row) for row in matched])
-        thetas.append([math.atan2(s, c) / 2 % math.pi for c, s in zip(cos2, sin2)])
-        frames.append(_combine(matched, Ew))
-    return np.array(frames), np.array(thetas)
+    """Connection components omega[a, b, k] = g(nabla_{F_a} F_b, F_k) of the
+    eigenframe field F_a = sum_b R_ab E_b, whose rows R follow the simple
+    joint eigenbasis of (A, B), and the angle derivatives [a, j] = F_a(theta_j).
+
+    First-order perturbation of that eigenbasis: along F_a, with
+    A' = R (F_a A) R^T and B' likewise, R moves by F_a(R) = K R with K
+    antisymmetric, K_bk (lam_b - lam_k) = A'_bk and K_bk (mu_b - mu_k) = B'_bk
+    for the eigenvalues lam = cos(2 theta), mu = sin(2 theta), and the
+    eigenvalues move by A'_bb and B'_bb.  So omega is the rotated omega of E
+    plus K.
+    """
+    lam, mu = ang.cos2, ang.sin2
+    dirs = R @ pkg.S[i]  # parameter directions of F_a
+    dA = R @ np.einsum("ac,bkc->abk", dirs, pkg.dA[i]) @ R.T
+    dB = R @ np.einsum("ac,bkc->abk", dirs, pkg.dB[i]) @ R.T
+    dlam, dmu = lam[:, None] - lam[None, :], mu[:, None] - mu[None, :]
+    K = (dA * dlam + dB * dmu) / (dlam**2 + dmu**2 + np.eye(3))
+    omega = _rotated(R, pkg.omega[i]) + K
+    dlam_a, dmu_a = dA.diagonal(0, 1, 2), dB.diagonal(0, 1, 2)
+    return omega, (lam * dmu_a - mu * dlam_a) / (2.0 * (lam**2 + mu**2))
 
 
 def _eigenfield_checks(
-    data: _PointData,
-    R: np.ndarray,
-    frame: np.ndarray,
-    jframe: np.ndarray,
-    ang: AngleData,
-) -> tuple[float, float]:
-    """Frame relation and angle-derivative checks with the true eigenframe
-    field (only meaningful when the eigenstructure is simple); the frame's
-    parameter directions are R @ S."""
-    imm, u, directions = data.imm, data.u, R @ data.S
-    nabla = _frame_derivatives(
-        u[None], lambda w: _eigenframes(imm, w, R)[0], directions[None], frame[None]
-    )[0]
-    h, omega = _tables(nabla, frame, jframe)
+    pkg: _Package, i: int, R: np.ndarray, ang: AngleData
+) -> tuple[float, float, float]:
+    """Frame relation and angle-derivative checks with the eigenframe field
+    (see _eigenframe_rates): the frame relation residual, the dtheta residual
+    and the largest |F_a(theta_j)|.  In the eigenframe h is the rotated c,
+    since F_a(R) only adds tangent terms to nabla_{F_a} F_b."""
+    omega, deriv = _eigenframe_rates(pkg, i, R, ang)
+    h = _rotated(R, pkg.c[i])
     eq_residual = relation_h_omega_residual(h, omega, ang.thetas)
-
-    step = CUBIC_DERIVATIVE_STEP
-    center = np.array(ang.thetas)
-    shifts = step * directions
-    thetas = _eigenframes(imm, np.stack((u + shifts, u - shifts), axis=1), R)[1]
-    th = _unwrap(thetas.reshape(3, 2, 3), center)
-    deriv = (th[:, 0] - th[:, 1]) / (2 * step)  # [i, j]: E_i(theta_j)
     dtheta_residual = _worst(np.abs(deriv + h.diagonal(0, 0, 1)))
-    return eq_residual, dtheta_residual
-
-
-def _unwrap(thetas: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Shift each angle by a multiple of pi to land nearest its center value."""
-    return thetas - math.pi * np.round((thetas - center) / math.pi)
+    return eq_residual, dtheta_residual, _worst(np.abs(deriv))
 
 
 def codazzi_residual(imm: Immersion, u: Sequence[float]) -> float:
@@ -612,47 +542,34 @@ def codazzi_residual(imm: Immersion, u: Sequence[float]) -> float:
     derivative of the second fundamental form and its normal-connection term
     is expanded through the identity nabla-perp_X JY = J nabla_X Y + G(X,Y).
     """
-    return _codazzi(_checked_point(imm, u))
+    return float(_codazzi(_checked_point(imm, u, 3))[0])
 
 
-def _codazzi(data: _PointData) -> float:
-    E, JE = data.E, data.JE
-    c, omega = data.tables
-    A, B = data.ab
-    G = np.array([[_G(E[x], E[k]) for k in range(3)] for x in range(3)])
-
-    # c at u +- step S_x: 6 neighbour frames, then their 72 stencil frames
-    step = CUBIC_DERIVATIVE_STEP
-    shifts = step * data.S
-    us = np.stack((data.u + shifts, data.u - shifts), axis=1).reshape(6, 3)
-    En, Sn = _frames(data.imm, us)
-    nabla = _frame_derivatives(us, lambda w: _frames(data.imm, w)[0], Sn, En)
-    cn = _tables(nabla, En, _J(En))[0].reshape(3, 2, 3, 3, 3)
-    dc = (cn[:, 0] - cn[:, 1]) / (2 * step)
-
+def _codazzi(pkg: _Package) -> np.ndarray:
+    """The Codazzi residual at each point of an order-3 package."""
+    E, JE, c, omega, A, B = pkg.E, pkg.JE, pkg.c, pkg.omega, pkg.A, pkg.B
+    # [x, k]: G(E_x, E_k) + sum_m omega_xk^m JE_m
+    term = np.einsum("dab,nxa,nkb->nxkd", G_ARRAY, E, E)
+    term = term + np.einsum("nxkm,nmd->nxkd", omega, JE)
+    h_vec = np.einsum("nabk,nkd->nabd", c, JE)
     # (del h)(X, Y, Z) at every frame triple [x, y, z]
-    term = G  # [x, k]: G(E_x, E_k) + sum_m omega_xk^m JE_m
-    for m in range(3):
-        term = term + omega[:, :, m, None] * JE[m]
-    h_vec = _combine(c, JE)
-    del_h = 0.0 * E[0]
-    for k in range(3):
-        del_h = del_h + dc[..., k, None] * JE[k]
-        del_h = del_h + c[:, :, k, None] * term[:, None, None, k]
-    for m in range(3):
-        del_h = del_h - omega[:, :, None, m, None] * h_vec[m]
-        del_h = del_h - omega[:, None, :, m, None] * h_vec[:, None, m]
-
-    xs, ys = [0, 0, 1], [1, 2, 2]
-    lhs = del_h[xs, ys] - del_h[ys, xs]
-    jA, jB = _combine(A, JE)[:, None], _combine(B, JE)[:, None]
-    rhs = (1.0 / 3.0) * (
-        jB[xs] * A[ys, :, None]
-        - jB[ys] * A[xs, :, None]
-        - jA[xs] * B[ys, :, None]
-        + jA[ys] * B[xs, :, None]
+    del_h = (
+        np.einsum("nxabk,nkd->nxabd", pkg.dc, JE)
+        + np.einsum("nabk,nxkd->nxabd", c, term)
+        - np.einsum("nxam,nmbd->nxabd", omega, h_vec)
+        - np.einsum("nxbm,namd->nxabd", omega, h_vec)
     )
-    return _worst(_norm(lhs - rhs))
+    xs, ys = [0, 0, 1], [1, 2, 2]
+    lhs = del_h[:, xs, ys] - del_h[:, ys, xs]
+    jA = np.einsum("nxb,nbd->nxd", A, JE)[:, :, None]
+    jB = np.einsum("nxb,nbd->nxd", B, JE)[:, :, None]
+    rhs = (1.0 / 3.0) * (
+        jB[:, xs] * A[:, ys, :, None]
+        - jB[:, ys] * A[:, xs, :, None]
+        - jA[:, xs] * B[:, ys, :, None]
+        + jA[:, ys] * B[:, xs, :, None]
+    )
+    return _per_point(_norm(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -719,16 +636,17 @@ def lagrangian_suite(
 ) -> list[CheckRecord]:
     """All per-immersion checks over a grid x grid x grid parameter sweep.
 
-    One frame package per grid point feeds every check.  If the Lagrangian
-    test fails anywhere, the downstream checks are reported as skipped rather
-    than evaluated on meaningless data.  Where some point is non-degenerate,
-    the angle check also gates on the eigenframe relation and dtheta
-    residuals and reports their worst values.
+    One order-3 frame package for the whole grid, from one jet evaluation of
+    the map, feeds every check.  If the Lagrangian test fails anywhere, the
+    downstream checks are reported as skipped rather than evaluated on
+    meaningless data.  Where some point is non-degenerate, the angle check
+    also gates on the eigenframe relation and dtheta residuals, reports their
+    worst values and the largest |E_i(theta_j)|.
     """
     points = imm.domain.grid(grid)
     tag = imm.label
-    frames = [_PointData(imm, u) for u in points]
-    lag_worst = max_keep_nan(0.0, *(data.lagrangian_residual for data in frames))
+    pkg = _Package(imm, points, 3)
+    lag_worst = _worst(pkg.lagrangian_residual)
     records = [
         CheckRecord(
             check_id=f"lagrangian[{tag}]",
@@ -759,28 +677,24 @@ def lagrangian_suite(
             )
         return records
 
-    worsts = {name: 0.0 for name, _ in downstream}
+    for u, residual in zip(pkg.us, pkg.lagrangian_residual):
+        _require_lagrangian(tag, u, residual)
+    c = pkg.c
+    worsts = {
+        "minimality": _worst(_norm(pkg.H)),
+        "cubic-symmetry": _worst(
+            np.abs(np.stack((c - c.transpose(0, 2, 1, 3), c - c.transpose(0, 1, 3, 2))))
+        ),
+        "ab-structure": _worst(_ab_structure(pkg)),
+        "angle-sum": 0.0,
+        "orientation": 0.0,
+        "codazzi-residual": _worst(_codazzi(pkg)),
+    }
     eigen_worsts = {"frame_relation_worst": 0.0, "dtheta_worst": 0.0}
+    dtheta_max_abs = 0.0
     degenerate_points = 0
-    for data in frames:
-        _require_lagrangian(tag, data.u, data.lagrangian_residual)
-        c = data.tables[0]
-        worsts["minimality"] = max_keep_nan(worsts["minimality"], float(_norm(data.H)))
-        worsts["cubic-symmetry"] = max_keep_nan(
-            worsts["cubic-symmetry"],
-            float(np.max(np.abs(c - c.transpose(1, 0, 2)))),
-            float(np.max(np.abs(c - c.transpose(0, 2, 1)))),
-        )
-        A, B = data.ab
-        worsts["ab-structure"] = max_keep_nan(
-            worsts["ab-structure"],
-            float(np.max(np.abs(A - A.T))),
-            float(np.max(np.abs(B - B.T))),
-            float(np.max(np.abs(A @ B - B @ A))),
-            float(np.max(np.abs(A @ A + B @ B - np.eye(3)))),
-            _p_split(data),
-        )
-        fc = _adapted_frame(data)
+    for i in range(len(points)):
+        fc = _adapted_frame(pkg, i)
         if fc.degenerate:
             degenerate_points += 1
         else:
@@ -789,9 +703,9 @@ def lagrangian_suite(
                 ("dtheta_worst", fc.dtheta_residual),
             ):
                 eigen_worsts[key] = max_keep_nan(eigen_worsts[key], value)
+            dtheta_max_abs = max_keep_nan(dtheta_max_abs, fc.dtheta_max_abs)
         worsts["angle-sum"] = max_keep_nan(worsts["angle-sum"], angle_sum_defect(fc.thetas))
         worsts["orientation"] = max_keep_nan(worsts["orientation"], fc.orientation_residual)
-        worsts["codazzi-residual"] = max_keep_nan(worsts["codazzi-residual"], _codazzi(data))
     for name, tol in downstream:
         details = {}
         passed = worsts[name] < tol
@@ -799,7 +713,7 @@ def lagrangian_suite(
             details = {"degenerate_points": degenerate_points, "grid_points": len(points)}
             if degenerate_points < len(points):
                 # the eigenframe residuals gate the angle check where they exist
-                details.update(eigen_worsts)
+                details.update(eigen_worsts, dtheta_max_abs=dtheta_max_abs)
                 passed = passed and all(v < tol for v in eigen_worsts.values())
         records.append(
             CheckRecord(

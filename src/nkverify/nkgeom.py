@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .jet import Jet
 from .quat import ImaginaryQuaternion, Quaternion, dexp_im, exp_im, log_unit
 
 _SQRT3 = math.sqrt(3.0)
@@ -55,8 +56,18 @@ class PointS3S3:
 
     def __post_init__(self) -> None:
         for name, val in (("p", self.p), ("q", self.q)):
-            # written so that NaN and infinite norms fail the test too
-            if not abs(val.norm() - 1.0) <= BASE_TOL:
+            n2 = val.dot(val)
+            if isinstance(n2, Jet):
+                # a jet of points: every coefficient of |p|^2 - 1 must vanish
+                defect = float(np.max(np.abs((n2 - 1.0).c)))
+                if not defect <= BASE_TOL:
+                    raise ValueError(
+                        f"{name} is not a unit quaternion: a coefficient of "
+                        f"|{name}|^2 - 1 is {defect}"
+                    )
+            # val.norm(), as computed there; written so that NaN and infinite
+            # norms fail the test too
+            elif not abs(math.sqrt(n2) - 1.0) <= BASE_TOL:
                 raise ValueError(f"{name} is not a unit quaternion: |{name}| = {val.norm()}")
 
     @classmethod

@@ -3,6 +3,11 @@
 Imaginary quaternions get their own type: tangent data on the 3-sphere lives
 in the imaginary part, and keeping the two kinds apart catches a whole class
 of index bugs at construction time instead of deep inside a derivative.
+
+Components may also be jets (`nkverify.jet.Jet`): the arithmetic, from_array
+and exp_im then carry truncated Taylor polynomials through unchanged, so a
+map written with these types returns its own derivatives when it is given a
+jet argument.  Float components keep their float operations.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .jet import Jet
 
 # Below this norm, sin|a|/|a| and friends switch to series to avoid 0/0.
 _SERIES_CUTOFF = 1e-6
@@ -31,7 +38,10 @@ class Quaternion:
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "Quaternion":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        try:
+            return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        except TypeError:  # jet components
+            return cls(*(_component(a[i]) for i in range(4)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
@@ -112,7 +122,10 @@ class ImaginaryQuaternion:
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "ImaginaryQuaternion":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
+        try:
+            return cls(float(a[0]), float(a[1]), float(a[2]))
+        except TypeError:  # jet components
+            return cls(*(_component(a[i]) for i in range(3)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -148,13 +161,34 @@ class ImaginaryQuaternion:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
+def _component(x):
+    """A quaternion component: a jet as it is, anything else as a float."""
+    return x if isinstance(x, Jet) else float(x)
+
+
+def _cos_sqrt(m: int) -> float:
+    """Power-series coefficients of cos(sqrt(s)) in s."""
+    return (-1) ** m / math.factorial(2 * m)
+
+
+def _sinc_sqrt(m: int) -> float:
+    """Power-series coefficients of sin(sqrt(s)) / sqrt(s) in s."""
+    return (-1) ** m / math.factorial(2 * m + 1)
+
+
 def exp_im(alpha: ImaginaryQuaternion) -> Quaternion:
     """exp(alpha) = cos|alpha| + sin|alpha| * alpha/|alpha|, a unit quaternion.
 
     For |alpha| below the series cutoff, sin|a|/|a| is evaluated as
-    1 - |a|^2/6 so the direction factor never divides by zero.
+    1 - |a|^2/6 so the direction factor never divides by zero.  With jet
+    components it is cos(sqrt s) + (sin(sqrt s)/sqrt s) alpha for s = |alpha|^2;
+    both are entire in s, so their jets need no cutoff.
     """
-    r = alpha.norm()
+    n2 = alpha.dot(alpha)
+    if isinstance(n2, Jet):
+        sinc = n2.entire(_sinc_sqrt)
+        return Quaternion(n2.entire(_cos_sqrt), sinc * alpha.x, sinc * alpha.y, sinc * alpha.z)
+    r = math.sqrt(n2)  # alpha.norm(), as computed there
     if r < _SERIES_CUTOFF:
         s = 1.0 - r * r / 6.0
     else:

@@ -63,12 +63,12 @@ def test_timings_flag_keeps_elapsed_ms(tmp_path) -> None:
 
 
 #: SHA-256 of the reports of `run_all.py --grid 1 --samples 20 --trials 2
-#: --seed 3`, recorded before the analyzer's frame layer moved from
-#: TangentVector objects to batched component arrays.  fit.json is left out
-#: because it names its input path.
+#: --seed 3`, recorded when the analyzer moved from nested finite differences
+#: to Taylor jets; structure.json changed only in frame-g-form, proof.json not
+#: at all.  fit.json is left out because it names its input path.
 PIPELINE_DIGESTS = {
-    "structure": "658345ef8f9108d6a372d6e60e09e209c3567eea726f6e8055f9b2363e412ccc",
-    "lagrangian": "dc5915231ec03063e5530f2562542823a087dd15dd727abf7f229e8c20c997ae",
+    "structure": "a6e0a62e804336ab339f8fbda6f2c4e41189eb179c49c1d56decbc4e613fe0c1",
+    "lagrangian": "9ae3ff0824b664a3cbab06eb648f7d971cab2c2b3f1527c7e146c703301f615a",
     "proof": "2ed6784c1aab9c8b94c8c8080ecaf2d83bc63c43b254a91232314d9b59ce6bab",
 }
 
