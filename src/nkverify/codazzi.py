@@ -659,38 +659,6 @@ def det_product_form(v: Sequence):
     return 4 * (q2 + q3) * (q1 + q2 + q3) * (2 * q1 + q2 + q3) * (4 * q1 - 3 * (q2 + q3))
 
 
-# ---------------------------------------------------------------------------
-# derivative unknowns as a first-class object
-
-
-class DerivativeUnknowns:
-    """The 3x3 matrix of indeterminates D_im standing for E_i(v_m).
-
-    Entries are affine expressions; the default instance carries pure
-    indeterminates, and `pinned` produces one with some entries fixed to
-    scalar values (used to evaluate Codazzi components at a solved state).
-    """
-
-    def __init__(self, entries: Mapping[DVar, AffineExpr] | None = None) -> None:
-        self.entries: dict[DVar, AffineExpr] = dict(entries) if entries else {}
-
-    @classmethod
-    def indeterminate(cls) -> "DerivativeUnknowns":
-        return cls()
-
-    @classmethod
-    def pinned(cls, values: Mapping[DVar, object]) -> "DerivativeUnknowns":
-        out = {}
-        for var, val in values.items():
-            out[var] = val if isinstance(val, AffineExpr) else AffineExpr(val)
-        return cls(out)
-
-    def apply(self, expr: AffineExpr) -> AffineExpr:
-        for var, sub in self.entries.items():
-            expr = expr.subst(var, sub)
-        return expr
-
-
 def _rational(x) -> Fraction:
     """Coerce a rational-valued scalar that may be carried as QSqrt3."""
     if isinstance(x, QSqrt3):
@@ -833,46 +801,18 @@ def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
     )
 
 
-def _fit_polynomial(nodes: Sequence[Fraction], values: Sequence) -> list:
-    """Exact coefficients (ascending degree) through the given points."""
-    n = len(nodes)
-    rows = [[Fraction(x) ** p for p in range(n)] for x in nodes]
-    vals = list(values)
-    # forward elimination
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        vals[col], vals[piv] = vals[piv], vals[col]
-        for r in range(col + 1, n):
-            f = rows[r][col] / rows[col][col]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-            vals[r] = vals[r] - vals[col] * f
-    coeffs = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = vals[r]
-        for c in range(r + 1, n):
-            acc = acc - coeffs[c] * rows[r][c]
-        coeffs[r] = acc * (Fraction(1) / rows[r][r])
-    return coeffs
-
-
-def _sign_of(x) -> int:
-    if isinstance(x, QSqrt3):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 def case1_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     """The case v2 = v3 = 0: the leftover constraint forces v1 = 0.
 
     Eliminating the derivative unknowns from the (E1,E2,E1) components leaves
-    one constraint; as a polynomial in v1 it is an odd cubic with a nonzero
-    leading coefficient and no sign change, so its only real root is v1 = 0.
+    one constraint, a polynomial of degree at most 3 in v1.  It is compared
+    with -v1^3/sqrt(3) exactly at v1 = 1, ..., 5: four nodes fix the cubic and
+    the fifth probes it.  The only real root of -v1^3/sqrt(3) is v1 = 0.
     """
     rng = random.Random(seed)
     failures = []
     vanishing = frozenset({2, 3})
-    nodes = [Fraction(k) for k in (1, 2, 3, 4)]
+    nodes = [Fraction(k) for k in (1, 2, 3, 4, 5)]
     for n in range(trials):
         st0 = random_frame_state(rng, require_ec=False, zero=(2, 3))
 
@@ -893,32 +833,13 @@ def case1_check(seed: int = 0, trials: int = 60) -> CheckRecord:
                              "reason": reason, "extra": extra})
 
         try:
-            vals = [leftover_at(x) for x in nodes]
-            c = _fit_polynomial(nodes, vals)
-            probe_node = Fraction(5)
-            predicted = sum((co * probe_node ** p for p, co in enumerate(c)),
-                            start=Fraction(0))
-            actual = leftover_at(probe_node)
+            for x in nodes:
+                leftover = leftover_at(x)
+                if leftover != QSqrt3(0, -x ** 3 / 3):
+                    fail("leftover is not -v1^3/sqrt(3)", {"v1": x, "leftover": leftover})
+                    break
         except AssertionError as e:
             fail(str(e))
-            continue
-        if predicted - actual != 0:
-            fail("degree exceeds 3")
-            continue
-        c0, c1, c2, c3 = c
-        if c0 != 0 or c2 != 0:
-            fail("constraint polynomial not odd", {"c0": c0, "c2": c2})
-            continue
-        if c1 == 0 and c3 == 0:
-            fail("constraint polynomial identically zero")
-            continue
-        # odd cubic c3 v^3 + c1 v: nonzero real roots need c1/c3 < 0
-        if c3 != 0 and c1 != 0 and _sign_of(c1) * _sign_of(c3) < 0:
-            fail("constraint admits nonzero roots", {"c1": c1, "c3": c3})
-            continue
-        expected_cubic = QSqrt3(0, Fraction(-1, 3))
-        if c3 - expected_cubic != 0 or c1 != 0:
-            fail("unexpected coefficients", {"c1": c1, "c3": c3})
     return CheckRecord(
         check_id="axis-case",
         passed=not failures,
@@ -1051,10 +972,13 @@ def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckReco
     v3 = 0 (where the constraint cannot bind, so angles are free) checks the
     immediate constant obstruction -v1^3/sqrt(3) instead.  Every test is
     written so that a NaN residual fails it, and a NaN reaches max_residual.
+    The check also fails when no main trial reaches the final components or
+    no companion sample is checked, so a pass never rests on skipped trials.
     """
     rng = random.Random(seed)
     failures = []
     skipped = 0
+    reached = 0
     max_residual = 0.0
     min_forcing_ratio = None
     vanishing = frozenset({2})
@@ -1097,12 +1021,12 @@ def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckReco
             if not err <= tol:
                 fail("closed form mismatch", {"err": float(err)})
                 continue
-            pinned = DerivativeUnknowns.pinned(
-                {var: expr.const for var, expr in res.solutions.items()}
-            )
+            reached += 1
             resid = mp.mpf(0)
             for l in AXES:
-                e = pinned.apply(codazzi_scalar(st, 1, 2, 3, l, vanishing))
+                e = codazzi_scalar(st, 1, 2, 3, l, vanishing)
+                for var, expr in res.solutions.items():
+                    e = e.subst(var, AffineExpr(expr.const))
                 if e.coeffs and any(abs(c) > st.zero_tol for c in e.coeffs.values()):
                     fail("unresolved unknowns in final components")
                     break
@@ -1148,6 +1072,11 @@ def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckReco
                                  "leftover": float(leftover), "v1": float(v1)})
                 continue
             companion_ok += 1
+    # a pass must rest on at least one checked sample of each branch
+    if not reached:
+        failures.append({"reason": "no trial reached the final components"})
+    if not companion_ok:
+        failures.append({"reason": "no companion sample checked"})
     return CheckRecord(
         check_id="constrained-angle-case",
         passed=not failures,

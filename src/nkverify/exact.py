@@ -69,33 +69,9 @@ class QSqrt3:
             return QSqrt3(x, 0)
         return None
 
-    @property
-    def is_rational(self) -> bool:
-        return self._b == 0
-
     def conjugate(self) -> "QSqrt3":
         """The Galois conjugate ``a - b*sqrt(3)``."""
         return QSqrt3(self._a, -self._b)
-
-    def sign(self) -> int:
-        """Exact sign of the real number a + b*sqrt(3): -1, 0 or 1.
-
-        When a and b disagree in sign the comparison reduces to a^2 vs 3b^2,
-        which is never a tie for rational a, b unless both vanish.
-        """
-        a, b = self._a, self._b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        bigger_rational = a * a > 3 * b * b
-        if a > 0:
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
 
     def field_norm(self) -> Fraction:
         """``a**2 - 3*b**2``, the product with the Galois conjugate."""

@@ -5,7 +5,9 @@ symmetric cubic tensor c_abc = g(h(E_a, E_b), J E_c).  This module decides
 whether such a tensor matches the H-umbilical normal form (one distinguished
 unit direction U1 with h(U1,U1) = lambda J U1 and mu on the orthogonal
 complement), checks that a totally umbilical shape operator forces h = 0, and
-runs the totally-geodesic harness over example immersions.
+runs the totally-geodesic harness over example immersions.  The fitter finds
+U1 in closed form, from the trace vector and the eigenvectors of one
+symmetric 3x3 matrix, and accepts only on the exact least-squares residual.
 """
 
 from __future__ import annotations
@@ -146,10 +148,6 @@ def _normalize(u: np.ndarray) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def _cubic_value(full: np.ndarray, u: np.ndarray) -> float:
-    return float(np.einsum("abc,a,b,c->", full, u, u, u))
-
-
 def _pattern_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal basis tensors of the normal form at direction u:
     T1 = u (x) u (x) u and T2 = the symmetrized u (x) (Id - u u^T)."""
@@ -176,89 +174,47 @@ def _least_squares(full: np.ndarray, u: np.ndarray) -> tuple[float, float, float
     return lam, mu, resid
 
 
-def _ascend(full: np.ndarray, u: np.ndarray, max_iter: int = 200) -> np.ndarray:
-    """Projected ascent on |c(u,u,u)| with backtracking line search."""
-    step = 0.5
-    for _ in range(max_iter):
-        phi = _cubic_value(full, u)
-        grad = 3.0 * np.einsum("abc,b,c->a", full, u, u)
-        sign = 1.0 if phi >= 0 else -1.0
-        g = sign * (grad - float(grad @ u) * u)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-12:
-            break
-        s, improved = step, False
-        while s > 1e-18:
-            cand = _normalize(u + s * g / gn)
-            if abs(_cubic_value(full, cand)) > abs(phi):
-                u, improved, step = cand, True, min(2 * s, 1.0)
-                break
-            s *= 0.5
-        if not improved:
-            break
-    return u
+def _candidates(full: np.ndarray) -> list[np.ndarray]:
+    """Unit directions among which U1 lies, when full is H-umbilical.
 
-
-def _newton_polish(full: np.ndarray, u: np.ndarray, max_iter: int = 12) -> np.ndarray:
-    """Drive the spherical gradient of c(u,u,u) to machine zero.
-
-    Backtracking stalls once |c| improvements drop below float resolution, so
-    critical points are sharpened with Newton steps in tangent coordinates.
+    For the normal form the trace vector t_c = c_aac is (lambda + 2 mu) U1 and
+    S = sum_ab c_abc c_abd is lambda^2 U1 U1^T + 2 mu^2 Id.  The three
+    eigenvectors of S contain U1 unless lambda = 0, where S is a multiple of
+    Id; the trace names U1 unless lambda = -2 mu, where it vanishes.  Both
+    fail together only for c = 0, which `fit` settles first.
     """
-    for _ in range(max_iter):
-        grad = 3.0 * np.einsum("abc,b,c->a", full, u, u)
-        rgrad = grad - float(grad @ u) * u
-        if float(np.linalg.norm(rgrad)) < 1e-13:
-            break
-        basis = [v for v in np.eye(3) if abs(float(v @ u)) < 0.9][:2]
-        P = np.stack([_normalize(b - float(b @ u) * u) for b in basis], axis=1)
-        P[:, 1] = _normalize(P[:, 1] - float(P[:, 0] @ P[:, 1]) * P[:, 0])
-        hess = 6.0 * np.einsum("abc,c->ab", full, u) - 3.0 * _cubic_value(full, u) * np.eye(3)
-        H = P.T @ hess @ P
-        try:
-            d = np.linalg.solve(H, -(P.T @ grad))
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(d)) or float(np.linalg.norm(d)) > 0.5:
-            break
-        u = _normalize(u + P @ d)
-    return u
+    _, vecs = np.linalg.eigh(np.einsum("abc,abd->cd", full, full))
+    cands = list(vecs.T)
+    trace = np.einsum("aab->b", full)
+    if np.linalg.norm(trace) > 0:
+        cands.append(_normalize(trace))
+    return cands
 
 
 def fit(h: CubicTensor, tol: float = FIT_TOL) -> HUmbilicalFit | None:
     """Recover the normal-form parameters of h, or reject.
 
     A tensor below the tolerance in norm fits trivially with lambda = mu = 0.
-    Otherwise unit candidates maximizing |c(u,u,u)| are found by multi-start
-    projected ascent (deterministic starts) with a Newton polish, the pair
-    (lambda, mu) is solved by least squares at each candidate, and the best
-    candidate is accepted only if its reconstruction residual beats tol.
-    The sign convention keeps mu >= 0 (flipping U1 as needed), with a
-    lexicographically positive U1 when mu = 0.
+    Otherwise U1 is chosen in closed form among the eigenvectors of
+    S = sum_ab c_abc c_abd and the normalized trace vector (see
+    `_candidates`), the pair (lambda, mu) is solved by least squares at each
+    candidate, and the candidate with the smallest reconstruction residual is
+    accepted only if that residual is below tol.  The sign convention keeps
+    mu >= 0 (flipping U1 as needed), with a lexicographically positive U1
+    when mu = 0.
     """
     full = h.as_full()
     nrm = float(np.linalg.norm(full))
     if nrm < tol:
         return HUmbilicalFit(np.array([1.0, 0.0, 0.0]), 0.0, 0.0, nrm)
-    rng = np.random.default_rng(161803)
-    starts = [_normalize(rng.standard_normal(3)) for _ in range(16)]
-    best: tuple[float, float, np.ndarray] | None = None
-    for u0 in starts:
-        u = _newton_polish(full, _ascend(full, u0))
-        lam, mu, resid = _least_squares(full, u)
-        key = (resid, -abs(_cubic_value(full, u)))
-        if best is None or key < (best[0], best[1]):
-            best = (resid, -abs(_cubic_value(full, u)), u)
-    resid, _, u = best
-    if resid >= tol:
-        return None
+    u = min(_candidates(full), key=lambda cand: _least_squares(full, cand)[2])
     lam, mu, resid = _least_squares(full, u)
-    if mu < 0:
-        u, lam, mu = -u, -lam, -mu
-    elif mu == 0:
-        lead = next((x for x in u if x != 0), 1.0)
-        if lead < 0:
-            u = -u
+    if not resid < tol:
+        return None
+    # (U1, lam, mu) and (-U1, -lam, -mu) describe the same tensor
+    lead = next((x for x in u if x != 0), 1.0)
+    if mu < 0 or (mu == 0 and lead < 0):
+        u, lam, mu = -u, -lam, abs(mu)
     return HUmbilicalFit(u, lam, mu, resid)
 
 

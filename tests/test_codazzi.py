@@ -16,7 +16,6 @@ from nkverify.cli import cmd_proof
 from nkverify.codazzi import (
     AXES,
     AffineExpr,
-    DerivativeUnknowns,
     FloatFrameState,
     FrameState,
     case1_check,
@@ -188,10 +187,11 @@ def test_float_tables_match_dense_formulas_exactly(zero) -> None:
 
 
 def test_proof_report_golden_digest() -> None:
-    # recorded before the zero-skipping tables and the rational QSqrt3 product
+    # recorded before the zero-skipping tables and the rational QSqrt3 product;
+    # re-recorded when the axis case listed its fifth node (details only)
     report = cmd_proof(trials=5, seed=4).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "a7346376e749a5e6c0369f01fb7aadec0043923f58ae42d9eb39664b83294c02"
+        "b7233f33b324432747a0601cf07ee67935e02c235d59abb20c51cfcacebf7128"
     )
 
 
@@ -296,16 +296,6 @@ def test_zero_v_rows_are_inconsistent() -> None:
     assert e.const == -st_.third * st_.sin2(1, 2) != 0
     with pytest.raises(ValueError):
         solve_triple_system(st_, [(1, 2, 1)], [(1, 1)])
-
-
-def test_derivative_unknowns_pinning() -> None:
-    st_ = _state(9)
-    e = codazzi_scalar(st_, 1, 2, 1, 1)
-    values = {var: Fraction(1, 2) for var in e.coeffs}
-    pinned = DerivativeUnknowns.pinned(values)
-    done = pinned.apply(e)
-    assert all(c == 0 for c in done.coeffs.values())
-    assert done.const == e.evaluate(values, st_.zero)
 
 
 @given(small_fractions, small_fractions, small_fractions)
@@ -414,6 +404,25 @@ def test_case1_forces_v1_zero() -> None:
     assert rec.details["constraint"] == "(-1/sqrt(3)) v1^3 = 0"
 
 
+def test_case1_probes_the_fifth_node(monkeypatch) -> None:
+    # four nodes fix a cubic; a leftover that leaves -v1^3/sqrt(3) only at
+    # the fifth node must still fail
+    real = codazzi.solve_triple_system
+
+    def off_at_five(st_, triples, unknowns, vanishing=frozenset(), free_vars=()):
+        res = real(st_, triples, unknowns, vanishing, free_vars)
+        if st_.v[1] == 5:
+            res.leftovers = [AffineExpr(res.leftovers[0].const + 1, res.leftovers[0].coeffs)]
+        return res
+
+    monkeypatch.setattr(codazzi, "solve_triple_system", off_at_five)
+    rec = case1_check(seed=22, trials=3)
+    assert not rec.passed
+    assert len(rec.failures) == 3
+    assert all(f["extra"]["v1"] == 5 for f in rec.failures)
+    assert rec.details["nodes"] == ["1", "2", "3", "4", "5"]
+
+
 def test_case2_displays_spot() -> None:
     # v2 = 1, v3 -> 0 limit of the displayed pair: (0, 3 + 12 sqrt(3) x)
     st_ = FrameState(
@@ -465,6 +474,29 @@ def test_case3_numeric_flow() -> None:
     assert rec.passed
     assert rec.max_residual < 1e-20  # dps-50 arithmetic leaves huge headroom
     assert rec.details["companion_v3_zero_samples"] > 0
+
+
+def test_case3_fails_when_no_trial_reaches_the_variety() -> None:
+    # the only main trial at this seed is skipped near 4 v1^2 = 3 v3^2
+    rec = case3_check(trials=1, seed=67)
+    assert rec.skipped == 1 and rec.details["min_forcing_ratio"] is None
+    assert not rec.passed
+    assert rec.failures == [{"reason": "no trial reached the final components"}]
+
+
+def test_case3_fails_without_companion_samples(monkeypatch) -> None:
+    real = codazzi.FloatFrameState
+
+    def no_companion_frame(v, th1, th2, **kw):
+        if v[2] == 0:
+            raise ValueError("degenerate angles")
+        return real(v, th1, th2, **kw)
+
+    monkeypatch.setattr(codazzi, "FloatFrameState", no_companion_frame)
+    rec = case3_check(trials=2, seed=7)
+    assert rec.details["companion_v3_zero_samples"] == 0
+    assert not rec.passed
+    assert rec.failures == [{"reason": "no companion sample checked"}]
 
 
 def test_det_factorization_identity() -> None:

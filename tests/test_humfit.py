@@ -138,6 +138,55 @@ def test_fit_residual_beats_grid_oracle():
     assert f.residual <= grid_oracle_min_residual(full) + 1e-12
 
 
+def _assert_recovers(f, full, u, lam, mu):
+    """f fits full with (U1, lam, mu) = s (u, lam, mu) for one sign s."""
+    assert f is not None
+    assert f.residual < 1e-10
+    assert f.residual <= grid_oracle_min_residual(full) + 1e-12
+    u = u / np.linalg.norm(u)
+    s = float(np.sign(f.U1 @ u))
+    scale = 1.0 + abs(lam) + abs(mu)
+    assert np.allclose(f.U1, s * u, atol=1e-9)
+    assert f.lam == pytest.approx(s * lam, abs=1e-10 * scale)
+    assert f.mu == pytest.approx(s * mu, abs=1e-10 * scale)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5, 1.99])
+def test_fit_recovers_window_tensors(lam):
+    # 0 <= lambda < 2 mu: U1 is not a local maximum of |c(u,u,u)| there
+    u = np.array([0.3, -1.1, 0.7])
+    full = pattern_tensor(u, lam, 1.0)
+    f = fit(CubicTensor.from_full(full))
+    _assert_recovers(f, full, u, lam, 1.0)
+    assert f.mu > 0
+
+
+def test_fit_recovery_random_normal_forms():
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(60):
+        u = rng.standard_normal(3)
+        mu = rng.uniform(-3.0, 3.0)
+        lam = rng.uniform(-6.0, 6.0)
+        cases += [(u, lam, mu), (u, -2.0 * mu, mu), (u, 0.0, mu), (u, lam, 0.0)]
+    for u, lam, mu in cases:
+        full = CubicTensor.from_full(pattern_tensor(u, lam, mu))
+        f = fit(full)
+        _assert_recovers(f, full.as_full(), u, lam, mu)
+        assert f.mu >= 0
+
+
+def test_fit_rejects_gaussian_and_rank_one_sums():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        assert fit(CubicTensor.from_full(rng.standard_normal((3, 3, 3)))) is None
+        full = np.zeros((3, 3, 3))
+        for _ in range(3):
+            x = rng.standard_normal(3)
+            full += rng.uniform(0.5, 1.5) * np.einsum("a,b,c->abc", x, x, x)
+        assert fit(CubicTensor.from_full(full)) is None
+
+
 def test_umbilical_cubic_spot():
     c = umbilical_cubic(2, [1.0, 0.0])
     assert c[1, 1, 0] == 1.0 and c[1, 0, 1] == 0.0  # the asymmetric pair
