@@ -14,10 +14,15 @@ high-precision floating point with explicit tolerances.
 
 Each state caches its tables once: h, the gradient dh/dv, omega, and the
 shifted connection omega_im^l - eps_iml/sqrt(3) that the Codazzi scalars
-read.  The h and dh tables add only the terms whose Kronecker factor is
-nonzero, and a Codazzi scalar skips each product whose h factor is exactly
-zero.  The terms that remain are combined in the order of the full formulas,
-so exact and mpmath states get the same values as the dense expressions.
+read.  h and dh are symmetric in (i, j, k) and (j, k, l), so each symmetry
+class is computed once, at its sorted index, and every permuted key holds
+that same value.  The builders add only the terms whose Kronecker factor is
+nonzero, in the order of the full formulas, so each class gets exactly the
+dense expression's value at its sorted index, on exact and mpmath states
+alike.  No arithmetic is spent on exact zeros: a Codazzi scalar skips each
+product whose h factor is zero and stores a D-coefficient only where its dh
+entry is nonzero, and `AffineExpr.subst` drops a variable whose coefficient
+is zero without scaling the substituted expression.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -99,12 +104,15 @@ class AffineExpr:
         return AffineExpr(self.const * s, {v: c * s for v, c in self.coeffs.items()})
 
     def subst(self, var: DVar, expr: "AffineExpr") -> "AffineExpr":
-        """Replace D_var by the affine expression expr."""
+        """Replace D_var by the affine expression expr.
+
+        An exactly zero coefficient of D_var only drops the variable.
+        """
         if var not in self.coeffs:
             return self
         c = self.coeffs[var]
-        rest = {v: k for v, k in self.coeffs.items() if v != var}
-        return AffineExpr(self.const, rest) + expr.scale(c)
+        rest = AffineExpr(self.const, {v: k for v, k in self.coeffs.items() if v != var})
+        return rest + expr.scale(c) if c else rest
 
     def evaluate(self, assignment: Mapping[DVar, object], zero):
         val = self.const
@@ -195,6 +203,17 @@ class FrameState(_StateCaches):
         if any(self._diffs[(a, b)].s == 0 for a in AXES for b in AXES if a < b):
             raise ValueError("state rejected: some sin(theta_a - theta_b) vanishes")
         self._h = self._dh = self._omega = self._shifted = None
+
+    def with_v(self, v: Sequence[Fraction]) -> "FrameState":
+        """The state at another v with the same, already validated, angles.
+
+        The circle points and their differences are shared, not rebuilt.
+        """
+        st = object.__new__(FrameState)
+        st.v = {m: Fraction(v[m - 1]) for m in AXES}
+        st.angles, st._diffs = self.angles, self._diffs
+        st._h = st._dh = st._omega = st._shifted = None
+        return st
 
     # ring interface -------------------------------------------------------
     zero = Fraction(0)
@@ -333,13 +352,20 @@ def random_frame_state(
 # component tables
 
 
-#: For each (i, j, k): the slots among v_i, v_j, v_k whose Kronecker factor in
-#: v_i d_jk + v_j d_ki + v_k d_ij is one, in that order.
+#: Each key of h and its symmetry class's sorted index; likewise for dh,
+#: which is symmetric in its first three slots.
+_H_CLASS = {key: tuple(sorted(key)) for key in product(AXES, AXES, AXES)}
+_DH_CLASS = {
+    (j, k, l, m): (*sorted((j, k, l)), m) for j, k, l, m in product(AXES, AXES, AXES, AXES)
+}
+
+#: For each sorted (i, j, k): the slots among v_i, v_j, v_k whose Kronecker
+#: factor in v_i d_jk + v_j d_ki + v_k d_ij is one, in that order.
 _H_LINEAR = {
     (i, j, k): tuple(
         a for a, d in ((i, delta(j, k)), (j, delta(k, i)), (k, delta(i, j))) if d
     )
-    for i, j, k in product(AXES, AXES, AXES)
+    for i, j, k in combinations_with_replacement(AXES, 3)
 }
 
 
@@ -347,39 +373,21 @@ def hijk_from_v(v: Sequence) -> dict[tuple[int, int, int], object]:
     """Second fundamental form components from the vector field components.
 
     h_ij^k = |v|^2 (v_i d_jk + v_j d_ki + v_k d_ij) - 5 v_i v_j v_k.
-    Fully symmetric and trace-free in every slot.  Terms with a zero Kronecker
-    factor are left out; the others are added in the order written.
+    Fully symmetric and trace-free in every slot.  Each of the 10 symmetry
+    classes is computed at its sorted index and shared by all its keys.
+    Terms with a zero Kronecker factor are left out; the others are added in
+    the order written.
     """
     vv = {m: v[m - 1] for m in AXES}
     v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
-    out = {}
+    classes = {}
     for (i, j, k), linear in _H_LINEAR.items():
         cubic = 5 * vv[i] * vv[j] * vv[k]
         if linear:
-            out[(i, j, k)] = v2 * reduce(add, [vv[a] for a in linear]) - cubic
+            classes[(i, j, k)] = v2 * reduce(add, [vv[a] for a in linear]) - cubic
         else:
-            out[(i, j, k)] = -cubic
-    return out
-
-
-def hijk_from_cubic_contraction(v: Sequence) -> dict[tuple[int, int, int], object]:
-    """Independent construction of the same components.
-
-    Contracts h(X,Y) = g(V,V)(g(Y,V)JX + g(X,V)JY + g(X,Y)JV) - 5g(X,V)g(Y,V)JV
-    against an abstract orthonormal frame, using only g(E_i, V) = v_i,
-    g(E_i, E_j) = d_ij and g(JE_a, JE_b) = d_ab.
-    """
-    vv = {m: v[m - 1] for m in AXES}
-    gvv = sum(vv[m] * vv[m] for m in AXES)
-    out = {}
-    for i, j in product(AXES, AXES):
-        # h(E_i, E_j) expanded in the JE_k basis
-        for k in AXES:
-            val = gvv * (
-                vv[j] * delta(i, k) + vv[i] * delta(j, k) + delta(i, j) * vv[k]
-            ) - 5 * vv[i] * vv[j] * vv[k]
-            out[(i, j, k)] = val
-    return out
+            classes[(i, j, k)] = -cubic
+    return {key: classes[rep] for key, rep in _H_CLASS.items()}
 
 
 def _gradient_terms(j: int, k: int, l: int, m: int) -> tuple:
@@ -399,7 +407,11 @@ def _gradient_terms(j: int, k: int, l: int, m: int) -> tuple:
     return linear, count, quadratic
 
 
-_DH_TERMS = {key: _gradient_terms(*key) for key in product(AXES, AXES, AXES, AXES)}
+_DH_TERMS = {
+    (*jkl, m): _gradient_terms(*jkl, m)
+    for jkl in combinations_with_replacement(AXES, 3)
+    for m in AXES
+}
 
 
 def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
@@ -408,16 +420,18 @@ def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
     d h_jk^l / d v_m = 2 v_m (v_j d_kl + v_k d_lj + v_l d_jk)
         + |v|^2 (d_jm d_kl + d_km d_lj + d_lm d_jk)
         - 5 (d_jm v_k v_l + v_j d_km v_l + v_j v_k d_lm),
-    built from the terms whose Kronecker factor is nonzero, added in the order
-    written.  The factors 2 v_m, |v|^2 c and v_p v_q recur across entries with
-    the same operands in the same order, so each is computed once.
+    computed for the 30 entries with j <= k <= l and shared by every
+    permutation of (j, k, l).  Each is built from the terms whose Kronecker
+    factor is nonzero, added in the order written.  The factors 2 v_m,
+    |v|^2 c and v_p v_q (p <= q, as sorted slots give) recur across entries,
+    so each is computed once.
     """
     vv = {m: v[m - 1] for m in AXES}
     v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
     twice = {m: 2 * vv[m] for m in AXES}
     v2_times = {c: v2 * c for c in (1, 2, 3)}
-    pair = {(p, q): vv[p] * vv[q] for p, q in product(AXES, AXES)}
-    out = {}
+    pair = {(p, q): vv[p] * vv[q] for p, q in combinations_with_replacement(AXES, 2)}
+    classes = {}
     # every entry has a linear or a quadratic term (j, k, l distinct means m
     # is one of them), and a nonzero count implies a linear term
     for key, (linear, count, quadratic) in _DH_TERMS.items():
@@ -427,8 +441,8 @@ def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
         if quadratic:
             quad = 5 * reduce(add, [pair[pq] for pq in quadratic])
             val = val - quad if linear else -quad
-        out[key] = val
-    return out
+        classes[key] = val
+    return {key: classes[rep] for key, rep in _DH_CLASS.items()}
 
 
 def omega_from_state(st) -> dict[tuple[int, int, int], object]:
@@ -479,12 +493,18 @@ def codazzi_scalar(
     dh = st.dh_table()
     om = st.omega_table()
     shifted = st.shifted_omega_table()
+    # only nonzero dh entries give coefficients; for i == j both land on one
+    # key and must still be summed
     coeffs: dict[DVar, object] = {}
     for m in AXES:
         if m in vanishing:
             continue
-        for a, c in ((i, dh[(j, k, l, m)]), (j, -dh[(i, k, l, m)])):
-            coeffs[(a, m)] = coeffs.get((a, m), st.zero) + c
+        c = dh[(j, k, l, m)]
+        if c:
+            coeffs[(i, m)] = c
+        c = dh[(i, k, l, m)]
+        if c:
+            coeffs[(j, m)] = coeffs[(j, m)] - c if (j, m) in coeffs else -c
     # a product with an exactly zero h factor (or Kronecker factor) adds zero,
     # so it is skipped; the remaining terms keep the order of the full sum
     const = st.zero
@@ -817,7 +837,7 @@ def case1_check(seed: int = 0, trials: int = 60) -> CheckRecord:
         st0 = random_frame_state(rng, require_ec=False, zero=(2, 3))
 
         def leftover_at(v1: Fraction):
-            st = FrameState([v1, Fraction(0), Fraction(0)], st0.angles[1], st0.angles[2])
+            st = st0.with_v([v1, Fraction(0), Fraction(0)])
             res = solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing)
             if len(res.leftovers) != 1 or any(
                 c != 0 for c in res.leftovers[0].coeffs.values()
@@ -1096,7 +1116,8 @@ def det_factorization_check(seed: int = 0, trials: int = 120) -> CheckRecord:
     Verified as an exact polynomial identity in (v1, v2, v3) via random
     evaluation, using the bracket convention det = b1 b4 - b2 b3 (the matrix
     [[b1, -b2], [b3, -b4]] has determinant of the opposite sign).  Given
-    4v1^2 - 3(v2^2+v3^2) != 0, the product vanishes only at v2 = v3 = 0.
+    4v1^2 - 3(v2^2+v3^2) != 0, the product vanishes only at v2 = v3 = 0;
+    sampled states there are not tested and are counted in `skipped`.
     """
 
     def bracket_det(v):
@@ -1108,11 +1129,13 @@ def det_factorization_check(seed: int = 0, trials: int = 120) -> CheckRecord:
     )
     rng = random.Random(seed + 1)
     failures = []
+    skipped = 0
     if not identity_ok:
         failures.append({"reason": "polynomial identity failed"})
     for n in range(trials):
         st = random_frame_state(rng, require_ec=True)
         if st.v[2] == 0 and st.v[3] == 0:
+            skipped += 1
             continue
         if bracket_det([st.v[m] for m in AXES]) == 0:
             failures.append({"state": st.describe(),
@@ -1130,6 +1153,7 @@ def det_factorization_check(seed: int = 0, trials: int = 120) -> CheckRecord:
         check_id="determinant-factorization",
         passed=not failures,
         samples=trials,
+        skipped=skipped,
         details={"sign_convention": "det = b1 b4 - b2 b3 = -(matrix determinant)",
                  "nonvanishing_given_constraint": True,
                  "angle_parity": parity_ok},

@@ -15,6 +15,11 @@ from nkverify import codazzi
 from nkverify.cli import cmd_proof
 from nkverify.codazzi import (
     AXES,
+    SET1_TRIPLES,
+    SET1_UNKNOWNS,
+    SET2_TRIPLES,
+    SET2_UNKNOWNS,
+    SHARED_FREE,
     AffineExpr,
     FloatFrameState,
     FrameState,
@@ -31,7 +36,6 @@ from nkverify.codazzi import (
     det_product_form,
     epsilon,
     frame_relation_check,
-    hijk_from_cubic_contraction,
     hijk_from_v,
     hijk_gradient,
     omega_from_state,
@@ -72,6 +76,26 @@ def test_h_totally_symmetric_and_trace_free(v) -> None:
         assert h[(i, j, k)] == h[(j, i, k)] == h[(i, k, j)]
     for k in AXES:
         assert sum(h[(j, j, k)] for j in AXES) == 0
+
+
+def hijk_from_cubic_contraction(v):
+    """Independent construction of the components of `hijk_from_v`.
+
+    Contracts h(X,Y) = g(V,V)(g(Y,V)JX + g(X,V)JY + g(X,Y)JV) - 5g(X,V)g(Y,V)JV
+    against an abstract orthonormal frame, using only g(E_i, V) = v_i,
+    g(E_i, E_j) = d_ij and g(JE_a, JE_b) = d_ab.
+    """
+    vv = {m: v[m - 1] for m in AXES}
+    gvv = sum(vv[m] * vv[m] for m in AXES)
+    out = {}
+    for i, j in product(AXES, AXES):
+        # h(E_i, E_j) expanded in the JE_k basis
+        for k in AXES:
+            val = gvv * (
+                vv[j] * delta(i, k) + vv[i] * delta(j, k) + delta(i, j) * vv[k]
+            ) - 5 * vv[i] * vv[j] * vv[k]
+            out[(i, j, k)] = val
+    return out
 
 
 def test_h_matches_contraction_construction() -> None:
@@ -142,7 +166,11 @@ def _dense_shifted(st_):
 
 
 def _dense_scalar_const(st_, i, j, k, l):
-    h, om = _dense_h([st_.v[m] for m in AXES]), omega_from_state(st_)
+    # h is read at the sorted index of each entry's symmetry class, the index
+    # the state's table computes it at
+    dense = _dense_h([st_.v[m] for m in AXES])
+    h = {key: dense[tuple(sorted(key))] for key in dense}
+    om = omega_from_state(st_)
     const = st_.zero
     for m in AXES:
         const = const + h[(j, k, m)] * (om[(i, m, l)] - st_.inv_sqrt3 * epsilon(i, m, l))
@@ -159,9 +187,23 @@ ZERO_PATTERNS = [(), (1,), (2,), (2, 3), (1, 2, 3)]
 
 
 def _assert_tables_match_dense(st_) -> None:
+    """Every key of h and dh holds the one value object of its symmetry class,
+    and that value is the dense formula's at the class's sorted index: exact
+    ==, on mpmath states too.  The other tables and the scalars match their
+    dense formulas exactly."""
     v = [st_.v[m] for m in AXES]
-    assert st_.h_table() == _dense_h(v)
-    assert st_.dh_table() == _dense_dh(v)
+    h, dense_h = st_.h_table(), _dense_h(v)
+    assert len(h) == 27
+    for key in product(AXES, AXES, AXES):
+        rep = tuple(sorted(key))
+        assert h[key] is h[rep]
+        assert h[key] == dense_h[rep]
+    dh, dense_dh = st_.dh_table(), _dense_dh(v)
+    assert len(dh) == 81
+    for j, k, l, m in product(AXES, AXES, AXES, AXES):
+        rep = (*sorted((j, k, l)), m)
+        assert dh[(j, k, l, m)] is dh[rep]
+        assert dh[(j, k, l, m)] == dense_dh[rep]
     assert st_.shifted_omega_table() == _dense_shifted(st_)
     for i, j, k, l in product(AXES, AXES, AXES, AXES):
         assert codazzi_scalar(st_, i, j, k, l).const == _dense_scalar_const(st_, i, j, k, l)
@@ -171,12 +213,18 @@ def _assert_tables_match_dense(st_) -> None:
 def test_exact_tables_match_dense_formulas(zero) -> None:
     rng = random.Random(30 + len(zero))
     for _ in range(5):
-        _assert_tables_match_dense(random_frame_state(rng, require_ec=False, zero=zero))
+        st_ = random_frame_state(rng, require_ec=False, zero=zero)
+        _assert_tables_match_dense(st_)
+        # exact values do not depend on the order of the factors
+        v = [st_.v[m] for m in AXES]
+        assert st_.h_table() == _dense_h(v)
+        assert st_.dh_table() == _dense_dh(v)
 
 
 @pytest.mark.parametrize("zero", ZERO_PATTERNS)
 def test_float_tables_match_dense_formulas_exactly(zero) -> None:
-    # the mpmath state must see the same rounding as the dense sums: exact ==
+    # a permuted key's own dense formula may round its cubic differently, so
+    # the mpmath tables are compared at the sorted index, with exact ==
     rng = random.Random(40 + len(zero))
     with mp.workdps(50):
         for _ in range(3):
@@ -358,6 +406,124 @@ def test_solver_solution_satisfies_rows() -> None:
 
 
 # ---------------------------------------------------------------------------
+# the zero-skipping solve against the dense scalars and substitution
+
+
+def _dense_codazzi_scalar(st_, i, j, k, l, vanishing=frozenset()):
+    """`codazzi_scalar` as it was before zero skipping reached the unknowns:
+    every D-coefficient is stored, zeros included, as zero + c."""
+    h = st_.h_table()
+    dh = st_.dh_table()
+    om = st_.omega_table()
+    shifted = st_.shifted_omega_table()
+    coeffs = {}
+    for m in AXES:
+        if m in vanishing:
+            continue
+        for a, c in ((i, dh[(j, k, l, m)]), (j, -dh[(i, k, l, m)])):
+            coeffs[(a, m)] = coeffs.get((a, m), st_.zero) + c
+    const = st_.zero
+    for m in AXES:
+        if h[(j, k, m)]:
+            const = const + h[(j, k, m)] * shifted[(i, m, l)]
+        if h[(i, k, m)]:
+            const = const - h[(i, k, m)] * shifted[(j, m, l)]
+        if h[(m, k, l)]:
+            const = const - (om[(i, j, m)] - om[(j, i, m)]) * h[(m, k, l)]
+        if h[(j, m, l)]:
+            const = const - om[(i, k, m)] * h[(j, m, l)]
+        if h[(i, m, l)]:
+            const = const + om[(j, k, m)] * h[(i, m, l)]
+    angle = delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
+    if angle:
+        const = const - st_.third * st_.sin2(i, j) * angle
+    return AffineExpr(const, coeffs)
+
+
+def _dense_subst(self, var, expr):
+    """`AffineExpr.subst` that scales and adds expr even for a zero coefficient."""
+    if var not in self.coeffs:
+        return self
+    c = self.coeffs[var]
+    rest = {v: k for v, k in self.coeffs.items() if v != var}
+    return AffineExpr(self.const, rest) + expr.scale(c)
+
+
+#: (triples, unknowns, vanishing, free_vars) of every solve the checks make.
+PROOF_SOLVES = {
+    "system1/set1": (SET1_TRIPLES, SET1_UNKNOWNS, frozenset(), SHARED_FREE),
+    "system1/set2": (SET2_TRIPLES, SET2_UNKNOWNS, frozenset(), SHARED_FREE),
+    "case1": (((1, 2, 1),), ((2, 1), (1, 1)), frozenset({2, 3}), ()),
+    "case2": (((1, 2, 1),), ((2, 3), (1, 2), (2, 2), (1, 3)), frozenset({1}), ()),
+    "case3": (((1, 2, 1), (1, 2, 2)), ((1, 1), (1, 3), (2, 1), (2, 3)), frozenset({2}), ()),
+}
+
+
+def _without_zeros(e):
+    return e.const, {v: c for v, c in e.coeffs.items() if c != 0}
+
+
+def _solve_outcome(st_, solve):
+    try:
+        res = solve_triple_system(st_, *solve)
+    except ValueError as e:
+        return str(e)
+    return (
+        {u: _without_zeros(e) for u, e in res.solutions.items()},
+        {u: _without_zeros(e) for u, e in res.extras.items()},
+        [_without_zeros(e) for e in res.leftovers],
+        res.rank,
+        res.n_rows,
+        res.free,
+    )
+
+
+def _assert_solves_match_dense(monkeypatch, st_) -> None:
+    for name, solve in PROOF_SOLVES.items():
+        with monkeypatch.context() as m:
+            m.setattr(codazzi, "codazzi_scalar", _dense_codazzi_scalar)
+            m.setattr(AffineExpr, "subst", _dense_subst)
+            dense = _solve_outcome(st_, solve)
+        assert _solve_outcome(st_, solve) == dense, name
+
+
+@pytest.mark.parametrize("zero", ZERO_PATTERNS)
+def test_exact_solves_match_dense_replay(monkeypatch, zero) -> None:
+    rng = random.Random(50 + len(zero))
+    for _ in range(4):
+        _assert_solves_match_dense(
+            monkeypatch, random_frame_state(rng, require_ec=False, zero=zero)
+        )
+
+
+@pytest.mark.parametrize("zero", ZERO_PATTERNS)
+def test_float_solves_match_dense_replay(monkeypatch, zero) -> None:
+    rng = random.Random(60 + len(zero))
+    with mp.workdps(50):
+        for _ in range(3):
+            v = [0 if m in zero else mp.mpf(rng.randint(30, 150)) / 100 for m in AXES]
+            th1 = mp.mpf(rng.randint(5, 70)) / 100
+            th2 = constrained_theta2(v[0] or mp.mpf(1), v[2] or mp.mpf(1), th1)
+            _assert_solves_match_dense(
+                monkeypatch, FloatFrameState(v, th1, th2, sin_margin=1e-3)
+            )
+
+
+def test_proof_replay_work_counts(monkeypatch) -> None:
+    # recorded with every table entry and zero coefficient computed: the
+    # cheaper arithmetic must not come from fewer rows, solves or samples
+    counts = dict.fromkeys(("solve_triple_system", "codazzi_scalar", "random_frame_state"), 0)
+    for name in counts:
+        def counted(*args, _real=getattr(codazzi, name), _name=name, **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(codazzi, name, counted)
+    assert cmd_proof(trials=3, seed=3).passed
+    assert counts == {"solve_triple_system": 39, "codazzi_scalar": 180, "random_frame_state": 15}
+
+
+# ---------------------------------------------------------------------------
 # the quartic bracket system
 
 
@@ -503,6 +669,14 @@ def test_det_factorization_identity() -> None:
     rec = det_factorization_check(seed=26, trials=60)
     assert rec.passed
     assert rec.details["angle_parity"] is True
+
+
+def test_det_factorization_counts_skipped_states() -> None:
+    # one of the 100 states at this seed (run_all.py's default sub-seed) has
+    # v2 = v3 = 0, where the determinant is not tested
+    rec = det_factorization_check(seed=5, trials=100)
+    assert rec.passed
+    assert (rec.samples, rec.skipped) == (100, 1)
 
 
 @pytest.mark.parametrize("which", [(0, 1), (0,), (1,)])
