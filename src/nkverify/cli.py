@@ -6,6 +6,11 @@ analyzer over example immersions, `proof` runs the exact frame-level
 derivations plus the numeric constrained-angle case, and `fit` applies the
 H-umbilical detector to a cubic tensor stored as JSON.  All randomness is
 funneled through one seed per command so reports are byte-reproducible.
+
+The structure suite evaluates each sampled identity over all samples at once,
+with the array forms of nkgeom.  The samples are still drawn one at a time
+(base point, then the tangent pair), so the rng stream, and every residual,
+is that of a per-sample loop.
 """
 
 from __future__ import annotations
@@ -40,18 +45,9 @@ from .lagrangian import (
     lagrangian_suite,
     rotation_matrix,
 )
-from .nkgeom import (
-    G_tensor,
-    apply_J,
-    apply_P,
-    g_norm,
-    metric_g,
-    metric_g_ambient,
-    random_point,
-    random_tangent,
-)
+from .nkgeom import G, J, P, g, g_ambient, norm, random_samples
 from .quat import ImaginaryQuaternion, exp_im
-from .report import CheckRecord, VerificationReport, max_keep_nan
+from .report import CheckRecord, VerificationReport, max_keep_nan, worst_residual
 
 #: Parameter points at which adapted frames of the built-ins are probed.
 FRAME_SAMPLE_POINTS = (
@@ -96,11 +92,27 @@ def _stamp(records: Sequence[CheckRecord], start: float) -> list[CheckRecord]:
 # structure
 
 
+def _structure_record(
+    check_id: str, worst: float, bound: float, samples: int, details: dict
+) -> CheckRecord:
+    """The record of a structure check, with the pass rule they all share: the
+    worst residual is below the bound, or exactly zero where the bound is 0
+    and nothing is below it."""
+    return CheckRecord(
+        check_id=check_id,
+        passed=worst == 0.0 if bound == 0.0 else worst < bound,
+        samples=samples,
+        tolerance=bound,
+        max_residual=worst,
+        details=details,
+    )
+
+
 def structure_algebra_records(
     samples: int, rng: np.random.Generator, seed: int, tol: float | None = None
 ) -> list[CheckRecord]:
     """Pointwise invariants of J, P and the two metric forms at random
-    tangent pairs."""
+    tangent pairs, each evaluated over all samples at once."""
     algebra = {
         "j-squared": 1e-12,
         "j-isometry": 1e-12,
@@ -108,72 +120,39 @@ def structure_algebra_records(
         "jp-anticommute": 1e-13,
         "metric-forms-agree": 1e-12,
     }
-    worst = dict.fromkeys(algebra, 0.0)
-    for _ in range(samples):
-        base = random_point(rng)
-        X = random_tangent(rng, base)
-        Y = random_tangent(rng, base)
-        worst["j-squared"] = max_keep_nan(
-            worst["j-squared"], g_norm(apply_J(apply_J(X)) + X)
+    pq, X, Y = random_samples(rng, samples)
+    JX, JY = J(X), J(Y)
+    residuals = {
+        "j-squared": norm(J(JX) + X),
+        "j-isometry": np.abs(g(JX, JY) - g(X, Y)),
+        "p-squared": np.max(np.abs(P(P(X)) - X), axis=-1),
+        "jp-anticommute": norm(J(P(X)) + P(JX)),
+        "metric-forms-agree": np.abs(g(X, Y) - g_ambient(pq, X, Y)),
+    }
+    return [
+        _structure_record(
+            name,
+            worst_residual(residuals[name]),
+            default_tol if tol is None else tol,
+            samples,
+            {"seed": seed},
         )
-        worst["j-isometry"] = max_keep_nan(
-            worst["j-isometry"],
-            abs(metric_g(apply_J(X), apply_J(Y)) - metric_g(X, Y)),
-        )
-        pp = apply_P(apply_P(X))
-        worst["p-squared"] = max_keep_nan(
-            worst["p-squared"], float(np.max(np.abs(pp.components() - X.components())))
-        )
-        worst["jp-anticommute"] = max_keep_nan(
-            worst["jp-anticommute"],
-            g_norm(apply_J(apply_P(X)) + apply_P(apply_J(X))),
-        )
-        worst["metric-forms-agree"] = max_keep_nan(
-            worst["metric-forms-agree"],
-            abs(metric_g(X, Y) - metric_g_ambient(X, Y)),
-        )
-    records = []
-    for name, default_tol in algebra.items():
-        bound = default_tol if tol is None else tol
-        passed = worst[name] == 0.0 if bound == 0.0 else worst[name] < bound
-        records.append(
-            CheckRecord(
-                check_id=name,
-                passed=passed,
-                samples=samples,
-                tolerance=bound,
-                max_residual=worst[name],
-                details={"seed": seed},
-            )
-        )
-    return records
+        for name, default_tol in algebra.items()
+    ]
 
 
 def structure_g_records(
     g_samples: int, rng: np.random.Generator, seed: int, tol: float | None = None
 ) -> list[CheckRecord]:
-    """G vanishes on the diagonal and is antisymmetric, sampled numerically."""
+    """G vanishes on the diagonal and is antisymmetric, sampled numerically
+    over all samples at once."""
     g_tol = 1e-5 if tol is None else tol
-    diag_worst = 0.0
-    anti_worst = 0.0
-    for _ in range(g_samples):
-        base = random_point(rng)
-        X = random_tangent(rng, base)
-        Y = random_tangent(rng, base)
-        diag_worst = max_keep_nan(diag_worst, g_norm(G_tensor(X, X)))
-        anti_worst = max_keep_nan(anti_worst, g_norm(G_tensor(X, Y) + G_tensor(Y, X)))
+    _, X, Y = random_samples(rng, g_samples)  # G is left-invariant: no base point
     return [
-        CheckRecord(
-            check_id=name,
-            passed=value < g_tol,
-            samples=g_samples,
-            tolerance=g_tol,
-            max_residual=value,
-            details={"seed": seed},
-        )
-        for name, value in (
-            ("g-vanishing-diagonal", diag_worst),
-            ("g-antisymmetry", anti_worst),
+        _structure_record(name, worst_residual(values), g_tol, g_samples, {"seed": seed})
+        for name, values in (
+            ("g-vanishing-diagonal", norm(G(X, X))),
+            ("g-antisymmetry", norm(G(X, Y) + G(Y, X))),
         )
     ]
 
@@ -191,13 +170,12 @@ def structure_frame_record(seed: int, tol: float | None = None) -> CheckRecord:
                 frame_worst, frame_components(imm, np.array(u)).orientation_residual
             )
             count += 1
-    return CheckRecord(
-        check_id="frame-g-form",
-        passed=frame_worst < frame_tol,
-        samples=count,
-        tolerance=frame_tol,
-        max_residual=frame_worst,
-        details={"seed": seed, "examples": list(LAGRANGIAN_LABELS)},
+    return _structure_record(
+        "frame-g-form",
+        frame_worst,
+        frame_tol,
+        count,
+        {"seed": seed, "examples": list(LAGRANGIAN_LABELS)},
     )
 
 

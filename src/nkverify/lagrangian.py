@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jet import Jet, size, stack
-from .nkgeom import CONNECTION, G_ARRAY, J_MATRIX, PointS3S3, TangentVector
+from .nkgeom import CONNECTION, G_ARRAY, G, J, P, PointS3S3, TangentVector, g, norm
 from .quat import ImaginaryQuaternion, Quaternion, exp_im
-from .report import CheckRecord, max_keep_nan
+from .report import CheckRecord, max_keep_nan, worst_residual
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -88,9 +88,6 @@ class Immersion:
 # frame layer: tangent data as (..., 6) arrays of (alpha, beta) components,
 # or as jets of them, batched over leading axes.
 
-_P_MATRIX = np.roll(np.eye(6), 3, axis=0)
-#: sqrt(3) J^T, an integer matrix: X @ _J_INTEGER is (2b - a, b - 2a).
-_J_INTEGER = np.rint(_SQRT3 * J_MATRIX.T)
 #: _CONJ_MUL[4 j + k, i] is the i-th imaginary component of conj(e_j) e_k.
 _CONJ_MUL = np.array(
     [
@@ -103,43 +100,10 @@ _CONJ_MUL = np.array(
 _CONNECTION_FLAT = CONNECTION.transpose(1, 2, 0).reshape(36, 6)
 
 
-def _g(X, Y):
-    """metric_g of component arrays or jets, in metric_g's order of operations:
-    (4/3)(<a, a'> + <b, b'>) - (2/3)(<a, b'> + <a', b>)."""
-    xy = X * Y
-    aa = xy[..., :3].sum(-1) + xy[..., 3:].sum(-1)
-    cross = (X[..., :3] * Y[..., 3:]).sum(-1) + (Y[..., :3] * X[..., 3:]).sum(-1)
-    return (4.0 / 3.0) * aa - (2.0 / 3.0) * cross
-
-
-def _norm(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(_g(X, X))
-
-
-def _J(X):
-    """apply_J of component arrays or jets: (2b - a, b - 2a) / sqrt(3)."""
-    return (X @ _J_INTEGER) * (1.0 / _SQRT3)
-
-
-def _P(X):
-    """apply_P of component arrays or jets: (b, a)."""
-    return X @ _P_MATRIX
-
-
-def _G(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """G_tensor of two component vectors."""
-    return G_ARRAY @ y @ x
-
-
 def _gamma(X: Jet, W: Jet) -> Jet:
     """The closed-form connection Gamma(X, W) = CONNECTION @ w @ x of jets."""
     outer = X[..., :, None] * W[..., None, :]
     return outer.reshape(*outer.shape[:-2], 36) @ _CONNECTION_FLAT
-
-
-def _worst(residuals: np.ndarray) -> float:
-    """The largest residual, at least 0.0; a NaN among them is the result."""
-    return max_keep_nan(0.0, *np.ravel(residuals).tolist())
 
 
 def _per_point(residuals: np.ndarray) -> np.ndarray:
@@ -171,10 +135,10 @@ def _orthonormalize(V: Jet) -> tuple[Jet, Jet]:
     for a in range(3):
         w, comb = V[:, a], np.eye(3)[a]
         for b in range(a):
-            c = _g(V[:, a], E[b])[:, None]
+            c = g(V[:, a], E[b])[:, None]
             w = w - c * E[b]
             comb = comb - c * S[b]
-        inv = _g(w, w).power(-0.5)[:, None]
+        inv = g(w, w).power(-0.5)[:, None]
         E.append(inv * w)
         S.append(inv * comb)
     return stack(E, 1), stack(S, 1)
@@ -183,15 +147,15 @@ def _orthonormalize(V: Jet) -> tuple[Jet, Jet]:
 def _ab(E, JE):
     """A_ab = g(P E_a, E_b) and B_ab = g(P E_a, J E_b) on frames E (..., 3, 6),
     arrays or jets."""
-    PE = _P(E)[..., :, None, :]
-    return _g(PE, E[..., None, :, :]), _g(PE, JE[..., None, :, :])
+    PE = P(E)[..., :, None, :]
+    return g(PE, E[..., None, :, :]), g(PE, JE[..., None, :, :])
 
 
 def _tables(nabla, E, JE):
     """Cubic components g(nabla_a E_b, JE_k) and connection components
     g(nabla_a E_b, E_k) of frames E (..., 3, 6), nabla (..., 3, 3, 6)."""
     nabla = nabla[..., None, :]
-    return _g(nabla, JE[..., None, None, :, :]), _g(nabla, E[..., None, None, :, :])
+    return g(nabla, JE[..., None, None, :, :]), g(nabla, E[..., None, None, :, :])
 
 
 class _Package:
@@ -219,16 +183,16 @@ class _Package:
         V = (p[..., :, None] * dp[..., None, :]).reshape(n, 3, 2, 16) @ _CONJ_MUL
         V = V.reshape(n, 3, 6)
         self.V = V.value
-        low = np.linalg.eigvalsh(_g(self.V[:, :, None], self.V[:, None])).min(axis=-1)
+        low = np.linalg.eigvalsh(g(self.V[:, :, None], self.V[:, None])).min(axis=-1)
         for u, m in zip(self.us, low):
             if not m > RANK_FLOOR:
                 raise ValueError(f"{imm.label}: pushforward rank-deficient at u={u.tolist()}")
         E, S = _orthonormalize(V)
-        JE = _J(E)
+        JE = J(E)
         first = min(order - 1, 1)  # A/B are read to first order: values, dA, dB
         A, B = _ab(E.truncate(first), JE.truncate(first))
         self.E, self.S, self.JE, self.A, self.B = E.value, S.value, JE.value, A.value, B.value
-        self.lagrangian_residual = _per_point(np.abs(_g(self.JE[:, :, None], self.E[:, None])))
+        self.lagrangian_residual = _per_point(np.abs(g(self.JE[:, :, None], self.E[:, None])))
         if order < 2:
             return
         # nabla_{E_a} E_b, c and omega as jets of order - 2
@@ -313,7 +277,7 @@ def p_split_residual(imm: Immersion, u: Sequence[float]) -> float:
 def _p_split(pkg: _Package) -> np.ndarray:
     """The P-split reconstruction error at each package point."""
     recon = np.einsum("nab,nbd->nad", pkg.A, pkg.E) + np.einsum("nab,nbd->nad", pkg.B, pkg.JE)
-    return _per_point(_norm(_P(pkg.E) - recon))
+    return _per_point(norm(P(pkg.E) - recon))
 
 
 def _ab_structure(pkg: _Package) -> np.ndarray:
@@ -462,14 +426,14 @@ def _adapted_frame(pkg: _Package, i: int) -> AdaptedFrameData:
     R = ang.coeffs.copy()
 
     frame = R @ pkg.E[i]
-    probe = _g(_G(frame[0], frame[1]), _J(frame[2]))
+    probe = g(G(frame[0], frame[1]), J(frame[2]))
     if probe > 0:  # canonical form requires g(G(E1,E2), JE3) = -1/sqrt(3)
         R[2] = -R[2]
         frame[2] = -1.0 * frame[2]
-    jframe = _J(frame)
+    jframe = J(frame)
     target = np.einsum("ijk,kd->ijd", -EPSILON / _SQRT3, jframe)
-    G = np.einsum("dab,ia,jb->ijd", G_ARRAY, frame, frame)
-    orientation_residual = _worst(_norm(G - target))
+    G_frame = np.einsum("dab,ia,jb->ijd", G_ARRAY, frame, frame)
+    orientation_residual = worst_residual(norm(G_frame - target))
 
     A, B = _ab(frame, jframe)
     eigen = (None, None, None)
@@ -529,8 +493,8 @@ def _eigenfield_checks(
     omega, deriv = _eigenframe_rates(pkg, i, R, ang)
     h = _rotated(R, pkg.c[i])
     eq_residual = relation_h_omega_residual(h, omega, ang.thetas)
-    dtheta_residual = _worst(np.abs(deriv + h.diagonal(0, 0, 1)))
-    return eq_residual, dtheta_residual, _worst(np.abs(deriv))
+    dtheta_residual = worst_residual(np.abs(deriv + h.diagonal(0, 0, 1)))
+    return eq_residual, dtheta_residual, worst_residual(np.abs(deriv))
 
 
 def codazzi_residual(imm: Immersion, u: Sequence[float]) -> float:
@@ -569,7 +533,7 @@ def _codazzi(pkg: _Package) -> np.ndarray:
         - jA[:, xs] * B[:, ys, :, None]
         + jA[:, ys] * B[:, xs, :, None]
     )
-    return _per_point(_norm(lhs - rhs))
+    return _per_point(norm(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +610,7 @@ def lagrangian_suite(
     points = imm.domain.grid(grid)
     tag = imm.label
     pkg = _Package(imm, points, 3)
-    lag_worst = _worst(pkg.lagrangian_residual)
+    lag_worst = worst_residual(pkg.lagrangian_residual)
     records = [
         CheckRecord(
             check_id=f"lagrangian[{tag}]",
@@ -681,14 +645,14 @@ def lagrangian_suite(
         _require_lagrangian(tag, u, residual)
     c = pkg.c
     worsts = {
-        "minimality": _worst(_norm(pkg.H)),
-        "cubic-symmetry": _worst(
+        "minimality": worst_residual(norm(pkg.H)),
+        "cubic-symmetry": worst_residual(
             np.abs(np.stack((c - c.transpose(0, 2, 1, 3), c - c.transpose(0, 1, 3, 2))))
         ),
-        "ab-structure": _worst(_ab_structure(pkg)),
+        "ab-structure": worst_residual(_ab_structure(pkg)),
         "angle-sum": 0.0,
         "orientation": 0.0,
-        "codazzi-residual": _worst(_codazzi(pkg)),
+        "codazzi-residual": worst_residual(_codazzi(pkg)),
     }
     eigen_worsts = {"frame_relation_worst": 0.0, "dtheta_worst": 0.0}
     dtheta_max_abs = 0.0

@@ -13,6 +13,15 @@ formula on the Lie algebra (Milnor 1976), with bracket
 For any field W with components w, nabla_X W = X(w) + Gamma(x, w), and
 G = nabla J is the constant array G_ARRAY.
 
+Each formula has one array form: g, norm, J, P, G, embed and g_ambient take
+(..., 6) component arrays (g, J and P also take jets) and act over the
+leading axes at once.  The object-level metric_g, g_norm, apply_J, apply_P,
+G_tensor, TangentVector.embed and metric_g_ambient are thin wrappers over
+them, in the same order of operations, so both give the same bits.
+random_samples draws what random_point and two random_tangent calls draw,
+sample by sample in that order, so a batched suite reads the same rng stream
+as a per-sample loop.
+
 Charts built from the quaternion exponential, with Christoffel symbols from
 Richardson-extrapolated central differences of the chart metric, are kept as
 an independent finite-difference reference for the closed forms.
@@ -74,6 +83,10 @@ class PointS3S3:
     def identity(cls) -> "PointS3S3":
         return cls(Quaternion.one(), Quaternion.one())
 
+    def as_array(self) -> np.ndarray:
+        """The (2, 4) array of p and q."""
+        return np.array([self.p.as_array(), self.q.as_array()])
+
     def close_to(self, other: "PointS3S3", tol: float = BASE_TOL) -> bool:
         dp = np.max(np.abs(self.p.as_array() - other.p.as_array()))
         dq = np.max(np.abs(self.q.as_array() - other.q.as_array()))
@@ -90,9 +103,7 @@ class TangentVector:
 
     def embed(self) -> np.ndarray:
         """Ambient R^8 coordinates (the two factor 4-vectors concatenated)."""
-        pa = self.base.p * self.alpha.promote()
-        qb = self.base.q * self.beta.promote()
-        return np.concatenate([pa.as_array(), qb.as_array()])
+        return embed(self.base.as_array(), self.components())
 
     @classmethod
     def from_components(cls, base: PointS3S3, comps: np.ndarray) -> "TangentVector":
@@ -134,9 +145,7 @@ def metric_g(X: TangentVector, Y: TangentVector) -> float:
     g(X, Y) = (4/3)(<a,a'> + <b,b'>) - (2/3)(<a,b'> + <a',b>).
     """
     X._require_same_base(Y)
-    aa = X.alpha.dot(Y.alpha) + X.beta.dot(Y.beta)
-    ab = X.alpha.dot(Y.beta) + Y.alpha.dot(X.beta)
-    return (4.0 / 3.0) * aa - (2.0 / 3.0) * ab
+    return float(g(X.components(), Y.components()))
 
 
 def metric_g_ambient(X: TangentVector, Y: TangentVector) -> float:
@@ -146,38 +155,27 @@ def metric_g_ambient(X: TangentVector, Y: TangentVector) -> float:
     independent consistency check.
     """
     X._require_same_base(Y)
-    JX, JY = apply_J(X), apply_J(Y)
-    return 0.5 * (
-        float(np.dot(X.embed(), Y.embed())) + float(np.dot(JX.embed(), JY.embed()))
-    )
+    return float(g_ambient(X.base.as_array(), X.components(), Y.components()))
 
 
 def g_norm(X: TangentVector) -> float:
-    return math.sqrt(metric_g(X, X))
+    return float(norm(X.components()))
 
 
 def apply_J(X: TangentVector) -> TangentVector:
     """J(p*a, q*b) = (p*(2b - a), q*(b - 2a)) / sqrt(3)."""
-    a, b = X.alpha, X.beta
-    return TangentVector(
-        X.base,
-        (b.scaled(2.0) - a).scaled(1.0 / _SQRT3),
-        (b - a.scaled(2.0)).scaled(1.0 / _SQRT3),
-    )
+    return TangentVector.from_components(X.base, J(X.components()))
 
 
 def apply_P(X: TangentVector) -> TangentVector:
     """P(p*a, q*b) = (p*b, q*a)."""
-    return TangentVector(X.base, X.beta, X.alpha)
+    return TangentVector.from_components(X.base, P(X.components()))
 
 
 def random_point(rng: np.random.Generator) -> PointS3S3:
     """A uniformly distributed point (normalized Gaussian 4-vectors)."""
-    arrs = rng.standard_normal((2, 4))
-    return PointS3S3(
-        Quaternion.from_array(arrs[0]).normalized(),
-        Quaternion.from_array(arrs[1]).normalized(),
-    )
+    pq = unit_points(rng.standard_normal((2, 4)))
+    return PointS3S3(Quaternion.from_array(pq[0]), Quaternion.from_array(pq[1]))
 
 
 def random_tangent(
@@ -229,6 +227,127 @@ def connection(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gamma(x, w): components of nabla_X W for the left-invariant fields
     with (alpha, beta) components x and w."""
     return CONNECTION @ w @ x
+
+
+# ---------------------------------------------------------------------------
+# array forms: tangent data as (..., 6) arrays of (alpha, beta) components at
+# base points given as (..., 2, 4) arrays of (p, q)
+
+_P_MATRIX = np.roll(np.eye(6), 3, axis=0)
+#: sqrt(3) J^T, an integer matrix: X @ _J_INTEGER is (2b - a, b - 2a).
+_J_INTEGER = np.rint(_SQRT3 * J_MATRIX.T)
+
+
+def g(X, Y):
+    """The metric g of component arrays or jets,
+    (4/3)(<a, a'> + <b, b'>) - (2/3)(<a, b'> + <a', b>), each inner product
+    summed left to right."""
+    xy = X * Y
+    aa = xy[..., :3].sum(-1) + xy[..., 3:].sum(-1)
+    cross = (X[..., :3] * Y[..., 3:]).sum(-1) + (Y[..., :3] * X[..., 3:]).sum(-1)
+    return (4.0 / 3.0) * aa - (2.0 / 3.0) * cross
+
+
+def norm(X: np.ndarray) -> np.ndarray:
+    """The g-norm of component arrays."""
+    return np.sqrt(g(X, X))
+
+
+def J(X):
+    """J of component arrays or jets: (2b - a, b - 2a) / sqrt(3)."""
+    return (X @ _J_INTEGER) * (1.0 / _SQRT3)
+
+
+def P(X):
+    """P of component arrays or jets: (b, a)."""
+    return X @ _P_MATRIX
+
+
+def G(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """G(x, y) of component arrays: G_ARRAY @ y @ x for each pair of vectors.
+
+    A batch is contracted one pair at a time, since a batched contraction
+    sums in another order and moves the last bits of G.
+    """
+    x, y = np.broadcast_arrays(x, y)
+    pairs = zip(x.reshape(-1, 6), y.reshape(-1, 6))
+    return np.array([G_ARRAY @ yk @ xk for xk, yk in pairs]).reshape(x.shape)
+
+
+def embed(pq: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Ambient R^8 coordinates of components X (..., 6) at base points pq
+    (..., 2, 4): the products p*(0, alpha) and q*(0, beta), written out per
+    component as Quaternion.__mul__ computes them (the zero real part
+    included)."""
+    pw, px, py, pz = np.moveaxis(pq, -1, 0)
+    a = X.reshape(*X.shape[:-1], 2, 3)
+    ax, ay, az = np.moveaxis(a, -1, 0)
+    aw = 0.0
+    out = np.stack(
+        [
+            pw * aw - px * ax - py * ay - pz * az,
+            pw * ax + px * aw + py * az - pz * ay,
+            pw * ay - px * az + py * aw + pz * ax,
+            pw * az + px * ay - py * ax + pz * aw,
+        ],
+        axis=-1,
+    )
+    return out.reshape(*out.shape[:-2], 8)
+
+
+def g_ambient(pq: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The metric from its definition, (1/2)(<X, Y> + <JX, JY>) in ambient
+    R^8, of components X, Y at base points pq.
+
+    Each 8-vector product is its own np.dot, as in the per-vector formula:
+    np.dot rounds as the BLAS dot kernel does, and a batched einsum or sum
+    rounds differently in the last bits.
+    """
+    ex, ey, ejx, ejy = np.broadcast_arrays(
+        embed(pq, X), embed(pq, Y), embed(pq, J(X)), embed(pq, J(Y))
+    )
+    shape = ex.shape[:-1]
+    ex, ey, ejx, ejy = (e.reshape(-1, 8) for e in (ex, ey, ejx, ejy))
+    plain = np.array([np.dot(a, b) for a, b in zip(ex, ey)])
+    turned = np.array([np.dot(a, b) for a, b in zip(ejx, ejy)])
+    return (0.5 * (plain + turned)).reshape(shape)
+
+
+def unit_points(raw: np.ndarray) -> np.ndarray:
+    """Quaternion.normalized of every (p, q) in raw (..., 2, 4), column by
+    column in its order of operations, with the unit check of PointS3S3."""
+    w, x, y, z = np.moveaxis(raw, -1, 0)
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    if np.any(n == 0.0):
+        raise ZeroDivisionError("cannot normalize the zero quaternion")
+    with np.errstate(invalid="ignore"):  # a non-finite entry fails the unit check
+        pq = (1.0 / n)[..., None] * raw
+    w, x, y, z = np.moveaxis(pq, -1, 0)
+    unit = np.sqrt(w * w + x * x + y * y + z * z)
+    bad = np.argwhere(~(np.abs(unit - 1.0) <= BASE_TOL))
+    if len(bad):
+        name = "pq"[bad[0][-1]]
+        raise ValueError(f"{name} is not a unit quaternion: |{name}| = {unit[tuple(bad[0])]}")
+    return pq
+
+
+def random_samples(
+    rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n samples of random_point and two random_tangent calls: base points
+    (n, 2, 4) and tangent components X, Y (n, 6).
+
+    The draws stay per sample, in the order of that loop, so the rng stream is
+    the one a per-sample loop reads; drawing each array at once would change it.
+    """
+    raw = np.empty((n, 2, 4))
+    X = np.empty((n, 6))
+    Y = np.empty((n, 6))
+    for k in range(n):
+        raw[k] = rng.standard_normal((2, 4))
+        X[k] = rng.uniform(-1.0, 1.0, 6)
+        Y[k] = rng.uniform(-1.0, 1.0, 6)
+    return unit_points(raw), X, Y
 
 
 class Chart:
@@ -433,8 +552,7 @@ def G_tensor(X: TangentVector, Y: TangentVector) -> TangentVector:
     G(X, Y) = Gamma(x, J y) - J Gamma(x, y), the contraction of G_ARRAY.
     """
     X._require_same_base(Y)
-    comps = G_ARRAY @ Y.components() @ X.components()
-    return TangentVector.from_components(X.base, comps)
+    return TangentVector.from_components(X.base, G(X.components(), Y.components()))
 
 
 def integrate_geodesic(

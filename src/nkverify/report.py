@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 from .exact import CirclePoint, QSqrt3
 
 
@@ -28,6 +30,12 @@ def max_keep_nan(*values):
         if v != v:
             return v
     return max(values)
+
+
+def worst_residual(residuals) -> float:
+    """The largest of an array of residuals, at least 0.0; a NaN among them
+    is the result (max_keep_nan over every entry)."""
+    return max_keep_nan(0.0, *np.ravel(residuals).tolist())
 
 
 def min_keep_nan(*values):

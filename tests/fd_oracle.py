@@ -21,13 +21,10 @@ from nkverify.lagrangian import (
     RANK_FLOOR,
     Immersion,
     _ab,
-    _g,
-    _J,
-    _norm,
     _tables,
     angle_functions,
 )
-from nkverify.nkgeom import PointS3S3, connection
+from nkverify.nkgeom import J, PointS3S3, connection, g, norm
 
 #: Central-difference step of the pushforwards.
 PUSHFORWARD_STEP = 1e-5
@@ -86,7 +83,7 @@ def pushforwards(
             ),
             axis=-1,
         )
-    low = np.linalg.eigvalsh(_g(V[:, :, None], V[:, None])).min(axis=-1)
+    low = np.linalg.eigvalsh(g(V[:, :, None], V[:, None])).min(axis=-1)
     for u, m in zip(us, low):
         if not m > RANK_FLOOR:
             raise ValueError(f"{imm.label}: pushforward rank-deficient at u={u.tolist()}")
@@ -103,10 +100,10 @@ def orthonormalize(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         comb = np.zeros((len(V), 3))
         comb[:, a] = 1.0
         for b in range(a):
-            c = _g(V[:, a], E[:, b])[:, None]
+            c = g(V[:, a], E[:, b])[:, None]
             w = w - c * E[:, b]
             comb = comb - c * S[:, b]
-        n = _norm(w)[:, None]
+        n = norm(w)[:, None]
         E[:, a] = (1.0 / n) * w
         S[:, a] = comb / n
     return E, S
@@ -150,7 +147,7 @@ def point_tables(imm: Immersion, u: Sequence[float]) -> dict[str, np.ndarray]:
     u = np.asarray(u, dtype=float)
     V = pushforwards(imm, u)[1]
     E, S = orthonormalize(V)
-    JE = _J(E)
+    JE = J(E)
     nabla = frame_derivatives(u[None], lambda w: frames(imm, w)[0], S, E)
     c, omega = _tables(nabla, E, JE)
     diag = [0, 1, 2]
@@ -159,7 +156,7 @@ def point_tables(imm: Immersion, u: Sequence[float]) -> dict[str, np.ndarray]:
     shifts = step * S[0]
     us = np.stack((u + shifts, u - shifts), axis=1).reshape(6, 3)
     En, Sn = frames(imm, us)
-    cn = _tables(frame_derivatives(us, lambda w: frames(imm, w)[0], Sn, En), En, _J(En))[0]
+    cn = _tables(frame_derivatives(us, lambda w: frames(imm, w)[0], Sn, En), En, J(En))[0]
     cn = cn.reshape(3, 2, 3, 3, 3)
     return {
         "V": V[0],
@@ -203,7 +200,7 @@ def eigenframes(
     continuity-matched to the reference coefficient rows."""
     E = frames(imm, us)[0]
     out, thetas = [], []
-    for Ew, Aw, Bw in zip(E, *_ab(E, _J(E))):
+    for Ew, Aw, Bw in zip(E, *_ab(E, J(E))):
         matched = match_to_reference(angle_functions(Aw, Bw).coeffs, reference)
         cos2 = np.array([float(row @ Aw @ row) for row in matched])
         sin2 = np.array([float(row @ Bw @ row) for row in matched])
@@ -224,7 +221,7 @@ def eigenframe_rates(
     nabla = frame_derivatives(
         u[None], lambda w: eigenframes(imm, w, R)[0], directions[None], frame[None]
     )[0]
-    omega = _tables(nabla, frame, _J(frame))[1]
+    omega = _tables(nabla, frame, J(frame))[1]
     step = CUBIC_DERIVATIVE_STEP
     shifts = step * directions
     th = eigenframes(imm, np.stack((u + shifts, u - shifts), axis=1).reshape(6, 3), R)[1]

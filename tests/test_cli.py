@@ -70,10 +70,22 @@ def test_structure_impossible_tolerance_fails_with_finite_residuals() -> None:
     assert all(math.isfinite(r.max_residual) for r in report.records)
 
 
+def _nan_at_middle_sample(fn):
+    """fn with its per-sample output set to NaN at sample 1 of 3."""
+
+    def patched(*args):
+        out = np.array(fn(*args), dtype=float)
+        out[1] = math.nan
+        return out
+
+    return patched
+
+
 def test_structure_nan_residuals_fail_their_checks(monkeypatch) -> None:
-    # each running maximum keeps a NaN, so the check fails and reports it
-    monkeypatch.setattr(cli, "metric_g_ambient", lambda X, Y: math.nan)
-    monkeypatch.setattr(cli, "G_tensor", lambda X, Y: X.scaled(math.nan))
+    # a NaN at one middle sample survives the reduction over all samples, so
+    # the check fails and reports it
+    monkeypatch.setattr(cli, "g_ambient", _nan_at_middle_sample(cli.g_ambient))
+    monkeypatch.setattr(cli, "G", _nan_at_middle_sample(cli.G))
     real_frame = cli.frame_components
     frames = []
 
@@ -97,6 +109,30 @@ def test_structure_nan_residuals_fail_their_checks(monkeypatch) -> None:
     }
     for rec in records:
         assert math.isnan(rec.max_residual) == (rec.check_id in failed)
+
+
+def test_structure_exact_zero_residuals_pass_at_tol_zero(monkeypatch) -> None:
+    # every structure check passes an exactly zero residual at tol 0, as
+    # p-squared always did
+    monkeypatch.setattr(cli, "G", lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)))
+    real_frame = cli.frame_components
+
+    def exact_frame(imm, u):
+        fc = real_frame(imm, u)
+        fc.orientation_residual = 0.0
+        return fc
+
+    monkeypatch.setattr(cli, "frame_components", exact_frame)
+    records = cli.structure_g_records(3, np.random.default_rng(0), 0, tol=0.0) + [
+        cli.structure_frame_record(0, tol=0.0)
+    ]
+    assert [r.check_id for r in records] == [
+        "g-vanishing-diagonal", "g-antisymmetry", "frame-g-form"
+    ]
+    for rec in records:
+        assert rec.passed
+        assert rec.max_residual == 0.0
+        assert rec.tolerance == 0.0
 
 
 def test_structure_reports_are_byte_identical() -> None:
