@@ -1,9 +1,10 @@
 """Exact scalar arithmetic for the verification engine.
 
 Provides arbitrary-precision rationals, the real quadratic field Q(sqrt(3)),
-rational points on the unit circle (exact cosine/sine pairs), and a randomized
-polynomial identity test.  Nothing in this module ever rounds through floating
-point; sqrt(3) stays symbolic.
+integer numerators in Z[sqrt(3)] for sums kept over one common denominator,
+rational points on the unit circle (exact cosine/sine pairs), and a
+randomized polynomial identity test.  Nothing in this module ever rounds
+through floating point; sqrt(3) stays symbolic.
 """
 
 from __future__ import annotations
@@ -172,6 +173,62 @@ class QSqrt3:
             return f"{self._b}*sqrt(3)"
         sign = "+" if self._b > 0 else "-"
         return f"{self._a} {sign} {abs(self._b)}*sqrt(3)"
+
+
+class ZSqrt3:
+    """An element ``a + b*sqrt(3)`` of Z[sqrt(3)]: the integer numerator of a
+    Q(sqrt(3)) value whose denominator is kept elsewhere.
+
+    Adds and subtracts ints and other ZSqrt3 and scales by ints, on either
+    side, without a single gcd; ``over`` divides by the denominator once.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        self.a = a
+        self.b = b
+
+    def __add__(self, other: object) -> "ZSqrt3":
+        if isinstance(other, ZSqrt3):
+            return ZSqrt3(self.a + other.a, self.b + other.b)
+        if isinstance(other, int):
+            return ZSqrt3(self.a + other, self.b)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "ZSqrt3":
+        if isinstance(other, ZSqrt3):
+            return ZSqrt3(self.a - other.a, self.b - other.b)
+        if isinstance(other, int):
+            return ZSqrt3(self.a - other, self.b)
+        return NotImplemented
+
+    def __rsub__(self, other: object) -> "ZSqrt3":
+        if isinstance(other, int):
+            return ZSqrt3(other - self.a, -self.b)
+        return NotImplemented
+
+    def __mul__(self, other: object) -> "ZSqrt3":
+        if isinstance(other, int):
+            return ZSqrt3(self.a * other, self.b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "ZSqrt3":
+        return ZSqrt3(-self.a, -self.b)
+
+    def __bool__(self) -> bool:
+        return self.a != 0 or self.b != 0
+
+    def over(self, den: int) -> QSqrt3:
+        """The field element ``(a + b*sqrt(3)) / den``."""
+        return QSqrt3(Fraction(self.a, den), Fraction(self.b, den))
+
+    def __repr__(self) -> str:
+        return f"ZSqrt3({self.a!r}, {self.b!r})"
 
 
 #: sqrt(3) as a field element.

@@ -157,68 +157,190 @@ def _dense_dh(v):
     return out
 
 
-def _dense_shifted(st_):
-    om = omega_from_state(st_)
-    return {
-        (i, m, l): om[(i, m, l)] - st_.inv_sqrt3 * epsilon(i, m, l)
-        for i, m, l in product(AXES, AXES, AXES)
+def _dense_omega(st_):
+    """The connection components by their nine displayed formulas, with one
+    `cot` call per use, as values (Fraction or QSqrt3, or mpf)."""
+    v1, v2, v3 = st_.v[1], st_.v[2], st_.v[3]
+    q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
+    five_v = 5 * v1 * v2 * v3
+    displays = {
+        (1, 1, 2): -v2 * (-4 * q1 + q2 + q3) * st_.cot(1, 2),
+        (1, 1, 3): -v3 * (-4 * q1 + q2 + q3) * st_.cot(1, 3),
+        (2, 2, 1): -v1 * (q1 - 4 * q2 + q3) * st_.cot(2, 1),
+        (2, 2, 3): -v3 * (q1 - 4 * q2 + q3) * st_.cot(2, 3),
+        (3, 3, 1): -v1 * (q1 + q2 - 4 * q3) * st_.cot(3, 1),
+        (3, 3, 2): -v2 * (q1 + q2 - 4 * q3) * st_.cot(3, 2),
+        (1, 2, 3): st_.sigma + five_v * st_.cot(2, 3),
+        (2, 3, 1): st_.sigma + five_v * st_.cot(3, 1),
+        (3, 1, 2): st_.sigma + five_v * st_.cot(1, 2),
     }
+    out = {}
+    for i, j, k in product(AXES, AXES, AXES):
+        if j == k:
+            out[(i, j, k)] = st_.zero
+        elif (i, j, k) in displays:
+            out[(i, j, k)] = displays[(i, j, k)]
+        else:
+            out[(i, j, k)] = -displays[(i, k, j)]
+    return out
 
 
-def _dense_scalar_const(st_, i, j, k, l):
-    # h is read at the sorted index of each entry's symmetry class, the index
-    # the state's table computes it at
-    dense = _dense_h([st_.v[m] for m in AXES])
-    h = {key: dense[tuple(sorted(key))] for key in dense}
-    om = omega_from_state(st_)
+def _dense_tables(st_):
+    """h, dh, omega and the shifted omega of the state from the formulas above.
+
+    h and dh are read at the sorted index of each entry's symmetry class, the
+    index the state's table computes it at; the shifted entry subtracts
+    eps/sqrt(3) only where eps != 0, so a rational omega stays a Fraction.
+    """
+    v = [st_.v[m] for m in AXES]
+    dense_h, dense_dh = _dense_h(v), _dense_dh(v)
+    h = {key: dense_h[tuple(sorted(key))] for key in dense_h}
+    dh = {(j, k, l, m): dense_dh[(*sorted((j, k, l)), m)] for j, k, l, m in dense_dh}
+    om = _dense_omega(st_)
+    shifted = {}
+    for key in product(AXES, AXES, AXES):
+        eps = epsilon(*key)
+        shifted[key] = om[key] - st_.inv_sqrt3 * eps if eps else om[key]
+    return h, dh, om, shifted
+
+
+def _dense_scalar(st_, tables, i, j, k, l, vanishing=frozenset()):
+    """The Codazzi scalar summed term by term in the tables' own arithmetic.
+
+    A product whose h factor is exactly zero is left out: it adds an exact
+    zero, so the value is the full sum's, and the constant is a QSqrt3
+    exactly where a nonzero h entry meets a sqrt(3) in omega.
+    """
+    h, dh, om, shifted = tables
+    coeffs = {}
+    for m in AXES:
+        if m in vanishing:
+            continue
+        c = dh[(j, k, l, m)]
+        if c:
+            coeffs[(i, m)] = c
+        c = dh[(i, k, l, m)]
+        if c:
+            coeffs[(j, m)] = coeffs[(j, m)] - c if (j, m) in coeffs else -c
     const = st_.zero
     for m in AXES:
-        const = const + h[(j, k, m)] * (om[(i, m, l)] - st_.inv_sqrt3 * epsilon(i, m, l))
-        const = const - h[(i, k, m)] * (om[(j, m, l)] - st_.inv_sqrt3 * epsilon(j, m, l))
-        const = const - (om[(i, j, m)] - om[(j, i, m)]) * h[(m, k, l)]
-        const = const - om[(i, k, m)] * h[(j, m, l)]
-        const = const + om[(j, k, m)] * h[(i, m, l)]
-    return const - st_.third * st_.sin2(i, j) * (
+        if h[(j, k, m)]:
+            const = const + h[(j, k, m)] * shifted[(i, m, l)]
+        if h[(i, k, m)]:
+            const = const - h[(i, k, m)] * shifted[(j, m, l)]
+        if h[(m, k, l)]:
+            const = const - (om[(i, j, m)] - om[(j, i, m)]) * h[(m, k, l)]
+        if h[(j, m, l)]:
+            const = const - om[(i, k, m)] * h[(j, m, l)]
+        if h[(i, m, l)]:
+            const = const + om[(j, k, m)] * h[(i, m, l)]
+    const = const - st_.third * st_.sin2(i, j) * (
         delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
     )
+    return AffineExpr(const, coeffs)
 
 
 ZERO_PATTERNS = [(), (1,), (2,), (2, 3), (1, 2, 3)]
 
 
+def _assert_same(got, want) -> None:
+    """Equal, and of the same type: the report writes a Fraction and a QSqrt3
+    differently, so a rational value must not turn into a QSqrt3."""
+    assert got == want and type(got) is type(want), (got, want)
+
+
 def _assert_tables_match_dense(st_) -> None:
     """Every key of h and dh holds the one value object of its symmetry class,
     and that value is the dense formula's at the class's sorted index: exact
-    ==, on mpmath states too.  The other tables and the scalars match their
-    dense formulas exactly."""
+    ==, on mpmath states too.  omega, the shifted table and every Codazzi
+    scalar's constant and coefficients match the dense formulas with == and
+    have their type, with and without the state's zero components vanishing."""
     v = [st_.v[m] for m in AXES]
     h, dense_h = st_.h_table(), _dense_h(v)
     assert len(h) == 27
     for key in product(AXES, AXES, AXES):
         rep = tuple(sorted(key))
         assert h[key] is h[rep]
-        assert h[key] == dense_h[rep]
+        _assert_same(h[key], dense_h[rep])
     dh, dense_dh = st_.dh_table(), _dense_dh(v)
     assert len(dh) == 81
     for j, k, l, m in product(AXES, AXES, AXES, AXES):
         rep = (*sorted((j, k, l)), m)
         assert dh[(j, k, l, m)] is dh[rep]
-        assert dh[(j, k, l, m)] == dense_dh[rep]
-    assert st_.shifted_omega_table() == _dense_shifted(st_)
-    for i, j, k, l in product(AXES, AXES, AXES, AXES):
-        assert codazzi_scalar(st_, i, j, k, l).const == _dense_scalar_const(st_, i, j, k, l)
+        _assert_same(dh[(j, k, l, m)], dense_dh[rep])
+    tables = _dense_tables(st_)
+    _, _, dense_om, dense_shifted = tables
+    om, shifted = st_.omega_table(), st_.shifted_omega_table()
+    assert omega_from_state(st_) == om
+    for key in product(AXES, AXES, AXES):
+        _assert_same(om[key], dense_om[key])
+        _assert_same(shifted[key], dense_shifted[key])
+    zeros = frozenset(m for m in AXES if v[m - 1] == 0)
+    for vanishing in {frozenset(), zeros}:
+        for i, j, k, l in product(AXES, AXES, AXES, AXES):
+            got = codazzi_scalar(st_, i, j, k, l, vanishing)
+            want = _dense_scalar(st_, tables, i, j, k, l, vanishing)
+            _assert_same(got.const, want.const)
+            assert got.coeffs.keys() == want.coeffs.keys()
+            for var, c in want.coeffs.items():
+                _assert_same(got.coeffs[var], c)
+
+
+#: Denominators of v, pairwise coprime, so D is their product (up to 504).
+COPRIME_DENOMINATORS = ((7, 8, 9), (5, 8, 9), (4, 7, 9), (5, 7, 8), (2, 3, 5), (1, 1, 7))
+
+
+def _coprime_states(seed: int, n: int) -> list[FrameState]:
+    """Exact states whose three v denominators are pairwise coprime."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        dens = COPRIME_DENOMINATORS[len(out) % len(COPRIME_DENOMINATORS)]
+        v = []
+        for d in dens:
+            num = rng.choice((-1, 1)) * rng.randint(1, 60)
+            while math.gcd(num, d) != 1:
+                num += 1
+            v.append(Fraction(num, d))
+        assert math.lcm(*(x.denominator for x in v)) == math.prod(dens)
+        t1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        t2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        try:
+            out.append(FrameState(v, rat_circle_point(t1), rat_circle_point(t2)))
+        except ValueError:
+            continue
+    return out
+
+
+def _axis_states(seed: int, n: int) -> list[FrameState]:
+    """`case1_check`'s states: v = (v1, 0, 0) at v1 = 1, ..., 5 (D = 1), built
+    with `with_v` from a sampled state with v2 = v3 = 0."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        st0 = random_frame_state(rng, require_ec=False, zero=(2, 3))
+        out.extend(st0.with_v([Fraction(x), Fraction(0), Fraction(0)]) for x in range(1, 6))
+    return out
 
 
 @pytest.mark.parametrize("zero", ZERO_PATTERNS)
 def test_exact_tables_match_dense_formulas(zero) -> None:
+    # 40 states per zero pattern, 200 in all
     rng = random.Random(30 + len(zero))
-    for _ in range(5):
+    for _ in range(40):
         st_ = random_frame_state(rng, require_ec=False, zero=zero)
         _assert_tables_match_dense(st_)
         # exact values do not depend on the order of the factors
         v = [st_.v[m] for m in AXES]
         assert st_.h_table() == _dense_h(v)
         assert st_.dh_table() == _dense_dh(v)
+
+
+@pytest.mark.parametrize("states", [_coprime_states, _axis_states])
+def test_exact_tables_match_dense_formulas_on_integer_edge_states(states) -> None:
+    # the largest common denominator of v (504) and the smallest (1)
+    for st_ in states(35, 24 if states is _coprime_states else 4):
+        _assert_tables_match_dense(st_)
 
 
 @pytest.mark.parametrize("zero", ZERO_PATTERNS)
@@ -490,10 +612,16 @@ def _assert_solves_match_dense(monkeypatch, st_) -> None:
 @pytest.mark.parametrize("zero", ZERO_PATTERNS)
 def test_exact_solves_match_dense_replay(monkeypatch, zero) -> None:
     rng = random.Random(50 + len(zero))
-    for _ in range(4):
+    for _ in range(8):
         _assert_solves_match_dense(
             monkeypatch, random_frame_state(rng, require_ec=False, zero=zero)
         )
+
+
+@pytest.mark.parametrize("states", [_coprime_states, _axis_states])
+def test_exact_solves_match_dense_replay_on_integer_edge_states(monkeypatch, states) -> None:
+    for st_ in states(55, 12 if states is _coprime_states else 2):
+        _assert_solves_match_dense(monkeypatch, st_)
 
 
 @pytest.mark.parametrize("zero", ZERO_PATTERNS)
@@ -642,6 +770,28 @@ def test_case3_numeric_flow() -> None:
     assert rec.details["companion_v3_zero_samples"] > 0
 
 
+#: (max_residual, min_forcing_ratio) of the constrained-angle case as
+#: `cmd_proof(seed=s)` runs it at default trials (sub-seed s + 6, 100 trials)
+#: and as `case3_check(seed=s)` runs at its own default (60 trials).
+#: Recorded before the tables moved to numerators; the mpmath path runs the
+#: same operations in the same order, so every bit must stay.
+CASE3_PINS = {
+    (7, 100): (2.6727647100921956e-51, 0.16076488578712253),
+    (8, 100): (2.6727647100921956e-51, 0.15507540301876838),
+    (9, 100): (3.3409558876152446e-51, 0.1531960101687111),
+    (1, 60): (4.6773382426613424e-51, 0.1526703578339154),
+    (2, 60): (2.6727647100921956e-51, 0.15407982240200974),
+    (3, 60): (3.00686029885372e-51, 0.1554301143882644),
+}
+
+
+@pytest.mark.parametrize("seed,trials", list(CASE3_PINS))
+def test_case3_residuals_pinned(seed, trials) -> None:
+    rec = case3_check(trials=trials, seed=seed)
+    assert rec.passed
+    assert (rec.max_residual, rec.details["min_forcing_ratio"]) == CASE3_PINS[(seed, trials)]
+
+
 def test_case3_fails_when_no_trial_reaches_the_variety() -> None:
     # the only main trial at this seed is skipped near 4 v1^2 = 3 v3^2
     rec = case3_check(trials=1, seed=67)
@@ -677,6 +827,18 @@ def test_det_factorization_counts_skipped_states() -> None:
     rec = det_factorization_check(seed=5, trials=100)
     assert rec.passed
     assert (rec.samples, rec.skipped) == (100, 1)
+
+
+def test_det_factorization_fails_when_every_state_is_skipped() -> None:
+    # the only state at this seed has v2 = v3 = 0; so has `proof --trials 1
+    # --seed 11`, whose determinant sub-seed is 16
+    rec = det_factorization_check(seed=16, trials=1)
+    assert (rec.samples, rec.skipped) == (1, 1)
+    assert not rec.passed
+    assert rec.failures == [{"reason": "every sampled state was skipped"}]
+    assert rec.details["nonvanishing_given_constraint"] is False
+    report = cmd_proof(trials=1, seed=11)
+    assert [r.check_id for r in report.records if not r.passed] == ["determinant-factorization"]
 
 
 @pytest.mark.parametrize("which", [(0, 1), (0,), (1,)])

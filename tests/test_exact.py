@@ -13,6 +13,7 @@ from nkverify.exact import (
     SQRT3,
     CirclePoint,
     QSqrt3,
+    ZSqrt3,
     angle_add,
     angle_double,
     angle_sub,
@@ -24,6 +25,8 @@ rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
 )
 qsqrt3s = st.builds(QSqrt3, rationals, rationals)
+ints = st.integers(min_value=-10**20, max_value=10**20)
+zsqrt3s = st.builds(ZSqrt3, ints, ints)
 
 
 def test_sqrt3_squares_to_three() -> None:
@@ -169,3 +172,27 @@ def test_rational_factor_matches_coerced_product(x, q, n) -> None:
             assert got == full
             assert (got.a, got.b) == (full.a, full.b)
             assert type(got.a) is Fraction and type(got.b) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# integer numerators
+
+
+@given(zsqrt3s, zsqrt3s, ints, st.integers(min_value=1, max_value=10**6))
+def test_zsqrt3_numerators_follow_the_field(x, y, n, den) -> None:
+    # numerators over one denominator add, subtract and scale like the values
+    assert (x + y).over(den) == x.over(den) + y.over(den)
+    assert (x - y).over(den) == x.over(den) - y.over(den)
+    assert (n - x).over(den) == Fraction(n, den) - x.over(den)
+    assert (x + n).over(den) == (n + x).over(den) == x.over(den) + Fraction(n, den)
+    assert (x * n).over(den) == (n * x).over(den) == x.over(den) * n
+    assert (-x).over(den) == -x.over(den)
+
+
+def test_zsqrt3_stays_zsqrt3_and_divides_once() -> None:
+    x = ZSqrt3(6, -4)
+    for y in (x + 1, 1 + x, x - 1, 1 - x, x + x, x - x, 2 * x, x * 2, -x):
+        assert isinstance(y, ZSqrt3)
+    assert x.over(8) == QSqrt3(Fraction(3, 4), Fraction(-1, 2))
+    assert isinstance(ZSqrt3(5, 0).over(5), QSqrt3)
+    assert not ZSqrt3(0, 0) and ZSqrt3(0, 1) and ZSqrt3(1, 0)
