@@ -47,7 +47,7 @@ from .lagrangian import (
 )
 from .nkgeom import G, J, P, g, g_ambient, norm, random_samples
 from .quat import ImaginaryQuaternion, exp_im
-from .report import CheckRecord, VerificationReport, max_keep_nan, worst_residual
+from .report import CheckRecord, VerificationReport, max_keep_nan, within, worst_residual
 
 #: Parameter points at which adapted frames of the built-ins are probed.
 FRAME_SAMPLE_POINTS = (
@@ -95,12 +95,10 @@ def _stamp(records: Sequence[CheckRecord], start: float) -> list[CheckRecord]:
 def _structure_record(
     check_id: str, worst: float, bound: float, samples: int, details: dict
 ) -> CheckRecord:
-    """The record of a structure check, with the pass rule they all share: the
-    worst residual is below the bound, or exactly zero where the bound is 0
-    and nothing is below it."""
+    """The record of a structure check, passed by `report.within`."""
     return CheckRecord(
         check_id=check_id,
-        passed=worst == 0.0 if bound == 0.0 else worst < bound,
+        passed=within(worst, bound),
         samples=samples,
         tolerance=bound,
         max_residual=worst,
@@ -219,16 +217,26 @@ def graph_immersion(
     return Immersion(label, box, chart_map)
 
 
+def _number(x, what: str) -> float:
+    """x as a float; a JSON value that is not a number is malformed input."""
+    try:
+        return float(x)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"manifest: {what} must be a number, got {x!r}") from exc
+
+
 def _parse_rotation(payload: dict, side: str) -> np.ndarray:
     if payload is None:
         return np.eye(3)
     if not isinstance(payload, dict) or set(payload) - {"axis", "angle"}:
         raise ValueError(f"manifest: {side} rotation needs axis and angle fields")
     axis = payload.get("axis", [0.0, 0.0, 1.0])
-    angle = float(payload.get("angle", 0.0))
-    if len(axis) != 3 or not any(float(x) != 0.0 for x in axis):
+    if isinstance(axis, list):
+        axis = [_number(x, f"{side} rotation axis entry") for x in axis]
+    if not isinstance(axis, list) or len(axis) != 3 or not any(x != 0.0 for x in axis):
         raise ValueError(f"manifest: {side} rotation axis must be a nonzero 3-vector")
-    return rotation_matrix([float(x) for x in axis], angle)
+    angle = _number(payload.get("angle", 0.0), f"{side} rotation angle")
+    return rotation_matrix(axis, angle)
 
 
 def _manifest_entry(entry) -> Immersion:
@@ -245,8 +253,11 @@ def _manifest_entry(entry) -> Immersion:
             raise ValueError("manifest: graph must be an object")
         left = _parse_rotation(graph.get("left"), "left")
         right = _parse_rotation(graph.get("right"), "right")
-        lo, hi = entry.get("box", (-0.6, 0.6))
-        box = Box((float(lo),) * 3, (float(hi),) * 3)
+        bounds = entry.get("box", [-0.6, 0.6])
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ValueError(f"manifest: box must be a list [lo, hi], got {bounds!r}")
+        lo, hi = (_number(x, "box bound") for x in bounds)
+        box = Box((lo,) * 3, (hi,) * 3)
         label = str(entry.get("label", "manifest-graph"))
         return graph_immersion(left, right, label, box)
     raise ValueError("manifest entry needs an 'example' or 'graph' key")
@@ -278,20 +289,10 @@ def cmd_lagrangian(
         imms = load_manifest(manifest)
     else:
         imms = [example_by_label(label) for label in LAGRANGIAN_LABELS]
-    tols = {}
-    if tol is not None:
-        tols = dict(
-            lag_tol=tol,
-            h_tol=tol,
-            ab_tol=tol,
-            angle_tol=tol,
-            orientation_tol=tol,
-            codazzi_tol=tol,
-        )
     records = []
     for imm in imms:
         start = time.perf_counter()
-        suite = _stamp(lagrangian_suite(imm, grid=grid, **tols), start)
+        suite = _stamp(lagrangian_suite(imm, grid=grid, tol=tol), start)
         records.extend(suite)
         if suite[0].passed:
             start = time.perf_counter()

@@ -55,6 +55,9 @@ from mpmath import mp
 
 from .exact import (
     CIRCLE_ONE,
+    HALF_INV_SQRT3,
+    INV_SQRT3,
+    SQRT3,
     CirclePoint,
     QSqrt3,
     ZSqrt3,
@@ -132,12 +135,6 @@ class AffineExpr:
         rest = AffineExpr(self.const, {v: k for v, k in self.coeffs.items() if v != var})
         return rest + expr.scale(c) if c else rest
 
-    def evaluate(self, assignment: Mapping[DVar, object], zero):
-        val = self.const
-        for v, c in self.coeffs.items():
-            val = val + c * assignment.get(v, zero)
-        return val
-
     def free_vars(self, is_zero: Callable[[object], bool]) -> list[DVar]:
         return sorted(v for v, c in self.coeffs.items() if not is_zero(c))
 
@@ -197,12 +194,11 @@ class _StateCaches:
     _om_num: dict | None
     _omega: dict | None
     _shifted_num: dict | None
-    _shifted: dict | None
     _curl_num: dict
 
     def _reset_tables(self) -> None:
         self._h_num = self._h = self._dh = self._om_scale = self._om_num = None
-        self._omega = self._shifted_num = self._shifted = None
+        self._omega = self._shifted_num = None
         self._curl_num = {}
 
     def _by_class(self, table: dict, classes: dict, reps: tuple, den) -> dict:
@@ -252,14 +248,6 @@ class _StateCaches:
                 eps = epsilon(*key)
                 self._shifted_num[key] = om[key] - inv_sqrt3 * eps if eps else om[key]
         return self._shifted_num
-
-    def shifted_omega_table(self) -> dict:
-        if self._shifted is None:
-            den = self._omega_scale().den
-            self._shifted = {
-                key: self._over(x, den) for key, x in self.shifted_numerators().items()
-            }
-        return self._shifted
 
     def curl_numerators(self, i: int, j: int) -> tuple:
         """omega_ij^m - omega_ji^m for m = 1, 2, 3, at omega's scale.
@@ -321,8 +309,8 @@ class FrameState(_StateCaches):
     zero = Fraction(0)
     one = Fraction(1)
     third = Fraction(1, 3)
-    sigma = QSqrt3(0, Fraction(1, 6))  # 1/(2*sqrt(3))
-    inv_sqrt3 = QSqrt3(0, Fraction(1, 3))
+    sigma = HALF_INV_SQRT3
+    inv_sqrt3 = INV_SQRT3
     _zero_num = 0
 
     @staticmethod
@@ -399,26 +387,23 @@ class FloatFrameState(_StateCaches):
 
     exact = False
 
-    def __init__(
-        self,
-        v: Sequence[float],
-        theta1,
-        theta2,
-        sin_margin: float = 1e-3,
-        zero_tol: float = 1e-30,
-    ) -> None:
+    #: Entries below this magnitude count as zero, in the solver's pivoting too.
+    zero_tol = 1e-30
+
+    def __init__(self, v: Sequence[float], theta1, theta2) -> None:
         self.v = {m: mp.mpf(v[m - 1]) for m in AXES}
         t1, t2 = mp.mpf(theta1), mp.mpf(theta2)
         t3 = -t1 - t2
         self.thetas = {1: t1, 2: t2, 3: t3}
-        self.zero_tol = zero_tol
         self._s = {}
         self._c = {}
         for a, b in product(AXES, AXES):
             d = self.thetas[a] - self.thetas[b]
             self._s[(a, b)] = mp.sin(d)
             self._c[(a, b)] = mp.cos(d)
-        if any(abs(self._s[(a, b)]) < sin_margin for a in AXES for b in AXES if a < b):
+        # omega divides by these sines; the margin is read at the working precision
+        margin = mp.mpf("1e-3")
+        if any(abs(self._s[(a, b)]) < margin for a in AXES for b in AXES if a < b):
             raise ValueError("state rejected: sin(theta_a - theta_b) below margin")
         self.zero = mp.mpf(0)
         self.one = mp.mpf(1)
@@ -466,18 +451,17 @@ def random_frame_state(
     require_ec: bool = True,
     nonzero: Iterable[int] = (),
     zero: Iterable[int] = (),
-    max_attempts: int = 500,
 ) -> FrameState:
     """Draw a valid exact state with small random rationals.
 
     Components listed in `zero` are pinned to 0; those in `nonzero` are
     redrawn until nonzero.  States violating the validity constraints (or the
     4v1^2 - 3(v2^2+v3^2) != 0 condition, when required) are rejected and
-    resampled.
+    resampled, up to 500 draws.
     """
     zero = set(zero)
     nonzero = set(nonzero)
-    for _ in range(max_attempts):
+    for _ in range(500):
         v = []
         for m in AXES:
             if m in zero:
@@ -633,11 +617,6 @@ def omega_numerators(st) -> dict[tuple[int, int, int], object]:
     return out
 
 
-def omega_from_state(st) -> dict[tuple[int, int, int], object]:
-    """Connection components omega_ij^k of the induced metric, as values."""
-    return dict(st.omega_table())
-
-
 # ---------------------------------------------------------------------------
 # Codazzi components
 
@@ -689,16 +668,6 @@ def codazzi_scalar(
     if angle:
         const = const - st.third * st.sin2(i, j) * angle
     return AffineExpr(const, coeffs)
-
-
-def codazzi_components(
-    st, vanishing: frozenset[int] = frozenset()
-) -> dict[tuple[int, int, int, int], AffineExpr]:
-    """All 27 independent antisymmetrized components, keyed (i,j,k,l), i<j."""
-    out = {}
-    for (i, j), k, l in product(CANONICAL_PAIRS, AXES, AXES):
-        out[(i, j, k, l)] = codazzi_scalar(st, i, j, k, l, vanishing)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -822,16 +791,6 @@ def compat_form_2(st):
     """F2: the second bracketed compatibility form (without the v1 v3 prefactor)."""
     _, _, b3, b4 = _quartic_brackets([st.v[m] for m in AXES])
     return b3 * st.sin2(1, 2) - b4 * st.sin2(1, 3)
-
-
-def system2_coefficients(v: Sequence) -> list[list]:
-    """Coefficient matrix of the angle-sine system in the last case.
-
-    Rows pair with (sin 2(theta1-theta2), sin 2(theta1-theta3)); the second
-    column carries the displayed minus signs.
-    """
-    b1, b2, b3, b4 = _quartic_brackets(v)
-    return [[b1, -b2], [b3, -b4]]
 
 
 def det_product_form(v: Sequence):
@@ -1071,7 +1030,6 @@ def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     vanishing = frozenset({1})
     unknowns = [(2, 3), (1, 2), (2, 2), (1, 3)]
     x = (1, 3)
-    sqrt3 = QSqrt3(0, 1)
     for n in range(trials):
         st = random_frame_state(rng, require_ec=True, zero=(1,), nonzero=(2, 3))
 
@@ -1093,7 +1051,7 @@ def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
             continue
         first, second = _case2_displays(st)
         q2, q3 = st.v[2] ** 2, st.v[3] ** 2
-        clear = sqrt3 * (3 * q2 + q3)
+        clear = SQRT3 * (3 * q2 + q3)
         checks = (
             (rows[1].scale(clear) - first.scale(2), "first display"),
             (rows[2].scale(clear) - second.scale(-1), "second display"),
@@ -1167,7 +1125,6 @@ def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckReco
     vanishing = frozenset({2})
     unknowns = [(1, 1), (1, 3), (2, 1), (2, 3)]
     with mp.workdps(50):
-        margin = mp.mpf("1e-3")
         for n in range(trials):
             v1 = mp.mpf(rng.randint(30, 150)) / 100
             v3 = mp.mpf(rng.randint(30, 150)) / 100
@@ -1177,7 +1134,7 @@ def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckReco
                 continue
             th2 = constrained_theta2(v1, v3, th1)
             try:
-                st = FloatFrameState([v1, 0, v3], th1, th2, sin_margin=margin)
+                st = FloatFrameState([v1, 0, v3], th1, th2)
             except ValueError:
                 skipped += 1
                 continue
@@ -1235,7 +1192,7 @@ def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckReco
                 th1 = mp.mpf(rng.randint(-140, 140)) / 100
                 th2 = mp.mpf(rng.randint(-140, 140)) / 100
                 try:
-                    st = FloatFrameState([v1, 0, 0], th1, th2, sin_margin=margin)
+                    st = FloatFrameState([v1, 0, 0], th1, th2)
                     break
                 except ValueError:
                     continue

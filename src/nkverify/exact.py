@@ -58,10 +58,6 @@ class QSqrt3:
     def b(self) -> Fraction:
         return self._b
 
-    @classmethod
-    def from_rational(cls, x: RationalLike) -> "QSqrt3":
-        return cls(_frac(x), Fraction(0))
-
     @staticmethod
     def _coerce(x: object) -> "QSqrt3 | None":
         if isinstance(x, QSqrt3):
@@ -286,11 +282,6 @@ def angle_add(p: CirclePoint, q: CirclePoint) -> CirclePoint:
 def angle_sub(p: CirclePoint, q: CirclePoint) -> CirclePoint:
     """Circle point of the difference of the two angles."""
     return CirclePoint(p.c * q.c + p.s * q.s, p.s * q.c - p.c * q.s)
-
-
-def angle_double(p: CirclePoint) -> CirclePoint:
-    """Circle point of twice the angle."""
-    return angle_add(p, p)
 
 
 def poly_identity_check(

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .lagrangian import Immersion, is_lagrangian, second_fundamental_form
-from .report import CheckRecord, max_keep_nan, min_keep_nan
+from .report import CheckRecord, max_keep_nan, min_keep_nan, within
 
 #: Ten independent slots of a symmetric cubic tensor on R^3, ascending indices.
 COMPONENT_KEYS = ("111", "112", "113", "122", "123", "133", "222", "223", "233", "333")
@@ -52,10 +52,18 @@ class CubicTensor:
 
     @classmethod
     def from_components(cls, mapping: dict) -> "CubicTensor":
+        if not isinstance(mapping, dict):
+            raise ValueError("components must be an object keyed by index")
         missing = [k for k in COMPONENT_KEYS if k not in mapping]
         if missing:
             raise ValueError(f"missing components: {missing}")
-        return cls(tuple(Fraction(mapping[k]) for k in COMPONENT_KEYS))
+        comps = []
+        for k in COMPONENT_KEYS:
+            try:
+                comps.append(Fraction(mapping[k]))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"component {k} is not a finite number: {mapping[k]!r}") from exc
+        return cls(tuple(comps))
 
     @classmethod
     def from_full(cls, full: np.ndarray) -> "CubicTensor":
@@ -67,24 +75,13 @@ class CubicTensor:
             comps.append(sum(vals) / len(vals))
         return cls(tuple(comps))
 
-    def as_full(self) -> np.ndarray:
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The full 3x3x3 float array, so `fit` and numpy read a tensor as one."""
         full = np.zeros((3, 3, 3))
         for idx, val in zip(_KEY_TUPLES, self.components):
             for p in permutations(idx):
                 full[p] = float(val)
-        return full
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_full()))
-
-    def trace(self, b: int) -> Fraction:
-        """sum_a c_aab, exact."""
-        total = Fraction(0)
-        for a in range(3):
-            idx = tuple(sorted((a, a, b)))
-            key = "".join(str(i + 1) for i in idx)
-            total += self.components[COMPONENT_KEYS.index(key)]
-        return total
+        return full if dtype is None else full.astype(dtype)
 
     def to_json(self) -> str:
         comps = {k: float(v) for k, v in zip(COMPONENT_KEYS, self.components)}
@@ -93,20 +90,23 @@ class CubicTensor:
     @classmethod
     def from_json(cls, text: str) -> "CubicTensor":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("a cubic tensor file holds one JSON object")
         if payload.get("n", 3) != 3:
             raise ValueError("only n = 3 tensors are supported by the fitter")
         return cls.from_components(payload["components"])
 
 
-def symmetry_defect(full: np.ndarray) -> float:
-    """Largest deviation of a 3x3x3 array from full symmetry."""
-    full = np.asarray(full, dtype=float)
+#: The five non-identity permutations of a cubic array's axes.
+_TRANSPOSES = tuple(permutations(range(3)))[1:]
+
+
+def symmetry_defect(c: np.ndarray) -> float:
+    """Largest deviation of a 3-index array from full symmetry; a NaN entry
+    is the result."""
+    c = np.asarray(c, dtype=float)
     return max_keep_nan(
-        0.0,
-        *(
-            float(np.max(np.abs(full - full.transpose(axes))))
-            for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-        ),
+        0.0, *(float(np.max(np.abs(c - c.transpose(axes)))) for axes in _TRANSPOSES)
     )
 
 
@@ -191,8 +191,9 @@ def _candidates(full: np.ndarray) -> list[np.ndarray]:
     return cands
 
 
-def fit(h: CubicTensor, tol: float = FIT_TOL) -> HUmbilicalFit | None:
-    """Recover the normal-form parameters of h, or reject.
+def fit(h, tol: float = FIT_TOL) -> HUmbilicalFit | None:
+    """Recover the normal-form parameters of h, a 3x3x3 array or a
+    CubicTensor, or reject.
 
     A tensor below the tolerance in norm fits trivially with lambda = mu = 0.
     Otherwise U1 is chosen in closed form among the eigenvectors of
@@ -203,7 +204,7 @@ def fit(h: CubicTensor, tol: float = FIT_TOL) -> HUmbilicalFit | None:
     mu >= 0 (flipping U1 as needed), with a lexicographically positive U1
     when mu = 0.
     """
-    full = h.as_full()
+    full = np.asarray(h, dtype=float)
     nrm = float(np.linalg.norm(full))
     if nrm < tol:
         return HUmbilicalFit(np.array([1.0, 0.0, 0.0]), 0.0, 0.0, nrm)
@@ -227,18 +228,6 @@ def umbilical_cubic(n: int, xi: Sequence[float]) -> np.ndarray:
     return c
 
 
-def _full_asymmetry(c: np.ndarray) -> float:
-    identity = tuple(range(c.ndim))
-    return max_keep_nan(
-        0.0,
-        *(
-            float(np.max(np.abs(c - np.transpose(c, axes))))
-            for axes in permutations(identity)
-            if axes != identity
-        ),
-    )
-
-
 def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> CheckRecord:
     """A totally umbilical cubic form is symmetric only for xi = 0.
 
@@ -256,11 +245,11 @@ def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> Check
     for t in range(trials):
         xi = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
         xi = xi / np.linalg.norm(xi)
-        asym = _full_asymmetry(umbilical_cubic(n, xi))
+        asym = symmetry_defect(umbilical_cubic(n, xi))
         min_asym = min_keep_nan(min_asym, asym)
         if not asym >= floor * (1.0 - 1e-12):
             failures.append({"trial": t, "xi": xi.tolist(), "asymmetry": asym})
-    zero_ok = _full_asymmetry(umbilical_cubic(n, np.zeros(n))) == 0.0
+    zero_ok = symmetry_defect(umbilical_cubic(n, np.zeros(n))) == 0.0
     if not zero_ok:
         failures.append({"trial": "xi=0", "asymmetry": "nonzero"})
     return CheckRecord(
@@ -272,17 +261,13 @@ def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> Check
     )
 
 
-def theorem_harness(
-    imm: Immersion,
-    grid: int = 5,
-    tol: float = 1e-5,
-    fit_tol: float = FIT_TOL,
-) -> CheckRecord:
+def theorem_harness(imm: Immersion, grid: int = 5, tol: float = 1e-5) -> CheckRecord:
     """Totally geodesic shadow of the rigidity theorem on one immersion.
 
     At every grid point the analyzer's cubic form is fed to the fitter; any
-    point where an H-umbilical fit succeeds while ||h|| >= tol would be a
-    falsification candidate, and is reported as a failure.
+    point where an H-umbilical fit succeeds while ||h|| is not within tol
+    (`report.within`) would be a falsification candidate, and is reported as
+    a failure.
     """
     points = imm.domain.grid(grid)
     for u in points:
@@ -306,12 +291,12 @@ def theorem_harness(
         if not math.isfinite(h_norm):  # nothing to fit, and no pass on it
             failures.append({"u": np.asarray(u).tolist(), "h_norm": h_norm})
             continue
-        result = fit(CubicTensor.from_full(c), fit_tol)
+        result = fit(c)
         if result is not None:
             fits += 1
             max_lam = max_keep_nan(max_lam, abs(result.lam))
             max_mu = max_keep_nan(max_mu, abs(result.mu))
-            if h_norm >= tol:
+            if not within(h_norm, tol):
                 failures.append(
                     {
                         "u": np.asarray(u).tolist(),

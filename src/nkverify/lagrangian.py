@@ -21,7 +21,7 @@ import numpy as np
 from .jet import Jet, size, stack
 from .nkgeom import CONNECTION, G_ARRAY, G, J, P, PointS3S3, TangentVector, g, norm
 from .quat import ImaginaryQuaternion, Quaternion, exp_im
-from .report import CheckRecord, max_keep_nan, worst_residual
+from .report import CheckRecord, max_keep_nan, within, worst_residual
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -55,10 +55,6 @@ class Box:
             for c in axes[2]
         ]
 
-    def contains(self, u: Sequence[float]) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.lo) and np.all(u <= self.hi))
-
 
 @dataclass
 class Immersion:
@@ -78,10 +74,6 @@ class Immersion:
         if isinstance(u, Jet):
             return self.map_fn(u)
         return self.map_fn(np.asarray(u, dtype=float))
-
-    def pushforward(self, u: Sequence[float]) -> list[TangentVector]:
-        pkg = _Package(self, u, 1)
-        return [TangentVector.from_components(pkg.base(0), v) for v in pkg.V[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -588,25 +580,32 @@ def example_by_label(label: str) -> Immersion:
 # grid suite
 
 
+#: The bound of each check of lagrangian_suite, unless one tol is given for all.
+SUITE_TOLS = {
+    "lagrangian": 1e-9,
+    "minimality": 1e-5,
+    "cubic-symmetry": 1e-5,
+    "ab-structure": 1e-8,
+    "angle-sum": 1e-5,
+    "orientation": 1e-4,
+    "codazzi-residual": 1e-4,
+}
+
+
 def lagrangian_suite(
-    imm: Immersion,
-    grid: int = 5,
-    lag_tol: float = 1e-9,
-    h_tol: float = 1e-5,
-    ab_tol: float = 1e-8,
-    angle_tol: float = 1e-5,
-    orientation_tol: float = 1e-4,
-    codazzi_tol: float = 1e-4,
+    imm: Immersion, grid: int = 5, tol: float | None = None
 ) -> list[CheckRecord]:
     """All per-immersion checks over a grid x grid x grid parameter sweep.
 
     One order-3 frame package for the whole grid, from one jet evaluation of
-    the map, feeds every check.  If the Lagrangian test fails anywhere, the
-    downstream checks are reported as skipped rather than evaluated on
-    meaningless data.  Where some point is non-degenerate, the angle check
-    also gates on the eigenframe relation and dtheta residuals, reports their
-    worst values and the largest |E_i(theta_j)|.
+    the map, feeds every check.  Each check is bounded by its SUITE_TOLS entry,
+    or by tol when given, and passes by `report.within`.  If the Lagrangian
+    test fails anywhere, the downstream checks are reported as skipped rather
+    than evaluated on meaningless data.  Where some point is non-degenerate,
+    the angle check also gates on the eigenframe relation and dtheta
+    residuals, reports their worst values and the largest |E_i(theta_j)|.
     """
+    bounds = {name: default if tol is None else tol for name, default in SUITE_TOLS.items()}
     points = imm.domain.grid(grid)
     tag = imm.label
     pkg = _Package(imm, points, 3)
@@ -614,28 +613,21 @@ def lagrangian_suite(
     records = [
         CheckRecord(
             check_id=f"lagrangian[{tag}]",
-            passed=lag_worst < lag_tol,
+            passed=within(lag_worst, bounds["lagrangian"]),
             samples=len(points),
-            tolerance=lag_tol,
+            tolerance=bounds["lagrangian"],
             max_residual=lag_worst,
         )
     ]
-    downstream = (
-        ("minimality", h_tol),
-        ("cubic-symmetry", h_tol),
-        ("ab-structure", ab_tol),
-        ("angle-sum", angle_tol),
-        ("orientation", orientation_tol),
-        ("codazzi-residual", codazzi_tol),
-    )
+    downstream = [name for name in SUITE_TOLS if name != "lagrangian"]
     if not records[0].passed:
-        for name, tol in downstream:
+        for name in downstream:
             records.append(
                 CheckRecord(
                     check_id=f"{name}[{tag}]",
                     passed=True,
                     status="skip",
-                    tolerance=tol,
+                    tolerance=bounds[name],
                     details={"reason": "immersion failed the Lagrangian test"},
                 )
             )
@@ -670,21 +662,22 @@ def lagrangian_suite(
             dtheta_max_abs = max_keep_nan(dtheta_max_abs, fc.dtheta_max_abs)
         worsts["angle-sum"] = max_keep_nan(worsts["angle-sum"], angle_sum_defect(fc.thetas))
         worsts["orientation"] = max_keep_nan(worsts["orientation"], fc.orientation_residual)
-    for name, tol in downstream:
+    for name in downstream:
+        bound = bounds[name]
         details = {}
-        passed = worsts[name] < tol
+        passed = within(worsts[name], bound)
         if name == "angle-sum":
             details = {"degenerate_points": degenerate_points, "grid_points": len(points)}
             if degenerate_points < len(points):
                 # the eigenframe residuals gate the angle check where they exist
                 details.update(eigen_worsts, dtheta_max_abs=dtheta_max_abs)
-                passed = passed and all(v < tol for v in eigen_worsts.values())
+                passed = passed and all(within(v, bound) for v in eigen_worsts.values())
         records.append(
             CheckRecord(
                 check_id=f"{name}[{tag}]",
                 passed=passed,
                 samples=len(points),
-                tolerance=tol,
+                tolerance=bound,
                 max_residual=worsts[name],
                 details=details,
             )

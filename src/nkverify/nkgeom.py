@@ -15,23 +15,22 @@ G = nabla J is the constant array G_ARRAY.
 
 Each formula has one array form: g, norm, J, P, G, embed and g_ambient take
 (..., 6) component arrays (g, J and P also take jets) and act over the
-leading axes at once.  The object-level metric_g, g_norm, apply_J, apply_P,
-G_tensor, TangentVector.embed and metric_g_ambient are thin wrappers over
-them, in the same order of operations, so both give the same bits.
-random_samples draws what random_point and two random_tangent calls draw,
-sample by sample in that order, so a batched suite reads the same rng stream
-as a per-sample loop.
+leading axes at once; TangentVector.components() hands an object's
+components to them.  random_samples draws a base point and a tangent pair
+per sample, in that order, so a batched suite reads the same rng stream as a
+per-sample loop.
 
 Charts built from the quaternion exponential, with Christoffel symbols from
-Richardson-extrapolated central differences of the chart metric, are kept as
-an independent finite-difference reference for the closed forms.
+Richardson-extrapolated central differences of the chart metric, and
+G_tensor, the object form of G, are kept as the independent
+finite-difference reference for the closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -79,10 +78,6 @@ class PointS3S3:
             elif not abs(math.sqrt(n2) - 1.0) <= BASE_TOL:
                 raise ValueError(f"{name} is not a unit quaternion: |{name}| = {val.norm()}")
 
-    @classmethod
-    def identity(cls) -> "PointS3S3":
-        return cls(Quaternion.one(), Quaternion.one())
-
     def as_array(self) -> np.ndarray:
         """The (2, 4) array of p and q."""
         return np.array([self.p.as_array(), self.q.as_array()])
@@ -100,10 +95,6 @@ class TangentVector:
     base: PointS3S3
     alpha: ImaginaryQuaternion
     beta: ImaginaryQuaternion
-
-    def embed(self) -> np.ndarray:
-        """Ambient R^8 coordinates (the two factor 4-vectors concatenated)."""
-        return embed(self.base.as_array(), self.components())
 
     @classmethod
     def from_components(cls, base: PointS3S3, comps: np.ndarray) -> "TangentVector":
@@ -139,56 +130,6 @@ class TangentVector:
         return TangentVector(self.base, self.alpha.scaled(t), self.beta.scaled(t))
 
 
-def metric_g(X: TangentVector, Y: TangentVector) -> float:
-    """The nearly Kahler metric, reduced to the (alpha, beta) representation.
-
-    g(X, Y) = (4/3)(<a,a'> + <b,b'>) - (2/3)(<a,b'> + <a',b>).
-    """
-    X._require_same_base(Y)
-    return float(g(X.components(), Y.components()))
-
-
-def metric_g_ambient(X: TangentVector, Y: TangentVector) -> float:
-    """The metric from its definition: (1/2)(<X,Y> + <JX,JY>) in ambient R^8.
-
-    Kept separate from metric_g so the two expressions can be compared as an
-    independent consistency check.
-    """
-    X._require_same_base(Y)
-    return float(g_ambient(X.base.as_array(), X.components(), Y.components()))
-
-
-def g_norm(X: TangentVector) -> float:
-    return float(norm(X.components()))
-
-
-def apply_J(X: TangentVector) -> TangentVector:
-    """J(p*a, q*b) = (p*(2b - a), q*(b - 2a)) / sqrt(3)."""
-    return TangentVector.from_components(X.base, J(X.components()))
-
-
-def apply_P(X: TangentVector) -> TangentVector:
-    """P(p*a, q*b) = (p*b, q*a)."""
-    return TangentVector.from_components(X.base, P(X.components()))
-
-
-def random_point(rng: np.random.Generator) -> PointS3S3:
-    """A uniformly distributed point (normalized Gaussian 4-vectors)."""
-    pq = unit_points(rng.standard_normal((2, 4)))
-    return PointS3S3(Quaternion.from_array(pq[0]), Quaternion.from_array(pq[1]))
-
-
-def random_tangent(
-    rng: np.random.Generator, base: PointS3S3, scale: float = 1.0
-) -> TangentVector:
-    comps = rng.uniform(-scale, scale, 6)
-    return TangentVector(
-        base,
-        ImaginaryQuaternion.from_array(comps[:3]),
-        ImaginaryQuaternion.from_array(comps[3:]),
-    )
-
-
 def _left_invariant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(BRACKET, METRIC, J_MATRIX, CONNECTION) in the left-invariant basis
     e_0..e_5 = (p*i, 0), (p*j, 0), (p*k, 0), (0, q*i), (0, q*j), (0, q*k).
@@ -221,12 +162,6 @@ BRACKET, METRIC, J_MATRIX, CONNECTION = _left_invariant_tables()
 G_ARRAY = np.einsum("dac,cb->dab", CONNECTION, J_MATRIX) - np.einsum(
     "dc,cab->dab", J_MATRIX, CONNECTION
 )
-
-
-def connection(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gamma(x, w): components of nabla_X W for the left-invariant fields
-    with (alpha, beta) components x and w."""
-    return CONNECTION @ w @ x
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +269,20 @@ def unit_points(raw: np.ndarray) -> np.ndarray:
 def random_samples(
     rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n samples of random_point and two random_tangent calls: base points
-    (n, 2, 4) and tangent components X, Y (n, 6).
+    """n samples of a base point and a tangent pair: base points (n, 2, 4)
+    and tangent components X, Y (n, 6).
 
-    The draws stay per sample, in the order of that loop, so the rng stream is
-    the one a per-sample loop reads; drawing each array at once would change it.
+    The draws stay per sample, base point first, so the rng stream is the one
+    a per-sample loop reads; drawing each array at once would change it.  One
+    uniform draw of 12 gives the pair: the generator fills it in the order
+    that two draws of 6 would.
     """
     raw = np.empty((n, 2, 4))
-    X = np.empty((n, 6))
-    Y = np.empty((n, 6))
+    XY = np.empty((n, 12))
     for k in range(n):
         raw[k] = rng.standard_normal((2, 4))
-        X[k] = rng.uniform(-1.0, 1.0, 6)
-        Y[k] = rng.uniform(-1.0, 1.0, 6)
+        XY[k] = rng.uniform(-1.0, 1.0, 12)
+    X, Y = XY[:, :6], XY[:, 6:]
     return unit_points(raw), X, Y
 
 
@@ -524,25 +460,6 @@ def covariant_derivative_along(
     return chart.tangent_from_coords(x0, comps)
 
 
-def covariant_derivative(
-    chart: Chart,
-    V: Callable[[np.ndarray], np.ndarray],
-    W: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float = FIELD_STEP,
-) -> TangentVector:
-    """nabla_V W at x for vector fields given in chart components."""
-    x = np.asarray(x, dtype=float)
-    v0 = np.asarray(V(x), dtype=float)
-    return covariant_derivative_along(
-        chart,
-        lambda t: x + t * v0,
-        lambda t: W(x + t * v0),
-        0.0,
-        step,
-    )
-
-
 def G_tensor(X: TangentVector, Y: TangentVector) -> TangentVector:
     """G(X, Y) = (nabla_X J) Y in closed form.
 
@@ -553,34 +470,3 @@ def G_tensor(X: TangentVector, Y: TangentVector) -> TangentVector:
     """
     X._require_same_base(Y)
     return TangentVector.from_components(X.base, G(X.components(), Y.components()))
-
-
-def integrate_geodesic(
-    chart: Chart,
-    x0: np.ndarray,
-    v0: np.ndarray,
-    t_max: float = 1.0,
-    rtol: float = 1e-10,
-    n_eval: int = 21,
-) -> np.ndarray:
-    """Integrate x'' = -Gamma(x)(x', x') from (x0, v0); rows are coords at
-    n_eval evenly spaced times in [0, t_max]."""
-    from scipy.integrate import solve_ivp
-
-    def rhs(_t: float, s: np.ndarray) -> np.ndarray:
-        x, v = s[:6], s[6:]
-        acc = -np.einsum("dab,a,b->d", chart.christoffel(x), v, v)
-        return np.concatenate([v, acc])
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        np.concatenate([np.asarray(x0, float), np.asarray(v0, float)]),
-        rtol=rtol,
-        atol=1e-12,
-        dense_output=False,
-        t_eval=np.linspace(0.0, t_max, n_eval),
-    )
-    if not sol.success:
-        raise RuntimeError(f"geodesic integration failed: {sol.message}")
-    return sol.y[:6].T

@@ -38,6 +38,13 @@ def worst_residual(residuals) -> float:
     return max_keep_nan(0.0, *np.ravel(residuals).tolist())
 
 
+def within(worst: float, bound: float) -> bool:
+    """The pass rule of a residual check: the worst residual is below the
+    bound, or exactly zero where the bound is 0 and nothing is below it.  A
+    NaN worst fails either way."""
+    return worst == 0.0 if bound == 0.0 else worst < bound
+
+
 def min_keep_nan(*values):
     """min(values), except that a NaN among them is the result: the twin of
     max_keep_nan for running minima, where the builtin min drops a NaN the

@@ -24,7 +24,7 @@ from nkverify.lagrangian import (
     _tables,
     angle_functions,
 )
-from nkverify.nkgeom import J, PointS3S3, connection, g, norm
+from nkverify.nkgeom import CONNECTION, J, PointS3S3, g, norm
 
 #: Central-difference step of the pushforwards.
 PUSHFORWARD_STEP = 1e-5
@@ -137,7 +137,7 @@ def frame_derivatives(
     stencil = us[:, None, None, :] + ts[:, None] * directions[:, :, None, :]
     F = frames_fn(stencil.reshape(-1, 3)).reshape(stencil.shape[:3] + (3, 6))
     wdot = richardson(F[:, :, 0], F[:, :, 1], F[:, :, 2], F[:, :, 3], h)
-    gamma = [[[connection(e[a], e[b]) for b in range(3)] for a in range(3)] for e in E0]
+    gamma = [[[CONNECTION @ e[b] @ e[a] for b in range(3)] for a in range(3)] for e in E0]
     return wdot + np.array(gamma)
 
 

@@ -405,6 +405,24 @@ def test_main_malformed_fit_json_exits_two(tmp_path, capsys) -> None:
     assert "nkverify: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("fit", [1.0, 2.0]),
+        ("fit", {"n": 3, "components": {**dict.fromkeys(COMPONENT_KEYS, 0.0), "123": math.inf}}),
+        ("lagrangian", {"graph": {}, "box": [None, 0.5]}),
+        ("lagrangian", {"graph": {"left": {"axis": 1.0, "angle": 0.5}}}),
+    ],
+    ids=["fit-not-an-object", "fit-infinite-component", "box-not-numbers", "axis-not-a-list"],
+)
+def test_main_malformed_input_exits_two(tmp_path, capsys, command, payload) -> None:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = ["fit", str(path)] if command == "fit" else ["lagrangian", "--manifest", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("nkverify: error:")
+
+
 def test_main_missing_fit_file_exits_two(tmp_path, capsys) -> None:
     assert main(["fit", str(tmp_path / "absent.json")]) == 2
     assert "nkverify: error:" in capsys.readouterr().err

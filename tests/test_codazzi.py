@@ -15,6 +15,7 @@ from nkverify import codazzi
 from nkverify.cli import cmd_proof
 from nkverify.codazzi import (
     AXES,
+    CANONICAL_PAIRS,
     SET1_TRIPLES,
     SET1_UNKNOWNS,
     SET2_TRIPLES,
@@ -28,7 +29,6 @@ from nkverify.codazzi import (
     case2_resultant,
     case3_check,
     case3_closed_forms,
-    codazzi_components,
     codazzi_scalar,
     constrained_theta2,
     delta,
@@ -38,11 +38,9 @@ from nkverify.codazzi import (
     frame_relation_check,
     hijk_from_v,
     hijk_gradient,
-    omega_from_state,
     random_frame_state,
     solve_triple_system,
     system1_check,
-    system2_coefficients,
     _case2_displays,
 )
 from nkverify.exact import QSqrt3, angle_sub, rat_circle_point
@@ -55,6 +53,21 @@ v_triples = st.tuples(small_fractions, small_fractions, small_fractions)
 
 def _state(seed: int = 0, **kw) -> FrameState:
     return random_frame_state(random.Random(seed), **kw)
+
+
+def _evaluate(e: AffineExpr, assignment: dict, zero):
+    """The value of e with D_var = assignment[var], and 0 for unassigned."""
+    val = e.const
+    for v, c in e.coeffs.items():
+        val = val + c * assignment.get(v, zero)
+    return val
+
+
+def _shifted_values(st_) -> dict:
+    """The state's shifted connection omega_im^l - eps_iml/sqrt(3) as
+    values: its numerators over omega's scale."""
+    den = st_._omega_scale().den
+    return {key: st_._over(x, den) for key, x in st_.shifted_numerators().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +283,7 @@ def _assert_tables_match_dense(st_) -> None:
         _assert_same(dh[(j, k, l, m)], dense_dh[rep])
     tables = _dense_tables(st_)
     _, _, dense_om, dense_shifted = tables
-    om, shifted = st_.omega_table(), st_.shifted_omega_table()
-    assert omega_from_state(st_) == om
+    om, shifted = st_.omega_table(), _shifted_values(st_)
     for key in product(AXES, AXES, AXES):
         _assert_same(om[key], dense_om[key])
         _assert_same(shifted[key], dense_shifted[key])
@@ -353,7 +365,7 @@ def test_float_tables_match_dense_formulas_exactly(zero) -> None:
             v = [0 if m in zero else mp.mpf(rng.randint(30, 150)) / 100 for m in AXES]
             th1 = mp.mpf(rng.randint(5, 70)) / 100
             th2 = constrained_theta2(v[0] or mp.mpf(1), v[2] or mp.mpf(1), th1)
-            _assert_tables_match_dense(FloatFrameState(v, th1, th2, sin_margin=1e-3))
+            _assert_tables_match_dense(FloatFrameState(v, th1, th2))
 
 
 def test_proof_report_golden_digest() -> None:
@@ -379,7 +391,7 @@ def test_frame_state_angle_differences_match_angle_sub() -> None:
 
 def test_omega_skew_in_last_two_slots() -> None:
     st_ = _state(1)
-    om = omega_from_state(st_)
+    om = st_.omega_table()
     for i, j, k in product(AXES, AXES, AXES):
         assert om[(i, j, k)] == -om[(i, k, j)]
         assert om[(i, j, j)] == 0
@@ -387,7 +399,7 @@ def test_omega_skew_in_last_two_slots() -> None:
 
 def test_omega_spot_values() -> None:
     st_ = _state(2, zero=(3,))  # v3 = 0 kills the 5 v1 v2 v3 terms
-    om = omega_from_state(st_)
+    om = st_.omega_table()
     assert om[(1, 2, 3)] == st_.sigma
     assert om[(2, 3, 1)] == st_.sigma
     st2 = FrameState(
@@ -395,7 +407,7 @@ def test_omega_spot_values() -> None:
         rat_circle_point(Fraction(1, 3)),
         rat_circle_point(Fraction(1, 7)),
     )
-    assert omega_from_state(st2)[(1, 1, 2)] == -st2.cot(1, 2)
+    assert st2.omega_table()[(1, 1, 2)] == -st2.cot(1, 2)
 
 
 def test_frame_relation_identity() -> None:
@@ -423,7 +435,7 @@ def test_random_state_honors_pins() -> None:
 
 def test_float_state_margin_rejection() -> None:
     with pytest.raises(ValueError):
-        FloatFrameState([1.0, 0.5, 0.5], 0.3, 0.3, sin_margin=1e-3)
+        FloatFrameState([1.0, 0.5, 0.5], 0.3, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +446,17 @@ def test_components_affine_in_unknowns() -> None:
     # three-point collinearity: e((a+b)/2) = (e(a) + e(b)) / 2
     st_ = _state(5)
     rng = random.Random(6)
-    comp = codazzi_components(st_)
-    assert len(comp) == 27 and all(i < j for (i, j, _, _) in comp)
+    comp = {
+        (i, j, k, l): codazzi_scalar(st_, i, j, k, l)
+        for (i, j), k, l in product(CANONICAL_PAIRS, AXES, AXES)
+    }
+    assert len(comp) == 27
     for key, e in list(comp.items())[:6]:
         a = {(i, m): Fraction(rng.randint(-5, 5)) for i, m in product(AXES, AXES)}
         b = {(i, m): Fraction(rng.randint(-5, 5)) for i, m in product(AXES, AXES)}
         mid = {k: (a[k] + b[k]) / 2 for k in a}
-        lhs = e.evaluate(mid, st_.zero)
-        rhs = (e.evaluate(a, st_.zero) + e.evaluate(b, st_.zero)) / 2
+        lhs = _evaluate(e, mid, st_.zero)
+        rhs = (_evaluate(e, a, st_.zero) + _evaluate(e, b, st_.zero)) / 2
         assert lhs == rhs
 
 
@@ -473,10 +488,10 @@ def test_affine_subst_matches_evaluation(a, b, c) -> None:
     e = AffineExpr(a, {(1, 1): b, (2, 2): c})
     sub = AffineExpr(Fraction(2), {(2, 2): Fraction(-1)})
     assignment = {(2, 2): Fraction(3, 2)}
-    direct = e.subst((1, 1), sub).evaluate(assignment, Fraction(0))
+    direct = _evaluate(e.subst((1, 1), sub), assignment, Fraction(0))
     full = dict(assignment)
-    full[(1, 1)] = sub.evaluate(assignment, Fraction(0))
-    assert direct == e.evaluate(full, Fraction(0))
+    full[(1, 1)] = _evaluate(sub, assignment, Fraction(0))
+    assert direct == _evaluate(e, full, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +535,11 @@ def test_solver_solution_satisfies_rows() -> None:
     )
     assignment = {(1, 1): Fraction(7, 3)}
     for var, sol in {**res.solutions, **res.extras}.items():
-        assignment[var] = sol.evaluate(assignment, st_.zero)
+        assignment[var] = _evaluate(sol, assignment, st_.zero)
     for k in AXES:
         for l in AXES:
             e = codazzi_scalar(st_, 1, 2, k, l)
-            assert e.evaluate(assignment, st_.zero) == 0
+            assert _evaluate(e, assignment, st_.zero) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +552,7 @@ def _dense_codazzi_scalar(st_, i, j, k, l, vanishing=frozenset()):
     h = st_.h_table()
     dh = st_.dh_table()
     om = st_.omega_table()
-    shifted = st_.shifted_omega_table()
+    shifted = _shifted_values(st_)
     coeffs = {}
     for m in AXES:
         if m in vanishing:
@@ -633,7 +648,7 @@ def test_float_solves_match_dense_replay(monkeypatch, zero) -> None:
             th1 = mp.mpf(rng.randint(5, 70)) / 100
             th2 = constrained_theta2(v[0] or mp.mpf(1), v[2] or mp.mpf(1), th1)
             _assert_solves_match_dense(
-                monkeypatch, FloatFrameState(v, th1, th2, sin_margin=1e-3)
+                monkeypatch, FloatFrameState(v, th1, th2)
             )
 
 
@@ -655,9 +670,17 @@ def test_proof_replay_work_counts(monkeypatch) -> None:
 # the quartic bracket system
 
 
+def _system2(v) -> list[list]:
+    """The angle-sine system of the last case: rows pair with
+    (sin 2(theta1-theta2), sin 2(theta1-theta3)), the second column carrying
+    the displayed minus signs."""
+    b1, b2, b3, b4 = codazzi._quartic_brackets(v)
+    return [[b1, -b2], [b3, -b4]]
+
+
 def test_system2_spot_matrices() -> None:
-    assert system2_coefficients([1, 1, 1]) == [[22, -26], [26, -22]]
-    assert system2_coefficients([0, 1, 0]) == [[0, -4], [3, -1]]
+    assert _system2([1, 1, 1]) == [[22, -26], [26, -22]]
+    assert _system2([0, 1, 0]) == [[0, -4], [3, -1]]
 
 
 def test_det_product_spot_values() -> None:
@@ -671,7 +694,7 @@ def test_matrix_determinant_is_minus_product() -> None:
     rng = random.Random(13)
     for _ in range(50):
         v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-        (a, nb), (c, nd) = system2_coefficients(v)
+        (a, nb), (c, nd) = _system2(v)
         assert a * nd - nb * c == -det_product_form(v)
 
 

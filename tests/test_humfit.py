@@ -18,7 +18,6 @@ from nkverify.humfit import (
     theorem_harness,
     umbilical_cubic,
     umbilical_lemma_check,
-    _full_asymmetry,
     _least_squares,
 )
 from nkverify.lagrangian import example_by_label
@@ -66,8 +65,11 @@ def test_build_spots():
 def test_build_traces_exactly_zero():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        t = build_h_from_V(rng.uniform(-3.0, 3.0, 3))
-        assert all(t.trace(b) == 0 for b in range(3))
+        c = dict(zip(COMPONENT_KEYS, build_h_from_V(rng.uniform(-3.0, 3.0, 3)).components))
+        # the exact traces sum_a c_aab, b = 1, 2, 3
+        assert c["111"] + c["122"] + c["133"] == 0
+        assert c["112"] + c["222"] + c["233"] == 0
+        assert c["113"] + c["223"] + c["333"] == 0
 
 
 def test_pattern_tensor_normal_form():
@@ -128,12 +130,12 @@ def test_fit_rejects_generic_tensor():
     c = rng.standard_normal((3, 3, 3))
     t = CubicTensor.from_full(c)  # symmetrized
     assert fit(t) is None
-    oracle = grid_oracle_min_residual(t.as_full())
+    oracle = grid_oracle_min_residual(np.asarray(t))
     assert oracle > 0.3  # no grid candidate comes close either
 
 
 def test_fit_residual_beats_grid_oracle():
-    full = build_h_from_V([0.9, 0.2, -0.5]).as_full()
+    full = np.asarray(build_h_from_V([0.9, 0.2, -0.5]))
     f = fit(build_h_from_V([0.9, 0.2, -0.5]))
     assert f.residual <= grid_oracle_min_residual(full) + 1e-12
 
@@ -172,7 +174,7 @@ def test_fit_recovery_random_normal_forms():
     for u, lam, mu in cases:
         full = CubicTensor.from_full(pattern_tensor(u, lam, mu))
         f = fit(full)
-        _assert_recovers(f, full.as_full(), u, lam, mu)
+        _assert_recovers(f, np.asarray(full), u, lam, mu)
         assert f.mu >= 0
 
 
@@ -190,8 +192,8 @@ def test_fit_rejects_gaussian_and_rank_one_sums():
 def test_umbilical_cubic_spot():
     c = umbilical_cubic(2, [1.0, 0.0])
     assert c[1, 1, 0] == 1.0 and c[1, 0, 1] == 0.0  # the asymmetric pair
-    assert _full_asymmetry(c) == 1.0
-    assert _full_asymmetry(umbilical_cubic(3, np.zeros(3))) == 0.0
+    assert symmetry_defect(c) == 1.0
+    assert symmetry_defect(umbilical_cubic(3, np.zeros(3))) == 0.0
 
 
 def test_umbilical_lemma_dimensions():
@@ -206,14 +208,14 @@ def test_umbilical_lemma_dimensions():
 @pytest.mark.parametrize("nan_at", ["every call", "second call"])
 def test_umbilical_lemma_keeps_nan_asymmetry(monkeypatch, nan_at):
     # min(inf, nan) and min(x, nan) both drop the NaN; the detail must not
-    real = humfit._full_asymmetry
+    real = humfit.symmetry_defect
     calls = []
 
     def nan_asymmetry(c):
         calls.append(c)
         return math.nan if nan_at == "every call" or len(calls) == 2 else real(c)
 
-    monkeypatch.setattr(humfit, "_full_asymmetry", nan_asymmetry)
+    monkeypatch.setattr(humfit, "symmetry_defect", nan_asymmetry)
     rec = umbilical_lemma_check(3, trials=5, seed=1)
     assert not rec.passed
     assert math.isnan(rec.details["min_asymmetry"])
@@ -253,7 +255,6 @@ def test_symmetry_defects_keep_nan():
     full = np.zeros((3, 3, 3))
     full[0, 1, 2] = math.nan
     assert math.isnan(symmetry_defect(full))
-    assert math.isnan(_full_asymmetry(full))
 
 
 def test_theorem_harness_rejects_control():
@@ -276,5 +277,5 @@ def test_from_full_symmetrizes():
     c[0, 1, 2] = 0.6  # one lopsided entry spread over its orbit
     t = CubicTensor.from_full(c)
     assert components_dict(t)["123"] == pytest.approx(0.1)
-    assert symmetry_defect(t.as_full()) == 0.0
+    assert symmetry_defect(np.asarray(t)) == 0.0
     assert symmetry_defect(c) == 0.6

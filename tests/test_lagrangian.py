@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fd_oracle
 from nkverify import lagrangian
 from nkverify.cli import cmd_lagrangian, graph_immersion
-from nkverify.codazzi import hijk_from_v, omega_from_state, random_frame_state
+from nkverify.codazzi import hijk_from_v, random_frame_state
 from nkverify.humfit import theorem_harness
 from nkverify.jet import Jet
 from nkverify.lagrangian import (
@@ -39,7 +39,7 @@ from nkverify.lagrangian import (
     relation_h_omega_residual,
     second_fundamental_form,
 )
-from nkverify.nkgeom import PointS3S3, TangentVector, g_norm, metric_g
+from nkverify.nkgeom import PointS3S3, TangentVector, g, norm
 from nkverify.quat import ImaginaryQuaternion, Quaternion, dexp_im, exp_im
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -135,7 +135,7 @@ def test_builtins_are_totally_geodesic():
     for label in ("factor_left", "factor_right", "diagonal"):
         imm = by_label(label)
         c, H = second_fundamental_form(imm, SAMPLE_POINTS[2])
-        assert g_norm(H) < 1e-5
+        assert norm(H.components()) < 1e-5
         assert np.max(np.abs(c)) < 1e-5
         assert np.max(np.abs(c - c.transpose(1, 0, 2))) < 1e-5
         assert np.max(np.abs(c - c.transpose(0, 2, 1))) < 1e-5
@@ -189,9 +189,9 @@ def test_frame_components_diagonal():
     assert np.max(np.abs(fc.omega + fc.omega.transpose(0, 2, 1))) < 1e-8
     assert np.max(np.abs(fc.h)) < 1e-5
     assert np.max(np.abs(fc.h - fc.h.transpose(1, 0, 2))) < 1e-6
-    assert g_norm(fc.H) < 1e-5
+    assert norm(fc.H.components()) < 1e-5
     for e in fc.frame:  # orthonormal after the orientation fix
-        assert abs(g_norm(e) - 1.0) < 1e-10
+        assert abs(norm(e.components()) - 1.0) < 1e-10
 
 
 def test_orientation_invariant_all_builtins():
@@ -221,7 +221,7 @@ def test_relation_residual_against_exact_tables():
     for seed in range(5):
         st = random_frame_state(random.Random(seed))
         h_exact = hijk_from_v([st.v[1], st.v[2], st.v[3]])
-        om_exact = omega_from_state(st)
+        om_exact = st.omega_table()
         h = np.zeros((3, 3, 3))
         om = np.zeros((3, 3, 3))
         for i in range(3):
@@ -253,8 +253,8 @@ def test_rank_guard():
         Box((-0.5,) * 3, (0.5,) * 3),
         lambda u: PointS3S3(Quaternion.one(), Quaternion.one()),
     )
-    with pytest.raises(ValueError):
-        flat.pushforward(np.zeros(3))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        is_lagrangian(flat, np.zeros(3))
 
 
 @dataclass
@@ -295,12 +295,12 @@ def test_analytic_jacobian_matches_numeric():
     # oracle's central differences agree within their truncation error
     numeric, analytic = _diagonal_pair()
     for u in SAMPLE_POINTS:
-        jets = numeric.pushforward(u)
+        jets = lagrangian._Package(numeric, u, 1).V[0]
         exact = analytic.jacobian(u)
         oracle = fd_oracle.pushforwards(numeric, u)[1][0]
         for x, y, z in zip(jets, exact, oracle):
-            assert g_norm(x - y) < 1e-14
-            assert np.max(np.abs(x.components() - z)) < 1e-9
+            assert norm(x - y.components()) < 1e-14
+            assert np.max(np.abs(x - z)) < 1e-9
         assert is_lagrangian(numeric, u).residual < 1e-15
         assert codazzi_residual(numeric, u) < 1e-14
 
@@ -324,8 +324,10 @@ def test_box_grid_and_contains():
     box = Box((-1.0, 0.0, 2.0), (1.0, 1.0, 3.0))
     pts = box.grid(2)
     assert len(pts) == 8
-    assert all(box.contains(p) for p in pts)
-    assert not box.contains((0.0, -0.5, 2.5))
+    assert all(np.all(p >= box.lo) and np.all(p <= box.hi) for p in pts)
+    assert {tuple(p) for p in pts} == {
+        (x, y, z) for x in (-1.0, 1.0) for y in (0.0, 1.0) for z in (2.0, 3.0)
+    }
 
 
 def test_lagrangian_suite_diagonal():
@@ -439,6 +441,38 @@ def test_angle_sum_gates_on_eigenframe_residuals(monkeypatch, injected):
     assert all(r.passed for r in records if r is not angle)
 
 
+def test_zero_tolerance_passes_exact_zero_residuals():
+    # factor_left's Lagrangian residual is exactly 0.0 at grid 2: at tol 0 it
+    # passes, so every downstream check runs and passes exactly where its
+    # worst residual is 0.0
+    report = cmd_lagrangian(example="factor_left", grid=2, tol=0.0)
+    records = {r.check_id: r for r in report.records}
+    lag = records["lagrangian[factor_left]"]
+    assert lag.max_residual == 0.0 and lag.passed
+    assert all(r.status is None for r in records.values())
+    for rec in records.values():
+        if rec.tolerance == 0.0:
+            assert rec.passed == (rec.max_residual == 0.0), rec.check_id
+    assert records["theorem-shadow[factor_left]"].passed
+
+
+def test_zero_tolerance_gates_angle_sum_on_exact_zeros(monkeypatch):
+    build = lagrangian._Package.__init__
+
+    def exactly_lagrangian(self, *args):
+        build(self, *args)
+        self.lagrangian_residual = np.zeros(len(self.us))
+
+    monkeypatch.setattr(lagrangian._Package, "__init__", exactly_lagrangian)
+    monkeypatch.setattr(lagrangian, "angle_sum_defect", lambda thetas: 0.0)
+    for injected, passed in (((0.0, 0.0), True), ((0.0, 5e-324), False), ((math.nan, 0.0), False)):
+        monkeypatch.setattr(lagrangian, "_eigenfield_checks", lambda *args, v=injected: v + (0.0,))
+        records = lagrangian_suite(_conjugation_immersion(), grid=1, tol=0.0)
+        angle = next(r for r in records if r.check_id.startswith("angle-sum"))
+        assert angle.status is None and angle.max_residual == 0.0
+        assert angle.passed is passed, injected
+
+
 @pytest.mark.parametrize(
     "target, check",
     [
@@ -515,10 +549,10 @@ def _gram_schmidt_reference(vecs):
         comb = np.zeros(3)
         comb[a] = 1.0
         for b, e in enumerate(out):
-            c = metric_g(v, e)
+            c = float(g(v.components(), e.components()))
             w = w - e.scaled(c)
             comb = comb - c * rows[b]
-        n = g_norm(w)
+        n = float(norm(w.components()))
         out.append(w.scaled(1.0 / n))
         rows[a] = comb / n
     return out, rows
@@ -678,7 +712,7 @@ def _invariants(imm):
     records = lagrangian_suite(imm, grid=1) + [theorem_harness(imm, grid=1)]
     c, H = second_fundamental_form(imm, u)
     thetas = angle_functions(*ab_operators(imm, u)).thetas
-    return records, float(np.linalg.norm(c)), g_norm(H), thetas
+    return records, float(np.linalg.norm(c)), float(norm(H.components())), thetas
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
