@@ -16,16 +16,24 @@ import sys
 import time
 from pathlib import Path
 
-from nkverify.cli import cmd_fit, cmd_lagrangian, cmd_proof, cmd_structure
+from nkverify.cli import (
+    DEFAULT_GRID,
+    DEFAULT_SAMPLES,
+    DEFAULT_TRIALS,
+    cmd_fit,
+    cmd_lagrangian,
+    cmd_proof,
+    cmd_structure,
+)
 from nkverify.humfit import build_h_from_V
 
 
 def run(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--grid", type=int, default=5)
-    parser.add_argument("--samples", type=int, default=1000)
-    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     parser.add_argument("--out", type=str, default="reports")
     parser.add_argument(
         "--timings", action="store_true",

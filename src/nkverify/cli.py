@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .codazzi import (
+    CASE3_TOL,
     case1_check,
     case2_check,
     case3_check,
@@ -34,12 +35,11 @@ from .codazzi import (
     frame_relation_check,
     system1_check,
 )
-from .humfit import CubicTensor, fit, theorem_harness, umbilical_lemma_check
+from .humfit import FIT_TOL, HARNESS_TOL, CubicTensor, fit, theorem_harness, umbilical_lemma_check
 from .lagrangian import (
     Box,
     Immersion,
     PointS3S3,
-    builtin_examples,
     example_by_label,
     frame_components,
     lagrangian_suite,
@@ -47,7 +47,7 @@ from .lagrangian import (
 )
 from .nkgeom import G, J, P, g, g_ambient, norm, random_samples
 from .quat import ImaginaryQuaternion, exp_im
-from .report import CheckRecord, VerificationReport, max_keep_nan, within, worst_residual
+from .report import CheckRecord, VerificationReport, within, worst_residual
 
 #: Parameter points at which adapted frames of the built-ins are probed.
 FRAME_SAMPLE_POINTS = (
@@ -59,9 +59,19 @@ FRAME_SAMPLE_POINTS = (
 
 LAGRANGIAN_LABELS = ("factor_left", "factor_right", "diagonal")
 
+#: Defaults of `structure --samples`, `lagrangian --grid` and `proof --trials`.
+DEFAULT_SAMPLES = 1000
+DEFAULT_GRID = 5
+DEFAULT_TRIALS = 100
+
 
 def default_seed() -> int:
-    return int(os.environ.get("NKVERIFY_SEED", "0"))
+    """The base seed when none is given: NKVERIFY_SEED, else 0."""
+    raw = os.environ.get("NKVERIFY_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"NKVERIFY_SEED must be an integer, got {raw!r}") from None
 
 
 def _require_count(name: str, value: int) -> None:
@@ -159,26 +169,22 @@ def structure_frame_record(seed: int, tol: float | None = None) -> CheckRecord:
     """G takes its canonical alternating form on adapted frames of the
     built-in Lagrangian examples."""
     frame_tol = 1e-4 if tol is None else tol
-    frame_worst = 0.0
-    count = 0
-    for label in LAGRANGIAN_LABELS:
-        imm = example_by_label(label)
-        for u in FRAME_SAMPLE_POINTS:
-            frame_worst = max_keep_nan(
-                frame_worst, frame_components(imm, np.array(u)).orientation_residual
-            )
-            count += 1
+    residuals = [
+        fc.orientation_residual
+        for label in LAGRANGIAN_LABELS
+        for fc in frame_components(example_by_label(label), FRAME_SAMPLE_POINTS)
+    ]
     return _structure_record(
         "frame-g-form",
-        frame_worst,
+        worst_residual(residuals),
         frame_tol,
-        count,
+        len(residuals),
         {"seed": seed, "examples": list(LAGRANGIAN_LABELS)},
     )
 
 
 def cmd_structure(
-    samples: int = 1000, seed: int = 0, tol: float | None = None
+    samples: int = DEFAULT_SAMPLES, seed: int = 0, tol: float | None = None
 ) -> VerificationReport:
     """Pointwise invariants of J, P and g, the skewness of G, and the
     canonical frame form of G on adapted Lagrangian frames."""
@@ -276,7 +282,7 @@ def load_manifest(path: str) -> list[Immersion]:
 def cmd_lagrangian(
     example: str | None = None,
     manifest: str | None = None,
-    grid: int = 5,
+    grid: int = DEFAULT_GRID,
     tol: float | None = None,
     seed: int = 0,
 ) -> VerificationReport:
@@ -298,7 +304,7 @@ def cmd_lagrangian(
             start = time.perf_counter()
             records.extend(
                 _stamp(
-                    [theorem_harness(imm, grid=grid, tol=(1e-5 if tol is None else tol))],
+                    [theorem_harness(imm, grid=grid, tol=(HARNESS_TOL if tol is None else tol))],
                     start,
                 )
             )
@@ -328,7 +334,7 @@ def cmd_lagrangian(
 
 
 def cmd_proof(
-    trials: int = 100, seed: int = 0, mode: str = "all", tol: float = 1e-8
+    trials: int = DEFAULT_TRIALS, seed: int = 0, mode: str = "all", tol: float = CASE3_TOL
 ) -> VerificationReport:
     """Frame-level derivation checks: exact identities, the two axis cases,
     the determinant factorization, and the numeric constrained-angle case."""
@@ -386,7 +392,7 @@ def cmd_proof(
 # fit
 
 
-def cmd_fit(path: str, tol: float = 1e-6) -> VerificationReport:
+def cmd_fit(path: str, tol: float = FIT_TOL) -> VerificationReport:
     """H-umbilical detection on a cubic tensor loaded from JSON."""
     _require_tol(tol)
     tensor = CubicTensor.from_json(Path(path).read_text())
@@ -429,42 +435,45 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=default_seed(),
-                       help="base seed (NKVERIFY_SEED overrides the default)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="base seed (default: NKVERIFY_SEED, else 0)")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", type=str, default=None, help="write the report to a file")
         p.add_argument("--timings", action="store_true",
                        help="include elapsed milliseconds in JSON output")
 
     p = sub.add_parser("structure", help="ambient structure-tensor invariants")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--tol", type=float, default=None)
     add_common(p)
 
     p = sub.add_parser("lagrangian", help="immersion analyzer sweeps")
     p.add_argument("--example", type=str, default=None)
     p.add_argument("--manifest", type=str, default=None)
-    p.add_argument("--grid", type=int, default=5)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--tol", type=float, default=None)
     add_common(p)
 
     p = sub.add_parser("proof", help="frame-level derivation checks")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--mode", choices=("exact", "numeric", "all"), default="all")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=CASE3_TOL)
     add_common(p)
 
     p = sub.add_parser("fit", help="H-umbilical detection on a cubic tensor file")
     p.add_argument("input", type=str, help="path to a CubicTensor JSON file")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=FIT_TOL)
     add_common(p)
 
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> VerificationReport:
+    if args.command == "fit":
+        return cmd_fit(args.input, tol=args.tol)
+    seed = default_seed() if args.seed is None else args.seed
     if args.command == "structure":
-        return cmd_structure(samples=args.samples, seed=args.seed, tol=args.tol)
+        return cmd_structure(samples=args.samples, seed=seed, tol=args.tol)
     if args.command == "lagrangian":
         if args.example and args.manifest:
             raise ValueError("pass either --example or --manifest, not both")
@@ -473,31 +482,28 @@ def _dispatch(args: argparse.Namespace) -> VerificationReport:
             manifest=args.manifest,
             grid=args.grid,
             tol=args.tol,
-            seed=args.seed,
+            seed=seed,
         )
     if args.command == "proof":
-        return cmd_proof(trials=args.trials, seed=args.seed, mode=args.mode, tol=args.tol)
-    if args.command == "fit":
-        return cmd_fit(args.input, tol=args.tol)
+        return cmd_proof(trials=args.trials, seed=seed, mode=args.mode, tol=args.tol)
     raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         report = _dispatch(args)
+        rendered = (
+            report.to_json(timings=args.timings) if args.format == "json" else report.to_text()
+        )
+        if args.out:
+            Path(args.out).write_text(rendered + "\n")
+        else:
+            print(rendered)
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"nkverify: error: {message}", file=sys.stderr)
         return 2
-    rendered = (
-        report.to_json(timings=args.timings) if args.format == "json" else report.to_text()
-    )
-    if args.out:
-        Path(args.out).write_text(rendered + "\n")
-    else:
-        print(rendered)
     return 0 if report.passed else 1
 
 

@@ -70,6 +70,8 @@ from .report import CheckRecord, max_keep_nan, min_keep_nan
 
 AXES = (1, 2, 3)
 CANONICAL_PAIRS = ((1, 2), (1, 3), (2, 3))
+#: Default bound of case3_check on its matched closed forms.
+CASE3_TOL = 1e-8
 
 _EPS_TABLE = {
     (1, 2, 3): 1,
@@ -1101,7 +1103,7 @@ def constrained_theta2(v1, v3, theta1):
     return mp.atan2(num, den) / 2
 
 
-def case3_check(trials: int = 60, tol: float = 1e-8, seed: int = 0) -> CheckRecord:
+def case3_check(trials: int = 60, tol: float = CASE3_TOL, seed: int = 0) -> CheckRecord:
     """The case v2 = 0 with the angle constraint: forced back to v = 0.
 
     Numeric check on the constraint variety (it couples v and theta

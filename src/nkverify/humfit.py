@@ -30,8 +30,10 @@ COMPONENT_KEYS = ("111", "112", "113", "122", "123", "133", "222", "223", "233",
 
 _KEY_TUPLES = tuple(tuple(int(ch) - 1 for ch in key) for key in COMPONENT_KEYS)
 
-#: Default acceptance tolerance of the fitter, a guard factor below the
-#: analyzer's h accuracy of 1e-5 so the fit is never stricter than its data.
+#: Default bound of the harness on ||h|| where a fit succeeds: h's accuracy.
+HARNESS_TOL = 1e-5
+#: Default acceptance tolerance of the fitter, a guard factor below
+#: HARNESS_TOL so the fit is never stricter than its data.
 FIT_TOL = 1e-6
 
 
@@ -161,11 +163,6 @@ def _pattern_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return T1, T2
 
 
-def pattern_tensor(u: np.ndarray, lam: float, mu: float) -> np.ndarray:
-    T1, T2 = _pattern_pair(_normalize(np.asarray(u, dtype=float)))
-    return lam * T1 + mu * T2
-
-
 def _least_squares(full: np.ndarray, u: np.ndarray) -> tuple[float, float, float]:
     T1, T2 = _pattern_pair(u)
     lam = float(np.sum(full * T1))  # T1 is unit and orthogonal to T2
@@ -261,7 +258,7 @@ def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> Check
     )
 
 
-def theorem_harness(imm: Immersion, grid: int = 5, tol: float = 1e-5) -> CheckRecord:
+def theorem_harness(imm: Immersion, grid: int = 5, tol: float = HARNESS_TOL) -> CheckRecord:
     """Totally geodesic shadow of the rigidity theorem on one immersion.
 
     At every grid point the analyzer's cubic form is fed to the fitter; any

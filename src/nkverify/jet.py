@@ -250,8 +250,11 @@ class Jet:
         a0 = self.value
         bound = max(1.0, float(np.max(np.abs(a0))))
         rows = 1
-        while rows < _MAX_TERMS and abs(series(rows)) * (2.0 * bound) ** rows > 1e-18:
-            rows += 1
+        try:
+            while rows < _MAX_TERMS and abs(series(rows)) * (2.0 * bound) ** rows > 1e-18:
+                rows += 1
+        except OverflowError:  # the terms outgrow a float before they fall off
+            raise ValueError(f"jet series argument {bound:g} is too large to sum") from None
         taylor = (a0[..., None] ** np.arange(rows)) @ _taylor_matrix(series, rows, self.order)
         return self.compose(list(np.moveaxis(taylor, -1, 0)))
 

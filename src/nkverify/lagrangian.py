@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jet import Jet, size, stack
-from .nkgeom import CONNECTION, G_ARRAY, G, J, P, PointS3S3, TangentVector, g, norm
+from .nkgeom import CONNECTION, G_ARRAY, G, J, P, PointS3S3, g, norm
 from .quat import ImaginaryQuaternion, Quaternion, exp_im
 from .report import CheckRecord, max_keep_nan, within, worst_residual
 
@@ -31,6 +31,17 @@ RANK_FLOOR = 1e-6
 DEGENERACY_GAP = 1e-6
 #: Residual bound enforcing the Lagrangian precondition of downstream ops.
 LAGRANGIAN_PRECONDITION_TOL = 1e-6
+
+#: The bound of each check of lagrangian_suite, unless one tol is given for all.
+SUITE_TOLS = {
+    "lagrangian": 1e-9,
+    "minimality": 1e-5,
+    "cubic-symmetry": 1e-5,
+    "ab-structure": 1e-8,
+    "angle-sum": 1e-5,
+    "orientation": 1e-4,
+    "codazzi-residual": 1e-4,
+}
 
 EPSILON = np.zeros((3, 3, 3))
 for _even in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -168,7 +179,6 @@ class _Package:
     def __init__(self, imm: Immersion, us: Sequence[float] | np.ndarray, order: int) -> None:
         self.us = np.asarray(us, dtype=float).reshape(-1, 3)
         pq = _map_jet(imm, self.us, order)
-        self._pq = pq.value
         n = len(self.us)
         # V_a = Im(conj(p) d_a p), Im(conj(q) d_a q), a jet of order - 1
         p, dp = pq.truncate(order - 1)[:, None], pq.grad().moveaxis(-1, 1)
@@ -202,10 +212,6 @@ class _Package:
         if order >= 3:
             self.dc = np.einsum("nxd,nabkd->nxabk", self.S, c.grad().value)
 
-    def base(self, i: int) -> PointS3S3:
-        p, q = self._pq[i]
-        return PointS3S3(Quaternion.from_array(p), Quaternion.from_array(q))
-
 
 @dataclass(frozen=True)
 class LagrangianCheck:
@@ -216,7 +222,9 @@ class LagrangianCheck:
         return self.ok
 
 
-def is_lagrangian(imm: Immersion, u: Sequence[float], tol: float = 1e-9) -> LagrangianCheck:
+def is_lagrangian(
+    imm: Immersion, u: Sequence[float], tol: float = SUITE_TOLS["lagrangian"]
+) -> LagrangianCheck:
     """Does J map the tangent space at imm(u) into the normal space?
 
     The residual is the largest |g(J E_a, E_b)| over an orthonormal tangent
@@ -226,11 +234,13 @@ def is_lagrangian(imm: Immersion, u: Sequence[float], tol: float = 1e-9) -> Lagr
     return LagrangianCheck(r < tol, r)
 
 
-def _require_lagrangian(label: str, u: np.ndarray, residual: float) -> None:
-    if not residual < LAGRANGIAN_PRECONDITION_TOL:
-        raise ValueError(
-            f"{label}: not Lagrangian at u={u.tolist()} (residual {residual:.3e})"
-        )
+def _require_lagrangian(label: str, us: Sequence[np.ndarray], residuals: Sequence[float]) -> None:
+    """Raise at the first point whose residual fails the precondition."""
+    for u, residual in zip(us, residuals):
+        if not residual < LAGRANGIAN_PRECONDITION_TOL:
+            raise ValueError(
+                f"{label}: not Lagrangian at u={u.tolist()} (residual {residual:.3e})"
+            )
 
 
 def _checked_point(imm: Immersion, u: Sequence[float], order: int) -> _Package:
@@ -238,17 +248,15 @@ def _checked_point(imm: Immersion, u: Sequence[float], order: int) -> _Package:
     the precondition."""
     u = np.asarray(u, dtype=float)
     chk = is_lagrangian(imm, u, LAGRANGIAN_PRECONDITION_TOL)
-    _require_lagrangian(imm.label, u, chk.residual)
+    _require_lagrangian(imm.label, [u], [chk.residual])
     return _Package(imm, u, order)
 
 
-def second_fundamental_form(
-    imm: Immersion, u: Sequence[float]
-) -> tuple[np.ndarray, TangentVector]:
+def second_fundamental_form(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Cubic components c_abk = g(h(E_a, E_b), JE_k) in an orthonormal frame,
-    and the mean curvature vector H."""
+    and the (alpha, beta) components (6,) of the mean curvature vector H."""
     pkg = _checked_point(imm, u, 2)
-    return pkg.c[0], TangentVector.from_components(pkg.base(0), pkg.H[0])
+    return pkg.c[0], pkg.H[0]
 
 
 def ab_operators(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -376,14 +384,11 @@ def relation_h_omega_residual(
 class AdaptedFrameData:
     """Everything the analyzer knows at one parameter point."""
 
-    u: np.ndarray
-    frame: list[TangentVector]
+    frame: np.ndarray  # (3, 6): the (alpha, beta) components of F_1, F_2, F_3
     thetas: tuple[float, float, float]
-    A: np.ndarray
-    B: np.ndarray
     h: np.ndarray
     omega: np.ndarray
-    H: TangentVector
+    H: np.ndarray  # (6,): the components of the mean curvature vector
     degenerate: bool
     orientation_residual: float
     # the eigenframe checks, at non-degenerate points only
@@ -392,8 +397,8 @@ class AdaptedFrameData:
     dtheta_max_abs: float | None  # the largest |E_i(theta_j)|
 
 
-def frame_components(imm: Immersion, u: Sequence[float]) -> AdaptedFrameData:
-    """Adapted-frame analysis at one point.
+def frame_components(imm: Immersion, us: Sequence[Sequence[float]]) -> list[AdaptedFrameData]:
+    """Adapted-frame analysis at each row of us, from one order-2 package.
 
     Diagonalizes (A, B) on the orthonormalized pushforward frame, flips one
     frame vector if needed so the G tensor takes its canonical frame form
@@ -401,9 +406,12 @@ def frame_components(imm: Immersion, u: Sequence[float]) -> AdaptedFrameData:
     connection components in the fixed frame.  The relation between h, omega
     and the angle derivatives is checked only at non-degenerate points; the
     built-in examples are all degenerate (hence totally geodesic), so there
-    the flag is reported instead.
+    the flag is reported instead.  A row that fails the Lagrangian
+    precondition raises ValueError.
     """
-    return _adapted_frame(_checked_point(imm, u, 2), 0)
+    pkg = _Package(imm, us, 2)
+    _require_lagrangian(imm.label, pkg.us, pkg.lagrangian_residual)
+    return [_adapted_frame(pkg, i) for i in range(len(pkg.us))]
 
 
 def _rotated(R: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -427,21 +435,16 @@ def _adapted_frame(pkg: _Package, i: int) -> AdaptedFrameData:
     G_frame = np.einsum("dab,ia,jb->ijd", G_ARRAY, frame, frame)
     orientation_residual = worst_residual(norm(G_frame - target))
 
-    A, B = _ab(frame, jframe)
     eigen = (None, None, None)
     if not ang.degenerate:
         eigen = _eigenfield_checks(pkg, i, R, ang)
 
-    base = pkg.base(i)
     return AdaptedFrameData(
-        u=pkg.us[i],
-        frame=[TangentVector.from_components(base, f) for f in frame],
+        frame=frame,
         thetas=ang.thetas,
-        A=A,
-        B=B,
         h=_rotated(R, pkg.c[i]),
         omega=_rotated(R, pkg.omega[i]),
-        H=TangentVector.from_components(base, pkg.H[i]),
+        H=pkg.H[i],
         degenerate=ang.degenerate,
         orientation_residual=orientation_residual,
         eq_residual=eigen[0],
@@ -580,18 +583,6 @@ def example_by_label(label: str) -> Immersion:
 # grid suite
 
 
-#: The bound of each check of lagrangian_suite, unless one tol is given for all.
-SUITE_TOLS = {
-    "lagrangian": 1e-9,
-    "minimality": 1e-5,
-    "cubic-symmetry": 1e-5,
-    "ab-structure": 1e-8,
-    "angle-sum": 1e-5,
-    "orientation": 1e-4,
-    "codazzi-residual": 1e-4,
-}
-
-
 def lagrangian_suite(
     imm: Immersion, grid: int = 5, tol: float | None = None
 ) -> list[CheckRecord]:
@@ -633,8 +624,7 @@ def lagrangian_suite(
             )
         return records
 
-    for u, residual in zip(pkg.us, pkg.lagrangian_residual):
-        _require_lagrangian(tag, u, residual)
+    _require_lagrangian(tag, pkg.us, pkg.lagrangian_residual)
     c = pkg.c
     worsts = {
         "minimality": worst_residual(norm(pkg.H)),

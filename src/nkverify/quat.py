@@ -95,12 +95,6 @@ class Quaternion:
             raise ZeroDivisionError("cannot normalize the zero quaternion")
         return self.scaled(1.0 / n)
 
-    def inverse(self) -> "Quaternion":
-        n2 = self.w**2 + self.x**2 + self.y**2 + self.z**2
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return self.conjugate().scaled(1.0 / n2)
-
     def dot(self, other: "Quaternion") -> float:
         """Euclidean 4-product."""
         return (
@@ -129,10 +123,6 @@ class ImaginaryQuaternion:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-    def promote(self) -> Quaternion:
-        """The same element viewed as a general quaternion."""
-        return Quaternion(0.0, self.x, self.y, self.z)
 
     def __add__(self, other: "ImaginaryQuaternion") -> "ImaginaryQuaternion":
         if not isinstance(other, ImaginaryQuaternion):

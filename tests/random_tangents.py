@@ -1,4 +1,5 @@
-"""Random base points and tangent vectors as objects, for the tests.
+"""Random base points and tangent vectors as objects, and `promote`, for
+the tests.
 
 random_point normalizes a Gaussian 4-vector per factor with
 Quaternion.normalized; random_tangent draws uniform (alpha, beta) components.
@@ -10,6 +11,11 @@ import numpy as np
 
 from nkverify.nkgeom import PointS3S3, TangentVector
 from nkverify.quat import ImaginaryQuaternion, Quaternion
+
+
+def promote(a: ImaginaryQuaternion) -> Quaternion:
+    """The imaginary quaternion a viewed as a general quaternion."""
+    return Quaternion(0.0, a.x, a.y, a.z)
 
 
 def random_point(rng: np.random.Generator) -> PointS3S3:

@@ -87,14 +87,12 @@ def test_structure_nan_residuals_fail_their_checks(monkeypatch) -> None:
     monkeypatch.setattr(cli, "g_ambient", _nan_at_middle_sample(cli.g_ambient))
     monkeypatch.setattr(cli, "G", _nan_at_middle_sample(cli.G))
     real_frame = cli.frame_components
-    frames = []
 
-    def nan_at_second_frame(imm, u):
-        fc = real_frame(imm, u)
-        frames.append(fc)
-        if len(frames) == 2:
-            fc.orientation_residual = math.nan
-        return fc
+    def nan_at_second_frame(imm, us):
+        fcs = real_frame(imm, us)
+        if imm.label == LAGRANGIAN_LABELS[0]:
+            fcs[1].orientation_residual = math.nan
+        return fcs
 
     monkeypatch.setattr(cli, "frame_components", nan_at_second_frame)
     rng = np.random.default_rng(0)
@@ -117,10 +115,11 @@ def test_structure_exact_zero_residuals_pass_at_tol_zero(monkeypatch) -> None:
     monkeypatch.setattr(cli, "G", lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)))
     real_frame = cli.frame_components
 
-    def exact_frame(imm, u):
-        fc = real_frame(imm, u)
-        fc.orientation_residual = 0.0
-        return fc
+    def exact_frame(imm, us):
+        fcs = real_frame(imm, us)
+        for fc in fcs:
+            fc.orientation_residual = 0.0
+        return fcs
 
     monkeypatch.setattr(cli, "frame_components", exact_frame)
     records = cli.structure_g_records(3, np.random.default_rng(0), 0, tol=0.0) + [
@@ -133,6 +132,23 @@ def test_structure_exact_zero_residuals_pass_at_tol_zero(monkeypatch) -> None:
         assert rec.passed
         assert rec.max_residual == 0.0
         assert rec.tolerance == 0.0
+
+
+def test_frame_record_evaluates_each_builtin_map_once(monkeypatch) -> None:
+    # one order-2 jet evaluation per built-in covers all of its sample points
+    calls = []
+    real_example = cli.example_by_label
+
+    def counted_example(label):
+        imm = real_example(label)
+        imm.map_fn = lambda u, fn=imm.map_fn: calls.append(imm.label) or fn(u)
+        return imm
+
+    monkeypatch.setattr(cli, "example_by_label", counted_example)
+    rec = cli.structure_frame_record(0)
+    assert rec.passed
+    assert rec.samples == len(LAGRANGIAN_LABELS) * len(cli.FRAME_SAMPLE_POINTS)
+    assert calls == list(LAGRANGIAN_LABELS)
 
 
 def test_structure_reports_are_byte_identical() -> None:
@@ -406,21 +422,51 @@ def test_main_malformed_fit_json_exits_two(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    "command, payload",
+    "command, payload, extra, env",
     [
-        ("fit", [1.0, 2.0]),
-        ("fit", {"n": 3, "components": {**dict.fromkeys(COMPONENT_KEYS, 0.0), "123": math.inf}}),
-        ("lagrangian", {"graph": {}, "box": [None, 0.5]}),
-        ("lagrangian", {"graph": {"left": {"axis": 1.0, "angle": 0.5}}}),
+        ("fit", [1.0, 2.0], [], {}),
+        (
+            "fit",
+            {"n": 3, "components": {**dict.fromkeys(COMPONENT_KEYS, 0.0), "123": math.inf}},
+            [],
+            {},
+        ),
+        ("lagrangian", {"graph": {}, "box": [None, 0.5]}, [], {}),
+        ("lagrangian", {"graph": {"left": {"axis": 1.0, "angle": 0.5}}}, [], {}),
+        ("lagrangian", {"graph": {}, "box": [-40, 40]}, [], {}),
+        ("proof", None, ["--trials", "1"], {"NKVERIFY_SEED": "abc"}),
+        (
+            "fit",
+            json.loads(build_h_from_V([1.0, 0.0, 0.0]).to_json()),
+            ["--out", "{tmp}/missing/report.json"],
+            {},
+        ),
     ],
-    ids=["fit-not-an-object", "fit-infinite-component", "box-not-numbers", "axis-not-a-list"],
+    ids=[
+        "fit-not-an-object",
+        "fit-infinite-component",
+        "box-not-numbers",
+        "axis-not-a-list",
+        "box-overflows-the-series",
+        "seed-env-not-an-integer",
+        "out-directory-missing",
+    ],
 )
-def test_main_malformed_input_exits_two(tmp_path, capsys, command, payload) -> None:
+def test_main_malformed_input_exits_two(
+    tmp_path, capsys, monkeypatch, command, payload, extra, env
+) -> None:
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
-    argv = ["fit", str(path)] if command == "fit" else ["lagrangian", "--manifest", str(path)]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = {
+        "fit": ["fit", str(path)],
+        "lagrangian": ["lagrangian", "--manifest", str(path)],
+        "proof": ["proof"],
+    }[command] + [arg.format(tmp=tmp_path) for arg in extra]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("nkverify: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("nkverify: error:") and err.count("\n") == 1
 
 
 def test_main_missing_fit_file_exits_two(tmp_path, capsys) -> None:

@@ -13,14 +13,21 @@ from nkverify.humfit import (
     HUmbilicalFit,
     build_h_from_V,
     fit,
-    pattern_tensor,
     symmetry_defect,
     theorem_harness,
     umbilical_cubic,
     umbilical_lemma_check,
     _least_squares,
+    _normalize,
+    _pattern_pair,
 )
 from nkverify.lagrangian import example_by_label
+
+
+def pattern_tensor(u: np.ndarray, lam: float, mu: float) -> np.ndarray:
+    """The H-umbilical normal form lam T1 + mu T2 at the direction of u."""
+    T1, T2 = _pattern_pair(_normalize(np.asarray(u, dtype=float)))
+    return lam * T1 + mu * T2
 
 
 def components_dict(t: CubicTensor) -> dict:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import fd_oracle
 from nkverify import lagrangian
-from nkverify.cli import cmd_lagrangian, graph_immersion
+from nkverify.cli import FRAME_SAMPLE_POINTS, cmd_lagrangian, graph_immersion
 from nkverify.codazzi import hijk_from_v, random_frame_state
 from nkverify.humfit import theorem_harness
 from nkverify.jet import Jet
@@ -135,7 +135,7 @@ def test_builtins_are_totally_geodesic():
     for label in ("factor_left", "factor_right", "diagonal"):
         imm = by_label(label)
         c, H = second_fundamental_form(imm, SAMPLE_POINTS[2])
-        assert norm(H.components()) < 1e-5
+        assert norm(H) < 1e-5
         assert np.max(np.abs(c)) < 1e-5
         assert np.max(np.abs(c - c.transpose(1, 0, 2))) < 1e-5
         assert np.max(np.abs(c - c.transpose(0, 2, 1))) < 1e-5
@@ -182,22 +182,59 @@ def test_angle_functions_joint_cluster():
 
 
 def test_frame_components_diagonal():
-    fc = frame_components(by_label("diagonal"), SAMPLE_POINTS[0])
+    [fc] = frame_components(by_label("diagonal"), [SAMPLE_POINTS[0]])
     assert fc.degenerate
     assert fc.eq_residual is None and fc.dtheta_residual is None
     assert fc.orientation_residual < 1e-4
     assert np.max(np.abs(fc.omega + fc.omega.transpose(0, 2, 1))) < 1e-8
     assert np.max(np.abs(fc.h)) < 1e-5
     assert np.max(np.abs(fc.h - fc.h.transpose(1, 0, 2))) < 1e-6
-    assert norm(fc.H.components()) < 1e-5
+    assert norm(fc.H) < 1e-5
+    assert fc.frame.shape == (3, 6)
     for e in fc.frame:  # orthonormal after the orientation fix
-        assert abs(norm(e.components()) - 1.0) < 1e-10
+        assert abs(norm(e) - 1.0) < 1e-10
 
 
 def test_orientation_invariant_all_builtins():
     for label in ("factor_left", "factor_right", "diagonal"):
-        fc = frame_components(by_label(label), SAMPLE_POINTS[1])
+        [fc] = frame_components(by_label(label), [SAMPLE_POINTS[1]])
         assert fc.orientation_residual < 1e-4, label
+
+
+def _angle_gap(a, b):
+    """Distances between two angle triples taken mod pi."""
+    return np.abs((np.subtract(a, b) + math.pi / 2) % math.pi - math.pi / 2)
+
+
+@pytest.mark.parametrize("label", ["factor_left", "factor_right", "diagonal", "conjugation"])
+def test_frame_components_batch_matches_one_row_calls(label):
+    # One package for all rows gives what one package per row gives, up to
+    # roundoff.  Where all angles coincide (the built-ins) roundoff picks the
+    # eigenframe inside the eigenspace, so the batch frame is Q times the
+    # one-row frame for an orthogonal Q, and h, omega follow by Q; on the
+    # conjugation immersion Q is the identity and the eigenframe fields agree.
+    imm = _conjugation_immersion() if label == "conjugation" else by_label(label)
+    batch = frame_components(imm, FRAME_SAMPLE_POINTS)
+    assert len(batch) == len(FRAME_SAMPLE_POINTS)
+    close = {"rtol": 0, "atol": 1e-13}
+    for fc, u in zip(batch, FRAME_SAMPLE_POINTS):
+        [one] = frame_components(imm, [u])
+        assert fc.degenerate == one.degenerate == (label != "conjugation")
+        assert np.max(_angle_gap(fc.thetas, one.thetas)) < 1e-13
+        Q = g(fc.frame[:, None], one.frame[None])
+        np.testing.assert_allclose(Q @ Q.T, np.eye(3), **close)
+        if not fc.degenerate:
+            np.testing.assert_allclose(Q, np.eye(3), **close)
+        np.testing.assert_allclose(fc.frame, Q @ one.frame, **close)
+        np.testing.assert_allclose(fc.h, lagrangian._rotated(Q, one.h), **close)
+        np.testing.assert_allclose(fc.omega, lagrangian._rotated(Q, one.omega), **close)
+        np.testing.assert_allclose(fc.H, one.H, **close)
+        assert fc.orientation_residual == pytest.approx(one.orientation_residual, abs=1e-15)
+        for field in ("eq_residual", "dtheta_residual", "dtheta_max_abs"):
+            if fc.degenerate:
+                assert getattr(fc, field) is getattr(one, field) is None
+            else:
+                assert getattr(fc, field) == pytest.approx(getattr(one, field), abs=1e-13)
 
 
 def test_codazzi_residual_builtins():
@@ -409,8 +446,7 @@ def test_curved_immersion_suite_and_eigenframe_checks():
         assert 0.0 < angle.details[key] < 1e-7
     # the angles are constant, so the dtheta check compares zero with zero
     assert angle.details["dtheta_max_abs"] < 1e-12
-    for u in imm.domain.grid(2):
-        fc = frame_components(imm, u)
+    for fc in frame_components(imm, imm.domain.grid(2)):
         assert not fc.degenerate
         assert fc.eq_residual is not None and fc.dtheta_residual is not None
         assert fc.eq_residual < 1e-5 and fc.dtheta_residual < 1e-5
@@ -712,7 +748,7 @@ def _invariants(imm):
     records = lagrangian_suite(imm, grid=1) + [theorem_harness(imm, grid=1)]
     c, H = second_fundamental_form(imm, u)
     thetas = angle_functions(*ab_operators(imm, u)).thetas
-    return records, float(np.linalg.norm(c)), float(norm(H.components())), thetas
+    return records, float(np.linalg.norm(c)), float(norm(H)), thetas
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)

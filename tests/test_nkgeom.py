@@ -24,7 +24,7 @@ from nkverify.nkgeom import (
     norm,
 )
 from nkverify.quat import ImaginaryQuaternion, Quaternion
-from random_tangents import random_point, random_tangent
+from random_tangents import promote, random_point, random_tangent
 
 I_IM = ImaginaryQuaternion(1.0, 0.0, 0.0)
 ZERO_IM = ImaginaryQuaternion.zero()
@@ -268,7 +268,7 @@ def test_bracket_is_the_quaternion_commutator() -> None:
     ]
     for a in range(3):
         for b in range(3):
-            ea, eb = basis[a].promote(), basis[b].promote()
+            ea, eb = promote(basis[a]), promote(basis[b])
             comm = (ea * eb - eb * ea).imag.as_array()
             assert np.array_equal(BRACKET[:3, a, b], comm)
             assert np.array_equal(BRACKET[3:, 3 + a, 3 + b], comm)

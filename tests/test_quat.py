@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nkverify.quat import ImaginaryQuaternion, Quaternion, dexp_im, exp_im, log_unit
+from random_tangents import promote
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
@@ -82,7 +83,7 @@ def test_left_translate_of_imaginary_is_tangent(
     p: Quaternion, a: ImaginaryQuaternion
 ) -> None:
     # p*a is orthogonal to p in the Euclidean 4-product: T_p S^3 = p * Im(H)
-    assert abs((p * a.promote()).dot(p)) < 1e-13 * max(1.0, a.norm())
+    assert abs((p * promote(a)).dot(p)) < 1e-13 * max(1.0, a.norm())
 
 
 def test_exp_at_zero() -> None:
@@ -166,4 +167,4 @@ def test_dexp_small_norm_branch() -> None:
 
 def test_dexp_at_zero_is_inclusion() -> None:
     e = ImaginaryQuaternion(0.3, 0.1, -0.5)
-    assert dexp_im(ImaginaryQuaternion.zero(), e) == e.promote()
+    assert dexp_im(ImaginaryQuaternion.zero(), e) == promote(e)

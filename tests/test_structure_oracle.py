@@ -27,7 +27,7 @@ from nkverify.nkgeom import (
     unit_points,
 )
 from nkverify.report import CheckRecord, max_keep_nan
-from random_tangents import random_point, random_tangent
+from random_tangents import promote, random_point, random_tangent
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -60,8 +60,8 @@ def _ref_apply_P(X):
 
 
 def _ref_embed(X):
-    pa = X.base.p * X.alpha.promote()
-    qb = X.base.q * X.beta.promote()
+    pa = X.base.p * promote(X.alpha)
+    qb = X.base.q * promote(X.beta)
     return np.concatenate([pa.as_array(), qb.as_array()])
 
 
