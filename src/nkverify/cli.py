@@ -434,9 +434,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None,
-                       help="base seed (default: NKVERIFY_SEED, else 0)")
+    def add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="base seed (default: NKVERIFY_SEED, else 0)")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", type=str, default=None, help="write the report to a file")
         p.add_argument("--timings", action="store_true",
@@ -463,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="H-umbilical detection on a cubic tensor file")
     p.add_argument("input", type=str, help="path to a CubicTensor JSON file")
     p.add_argument("--tol", type=float, default=FIT_TOL)
-    add_common(p)
+    add_common(p, seeded=False)  # the fit draws nothing at random
 
     return parser
 

@@ -14,11 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-#: Exact rational scalar.  ``fractions.Fraction`` guarantees the invariants the
-#: engine relies on: the denominator is positive and gcd(num, den) == 1 after
-#: every operation, with arbitrary-precision integers underneath.
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 #: Anything the exact evaluators are allowed to return.

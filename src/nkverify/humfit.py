@@ -22,7 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .lagrangian import Immersion, is_lagrangian, second_fundamental_form
+from .codazzi import hijk_from_v
+from .lagrangian import (
+    SUITE_TOLS,
+    Immersion,
+    is_lagrangian,
+    require_lagrangian,
+    second_fundamental_form,
+)
 from .report import CheckRecord, max_keep_nan, min_keep_nan, within
 
 #: Ten independent slots of a symmetric cubic tensor on R^3, ascending indices.
@@ -113,22 +120,13 @@ def symmetry_defect(c: np.ndarray) -> float:
 
 
 def build_h_from_V(V: Sequence) -> CubicTensor:
-    """Cubic form of the minimal normal-form family driven by one vector:
-    c_abc = |V|^2 (v_a d_bc + v_b d_ca + v_c d_ab) - 5 v_a v_b v_c.
+    """Cubic form of the minimal normal-form family driven by one vector,
+    `codazzi.hijk_from_v` in exact rationals at the component keys.
 
     Equals the H-umbilical pattern with U1 = V/|V|, mu = |V|^3, lambda = -2 mu.
     """
-    v = [Fraction(float(x)) for x in V]
-    w = sum(x * x for x in v)
-    comps = []
-    for a, b, c in _KEY_TUPLES:
-        val = w * (
-            v[a] * (1 if b == c else 0)
-            + v[b] * (1 if c == a else 0)
-            + v[c] * (1 if a == b else 0)
-        ) - 5 * v[a] * v[b] * v[c]
-        comps.append(val)
-    return CubicTensor(tuple(comps))
+    h = hijk_from_v([Fraction(float(x)) for x in V])
+    return CubicTensor(tuple(h[tuple(int(ch) for ch in key)] for key in COMPONENT_KEYS))
 
 
 @dataclass(frozen=True)
@@ -261,27 +259,22 @@ def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> Check
 def theorem_harness(imm: Immersion, grid: int = 5, tol: float = HARNESS_TOL) -> CheckRecord:
     """Totally geodesic shadow of the rigidity theorem on one immersion.
 
-    At every grid point the analyzer's cubic form is fed to the fitter; any
-    point where an H-umbilical fit succeeds while ||h|| is not within tol
-    (`report.within`) would be a falsification candidate, and is reported as
-    a failure.
+    One is_lagrangian precheck and one second_fundamental_form call cover the
+    grid, and each point's cubic form is fed to the fitter; any point where an
+    H-umbilical fit succeeds while ||h|| is not within tol (`report.within`)
+    would be a falsification candidate, and is reported as a failure.
     """
     points = imm.domain.grid(grid)
-    for u in points:
-        chk = is_lagrangian(imm, u)
-        if not chk.ok:
-            raise ValueError(
-                f"{imm.label}: not Lagrangian at u={np.asarray(u).tolist()} "
-                f"(residual {chk.residual:.3e})"
-            )
+    residuals = [chk.residual for chk in is_lagrangian(imm, points)]
+    require_lagrangian(imm.label, points, residuals, SUITE_TOLS["lagrangian"])
+    cs, _ = second_fundamental_form(imm, points)
     failures = []
     fits = 0
     max_h = 0.0
     max_lam = 0.0
     max_mu = 0.0
     max_sym_defect = 0.0
-    for u in points:
-        c, _ = second_fundamental_form(imm, u)
+    for u, c in zip(points, cs):
         max_sym_defect = max_keep_nan(max_sym_defect, symmetry_defect(c))
         h_norm = float(np.linalg.norm(c))
         max_h = max_keep_nan(max_h, h_norm)

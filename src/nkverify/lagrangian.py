@@ -43,6 +43,9 @@ SUITE_TOLS = {
     "codazzi-residual": 1e-4,
 }
 
+#: Parameter points, one per row: an (n, 3) array or a list of 3-vectors.
+Rows = Sequence[Sequence[float]]
+
 EPSILON = np.zeros((3, 3, 3))
 for _even in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPSILON[_even] = 1.0
@@ -222,56 +225,59 @@ class LagrangianCheck:
         return self.ok
 
 
-def is_lagrangian(
-    imm: Immersion, u: Sequence[float], tol: float = SUITE_TOLS["lagrangian"]
-) -> LagrangianCheck:
-    """Does J map the tangent space at imm(u) into the normal space?
+def is_lagrangian(imm: Immersion, us: Rows) -> list[LagrangianCheck]:
+    """Does J map the tangent space into the normal space, at each row of us?
 
     The residual is the largest |g(J E_a, E_b)| over an orthonormal tangent
-    frame, so the test is scale-free in the parametrization.
+    frame, so the test is scale-free in the parametrization; a row is ok when
+    it is below the suite's bound SUITE_TOLS["lagrangian"].
     """
-    r = float(_Package(imm, u, 1).lagrangian_residual[0])
-    return LagrangianCheck(r < tol, r)
+    tol = SUITE_TOLS["lagrangian"]
+    return [LagrangianCheck(r < tol, r) for r in _Package(imm, us, 1).lagrangian_residual.tolist()]
 
 
-def _require_lagrangian(label: str, us: Sequence[np.ndarray], residuals: Sequence[float]) -> None:
-    """Raise at the first point whose residual fails the precondition."""
+def require_lagrangian(
+    label: str, us: Rows, residuals: Sequence[float], tol: float = LAGRANGIAN_PRECONDITION_TOL
+) -> None:
+    """Raise at the first point whose Lagrangian residual is not below tol."""
     for u, residual in zip(us, residuals):
-        if not residual < LAGRANGIAN_PRECONDITION_TOL:
+        if not residual < tol:
             raise ValueError(
-                f"{label}: not Lagrangian at u={u.tolist()} (residual {residual:.3e})"
+                f"{label}: not Lagrangian at u={np.asarray(u).tolist()} (residual {residual:.3e})"
             )
 
 
-def _checked_point(imm: Immersion, u: Sequence[float], order: int) -> _Package:
-    """Frame package of the given order at u, once is_lagrangian has passed
-    the precondition."""
-    u = np.asarray(u, dtype=float)
-    chk = is_lagrangian(imm, u, LAGRANGIAN_PRECONDITION_TOL)
-    _require_lagrangian(imm.label, [u], [chk.residual])
-    return _Package(imm, u, order)
+def _checked_rows(imm: Immersion, us: Rows, order: int) -> _Package:
+    """Frame package of the given order at the rows of us, once is_lagrangian
+    has passed the precondition at every row."""
+    us = np.asarray(us, dtype=float).reshape(-1, 3)
+    require_lagrangian(imm.label, us, [chk.residual for chk in is_lagrangian(imm, us)])
+    return _Package(imm, us, order)
 
 
-def second_fundamental_form(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic components c_abk = g(h(E_a, E_b), JE_k) in an orthonormal frame,
-    and the (alpha, beta) components (6,) of the mean curvature vector H."""
-    pkg = _checked_point(imm, u, 2)
-    return pkg.c[0], pkg.H[0]
+def second_fundamental_form(imm: Immersion, us: Rows) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic components c_abk = g(h(E_a, E_b), JE_k) in an orthonormal frame
+    (n, 3, 3, 3), and the (alpha, beta) components (n, 6) of the mean
+    curvature vector H, at the rows of us."""
+    pkg = _checked_rows(imm, us, 2)
+    return pkg.c, pkg.H
 
 
-def ab_operators(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of the tangential split P E_a = sum_b (A_ab E_b + B_ab J E_b).
+def ab_operators(imm: Immersion, us: Rows) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices (n, 3, 3) of the tangential split
+    P E_a = sum_b (A_ab E_b + B_ab J E_b) at the rows of us.
 
     The sign of B is fixed by that expansion: B_ab = g(P E_a, J E_b), since
     {E_b, JE_b} is a g-orthonormal basis of the pulled-back tangent bundle.
     """
-    pkg = _checked_point(imm, u, 1)
-    return pkg.A[0], pkg.B[0]
+    pkg = _checked_rows(imm, us, 1)
+    return pkg.A, pkg.B
 
 
-def p_split_residual(imm: Immersion, u: Sequence[float]) -> float:
-    """Reconstruction error max_a |P E_a - sum_b (A_ab E_b + B_ab J E_b)|."""
-    return float(_p_split(_checked_point(imm, u, 1))[0])
+def p_split_residual(imm: Immersion, us: Rows) -> np.ndarray:
+    """Reconstruction error max_a |P E_a - sum_b (A_ab E_b + B_ab J E_b)|
+    at each row of us."""
+    return _p_split(_checked_rows(imm, us, 1))
 
 
 def _p_split(pkg: _Package) -> np.ndarray:
@@ -397,7 +403,7 @@ class AdaptedFrameData:
     dtheta_max_abs: float | None  # the largest |E_i(theta_j)|
 
 
-def frame_components(imm: Immersion, us: Sequence[Sequence[float]]) -> list[AdaptedFrameData]:
+def frame_components(imm: Immersion, us: Rows) -> list[AdaptedFrameData]:
     """Adapted-frame analysis at each row of us, from one order-2 package.
 
     Diagonalizes (A, B) on the orthonormalized pushforward frame, flips one
@@ -410,7 +416,7 @@ def frame_components(imm: Immersion, us: Sequence[Sequence[float]]) -> list[Adap
     precondition raises ValueError.
     """
     pkg = _Package(imm, us, 2)
-    _require_lagrangian(imm.label, pkg.us, pkg.lagrangian_residual)
+    require_lagrangian(imm.label, pkg.us, pkg.lagrangian_residual)
     return [_adapted_frame(pkg, i) for i in range(len(pkg.us))]
 
 
@@ -492,8 +498,8 @@ def _eigenfield_checks(
     return eq_residual, dtheta_residual, worst_residual(np.abs(deriv))
 
 
-def codazzi_residual(imm: Immersion, u: Sequence[float]) -> float:
-    """Largest frame-triple violation of the Codazzi equation.
+def codazzi_residual(imm: Immersion, us: Rows) -> np.ndarray:
+    """Largest frame-triple violation of the Codazzi equation at each row of us.
 
     Evaluates (del h)(X,Y,Z) - (del h)(Y,X,Z) minus
     (1/3)(g(AY,Z) JBX - g(AX,Z) JBY - g(BY,Z) JAX + g(BX,Z) JAY)
@@ -501,7 +507,7 @@ def codazzi_residual(imm: Immersion, u: Sequence[float]) -> float:
     derivative of the second fundamental form and its normal-connection term
     is expanded through the identity nabla-perp_X JY = J nabla_X Y + G(X,Y).
     """
-    return float(_codazzi(_checked_point(imm, u, 3))[0])
+    return _codazzi(_checked_rows(imm, us, 3))
 
 
 def _codazzi(pkg: _Package) -> np.ndarray:
@@ -624,7 +630,7 @@ def lagrangian_suite(
             )
         return records
 
-    _require_lagrangian(tag, pkg.us, pkg.lagrangian_residual)
+    require_lagrangian(tag, pkg.us, pkg.lagrangian_residual)
     c = pkg.c
     worsts = {
         "minimality": worst_residual(norm(pkg.H)),

@@ -469,6 +469,17 @@ def test_main_malformed_input_exits_two(
     assert err.startswith("nkverify: error:") and err.count("\n") == 1
 
 
+def test_main_fit_takes_no_seed(tmp_path, capsys) -> None:
+    # the fit draws nothing at random, so a seed is a usage error
+    path = tmp_path / "t.json"
+    path.write_text(build_h_from_V([1.0, 0.0, 0.0]).to_json())
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(path), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert main(["fit", str(path)]) == 0
+
+
 def test_main_missing_fit_file_exits_two(tmp_path, capsys) -> None:
     assert main(["fit", str(tmp_path / "absent.json")]) == 2
     assert "nkverify: error:" in capsys.readouterr().err

@@ -242,20 +242,31 @@ def test_theorem_harness_nan_cubic_form_fails(monkeypatch):
     # a NaN in h fails the harness and is its max_residual, instead of
     # vanishing inside the running maxima
     real = humfit.second_fundamental_form
-    calls = []
 
-    def nan_at_second_point(imm, u):
-        c, H = real(imm, u)
-        calls.append(u)
-        return (c * math.nan if len(calls) == 2 else c), H
+    def nan_in_second_row(imm, us):
+        c, H = real(imm, us)
+        c = c.copy()
+        c[1] = math.nan
+        return c, H
 
-    monkeypatch.setattr(humfit, "second_fundamental_form", nan_at_second_point)
+    monkeypatch.setattr(humfit, "second_fundamental_form", nan_in_second_row)
     rec = theorem_harness(example_by_label("diagonal"), grid=2)
     assert not rec.passed
     assert math.isnan(rec.max_residual)
     assert math.isnan(rec.details["max_symmetry_defect"])
     assert len(rec.failures) == 1 and math.isnan(rec.failures[0]["h_norm"])
     assert rec.details["fit_successes"] == 7
+
+
+def test_theorem_harness_evaluates_the_map_three_times():
+    # the precheck, second_fundamental_form's own precheck and its order-2
+    # package each evaluate the map once, as a jet, for the whole grid
+    imm = example_by_label("diagonal")
+    calls = []
+    imm.map_fn = lambda u, fn=imm.map_fn: calls.append(u) or fn(u)
+    rec = theorem_harness(imm, grid=3)
+    assert rec.passed and rec.samples == 27
+    assert len(calls) == 3
 
 
 def test_symmetry_defects_keep_nan():
