@@ -21,23 +21,30 @@ nonzero, in the order of the full formulas, so each class gets exactly the
 dense expression's value at its sorted index, on exact and mpmath states
 alike.  No arithmetic is spent on exact zeros: a Codazzi scalar skips each
 product whose h factor is zero and stores a D-coefficient only where its dh
-entry is nonzero, and `AffineExpr.subst` drops a variable whose coefficient
-is zero without scaling the substituted expression.
+entry is nonzero.
 
 An exact state computes its tables on integer numerators.  With D the lcm
 of the denominators of v, w = D v is an integer vector, and the three
 distinct cotangents are put over one common denominator Q (cot(b, a) =
 -cot(a, b)).  h is then D^-3 times integers, dh D^-2 times integers and
 omega (6 D^3 Q)^-1 times an element of Z[sqrt(3)], whose sqrt(3) part comes
-only from 1/(2 sqrt 3).  A Codazzi constant is a sum of h-omega products, so
-its numerator is one integer rational part and one integer sqrt(3) part over
-6 D^6 Q; it is divided once (one Fraction each), and the angle term
--sin 2(theta_i - theta_j)/3 is added last.  Each table entry is likewise
-divided once.  A value is a QSqrt3 exactly where its numerator has a
-Z[sqrt(3)] part, which is where the rational-arithmetic formulas give a
-QSqrt3, so the reports keep their types.  The mpmath state runs the same
-formulas at scale 1, where the numerators are the values and nothing is
-divided, so its operations and their order are those of the plain formulas.
+only from 1/(2 sqrt 3).  A Codazzi row is kept over one denominator per
+state, L = lcm(6 D^6 Q, A) with A the common denominator of the three
+sin 2(theta_a - theta_b)/3: its D-coefficients are the (rational) dh
+numerators times L / D^2, and its constant, a sum of h-omega products plus
+the angle term, is one integer rational part and one integer sqrt(3) part.
+The exact solver eliminates these integer rows fraction-free (Bareiss): each
+update is divided exactly by the previous pivot, every pivot is an integer,
+and no Fraction or QSqrt3 is built until the results are read, when each
+solution is divided once by the last pivot and each leftover once by the
+last pivot times L.  Pivots are still the first rows with a nonzero
+coefficient, so the pivot order, rank and free variables are those of
+value-form elimination, and a value is a QSqrt3 exactly where the
+rational-arithmetic formulas give a QSqrt3, so the reports keep their types.
+The mpmath state runs the same formulas at scale 1, where the numerators
+are the values and nothing is divided, and eliminates its values with
+magnitude pivoting, so its operations and their order are those of the
+plain formulas.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from .exact import (
     ZSqrt3,
     angle_add,
     angle_sub,
+    divide_exactly,
     poly_identity_check,
     rat_circle_point,
 )
@@ -156,8 +164,8 @@ class _OmegaScale(NamedTuple):
 
     den is the scale of omega; sigma, inv_sqrt3 and cot are the numerators of
     1/(2 sqrt 3), 1/sqrt(3) and cot(theta_a - theta_b), keyed by (a, b), at
-    that scale; const_den = D^3 den is the scale of a Codazzi constant, a sum
-    of h-omega products.
+    that scale; const_den = D^3 den is the scale of a sum of h-omega
+    products.
     """
 
     den: object
@@ -167,15 +175,31 @@ class _OmegaScale(NamedTuple):
     const_den: object
 
 
+class _RowScale(NamedTuple):
+    """The scale of a state's Codazzi rows and the numerators they need.
+
+    den is the scale of a row, L for an exact state.  coeff_mult = den / D^2
+    carries a dh numerator to it, const_mult = den / const_den a sum of
+    h-omega products, and angle holds sin 2(theta_a - theta_b)/3 at it,
+    keyed by (a, b).
+    """
+
+    den: object
+    coeff_mult: object
+    const_mult: object
+    angle: dict
+
+
 class _StateCaches:
     """Lazy per-state tables shared by the exact and floating variants.
 
     Every table is computed by one formula on numerators: `_w` holds D v,
     `_omega_scale()` the scale of omega with the numerators of the cotangents,
-    of 1/(2 sqrt 3) and of 1/sqrt(3), and `_over(x, den)` turns a numerator
-    into its value.  The exact state's numerators are integers, with a
-    Z[sqrt(3)] part where sqrt(3) enters; the floating state's scale is 1,
-    its numerators are its values and `_over` returns them untouched.
+    of 1/(2 sqrt 3) and of 1/sqrt(3), `_row_scale()` the scale of a Codazzi
+    row, and `_over(x, den)` turns a numerator into its value.  The exact
+    state's numerators are integers, with a Z[sqrt(3)] part where sqrt(3)
+    enters; the floating state's scales are 1, its numerators are its values
+    and `_over` returns them untouched.
 
     h and dh come from `hijk_from_v` and `hijk_gradient` at scales D^3 and
     D^2, omega from `omega_numerators` at scale 6 D^3 Q.  The shifted table
@@ -190,23 +214,17 @@ class _StateCaches:
     _w: list
     _D: int
     _h_num: dict | None
-    _h: dict | None
-    _dh: dict | None
+    _dh_num: dict | None
     _om_scale: _OmegaScale | None
+    _rows: _RowScale | None
     _om_num: dict | None
-    _omega: dict | None
     _shifted_num: dict | None
     _curl_num: dict
 
     def _reset_tables(self) -> None:
-        self._h_num = self._h = self._dh = self._om_scale = self._om_num = None
-        self._omega = self._shifted_num = None
+        self._h_num = self._dh_num = self._om_scale = self._rows = self._om_num = None
+        self._shifted_num = None
         self._curl_num = {}
-
-    def _by_class(self, table: dict, classes: dict, reps: tuple, den) -> dict:
-        """The values of a symmetric numerator table, one `_over` per class."""
-        values = {rep: self._over(table[rep], den) for rep in reps}
-        return {key: values[rep] for key, rep in classes.items()}
 
     def h_numerators(self) -> dict:
         """h at scale D^3: entry (i, j, k) is D^3 h_ij^k."""
@@ -214,27 +232,17 @@ class _StateCaches:
             self._h_num = hijk_from_v(self._w)
         return self._h_num
 
-    def h_table(self) -> dict:
-        if self._h is None:
-            self._h = self._by_class(self.h_numerators(), _H_CLASS, _H_REPS, self._D ** 3)
-        return self._h
-
-    def dh_table(self) -> dict:
-        if self._dh is None:
-            self._dh = self._by_class(hijk_gradient(self._w), _DH_CLASS, _DH_REPS, self._D ** 2)
-        return self._dh
+    def dh_numerators(self) -> dict:
+        """dh at scale D^2: entry (j, k, l, m) is D^2 d h_jk^l / d v_m."""
+        if self._dh_num is None:
+            self._dh_num = hijk_gradient(self._w)
+        return self._dh_num
 
     def omega_numerators(self) -> dict:
         """omega at its scale: entry (i, j, k) is 6 D^3 Q omega_ij^k."""
         if self._om_num is None:
             self._om_num = omega_numerators(self)
         return self._om_num
-
-    def omega_table(self) -> dict:
-        if self._omega is None:
-            den = self._omega_scale().den
-            self._omega = {key: self._over(x, den) for key, x in self.omega_numerators().items()}
-        return self._omega
 
     def shifted_numerators(self) -> dict:
         """Entry (i, m, l) is omega_im^l - eps_iml / sqrt(3), at omega's scale.
@@ -271,7 +279,9 @@ class FrameState(_StateCaches):
     some sin(theta_a - theta_b) vanishes, since the connection components
     divide by those factors.  The tables are built on integers: w = D v with
     D the lcm of the denominators of v, and the three distinct cotangents
-    over their common denominator Q, with cot(b, a) = -cot(a, b).
+    over their common denominator Q, with cot(b, a) = -cot(a, b).  A Codazzi
+    row's constant is over L = lcm(6 D^6 Q, A), with A the common
+    denominator of the three sin 2(theta_a - theta_b)/3.
     """
 
     exact = True
@@ -288,7 +298,7 @@ class FrameState(_StateCaches):
             self._diffs[(a, a)] = CIRCLE_ONE
         if any(self._diffs[(a, b)].s == 0 for a, b in CANONICAL_PAIRS):
             raise ValueError("state rejected: some sin(theta_a - theta_b) vanishes")
-        self._cot = None
+        self._cot = self._thirds = None
 
     def _set_v(self, v: Sequence[Fraction]) -> None:
         self.v = {m: Fraction(v[m - 1]) for m in AXES}
@@ -299,17 +309,17 @@ class FrameState(_StateCaches):
     def with_v(self, v: Sequence[Fraction]) -> "FrameState":
         """The state at another v with the same, already validated, angles.
 
-        The circle points, their differences and the cotangent numerators
-        are shared, not rebuilt.
+        The circle points, their differences, the cotangent numerators and
+        the angle terms of the rows are shared, not rebuilt.
         """
         st = object.__new__(FrameState)
         st._set_v(v)
-        st.angles, st._diffs, st._cot = self.angles, self._diffs, self._cotangents()
+        st.angles, st._diffs = self.angles, self._diffs
+        st._cot, st._thirds = self._cotangents(), self._angle_thirds()
         return st
 
     # ring interface -------------------------------------------------------
     zero = Fraction(0)
-    one = Fraction(1)
     third = Fraction(1, 3)
     sigma = HALF_INV_SQRT3
     inv_sqrt3 = INV_SQRT3
@@ -351,13 +361,38 @@ class FrameState(_StateCaches):
             )
         return self._om_scale
 
+    def _angle_thirds(self) -> tuple[int, dict]:
+        """A and the numerators A sin 2(theta_a - theta_b)/3 for all (a, b).
+
+        Three are computed; the reverse pairs are their negatives and the
+        diagonal is zero.
+        """
+        if self._thirds is None:
+            thirds = {ab: self.sin2(*ab) / 3 for ab in CANONICAL_PAIRS}
+            den = lcm(*(t.denominator for t in thirds.values()))
+            num = {(a, a): 0 for a in AXES}
+            for (a, b), t in thirds.items():
+                num[(a, b)] = t.numerator * (den // t.denominator)
+                num[(b, a)] = -num[(a, b)]
+            self._thirds = (den, num)
+        return self._thirds
+
+    def _row_scale(self) -> _RowScale:
+        """Rows at L = lcm(6 D^6 Q, A), a multiple of D^2."""
+        if self._rows is None:
+            const_den = self._omega_scale().const_den
+            a, thirds = self._angle_thirds()
+            den = lcm(const_den, a)
+            mult = den // a
+            self._rows = _RowScale(
+                den,
+                den // self._D ** 2,
+                den // const_den,
+                {ab: x * mult for ab, x in thirds.items()},
+            )
+        return self._rows
+
     # angle data -----------------------------------------------------------
-    def sin(self, a: int, b: int) -> Fraction:
-        return self._diffs[(a, b)].s
-
-    def cos(self, a: int, b: int) -> Fraction:
-        return self._diffs[(a, b)].c
-
     def cot(self, a: int, b: int) -> Fraction:
         d = self._diffs[(a, b)]
         return d.c / d.s
@@ -431,11 +466,13 @@ class FloatFrameState(_StateCaches):
             self._om_scale = _OmegaScale(1, self.sigma, self.inv_sqrt3, cot, 1)
         return self._om_scale
 
-    def sin(self, a: int, b: int):
-        return self._s[(a, b)]
-
-    def cos(self, a: int, b: int):
-        return self._c[(a, b)]
+    def _row_scale(self) -> _RowScale:
+        """Scale 1, with the angle terms third * sin2(a, b) as the plain formula
+        multiplies them."""
+        if self._rows is None:
+            angle = {(a, b): self.third * self.sin2(a, b) for a, b in product(AXES, AXES)}
+            self._rows = _RowScale(1, 1, 1, angle)
+        return self._rows
 
     def cot(self, a: int, b: int):
         return self._c[(a, b)] / self._s[(a, b)]
@@ -504,7 +541,6 @@ _H_LINEAR = {
     )
     for i, j, k in combinations_with_replacement(AXES, 3)
 }
-_H_REPS = tuple(_H_LINEAR)
 
 
 def hijk_from_v(v: Sequence) -> dict[tuple[int, int, int], object]:
@@ -550,7 +586,6 @@ _DH_TERMS = {
     for jkl in combinations_with_replacement(AXES, 3)
     for m in AXES
 }
-_DH_REPS = tuple(_DH_TERMS)
 
 
 def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
@@ -628,12 +663,14 @@ def codazzi_scalar(
 ) -> AffineExpr:
     """JE_l-component of the antisymmetrized Codazzi equation on (E_i,E_j,E_k).
 
-    Returns the scalar that must vanish, affine in the unknowns D_am.  The
-    `vanishing` set lists components v_m assumed identically zero, whose
-    derivatives D_am are then dropped as well.
+    Returns the scalar that must vanish, affine in the unknowns D_am, as
+    numerators at the state's row scale L (see `_RowScale`): integer
+    D-coefficients and an int or Z[sqrt(3)] constant, L times the scalar.
+    `codazzi_values` divides them.  The `vanishing` set lists components v_m
+    assumed identically zero, whose derivatives D_am are then dropped as well.
     """
     h = st.h_numerators()
-    dh = st.dh_table()
+    dh = st.dh_numerators()
     om = st.omega_numerators()
     shifted = st.shifted_numerators()
     curl = st.curl_numerators(i, j)
@@ -652,7 +689,7 @@ def codazzi_scalar(
     # a product with an exactly zero h factor (or Kronecker factor) adds zero,
     # so it is skipped; the remaining terms keep the order of the full sum.
     # Every product is an h numerator times an omega-scale numerator, so the
-    # sum is divided once by the product of the two scales.
+    # sum is at the product of the two scales.
     const = st._zero_num
     for m in AXES:
         if h[(j, k, m)]:
@@ -665,11 +702,27 @@ def codazzi_scalar(
             const = const - om[(i, k, m)] * h[(j, m, l)]
         if h[(i, m, l)]:
             const = const + om[(j, k, m)] * h[(i, m, l)]
-    const = st._over(const, st._omega_scale().const_den)
+    rows = st._row_scale()
+    if rows.den != 1:
+        # one integer factor each takes the sum and the dh numerators to L
+        const = const * rows.const_mult
+        coeffs = {v: c * rows.coeff_mult for v, c in coeffs.items()}
     angle = delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
     if angle:
-        const = const - st.third * st.sin2(i, j) * angle
+        const = const - rows.angle[(i, j)] * angle
     return AffineExpr(const, coeffs)
+
+
+def codazzi_values(st, row: AffineExpr) -> AffineExpr:
+    """A `codazzi_scalar` row as values: each numerator divided once by L.
+
+    An exact value is a QSqrt3 exactly where its numerator has a Z[sqrt(3)]
+    part; at the floating state's scale 1 the row is returned as its values.
+    """
+    den = st._row_scale().den
+    if den == 1:
+        return row
+    return AffineExpr(st._over(row.const, den), {v: st._over(c, den) for v, c in row.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +763,10 @@ def solve_triple_system(
     the system leaves them free.  Variables in `free_vars` are never pivoted;
     they survive as symbols in the returned expressions, which makes solution
     families comparable across different subsystems sharing a free unknown.
+
+    An exact state eliminates its integer rows fraction-free
+    (`eliminate_fraction_free`) and divides once when it reads the results;
+    a floating state eliminates its values with magnitude pivoting.
     """
     if st.is_zero(st.ec_value):
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
@@ -720,25 +777,37 @@ def solve_triple_system(
     present: list[DVar] = sorted(
         {v for r in rows for v in r.free_vars(st.is_zero)}
     )
-    designated = [u for u in unknowns]
+    designated = list(unknowns)
     extra_vars = [v for v in present if v not in designated and v not in free_vars]
+    eliminate = _eliminate_integers if st.exact else _eliminate_values
+    final, leftovers = eliminate(st, rows, present, extra_vars + designated)
+    return SolveResult(
+        solutions={u: final[u] for u in designated if u in final},
+        extras={v: final[v] for v in extra_vars if v in final},
+        leftovers=leftovers,
+        rank=len(final),
+        n_rows=len(rows),
+        free=[u for u in designated if u not in final],
+    )
 
+
+def _eliminate_values(st, rows, present, pivot_vars) -> tuple[dict, list]:
+    """Gaussian elimination of a floating state's rows, which at scale 1 are
+    their values.
+
+    Each variable in turn is pivoted on the active row where its coefficient
+    is largest in magnitude, solved for and substituted into the other rows;
+    the solutions are then back-substituted in reverse pivot order.
+    """
     defs: dict[DVar, AffineExpr] = {}
     order: list[DVar] = []
     active = list(rows)
-    for var in extra_vars + designated:
-        pivot_idx = None
-        if st.exact:
-            for idx, row in enumerate(active):
-                if not st.is_zero(row.coeff(var, st.zero)):
-                    pivot_idx = idx
-                    break
-        else:
-            best = None
-            for idx, row in enumerate(active):
-                mag = abs(row.coeff(var, st.zero))
-                if mag > st.zero_tol and (best is None or mag > best):
-                    best, pivot_idx = mag, idx
+    for var in pivot_vars:
+        best = pivot_idx = None
+        for idx, row in enumerate(active):
+            mag = abs(row.coeff(var, st.zero))
+            if mag > st.zero_tol and (best is None or mag > best):
+                best, pivot_idx = mag, idx
         if pivot_idx is None:
             continue
         row = active.pop(pivot_idx)
@@ -755,16 +824,97 @@ def solve_triple_system(
         for w, we in final.items():
             e = e.subst(w, we)
         final[var] = e
+    return final, active
 
-    solved_set = set(order)
-    return SolveResult(
-        solutions={u: final[u] for u in designated if u in final},
-        extras={v: final[v] for v in extra_vars if v in final},
-        leftovers=active,
-        rank=len(order),
-        n_rows=len(rows),
-        free=[u for u in designated if u not in solved_set],
-    )
+
+class FractionFree(NamedTuple):
+    """Outcome of `eliminate_fraction_free` on integer rows.
+
+    pivots: (column, pivot row) in pivot order; the pivot is row[column].
+    free: the columns never pivoted, then the constant's index.
+    solved: per pivoted column, `last` times its solution (an affine form in
+    the never-pivoted columns) as integer numerators over `free`.
+    leftovers: the rows no pivot consumed, over `free`: `last` times what
+    value-form elimination leaves of them.
+    last: the last pivot, 1 when nothing was pivoted.
+    """
+
+    pivots: list
+    free: list
+    solved: dict
+    leftovers: list
+    last: object
+
+
+def eliminate_fraction_free(rows: Sequence[Sequence], order: Sequence[int]) -> FractionFree:
+    """Bareiss's integer-preserving Gaussian elimination.
+
+    Each row lists integer coefficients and then its constant, an int or a
+    ZSqrt3.  Columns are pivoted in `order`, each on the first active row
+    whose entry is nonzero; a column with none is skipped.  Every update
+    p * r - a * pivot_row is divided exactly by the previous pivot, so each
+    entry stays an integer minor of the input (Sylvester's identity), and
+    `divide_exactly` raises ArithmeticError on a nonzero remainder.  A row
+    whose entry in the pivot column is zero is only rescaled, so a constant
+    becomes a ZSqrt3 exactly where value-form elimination would have mixed
+    a QSqrt3 into it.  Back substitution in reverse pivot order keeps last
+    times each solution on integers: those numerators are Cramer's rule's,
+    and each of its divisions by a pivot is exact too.
+    """
+    active = [list(r) for r in rows]
+    live = list(range(len(rows[0])))
+    pivots = []
+    prev = 1
+    for j in order:
+        idx = next((n for n, row in enumerate(active) if row[j]), None)
+        if idx is None:
+            continue
+        prow = active.pop(idx)
+        p = prow[j]
+        live.remove(j)
+        for row in active:
+            a = row[j]
+            if a:
+                for c in live:
+                    row[c] = divide_exactly(p * row[c] - a * prow[c], prev)
+            else:
+                for c in live:
+                    row[c] = divide_exactly(p * row[c], prev)
+        pivots.append((j, prow))
+        prev = p
+    solved: dict = {}
+    for j, prow in reversed(pivots):
+        acc = [prev * prow[c] for c in live]
+        for jw, later in solved.items():
+            a = prow[jw]
+            if a:
+                acc = [x + a * y for x, y in zip(acc, later)]
+        solved[j] = [divide_exactly(-x, prow[j]) for x in acc]
+    leftovers = [[row[c] for c in live] for row in active]
+    return FractionFree(pivots, live, solved, leftovers, prev)
+
+
+def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
+    """Fraction-free elimination of an exact state's integer rows, read once.
+
+    Each row is L times its scalar, which scales no solution: with P the
+    last pivot, a solution is its numerators over P, and a leftover its row
+    over P L.
+    """
+    col = {v: n for n, v in enumerate(present)}
+    matrix = [[r.coeffs.get(v, 0) for v in present] + [r.const] for r in rows]
+    out = eliminate_fraction_free(matrix, [col[v] for v in pivot_vars if v in col])
+    free = [present[c] for c in out.free[:-1]]
+
+    def read(nums, den) -> AffineExpr:
+        *coeffs, const = nums
+        return AffineExpr(
+            st._over(const, den), {v: Fraction(c, den) for v, c in zip(free, coeffs) if c}
+        )
+
+    final = {present[j]: read(nums, out.last) for j, nums in out.solved.items()}
+    leftovers = [read(r, out.last * st._row_scale().den) for r in out.leftovers]
+    return final, leftovers
 
 
 # ---------------------------------------------------------------------------
@@ -820,20 +970,27 @@ def frame_relation_check(trials: int = 120, seed: int = 0) -> CheckRecord:
     """h_ij^k cos(th_j - th_k) = (eps_ijk/(2 sqrt 3) - omega_ij^k) sin(th_j - th_k).
 
     Exact identity linking the cubic-form components and the connection
-    components, for all i and all j != k, at random valid states.
+    components, for all i and all j != k, at random valid states.  It is
+    compared on integers, times 6 D^3 Q E: 6 Q H C = (sigma eps - Omega) S,
+    with H and Omega the h and omega numerators, sigma that of 1/(2 sqrt 3),
+    and C and S the numerators of the cosine and sine over their common
+    denominator E (a rational point of the circle in lowest terms has one).
     """
     rng = random.Random(seed)
     failures = []
     for n in range(trials):
         st = random_frame_state(rng, require_ec=False)
-        h = st.h_table()
-        om = st.omega_table()
+        h = st.h_numerators()
+        om = st.omega_numerators()
+        six_q = 6 * st._cotangents()[0]
+        sigma = st._omega_scale().sigma
         for i, j, k in product(AXES, AXES, AXES):
             if j == k:
                 continue
-            lhs = h[(i, j, k)] * st.cos(j, k)
-            rhs = (st.sigma * epsilon(i, j, k) - om[(i, j, k)]) * st.sin(j, k)
-            if lhs - rhs != 0:
+            d = st._diffs[(j, k)]
+            lhs = six_q * h[(i, j, k)] * d.c.numerator
+            rhs = (sigma * epsilon(i, j, k) - om[(i, j, k)]) * d.s.numerator
+            if lhs - rhs:
                 failures.append({"state": st.describe(), "index": (i, j, k)})
     return CheckRecord(
         check_id="frame-relation",
@@ -1044,7 +1201,7 @@ def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
             continue
         rows = []
         for l in AXES:
-            e = codazzi_scalar(st, 1, 2, 2, l, vanishing)
+            e = codazzi_values(st, codazzi_scalar(st, 1, 2, 2, l, vanishing))
             for var, expr in res.solutions.items():
                 e = e.subst(var, expr)
             rows.append(e)
@@ -1166,7 +1323,7 @@ def case3_check(trials: int = 60, tol: float = CASE3_TOL, seed: int = 0) -> Chec
             reached += 1
             resid = mp.mpf(0)
             for l in AXES:
-                e = codazzi_scalar(st, 1, 2, 3, l, vanishing)
+                e = codazzi_values(st, codazzi_scalar(st, 1, 2, 3, l, vanishing))
                 for var, expr in res.solutions.items():
                     e = e.subst(var, AffineExpr(expr.const))
                 if e.coeffs and any(abs(c) > st.zero_tol for c in e.coeffs.values()):

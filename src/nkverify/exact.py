@@ -1,10 +1,11 @@
 """Exact scalar arithmetic for the verification engine.
 
 Provides arbitrary-precision rationals, the real quadratic field Q(sqrt(3)),
-integer numerators in Z[sqrt(3)] for sums kept over one common denominator,
-rational points on the unit circle (exact cosine/sine pairs), and a
-randomized polynomial identity test.  Nothing in this module ever rounds
-through floating point; sqrt(3) stays symbolic.
+integer numerators in Z[sqrt(3)] for sums kept over one common denominator
+with a checked exact division, rational points on the unit circle (exact
+cosine/sine pairs), and a randomized polynomial identity test.  Nothing in
+this module ever rounds through floating point or truncates a quotient;
+sqrt(3) stays symbolic.
 """
 
 from __future__ import annotations
@@ -222,6 +223,20 @@ class ZSqrt3:
         return f"ZSqrt3({self.a!r}, {self.b!r})"
 
 
+def divide_exactly(x, d: int):
+    """The quotient of an int or ZSqrt3 x by a nonzero int d that divides it.
+
+    Raises ArithmeticError when the remainder is not zero: a quotient is never
+    truncated.
+    """
+    if isinstance(x, ZSqrt3):
+        return ZSqrt3(divide_exactly(x.a, d), divide_exactly(x.b, d))
+    q, r = divmod(x, d)
+    if r:
+        raise ArithmeticError(f"{d} does not divide {x}")
+    return q
+
+
 #: sqrt(3) as a field element.
 SQRT3 = QSqrt3(0, 1)
 #: 1/sqrt(3) == sqrt(3)/3.
@@ -251,7 +266,20 @@ class CirclePoint:
 
     def conjugate(self) -> "CirclePoint":
         """The point of the negated angle."""
-        return CirclePoint(self.c, -self.s)
+        return _on_circle(self.c, -self.s)
+
+
+def _on_circle(c: Fraction, s: Fraction) -> CirclePoint:
+    """A CirclePoint built without the c**2 + s**2 == 1 check.
+
+    Only for coordinates on the circle by construction: the conjugate, sum or
+    difference of checked points, as |c + i s| is kept by conjugation and is
+    multiplicative.
+    """
+    pt = object.__new__(CirclePoint)
+    object.__setattr__(pt, "c", c)
+    object.__setattr__(pt, "s", s)
+    return pt
 
 
 #: Angle zero.
@@ -271,12 +299,12 @@ def rat_circle_point(t: RationalLike) -> CirclePoint:
 
 def angle_add(p: CirclePoint, q: CirclePoint) -> CirclePoint:
     """Circle point of the sum of the two angles."""
-    return CirclePoint(p.c * q.c - p.s * q.s, p.s * q.c + p.c * q.s)
+    return _on_circle(p.c * q.c - p.s * q.s, p.s * q.c + p.c * q.s)
 
 
 def angle_sub(p: CirclePoint, q: CirclePoint) -> CirclePoint:
     """Circle point of the difference of the two angles."""
-    return CirclePoint(p.c * q.c + p.s * q.s, p.s * q.c - p.c * q.s)
+    return _on_circle(p.c * q.c + p.s * q.s, p.s * q.c - p.c * q.s)
 
 
 def poly_identity_check(

@@ -1,0 +1,186 @@
+"""Value-form oracle for the proof layer's tables and Codazzi solves.
+
+Before the exact replay eliminated integer rows fraction-free, it built each
+Codazzi scalar from value tables (Fraction, QSqrt3, or mpf on a floating
+state) and eliminated those values in the field: each pivot row was scaled by
+the inverse of its pivot and substituted into the others, and the solutions
+were back-substituted in reverse pivot order.  That code lives here as an
+independent reference.  Its tables come from the dense formulas below, not
+from the module's numerators, so it shares nothing with the solver under test
+but the state's v and its angle accessors (cot, sin2) and the AffineExpr
+container.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from nkverify.codazzi import AXES, AffineExpr, SolveResult, delta, epsilon
+
+
+def dense_h(v) -> dict:
+    """h_ij^k = |v|^2 (v_i d_jk + v_j d_ki + v_k d_ij) - 5 v_i v_j v_k, every key."""
+    vv = {m: v[m - 1] for m in AXES}
+    v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
+    return {
+        (i, j, k): v2 * (vv[i] * delta(j, k) + vv[j] * delta(k, i) + vv[k] * delta(i, j))
+        - 5 * vv[i] * vv[j] * vv[k]
+        for i, j, k in product(AXES, AXES, AXES)
+    }
+
+
+def dense_dh(v) -> dict:
+    """d h_jk^l / d v_m for every key, by the displayed gradient formula."""
+    vv = {m: v[m - 1] for m in AXES}
+    v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
+    out = {}
+    for j, k, l, m in product(AXES, AXES, AXES, AXES):
+        out[(j, k, l, m)] = (
+            2 * vv[m] * (vv[j] * delta(k, l) + vv[k] * delta(l, j) + vv[l] * delta(j, k))
+            + v2 * (delta(j, m) * delta(k, l) + delta(k, m) * delta(l, j)
+                    + delta(l, m) * delta(j, k))
+            - 5 * (delta(j, m) * vv[k] * vv[l] + vv[j] * delta(k, m) * vv[l]
+                   + vv[j] * vv[k] * delta(l, m))
+        )
+    return out
+
+
+def dense_omega(st) -> dict:
+    """The connection components by their nine displayed formulas, with one
+    `cot` call per use, as values (Fraction or QSqrt3, or mpf)."""
+    v1, v2, v3 = st.v[1], st.v[2], st.v[3]
+    q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
+    five_v = 5 * v1 * v2 * v3
+    displays = {
+        (1, 1, 2): -v2 * (-4 * q1 + q2 + q3) * st.cot(1, 2),
+        (1, 1, 3): -v3 * (-4 * q1 + q2 + q3) * st.cot(1, 3),
+        (2, 2, 1): -v1 * (q1 - 4 * q2 + q3) * st.cot(2, 1),
+        (2, 2, 3): -v3 * (q1 - 4 * q2 + q3) * st.cot(2, 3),
+        (3, 3, 1): -v1 * (q1 + q2 - 4 * q3) * st.cot(3, 1),
+        (3, 3, 2): -v2 * (q1 + q2 - 4 * q3) * st.cot(3, 2),
+        (1, 2, 3): st.sigma + five_v * st.cot(2, 3),
+        (2, 3, 1): st.sigma + five_v * st.cot(3, 1),
+        (3, 1, 2): st.sigma + five_v * st.cot(1, 2),
+    }
+    out = {}
+    for i, j, k in product(AXES, AXES, AXES):
+        if j == k:
+            out[(i, j, k)] = st.zero
+        elif (i, j, k) in displays:
+            out[(i, j, k)] = displays[(i, j, k)]
+        else:
+            out[(i, j, k)] = -displays[(i, k, j)]
+    return out
+
+
+def dense_tables(st):
+    """h, dh, omega and the shifted omega of the state from the formulas above.
+
+    h and dh are read at the sorted index of each entry's symmetry class, the
+    index the state's table computes it at; the shifted entry subtracts
+    eps/sqrt(3) only where eps != 0, so a rational omega stays a Fraction.
+    """
+    v = [st.v[m] for m in AXES]
+    full_h, full_dh = dense_h(v), dense_dh(v)
+    h = {key: full_h[tuple(sorted(key))] for key in full_h}
+    dh = {(j, k, l, m): full_dh[(*sorted((j, k, l)), m)] for j, k, l, m in full_dh}
+    om = dense_omega(st)
+    shifted = {}
+    for key in product(AXES, AXES, AXES):
+        eps = epsilon(*key)
+        shifted[key] = om[key] - st.inv_sqrt3 * eps if eps else om[key]
+    return h, dh, om, shifted
+
+
+def dense_scalar(st, tables, i, j, k, l, vanishing=frozenset()) -> AffineExpr:
+    """The Codazzi scalar summed term by term in the tables' own arithmetic.
+
+    A product whose h factor is exactly zero is left out: it adds an exact
+    zero, so the value is the full sum's, and the constant is a QSqrt3
+    exactly where a nonzero h entry meets a sqrt(3) in omega.
+    """
+    h, dh, om, shifted = tables
+    coeffs = {}
+    for m in AXES:
+        if m in vanishing:
+            continue
+        c = dh[(j, k, l, m)]
+        if c:
+            coeffs[(i, m)] = c
+        c = dh[(i, k, l, m)]
+        if c:
+            coeffs[(j, m)] = coeffs[(j, m)] - c if (j, m) in coeffs else -c
+    const = st.zero
+    for m in AXES:
+        if h[(j, k, m)]:
+            const = const + h[(j, k, m)] * shifted[(i, m, l)]
+        if h[(i, k, m)]:
+            const = const - h[(i, k, m)] * shifted[(j, m, l)]
+        if h[(m, k, l)]:
+            const = const - (om[(i, j, m)] - om[(j, i, m)]) * h[(m, k, l)]
+        if h[(j, m, l)]:
+            const = const - om[(i, k, m)] * h[(j, m, l)]
+        if h[(i, m, l)]:
+            const = const + om[(j, k, m)] * h[(i, m, l)]
+    const = const - st.third * st.sin2(i, j) * (
+        delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
+    )
+    return AffineExpr(const, coeffs)
+
+
+def _subst(e: AffineExpr, var, expr: AffineExpr) -> AffineExpr:
+    """e with D_var replaced by expr; a zero coefficient only drops D_var."""
+    if var not in e.coeffs:
+        return e
+    c = e.coeffs[var]
+    rest = AffineExpr(e.const, {v: k for v, k in e.coeffs.items() if v != var})
+    return rest + expr.scale(c) if c else rest
+
+
+def oracle_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> SolveResult:
+    """`solve_triple_system` by value-form elimination.
+
+    An exact state pivots on the first row with a nonzero coefficient, a
+    floating state on the largest magnitude above its zero tolerance.
+    """
+    if st.is_zero(st.ec_value):
+        raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
+    tables = dense_tables(st)
+    rows = [
+        dense_scalar(st, tables, i, j, k, l, vanishing) for i, j, k in triples for l in AXES
+    ]
+    present = sorted({v for r in rows for v, c in r.coeffs.items() if not st.is_zero(c)})
+    designated = list(unknowns)
+    extra_vars = [v for v in present if v not in designated and v not in free_vars]
+    defs, order, active = {}, [], list(rows)
+    for var in extra_vars + designated:
+        pivot_idx = best = None
+        for idx, r in enumerate(active):
+            c = r.coeff(var, st.zero)
+            if st.exact and c != 0:
+                pivot_idx = idx
+                break
+            if not st.exact and abs(c) > st.zero_tol and (best is None or abs(c) > best):
+                best, pivot_idx = abs(c), idx
+        if pivot_idx is None:
+            continue
+        row = active.pop(pivot_idx)
+        a = row.coeff(var, st.zero)
+        rest = AffineExpr(row.const, {w: c for w, c in row.coeffs.items() if w != var})
+        defs[var] = rest.scale(-(1 / a))
+        order.append(var)
+        active = [_subst(r, var, defs[var]) for r in active]
+    final = {}
+    for var in reversed(order):
+        e = defs[var]
+        for w, we in final.items():
+            e = _subst(e, w, we)
+        final[var] = e
+    return SolveResult(
+        solutions={u: final[u] for u in designated if u in final},
+        extras={v: final[v] for v in extra_vars if v in final},
+        leftovers=active,
+        rank=len(order),
+        n_rows=len(rows),
+        free=[u for u in designated if u not in final],
+    )

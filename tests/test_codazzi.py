@@ -30,11 +30,12 @@ from nkverify.codazzi import (
     case3_check,
     case3_closed_forms,
     codazzi_scalar,
+    codazzi_values,
     constrained_theta2,
     delta,
     det_factorization_check,
     det_product_form,
-    epsilon,
+    eliminate_fraction_free,
     frame_relation_check,
     hijk_from_v,
     hijk_gradient,
@@ -43,7 +44,9 @@ from nkverify.codazzi import (
     system1_check,
     _case2_displays,
 )
-from nkverify.exact import QSqrt3, angle_sub, rat_circle_point
+from nkverify.exact import QSqrt3, ZSqrt3, angle_sub, rat_circle_point
+
+from exact_oracle import dense_dh, dense_h, dense_scalar, dense_tables, oracle_solve
 
 small_fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -63,11 +66,19 @@ def _evaluate(e: AffineExpr, assignment: dict, zero):
     return val
 
 
+def _values(st_, table: dict, den) -> dict:
+    """A numerator table of the state divided by its scale, entry by entry."""
+    return {key: st_._over(x, den) for key, x in table.items()}
+
+
+def _omega_values(st_) -> dict:
+    return _values(st_, st_.omega_numerators(), st_._omega_scale().den)
+
+
 def _shifted_values(st_) -> dict:
     """The state's shifted connection omega_im^l - eps_iml/sqrt(3) as
     values: its numerators over omega's scale."""
-    den = st_._omega_scale().den
-    return {key: st_._over(x, den) for key, x in st_.shifted_numerators().items()}
+    return _values(st_, st_.shifted_numerators(), st_._omega_scale().den)
 
 
 # ---------------------------------------------------------------------------
@@ -142,115 +153,7 @@ def test_h_gradient_by_richardson_differences() -> None:
 
 
 # ---------------------------------------------------------------------------
-# the zero-skipping tables against the dense formulas
-
-
-def _dense_h(v):
-    vv = {m: v[m - 1] for m in AXES}
-    v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
-    return {
-        (i, j, k): v2 * (vv[i] * delta(j, k) + vv[j] * delta(k, i) + vv[k] * delta(i, j))
-        - 5 * vv[i] * vv[j] * vv[k]
-        for i, j, k in product(AXES, AXES, AXES)
-    }
-
-
-def _dense_dh(v):
-    vv = {m: v[m - 1] for m in AXES}
-    v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
-    out = {}
-    for j, k, l, m in product(AXES, AXES, AXES, AXES):
-        out[(j, k, l, m)] = (
-            2 * vv[m] * (vv[j] * delta(k, l) + vv[k] * delta(l, j) + vv[l] * delta(j, k))
-            + v2 * (delta(j, m) * delta(k, l) + delta(k, m) * delta(l, j)
-                    + delta(l, m) * delta(j, k))
-            - 5 * (delta(j, m) * vv[k] * vv[l] + vv[j] * delta(k, m) * vv[l]
-                   + vv[j] * vv[k] * delta(l, m))
-        )
-    return out
-
-
-def _dense_omega(st_):
-    """The connection components by their nine displayed formulas, with one
-    `cot` call per use, as values (Fraction or QSqrt3, or mpf)."""
-    v1, v2, v3 = st_.v[1], st_.v[2], st_.v[3]
-    q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
-    five_v = 5 * v1 * v2 * v3
-    displays = {
-        (1, 1, 2): -v2 * (-4 * q1 + q2 + q3) * st_.cot(1, 2),
-        (1, 1, 3): -v3 * (-4 * q1 + q2 + q3) * st_.cot(1, 3),
-        (2, 2, 1): -v1 * (q1 - 4 * q2 + q3) * st_.cot(2, 1),
-        (2, 2, 3): -v3 * (q1 - 4 * q2 + q3) * st_.cot(2, 3),
-        (3, 3, 1): -v1 * (q1 + q2 - 4 * q3) * st_.cot(3, 1),
-        (3, 3, 2): -v2 * (q1 + q2 - 4 * q3) * st_.cot(3, 2),
-        (1, 2, 3): st_.sigma + five_v * st_.cot(2, 3),
-        (2, 3, 1): st_.sigma + five_v * st_.cot(3, 1),
-        (3, 1, 2): st_.sigma + five_v * st_.cot(1, 2),
-    }
-    out = {}
-    for i, j, k in product(AXES, AXES, AXES):
-        if j == k:
-            out[(i, j, k)] = st_.zero
-        elif (i, j, k) in displays:
-            out[(i, j, k)] = displays[(i, j, k)]
-        else:
-            out[(i, j, k)] = -displays[(i, k, j)]
-    return out
-
-
-def _dense_tables(st_):
-    """h, dh, omega and the shifted omega of the state from the formulas above.
-
-    h and dh are read at the sorted index of each entry's symmetry class, the
-    index the state's table computes it at; the shifted entry subtracts
-    eps/sqrt(3) only where eps != 0, so a rational omega stays a Fraction.
-    """
-    v = [st_.v[m] for m in AXES]
-    dense_h, dense_dh = _dense_h(v), _dense_dh(v)
-    h = {key: dense_h[tuple(sorted(key))] for key in dense_h}
-    dh = {(j, k, l, m): dense_dh[(*sorted((j, k, l)), m)] for j, k, l, m in dense_dh}
-    om = _dense_omega(st_)
-    shifted = {}
-    for key in product(AXES, AXES, AXES):
-        eps = epsilon(*key)
-        shifted[key] = om[key] - st_.inv_sqrt3 * eps if eps else om[key]
-    return h, dh, om, shifted
-
-
-def _dense_scalar(st_, tables, i, j, k, l, vanishing=frozenset()):
-    """The Codazzi scalar summed term by term in the tables' own arithmetic.
-
-    A product whose h factor is exactly zero is left out: it adds an exact
-    zero, so the value is the full sum's, and the constant is a QSqrt3
-    exactly where a nonzero h entry meets a sqrt(3) in omega.
-    """
-    h, dh, om, shifted = tables
-    coeffs = {}
-    for m in AXES:
-        if m in vanishing:
-            continue
-        c = dh[(j, k, l, m)]
-        if c:
-            coeffs[(i, m)] = c
-        c = dh[(i, k, l, m)]
-        if c:
-            coeffs[(j, m)] = coeffs[(j, m)] - c if (j, m) in coeffs else -c
-    const = st_.zero
-    for m in AXES:
-        if h[(j, k, m)]:
-            const = const + h[(j, k, m)] * shifted[(i, m, l)]
-        if h[(i, k, m)]:
-            const = const - h[(i, k, m)] * shifted[(j, m, l)]
-        if h[(m, k, l)]:
-            const = const - (om[(i, j, m)] - om[(j, i, m)]) * h[(m, k, l)]
-        if h[(j, m, l)]:
-            const = const - om[(i, k, m)] * h[(j, m, l)]
-        if h[(i, m, l)]:
-            const = const + om[(j, k, m)] * h[(i, m, l)]
-    const = const - st_.third * st_.sin2(i, j) * (
-        delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
-    )
-    return AffineExpr(const, coeffs)
+# the numerator tables against the dense formulas of exact_oracle
 
 
 ZERO_PATTERNS = [(), (1,), (2,), (2, 3), (1, 2, 3)]
@@ -263,35 +166,38 @@ def _assert_same(got, want) -> None:
 
 
 def _assert_tables_match_dense(st_) -> None:
-    """Every key of h and dh holds the one value object of its symmetry class,
-    and that value is the dense formula's at the class's sorted index: exact
-    ==, on mpmath states too.  omega, the shifted table and every Codazzi
-    scalar's constant and coefficients match the dense formulas with == and
-    have their type, with and without the state's zero components vanishing."""
+    """Every key of the h and dh numerator tables holds the one numerator of
+    its symmetry class, and that numerator over its scale (D^3, D^2) is the
+    dense formula's value at the class's sorted index: exact ==, on mpmath
+    states too.  omega and the shifted table over omega's scale, and every
+    Codazzi row read by `codazzi_values`, match the dense formulas with ==
+    and have their type, with and without the state's zero components
+    vanishing."""
     v = [st_.v[m] for m in AXES]
-    h, dense_h = st_.h_table(), _dense_h(v)
-    assert len(h) == 27
+    d = st_._D
+    h_num, full_h = st_.h_numerators(), dense_h(v)
+    assert len(h_num) == 27
     for key in product(AXES, AXES, AXES):
         rep = tuple(sorted(key))
-        assert h[key] is h[rep]
-        _assert_same(h[key], dense_h[rep])
-    dh, dense_dh = st_.dh_table(), _dense_dh(v)
-    assert len(dh) == 81
+        assert h_num[key] is h_num[rep]
+        _assert_same(st_._over(h_num[key], d ** 3), full_h[rep])
+    dh_num, full_dh = st_.dh_numerators(), dense_dh(v)
+    assert len(dh_num) == 81
     for j, k, l, m in product(AXES, AXES, AXES, AXES):
         rep = (*sorted((j, k, l)), m)
-        assert dh[(j, k, l, m)] is dh[rep]
-        _assert_same(dh[(j, k, l, m)], dense_dh[rep])
-    tables = _dense_tables(st_)
+        assert dh_num[(j, k, l, m)] is dh_num[rep]
+        _assert_same(st_._over(dh_num[(j, k, l, m)], d ** 2), full_dh[rep])
+    tables = dense_tables(st_)
     _, _, dense_om, dense_shifted = tables
-    om, shifted = st_.omega_table(), _shifted_values(st_)
+    om, shifted = _omega_values(st_), _shifted_values(st_)
     for key in product(AXES, AXES, AXES):
         _assert_same(om[key], dense_om[key])
         _assert_same(shifted[key], dense_shifted[key])
     zeros = frozenset(m for m in AXES if v[m - 1] == 0)
     for vanishing in {frozenset(), zeros}:
         for i, j, k, l in product(AXES, AXES, AXES, AXES):
-            got = codazzi_scalar(st_, i, j, k, l, vanishing)
-            want = _dense_scalar(st_, tables, i, j, k, l, vanishing)
+            got = codazzi_values(st_, codazzi_scalar(st_, i, j, k, l, vanishing))
+            want = dense_scalar(st_, tables, i, j, k, l, vanishing)
             _assert_same(got.const, want.const)
             assert got.coeffs.keys() == want.coeffs.keys()
             for var, c in want.coeffs.items():
@@ -343,9 +249,9 @@ def test_exact_tables_match_dense_formulas(zero) -> None:
         st_ = random_frame_state(rng, require_ec=False, zero=zero)
         _assert_tables_match_dense(st_)
         # exact values do not depend on the order of the factors
-        v = [st_.v[m] for m in AXES]
-        assert st_.h_table() == _dense_h(v)
-        assert st_.dh_table() == _dense_dh(v)
+        v, d = [st_.v[m] for m in AXES], st_._D
+        assert _values(st_, st_.h_numerators(), d ** 3) == dense_h(v)
+        assert _values(st_, st_.dh_numerators(), d ** 2) == dense_dh(v)
 
 
 @pytest.mark.parametrize("states", [_coprime_states, _axis_states])
@@ -368,13 +274,28 @@ def test_float_tables_match_dense_formulas_exactly(zero) -> None:
             _assert_tables_match_dense(FloatFrameState(v, th1, th2))
 
 
+#: sha256 of `cmd_proof(trials=t, seed=s).to_json()`, keyed by (trials, seed).
+#: (5, 4) was recorded before the zero-skipping tables and the rational
+#: QSqrt3 product, and re-recorded when the axis case listed its fifth node
+#: (details only); seeds 0-3 at 10 trials were recorded while the exact
+#: elimination still ran on Fraction and QSqrt3 values.
+PROOF_DIGESTS = {
+    (5, 4): "b7233f33b324432747a0601cf07ee67935e02c235d59abb20c51cfcacebf7128",
+    (10, 0): "4b78ed07b750f68ca68a2c712cdc72a14833d96256818561b329e1cab4306fe2",
+    (10, 1): "dd8b7c1879261dca4bfb83404122318d02096a6ad159124128270f3ddbb08695",
+    (10, 2): "f0f2efc17a3978ac59852d88e187d24e8e5bf3338245f7f772ec0321e3a3828f",
+    (10, 3): "82c3b2ac5d33e29f3ce9d81830ee8d35026b5e17d756b28d47cac19cc53b36a1",
+}
+
+
 def test_proof_report_golden_digest() -> None:
-    # recorded before the zero-skipping tables and the rational QSqrt3 product;
-    # re-recorded when the axis case listed its fifth node (details only)
-    report = cmd_proof(trials=5, seed=4).to_json()
-    assert hashlib.sha256(report.encode()).hexdigest() == (
-        "b7233f33b324432747a0601cf07ee67935e02c235d59abb20c51cfcacebf7128"
-    )
+    digests = {
+        (trials, seed): hashlib.sha256(
+            cmd_proof(trials=trials, seed=seed).to_json().encode()
+        ).hexdigest()
+        for trials, seed in PROOF_DIGESTS
+    }
+    assert digests == PROOF_DIGESTS
 
 
 def test_frame_state_angle_differences_match_angle_sub() -> None:
@@ -391,7 +312,7 @@ def test_frame_state_angle_differences_match_angle_sub() -> None:
 
 def test_omega_skew_in_last_two_slots() -> None:
     st_ = _state(1)
-    om = st_.omega_table()
+    om = _omega_values(st_)
     for i, j, k in product(AXES, AXES, AXES):
         assert om[(i, j, k)] == -om[(i, k, j)]
         assert om[(i, j, j)] == 0
@@ -399,7 +320,7 @@ def test_omega_skew_in_last_two_slots() -> None:
 
 def test_omega_spot_values() -> None:
     st_ = _state(2, zero=(3,))  # v3 = 0 kills the 5 v1 v2 v3 terms
-    om = st_.omega_table()
+    om = _omega_values(st_)
     assert om[(1, 2, 3)] == st_.sigma
     assert om[(2, 3, 1)] == st_.sigma
     st2 = FrameState(
@@ -407,7 +328,7 @@ def test_omega_spot_values() -> None:
         rat_circle_point(Fraction(1, 3)),
         rat_circle_point(Fraction(1, 7)),
     )
-    assert st2.omega_table()[(1, 1, 2)] == -st2.cot(1, 2)
+    assert _omega_values(st2)[(1, 1, 2)] == -st2.cot(1, 2)
 
 
 def test_frame_relation_identity() -> None:
@@ -447,7 +368,7 @@ def test_components_affine_in_unknowns() -> None:
     st_ = _state(5)
     rng = random.Random(6)
     comp = {
-        (i, j, k, l): codazzi_scalar(st_, i, j, k, l)
+        (i, j, k, l): codazzi_values(st_, codazzi_scalar(st_, i, j, k, l))
         for (i, j), k, l in product(CANONICAL_PAIRS, AXES, AXES)
     }
     assert len(comp) == 27
@@ -464,7 +385,7 @@ def test_repeated_direction_components_vanish_identically() -> None:
     for seed in range(4):
         st_ = _state(seed, require_ec=False)
         for i, k, l in product(AXES, AXES, AXES):
-            e = codazzi_scalar(st_, i, i, k, l)
+            e = codazzi_values(st_, codazzi_scalar(st_, i, i, k, l))
             assert e.const == 0
             assert all(c == 0 for c in e.coeffs.values())
 
@@ -476,7 +397,7 @@ def test_zero_v_rows_are_inconsistent() -> None:
         rat_circle_point(Fraction(1, 2)),
         rat_circle_point(Fraction(1, 5)),
     )
-    e = codazzi_scalar(st_, 1, 2, 1, 2)
+    e = codazzi_values(st_, codazzi_scalar(st_, 1, 2, 1, 2))
     assert all(c == 0 for c in e.coeffs.values())
     assert e.const == -st_.third * st_.sin2(1, 2) != 0
     with pytest.raises(ValueError):
@@ -538,52 +459,12 @@ def test_solver_solution_satisfies_rows() -> None:
         assignment[var] = _evaluate(sol, assignment, st_.zero)
     for k in AXES:
         for l in AXES:
-            e = codazzi_scalar(st_, 1, 2, k, l)
+            e = codazzi_values(st_, codazzi_scalar(st_, 1, 2, k, l))
             assert _evaluate(e, assignment, st_.zero) == 0
 
 
 # ---------------------------------------------------------------------------
-# the zero-skipping solve against the dense scalars and substitution
-
-
-def _dense_codazzi_scalar(st_, i, j, k, l, vanishing=frozenset()):
-    """`codazzi_scalar` as it was before zero skipping reached the unknowns:
-    every D-coefficient is stored, zeros included, as zero + c."""
-    h = st_.h_table()
-    dh = st_.dh_table()
-    om = st_.omega_table()
-    shifted = _shifted_values(st_)
-    coeffs = {}
-    for m in AXES:
-        if m in vanishing:
-            continue
-        for a, c in ((i, dh[(j, k, l, m)]), (j, -dh[(i, k, l, m)])):
-            coeffs[(a, m)] = coeffs.get((a, m), st_.zero) + c
-    const = st_.zero
-    for m in AXES:
-        if h[(j, k, m)]:
-            const = const + h[(j, k, m)] * shifted[(i, m, l)]
-        if h[(i, k, m)]:
-            const = const - h[(i, k, m)] * shifted[(j, m, l)]
-        if h[(m, k, l)]:
-            const = const - (om[(i, j, m)] - om[(j, i, m)]) * h[(m, k, l)]
-        if h[(j, m, l)]:
-            const = const - om[(i, k, m)] * h[(j, m, l)]
-        if h[(i, m, l)]:
-            const = const + om[(j, k, m)] * h[(i, m, l)]
-    angle = delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
-    if angle:
-        const = const - st_.third * st_.sin2(i, j) * angle
-    return AffineExpr(const, coeffs)
-
-
-def _dense_subst(self, var, expr):
-    """`AffineExpr.subst` that scales and adds expr even for a zero coefficient."""
-    if var not in self.coeffs:
-        return self
-    c = self.coeffs[var]
-    rest = {v: k for v, k in self.coeffs.items() if v != var}
-    return AffineExpr(self.const, rest) + expr.scale(c)
+# the integer solve against the value-form oracle
 
 
 #: (triples, unknowns, vanishing, free_vars) of every solve the checks make.
@@ -596,60 +477,174 @@ PROOF_SOLVES = {
 }
 
 
-def _without_zeros(e):
-    return e.const, {v: c for v, c in e.coeffs.items() if c != 0}
+def _typed(x):
+    """A value with its type: the report writes a Fraction and a QSqrt3
+    differently."""
+    return type(x).__name__, x
 
 
-def _solve_outcome(st_, solve):
+def _expr_outcome(e):
+    return _typed(e.const), {v: _typed(c) for v, c in e.coeffs.items() if c != 0}
+
+
+def _solve_outcome(solve, st_, shape):
     try:
-        res = solve_triple_system(st_, *solve)
+        res = solve(st_, *shape)
     except ValueError as e:
         return str(e)
     return (
-        {u: _without_zeros(e) for u, e in res.solutions.items()},
-        {u: _without_zeros(e) for u, e in res.extras.items()},
-        [_without_zeros(e) for e in res.leftovers],
+        {u: _expr_outcome(e) for u, e in res.solutions.items()},
+        {u: _expr_outcome(e) for u, e in res.extras.items()},
+        [_expr_outcome(e) for e in res.leftovers],
         res.rank,
         res.n_rows,
         res.free,
     )
 
 
-def _assert_solves_match_dense(monkeypatch, st_) -> None:
-    for name, solve in PROOF_SOLVES.items():
-        with monkeypatch.context() as m:
-            m.setattr(codazzi, "codazzi_scalar", _dense_codazzi_scalar)
-            m.setattr(AffineExpr, "subst", _dense_subst)
-            dense = _solve_outcome(st_, solve)
-        assert _solve_outcome(st_, solve) == dense, name
+def _oracle_mismatches(st_) -> list[str]:
+    """The PROOF_SOLVES shapes where `solve_triple_system` and the oracle's
+    value-form elimination give different results."""
+    return [
+        name for name, shape in PROOF_SOLVES.items()
+        if _solve_outcome(solve_triple_system, st_, shape)
+        != _solve_outcome(oracle_solve, st_, shape)
+    ]
 
 
 @pytest.mark.parametrize("zero", ZERO_PATTERNS)
-def test_exact_solves_match_dense_replay(monkeypatch, zero) -> None:
+def test_exact_solves_match_dense_replay(zero) -> None:
     rng = random.Random(50 + len(zero))
     for _ in range(8):
-        _assert_solves_match_dense(
-            monkeypatch, random_frame_state(rng, require_ec=False, zero=zero)
-        )
+        assert _oracle_mismatches(random_frame_state(rng, require_ec=False, zero=zero)) == []
 
 
 @pytest.mark.parametrize("states", [_coprime_states, _axis_states])
-def test_exact_solves_match_dense_replay_on_integer_edge_states(monkeypatch, states) -> None:
+def test_exact_solves_match_dense_replay_on_integer_edge_states(states) -> None:
     for st_ in states(55, 12 if states is _coprime_states else 2):
-        _assert_solves_match_dense(monkeypatch, st_)
+        assert _oracle_mismatches(st_) == []
 
 
 @pytest.mark.parametrize("zero", ZERO_PATTERNS)
-def test_float_solves_match_dense_replay(monkeypatch, zero) -> None:
+def test_float_solves_match_dense_replay(zero) -> None:
     rng = random.Random(60 + len(zero))
     with mp.workdps(50):
         for _ in range(3):
             v = [0 if m in zero else mp.mpf(rng.randint(30, 150)) / 100 for m in AXES]
             th1 = mp.mpf(rng.randint(5, 70)) / 100
             th2 = constrained_theta2(v[0] or mp.mpf(1), v[2] or mp.mpf(1), th1)
-            _assert_solves_match_dense(
-                monkeypatch, FloatFrameState(v, th1, th2)
-            )
+            assert _oracle_mismatches(FloatFrameState(v, th1, th2)) == []
+
+
+def _flip_first_constant(real):
+    def mutant(rows, order):
+        rows = [list(r) for r in rows]
+        rows[0][-1] = -rows[0][-1]
+        return real(rows, order)
+    return mutant
+
+
+def _flip_first_solution(real):
+    def mutant(rows, order):
+        out = real(rows, order)
+        first = next(iter(out.solved), None)
+        if first is not None:
+            out.solved[first] = [-x for x in out.solved[first]]
+        return out
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_flip_first_constant, _flip_first_solution])
+def test_oracle_comparison_catches_a_mutant_solver(monkeypatch, mutate) -> None:
+    # the oracle does not share the solver's rows or elimination, so a sign
+    # flip in either shows up as a mismatch
+    monkeypatch.setattr(
+        codazzi, "eliminate_fraction_free", mutate(codazzi.eliminate_fraction_free)
+    )
+    rng = random.Random(50)
+    mismatches = set()
+    for _ in range(4):
+        mismatches.update(_oracle_mismatches(random_frame_state(rng, nonzero=(1, 2, 3))))
+    assert {"system1/set1", "system1/set2"} <= mismatches
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** c * m[0][c] * _det([row[:c] + row[c + 1:] for row in m[1:]])
+        for c in range(len(m))
+    )
+
+
+def test_fraction_free_pivots_are_the_leading_minors() -> None:
+    # leading minors 2, 2 and 4; pivot row k's entry in a column c it still
+    # holds is the minor of rows 0..k and columns 0..k-1, c (Sylvester)
+    rows = [[2, 1, 1, 3], [4, 3, 3, 5], [8, 7, 9, 1]]
+    out = eliminate_fraction_free(rows, [0, 1, 2])
+    assert [prow[j] for j, prow in out.pivots] == [2, 2, 4]
+    for k, (j, prow) in enumerate(out.pivots):
+        for c in range(k, 4):
+            assert prow[c] == _det([row[:k] + [row[c]] for row in rows[:k + 1]])
+    assert (out.last, out.free, out.leftovers) == (4, [3], [])
+    # last times the solution of A x + b = 0, on integers
+    assert all(type(n) is int for nums in out.solved.values() for n in nums)
+    x = {j: Fraction(nums[0], out.last) for j, nums in out.solved.items()}
+    for row in rows:
+        assert sum(row[j] * x[j] for j in range(3)) + row[3] == 0
+
+
+def test_fraction_free_skips_empty_columns_and_keeps_leftovers() -> None:
+    # column 1 vanishes once column 0 is eliminated, so 2 is pivoted next;
+    # row 3 is row 1 + row 2 in its coefficients, so it is left over, at the
+    # last pivot times its constant minus theirs: 3 (2 sqrt 3 - 6 - sqrt 3)
+    rows = [[1, 2, 0, ZSqrt3(1, 1)], [2, 4, 3, 5], [3, 6, 3, ZSqrt3(0, 2)]]
+    out = eliminate_fraction_free(rows, [0, 1, 2])
+    assert [(j, prow[j]) for j, prow in out.pivots] == [(0, 1), (2, 3)]
+    assert out.free == [1, 3] and out.last == 3
+    (leftover,) = out.leftovers
+    assert leftover[0] == 0
+    assert (leftover[1].a, leftover[1].b) == (-18, 3)
+
+
+def test_exact_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
+    # the integer rows of a nine-row solve are eliminated and back-substituted
+    # with no Fraction built and no QSqrt3 touched; those come only when the
+    # results are read
+    st_ = _state(10, nonzero=(1, 2, 3))
+    rows = [codazzi_scalar(st_, i, j, k, l) for i, j, k in SET1_TRIPLES for l in AXES]
+    present = sorted({v for r in rows for v, c in r.coeffs.items() if c})
+    matrix = [[r.coeffs.get(v, 0) for v in present] + [r.const] for r in rows]
+
+    def refuse(*args, **kw):
+        raise AssertionError("field arithmetic inside the elimination")
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", refuse)
+        for name in ("__init__", "inverse", "__mul__", "__add__", "__sub__"):
+            m.setattr(QSqrt3, name, refuse)
+        out = eliminate_fraction_free(matrix, range(len(present)))
+    # rank 5: one of the six unknowns stays free, as D_11 does in the checks
+    assert len(out.pivots) == 5 and len(out.free) == 2
+    assert all(type(prow[j]) is int for j, prow in out.pivots)
+
+
+def test_mutant_dh_numerator_fails_the_checks_as_records(monkeypatch) -> None:
+    # one dh numerator, d h_11^2 / d v_1 at every key of its class, off by
+    # one: the rows stay integer, so every division stays exact, and the
+    # checks must report the wrong rows as failures
+    real = codazzi.hijk_gradient
+
+    def off_by_one(v):
+        dh = dict(real(v))
+        for key in ((1, 1, 2, 1), (1, 2, 1, 1), (2, 1, 1, 1)):
+            dh[key] = dh[key] + 1
+        return dh
+
+    monkeypatch.setattr(codazzi, "hijk_gradient", off_by_one)
+    for rec in (system1_check(seed=20, trials=10), case1_check(seed=22, trials=5)):
+        assert not rec.passed and rec.failures, rec.check_id
 
 
 def test_proof_replay_work_counts(monkeypatch) -> None:

@@ -1,5 +1,6 @@
 """Tests for exact rational and Q(sqrt(3)) arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from nkverify.exact import (
     ZSqrt3,
     angle_add,
     angle_sub,
+    divide_exactly,
     poly_identity_check,
     rat_circle_point,
 )
@@ -116,6 +118,25 @@ def test_circle_point_validates() -> None:
         CirclePoint(Fraction(1), Fraction(1))
 
 
+def test_circle_point_constructor_keeps_its_check() -> None:
+    with pytest.raises(ValueError):
+        CirclePoint(Fraction(3, 5), Fraction(3, 5))
+
+
+def test_circle_arithmetic_stays_on_the_circle() -> None:
+    # conjugates, sums and differences are built without the check; they are
+    # on the circle because c + i s is multiplicative
+    rng = random.Random(19)
+    points = [
+        rat_circle_point(Fraction(rng.randint(-60, 60), rng.randint(1, 60))) for _ in range(200)
+    ]
+    for p, q in zip(points, points[1:] + points[:1]):
+        for r in (angle_add(p, q), angle_sub(p, q), p.conjugate()):
+            assert type(r.c) is Fraction and type(r.s) is Fraction
+            assert r.c * r.c + r.s * r.s == 1
+            assert r == CirclePoint(r.c, r.s)
+
+
 def test_angle_add_pythagorean_example() -> None:
     p = CirclePoint(Fraction(3, 5), Fraction(4, 5))
     q = CirclePoint(Fraction(5, 13), Fraction(12, 13))
@@ -195,3 +216,13 @@ def test_zsqrt3_stays_zsqrt3_and_divides_once() -> None:
     assert x.over(8) == QSqrt3(Fraction(3, 4), Fraction(-1, 2))
     assert isinstance(ZSqrt3(5, 0).over(5), QSqrt3)
     assert not ZSqrt3(0, 0) and ZSqrt3(0, 1) and ZSqrt3(1, 0)
+
+
+def test_divide_exactly_never_truncates() -> None:
+    assert divide_exactly(-12, 4) == -3
+    assert divide_exactly(0, -7) == 0
+    q = divide_exactly(ZSqrt3(6, -9), -3)
+    assert isinstance(q, ZSqrt3) and (q.a, q.b) == (-2, 3)
+    for x, d in ((7, 2), (-7, 2), (ZSqrt3(4, 3), 2), (ZSqrt3(3, 4), 2)):
+        with pytest.raises(ArithmeticError):
+            divide_exactly(x, d)
