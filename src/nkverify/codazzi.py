@@ -23,10 +23,14 @@ alike.  No arithmetic is spent on exact zeros: a Codazzi scalar skips each
 product whose h factor is zero and stores a D-coefficient only where its dh
 entry is nonzero.
 
-An exact state computes its tables on integer numerators.  With D the lcm
-of the denominators of v, w = D v is an integer vector, and the three
-distinct cotangents are put over one common denominator Q (cot(b, a) =
--cot(a, b)).  h is then D^-3 times integers, dh D^-2 times integers and
+An exact state is built on integers from the draw: each angle is a triple
+(C, S, E) of integers with cosine C/E and sine S/E, so theta3 and the angle
+differences are integer sums and products, a cotangent or doubled-angle
+sine is one Fraction built from them, and the gate 4 v1^2 - 3(v2^2 + v3^2)
+is an integer over D^2.  Its tables are on integer numerators too.  With D
+the lcm of the denominators of v, w = D v is an integer vector, and the
+three distinct cotangents are put over one common denominator Q
+(cot(b, a) = -cot(a, b)).  h is then D^-3 times integers, dh D^-2 times integers and
 omega (6 D^3 Q)^-1 times an element of Z[sqrt(3)], whose sqrt(3) part comes
 only from 1/(2 sqrt 3).  A Codazzi row is kept over one denominator per
 state, L = lcm(6 D^6 Q, A) with A the common denominator of the three
@@ -61,15 +65,12 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from mpmath import mp
 
 from .exact import (
-    CIRCLE_ONE,
     HALF_INV_SQRT3,
     INV_SQRT3,
     SQRT3,
     CirclePoint,
     QSqrt3,
     ZSqrt3,
-    angle_add,
-    angle_sub,
     divide_exactly,
     poly_identity_check,
     rat_circle_point,
@@ -274,29 +275,42 @@ class _StateCaches:
 class FrameState(_StateCaches):
     """Exact frame state over Q(sqrt(3)).
 
-    v entries are rationals; angles are exact circle points with
-    theta3 = -theta1 - theta2 built in.  Construction rejects states where
-    some sin(theta_a - theta_b) vanishes, since the connection components
-    divide by those factors.  The tables are built on integers: w = D v with
-    D the lcm of the denominators of v, and the three distinct cotangents
-    over their common denominator Q, with cot(b, a) = -cot(a, b).  A Codazzi
-    row's constant is over L = lcm(6 D^6 Q, A), with A the common
-    denominator of the three sin 2(theta_a - theta_b)/3.
+    v entries are rationals.  An angle is a rational circle point, held as an
+    integer triple (C, S, E): cosine C/E and sine S/E over one common
+    denominator, not necessarily in lowest terms.  theta1 and theta2 are read
+    from their circle points; theta3 = -(theta1 + theta2) and the three
+    differences theta_a - theta_b, a < b, are built on the triples, a
+    reverse pair is (C, -S, E) and the diagonal (1, 0, 1).  Construction
+    rejects states where some sin(theta_a - theta_b) vanishes, since the
+    connection components divide by those factors.  The tables are built on
+    integers: w = D v with D the lcm of the denominators of v, and the three
+    distinct cotangents over their common denominator Q, with
+    cot(b, a) = -cot(a, b).  A Codazzi row's constant is over
+    L = lcm(6 D^6 Q, A), with A the common denominator of the three
+    sin 2(theta_a - theta_b)/3.
     """
 
     exact = True
 
     def __init__(self, v: Sequence[Fraction], theta1: CirclePoint, theta2: CirclePoint) -> None:
         self._set_v(v)
-        theta3 = angle_add(theta1, theta2).conjugate()
-        self.angles = {1: theta1, 2: theta2, 3: theta3}
-        self._diffs: dict[tuple[int, int], CirclePoint] = {}
+        c1, s1, e1 = theta1.c.numerator, theta1.s.numerator, theta1.c.denominator
+        c2, s2, e2 = theta2.c.numerator, theta2.s.numerator, theta2.c.denominator
+        # theta3 is the conjugate of the sum of theta1 and theta2
+        self._theta = {
+            1: (c1, s1, e1),
+            2: (c2, s2, e2),
+            3: (c1 * c2 - s1 * s2, -(s1 * c2 + c1 * s2), e1 * e2),
+        }
+        self._diffs: dict[tuple[int, int], tuple[int, int, int]] = {
+            (a, a): (1, 0, 1) for a in AXES
+        }
         for a, b in CANONICAL_PAIRS:
-            d = angle_sub(self.angles[a], self.angles[b])
-            self._diffs[(a, b)], self._diffs[(b, a)] = d, d.conjugate()
-        for a in AXES:
-            self._diffs[(a, a)] = CIRCLE_ONE
-        if any(self._diffs[(a, b)].s == 0 for a, b in CANONICAL_PAIRS):
+            ca, sa, ea = self._theta[a]
+            cb, sb, eb = self._theta[b]
+            c, s, e = ca * cb + sa * sb, sa * cb - ca * sb, ea * eb
+            self._diffs[(a, b)], self._diffs[(b, a)] = (c, s, e), (c, -s, e)
+        if any(self._diffs[ab][1] == 0 for ab in CANONICAL_PAIRS):
             raise ValueError("state rejected: some sin(theta_a - theta_b) vanishes")
         self._cot = self._thirds = None
 
@@ -309,14 +323,21 @@ class FrameState(_StateCaches):
     def with_v(self, v: Sequence[Fraction]) -> "FrameState":
         """The state at another v with the same, already validated, angles.
 
-        The circle points, their differences, the cotangent numerators and
+        The angle triples, their differences, the cotangent numerators and
         the angle terms of the rows are shared, not rebuilt.
         """
         st = object.__new__(FrameState)
         st._set_v(v)
-        st.angles, st._diffs = self.angles, self._diffs
+        st._theta, st._diffs = self._theta, self._diffs
         st._cot, st._thirds = self._cotangents(), self._angle_thirds()
         return st
+
+    @property
+    def angles(self) -> dict[int, CirclePoint]:
+        """theta1, theta2 and theta3 as circle points, built when read."""
+        return {
+            a: CirclePoint(Fraction(c, e), Fraction(s, e)) for a, (c, s, e) in self._theta.items()
+        }
 
     # ring interface -------------------------------------------------------
     zero = Fraction(0)
@@ -368,7 +389,10 @@ class FrameState(_StateCaches):
         diagonal is zero.
         """
         if self._thirds is None:
-            thirds = {ab: self.sin2(*ab) / 3 for ab in CANONICAL_PAIRS}
+            thirds = {}
+            for ab in CANONICAL_PAIRS:
+                c, s, e = self._diffs[ab]
+                thirds[ab] = Fraction(2 * s * c, 3 * e * e)
             den = lcm(*(t.denominator for t in thirds.values()))
             num = {(a, a): 0 for a in AXES}
             for (a, b), t in thirds.items():
@@ -394,16 +418,18 @@ class FrameState(_StateCaches):
 
     # angle data -----------------------------------------------------------
     def cot(self, a: int, b: int) -> Fraction:
-        d = self._diffs[(a, b)]
-        return d.c / d.s
+        c, s, _ = self._diffs[(a, b)]
+        return Fraction(c, s)
 
     def sin2(self, a: int, b: int) -> Fraction:
-        d = self._diffs[(a, b)]
-        return 2 * d.s * d.c
+        c, s, e = self._diffs[(a, b)]
+        return Fraction(2 * s * c, e * e)
 
     @property
     def ec_value(self) -> Fraction:
-        return 4 * self.v[1] ** 2 - 3 * (self.v[2] ** 2 + self.v[3] ** 2)
+        """4 v1^2 - 3 (v2^2 + v3^2), from the integers w = D v over D^2."""
+        w1, w2, w3 = self._w
+        return Fraction(4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3), self._D * self._D)
 
     def describe(self) -> dict:
         return {
@@ -419,7 +445,11 @@ class FloatFrameState(_StateCaches):
     Used only where a constraint ties v and theta transcendentally, so exact
     circle points cannot parametrize the variety.  Its tables are at scale
     1: the numerators are the values, so each is computed by the same
-    operations, in the same order, as the plain formula.
+    operations, in the same order, as the plain formula.  Only the three
+    differences theta_a - theta_b, a < b, go through sin and cos: mpmath
+    rounds symmetrically and its sine is odd and its cosine even bit for bit,
+    so a reverse pair is (-sin, cos) of its canonical pair, and the diagonal,
+    a difference of exactly 0, is (0, 1).
     """
 
     exact = False
@@ -432,15 +462,16 @@ class FloatFrameState(_StateCaches):
         t1, t2 = mp.mpf(theta1), mp.mpf(theta2)
         t3 = -t1 - t2
         self.thetas = {1: t1, 2: t2, 3: t3}
-        self._s = {}
-        self._c = {}
-        for a, b in product(AXES, AXES):
+        self._s = {(a, a): mp.mpf(0) for a in AXES}
+        self._c = {(a, a): mp.mpf(1) for a in AXES}
+        for a, b in CANONICAL_PAIRS:
             d = self.thetas[a] - self.thetas[b]
-            self._s[(a, b)] = mp.sin(d)
-            self._c[(a, b)] = mp.cos(d)
+            s, c = mp.sin(d), mp.cos(d)
+            self._s[(a, b)], self._c[(a, b)] = s, c
+            self._s[(b, a)], self._c[(b, a)] = -s, c
         # omega divides by these sines; the margin is read at the working precision
         margin = mp.mpf("1e-3")
-        if any(abs(self._s[(a, b)]) < margin for a in AXES for b in AXES if a < b):
+        if any(abs(self._s[ab]) < margin for ab in CANONICAL_PAIRS):
             raise ValueError("state rejected: sin(theta_a - theta_b) below margin")
         self.zero = mp.mpf(0)
         self.one = mp.mpf(1)
@@ -565,27 +596,35 @@ def hijk_from_v(v: Sequence) -> dict[tuple[int, int, int], object]:
 
 
 def _gradient_terms(j: int, k: int, l: int, m: int) -> tuple:
-    """The nonzero-Kronecker terms of d h_jk^l / d v_m, in formula order.
+    """The nonzero-Kronecker terms of d h_jk^l / d v_m besides 2 v_m sum v_a.
 
-    Returns (linear, count, quadratic): the slots a of 2 v_m sum v_a, the
-    integer factor of |v|^2, and the slot pairs (p, q) of 5 sum v_p v_q.
+    Returns (count, quadratic): the integer factor of |v|^2 and the slot
+    pairs (p, q) of 5 sum v_p v_q, in formula order.
     """
-    linear = tuple(
-        a for a, d in ((j, delta(k, l)), (k, delta(l, j)), (l, delta(j, k))) if d
-    )
     count = delta(j, m) * delta(k, l) + delta(k, m) * delta(l, j) + delta(l, m) * delta(j, k)
     quadratic = tuple(
         pq for pq, d in (((k, l), delta(j, m)), ((j, l), delta(k, m)), ((j, k), delta(l, m)))
         if d
     )
-    return linear, count, quadratic
+    return count, quadratic
 
 
+#: Per sorted (j, k, l): the slots a of the linear sum v_a, which is h's
+#: (v_j d_kl + v_k d_lj + v_l d_jk), and per m the entry's key with its
+#: remaining terms.
 _DH_TERMS = {
-    (*jkl, m): _gradient_terms(*jkl, m)
+    jkl: (_H_LINEAR[jkl], tuple(((*jkl, m), *_gradient_terms(*jkl, m)) for m in AXES))
     for jkl in combinations_with_replacement(AXES, 3)
-    for m in AXES
 }
+
+
+def _sum_in_order(values: Mapping, keys: Sequence):
+    """values[keys[0]] + values[keys[1]] + ..., added left to right."""
+    it = iter(keys)
+    total = values[next(it)]
+    for key in it:
+        total = total + values[key]
+    return total
 
 
 def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
@@ -596,9 +635,9 @@ def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
         - 5 (d_jm v_k v_l + v_j d_km v_l + v_j v_k d_lm),
     computed for the 30 entries with j <= k <= l and shared by every
     permutation of (j, k, l).  Each is built from the terms whose Kronecker
-    factor is nonzero, added in the order written.  The factors 2 v_m,
-    |v|^2 c and v_p v_q (p <= q, as sorted slots give) recur across entries,
-    so each is computed once.
+    factor is nonzero, added in the order written.  The sums v_a (one per
+    (j, k, l)) and the factors 2 v_m, |v|^2 c and v_p v_q (p <= q, as sorted
+    slots give) recur across entries, so each is computed once.
     """
     vv = {m: v[m - 1] for m in AXES}
     v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
@@ -608,14 +647,16 @@ def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
     classes = {}
     # every entry has a linear or a quadratic term (j, k, l distinct means m
     # is one of them), and a nonzero count implies a linear term
-    for key, (linear, count, quadratic) in _DH_TERMS.items():
-        val = twice[key[3]] * reduce(add, [vv[a] for a in linear]) if linear else None
-        if count:
-            val = val + v2_times[count]
-        if quadratic:
-            quad = 5 * reduce(add, [pair[pq] for pq in quadratic])
-            val = val - quad if linear else -quad
-        classes[key] = val
+    for linear, entries in _DH_TERMS.values():
+        lin = _sum_in_order(vv, linear) if linear else None
+        for key, count, quadratic in entries:
+            val = twice[key[3]] * lin if linear else None
+            if count:
+                val = val + v2_times[count]
+            if quadratic:
+                quad = 5 * _sum_in_order(pair, quadratic)
+                val = val - quad if linear else -quad
+            classes[key] = val
     return {key: classes[rep] for key, rep in _DH_CLASS.items()}
 
 
@@ -973,8 +1014,8 @@ def frame_relation_check(trials: int = 120, seed: int = 0) -> CheckRecord:
     components, for all i and all j != k, at random valid states.  It is
     compared on integers, times 6 D^3 Q E: 6 Q H C = (sigma eps - Omega) S,
     with H and Omega the h and omega numerators, sigma that of 1/(2 sqrt 3),
-    and C and S the numerators of the cosine and sine over their common
-    denominator E (a rational point of the circle in lowest terms has one).
+    and (C, S, E) the state's integer triple of theta_j - theta_k: any
+    common denominator E of the cosine and sine serves.
     """
     rng = random.Random(seed)
     failures = []
@@ -987,9 +1028,9 @@ def frame_relation_check(trials: int = 120, seed: int = 0) -> CheckRecord:
         for i, j, k in product(AXES, AXES, AXES):
             if j == k:
                 continue
-            d = st._diffs[(j, k)]
-            lhs = six_q * h[(i, j, k)] * d.c.numerator
-            rhs = (sigma * epsilon(i, j, k) - om[(i, j, k)]) * d.s.numerator
+            c, s, _ = st._diffs[(j, k)]
+            lhs = six_q * h[(i, j, k)] * c
+            rhs = (sigma * epsilon(i, j, k) - om[(i, j, k)]) * s
             if lhs - rhs:
                 failures.append({"state": st.describe(), "index": (i, j, k)})
     return CheckRecord(
@@ -1392,22 +1433,24 @@ def case3_check(trials: int = 60, tol: float = CASE3_TOL, seed: int = 0) -> Chec
 def det_factorization_check(seed: int = 0, trials: int = 120) -> CheckRecord:
     """Determinant of the angle-sine system factors into the displayed product.
 
-    Verified as an exact polynomial identity in (v1, v2, v3) via random
-    evaluation, using the bracket convention det = b1 b4 - b2 b3 (the matrix
+    Proved as an exact polynomial identity in (v1, v2, v3) by the degree
+    bound: both sides have degree at most 8 in each variable, so agreement
+    on the integer grid {-4, ..., 4}^3 proves it (`poly_identity_check`).
+    The bracket convention is det = b1 b4 - b2 b3 (the matrix
     [[b1, -b2], [b3, -b4]] has determinant of the opposite sign).  Given
     4v1^2 - 3(v2^2+v3^2) != 0, the product vanishes only at v2 = v3 = 0;
-    sampled states there are not tested and are counted in `skipped`.  The
-    check fails when every sampled state is skipped, so a pass never rests
-    on no tested state.
+    sampled states there are not tested and are counted in `skipped`.  At
+    the others the determinant is evaluated on the integers w = D v: it is
+    homogeneous of degree 8, so it vanishes at w exactly when it vanishes at
+    v.  The check fails when every sampled state is skipped, so a pass
+    never rests on no tested state.
     """
 
     def bracket_det(v):
         b1, b2, b3, b4 = _quartic_brackets(v)
         return b1 * b4 - b2 * b3
 
-    identity_ok = poly_identity_check(
-        bracket_det, det_product_form, n_vars=3, trials=trials, seed=seed
-    )
+    identity_ok = poly_identity_check(bracket_det, det_product_form, n_vars=3, degree=8)
     rng = random.Random(seed + 1)
     failures = []
     skipped = 0
@@ -1419,7 +1462,7 @@ def det_factorization_check(seed: int = 0, trials: int = 120) -> CheckRecord:
         if st.v[2] == 0 and st.v[3] == 0:
             skipped += 1
             continue
-        if bracket_det([st.v[m] for m in AXES]) == 0:
+        if bracket_det(st._w) == 0:
             vanished += 1
             failures.append({"state": st.describe(),
                              "reason": "determinant vanished off v2=v3=0"})

@@ -3,16 +3,17 @@
 Provides arbitrary-precision rationals, the real quadratic field Q(sqrt(3)),
 integer numerators in Z[sqrt(3)] for sums kept over one common denominator
 with a checked exact division, rational points on the unit circle (exact
-cosine/sine pairs), and a randomized polynomial identity test.  Nothing in
+cosine/sine pairs, checked on their integer numerators), and a proof of
+polynomial identities by the degree bound on an integer grid.  Nothing in
 this module ever rounds through floating point or truncates a quotient;
 sqrt(3) stays symbolic.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -251,7 +252,9 @@ class CirclePoint:
 
     Stands for the angle with cosine ``c`` and sine ``s``.  Only rational
     circle points are representable; they are dense in the circle, which is
-    all the sampling machinery needs.
+    all the sampling machinery needs.  In lowest terms c and s share their
+    denominator E, so the point is the integer triple (C, S, E) with
+    C**2 + S**2 == E**2, and that is what the constructor checks.
     """
 
     c: Fraction
@@ -261,73 +264,42 @@ class CirclePoint:
         c, s = _frac(self.c), _frac(self.s)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)
-        if c * c + s * s != 1:
+        # for fractions in lowest terms, c**2 + s**2 == 1 holds iff both have
+        # one denominator d and their numerators a, b satisfy a**2 + b**2 == d**2
+        d = c.denominator
+        if s.denominator != d or c.numerator ** 2 + s.numerator ** 2 != d * d:
             raise ValueError(f"({c}, {s}) is not on the unit circle")
-
-    def conjugate(self) -> "CirclePoint":
-        """The point of the negated angle."""
-        return _on_circle(self.c, -self.s)
-
-
-def _on_circle(c: Fraction, s: Fraction) -> CirclePoint:
-    """A CirclePoint built without the c**2 + s**2 == 1 check.
-
-    Only for coordinates on the circle by construction: the conjugate, sum or
-    difference of checked points, as |c + i s| is kept by conjugation and is
-    multiplicative.
-    """
-    pt = object.__new__(CirclePoint)
-    object.__setattr__(pt, "c", c)
-    object.__setattr__(pt, "s", s)
-    return pt
-
-
-#: Angle zero.
-CIRCLE_ONE = CirclePoint(Fraction(1), Fraction(0))
 
 
 def rat_circle_point(t: RationalLike) -> CirclePoint:
     """Rational circle point via the tangent half-angle map.
 
-    ``t`` is mapped to ``((1 - t**2)/(1 + t**2), 2t/(1 + t**2))``.  The map is
-    injective on Q and never hits (-1, 0).
+    ``t`` is mapped to ``((1 - t**2)/(1 + t**2), 2t/(1 + t**2))``, computed on
+    integers: with t = p/q it is (q**2 - p**2, 2pq) / (q**2 + p**2).  The map
+    is injective on Q and never hits (-1, 0).
     """
     t = _frac(t)
-    d = 1 + t * t
-    return CirclePoint((1 - t * t) / d, 2 * t / d)
-
-
-def angle_add(p: CirclePoint, q: CirclePoint) -> CirclePoint:
-    """Circle point of the sum of the two angles."""
-    return _on_circle(p.c * q.c - p.s * q.s, p.s * q.c + p.c * q.s)
-
-
-def angle_sub(p: CirclePoint, q: CirclePoint) -> CirclePoint:
-    """Circle point of the difference of the two angles."""
-    return _on_circle(p.c * q.c + p.s * q.s, p.s * q.c - p.c * q.s)
+    p, q = t.numerator, t.denominator
+    pp, qq = p * p, q * q
+    return CirclePoint(Fraction(qq - pp, qq + pp), Fraction(2 * p * q, qq + pp))
 
 
 def poly_identity_check(
-    f: Callable[[Sequence[Fraction]], Scalar],
-    g: Callable[[Sequence[Fraction]], Scalar],
+    f: Callable[[Sequence[int]], Scalar],
+    g: Callable[[Sequence[int]], Scalar],
     n_vars: int,
-    trials: int = 100,
-    seed: int = 0,
+    degree: int,
 ) -> bool:
-    """Randomized polynomial identity test over Q(sqrt(3)).
+    """Proof of a polynomial identity over Q(sqrt(3)) by the degree bound.
 
-    Evaluates ``f`` and ``g`` at ``trials`` uniformly random rational points
-    (numerators and denominators up to 10**4) and compares exactly.  For
-    polynomial maps the sample space is vastly larger than any total degree
-    arising here, so agreement on all trials certifies identity with
-    overwhelming probability; a single disagreement refutes it.
+    ``f`` and ``g`` must be polynomial maps of degree at most ``degree`` in
+    each of their ``n_vars`` variables.  Their difference then vanishes on a
+    grid S**n_vars with |S| = degree + 1 only if it is the zero polynomial
+    (Alon, Combinatorial Nullstellensatz, Lemma 2.1), so they are compared
+    exactly at every point of the integer grid with degree + 1 consecutive
+    values per variable, centred on 0: agreement everywhere proves the
+    identity, and a single disagreement refutes it.
     """
-    rng = random.Random(seed)
-    for _ in range(trials):
-        xs = [
-            Fraction(rng.randint(-10_000, 10_000), rng.randint(1, 10_000))
-            for _ in range(n_vars)
-        ]
-        if f(xs) != g(xs):
-            return False
-    return True
+    lo = -(degree // 2)
+    axis = range(lo, lo + degree + 1)
+    return all(f(xs) == g(xs) for xs in product(axis, repeat=n_vars))

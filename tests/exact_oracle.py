@@ -9,13 +9,58 @@ independent reference.  Its tables come from the dense formulas below, not
 from the module's numerators, so it shares nothing with the solver under test
 but the state's v and its angle accessors (cot, sin2) and the AffineExpr
 container.
+
+It also keeps the circle arithmetic in Fraction that exact states used
+before they held their angles as integer triples: sums, differences and
+conjugates of circle points, built without the constructor's check.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from nkverify.codazzi import AXES, AffineExpr, SolveResult, delta, epsilon
+from nkverify.exact import CirclePoint
+
+# ---------------------------------------------------------------------------
+# circle arithmetic
+
+
+def on_circle(c: Fraction, s: Fraction) -> CirclePoint:
+    """A CirclePoint built without the c**2 + s**2 == 1 check.
+
+    Only for coordinates on the circle by construction: the conjugate, sum or
+    difference of checked points, as |c + i s| is kept by conjugation and is
+    multiplicative.
+    """
+    pt = object.__new__(CirclePoint)
+    object.__setattr__(pt, "c", c)
+    object.__setattr__(pt, "s", s)
+    return pt
+
+
+#: Angle zero.
+CIRCLE_ONE = CirclePoint(Fraction(1), Fraction(0))
+
+
+def conjugate(p: CirclePoint) -> CirclePoint:
+    """The point of the negated angle."""
+    return on_circle(p.c, -p.s)
+
+
+def angle_add(p: CirclePoint, q: CirclePoint) -> CirclePoint:
+    """Circle point of the sum of the two angles."""
+    return on_circle(p.c * q.c - p.s * q.s, p.s * q.c + p.c * q.s)
+
+
+def angle_sub(p: CirclePoint, q: CirclePoint) -> CirclePoint:
+    """Circle point of the difference of the two angles."""
+    return on_circle(p.c * q.c + p.s * q.s, p.s * q.c - p.c * q.s)
+
+
+# ---------------------------------------------------------------------------
+# tables and solves
 
 
 def dense_h(v) -> dict:

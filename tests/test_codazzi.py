@@ -44,9 +44,18 @@ from nkverify.codazzi import (
     system1_check,
     _case2_displays,
 )
-from nkverify.exact import QSqrt3, ZSqrt3, angle_sub, rat_circle_point
+from nkverify.exact import QSqrt3, ZSqrt3, rat_circle_point
 
-from exact_oracle import dense_dh, dense_h, dense_scalar, dense_tables, oracle_solve
+from exact_oracle import (
+    angle_add,
+    angle_sub,
+    conjugate,
+    dense_dh,
+    dense_h,
+    dense_scalar,
+    dense_tables,
+    oracle_solve,
+)
 
 small_fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -278,8 +287,11 @@ def test_float_tables_match_dense_formulas_exactly(zero) -> None:
 #: (5, 4) was recorded before the zero-skipping tables and the rational
 #: QSqrt3 product, and re-recorded when the axis case listed its fifth node
 #: (details only); seeds 0-3 at 10 trials were recorded while the exact
-#: elimination still ran on Fraction and QSqrt3 values.
+#: elimination still ran on Fraction and QSqrt3 values; (100, 1), the
+#: benchmark's own configuration, while the exact states were still built in
+#: Fraction arithmetic.
 PROOF_DIGESTS = {
+    (100, 1): "6da9243f7310a506b81f7eab3f5c31c6cd3afdfb423aafe74005750fa2be9f06",
     (5, 4): "b7233f33b324432747a0601cf07ee67935e02c235d59abb20c51cfcacebf7128",
     (10, 0): "4b78ed07b750f68ca68a2c712cdc72a14833d96256818561b329e1cab4306fe2",
     (10, 1): "dd8b7c1879261dca4bfb83404122318d02096a6ad159124128270f3ddbb08695",
@@ -298,12 +310,87 @@ def test_proof_report_golden_digest() -> None:
     assert digests == PROOF_DIGESTS
 
 
+def _random_v(rng: random.Random) -> list[Fraction]:
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in AXES]
+
+
 def test_frame_state_angle_differences_match_angle_sub() -> None:
-    # three differences are built; the reverse pairs and the diagonal follow
-    for seed in range(5):
-        st_ = _state(seed)
-        for a, b in product(AXES, AXES):
-            assert st_._diffs[(a, b)] == angle_sub(st_.angles[a], st_.angles[b])
+    # theta3 and three differences are built on integer triples; the reverse
+    # pairs and the diagonal follow, and `with_v` states share them.  Each
+    # triple must give the Fraction circle arithmetic's point, on all nine
+    # ordered pairs of 40 drawn states and 4 `with_v` states of each
+    rng = random.Random(23)
+    checked = 0
+    while checked < 200:
+        p = rat_circle_point(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        q = rat_circle_point(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        try:
+            st0 = FrameState(_random_v(rng), p, q)
+        except ValueError:
+            continue
+        angles = {1: p, 2: q, 3: conjugate(angle_add(p, q))}
+        for st_ in [st0] + [st0.with_v(_random_v(rng)) for _ in range(4)]:
+            assert st_.angles == angles
+            for a, b in product(AXES, AXES):
+                c, s, e = st_._diffs[(a, b)]
+                want = angle_sub(angles[a], angles[b])
+                assert (Fraction(c, e), Fraction(s, e)) == (want.c, want.s)
+                assert st_.sin2(a, b) == 2 * want.s * want.c
+                if a != b:
+                    assert st_.cot(a, b) == want.c / want.s
+            v1, v2, v3 = (st_.v[m] for m in AXES)
+            assert st_.ec_value == 4 * v1 ** 2 - 3 * (v2 ** 2 + v3 ** 2)
+            checked += 1
+
+
+def test_exact_states_are_drawn_without_fraction_arithmetic(monkeypatch) -> None:
+    # a state may construct Fractions, one gcd each, but its circle points,
+    # angle triples, cotangents, angle terms and ec gate stay on integers
+    def refuse(*args, **kw):
+        raise AssertionError("Fraction arithmetic while building a state")
+
+    rng = random.Random(24)
+    states = []
+    with monkeypatch.context() as m:
+        for name in ("add", "sub", "mul", "truediv", "pow"):
+            m.setattr(Fraction, f"__{name}__", refuse)
+            m.setattr(Fraction, f"__r{name}__", refuse)
+        for _ in range(200):
+            st0 = random_frame_state(rng)
+            states.append(st0)
+            states.extend(st0.with_v(_random_v(rng)) for _ in range(4))
+    assert len(states) == 1000
+    assert all(st_.ec_value != 0 for st_ in states[::5])
+
+
+def test_float_state_derives_reverse_and_diagonal_angle_data_bit_for_bit() -> None:
+    # only the three canonical differences go through sin and cos; the
+    # reverse pairs (-sin, cos) and the diagonal (0, 1) must be what mpmath
+    # gives for the directly computed differences, to the last bit
+    rng = random.Random(25)
+    checked = 0
+    with mp.workdps(50):
+        for n in range(60):
+            v1 = mp.mpf(rng.randint(30, 150)) / 100
+            v3 = mp.mpf(rng.randint(30, 150)) / 100
+            if n % 2:
+                # the constrained-angle case's main branch
+                th1 = mp.mpf(rng.randint(5, 70)) / 100
+                th2 = constrained_theta2(v1, v3, th1)
+            else:
+                # its companion branch, with free angles
+                th1 = mp.mpf(rng.randint(-140, 140)) / 100
+                th2 = mp.mpf(rng.randint(-140, 140)) / 100
+            try:
+                st_ = FloatFrameState([v1, 0, v3], th1, th2)
+            except ValueError:
+                continue
+            for a, b in product(AXES, AXES):
+                d = st_.thetas[a] - st_.thetas[b]
+                assert st_._s[(a, b)]._mpf_ == mp.sin(d)._mpf_, (a, b)
+                assert st_._c[(a, b)]._mpf_ == mp.cos(d)._mpf_, (a, b)
+            checked += 1
+    assert checked >= 50
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +924,45 @@ def test_det_factorization_identity() -> None:
     rec = det_factorization_check(seed=26, trials=60)
     assert rec.passed
     assert rec.details["angle_parity"] is True
+
+
+def _bracket_det(v):
+    b1, b2, b3, b4 = codazzi._quartic_brackets(v)
+    return b1 * b4 - b2 * b3
+
+
+def _finite_difference(f, base, axis: int, order: int):
+    """The forward difference of the given order of f along one axis."""
+    total = 0
+    for k in range(order + 1):
+        x = list(base)
+        x[axis] += k
+        total += (-1) ** (order - k) * math.comb(order, k) * f(x)
+    return total
+
+
+@pytest.mark.parametrize("side", [_bracket_det, det_product_form])
+def test_determinant_sides_have_degree_at_most_8_per_variable(side) -> None:
+    # the grid proof rests on this bound: a 9th difference along an axis
+    # vanishes everywhere exactly when the degree in that variable is <= 8,
+    # and the 8th difference along v2 does not, so the bound is tight
+    bases = ((0, 0, 0), (3, -2, 5), (-7, 11, 1), (13, 4, -9))
+    for base in bases:
+        for axis in range(3):
+            assert _finite_difference(side, base, axis, 9) == 0, (base, axis)
+    assert all(_finite_difference(side, base, 1, 8) != 0 for base in bases)
+
+
+def test_mutant_det_product_form_fails_the_check_as_a_record(monkeypatch) -> None:
+    # 3 (v2^2 + v3^2) in the last factor becomes 2 (v2^2 + v3^2)
+    def mutant(v):
+        q1, q2, q3 = v[0] * v[0], v[1] * v[1], v[2] * v[2]
+        return 4 * (q2 + q3) * (q1 + q2 + q3) * (2 * q1 + q2 + q3) * (4 * q1 - 2 * (q2 + q3))
+
+    monkeypatch.setattr(codazzi, "det_product_form", mutant)
+    rec = det_factorization_check(seed=26, trials=10)
+    assert not rec.passed
+    assert rec.failures == [{"reason": "polynomial identity failed"}]
 
 
 def test_det_factorization_counts_skipped_states() -> None:

@@ -8,19 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nkverify.exact import (
-    CIRCLE_ONE,
     HALF_INV_SQRT3,
     INV_SQRT3,
     SQRT3,
     CirclePoint,
     QSqrt3,
     ZSqrt3,
-    angle_add,
-    angle_sub,
     divide_exactly,
     poly_identity_check,
     rat_circle_point,
 )
+
+from exact_oracle import CIRCLE_ONE, angle_add, angle_sub, conjugate
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -116,6 +115,16 @@ def test_rat_circle_point_half() -> None:
 def test_circle_point_validates() -> None:
     with pytest.raises(ValueError):
         CirclePoint(Fraction(1), Fraction(1))
+    # 3**2 + 4**2 == 5**2, but 3/5 and 4/7 do not share a denominator
+    with pytest.raises(ValueError):
+        CirclePoint(Fraction(3, 5), Fraction(4, 7))
+
+
+@given(rationals)
+def test_rat_circle_point_matches_the_rational_formula(t: Fraction) -> None:
+    # the integer half-angle map gives the Fraction formula's point
+    p = rat_circle_point(t)
+    assert (p.c, p.s) == ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
 
 
 def test_circle_point_constructor_keeps_its_check() -> None:
@@ -131,7 +140,7 @@ def test_circle_arithmetic_stays_on_the_circle() -> None:
         rat_circle_point(Fraction(rng.randint(-60, 60), rng.randint(1, 60))) for _ in range(200)
     ]
     for p, q in zip(points, points[1:] + points[:1]):
-        for r in (angle_add(p, q), angle_sub(p, q), p.conjugate()):
+        for r in (angle_add(p, q), angle_sub(p, q), conjugate(p)):
             assert type(r.c) is Fraction and type(r.s) is Fraction
             assert r.c * r.c + r.s * r.s == 1
             assert r == CirclePoint(r.c, r.s)
@@ -147,7 +156,7 @@ def test_angle_add_pythagorean_example() -> None:
 def test_angle_add_sub_inverse(t: Fraction, u: Fraction) -> None:
     p, q = rat_circle_point(t), rat_circle_point(u)
     assert angle_sub(angle_add(p, q), q) == p
-    assert angle_add(p, p.conjugate()) == CIRCLE_ONE
+    assert angle_add(p, conjugate(p)) == CIRCLE_ONE
 
 
 @given(rationals)
@@ -167,19 +176,34 @@ def test_rat_circle_point_injective(t: Fraction, u: Fraction) -> None:
 def test_poly_identity_check_accepts_identity() -> None:
     f = lambda x: (x[0] + x[1]) ** 2
     g = lambda x: x[0] ** 2 + 2 * x[0] * x[1] + x[1] ** 2
-    assert poly_identity_check(f, g, n_vars=2, trials=50, seed=7)
+    assert poly_identity_check(f, g, n_vars=2, degree=2)
 
 
 def test_poly_identity_check_rejects_non_identity() -> None:
     f = lambda x: x[0] * x[1]
     g = lambda x: x[0] * x[1] + x[0] ** 3
-    assert not poly_identity_check(f, g, n_vars=2, trials=50, seed=7)
+    assert not poly_identity_check(f, g, n_vars=2, degree=3)
 
 
 def test_poly_identity_check_handles_qsqrt3_values() -> None:
     f = lambda x: SQRT3 * x[0] * (SQRT3 * x[0])
     g = lambda x: 3 * x[0] ** 2
-    assert poly_identity_check(f, g, n_vars=1, trials=20, seed=3)
+    assert poly_identity_check(f, g, n_vars=1, degree=2)
+
+
+def test_poly_identity_check_needs_degree_plus_one_points() -> None:
+    # x(x-1)...(x-8) has degree 9 and vanishes at 0, ..., 8: nine points per
+    # variable cannot tell it from 0, the ten of the degree-9 grid do
+    def f(x):
+        out = 1
+        for r in range(9):
+            out *= x[0] - r
+        return out
+
+    zero = lambda x: 0
+    assert not poly_identity_check(f, zero, n_vars=1, degree=9)
+    assert not poly_identity_check(lambda x: f([x[0] + 4]), zero, n_vars=1, degree=9)
+    assert poly_identity_check(lambda x: f([x[0] + 4]), zero, n_vars=1, degree=8)
 
 
 @given(qsqrt3s, rationals, st.integers(-50, 50))
