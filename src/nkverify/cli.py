@@ -3,9 +3,9 @@
 Four subcommands cover the engine: `structure` samples the algebraic and
 differential invariants of the ambient geometry, `lagrangian` sweeps the
 analyzer over example immersions, `proof` runs the exact frame-level
-derivations plus the numeric constrained-angle case, and `fit` applies the
-H-umbilical detector to a cubic tensor stored as JSON.  All randomness is
-funneled through one seed per command so reports are byte-reproducible.
+derivations and case analysis, and `fit` applies the H-umbilical detector to
+a cubic tensor stored as JSON.  All randomness is funneled through one seed
+per command so reports are byte-reproducible.
 
 The structure suite evaluates each sampled identity over all samples at once,
 with the array forms of nkgeom.  The samples are still drawn one at a time
@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .codazzi import (
-    CASE3_TOL,
     case1_check,
     case2_check,
     case3_check,
@@ -333,53 +332,27 @@ def cmd_lagrangian(
 # proof
 
 
-def cmd_proof(
-    trials: int = DEFAULT_TRIALS, seed: int = 0, mode: str = "all", tol: float = CASE3_TOL
-) -> VerificationReport:
-    """Frame-level derivation checks: exact identities, the two axis cases,
-    the determinant factorization, and the numeric constrained-angle case."""
-    if mode not in ("exact", "numeric", "all"):
+def cmd_proof(trials: int = DEFAULT_TRIALS, seed: int = 0, mode: str = "all") -> VerificationReport:
+    """Frame-level derivation checks, all exact: the frame relation, the
+    derivative comparison, the axis, null-axis and v2 = 0 cases, and the
+    determinant factorization.  Both modes, "exact" and "all", run all six."""
+    if mode not in ("exact", "all"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_count("trials", trials)
-    _require_tol(tol)
-    exact_checks = (
-        ("frame-relation", lambda s: frame_relation_check(trials=trials, seed=s)),
-        ("derivative-comparison", lambda s: system1_check(seed=s, trials=trials)),
-        ("axis-case", lambda s: case1_check(seed=s, trials=trials)),
-        ("null-axis-case", lambda s: case2_check(seed=s, trials=trials)),
-        ("determinant-factorization", lambda s: det_factorization_check(seed=s, trials=trials)),
+    checks = (
+        lambda s: frame_relation_check(trials=trials, seed=s),
+        lambda s: system1_check(seed=s, trials=trials),
+        lambda s: case1_check(seed=s, trials=trials),
+        lambda s: case2_check(seed=s, trials=trials),
+        lambda s: det_factorization_check(seed=s, trials=trials),
+        lambda s: case3_check(trials=trials, seed=s),
     )
     records = []
-    for offset, (check_id, run) in enumerate(exact_checks, start=1):
+    for offset, run in enumerate(checks, start=1):
         sub_seed = seed + offset
-        if mode == "numeric":
-            records.append(
-                CheckRecord(
-                    check_id=check_id,
-                    passed=True,
-                    status="skip",
-                    details={"reason": "exact checks excluded in numeric mode"},
-                )
-            )
-            continue
         start = time.perf_counter()
         rec = run(sub_seed)
         rec.details.setdefault("seed", sub_seed)
-        records.extend(_stamp([rec], start))
-    if mode == "exact":
-        records.append(
-            CheckRecord(
-                check_id="constrained-angle-case",
-                passed=True,
-                status="skip",
-                tolerance=tol,
-                details={"reason": "numeric check excluded in exact mode"},
-            )
-        )
-    else:
-        start = time.perf_counter()
-        rec = case3_check(trials=trials, tol=tol, seed=seed + 6)
-        rec.details.setdefault("seed", seed + 6)
         records.extend(_stamp([rec], start))
     return VerificationReport(
         records=records,
@@ -457,8 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("proof", help="frame-level derivation checks")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--mode", choices=("exact", "numeric", "all"), default="all")
-    p.add_argument("--tol", type=float, default=CASE3_TOL)
+    p.add_argument("--mode", choices=("exact", "all"), default="all",
+                   help="exact and all both run every check")
     add_common(p)
 
     p = sub.add_parser("fit", help="H-umbilical detection on a cubic tensor file")
@@ -486,7 +459,7 @@ def _dispatch(args: argparse.Namespace) -> VerificationReport:
             seed=seed,
         )
     if args.command == "proof":
-        return cmd_proof(trials=args.trials, seed=seed, mode=args.mode, tol=args.tol)
+        return cmd_proof(trials=args.trials, seed=seed, mode=args.mode)
     raise ValueError(f"unknown command {args.command!r}")
 
 

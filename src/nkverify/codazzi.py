@@ -8,9 +8,10 @@ in v, the connection components omega_ij^k are rational in v and the angle
 cotangents, and each antisymmetrized Codazzi component becomes a scalar that
 is affine in the nine unknown frame derivatives D_im = E_i(v_m).
 
-All identities that are polynomial over Q(sqrt(3)) are checked exactly; the
-one case whose constraint couples v and theta transcendentally is checked in
-high-precision floating point with explicit tolerances.
+Every identity is checked exactly over Q(sqrt(3)).  The case v2 = 0 needs
+no angle constraint: its rows leave a leftover free of the angles that
+vanishes only at v3 = 0, so it too is checked at exact states with free
+rational angles.
 
 Each state caches its tables once: h, the gradient dh/dv, omega, and the
 shifted connection omega_im^l - eps_iml/sqrt(3) that the Codazzi scalars
@@ -18,10 +19,9 @@ read.  h and dh are symmetric in (i, j, k) and (j, k, l), so each symmetry
 class is computed once, at its sorted index, and every permuted key holds
 that same value.  The builders add only the terms whose Kronecker factor is
 nonzero, in the order of the full formulas, so each class gets exactly the
-dense expression's value at its sorted index, on exact and mpmath states
-alike.  No arithmetic is spent on exact zeros: a Codazzi scalar skips each
-product whose h factor is zero and stores a D-coefficient only where its dh
-entry is nonzero.
+dense expression's value at its sorted index.  No arithmetic is spent on
+exact zeros: a Codazzi scalar skips each product whose h factor is zero and
+stores a D-coefficient only where its dh entry is nonzero.
 
 An exact state is built on integers from the draw: each angle is a triple
 (C, S, E) of integers with cosine C/E and sine S/E, so theta3 and the angle
@@ -45,10 +45,6 @@ last pivot times L.  Pivots are still the first rows with a nonzero
 coefficient, so the pivot order, rank and free variables are those of
 value-form elimination, and a value is a QSqrt3 exactly where the
 rational-arithmetic formulas give a QSqrt3, so the reports keep their types.
-The mpmath state runs the same formulas at scale 1, where the numerators
-are the values and nothing is divided, and eliminates its values with
-magnitude pivoting, so its operations and their order are those of the
-plain formulas.
 """
 
 from __future__ import annotations
@@ -60,9 +56,7 @@ from functools import reduce
 from itertools import combinations_with_replacement, product
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
-
-from mpmath import mp
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import (
     HALF_INV_SQRT3,
@@ -75,12 +69,10 @@ from .exact import (
     poly_identity_check,
     rat_circle_point,
 )
-from .report import CheckRecord, max_keep_nan, min_keep_nan
+from .report import CheckRecord
 
 AXES = (1, 2, 3)
 CANONICAL_PAIRS = ((1, 2), (1, 3), (2, 3))
-#: Default bound of case3_check on its matched closed forms.
-CASE3_TOL = 1e-8
 
 _EPS_TABLE = {
     (1, 2, 3): 1,
@@ -146,9 +138,6 @@ class AffineExpr:
         rest = AffineExpr(self.const, {v: k for v, k in self.coeffs.items() if v != var})
         return rest + expr.scale(c) if c else rest
 
-    def free_vars(self, is_zero: Callable[[object], bool]) -> list[DVar]:
-        return sorted(v for v, c in self.coeffs.items() if not is_zero(c))
-
     def __repr__(self) -> str:
         terms = "".join(
             f" + ({c})*D{v}" for v, c in sorted(self.coeffs.items())
@@ -179,10 +168,9 @@ class _OmegaScale(NamedTuple):
 class _RowScale(NamedTuple):
     """The scale of a state's Codazzi rows and the numerators they need.
 
-    den is the scale of a row, L for an exact state.  coeff_mult = den / D^2
-    carries a dh numerator to it, const_mult = den / const_den a sum of
-    h-omega products, and angle holds sin 2(theta_a - theta_b)/3 at it,
-    keyed by (a, b).
+    den is the scale of a row, L.  coeff_mult = den / D^2 carries a dh
+    numerator to it, const_mult = den / const_den a sum of h-omega products,
+    and angle holds sin 2(theta_a - theta_b)/3 at it, keyed by (a, b).
     """
 
     den: object
@@ -192,15 +180,13 @@ class _RowScale(NamedTuple):
 
 
 class _StateCaches:
-    """Lazy per-state tables shared by the exact and floating variants.
+    """Lazy per-state tables, computed on numerators.
 
     Every table is computed by one formula on numerators: `_w` holds D v,
     `_omega_scale()` the scale of omega with the numerators of the cotangents,
     of 1/(2 sqrt 3) and of 1/sqrt(3), `_row_scale()` the scale of a Codazzi
-    row, and `_over(x, den)` turns a numerator into its value.  The exact
-    state's numerators are integers, with a Z[sqrt(3)] part where sqrt(3)
-    enters; the floating state's scales are 1, its numerators are its values
-    and `_over` returns them untouched.
+    row, and `_over(x, den)` turns a numerator into its value.  The
+    numerators are integers, with a Z[sqrt(3)] part where sqrt(3) enters.
 
     h and dh come from `hijk_from_v` and `hijk_gradient` at scales D^3 and
     D^2, omega from `omega_numerators` at scale 6 D^3 Q.  The shifted table
@@ -208,8 +194,8 @@ class _StateCaches:
     h-omega terms in `codazzi_scalar`, and the curl omega_ij^m - omega_ji^m,
     the factor of the third, is kept per pair (i, j); both are at omega's
     scale.  The h and dh builders skip the terms whose Kronecker factor is
-    zero and keep the order of the rest, so one code path serves both ring
-    types.
+    zero and keep the order of the rest, so they give the same values on
+    integers and on rationals.
     """
 
     _w: list
@@ -290,8 +276,6 @@ class FrameState(_StateCaches):
     sin 2(theta_a - theta_b)/3.
     """
 
-    exact = True
-
     def __init__(self, v: Sequence[Fraction], theta1: CirclePoint, theta2: CirclePoint) -> None:
         self._set_v(v)
         c1, s1, e1 = theta1.c.numerator, theta1.s.numerator, theta1.c.denominator
@@ -344,11 +328,6 @@ class FrameState(_StateCaches):
     third = Fraction(1, 3)
     sigma = HALF_INV_SQRT3
     inv_sqrt3 = INV_SQRT3
-    _zero_num = 0
-
-    @staticmethod
-    def is_zero(x) -> bool:
-        return x == 0
 
     @staticmethod
     def _over(x, den: int):
@@ -437,83 +416,6 @@ class FrameState(_StateCaches):
             "theta1": self.angles[1],
             "theta2": self.angles[2],
         }
-
-
-class FloatFrameState(_StateCaches):
-    """High-precision floating state (mpmath) mirroring FrameState.
-
-    Used only where a constraint ties v and theta transcendentally, so exact
-    circle points cannot parametrize the variety.  Its tables are at scale
-    1: the numerators are the values, so each is computed by the same
-    operations, in the same order, as the plain formula.  Only the three
-    differences theta_a - theta_b, a < b, go through sin and cos: mpmath
-    rounds symmetrically and its sine is odd and its cosine even bit for bit,
-    so a reverse pair is (-sin, cos) of its canonical pair, and the diagonal,
-    a difference of exactly 0, is (0, 1).
-    """
-
-    exact = False
-
-    #: Entries below this magnitude count as zero, in the solver's pivoting too.
-    zero_tol = 1e-30
-
-    def __init__(self, v: Sequence[float], theta1, theta2) -> None:
-        self.v = {m: mp.mpf(v[m - 1]) for m in AXES}
-        t1, t2 = mp.mpf(theta1), mp.mpf(theta2)
-        t3 = -t1 - t2
-        self.thetas = {1: t1, 2: t2, 3: t3}
-        self._s = {(a, a): mp.mpf(0) for a in AXES}
-        self._c = {(a, a): mp.mpf(1) for a in AXES}
-        for a, b in CANONICAL_PAIRS:
-            d = self.thetas[a] - self.thetas[b]
-            s, c = mp.sin(d), mp.cos(d)
-            self._s[(a, b)], self._c[(a, b)] = s, c
-            self._s[(b, a)], self._c[(b, a)] = -s, c
-        # omega divides by these sines; the margin is read at the working precision
-        margin = mp.mpf("1e-3")
-        if any(abs(self._s[ab]) < margin for ab in CANONICAL_PAIRS):
-            raise ValueError("state rejected: sin(theta_a - theta_b) below margin")
-        self.zero = mp.mpf(0)
-        self.one = mp.mpf(1)
-        self.third = mp.mpf(1) / 3
-        self.sigma = 1 / (2 * mp.sqrt(3))
-        self.inv_sqrt3 = 1 / mp.sqrt(3)
-        self._zero_num = self.zero
-        self._w = [self.v[m] for m in AXES]
-        self._D = 1
-        self._reset_tables()
-
-    def is_zero(self, x) -> bool:
-        return abs(x) < self.zero_tol
-
-    @staticmethod
-    def _over(x, den):
-        return x
-
-    def _omega_scale(self) -> _OmegaScale:
-        """Scale 1, with one cot per ordered pair."""
-        if self._om_scale is None:
-            cot = {(a, b): self.cot(a, b) for a, b in product(AXES, AXES) if a != b}
-            self._om_scale = _OmegaScale(1, self.sigma, self.inv_sqrt3, cot, 1)
-        return self._om_scale
-
-    def _row_scale(self) -> _RowScale:
-        """Scale 1, with the angle terms third * sin2(a, b) as the plain formula
-        multiplies them."""
-        if self._rows is None:
-            angle = {(a, b): self.third * self.sin2(a, b) for a, b in product(AXES, AXES)}
-            self._rows = _RowScale(1, 1, 1, angle)
-        return self._rows
-
-    def cot(self, a: int, b: int):
-        return self._c[(a, b)] / self._s[(a, b)]
-
-    def sin2(self, a: int, b: int):
-        return 2 * self._s[(a, b)] * self._c[(a, b)]
-
-    @property
-    def ec_value(self):
-        return 4 * self.v[1] ** 2 - 3 * (self.v[2] ** 2 + self.v[3] ** 2)
 
 
 def random_frame_state(
@@ -687,7 +589,7 @@ def omega_numerators(st) -> dict[tuple[int, int, int], object]:
     out = {}
     for i, j, k in product(AXES, AXES, AXES):
         if j == k:
-            out[(i, j, k)] = st._zero_num
+            out[(i, j, k)] = 0
         elif (i, j, k) in displays:
             out[(i, j, k)] = displays[(i, j, k)]
         else:
@@ -731,7 +633,7 @@ def codazzi_scalar(
     # so it is skipped; the remaining terms keep the order of the full sum.
     # Every product is an h numerator times an omega-scale numerator, so the
     # sum is at the product of the two scales.
-    const = st._zero_num
+    const = 0
     for m in AXES:
         if h[(j, k, m)]:
             const = const + h[(j, k, m)] * shifted[(i, m, l)]
@@ -743,11 +645,10 @@ def codazzi_scalar(
             const = const - om[(i, k, m)] * h[(j, m, l)]
         if h[(i, m, l)]:
             const = const + om[(j, k, m)] * h[(i, m, l)]
+    # one integer factor each takes the sum and the dh numerators to L
     rows = st._row_scale()
-    if rows.den != 1:
-        # one integer factor each takes the sum and the dh numerators to L
-        const = const * rows.const_mult
-        coeffs = {v: c * rows.coeff_mult for v, c in coeffs.items()}
+    const = const * rows.const_mult
+    coeffs = {v: c * rows.coeff_mult for v, c in coeffs.items()}
     angle = delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
     if angle:
         const = const - rows.angle[(i, j)] * angle
@@ -757,12 +658,9 @@ def codazzi_scalar(
 def codazzi_values(st, row: AffineExpr) -> AffineExpr:
     """A `codazzi_scalar` row as values: each numerator divided once by L.
 
-    An exact value is a QSqrt3 exactly where its numerator has a Z[sqrt(3)]
-    part; at the floating state's scale 1 the row is returned as its values.
+    A value is a QSqrt3 exactly where its numerator has a Z[sqrt(3)] part.
     """
     den = st._row_scale().den
-    if den == 1:
-        return row
     return AffineExpr(st._over(row.const, den), {v: st._over(c, den) for v, c in row.coeffs.items()})
 
 
@@ -805,23 +703,19 @@ def solve_triple_system(
     they survive as symbols in the returned expressions, which makes solution
     families comparable across different subsystems sharing a free unknown.
 
-    An exact state eliminates its integer rows fraction-free
-    (`eliminate_fraction_free`) and divides once when it reads the results;
-    a floating state eliminates its values with magnitude pivoting.
+    The integer rows are eliminated fraction-free (`eliminate_fraction_free`)
+    and divided once when the results are read.
     """
-    if st.is_zero(st.ec_value):
+    if st.ec_value == 0:
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
     rows = []
     for (i, j, k) in triples:
         for l in AXES:
             rows.append(codazzi_scalar(st, i, j, k, l, vanishing))
-    present: list[DVar] = sorted(
-        {v for r in rows for v in r.free_vars(st.is_zero)}
-    )
+    present: list[DVar] = sorted({v for r in rows for v, c in r.coeffs.items() if c})
     designated = list(unknowns)
     extra_vars = [v for v in present if v not in designated and v not in free_vars]
-    eliminate = _eliminate_integers if st.exact else _eliminate_values
-    final, leftovers = eliminate(st, rows, present, extra_vars + designated)
+    final, leftovers = _eliminate_integers(st, rows, present, extra_vars + designated)
     return SolveResult(
         solutions={u: final[u] for u in designated if u in final},
         extras={v: final[v] for v in extra_vars if v in final},
@@ -830,42 +724,6 @@ def solve_triple_system(
         n_rows=len(rows),
         free=[u for u in designated if u not in final],
     )
-
-
-def _eliminate_values(st, rows, present, pivot_vars) -> tuple[dict, list]:
-    """Gaussian elimination of a floating state's rows, which at scale 1 are
-    their values.
-
-    Each variable in turn is pivoted on the active row where its coefficient
-    is largest in magnitude, solved for and substituted into the other rows;
-    the solutions are then back-substituted in reverse pivot order.
-    """
-    defs: dict[DVar, AffineExpr] = {}
-    order: list[DVar] = []
-    active = list(rows)
-    for var in pivot_vars:
-        best = pivot_idx = None
-        for idx, row in enumerate(active):
-            mag = abs(row.coeff(var, st.zero))
-            if mag > st.zero_tol and (best is None or mag > best):
-                best, pivot_idx = mag, idx
-        if pivot_idx is None:
-            continue
-        row = active.pop(pivot_idx)
-        a = row.coeff(var, st.zero)
-        rest = AffineExpr(row.const, {w: c for w, c in row.coeffs.items() if w != var})
-        expr = rest.scale(-(st.one / a))
-        defs[var] = expr
-        order.append(var)
-        active = [r.subst(var, expr) for r in active]
-
-    final: dict[DVar, AffineExpr] = {}
-    for var in reversed(order):
-        e = defs[var]
-        for w, we in final.items():
-            e = e.subst(w, we)
-        final[var] = e
-    return final, active
 
 
 class FractionFree(NamedTuple):
@@ -936,7 +794,7 @@ def eliminate_fraction_free(rows: Sequence[Sequence], order: Sequence[int]) -> F
 
 
 def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
-    """Fraction-free elimination of an exact state's integer rows, read once.
+    """Fraction-free elimination of a state's integer rows, read once.
 
     Each row is L times its scalar, which scales no solution: with P the
     last pivot, a solution is its numerators over P, and a leftover its row
@@ -1279,153 +1137,88 @@ def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     )
 
 
-def case3_closed_forms(v1, v3):
-    """The two derivative values pinned in the constrained-angle case."""
+def case3_closed_forms(v1, v3) -> tuple[QSqrt3, QSqrt3]:
+    """D23 and D21 of the case v2 = 0:
+    v1 (6 v1^4 + 5 v1^2 v3^2 + 4 v3^4) / (3 sqrt(3) B) and
+    -v3 (10 v1^4 + 8 v1^2 v3^2 + 3 v3^4) / (3 sqrt(3) B),
+    with B = 8 v1^4 + 6 v1^2 v3^2 + 3 v3^4 and sqrt(3) moved to the numerator."""
     q1, q3 = v1 * v1, v3 * v3
-    denom = 3 * mp.sqrt(3) * (8 * q1 ** 2 + 6 * q1 * q3 + 3 * q3 ** 2)
-    d23 = v1 * (6 * q1 ** 2 + 5 * q1 * q3 + 4 * q3 ** 2) / denom
-    d21 = -v3 * (10 * q1 ** 2 + 8 * q1 * q3 + 3 * q3 ** 2) / denom
-    return d23, d21
+    nine_b = 9 * (8 * q1 * q1 + 6 * q1 * q3 + 3 * q3 * q3)
+    d23 = v1 * (6 * q1 * q1 + 5 * q1 * q3 + 4 * q3 * q3) / nine_b
+    d21 = -v3 * (10 * q1 * q1 + 8 * q1 * q3 + 3 * q3 * q3) / nine_b
+    return QSqrt3(0, d23), QSqrt3(0, d21)
 
 
-def constrained_theta2(v1, v3, theta1):
-    """Solve the angle constraint of the v2 = 0 case in closed form.
-
-    With theta3 = -theta1 - theta2, the constraint
-    (v1^2+v3^2) sin 2(theta1-theta2) = v1^2 sin 2(theta1-theta3)
-    is linear in (sin 2theta2, cos 2theta2), so theta2 comes from atan2.
-    """
+def case3_leftover(v1, v3) -> QSqrt3:
+    """The forcing leftover of the case v2 = 0:
+    -2 sqrt(3) v3 (v1^2 + v3^2)^3 / (3 (8 v1^4 + 6 v1^2 v3^2 + 3 v3^4))."""
     q1, q3 = v1 * v1, v3 * v3
-    num = (q1 + q3) * mp.sin(2 * theta1) - q1 * mp.sin(4 * theta1)
-    den = (q1 + q3) * mp.cos(2 * theta1) + q1 * mp.cos(4 * theta1)
-    return mp.atan2(num, den) / 2
+    return QSqrt3(0, -2 * v3 * (q1 + q3) ** 3 / (3 * (8 * q1 * q1 + 6 * q1 * q3 + 3 * q3 * q3)))
 
 
-def case3_check(trials: int = 60, tol: float = CASE3_TOL, seed: int = 0) -> CheckRecord:
-    """The case v2 = 0 with the angle constraint: forced back to v = 0.
+CASE3_UNKNOWNS = ((1, 1), (1, 3), (2, 1), (2, 3))
 
-    Numeric check on the constraint variety (it couples v and theta
-    transcendentally, so exact circle points cannot parametrize it).  At each
-    sample the six components for the triples (E1,E2,E1), (E1,E2,E2) pin four
-    derivatives; the two displayed closed forms are matched to tol, and the
-    (E1,E2,E3) components then leave a residual proportional to
-    v3 (v1^2 + v3^2), nonzero away from v3 = 0.  A companion branch with
-    v3 = 0 (where the constraint cannot bind, so angles are free) checks the
-    immediate constant obstruction -v1^3/sqrt(3) instead.  Every test is
-    written so that a NaN residual fails it, and a NaN reaches max_residual.
-    The check also fails when no main trial reaches the final components or
-    no companion sample is checked, so a pass never rests on skipped trials.
+
+def case3_check(trials: int = 60, seed: int = 0) -> CheckRecord:
+    """The case v2 = 0: the rows alone force v3 = 0, for every angle.
+
+    At exact states with v2 = 0, v1 v3 != 0 and free rational angles, the
+    six components of the triples (E1,E2,E1) and (E1,E2,E2) are solved for
+    D11, D13, D21 and D23.  All four must be pinned, D23 and D21 must equal
+    their closed forms (`case3_closed_forms`), and of the two leftover rows
+    one must vanish identically and the other be the constant
+    `case3_leftover`.  That constant is free of the angles and vanishes only
+    at v3 = 0, since v1^2 + v3^2 and 8 v1^4 + 6 v1^2 v3^2 + 3 v3^4 are
+    positive.  The angle constraint (v1^2 + v3^2) sin 2(theta1 - theta2) =
+    v1^2 sin 2(theta1 - theta3), which is F2 = 0 at v2 = 0, is therefore not
+    needed.  A drawn state outside the case is counted in `skipped`, and the
+    check fails when no state is checked, so a pass never rests on none.
     """
     rng = random.Random(seed)
     failures = []
-    skipped = 0
-    reached = 0
-    max_residual = 0.0
-    min_forcing_ratio = None
+    skipped = checked = 0
     vanishing = frozenset({2})
-    unknowns = [(1, 1), (1, 3), (2, 1), (2, 3)]
-    with mp.workdps(50):
-        for n in range(trials):
-            v1 = mp.mpf(rng.randint(30, 150)) / 100
-            v3 = mp.mpf(rng.randint(30, 150)) / 100
-            th1 = mp.mpf(rng.randint(5, 70)) / 100
-            if abs(4 * v1 ** 2 - 3 * v3 ** 2) < mp.mpf("0.05"):
-                skipped += 1
-                continue
-            th2 = constrained_theta2(v1, v3, th1)
-            try:
-                st = FloatFrameState([v1, 0, v3], th1, th2)
-            except ValueError:
-                skipped += 1
-                continue
+    for n in range(trials):
+        st = random_frame_state(rng, zero=(2,), nonzero=(1, 3))
+        v1, v2, v3 = (st.v[m] for m in AXES)
+        if v2 != 0 or v1 == 0 or v3 == 0:
+            skipped += 1
+            continue
 
-            def fail(reason, extra=None):
-                failures.append({"v": [float(v1), 0.0, float(v3)],
-                                 "theta1": float(th1), "reason": reason,
-                                 "extra": extra})
+        def fail(reason, extra=None):
+            failures.append({"state": st.describe(), "reason": reason, "extra": extra})
 
-            q1, q3 = v1 * v1, v3 * v3
-            constraint = (q1 + q3) * st.sin2(1, 2) - q1 * st.sin2(1, 3)
-            if not abs(constraint) <= mp.mpf("1e-40"):
-                fail("constraint residual too large", float(constraint))
-                continue
-            res = solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], unknowns, vanishing)
-            if res.free:
-                fail("derivatives not pinned", res.free)
-                continue
-            d23, d21 = case3_closed_forms(v1, v3)
-            got23 = res.solutions[(2, 3)].const
-            got21 = res.solutions[(2, 1)].const
-            err = max_keep_nan(abs(got23 - d23), abs(got21 - d21))
-            max_residual = max_keep_nan(max_residual, float(err))
-            if not err <= tol:
-                fail("closed form mismatch", {"err": float(err)})
-                continue
-            reached += 1
-            resid = mp.mpf(0)
-            for l in AXES:
-                e = codazzi_values(st, codazzi_scalar(st, 1, 2, 3, l, vanishing))
-                for var, expr in res.solutions.items():
-                    e = e.subst(var, AffineExpr(expr.const))
-                if e.coeffs and any(abs(c) > st.zero_tol for c in e.coeffs.values()):
-                    fail("unresolved unknowns in final components")
-                    break
-                resid = max_keep_nan(resid, abs(e.const))
-            else:
-                forcing = abs(v3) * (q1 + q3)
-                ratio = float(resid / forcing)
-                min_forcing_ratio = (
-                    ratio if min_forcing_ratio is None else min_keep_nan(min_forcing_ratio, ratio)
-                )
-                if not resid >= mp.mpf("0.02") * forcing:
-                    fail("final components fail to force v3 (v1^2+v3^2) = 0",
-                         {"residual": float(resid), "forcing_scale": float(forcing)})
-        # companion branch: v3 = 0 exactly.  The angle constraint cannot bind
-        # there for a valid frame (it would force sin(theta2 - theta3) = 0),
-        # so the angles are free and the obstruction is immediate.
-        companion_ok = 0
-        companion_total = 12
-        for n in range(companion_total):
-            v1 = mp.mpf(rng.randint(30, 150)) / 100
-            st = None
-            for _ in range(20):
-                th1 = mp.mpf(rng.randint(-140, 140)) / 100
-                th2 = mp.mpf(rng.randint(-140, 140)) / 100
-                try:
-                    st = FloatFrameState([v1, 0, 0], th1, th2)
-                    break
-                except ValueError:
-                    continue
-            if st is None:
-                skipped += 1
-                continue
-            res = solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], frozenset({2, 3}))
-            if len(res.leftovers) != 1 or any(
-                abs(c) > st.zero_tol for c in res.leftovers[0].coeffs.values()
-            ):
-                failures.append({"reason": "companion elimination shape"})
-                continue
-            leftover = res.leftovers[0].const
-            expected = -v1 ** 3 / mp.sqrt(3)
-            if not (abs(leftover - expected) <= tol and abs(leftover) >= mp.mpf("0.01")):
-                failures.append({"reason": "companion obstruction mismatch",
-                                 "leftover": float(leftover), "v1": float(v1)})
-                continue
-            companion_ok += 1
-    # a pass must rest on at least one checked sample of each branch
-    if not reached:
-        failures.append({"reason": "no trial reached the final components"})
-    if not companion_ok:
-        failures.append({"reason": "no companion sample checked"})
+        res = solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], CASE3_UNKNOWNS, vanishing)
+        if res.free or any(e.coeffs for e in res.solutions.values()):
+            fail("derivatives not pinned", res.free)
+            continue
+        got = (res.solutions[(2, 3)].const, res.solutions[(2, 1)].const)
+        if got != case3_closed_forms(v1, v3):
+            fail("closed form mismatch", {"D23": got[0], "D21": got[1]})
+            continue
+        consts = [x.const for x in res.leftovers]
+        forcing = case3_leftover(v1, v3)
+        if any(x.coeffs for x in res.leftovers) or consts not in ([0, forcing], [forcing, 0]):
+            fail("leftovers are not 0 and the forcing leftover", {"leftovers": consts})
+            continue
+        checked += 1
+    if not checked:
+        failures.append({"reason": "no state was checked"})
     return CheckRecord(
         check_id="constrained-angle-case",
         passed=not failures,
         samples=trials,
         skipped=skipped,
-        tolerance=tol,
-        max_residual=max_residual,
-        details={"min_forcing_ratio": min_forcing_ratio,
-                 "companion_v3_zero_samples": companion_ok},
+        details={
+            "closed_forms": {
+                "D23": "v1 (6 v1^4 + 5 v1^2 v3^2 + 4 v3^4) / (3 sqrt(3) B)",
+                "D21": "-v3 (10 v1^4 + 8 v1^2 v3^2 + 3 v3^4) / (3 sqrt(3) B)",
+                "B": "8 v1^4 + 6 v1^2 v3^2 + 3 v3^4",
+            },
+            "leftovers": ["0", "-2 sqrt(3) v3 (v1^2 + v3^2)^3 / (3 B)"],
+            "forces": "v3 = 0",
+            "angle_constraint": "F2 = 0 at v2 = 0; not needed",
+        },
         failures=failures[:5],
     )
 

@@ -76,7 +76,7 @@ def jsonable(x: Any) -> Any:
         return [jsonable(v) for v in items]
     if hasattr(x, "item"):  # numpy scalars
         return jsonable(x.item())
-    return float(x)  # mpmath mpf and anything else real-valued
+    return float(x)  # anything else real-valued
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Value-form oracle for the proof layer's tables and Codazzi solves.
 
 Before the exact replay eliminated integer rows fraction-free, it built each
-Codazzi scalar from value tables (Fraction, QSqrt3, or mpf on a floating
-state) and eliminated those values in the field: each pivot row was scaled by
-the inverse of its pivot and substituted into the others, and the solutions
-were back-substituted in reverse pivot order.  That code lives here as an
+Codazzi scalar from value tables (Fraction and QSqrt3) and eliminated those
+values in the field: each pivot row was scaled by the inverse of its pivot
+and substituted into the others, and the solutions were back-substituted in
+reverse pivot order.  That code lives here as an
 independent reference.  Its tables come from the dense formulas below, not
 from the module's numerators, so it shares nothing with the solver under test
 but the state's v and its angle accessors (cot, sin2) and the AffineExpr
@@ -92,7 +92,7 @@ def dense_dh(v) -> dict:
 
 def dense_omega(st) -> dict:
     """The connection components by their nine displayed formulas, with one
-    `cot` call per use, as values (Fraction or QSqrt3, or mpf)."""
+    `cot` call per use, as values (Fraction or QSqrt3)."""
     v1, v2, v3 = st.v[1], st.v[2], st.v[3]
     q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
     five_v = 5 * v1 * v2 * v3
@@ -183,30 +183,22 @@ def _subst(e: AffineExpr, var, expr: AffineExpr) -> AffineExpr:
 
 
 def oracle_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> SolveResult:
-    """`solve_triple_system` by value-form elimination.
-
-    An exact state pivots on the first row with a nonzero coefficient, a
-    floating state on the largest magnitude above its zero tolerance.
-    """
-    if st.is_zero(st.ec_value):
+    """`solve_triple_system` by value-form elimination, pivoting on the first
+    row with a nonzero coefficient."""
+    if st.ec_value == 0:
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
     tables = dense_tables(st)
     rows = [
         dense_scalar(st, tables, i, j, k, l, vanishing) for i, j, k in triples for l in AXES
     ]
-    present = sorted({v for r in rows for v, c in r.coeffs.items() if not st.is_zero(c)})
+    present = sorted({v for r in rows for v, c in r.coeffs.items() if c != 0})
     designated = list(unknowns)
     extra_vars = [v for v in present if v not in designated and v not in free_vars]
     defs, order, active = {}, [], list(rows)
     for var in extra_vars + designated:
-        pivot_idx = best = None
-        for idx, r in enumerate(active):
-            c = r.coeff(var, st.zero)
-            if st.exact and c != 0:
-                pivot_idx = idx
-                break
-            if not st.exact and abs(c) > st.zero_tol and (best is None or abs(c) > best):
-                best, pivot_idx = abs(c), idx
+        pivot_idx = next(
+            (idx for idx, r in enumerate(active) if r.coeff(var, st.zero) != 0), None
+        )
         if pivot_idx is None:
             continue
         row = active.pop(pivot_idx)

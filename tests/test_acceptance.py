@@ -112,7 +112,7 @@ def test_criterion_5_exact_identity_suite() -> None:
         det_factorization_check(seed=3, trials=100),
         case1_check(seed=4, trials=50),
         case2_check(seed=5, trials=50),
-        case3_check(trials=50, tol=1e-8, seed=6),
+        case3_check(trials=50, seed=6),
     ]
     elapsed = time.perf_counter() - start
     floors = (100, 100, 100, 50, 50, 50)

@@ -271,21 +271,24 @@ def test_proof_all_mode_passes_with_expected_records() -> None:
     assert all(r.status is None for r in report.records)
 
 
-def test_proof_numeric_mode_skips_exact_checks() -> None:
-    report = cmd_proof(trials=5, seed=1, mode="numeric")
-    by_id = {r.check_id: r for r in report.records}
-    for check_id in PROOF_IDS:
-        expected = None if check_id == "constrained-angle-case" else "skip"
-        assert by_id[check_id].status == expected
-    assert report.passed
+def test_proof_numeric_mode_is_rejected(capsys) -> None:
+    # every check is exact, so a numeric mode would select nothing
+    with pytest.raises(ValueError):
+        cmd_proof(trials=5, seed=1, mode="numeric")
+    with pytest.raises(SystemExit):
+        main(["proof", "--mode", "numeric"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
-def test_proof_exact_mode_skips_numeric_case() -> None:
-    report = cmd_proof(trials=5, seed=1, mode="exact")
-    by_id = {r.check_id: r for r in report.records}
-    assert by_id["constrained-angle-case"].status == "skip"
-    assert by_id["frame-relation"].status is None
-    assert report.passed
+def test_proof_exact_mode_runs_every_check() -> None:
+    # exact and all differ only in the mode they write to the report's meta
+    exact = cmd_proof(trials=5, seed=1, mode="exact")
+    both = cmd_proof(trials=5, seed=1, mode="all")
+    assert exact.passed and all(r.status is None for r in exact.records)
+    assert [r.as_dict() for r in exact.sorted_records()] == [
+        r.as_dict() for r in both.sorted_records()
+    ]
+    assert (exact.meta["mode"], both.meta["mode"]) == ("exact", "all")
 
 
 def test_proof_derived_seeds_recorded_in_order() -> None:
@@ -383,7 +386,7 @@ def test_main_unknown_example_exits_two(capsys) -> None:
         ["proof", "--trials", "0"],
         ["structure", "--tol", "nan"],
         ["lagrangian", "--tol", "inf"],
-        ["proof", "--tol=-1e-8"],
+        ["fit", "sample.json", "--tol", "nan"],
     ],
 )
 def test_main_bad_count_or_tolerance_exits_two(argv, capsys) -> None:
@@ -478,6 +481,24 @@ def test_main_fit_takes_no_seed(tmp_path, capsys) -> None:
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
     assert main(["fit", str(path)]) == 0
+
+
+def test_main_fit_rejects_a_nan_tolerance(tmp_path, capsys) -> None:
+    # a valid tensor file, so exit 2 can come only from the bound
+    path = tmp_path / "t.json"
+    path.write_text(build_h_from_V([1.0, 0.0, 0.0]).to_json())
+    assert main(["fit", str(path), "--tol", "nan"]) == 2
+    assert "tol must be a finite non-negative number" in capsys.readouterr().err
+
+
+def test_main_proof_takes_no_tolerance(capsys) -> None:
+    # every proof check is exact, so a bound is a usage error; both modes run
+    with pytest.raises(SystemExit) as exc:
+        main(["proof", "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+    assert main(["proof", "--trials", "2", "--mode", "exact", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["mode"] == "exact"
 
 
 def test_main_missing_fit_file_exits_two(tmp_path, capsys) -> None:

@@ -9,29 +9,29 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import mp
 
 from nkverify import codazzi
 from nkverify.cli import cmd_proof
 from nkverify.codazzi import (
     AXES,
     CANONICAL_PAIRS,
+    CASE3_UNKNOWNS,
     SET1_TRIPLES,
     SET1_UNKNOWNS,
     SET2_TRIPLES,
     SET2_UNKNOWNS,
     SHARED_FREE,
     AffineExpr,
-    FloatFrameState,
     FrameState,
     case1_check,
     case2_check,
     case2_resultant,
     case3_check,
     case3_closed_forms,
+    case3_leftover,
     codazzi_scalar,
     codazzi_values,
-    constrained_theta2,
+    compat_form_2,
     delta,
     det_factorization_check,
     det_product_form,
@@ -177,11 +177,10 @@ def _assert_same(got, want) -> None:
 def _assert_tables_match_dense(st_) -> None:
     """Every key of the h and dh numerator tables holds the one numerator of
     its symmetry class, and that numerator over its scale (D^3, D^2) is the
-    dense formula's value at the class's sorted index: exact ==, on mpmath
-    states too.  omega and the shifted table over omega's scale, and every
-    Codazzi row read by `codazzi_values`, match the dense formulas with ==
-    and have their type, with and without the state's zero components
-    vanishing."""
+    dense formula's value at the class's sorted index, with ==.  omega and
+    the shifted table over omega's scale, and every Codazzi row read by
+    `codazzi_values`, match the dense formulas with == and have their type,
+    with and without the state's zero components vanishing."""
     v = [st_.v[m] for m in AXES]
     d = st_._D
     h_num, full_h = st_.h_numerators(), dense_h(v)
@@ -270,33 +269,17 @@ def test_exact_tables_match_dense_formulas_on_integer_edge_states(states) -> Non
         _assert_tables_match_dense(st_)
 
 
-@pytest.mark.parametrize("zero", ZERO_PATTERNS)
-def test_float_tables_match_dense_formulas_exactly(zero) -> None:
-    # a permuted key's own dense formula may round its cubic differently, so
-    # the mpmath tables are compared at the sorted index, with exact ==
-    rng = random.Random(40 + len(zero))
-    with mp.workdps(50):
-        for _ in range(3):
-            v = [0 if m in zero else mp.mpf(rng.randint(30, 150)) / 100 for m in AXES]
-            th1 = mp.mpf(rng.randint(5, 70)) / 100
-            th2 = constrained_theta2(v[0] or mp.mpf(1), v[2] or mp.mpf(1), th1)
-            _assert_tables_match_dense(FloatFrameState(v, th1, th2))
-
-
 #: sha256 of `cmd_proof(trials=t, seed=s).to_json()`, keyed by (trials, seed).
-#: (5, 4) was recorded before the zero-skipping tables and the rational
-#: QSqrt3 product, and re-recorded when the axis case listed its fifth node
-#: (details only); seeds 0-3 at 10 trials were recorded while the exact
-#: elimination still ran on Fraction and QSqrt3 values; (100, 1), the
-#: benchmark's own configuration, while the exact states were still built in
-#: Fraction arithmetic.
+#: Re-recorded when the constrained-angle case moved from mpmath on the
+#: angle-constraint variety to exact states with free angles; the records of
+#: the other five checks stayed byte-identical.
 PROOF_DIGESTS = {
-    (100, 1): "6da9243f7310a506b81f7eab3f5c31c6cd3afdfb423aafe74005750fa2be9f06",
-    (5, 4): "b7233f33b324432747a0601cf07ee67935e02c235d59abb20c51cfcacebf7128",
-    (10, 0): "4b78ed07b750f68ca68a2c712cdc72a14833d96256818561b329e1cab4306fe2",
-    (10, 1): "dd8b7c1879261dca4bfb83404122318d02096a6ad159124128270f3ddbb08695",
-    (10, 2): "f0f2efc17a3978ac59852d88e187d24e8e5bf3338245f7f772ec0321e3a3828f",
-    (10, 3): "82c3b2ac5d33e29f3ce9d81830ee8d35026b5e17d756b28d47cac19cc53b36a1",
+    (100, 1): "35a49bbb0e906e8e750354fb57370e149e2f2dd297c30f4cdd193ece5c73b920",
+    (5, 4): "10624426f4eb2cfcfeca50f8057a8964b7b6f5ae7176ef2e1e8a93e9dde49e18",
+    (10, 0): "bb863736f7881a0247cb842044bc97cf54ffb64e115e2f3f27893c5912361f65",
+    (10, 1): "24fca3c358b28f487471da860578a6db5975965f9c3a662cc443924b7dc294b6",
+    (10, 2): "e4515af795017e07b3ba42fe475f5b5dcd8760adfdf44c763c7b98ce83fea70f",
+    (10, 3): "343f138fadca4b258d321bab0f51842c5afcb1d23c1365c77db9a321422764ee",
 }
 
 
@@ -363,36 +346,6 @@ def test_exact_states_are_drawn_without_fraction_arithmetic(monkeypatch) -> None
     assert all(st_.ec_value != 0 for st_ in states[::5])
 
 
-def test_float_state_derives_reverse_and_diagonal_angle_data_bit_for_bit() -> None:
-    # only the three canonical differences go through sin and cos; the
-    # reverse pairs (-sin, cos) and the diagonal (0, 1) must be what mpmath
-    # gives for the directly computed differences, to the last bit
-    rng = random.Random(25)
-    checked = 0
-    with mp.workdps(50):
-        for n in range(60):
-            v1 = mp.mpf(rng.randint(30, 150)) / 100
-            v3 = mp.mpf(rng.randint(30, 150)) / 100
-            if n % 2:
-                # the constrained-angle case's main branch
-                th1 = mp.mpf(rng.randint(5, 70)) / 100
-                th2 = constrained_theta2(v1, v3, th1)
-            else:
-                # its companion branch, with free angles
-                th1 = mp.mpf(rng.randint(-140, 140)) / 100
-                th2 = mp.mpf(rng.randint(-140, 140)) / 100
-            try:
-                st_ = FloatFrameState([v1, 0, v3], th1, th2)
-            except ValueError:
-                continue
-            for a, b in product(AXES, AXES):
-                d = st_.thetas[a] - st_.thetas[b]
-                assert st_._s[(a, b)]._mpf_ == mp.sin(d)._mpf_, (a, b)
-                assert st_._c[(a, b)]._mpf_ == mp.cos(d)._mpf_, (a, b)
-            checked += 1
-    assert checked >= 50
-
-
 # ---------------------------------------------------------------------------
 # connection components
 
@@ -439,11 +392,6 @@ def test_random_state_honors_pins() -> None:
         st_ = random_frame_state(rng, require_ec=True, zero=(2,), nonzero=(1, 3))
         assert st_.v[2] == 0 and st_.v[1] != 0 and st_.v[3] != 0
         assert st_.ec_value != 0
-
-
-def test_float_state_margin_rejection() -> None:
-    with pytest.raises(ValueError):
-        FloatFrameState([1.0, 0.5, 0.5], 0.3, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +508,7 @@ PROOF_SOLVES = {
     "system1/set2": (SET2_TRIPLES, SET2_UNKNOWNS, frozenset(), SHARED_FREE),
     "case1": (((1, 2, 1),), ((2, 1), (1, 1)), frozenset({2, 3}), ()),
     "case2": (((1, 2, 1),), ((2, 3), (1, 2), (2, 2), (1, 3)), frozenset({1}), ()),
-    "case3": (((1, 2, 1), (1, 2, 2)), ((1, 1), (1, 3), (2, 1), (2, 3)), frozenset({2}), ()),
+    "case3": (((1, 2, 1), (1, 2, 2)), CASE3_UNKNOWNS, frozenset({2}), ()),
 }
 
 
@@ -612,15 +560,16 @@ def test_exact_solves_match_dense_replay_on_integer_edge_states(states) -> None:
         assert _oracle_mismatches(st_) == []
 
 
-@pytest.mark.parametrize("zero", ZERO_PATTERNS)
-def test_float_solves_match_dense_replay(zero) -> None:
-    rng = random.Random(60 + len(zero))
-    with mp.workdps(50):
-        for _ in range(3):
-            v = [0 if m in zero else mp.mpf(rng.randint(30, 150)) / 100 for m in AXES]
-            th1 = mp.mpf(rng.randint(5, 70)) / 100
-            th2 = constrained_theta2(v[0] or mp.mpf(1), v[2] or mp.mpf(1), th1)
-            assert _oracle_mismatches(FloatFrameState(v, th1, th2)) == []
+def test_case3_solves_match_the_oracle() -> None:
+    # 60 states drawn as case3_check draws them: the four solutions and both
+    # leftovers, with their types, are those of value-form elimination
+    rng = random.Random(56)
+    for _ in range(60):
+        st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3))
+        got = _solve_outcome(solve_triple_system, st_, PROOF_SOLVES["case3"])
+        assert got == _solve_outcome(oracle_solve, st_, PROOF_SOLVES["case3"])
+        solutions, _, leftovers, rank, n_rows, free = got
+        assert (len(solutions), len(leftovers), rank, n_rows, free) == (4, 2, 4, 6, [])
 
 
 def _flip_first_constant(real):
@@ -735,8 +684,12 @@ def test_mutant_dh_numerator_fails_the_checks_as_records(monkeypatch) -> None:
 
 
 def test_proof_replay_work_counts(monkeypatch) -> None:
-    # recorded with every table entry and zero coefficient computed: the
-    # cheaper arithmetic must not come from fewer rows, solves or samples
+    # the cheaper arithmetic must not come from fewer rows, solves or
+    # samples.  Recorded with every table entry and zero coefficient
+    # computed (39, 180, 15), and re-recorded when the constrained-angle case
+    # became exact: it draws its 3 states with random_frame_state, makes one
+    # 6-row solve each, and no longer builds 12 companion solves (36 rows) or
+    # 3 rows of (E1,E2,E3) per state
     counts = dict.fromkeys(("solve_triple_system", "codazzi_scalar", "random_frame_state"), 0)
     for name in counts:
         def counted(*args, _real=getattr(codazzi, name), _name=name, **kw):
@@ -745,7 +698,7 @@ def test_proof_replay_work_counts(monkeypatch) -> None:
 
         monkeypatch.setattr(codazzi, name, counted)
     assert cmd_proof(trials=3, seed=3).passed
-    assert counts == {"solve_triple_system": 39, "codazzi_scalar": 180, "random_frame_state": 15}
+    assert counts == {"solve_triple_system": 27, "codazzi_scalar": 135, "random_frame_state": 18}
 
 
 # ---------------------------------------------------------------------------
@@ -852,72 +805,127 @@ def test_case2_incompatibility() -> None:
 
 
 def test_case3_closed_forms_spot() -> None:
-    with mp.workdps(40):
-        d23, d21 = case3_closed_forms(mp.mpf(1), mp.mpf(0))
-        assert abs(d23 - 1 / (4 * mp.sqrt(3))) < mp.mpf("1e-35")
-        assert d21 == 0
+    # v = (1, 0, 0): D23 = 1/(4 sqrt 3), D21 = 0, and no forcing leftover
+    d23, d21 = case3_closed_forms(Fraction(1), Fraction(0))
+    assert d23 == QSqrt3(0, Fraction(1, 12)) and d21 == 0
+    assert case3_leftover(Fraction(1), Fraction(0)) == 0
+    # v = (0, 0, 1): -2 sqrt(3) / (3 * 3)
+    assert case3_leftover(Fraction(0), Fraction(1)) == QSqrt3(0, Fraction(-2, 9))
 
 
 def test_constrained_angle_satisfies_relation() -> None:
-    with mp.workdps(40):
-        for v1, v3, th1 in [(1.0, 0.7, 0.3), (0.5, 1.2, 0.6), (1.4, 0.4, 0.15)]:
-            v1, v3, th1 = mp.mpf(v1), mp.mpf(v3), mp.mpf(th1)
-            th2 = constrained_theta2(v1, v3, th1)
-            st_ = FloatFrameState([v1, 0, v3], th1, th2)
-            q1, q3 = v1 * v1, v3 * v3
-            assert abs((q1 + q3) * st_.sin2(1, 2) - q1 * st_.sin2(1, 3)) < mp.mpf("1e-30")
+    # angles satisfy the constraint of the v2 = 0 case,
+    # (v1^2 + v3^2) sin 2(th1 - th2) = v1^2 sin 2(th1 - th3), exactly where
+    # F2 = 0: at v2 = 0, b3 = 4 (v1^2 + v3^2)^2 and b4 = 4 v1^2 (v1^2 + v3^2),
+    # so F2 is 4 (v1^2 + v3^2) times the constraint, at every angle pair
+    rng = random.Random(27)
+    for _ in range(40):
+        st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3))
+        q1, q3 = st_.v[1] ** 2, st_.v[3] ** 2
+        constraint = (q1 + q3) * st_.sin2(1, 2) - q1 * st_.sin2(1, 3)
+        assert compat_form_2(st_) == 4 * (q1 + q3) * constraint
 
 
-def test_case3_numeric_flow() -> None:
-    rec = case3_check(trials=25, tol=1e-8, seed=25)
-    assert rec.passed
-    assert rec.max_residual < 1e-20  # dps-50 arithmetic leaves huge headroom
-    assert rec.details["companion_v3_zero_samples"] > 0
+def test_case3_leftover_is_free_of_the_angles() -> None:
+    # one v at many drawn angle pairs: the solutions move with the angles,
+    # the forcing leftover does not
+    rng = random.Random(28)
+    v = [Fraction(3, 4), Fraction(0), Fraction(-5, 7)]
+    leftovers, solutions = set(), set()
+    for _ in range(12):
+        st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3)).with_v(v)
+        res = solve_triple_system(st_, *PROOF_SOLVES["case3"])
+        assert res.leftovers[0].const == 0
+        leftovers.add(res.leftovers[1].const)
+        solutions.add(res.solutions[(1, 1)].const)
+    assert leftovers == {case3_leftover(v[0], v[2])}
+    assert len(solutions) == 12
 
 
-#: (max_residual, min_forcing_ratio) of the constrained-angle case as
-#: `cmd_proof(seed=s)` runs it at default trials (sub-seed s + 6, 100 trials)
-#: and as `case3_check(seed=s)` runs at its own default (60 trials).
-#: Recorded before the tables moved to numerators; the mpmath path runs the
-#: same operations in the same order, so every bit must stay.
-CASE3_PINS = {
-    (7, 100): (2.6727647100921956e-51, 0.16076488578712253),
-    (8, 100): (2.6727647100921956e-51, 0.15507540301876838),
-    (9, 100): (3.3409558876152446e-51, 0.1531960101687111),
-    (1, 60): (4.6773382426613424e-51, 0.1526703578339154),
-    (2, 60): (2.6727647100921956e-51, 0.15407982240200974),
-    (3, 60): (3.00686029885372e-51, 0.1554301143882644),
-}
+def test_case3_exact_flow() -> None:
+    rec = case3_check(trials=25, seed=25)
+    assert rec.passed and (rec.samples, rec.skipped) == (25, 0)
+    # an exact record: nothing compared to a tolerance
+    assert rec.tolerance is None and rec.max_residual is None
+    assert rec.details["forces"] == "v3 = 0"
 
 
-@pytest.mark.parametrize("seed,trials", list(CASE3_PINS))
+@pytest.mark.parametrize("seed,trials", [(7, 100), (8, 100), (9, 100), (1, 60), (2, 60), (3, 60)])
 def test_case3_residuals_pinned(seed, trials) -> None:
+    # `cmd_proof(seed=s)`'s configurations (sub-seed s + 6, 100 trials) and
+    # `case3_check(seed=s)` at its own default (60 trials).  The residuals of
+    # the six rows, their two leftovers, are pinned exactly at every drawn
+    # state: one to 0, the other to the forcing leftover
     rec = case3_check(trials=trials, seed=seed)
-    assert rec.passed
-    assert (rec.max_residual, rec.details["min_forcing_ratio"]) == CASE3_PINS[(seed, trials)]
+    assert rec.passed and (rec.samples, rec.skipped, rec.failures) == (trials, 0, [])
 
 
-def test_case3_fails_when_no_trial_reaches_the_variety() -> None:
-    # the only main trial at this seed is skipped near 4 v1^2 = 3 v3^2
-    rec = case3_check(trials=1, seed=67)
-    assert rec.skipped == 1 and rec.details["min_forcing_ratio"] is None
+def test_case3_fails_when_no_trial_reaches_the_variety(monkeypatch) -> None:
+    # a draw that never gives v2 = 0 with v1 v3 != 0: every state is
+    # skipped, and the check fails instead of passing on none
+    real = codazzi.random_frame_state
+    monkeypatch.setattr(
+        codazzi, "random_frame_state", lambda rng, **kw: real(rng, zero=(2, 3), nonzero=(1,))
+    )
+    rec = case3_check(trials=3, seed=7)
+    assert (rec.samples, rec.skipped) == (3, 3)
     assert not rec.passed
-    assert rec.failures == [{"reason": "no trial reached the final components"}]
+    assert rec.failures == [{"reason": "no state was checked"}]
 
 
-def test_case3_fails_without_companion_samples(monkeypatch) -> None:
-    real = codazzi.FloatFrameState
+def _off_by_one_d23(real):
+    def mutant(v1, v3):
+        d23, d21 = real(v1, v3)
+        return d23 + QSqrt3(0, 1), d21
+    return mutant
 
-    def no_companion_frame(v, th1, th2, **kw):
-        if v[2] == 0:
-            raise ValueError("degenerate angles")
-        return real(v, th1, th2, **kw)
 
-    monkeypatch.setattr(codazzi, "FloatFrameState", no_companion_frame)
-    rec = case3_check(trials=2, seed=7)
-    assert rec.details["companion_v3_zero_samples"] == 0
+def _five_v1_d23(real):
+    # 6 v1^4 becomes 5 v1^4 in the numerator of D23
+    def mutant(v1, v3):
+        d23, d21 = real(v1, v3)
+        q1, q3 = v1 * v1, v3 * v3
+        return d23 - QSqrt3(0, v1 * q1 * q1 / (9 * (8 * q1 * q1 + 6 * q1 * q3 + 3 * q3 * q3))), d21
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_off_by_one_d23, _five_v1_d23])
+def test_mutant_case3_closed_form_fails_the_check_as_a_record(monkeypatch, mutate) -> None:
+    monkeypatch.setattr(codazzi, "case3_closed_forms", mutate(codazzi.case3_closed_forms))
+    rec = case3_check(trials=5, seed=7)
+    assert not rec.passed and len(rec.failures) == 5
+    assert all(f["reason"] == "closed form mismatch" for f in rec.failures)
+
+
+def test_case3_unpinned_derivative_fails_the_check_as_a_record(monkeypatch) -> None:
+    # a solve that leaves D23 free must not pass on the other three
+    real = codazzi.solve_triple_system
+
+    def d23_free(*args, **kw):
+        res = real(*args, **kw)
+        del res.solutions[(2, 3)]
+        res.free = [(2, 3)]
+        return res
+
+    monkeypatch.setattr(codazzi, "solve_triple_system", d23_free)
+    rec = case3_check(trials=3, seed=7)
     assert not rec.passed
-    assert rec.failures == [{"reason": "no companion sample checked"}]
+    assert [f["reason"] for f in rec.failures] == ["derivatives not pinned"] * 3 + [
+        "no state was checked"
+    ]
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(-1), 0])
+def test_mutant_case3_leftover_fails_the_check_as_a_record(monkeypatch, factor) -> None:
+    # -2 sqrt(3)/3 becomes -sqrt(3)/3, the opposite sign, or 0 (the leftover
+    # the check would accept if it only asked for the rows to be consistent)
+    real = codazzi.case3_leftover
+    monkeypatch.setattr(codazzi, "case3_leftover", lambda v1, v3: real(v1, v3) * factor)
+    rec = case3_check(trials=5, seed=7)
+    assert not rec.passed and len(rec.failures) == 5
+    assert all(
+        f["reason"] == "leftovers are not 0 and the forcing leftover" for f in rec.failures
+    )
 
 
 def test_det_factorization_identity() -> None:
@@ -987,51 +995,41 @@ def test_det_factorization_fails_when_every_state_is_skipped() -> None:
 
 @pytest.mark.parametrize("which", [(0, 1), (0,), (1,)])
 def test_case3_nan_closed_form_fails(monkeypatch, which) -> None:
+    # every comparison with a NaN is False; the check must read that as a
+    # mismatch, not as no mismatch
     real = codazzi.case3_closed_forms
 
     def with_nan(v1, v3):
         out = list(real(v1, v3))
         for idx in which:
-            out[idx] = mp.nan
+            out[idx] = math.nan
         return tuple(out)
 
     monkeypatch.setattr(codazzi, "case3_closed_forms", with_nan)
     rec = case3_check(trials=5, seed=7)
-    assert not rec.passed
-    assert math.isnan(rec.max_residual)
+    assert not rec.passed and len(rec.failures) == 5
+    assert all(f["reason"] == "closed form mismatch" for f in rec.failures)
 
 
-def test_case3_nan_companion_leftover_fails(monkeypatch) -> None:
+def test_every_overdetermined_solve_asserts_its_leftovers(monkeypatch) -> None:
+    # one more leftover row, with a nonzero constant, in every solve: each
+    # check that solves an overdetermined system must fail as a record
     real = codazzi.solve_triple_system
 
-    def nan_companion(st_, triples, unknowns, vanishing=frozenset(), free_vars=()):
-        res = real(st_, triples, unknowns, vanishing, free_vars)
-        if vanishing == frozenset({2, 3}):
-            res.leftovers = [AffineExpr(mp.nan, res.leftovers[0].coeffs)]
+    def with_stray_leftover(*args, **kw):
+        res = real(*args, **kw)
+        res.leftovers = [*res.leftovers, AffineExpr(Fraction(1))]
         return res
 
-    monkeypatch.setattr(codazzi, "solve_triple_system", nan_companion)
-    rec = case3_check(trials=2, seed=7)
-    assert not rec.passed
-    assert any(f.get("reason") == "companion obstruction mismatch" for f in rec.failures)
-
-
-def test_case3_nan_forcing_ratio_is_kept(monkeypatch) -> None:
-    # a NaN final component on the second forced trial: min(ratio, nan) would
-    # drop it from min_forcing_ratio while the trial fails
-    real = codazzi.codazzi_scalar
-    final_calls = []
-
-    def nan_on_second_trial(st_, i, j, k, l, vanishing=frozenset()):
-        expr = real(st_, i, j, k, l, vanishing)
-        if (i, j, k) == (1, 2, 3) and vanishing == frozenset({2}):
-            final_calls.append(l)
-            if 3 < len(final_calls) <= 6:
-                expr = AffineExpr(mp.nan, expr.coeffs)
-        return expr
-
-    monkeypatch.setattr(codazzi, "codazzi_scalar", nan_on_second_trial)
-    rec = case3_check(trials=5, seed=7)
-    assert len(final_calls) > 6
-    assert not rec.passed
-    assert math.isnan(rec.details["min_forcing_ratio"])
+    monkeypatch.setattr(codazzi, "solve_triple_system", with_stray_leftover)
+    records = (
+        system1_check(seed=20, trials=5),
+        case1_check(seed=22, trials=3),
+        case2_check(seed=24, trials=5),
+        case3_check(trials=5, seed=7),
+    )
+    assert [r.check_id for r in records] == [
+        "derivative-comparison", "axis-case", "null-axis-case", "constrained-angle-case"
+    ]
+    for rec in records:
+        assert not rec.passed and rec.failures, rec.check_id

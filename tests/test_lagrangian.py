@@ -585,6 +585,27 @@ def test_suite_evaluates_the_map_once_as_a_jet(monkeypatch, label):
     assert calls == [True]
 
 
+READERS = (second_fundamental_form, ab_operators, p_split_residual, codazzi_residual,
+           frame_components)
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
+def test_each_reader_evaluates_the_map_once(monkeypatch, reader):
+    # the Lagrangian precondition is read from the reader's own package, so
+    # one jet evaluation covers the rows; a non-Lagrangian map still raises
+    calls = []
+    point = Immersion.point
+    monkeypatch.setattr(
+        Immersion, "point", lambda self, u: calls.append(isinstance(u, Jet)) or point(self, u)
+    )
+    imm = by_label("diagonal")
+    reader(imm, imm.domain.grid(2))
+    assert calls == [True]
+    with pytest.raises(ValueError, match="not Lagrangian"):
+        reader(by_label("twisted-control"), [SAMPLE_POINTS[1]])
+    assert calls == [True, True]
+
+
 def _pushforward_reference(imm, u):
     """The TangentVector pushforward of the oracle: central differences
     left-translated with Quaternion products."""

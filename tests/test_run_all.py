@@ -68,11 +68,13 @@ def test_timings_flag_keeps_elapsed_ms(tmp_path) -> None:
 #: node; structure.json re-recorded when frame-g-form took one frame package
 #: per built-in over its four points instead of one per point, which moved
 #: only its max_residual, in roundoff (5.168e-16 -> 5.034e-16; before:
-#: a6e0a62e...3fe0c1).  fit.json is left out because it names its input path.
+#: a6e0a62e...3fe0c1); proof.json re-recorded when the constrained-angle case
+#: became exact (before: 2d2edb15...545754).  fit.json is left out because it
+#: names its input path.
 PIPELINE_DIGESTS = {
     "structure": "8cb37cbb163e7121e79440b5f6e4065f66ee5cc92bf13f464056aa852dce79c4",
     "lagrangian": "9ae3ff0824b664a3cbab06eb648f7d971cab2c2b3f1527c7e146c703301f615a",
-    "proof": "2d2edb152819f1291e06351cbab3c0d5bfc81009b80512ebcadaf1eb2b545754",
+    "proof": "f6502bdc8db67c08a3706e3b627ff72e6697a050200f0ef20c1fc0e4a04d68bd",
 }
 
 
