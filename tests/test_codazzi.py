@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +46,7 @@ from nkverify.codazzi import (
     _case2_displays,
 )
 from nkverify.exact import QSqrt3, ZSqrt3, rat_circle_point
+from nkverify.humfit import build_h_from_V
 
 from exact_oracle import (
     angle_add,
@@ -267,6 +269,63 @@ def test_exact_tables_match_dense_formulas_on_integer_edge_states(states) -> Non
     # the largest common denominator of v (504) and the smallest (1)
     for st_ in states(35, 24 if states is _coprime_states else 4):
         _assert_tables_match_dense(st_)
+
+
+class _FloatView:
+    """An exact state's v and angle data read as doubles, with sqrt(3) a
+    double: the ring interface the dense formulas of exact_oracle read, so
+    they run in float arithmetic, with no Fraction or QSqrt3 operation."""
+
+    zero = 0.0
+    third = 1 / 3
+    sigma = 1 / (2 * math.sqrt(3))
+    inv_sqrt3 = 1 / math.sqrt(3)
+
+    def __init__(self, st_: FrameState) -> None:
+        self._st = st_
+        self.v = {m: float(st_.v[m]) for m in AXES}
+
+    def cot(self, a: int, b: int) -> float:
+        return float(self._st.cot(a, b))
+
+    def sin2(self, a: int, b: int) -> float:
+        return float(self._st.sin2(a, b))
+
+
+def _dyadic_states(rng: random.Random, zero, n: int) -> list[FrameState]:
+    """Exact states whose v entries are multiples of 1/8 in [-9, 9], 0 on
+    `zero`: a double holds each entry, and every sum and product the h and
+    dh formulas make of them, exactly."""
+    out = []
+    while len(out) < n:
+        v = [Fraction(0) if m in zero else Fraction(rng.randint(-72, 72), 8) for m in AXES]
+        t1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        t2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        try:
+            out.append(FrameState(v, rat_circle_point(t1), rat_circle_point(t2)))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("zero", ZERO_PATTERNS)
+def test_float_tables_match_dense_formulas_exactly(zero) -> None:
+    # at dyadic v nothing rounds, so the float array `fit` reads, the dense
+    # formulas evaluated in doubles and the exact tables read as doubles
+    # agree with ==, at every key, permuted ones included
+    rng = random.Random(40 + len(zero))
+    for st_ in _dyadic_states(rng, zero, 8):
+        fv = [float(st_.v[m]) for m in AXES]
+        assert all(fv[m - 1] == 0 for m in zero)
+        d = st_._D
+        h_float, dh_float = dense_h(fv), dense_dh(fv)
+        fit_array = np.asarray(build_h_from_V(fv))
+        h_num, dh_num = st_.h_numerators(), st_.dh_numerators()
+        for i, j, k in product(AXES, AXES, AXES):
+            want = float(st_._over(h_num[(i, j, k)], d ** 3))
+            assert h_float[(i, j, k)] == want == fit_array[i - 1, j - 1, k - 1], (i, j, k)
+        for key in product(AXES, AXES, AXES, AXES):
+            assert dh_float[key] == float(st_._over(dh_num[key], d ** 2)), key
 
 
 #: sha256 of `cmd_proof(trials=t, seed=s).to_json()`, keyed by (trials, seed).
@@ -558,6 +617,62 @@ def test_exact_solves_match_dense_replay(zero) -> None:
 def test_exact_solves_match_dense_replay_on_integer_edge_states(states) -> None:
     for st_ in states(55, 12 if states is _coprime_states else 2):
         assert _oracle_mismatches(st_) == []
+
+
+def _float_replay_mismatches(st_, shape, rng: random.Random) -> list:
+    """The rows of `shape` whose float replay disagrees with the exact solve.
+
+    Every variable the solve leaves unpinned gets a random rational value,
+    the solutions and extras are evaluated there exactly, and each dense row,
+    built in doubles on the state's `_FloatView`, is evaluated there.  Sorted,
+    the residuals must be `rank` zeros (the pivot rows) and the leftovers'
+    values, to rounding: 1e-12 of the largest row's sum of absolute terms.
+    """
+    triples, unknowns, vanishing, free_vars = shape
+    res = solve_triple_system(st_, *shape)
+    fst = _FloatView(st_)
+    tables = dense_tables(fst)
+    rows = [dense_scalar(fst, tables, i, j, k, l, vanishing) for i, j, k in triples for l in AXES]
+    solved = {**res.solutions, **res.extras}
+    variables = {*unknowns, *free_vars, *(var for r in rows for var in r.coeffs)}
+    assignment = {
+        var: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for var in sorted(variables) if var not in solved
+    }
+    for var, e in solved.items():
+        assignment[var] = _evaluate(e, assignment, Fraction(0))
+    residuals, scale = [], 0.0
+    for r in rows:
+        terms = [r.const, *(c * float(assignment[var]) for var, c in r.coeffs.items())]
+        residuals.append(math.fsum(terms))
+        scale = max(scale, sum(abs(t) for t in terms))
+    want = [0.0] * res.rank + [float(_evaluate(e, assignment, Fraction(0))) for e in res.leftovers]
+    assert len(want) == res.n_rows == len(rows)
+    return [
+        (got, w) for got, w in zip(sorted(residuals), sorted(want))
+        if not abs(got - w) <= 1e-12 * scale
+    ]
+
+
+@pytest.mark.parametrize("zero", ZERO_PATTERNS)
+def test_float_solves_match_dense_replay(zero) -> None:
+    # the exact solves against the dense rows replayed in doubles: a fault in
+    # the Q(sqrt 3) arithmetic that the comparison with the value-form
+    # oracle itself runs on (QSqrt3 ==, for one) cannot hide here.  Where
+    # 4 v1^2 - 3 (v2^2 + v3^2) = 0 every solve must refuse the state
+    rng = random.Random(60 + len(zero))
+    replayed = 0
+    for _ in range(8):
+        st_ = random_frame_state(rng, require_ec=False, zero=zero)
+        for name, shape in PROOF_SOLVES.items():
+            if st_.ec_value == 0:
+                with pytest.raises(ValueError):
+                    solve_triple_system(st_, *shape)
+                continue
+            assert _float_replay_mismatches(st_, shape, rng) == [], name
+            replayed += 1
+    # only v = 0 leaves nothing to replay
+    assert replayed or zero == (1, 2, 3)
 
 
 def test_case3_solves_match_the_oracle() -> None:
