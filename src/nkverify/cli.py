@@ -335,7 +335,8 @@ def cmd_lagrangian(
 def cmd_proof(trials: int = DEFAULT_TRIALS, seed: int = 0, mode: str = "all") -> VerificationReport:
     """Frame-level derivation checks, all exact: the frame relation, the
     derivative comparison, the axis, null-axis and v2 = 0 cases, and the
-    determinant factorization.  Both modes, "exact" and "all", run all six."""
+    determinant factorization.  Both modes, "exact" and "all", run all six
+    and differ only in the report's meta; the command line has no mode."""
     if mode not in ("exact", "all"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_count("trials", trials)
@@ -430,8 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("proof", help="frame-level derivation checks")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--mode", choices=("exact", "all"), default="all",
-                   help="exact and all both run every check")
     add_common(p)
 
     p = sub.add_parser("fit", help="H-umbilical detection on a cubic tensor file")
@@ -459,7 +458,7 @@ def _dispatch(args: argparse.Namespace) -> VerificationReport:
             seed=seed,
         )
     if args.command == "proof":
-        return cmd_proof(trials=args.trials, seed=seed, mode=args.mode)
+        return cmd_proof(trials=args.trials, seed=seed)
     raise ValueError(f"unknown command {args.command!r}")
 
 

@@ -59,8 +59,6 @@ from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import (
-    HALF_INV_SQRT3,
-    INV_SQRT3,
     SQRT3,
     CirclePoint,
     QSqrt3,
@@ -149,6 +147,12 @@ class AffineExpr:
 # states
 
 
+def _over(x, den: int):
+    """The value of numerator x over den, divided once: a Fraction, or a
+    QSqrt3 where x has a sqrt(3) part."""
+    return x.over(den) if isinstance(x, ZSqrt3) else Fraction(x, den)
+
+
 class _OmegaScale(NamedTuple):
     """The scale of a state's omega numerators and the numerators it needs.
 
@@ -158,11 +162,11 @@ class _OmegaScale(NamedTuple):
     products.
     """
 
-    den: object
-    sigma: object
-    inv_sqrt3: object
-    cot: dict
-    const_den: object
+    den: int
+    sigma: ZSqrt3
+    inv_sqrt3: ZSqrt3
+    cot: dict[tuple[int, int], int]
+    const_den: int
 
 
 class _RowScale(NamedTuple):
@@ -173,46 +177,88 @@ class _RowScale(NamedTuple):
     and angle holds sin 2(theta_a - theta_b)/3 at it, keyed by (a, b).
     """
 
-    den: object
-    coeff_mult: object
-    const_mult: object
-    angle: dict
+    den: int
+    coeff_mult: int
+    const_mult: int
+    angle: dict[tuple[int, int], int]
 
 
-class _StateCaches:
-    """Lazy per-state tables, computed on numerators.
+class FrameState:
+    """Exact frame state over Q(sqrt(3)).
 
-    Every table is computed by one formula on numerators: `_w` holds D v,
-    `_omega_scale()` the scale of omega with the numerators of the cotangents,
-    of 1/(2 sqrt 3) and of 1/sqrt(3), `_row_scale()` the scale of a Codazzi
-    row, and `_over(x, den)` turns a numerator into its value.  The
-    numerators are integers, with a Z[sqrt(3)] part where sqrt(3) enters.
+    v entries are rationals.  An angle is a rational circle point, held as an
+    integer triple (C, S, E): cosine C/E and sine S/E over one common
+    denominator, not necessarily in lowest terms.  theta1 and theta2 are read
+    from their circle points; theta3 = -(theta1 + theta2) and the three
+    differences theta_a - theta_b, a < b, are built on the triples, a
+    reverse pair is (C, -S, E) and the diagonal (1, 0, 1).  Construction
+    rejects states where some sin(theta_a - theta_b) vanishes, since the
+    connection components divide by those factors.
 
-    h and dh come from `hijk_from_v` and `hijk_gradient` at scales D^3 and
-    D^2, omega from `omega_numerators` at scale 6 D^3 Q.  The shifted table
-    holds omega_im^l - eps_iml/sqrt(3), the connection factor of the two
-    h-omega terms in `codazzi_scalar`, and the curl omega_ij^m - omega_ji^m,
-    the factor of the third, is kept per pair (i, j); both are at omega's
-    scale.  The h and dh builders skip the terms whose Kronecker factor is
-    zero and keep the order of the rest, so they give the same values on
-    integers and on rationals.
+    The tables are lazy and computed on integer numerators, with a Z[sqrt(3)]
+    part where sqrt(3) enters; `_over` turns a numerator into its value.
+    `_w` holds w = D v with D the lcm of the denominators of v.  h and dh
+    come from `hijk_from_v` and `hijk_gradient` on w, at scales D^3 and D^2.
+    The three distinct cotangents are over their common denominator Q, with
+    cot(b, a) = -cot(a, b), and `_omega_scale()` puts omega at scale
+    6 D^3 Q.  The shifted table holds omega_im^l - eps_iml/sqrt(3), the
+    connection factor of the two h-omega terms in `codazzi_scalar`, and the
+    curl omega_ij^m - omega_ji^m, the factor of the third, is kept per pair
+    (i, j); both are at omega's scale.  A Codazzi row, `_row_scale()`, is
+    over L = lcm(6 D^6 Q, A), with A the common denominator of the three
+    sin 2(theta_a - theta_b)/3.
     """
 
-    _w: list
-    _D: int
-    _h_num: dict | None
-    _dh_num: dict | None
-    _om_scale: _OmegaScale | None
-    _rows: _RowScale | None
-    _om_num: dict | None
-    _shifted_num: dict | None
-    _curl_num: dict
+    def __init__(self, v: Sequence[Fraction], theta1: CirclePoint, theta2: CirclePoint) -> None:
+        self._set_v(v)
+        c1, s1, e1 = theta1.c.numerator, theta1.s.numerator, theta1.c.denominator
+        c2, s2, e2 = theta2.c.numerator, theta2.s.numerator, theta2.c.denominator
+        # theta3 is the conjugate of the sum of theta1 and theta2
+        self._theta = {
+            1: (c1, s1, e1),
+            2: (c2, s2, e2),
+            3: (c1 * c2 - s1 * s2, -(s1 * c2 + c1 * s2), e1 * e2),
+        }
+        self._diffs: dict[tuple[int, int], tuple[int, int, int]] = {
+            (a, a): (1, 0, 1) for a in AXES
+        }
+        for a, b in CANONICAL_PAIRS:
+            ca, sa, ea = self._theta[a]
+            cb, sb, eb = self._theta[b]
+            c, s, e = ca * cb + sa * sb, sa * cb - ca * sb, ea * eb
+            self._diffs[(a, b)], self._diffs[(b, a)] = (c, s, e), (c, -s, e)
+        if any(self._diffs[ab][1] == 0 for ab in CANONICAL_PAIRS):
+            raise ValueError("state rejected: some sin(theta_a - theta_b) vanishes")
+        self._cot = self._thirds = None
 
-    def _reset_tables(self) -> None:
+    def _set_v(self, v: Sequence[Fraction]) -> None:
+        self.v = {m: Fraction(v[m - 1]) for m in AXES}
+        self._D = lcm(*(x.denominator for x in self.v.values()))
+        self._w = [x.numerator * (self._D // x.denominator) for x in self.v.values()]
         self._h_num = self._dh_num = self._om_scale = self._rows = self._om_num = None
         self._shifted_num = None
         self._curl_num = {}
 
+    def with_v(self, v: Sequence[Fraction]) -> "FrameState":
+        """The state at another v with the same, already validated, angles.
+
+        The angle triples, their differences, the cotangent numerators and
+        the angle terms of the rows are shared, not rebuilt.
+        """
+        st = object.__new__(FrameState)
+        st._set_v(v)
+        st._theta, st._diffs = self._theta, self._diffs
+        st._cot, st._thirds = self._cotangents(), self._angle_thirds()
+        return st
+
+    @property
+    def angles(self) -> dict[int, CirclePoint]:
+        """theta1, theta2 and theta3 as circle points, built when read."""
+        return {
+            a: CirclePoint(Fraction(c, e), Fraction(s, e)) for a, (c, s, e) in self._theta.items()
+        }
+
+    # tables ---------------------------------------------------------------
     def h_numerators(self) -> dict:
         """h at scale D^3: entry (i, j, k) is D^3 h_ij^k."""
         if self._h_num is None:
@@ -257,84 +303,7 @@ class _StateCaches:
             curl = self._curl_num[(i, j)] = tuple(om[(i, j, m)] - om[(j, i, m)] for m in AXES)
         return curl
 
-
-class FrameState(_StateCaches):
-    """Exact frame state over Q(sqrt(3)).
-
-    v entries are rationals.  An angle is a rational circle point, held as an
-    integer triple (C, S, E): cosine C/E and sine S/E over one common
-    denominator, not necessarily in lowest terms.  theta1 and theta2 are read
-    from their circle points; theta3 = -(theta1 + theta2) and the three
-    differences theta_a - theta_b, a < b, are built on the triples, a
-    reverse pair is (C, -S, E) and the diagonal (1, 0, 1).  Construction
-    rejects states where some sin(theta_a - theta_b) vanishes, since the
-    connection components divide by those factors.  The tables are built on
-    integers: w = D v with D the lcm of the denominators of v, and the three
-    distinct cotangents over their common denominator Q, with
-    cot(b, a) = -cot(a, b).  A Codazzi row's constant is over
-    L = lcm(6 D^6 Q, A), with A the common denominator of the three
-    sin 2(theta_a - theta_b)/3.
-    """
-
-    def __init__(self, v: Sequence[Fraction], theta1: CirclePoint, theta2: CirclePoint) -> None:
-        self._set_v(v)
-        c1, s1, e1 = theta1.c.numerator, theta1.s.numerator, theta1.c.denominator
-        c2, s2, e2 = theta2.c.numerator, theta2.s.numerator, theta2.c.denominator
-        # theta3 is the conjugate of the sum of theta1 and theta2
-        self._theta = {
-            1: (c1, s1, e1),
-            2: (c2, s2, e2),
-            3: (c1 * c2 - s1 * s2, -(s1 * c2 + c1 * s2), e1 * e2),
-        }
-        self._diffs: dict[tuple[int, int], tuple[int, int, int]] = {
-            (a, a): (1, 0, 1) for a in AXES
-        }
-        for a, b in CANONICAL_PAIRS:
-            ca, sa, ea = self._theta[a]
-            cb, sb, eb = self._theta[b]
-            c, s, e = ca * cb + sa * sb, sa * cb - ca * sb, ea * eb
-            self._diffs[(a, b)], self._diffs[(b, a)] = (c, s, e), (c, -s, e)
-        if any(self._diffs[ab][1] == 0 for ab in CANONICAL_PAIRS):
-            raise ValueError("state rejected: some sin(theta_a - theta_b) vanishes")
-        self._cot = self._thirds = None
-
-    def _set_v(self, v: Sequence[Fraction]) -> None:
-        self.v = {m: Fraction(v[m - 1]) for m in AXES}
-        self._D = lcm(*(x.denominator for x in self.v.values()))
-        self._w = [x.numerator * (self._D // x.denominator) for x in self.v.values()]
-        self._reset_tables()
-
-    def with_v(self, v: Sequence[Fraction]) -> "FrameState":
-        """The state at another v with the same, already validated, angles.
-
-        The angle triples, their differences, the cotangent numerators and
-        the angle terms of the rows are shared, not rebuilt.
-        """
-        st = object.__new__(FrameState)
-        st._set_v(v)
-        st._theta, st._diffs = self._theta, self._diffs
-        st._cot, st._thirds = self._cotangents(), self._angle_thirds()
-        return st
-
-    @property
-    def angles(self) -> dict[int, CirclePoint]:
-        """theta1, theta2 and theta3 as circle points, built when read."""
-        return {
-            a: CirclePoint(Fraction(c, e), Fraction(s, e)) for a, (c, s, e) in self._theta.items()
-        }
-
-    # ring interface -------------------------------------------------------
-    zero = Fraction(0)
-    third = Fraction(1, 3)
-    sigma = HALF_INV_SQRT3
-    inv_sqrt3 = INV_SQRT3
-
-    @staticmethod
-    def _over(x, den: int):
-        """The value of numerator x over den, divided once: a Fraction, or a
-        QSqrt3 where x has a sqrt(3) part."""
-        return x.over(den) if isinstance(x, ZSqrt3) else Fraction(x, den)
-
+    # scales ---------------------------------------------------------------
     def _cotangents(self) -> tuple[int, dict]:
         """Q and the numerators 6 Q cot(a, b) for a != b.
 
@@ -564,7 +533,7 @@ def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
 
 def omega_numerators(st) -> dict[tuple[int, int, int], object]:
     """Connection components omega_ij^k of the induced metric, at the state's
-    scale (see `_StateCaches`).
+    scale (see `FrameState`).
 
     The nine displayed formulas determine everything through the skew
     symmetry omega_ij^k = -omega_ik^j (and omega_ij^j = 0).  They are
@@ -661,7 +630,7 @@ def codazzi_values(st, row: AffineExpr) -> AffineExpr:
     A value is a QSqrt3 exactly where its numerator has a Z[sqrt(3)] part.
     """
     den = st._row_scale().den
-    return AffineExpr(st._over(row.const, den), {v: st._over(c, den) for v, c in row.coeffs.items()})
+    return AffineExpr(_over(row.const, den), {v: _over(c, den) for v, c in row.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +777,7 @@ def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
     def read(nums, den) -> AffineExpr:
         *coeffs, const = nums
         return AffineExpr(
-            st._over(const, den), {v: Fraction(c, den) for v, c in zip(free, coeffs) if c}
+            _over(const, den), {v: Fraction(c, den) for v, c in zip(free, coeffs) if c}
         )
 
     final = {present[j]: read(nums, out.last) for j, nums in out.solved.items()}
@@ -1121,7 +1090,8 @@ def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
                 bad = True
         if bad:
             continue
-        resultant = first.const * second.coeff(x, st.zero) - second.const * first.coeff(x, st.zero)
+        zero = Fraction(0)
+        resultant = first.const * second.coeff(x, zero) - second.const * first.coeff(x, zero)
         if resultant - case2_resultant(st.v[2], st.v[3]) != 0:
             fail("eliminant closed form mismatch")
             continue

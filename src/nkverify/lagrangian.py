@@ -248,13 +248,11 @@ def require_lagrangian(
 
 
 def _checked_rows(imm: Immersion, us: Rows, order: int) -> _Package:
-    """Frame package of the given order at the rows of us, once its own
-    Lagrangian residuals have passed the precondition at every row.  They
-    are those of every other order, bit for bit, as all orders compute them
-    from the same frame values; so the map is evaluated once."""
-    pkg = _Package(imm, us, order)
-    require_lagrangian(imm.label, pkg.us, pkg.lagrangian_residual)
-    return pkg
+    """Frame package of the given order at the rows of us, once is_lagrangian
+    has passed the precondition at every row."""
+    us = np.asarray(us, dtype=float).reshape(-1, 3)
+    require_lagrangian(imm.label, us, [chk.residual for chk in is_lagrangian(imm, us)])
+    return _Package(imm, us, order)
 
 
 def second_fundamental_form(imm: Immersion, us: Rows) -> tuple[np.ndarray, np.ndarray]:
@@ -417,7 +415,8 @@ def frame_components(imm: Immersion, us: Rows) -> list[AdaptedFrameData]:
     the flag is reported instead.  A row that fails the Lagrangian
     precondition raises ValueError.
     """
-    pkg = _checked_rows(imm, us, 2)
+    pkg = _Package(imm, us, 2)
+    require_lagrangian(imm.label, pkg.us, pkg.lagrangian_residual)
     return [_adapted_frame(pkg, i) for i in range(len(pkg.us))]
 
 

@@ -8,7 +8,9 @@ reverse pivot order.  That code lives here as an
 independent reference.  Its tables come from the dense formulas below, not
 from the module's numerators, so it shares nothing with the solver under test
 but the state's v and its angle accessors (cot, sin2) and the AffineExpr
-container.
+container.  The constants the formulas need (0, 1/3, 1/(2 sqrt 3) and
+1/sqrt(3)) come from a ring object, `ExactRing` by default, so the same
+formulas also run on a float view of a state.
 
 It also keeps the circle arithmetic in Fraction that exact states used
 before they held their angles as integer triples: sums, differences and
@@ -21,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from nkverify.codazzi import AXES, AffineExpr, SolveResult, delta, epsilon
-from nkverify.exact import CirclePoint
+from nkverify.exact import HALF_INV_SQRT3, INV_SQRT3, CirclePoint
 
 # ---------------------------------------------------------------------------
 # circle arithmetic
@@ -63,6 +65,15 @@ def angle_sub(p: CirclePoint, q: CirclePoint) -> CirclePoint:
 # tables and solves
 
 
+class ExactRing:
+    """The constants of the dense formulas, in Q(sqrt(3))."""
+
+    zero = Fraction(0)
+    third = Fraction(1, 3)
+    sigma = HALF_INV_SQRT3
+    inv_sqrt3 = INV_SQRT3
+
+
 def dense_h(v) -> dict:
     """h_ij^k = |v|^2 (v_i d_jk + v_j d_ki + v_k d_ij) - 5 v_i v_j v_k, every key."""
     vv = {m: v[m - 1] for m in AXES}
@@ -90,7 +101,7 @@ def dense_dh(v) -> dict:
     return out
 
 
-def dense_omega(st) -> dict:
+def dense_omega(st, ring=ExactRing) -> dict:
     """The connection components by their nine displayed formulas, with one
     `cot` call per use, as values (Fraction or QSqrt3)."""
     v1, v2, v3 = st.v[1], st.v[2], st.v[3]
@@ -103,14 +114,14 @@ def dense_omega(st) -> dict:
         (2, 2, 3): -v3 * (q1 - 4 * q2 + q3) * st.cot(2, 3),
         (3, 3, 1): -v1 * (q1 + q2 - 4 * q3) * st.cot(3, 1),
         (3, 3, 2): -v2 * (q1 + q2 - 4 * q3) * st.cot(3, 2),
-        (1, 2, 3): st.sigma + five_v * st.cot(2, 3),
-        (2, 3, 1): st.sigma + five_v * st.cot(3, 1),
-        (3, 1, 2): st.sigma + five_v * st.cot(1, 2),
+        (1, 2, 3): ring.sigma + five_v * st.cot(2, 3),
+        (2, 3, 1): ring.sigma + five_v * st.cot(3, 1),
+        (3, 1, 2): ring.sigma + five_v * st.cot(1, 2),
     }
     out = {}
     for i, j, k in product(AXES, AXES, AXES):
         if j == k:
-            out[(i, j, k)] = st.zero
+            out[(i, j, k)] = ring.zero
         elif (i, j, k) in displays:
             out[(i, j, k)] = displays[(i, j, k)]
         else:
@@ -118,7 +129,7 @@ def dense_omega(st) -> dict:
     return out
 
 
-def dense_tables(st):
+def dense_tables(st, ring=ExactRing):
     """h, dh, omega and the shifted omega of the state from the formulas above.
 
     h and dh are read at the sorted index of each entry's symmetry class, the
@@ -129,15 +140,15 @@ def dense_tables(st):
     full_h, full_dh = dense_h(v), dense_dh(v)
     h = {key: full_h[tuple(sorted(key))] for key in full_h}
     dh = {(j, k, l, m): full_dh[(*sorted((j, k, l)), m)] for j, k, l, m in full_dh}
-    om = dense_omega(st)
+    om = dense_omega(st, ring)
     shifted = {}
     for key in product(AXES, AXES, AXES):
         eps = epsilon(*key)
-        shifted[key] = om[key] - st.inv_sqrt3 * eps if eps else om[key]
+        shifted[key] = om[key] - ring.inv_sqrt3 * eps if eps else om[key]
     return h, dh, om, shifted
 
 
-def dense_scalar(st, tables, i, j, k, l, vanishing=frozenset()) -> AffineExpr:
+def dense_scalar(st, tables, i, j, k, l, vanishing=frozenset(), ring=ExactRing) -> AffineExpr:
     """The Codazzi scalar summed term by term in the tables' own arithmetic.
 
     A product whose h factor is exactly zero is left out: it adds an exact
@@ -155,7 +166,7 @@ def dense_scalar(st, tables, i, j, k, l, vanishing=frozenset()) -> AffineExpr:
         c = dh[(i, k, l, m)]
         if c:
             coeffs[(j, m)] = coeffs[(j, m)] - c if (j, m) in coeffs else -c
-    const = st.zero
+    const = ring.zero
     for m in AXES:
         if h[(j, k, m)]:
             const = const + h[(j, k, m)] * shifted[(i, m, l)]
@@ -167,7 +178,7 @@ def dense_scalar(st, tables, i, j, k, l, vanishing=frozenset()) -> AffineExpr:
             const = const - om[(i, k, m)] * h[(j, m, l)]
         if h[(i, m, l)]:
             const = const + om[(j, k, m)] * h[(i, m, l)]
-    const = const - st.third * st.sin2(i, j) * (
+    const = const - ring.third * st.sin2(i, j) * (
         delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
     )
     return AffineExpr(const, coeffs)
@@ -197,12 +208,12 @@ def oracle_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> 
     defs, order, active = {}, [], list(rows)
     for var in extra_vars + designated:
         pivot_idx = next(
-            (idx for idx, r in enumerate(active) if r.coeff(var, st.zero) != 0), None
+            (idx for idx, r in enumerate(active) if r.coeff(var, ExactRing.zero) != 0), None
         )
         if pivot_idx is None:
             continue
         row = active.pop(pivot_idx)
-        a = row.coeff(var, st.zero)
+        a = row.coeff(var, ExactRing.zero)
         rest = AffineExpr(row.const, {w: c for w, c in row.coeffs.items() if w != var})
         defs[var] = rest.scale(-(1 / a))
         order.append(var)

@@ -272,12 +272,15 @@ def test_proof_all_mode_passes_with_expected_records() -> None:
 
 
 def test_proof_numeric_mode_is_rejected(capsys) -> None:
-    # every check is exact, so a numeric mode would select nothing
+    # every check is exact, so a numeric mode would select nothing, and the
+    # command line takes no mode at all
     with pytest.raises(ValueError):
         cmd_proof(trials=5, seed=1, mode="numeric")
-    with pytest.raises(SystemExit):
-        main(["proof", "--mode", "numeric"])
-    assert "invalid choice" in capsys.readouterr().err
+    for mode in ("numeric", "all"):
+        with pytest.raises(SystemExit) as exc:
+            main(["proof", "--mode", mode])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --mode {mode}" in capsys.readouterr().err
 
 
 def test_proof_exact_mode_runs_every_check() -> None:
@@ -492,13 +495,13 @@ def test_main_fit_rejects_a_nan_tolerance(tmp_path, capsys) -> None:
 
 
 def test_main_proof_takes_no_tolerance(capsys) -> None:
-    # every proof check is exact, so a bound is a usage error; both modes run
+    # every proof check is exact, so a bound is a usage error
     with pytest.raises(SystemExit) as exc:
         main(["proof", "--tol", "1e-8"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
-    assert main(["proof", "--trials", "2", "--mode", "exact", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["meta"]["mode"] == "exact"
+    assert main(["proof", "--trials", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["mode"] == "all"
 
 
 def test_main_missing_fit_file_exits_two(tmp_path, capsys) -> None:

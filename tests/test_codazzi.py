@@ -44,8 +44,9 @@ from nkverify.codazzi import (
     solve_triple_system,
     system1_check,
     _case2_displays,
+    _over,
 )
-from nkverify.exact import QSqrt3, ZSqrt3, rat_circle_point
+from nkverify.exact import HALF_INV_SQRT3, QSqrt3, ZSqrt3, rat_circle_point
 from nkverify.humfit import build_h_from_V
 
 from exact_oracle import (
@@ -77,19 +78,19 @@ def _evaluate(e: AffineExpr, assignment: dict, zero):
     return val
 
 
-def _values(st_, table: dict, den) -> dict:
+def _values(table: dict, den) -> dict:
     """A numerator table of the state divided by its scale, entry by entry."""
-    return {key: st_._over(x, den) for key, x in table.items()}
+    return {key: _over(x, den) for key, x in table.items()}
 
 
 def _omega_values(st_) -> dict:
-    return _values(st_, st_.omega_numerators(), st_._omega_scale().den)
+    return _values(st_.omega_numerators(), st_._omega_scale().den)
 
 
 def _shifted_values(st_) -> dict:
     """The state's shifted connection omega_im^l - eps_iml/sqrt(3) as
     values: its numerators over omega's scale."""
-    return _values(st_, st_.shifted_numerators(), st_._omega_scale().den)
+    return _values(st_.shifted_numerators(), st_._omega_scale().den)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +191,13 @@ def _assert_tables_match_dense(st_) -> None:
     for key in product(AXES, AXES, AXES):
         rep = tuple(sorted(key))
         assert h_num[key] is h_num[rep]
-        _assert_same(st_._over(h_num[key], d ** 3), full_h[rep])
+        _assert_same(_over(h_num[key], d ** 3), full_h[rep])
     dh_num, full_dh = st_.dh_numerators(), dense_dh(v)
     assert len(dh_num) == 81
     for j, k, l, m in product(AXES, AXES, AXES, AXES):
         rep = (*sorted((j, k, l)), m)
         assert dh_num[(j, k, l, m)] is dh_num[rep]
-        _assert_same(st_._over(dh_num[(j, k, l, m)], d ** 2), full_dh[rep])
+        _assert_same(_over(dh_num[(j, k, l, m)], d ** 2), full_dh[rep])
     tables = dense_tables(st_)
     _, _, dense_om, dense_shifted = tables
     om, shifted = _omega_values(st_), _shifted_values(st_)
@@ -260,8 +261,8 @@ def test_exact_tables_match_dense_formulas(zero) -> None:
         _assert_tables_match_dense(st_)
         # exact values do not depend on the order of the factors
         v, d = [st_.v[m] for m in AXES], st_._D
-        assert _values(st_, st_.h_numerators(), d ** 3) == dense_h(v)
-        assert _values(st_, st_.dh_numerators(), d ** 2) == dense_dh(v)
+        assert _values(st_.h_numerators(), d ** 3) == dense_h(v)
+        assert _values(st_.dh_numerators(), d ** 2) == dense_dh(v)
 
 
 @pytest.mark.parametrize("states", [_coprime_states, _axis_states])
@@ -271,15 +272,19 @@ def test_exact_tables_match_dense_formulas_on_integer_edge_states(states) -> Non
         _assert_tables_match_dense(st_)
 
 
-class _FloatView:
-    """An exact state's v and angle data read as doubles, with sqrt(3) a
-    double: the ring interface the dense formulas of exact_oracle read, so
-    they run in float arithmetic, with no Fraction or QSqrt3 operation."""
+class _FloatRing:
+    """The constants of exact_oracle's dense formulas as doubles."""
 
     zero = 0.0
     third = 1 / 3
     sigma = 1 / (2 * math.sqrt(3))
     inv_sqrt3 = 1 / math.sqrt(3)
+
+
+class _FloatView:
+    """An exact state's v and angle data read as doubles: with `_FloatRing`,
+    the dense formulas of exact_oracle run in float arithmetic, with no
+    Fraction or QSqrt3 operation."""
 
     def __init__(self, st_: FrameState) -> None:
         self._st = st_
@@ -322,10 +327,10 @@ def test_float_tables_match_dense_formulas_exactly(zero) -> None:
         fit_array = np.asarray(build_h_from_V(fv))
         h_num, dh_num = st_.h_numerators(), st_.dh_numerators()
         for i, j, k in product(AXES, AXES, AXES):
-            want = float(st_._over(h_num[(i, j, k)], d ** 3))
+            want = float(_over(h_num[(i, j, k)], d ** 3))
             assert h_float[(i, j, k)] == want == fit_array[i - 1, j - 1, k - 1], (i, j, k)
         for key in product(AXES, AXES, AXES, AXES):
-            assert dh_float[key] == float(st_._over(dh_num[key], d ** 2)), key
+            assert dh_float[key] == float(_over(dh_num[key], d ** 2)), key
 
 
 #: sha256 of `cmd_proof(trials=t, seed=s).to_json()`, keyed by (trials, seed).
@@ -420,8 +425,8 @@ def test_omega_skew_in_last_two_slots() -> None:
 def test_omega_spot_values() -> None:
     st_ = _state(2, zero=(3,))  # v3 = 0 kills the 5 v1 v2 v3 terms
     om = _omega_values(st_)
-    assert om[(1, 2, 3)] == st_.sigma
-    assert om[(2, 3, 1)] == st_.sigma
+    assert om[(1, 2, 3)] == HALF_INV_SQRT3
+    assert om[(2, 3, 1)] == HALF_INV_SQRT3
     st2 = FrameState(
         [Fraction(0), Fraction(1), Fraction(0)],
         rat_circle_point(Fraction(1, 3)),
@@ -470,8 +475,8 @@ def test_components_affine_in_unknowns() -> None:
         a = {(i, m): Fraction(rng.randint(-5, 5)) for i, m in product(AXES, AXES)}
         b = {(i, m): Fraction(rng.randint(-5, 5)) for i, m in product(AXES, AXES)}
         mid = {k: (a[k] + b[k]) / 2 for k in a}
-        lhs = _evaluate(e, mid, st_.zero)
-        rhs = (_evaluate(e, a, st_.zero) + _evaluate(e, b, st_.zero)) / 2
+        lhs = _evaluate(e, mid, Fraction(0))
+        rhs = (_evaluate(e, a, Fraction(0)) + _evaluate(e, b, Fraction(0))) / 2
         assert lhs == rhs
 
 
@@ -493,7 +498,7 @@ def test_zero_v_rows_are_inconsistent() -> None:
     )
     e = codazzi_values(st_, codazzi_scalar(st_, 1, 2, 1, 2))
     assert all(c == 0 for c in e.coeffs.values())
-    assert e.const == -st_.third * st_.sin2(1, 2) != 0
+    assert e.const == -Fraction(1, 3) * st_.sin2(1, 2) != 0
     with pytest.raises(ValueError):
         solve_triple_system(st_, [(1, 2, 1)], [(1, 1)])
 
@@ -550,11 +555,11 @@ def test_solver_solution_satisfies_rows() -> None:
     )
     assignment = {(1, 1): Fraction(7, 3)}
     for var, sol in {**res.solutions, **res.extras}.items():
-        assignment[var] = _evaluate(sol, assignment, st_.zero)
+        assignment[var] = _evaluate(sol, assignment, Fraction(0))
     for k in AXES:
         for l in AXES:
             e = codazzi_values(st_, codazzi_scalar(st_, 1, 2, k, l))
-            assert _evaluate(e, assignment, st_.zero) == 0
+            assert _evaluate(e, assignment, Fraction(0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -624,15 +629,18 @@ def _float_replay_mismatches(st_, shape, rng: random.Random) -> list:
 
     Every variable the solve leaves unpinned gets a random rational value,
     the solutions and extras are evaluated there exactly, and each dense row,
-    built in doubles on the state's `_FloatView`, is evaluated there.  Sorted,
+    built in doubles on the state's `_FloatView` with `_FloatRing`, is evaluated there.  Sorted,
     the residuals must be `rank` zeros (the pivot rows) and the leftovers'
     values, to rounding: 1e-12 of the largest row's sum of absolute terms.
     """
     triples, unknowns, vanishing, free_vars = shape
     res = solve_triple_system(st_, *shape)
     fst = _FloatView(st_)
-    tables = dense_tables(fst)
-    rows = [dense_scalar(fst, tables, i, j, k, l, vanishing) for i, j, k in triples for l in AXES]
+    tables = dense_tables(fst, _FloatRing)
+    rows = [
+        dense_scalar(fst, tables, i, j, k, l, vanishing, _FloatRing)
+        for i, j, k in triples for l in AXES
+    ]
     solved = {**res.solutions, **res.extras}
     variables = {*unknowns, *free_vars, *(var for r in rows for var in r.coeffs)}
     assignment = {

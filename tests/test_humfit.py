@@ -258,16 +258,15 @@ def test_theorem_harness_nan_cubic_form_fails(monkeypatch):
     assert rec.details["fit_successes"] == 7
 
 
-def test_theorem_harness_evaluates_the_map_twice():
-    # the precheck and second_fundamental_form's order-2 package, which reads
-    # the precondition from its own residuals, each evaluate the map once,
-    # as a jet, for the whole grid
+def test_theorem_harness_evaluates_the_map_three_times():
+    # the precheck, second_fundamental_form's own precheck and its order-2
+    # package each evaluate the map once, as a jet, for the whole grid
     imm = example_by_label("diagonal")
     calls = []
     imm.map_fn = lambda u, fn=imm.map_fn: calls.append(u) or fn(u)
     rec = theorem_harness(imm, grid=3)
     assert rec.passed and rec.samples == 27
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_symmetry_defects_keep_nan():
