@@ -13,15 +13,12 @@ no angle constraint: its rows leave a leftover free of the angles that
 vanishes only at v3 = 0, so it too is checked at exact states with free
 rational angles.
 
-Each state caches its tables once: h, the gradient dh/dv, omega, and the
-shifted connection omega_im^l - eps_iml/sqrt(3) that the Codazzi scalars
-read.  h and dh are symmetric in (i, j, k) and (j, k, l), so each symmetry
-class is computed once, at its sorted index, and every permuted key holds
-that same value.  The builders add only the terms whose Kronecker factor is
-nonzero, in the order of the full formulas, so each class gets exactly the
-dense expression's value at its sorted index.  No arithmetic is spent on
-exact zeros: a Codazzi scalar skips each product whose h factor is zero and
-stores a D-coefficient only where its dh entry is nonzero.
+Each state caches its tables once: h, the gradient dh/dv and omega.  h and
+dh are symmetric in (i, j, k) and (j, k, l), so each is held once per
+symmetry class, at its sorted index (10 and 30 entries); `_H_CLASS` and
+`_DH_CLASS` map every key to its class.  The builders add only the terms
+whose Kronecker factor is nonzero, in the order of the full formulas, so each
+class gets exactly the dense expression's value at its sorted index.
 
 An exact state is built on integers from the draw: each angle is a triple
 (C, S, E) of integers with cosine C/E and sine S/E, so theta3 and the angle
@@ -30,21 +27,41 @@ sine is one Fraction built from them, and the gate 4 v1^2 - 3(v2^2 + v3^2)
 is an integer over D^2.  Its tables are on integer numerators too.  With D
 the lcm of the denominators of v, w = D v is an integer vector, and the
 three distinct cotangents are put over one common denominator Q
-(cot(b, a) = -cot(a, b)).  h is then D^-3 times integers, dh D^-2 times integers and
-omega (6 D^3 Q)^-1 times an element of Z[sqrt(3)], whose sqrt(3) part comes
-only from 1/(2 sqrt 3).  A Codazzi row is kept over one denominator per
-state, L = lcm(6 D^6 Q, A) with A the common denominator of the three
-sin 2(theta_a - theta_b)/3: its D-coefficients are the (rational) dh
-numerators times L / D^2, and its constant, a sum of h-omega products plus
-the angle term, is one integer rational part and one integer sqrt(3) part.
-The exact solver eliminates these integer rows fraction-free (Bareiss): each
-update is divided exactly by the previous pivot, every pivot is an integer,
-and no Fraction or QSqrt3 is built until the results are read, when each
-solution is divided once by the last pivot and each leftover once by the
-last pivot times L.  Pivots are still the first rows with a nonzero
+(cot(b, a) = -cot(a, b)).  h is then D^-3 times integers, dh D^-2 times
+integers and omega (6 D^3 Q)^-1 times an integer plus a sqrt(3) part.  That
+part comes only from 1/(2 sqrt 3), so it is sigma eps_ijk for one integer
+sigma, and it is nonzero only where i, j, k are distinct.  The same holds
+for the two connection factors the Codazzi scalars read: the shifted
+connection omega_im^l - eps_iml/sqrt(3) has omega's rational part and the
+sqrt(3) part (sigma - iota) eps_iml, with iota the numerator of 1/sqrt(3),
+and the curl omega_ij^m - omega_ji^m has the sqrt(3) part 2 sigma eps_ijm.
+So sqrt(3) is a column of its own: no table entry is anything but an int.
+
+Each Codazzi scalar (i, j, k, l) reads a plan compiled once, when it is
+first needed: its dh class keys, and its h-omega products grouped by h
+class, each group holding the omega keys of its rational part, the integer
+weights of sigma and iota in its sqrt(3) part, and a flag that says whether
+any of its connection factors has a sqrt(3) part at all.  A row's
+D-coefficients are the integer dh numerators, at scale D^2, and its
+constant, a sum of h-omega products plus the angle term, is one integer
+rational part and one integer sqrt(3) part at L = lcm(6 D^6 Q, A), with A
+the common denominator of the three sin 2(theta_a - theta_b)/3.  A group
+whose h class is zero is skipped, so the row is flagged irrational exactly
+where value-form arithmetic would have met a QSqrt3, even where the sqrt(3)
+parts cancel.
+
+The exact solver eliminates these integer rows fraction-free (Bareiss),
+with the constant as two integer columns and the flag carried per row: each
+update is divided exactly by the previous pivot, every pivot is an integer
+minor of the small coefficients, and no Fraction or QSqrt3 is built until
+the results are read.  Then a solution's coefficients are divided once by
+the last pivot P and its constant by P L / D^2, the constant's own scale
+against the coefficients'; a leftover's coefficients are divided by P D^2
+and its constant by P L.  Pivots are still the first rows with a nonzero
 coefficient, so the pivot order, rank and free variables are those of
 value-form elimination, and a value is a QSqrt3 exactly where the
-rational-arithmetic formulas give a QSqrt3, so the reports keep their types.
+rational-arithmetic formulas give a QSqrt3, so the reports keep their
+types.
 """
 
 from __future__ import annotations
@@ -62,7 +79,6 @@ from .exact import (
     SQRT3,
     CirclePoint,
     QSqrt3,
-    ZSqrt3,
     divide_exactly,
     poly_identity_check,
     rat_circle_point,
@@ -147,24 +163,29 @@ class AffineExpr:
 # states
 
 
-def _over(x, den: int):
-    """The value of numerator x over den, divided once: a Fraction, or a
-    QSqrt3 where x has a sqrt(3) part."""
-    return x.over(den) if isinstance(x, ZSqrt3) else Fraction(x, den)
+def _value(const: int, root3: int, irrational: bool, den: int):
+    """const + root3 sqrt(3) over den, divided once: a QSqrt3 where the
+    numerator is flagged irrational, else a Fraction.  A numerator that is
+    not flagged has no sqrt(3) part."""
+    if irrational:
+        return QSqrt3(Fraction(const, den), Fraction(root3, den))
+    if root3:
+        raise ArithmeticError("a sqrt(3) part on a numerator not flagged irrational")
+    return Fraction(const, den)
 
 
 class _OmegaScale(NamedTuple):
     """The scale of a state's omega numerators and the numerators it needs.
 
-    den is the scale of omega; sigma, inv_sqrt3 and cot are the numerators of
-    1/(2 sqrt 3), 1/sqrt(3) and cot(theta_a - theta_b), keyed by (a, b), at
-    that scale; const_den = D^3 den is the scale of a sum of h-omega
-    products.
+    den is the scale of omega; sigma and inv_sqrt3 are the sqrt(3)
+    coefficients of 1/(2 sqrt 3) = sqrt(3)/6 and 1/sqrt(3) = sqrt(3)/3 at
+    that scale, and cot holds cot(theta_a - theta_b) at it, keyed by (a, b);
+    const_den = D^3 den is the scale of a sum of h-omega products.
     """
 
     den: int
-    sigma: ZSqrt3
-    inv_sqrt3: ZSqrt3
+    sigma: int
+    inv_sqrt3: int
     cot: dict[tuple[int, int], int]
     const_den: int
 
@@ -172,9 +193,10 @@ class _OmegaScale(NamedTuple):
 class _RowScale(NamedTuple):
     """The scale of a state's Codazzi rows and the numerators they need.
 
-    den is the scale of a row, L.  coeff_mult = den / D^2 carries a dh
-    numerator to it, const_mult = den / const_den a sum of h-omega products,
-    and angle holds sin 2(theta_a - theta_b)/3 at it, keyed by (a, b).
+    den is the scale of a row's constant, L, and coeff_mult = den / D^2 its
+    ratio to the scale of the coefficients, the dh numerators'.
+    const_mult = den / const_den carries a sum of h-omega products to L, and
+    angle holds sin 2(theta_a - theta_b)/3 at it, keyed by (a, b).
     """
 
     den: int
@@ -195,18 +217,17 @@ class FrameState:
     rejects states where some sin(theta_a - theta_b) vanishes, since the
     connection components divide by those factors.
 
-    The tables are lazy and computed on integer numerators, with a Z[sqrt(3)]
-    part where sqrt(3) enters; `_over` turns a numerator into its value.
-    `_w` holds w = D v with D the lcm of the denominators of v.  h and dh
-    come from `hijk_from_v` and `hijk_gradient` on w, at scales D^3 and D^2.
+    The tables are lazy and hold only ints.  `_w` holds w = D v with D the
+    lcm of the denominators of v.  h and dh come from `hijk_from_v` and
+    `hijk_gradient` on w, at scales D^3 and D^2, once per symmetry class.
     The three distinct cotangents are over their common denominator Q, with
     cot(b, a) = -cot(a, b), and `_omega_scale()` puts omega at scale
-    6 D^3 Q.  The shifted table holds omega_im^l - eps_iml/sqrt(3), the
-    connection factor of the two h-omega terms in `codazzi_scalar`, and the
-    curl omega_ij^m - omega_ji^m, the factor of the third, is kept per pair
-    (i, j); both are at omega's scale.  A Codazzi row, `_row_scale()`, is
-    over L = lcm(6 D^6 Q, A), with A the common denominator of the three
-    sin 2(theta_a - theta_b)/3.
+    6 D^3 Q.  The omega table holds the rational parts; the sqrt(3) part of
+    omega_ij^k is `_omega_scale().sigma` times eps_ijk, and the shifted
+    connection and the curl that `codazzi_scalar` reads are built from them
+    by its plans.  A Codazzi row's constant, `_row_scale()`, is over
+    L = lcm(6 D^6 Q, A), with A the common denominator of the three
+    sin 2(theta_a - theta_b)/3, and its coefficients over D^2.
     """
 
     def __init__(self, v: Sequence[Fraction], theta1: CirclePoint, theta2: CirclePoint) -> None:
@@ -236,8 +257,6 @@ class FrameState:
         self._D = lcm(*(x.denominator for x in self.v.values()))
         self._w = [x.numerator * (self._D // x.denominator) for x in self.v.values()]
         self._h_num = self._dh_num = self._om_scale = self._rows = self._om_num = None
-        self._shifted_num = None
-        self._curl_num = {}
 
     def with_v(self, v: Sequence[Fraction]) -> "FrameState":
         """The state at another v with the same, already validated, angles.
@@ -260,48 +279,25 @@ class FrameState:
 
     # tables ---------------------------------------------------------------
     def h_numerators(self) -> dict:
-        """h at scale D^3: entry (i, j, k) is D^3 h_ij^k."""
+        """h at scale D^3 per symmetry class: entry (i, j, k), i <= j <= k,
+        is D^3 h_ij^k."""
         if self._h_num is None:
             self._h_num = hijk_from_v(self._w)
         return self._h_num
 
     def dh_numerators(self) -> dict:
-        """dh at scale D^2: entry (j, k, l, m) is D^2 d h_jk^l / d v_m."""
+        """dh at scale D^2 per symmetry class: entry (j, k, l, m),
+        j <= k <= l, is D^2 d h_jk^l / d v_m."""
         if self._dh_num is None:
             self._dh_num = hijk_gradient(self._w)
         return self._dh_num
 
     def omega_numerators(self) -> dict:
-        """omega at its scale: entry (i, j, k) is 6 D^3 Q omega_ij^k."""
+        """omega's rational part at its scale: entry (i, j, k) is 6 D^3 Q
+        omega_ij^k less its sqrt(3) part, sigma eps_ijk."""
         if self._om_num is None:
             self._om_num = omega_numerators(self)
         return self._om_num
-
-    def shifted_numerators(self) -> dict:
-        """Entry (i, m, l) is omega_im^l - eps_iml / sqrt(3), at omega's scale.
-
-        Where eps_iml = 0 the entry is omega_im^l itself, so a rational
-        omega stays rational.
-        """
-        if self._shifted_num is None:
-            om = self.omega_numerators()
-            inv_sqrt3 = self._omega_scale().inv_sqrt3
-            self._shifted_num = {}
-            for key in product(AXES, AXES, AXES):
-                eps = epsilon(*key)
-                self._shifted_num[key] = om[key] - inv_sqrt3 * eps if eps else om[key]
-        return self._shifted_num
-
-    def curl_numerators(self, i: int, j: int) -> tuple:
-        """omega_ij^m - omega_ji^m for m = 1, 2, 3, at omega's scale.
-
-        Computed once per pair (i, j), when a Codazzi scalar first needs it.
-        """
-        curl = self._curl_num.get((i, j))
-        if curl is None:
-            om = self.omega_numerators()
-            curl = self._curl_num[(i, j)] = tuple(om[(i, j, m)] - om[(j, i, m)] for m in AXES)
-        return curl
 
     # scales ---------------------------------------------------------------
     def _cotangents(self) -> tuple[int, dict]:
@@ -325,9 +321,7 @@ class FrameState:
             q, cot = self._cotangents()
             d3 = self._D ** 3
             d3q = d3 * q
-            self._om_scale = _OmegaScale(
-                6 * d3q, ZSqrt3(0, d3q), ZSqrt3(0, 2 * d3q), cot, 6 * d3q * d3
-            )
+            self._om_scale = _OmegaScale(6 * d3q, d3q, 2 * d3q, cot, 6 * d3q * d3)
         return self._om_scale
 
     def _angle_thirds(self) -> tuple[int, dict]:
@@ -350,7 +344,7 @@ class FrameState:
         return self._thirds
 
     def _row_scale(self) -> _RowScale:
-        """Rows at L = lcm(6 D^6 Q, A), a multiple of D^2."""
+        """Row constants at L = lcm(6 D^6 Q, A), a multiple of D^2."""
         if self._rows is None:
             const_den = self._omega_scale().const_den
             a, thirds = self._angle_thirds()
@@ -373,11 +367,15 @@ class FrameState:
         c, s, e = self._diffs[(a, b)]
         return Fraction(2 * s * c, e * e)
 
+    def _ec_numerator(self) -> int:
+        """4 w1^2 - 3 (w2^2 + w3^2): D^2 times 4 v1^2 - 3 (v2^2 + v3^2)."""
+        w1, w2, w3 = self._w
+        return 4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3)
+
     @property
     def ec_value(self) -> Fraction:
         """4 v1^2 - 3 (v2^2 + v3^2), from the integers w = D v over D^2."""
-        w1, w2, w3 = self._w
-        return Fraction(4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3), self._D * self._D)
+        return Fraction(self._ec_numerator(), self._D * self._D)
 
     def describe(self) -> dict:
         return {
@@ -418,7 +416,7 @@ def random_frame_state(
             st = FrameState(v, rat_circle_point(t1), rat_circle_point(t2))
         except ValueError:
             continue
-        if require_ec and st.ec_value == 0:
+        if require_ec and not st._ec_numerator():
             continue
         return st
     raise RuntimeError("could not sample a valid frame state")
@@ -428,8 +426,8 @@ def random_frame_state(
 # component tables
 
 
-#: Each key of h and its symmetry class's sorted index; likewise for dh,
-#: which is symmetric in its first three slots.
+#: Each key of h and its symmetry class's sorted index, the key its table
+#: holds it at; likewise for dh, which is symmetric in its first three slots.
 _H_CLASS = {key: tuple(sorted(key)) for key in product(AXES, AXES, AXES)}
 _DH_CLASS = {
     (j, k, l, m): (*sorted((j, k, l)), m) for j, k, l, m in product(AXES, AXES, AXES, AXES)
@@ -449,10 +447,10 @@ def hijk_from_v(v: Sequence) -> dict[tuple[int, int, int], object]:
     """Second fundamental form components from the vector field components.
 
     h_ij^k = |v|^2 (v_i d_jk + v_j d_ki + v_k d_ij) - 5 v_i v_j v_k.
-    Fully symmetric and trace-free in every slot.  Each of the 10 symmetry
-    classes is computed at its sorted index and shared by all its keys.
-    Terms with a zero Kronecker factor are left out; the others are added in
-    the order written.
+    Fully symmetric and trace-free in every slot, so the table holds the 10
+    symmetry classes at their sorted indices; `_H_CLASS` maps any key to
+    its class.  Terms with a zero Kronecker factor are left out; the others
+    are added in the order written.
     """
     vv = {m: v[m - 1] for m in AXES}
     v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
@@ -463,7 +461,7 @@ def hijk_from_v(v: Sequence) -> dict[tuple[int, int, int], object]:
             classes[(i, j, k)] = v2 * reduce(add, [vv[a] for a in linear]) - cubic
         else:
             classes[(i, j, k)] = -cubic
-    return {key: classes[rep] for key, rep in _H_CLASS.items()}
+    return classes
 
 
 def _gradient_terms(j: int, k: int, l: int, m: int) -> tuple:
@@ -499,16 +497,17 @@ def _sum_in_order(values: Mapping, keys: Sequence):
 
 
 def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
-    """Partial derivatives: entry (j,k,l,m) is d h_jk^l / d v_m.
+    """Partial derivatives: entry (j,k,l,m), j <= k <= l, is d h_jk^l / d v_m.
 
     d h_jk^l / d v_m = 2 v_m (v_j d_kl + v_k d_lj + v_l d_jk)
         + |v|^2 (d_jm d_kl + d_km d_lj + d_lm d_jk)
         - 5 (d_jm v_k v_l + v_j d_km v_l + v_j v_k d_lm),
-    computed for the 30 entries with j <= k <= l and shared by every
-    permutation of (j, k, l).  Each is built from the terms whose Kronecker
-    factor is nonzero, added in the order written.  The sums v_a (one per
-    (j, k, l)) and the factors 2 v_m, |v|^2 c and v_p v_q (p <= q, as sorted
-    slots give) recur across entries, so each is computed once.
+    held for the 30 entries with j <= k <= l, the classes of the
+    permutations of (j, k, l); `_DH_CLASS` maps any key to its class.  Each
+    is built from the terms whose Kronecker factor is nonzero, added in the
+    order written.  The sums v_a (one per (j, k, l)) and the factors 2 v_m,
+    |v|^2 c and v_p v_q (p <= q, as sorted slots give) recur across
+    entries, so each is computed once.
     """
     vv = {m: v[m - 1] for m in AXES}
     v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
@@ -528,19 +527,20 @@ def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
                 quad = 5 * _sum_in_order(pair, quadratic)
                 val = val - quad if linear else -quad
             classes[key] = val
-    return {key: classes[rep] for key, rep in _DH_CLASS.items()}
+    return classes
 
 
-def omega_numerators(st) -> dict[tuple[int, int, int], object]:
-    """Connection components omega_ij^k of the induced metric, at the state's
-    scale (see `FrameState`).
+def omega_numerators(st) -> dict[tuple[int, int, int], int]:
+    """Rational parts of the connection components omega_ij^k of the
+    induced metric, at the state's scale (see `FrameState`).
 
     The nine displayed formulas determine everything through the skew
     symmetry omega_ij^k = -omega_ik^j (and omega_ij^j = 0).  They are
-    evaluated on w = D v, the scaled cotangents and the scaled 1/(2 sqrt 3).
+    evaluated on w = D v and the scaled cotangents.  The three displays with
+    distinct indices also hold 1/(2 sqrt 3); that sqrt(3) part is
+    sigma eps_ijk and is not stored.
     """
-    scale = st._omega_scale()
-    sigma, cot = scale.sigma, scale.cot
+    cot = st._omega_scale().cot
     v1, v2, v3 = st._w
     q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
     five_v = 5 * v1 * v2 * v3
@@ -551,9 +551,9 @@ def omega_numerators(st) -> dict[tuple[int, int, int], object]:
         (2, 2, 3): -v3 * (q1 - 4 * q2 + q3) * cot[(2, 3)],
         (3, 3, 1): -v1 * (q1 + q2 - 4 * q3) * cot[(3, 1)],
         (3, 3, 2): -v2 * (q1 + q2 - 4 * q3) * cot[(3, 2)],
-        (1, 2, 3): sigma + five_v * cot[(2, 3)],
-        (2, 3, 1): sigma + five_v * cot[(3, 1)],
-        (3, 1, 2): sigma + five_v * cot[(1, 2)],
+        (1, 2, 3): five_v * cot[(2, 3)],
+        (2, 3, 1): five_v * cot[(3, 1)],
+        (3, 1, 2): five_v * cot[(1, 2)],
     }
     out = {}
     for i, j, k in product(AXES, AXES, AXES):
@@ -570,67 +570,180 @@ def omega_numerators(st) -> dict[tuple[int, int, int], object]:
 # Codazzi components
 
 
+class _Group(NamedTuple):
+    """The h-omega products of one Codazzi scalar that share an h class.
+
+    Their connection factors sum to the sum of c omega_key over `terms`, on
+    omega's rational numerators, plus sqrt(3) times
+    by_sigma sigma + by_inv iota (see `_OmegaScale`).  irrational says
+    whether any of the factors has a sqrt(3) part, even where those cancel.
+    """
+
+    h_class: tuple[int, int, int]
+    terms: tuple[tuple[int, tuple[int, int, int]], ...]
+    by_sigma: int
+    by_inv: int
+    irrational: bool
+
+
+class _Plan(NamedTuple):
+    """What the Codazzi scalar (i, j, k, l) reads, compiled once.
+
+    dh lists (unknown, dh class, sign) per D-coefficient term, in formula
+    order; groups are its h-omega products by h class; angle is the integer
+    factor of sin 2(theta_i - theta_j)/3.
+    """
+
+    dh: tuple[tuple[DVar, tuple[int, int, int, int], int], ...]
+    groups: tuple[_Group, ...]
+    angle: int
+
+
+#: omega_ij^k = -omega_ik^j, so each key with j != k is read at (i, j, k)
+#: or (i, k, j), whichever has its last two slots ascending, with that sign.
+_OMEGA_KEY = {
+    (i, j, k): (1, (i, j, k)) if j < k else (-1, (i, k, j))
+    for i, j, k in product(AXES, AXES, AXES)
+    if j != k
+}
+
+
+def _compile_plan(i: int, j: int, k: int, l: int) -> _Plan:
+    """The plan of the scalar (i, j, k, l), from the Codazzi formula.
+
+    The constant's products are, for m = 1, 2, 3,
+        h_jk^m S_im^l - h_ik^m S_jm^l - C_ij^m h_mk^l
+        - omega_ik^m h_jm^l + omega_jk^m h_im^l,
+    with S the shifted connection omega - eps/sqrt(3), whose sqrt(3) part
+    is (sigma - iota) eps, and C the curl omega_ij^m - omega_ji^m, whose
+    sqrt(3) part is 2 sigma eps_ijm; omega's own is sigma eps.  The rational
+    parts are omega's, read at `_OMEGA_KEY`; omega_ij^j = 0 adds nothing, and
+    terms of one group at one omega key are summed.
+    """
+    dh = []
+    for m in AXES:
+        dh.append(((i, m), _DH_CLASS[(j, k, l, m)], 1))
+        dh.append(((j, m), _DH_CLASS[(i, k, l, m)], -1))
+    terms: dict = {}  # h class -> {omega key: coefficient}
+    root3: dict = {}  # h class -> (by_sigma, by_inv), where a factor has sqrt(3)
+    for m in AXES:
+        for sign, h_key, omega, w_sigma, w_inv, eps in (
+            (1, (j, k, m), ((1, (i, m, l)),), 1, -1, epsilon(i, m, l)),
+            (-1, (i, k, m), ((1, (j, m, l)),), 1, -1, epsilon(j, m, l)),
+            (-1, (m, k, l), ((1, (i, j, m)), (-1, (j, i, m))), 2, 0, epsilon(i, j, m)),
+            (-1, (j, m, l), ((1, (i, k, m)),), 1, 0, epsilon(i, k, m)),
+            (1, (i, m, l), ((1, (j, k, m)),), 1, 0, epsilon(j, k, m)),
+        ):
+            h_class = _H_CLASS[h_key]
+            group = terms.setdefault(h_class, {})
+            for c, key in omega:
+                if key in _OMEGA_KEY:
+                    flip, key = _OMEGA_KEY[key]
+                    group[key] = group.get(key, 0) + sign * c * flip
+            if eps:
+                by_sigma, by_inv = root3.get(h_class, (0, 0))
+                root3[h_class] = (by_sigma + sign * w_sigma * eps, by_inv + sign * w_inv * eps)
+    return _Plan(
+        tuple(dh),
+        tuple(
+            _Group(
+                h_class,
+                tuple((c, key) for key, c in group.items() if c),
+                *root3.get(h_class, (0, 0)),
+                h_class in root3,
+            )
+            for h_class, group in terms.items()
+            if h_class in root3 or any(group.values())
+        ),
+        delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l),
+    )
+
+
+class _Plans(dict):
+    """The plans by (i, j, k, l), each compiled when it is first read."""
+
+    def __missing__(self, key: tuple[int, int, int, int]) -> _Plan:
+        plan = self[key] = _compile_plan(*key)
+        return plan
+
+
+_PLANS = _Plans()
+
+
+class CodazziRow(NamedTuple):
+    """A Codazzi scalar as integer numerators.
+
+    coeffs maps each unknown D_am to its coefficient, at scale D^2, and the
+    constant is const + root3 sqrt(3), at the state's row scale L.
+    irrational says whether the constant is a QSqrt3: whether a nonzero h
+    class met a connection factor with a sqrt(3) part.
+    """
+
+    coeffs: dict[DVar, int]
+    const: int
+    root3: int
+    irrational: bool
+
+
 def codazzi_scalar(
     st, i: int, j: int, k: int, l: int, vanishing: frozenset[int] = frozenset()
-) -> AffineExpr:
+) -> CodazziRow:
     """JE_l-component of the antisymmetrized Codazzi equation on (E_i,E_j,E_k).
 
-    Returns the scalar that must vanish, affine in the unknowns D_am, as
-    numerators at the state's row scale L (see `_RowScale`): integer
-    D-coefficients and an int or Z[sqrt(3)] constant, L times the scalar.
-    `codazzi_values` divides them.  The `vanishing` set lists components v_m
-    assumed identically zero, whose derivatives D_am are then dropped as well.
+    Returns the scalar that must vanish, affine in the unknowns D_am, as a
+    `CodazziRow` read from the plan of (i, j, k, l): the dh numerators as
+    coefficients and the constant at the row scale L (see `_RowScale`).
+    `codazzi_values` divides them.  Only nonzero dh entries give
+    coefficients, and a group of products whose h class is zero is skipped,
+    so its flag is not raised.  The `vanishing` set lists components v_m
+    assumed identically zero, whose derivatives D_am are then dropped as
+    well.
     """
+    plan = _PLANS[(i, j, k, l)]
     h = st.h_numerators()
     dh = st.dh_numerators()
     om = st.omega_numerators()
-    shifted = st.shifted_numerators()
-    curl = st.curl_numerators(i, j)
-    # only nonzero dh entries give coefficients; for i == j both land on one
-    # key and must still be summed
-    coeffs: dict[DVar, object] = {}
-    for m in AXES:
-        if m in vanishing:
+    # for i == j both terms of an m land on one unknown and are summed
+    coeffs: dict[DVar, int] = {}
+    for var, key, sign in plan.dh:
+        if var[1] in vanishing:
             continue
-        c = dh[(j, k, l, m)]
+        c = dh[key]
         if c:
-            coeffs[(i, m)] = c
-        c = dh[(i, k, l, m)]
-        if c:
-            coeffs[(j, m)] = coeffs[(j, m)] - c if (j, m) in coeffs else -c
-    # a product with an exactly zero h factor (or Kronecker factor) adds zero,
-    # so it is skipped; the remaining terms keep the order of the full sum.
-    # Every product is an h numerator times an omega-scale numerator, so the
-    # sum is at the product of the two scales.
-    const = 0
-    for m in AXES:
-        if h[(j, k, m)]:
-            const = const + h[(j, k, m)] * shifted[(i, m, l)]
-        if h[(i, k, m)]:
-            const = const - h[(i, k, m)] * shifted[(j, m, l)]
-        if h[(m, k, l)]:
-            const = const - curl[m - 1] * h[(m, k, l)]
-        if h[(j, m, l)]:
-            const = const - om[(i, k, m)] * h[(j, m, l)]
-        if h[(i, m, l)]:
-            const = const + om[(j, k, m)] * h[(i, m, l)]
-    # one integer factor each takes the sum and the dh numerators to L
+            coeffs[var] = coeffs[var] + sign * c if var in coeffs else sign * c
+    # every product is an h numerator times an omega-scale numerator, so the
+    # sums are at the product of the two scales
+    const = by_sigma = by_inv = 0
+    irrational = False
+    for h_class, terms, w_sigma, w_inv, irr in plan.groups:
+        x = h[h_class]
+        if x:
+            const += x * sum([c * om[key] for c, key in terms])
+            if irr:
+                irrational = True
+                by_sigma += x * w_sigma
+                by_inv += x * w_inv
+    # one integer factor takes the sums to L
     rows = st._row_scale()
+    scale = st._omega_scale()
     const = const * rows.const_mult
-    coeffs = {v: c * rows.coeff_mult for v, c in coeffs.items()}
-    angle = delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
-    if angle:
-        const = const - rows.angle[(i, j)] * angle
-    return AffineExpr(const, coeffs)
+    if plan.angle:
+        const -= rows.angle[(i, j)] * plan.angle
+    root3 = (by_sigma * scale.sigma + by_inv * scale.inv_sqrt3) * rows.const_mult
+    return CodazziRow(coeffs, const, root3, irrational)
 
 
-def codazzi_values(st, row: AffineExpr) -> AffineExpr:
-    """A `codazzi_scalar` row as values: each numerator divided once by L.
+def codazzi_values(st, row: CodazziRow) -> AffineExpr:
+    """A `codazzi_scalar` row as values: each numerator divided once, the
+    coefficients by D^2 and the constant by L.
 
-    A value is a QSqrt3 exactly where its numerator has a Z[sqrt(3)] part.
+    The constant is a QSqrt3 exactly where the row is flagged irrational.
     """
-    den = st._row_scale().den
-    return AffineExpr(_over(row.const, den), {v: _over(c, den) for v, c in row.coeffs.items()})
+    d2 = st._D * st._D
+    return AffineExpr(
+        _value(row.const, row.root3, row.irrational, st._row_scale().den),
+        {v: Fraction(c, d2) for v, c in row.coeffs.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +788,7 @@ def solve_triple_system(
     The integer rows are eliminated fraction-free (`eliminate_fraction_free`)
     and divided once when the results are read.
     """
-    if st.ec_value == 0:
+    if not st._ec_numerator():
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
     rows = []
     for (i, j, k) in triples:
@@ -699,89 +812,118 @@ class FractionFree(NamedTuple):
     """Outcome of `eliminate_fraction_free` on integer rows.
 
     pivots: (column, pivot row) in pivot order; the pivot is row[column].
-    free: the columns never pivoted, then the constant's index.
+    free: the columns never pivoted, the constant's columns among them.
     solved: per pivoted column, `last` times its solution (an affine form in
     the never-pivoted columns) as integer numerators over `free`.
     leftovers: the rows no pivot consumed, over `free`: `last` times what
     value-form elimination leaves of them.
     last: the last pivot, 1 when nothing was pivoted.
+    solved_irrational, leftover_irrational: the flags of the solutions, by
+    column, and of the leftovers, in order.
     """
 
     pivots: list
     free: list
     solved: dict
     leftovers: list
-    last: object
+    last: int
+    solved_irrational: dict
+    leftover_irrational: list
 
 
-def eliminate_fraction_free(rows: Sequence[Sequence], order: Sequence[int]) -> FractionFree:
+def eliminate_fraction_free(
+    rows: Sequence[Sequence[int]], order: Sequence[int], irrational: Sequence[bool]
+) -> FractionFree:
     """Bareiss's integer-preserving Gaussian elimination.
 
-    Each row lists integer coefficients and then its constant, an int or a
-    ZSqrt3.  Columns are pivoted in `order`, each on the first active row
-    whose entry is nonzero; a column with none is skipped.  Every update
-    p * r - a * pivot_row is divided exactly by the previous pivot, so each
-    entry stays an integer minor of the input (Sylvester's identity), and
-    `divide_exactly` raises ArithmeticError on a nonzero remainder.  A row
-    whose entry in the pivot column is zero is only rescaled, so a constant
-    becomes a ZSqrt3 exactly where value-form elimination would have mixed
-    a QSqrt3 into it.  Back substitution in reverse pivot order keeps last
-    times each solution on integers: those numerators are Cramer's rule's,
-    and each of its divisions by a pivot is exact too.
+    Each row lists integer coefficients and then its constant, which may
+    take two columns, a rational and a sqrt(3) part; `irrational` flags the
+    rows whose constant is a QSqrt3.  Columns are
+    pivoted in `order`, each on the first active row whose entry is nonzero;
+    a column with none is skipped.  Every update p * r - a * pivot_row is
+    one divmod by the previous pivot, so each entry stays an integer minor
+    of the input (Sylvester's identity), and a nonzero remainder raises
+    ArithmeticError.  An update with a != 0 takes the pivot row's flag into
+    the row; a row whose entry in the pivot column is zero is only rescaled
+    and keeps its own, so a row is flagged exactly where value-form
+    elimination would have mixed a QSqrt3 into it.  Back substitution in
+    reverse pivot order keeps last times each solution on integers: those
+    numerators are Cramer's rule's, and each of its divisions by a pivot is
+    exact too (`divide_exactly`).
     """
     active = [list(r) for r in rows]
+    flags = list(irrational)
     live = list(range(len(rows[0])))
-    pivots = []
+    pivots, pivot_flags = [], []
     prev = 1
     for j in order:
         idx = next((n for n, row in enumerate(active) if row[j]), None)
         if idx is None:
             continue
         prow = active.pop(idx)
+        pflag = flags.pop(idx)
         p = prow[j]
         live.remove(j)
-        for row in active:
+        for n, row in enumerate(active):
             a = row[j]
-            if a:
-                for c in live:
-                    row[c] = divide_exactly(p * row[c] - a * prow[c], prev)
-            else:
-                for c in live:
-                    row[c] = divide_exactly(p * row[c], prev)
+            for c in live:
+                q, r = divmod(p * row[c] - a * prow[c], prev)
+                if r:
+                    raise ArithmeticError(f"{prev} does not divide an update")
+                row[c] = q
+            if a and pflag:
+                flags[n] = True
         pivots.append((j, prow))
+        pivot_flags.append(pflag)
         prev = p
     solved: dict = {}
-    for j, prow in reversed(pivots):
+    solved_flags: dict = {}
+    for (j, prow), flag in zip(reversed(pivots), reversed(pivot_flags)):
         acc = [prev * prow[c] for c in live]
         for jw, later in solved.items():
             a = prow[jw]
             if a:
                 acc = [x + a * y for x, y in zip(acc, later)]
+                flag = flag or solved_flags[jw]
         solved[j] = [divide_exactly(-x, prow[j]) for x in acc]
+        solved_flags[j] = flag
     leftovers = [[row[c] for c in live] for row in active]
-    return FractionFree(pivots, live, solved, leftovers, prev)
+    return FractionFree(pivots, live, solved, leftovers, prev, solved_flags, flags)
 
 
 def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
     """Fraction-free elimination of a state's integer rows, read once.
 
-    Each row is L times its scalar, which scales no solution: with P the
-    last pivot, a solution is its numerators over P, and a leftover its row
-    over P L.
+    The integer matrix is each scalar times D^2, with its constant's two
+    columns times K = L / D^2 more.  Scaling rows scales no solution, and
+    scaling the constant's columns scales each solution's constant by 1/K:
+    with P the last pivot, a solution's coefficients are its numerators
+    over P and its constant over P K.  A leftover is its row's residual
+    times D^2, so its coefficients are over P D^2 and its constant over P L.
     """
     col = {v: n for n, v in enumerate(present)}
-    matrix = [[r.coeffs.get(v, 0) for v in present] + [r.const] for r in rows]
-    out = eliminate_fraction_free(matrix, [col[v] for v in pivot_vars if v in col])
-    free = [present[c] for c in out.free[:-1]]
+    matrix = [[r.coeffs.get(v, 0) for v in present] + [r.const, r.root3] for r in rows]
+    out = eliminate_fraction_free(
+        matrix, [col[v] for v in pivot_vars if v in col], [r.irrational for r in rows]
+    )
+    free = [present[c] for c in out.free[:-2]]
 
-    def read(nums, den) -> AffineExpr:
-        *coeffs, const = nums
+    def read(nums, irrational, coeff_den, const_den) -> AffineExpr:
+        *coeffs, const, root3 = nums
         return AffineExpr(
-            _over(const, den), {v: Fraction(c, den) for v, c in zip(free, coeffs) if c}
+            _value(const, root3, irrational, const_den),
+            {v: Fraction(c, coeff_den) for v, c in zip(free, coeffs) if c},
         )
 
-    final = {present[j]: read(nums, out.last) for j, nums in out.solved.items()}
-    leftovers = [read(r, out.last * st._row_scale().den) for r in out.leftovers]
+    p, scale = out.last, st._row_scale()
+    final = {
+        present[j]: read(nums, out.solved_irrational[j], p, p * scale.coeff_mult)
+        for j, nums in out.solved.items()
+    }
+    leftovers = [
+        read(r, irrational, p * st._D * st._D, p * scale.den)
+        for r, irrational in zip(out.leftovers, out.leftover_irrational)
+    ]
     return final, leftovers
 
 
@@ -839,10 +981,11 @@ def frame_relation_check(trials: int = 120, seed: int = 0) -> CheckRecord:
 
     Exact identity linking the cubic-form components and the connection
     components, for all i and all j != k, at random valid states.  It is
-    compared on integers, times 6 D^3 Q E: 6 Q H C = (sigma eps - Omega) S,
-    with H and Omega the h and omega numerators, sigma that of 1/(2 sqrt 3),
+    compared on integers, times 6 D^3 Q E: 6 Q H C = -Omega S, with H the h
+    numerator of the class of (i, j, k), Omega omega's rational numerator
     and (C, S, E) the state's integer triple of theta_j - theta_k: any
-    common denominator E of the cosine and sine serves.
+    common denominator E of the cosine and sine serves.  The sqrt(3) parts
+    agree by the definition of omega's, sigma eps_ijk.
     """
     rng = random.Random(seed)
     failures = []
@@ -851,14 +994,11 @@ def frame_relation_check(trials: int = 120, seed: int = 0) -> CheckRecord:
         h = st.h_numerators()
         om = st.omega_numerators()
         six_q = 6 * st._cotangents()[0]
-        sigma = st._omega_scale().sigma
         for i, j, k in product(AXES, AXES, AXES):
             if j == k:
                 continue
             c, s, _ = st._diffs[(j, k)]
-            lhs = six_q * h[(i, j, k)] * c
-            rhs = (sigma * epsilon(i, j, k) - om[(i, j, k)]) * s
-            if lhs - rhs:
+            if six_q * h[_H_CLASS[(i, j, k)]] * c + om[(i, j, k)] * s:
                 failures.append({"state": st.describe(), "index": (i, j, k)})
     return CheckRecord(
         check_id="frame-relation",

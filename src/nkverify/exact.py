@@ -1,10 +1,9 @@
 """Exact scalar arithmetic for the verification engine.
 
 Provides arbitrary-precision rationals, the real quadratic field Q(sqrt(3)),
-integer numerators in Z[sqrt(3)] for sums kept over one common denominator
-with a checked exact division, rational points on the unit circle (exact
-cosine/sine pairs, checked on their integer numerators), and a proof of
-polynomial identities by the degree bound on an integer grid.  Nothing in
+a checked exact division of integers, rational points on the unit circle
+(exact cosine/sine pairs, checked on their integer numerators), and a proof
+of polynomial identities by the degree bound on an integer grid.  Nothing in
 this module ever rounds through floating point or truncates a quotient;
 sqrt(3) stays symbolic.
 """
@@ -168,70 +167,12 @@ class QSqrt3:
         return f"{self._a} {sign} {abs(self._b)}*sqrt(3)"
 
 
-class ZSqrt3:
-    """An element ``a + b*sqrt(3)`` of Z[sqrt(3)]: the integer numerator of a
-    Q(sqrt(3)) value whose denominator is kept elsewhere.
-
-    Adds and subtracts ints and other ZSqrt3 and scales by ints, on either
-    side, without a single gcd; ``over`` divides by the denominator once.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int) -> None:
-        self.a = a
-        self.b = b
-
-    def __add__(self, other: object) -> "ZSqrt3":
-        if isinstance(other, ZSqrt3):
-            return ZSqrt3(self.a + other.a, self.b + other.b)
-        if isinstance(other, int):
-            return ZSqrt3(self.a + other, self.b)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "ZSqrt3":
-        if isinstance(other, ZSqrt3):
-            return ZSqrt3(self.a - other.a, self.b - other.b)
-        if isinstance(other, int):
-            return ZSqrt3(self.a - other, self.b)
-        return NotImplemented
-
-    def __rsub__(self, other: object) -> "ZSqrt3":
-        if isinstance(other, int):
-            return ZSqrt3(other - self.a, -self.b)
-        return NotImplemented
-
-    def __mul__(self, other: object) -> "ZSqrt3":
-        if isinstance(other, int):
-            return ZSqrt3(self.a * other, self.b * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ZSqrt3":
-        return ZSqrt3(-self.a, -self.b)
-
-    def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
-
-    def over(self, den: int) -> QSqrt3:
-        """The field element ``(a + b*sqrt(3)) / den``."""
-        return QSqrt3(Fraction(self.a, den), Fraction(self.b, den))
-
-    def __repr__(self) -> str:
-        return f"ZSqrt3({self.a!r}, {self.b!r})"
-
-
-def divide_exactly(x, d: int):
-    """The quotient of an int or ZSqrt3 x by a nonzero int d that divides it.
+def divide_exactly(x: int, d: int) -> int:
+    """The quotient of an int x by a nonzero int d that divides it.
 
     Raises ArithmeticError when the remainder is not zero: a quotient is never
     truncated.
     """
-    if isinstance(x, ZSqrt3):
-        return ZSqrt3(divide_exactly(x.a, d), divide_exactly(x.b, d))
     q, r = divmod(x, d)
     if r:
         raise ArithmeticError(f"{d} does not divide {x}")

@@ -121,7 +121,9 @@ def symmetry_defect(c: np.ndarray) -> float:
 
 def build_h_from_V(V: Sequence) -> CubicTensor:
     """Cubic form of the minimal normal-form family driven by one vector,
-    `codazzi.hijk_from_v` in exact rationals at the component keys.
+    `codazzi.hijk_from_v` in exact rationals.  Its table holds one entry per
+    symmetry class, at the sorted index, and the ascending component keys
+    are exactly those indices.
 
     Equals the H-umbilical pattern with U1 = V/|V|, mu = |V|^3, lambda = -2 mu.
     """

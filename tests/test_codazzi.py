@@ -37,6 +37,7 @@ from nkverify.codazzi import (
     det_factorization_check,
     det_product_form,
     eliminate_fraction_free,
+    epsilon,
     frame_relation_check,
     hijk_from_v,
     hijk_gradient,
@@ -44,9 +45,11 @@ from nkverify.codazzi import (
     solve_triple_system,
     system1_check,
     _case2_displays,
-    _over,
+    _DH_CLASS,
+    _H_CLASS,
+    _value,
 )
-from nkverify.exact import HALF_INV_SQRT3, QSqrt3, ZSqrt3, rat_circle_point
+from nkverify.exact import HALF_INV_SQRT3, QSqrt3, rat_circle_point
 from nkverify.humfit import build_h_from_V
 
 from exact_oracle import (
@@ -78,19 +81,35 @@ def _evaluate(e: AffineExpr, assignment: dict, zero):
     return val
 
 
-def _values(table: dict, den) -> dict:
-    """A numerator table of the state divided by its scale, entry by entry."""
-    return {key: _over(x, den) for key, x in table.items()}
+def _full(table: dict, classes: dict) -> dict:
+    """A table held per symmetry class, read at every key."""
+    return {key: table[rep] for key, rep in classes.items()}
+
+
+def _class_values(table: dict, classes: dict, den) -> dict:
+    """An h or dh numerator table over its scale, at every key."""
+    return {key: Fraction(x, den) for key, x in _full(table, classes).items()}
+
+
+def _connection_values(st_, root3) -> dict:
+    """omega's rational numerators plus root3 eps_ijk sqrt(3), over omega's
+    scale: a QSqrt3 where i, j, k are distinct."""
+    den = st_._omega_scale().den
+    return {
+        key: _value(x, root3 * epsilon(*key), epsilon(*key) != 0, den)
+        for key, x in st_.omega_numerators().items()
+    }
 
 
 def _omega_values(st_) -> dict:
-    return _values(st_.omega_numerators(), st_._omega_scale().den)
+    return _connection_values(st_, st_._omega_scale().sigma)
 
 
 def _shifted_values(st_) -> dict:
-    """The state's shifted connection omega_im^l - eps_iml/sqrt(3) as
-    values: its numerators over omega's scale."""
-    return _values(st_.shifted_numerators(), st_._omega_scale().den)
+    """The shifted connection omega_im^l - eps_iml/sqrt(3) as values: omega's
+    rational part, and the sqrt(3) part (sigma - iota) eps_iml."""
+    scale = st_._omega_scale()
+    return _connection_values(st_, scale.sigma - scale.inv_sqrt3)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +117,7 @@ def _shifted_values(st_) -> dict:
 
 
 def test_h_spot_values_on_first_axis() -> None:
-    h = hijk_from_v([Fraction(1), Fraction(0), Fraction(0)])
+    h = _full(hijk_from_v([Fraction(1), Fraction(0), Fraction(0)]), _H_CLASS)
     assert h[(1, 1, 1)] == -2
     assert h[(1, 2, 2)] == 1
     assert h[(2, 2, 1)] == 1
@@ -107,7 +126,9 @@ def test_h_spot_values_on_first_axis() -> None:
 
 @given(v_triples)
 def test_h_totally_symmetric_and_trace_free(v) -> None:
-    h = hijk_from_v(v)
+    # one entry per symmetry class, at its sorted index
+    assert sorted(hijk_from_v(v)) == sorted(set(_H_CLASS.values()))
+    h = _full(hijk_from_v(v), _H_CLASS)
     for i, j, k in product(AXES, AXES, AXES):
         assert h[(i, j, k)] == h[(j, i, k)] == h[(i, k, j)]
     for k in AXES:
@@ -138,7 +159,7 @@ def test_h_matches_contraction_construction() -> None:
     rng = random.Random(7)
     for _ in range(50):
         v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-        assert hijk_from_v(v) == hijk_from_cubic_contraction(v)
+        assert _full(hijk_from_v(v), _H_CLASS) == hijk_from_cubic_contraction(v)
 
 
 def test_h_gradient_by_richardson_differences() -> None:
@@ -148,13 +169,13 @@ def test_h_gradient_by_richardson_differences() -> None:
     base = [Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 5)) for _ in range(3)]
     for zero in ((), (1,), (2,), (2, 3), (1, 2, 3)):
         v = [Fraction(0) if m in zero else base[m - 1] for m in AXES]
-        dh = hijk_gradient(v)
+        dh = _full(hijk_gradient(v), _DH_CLASS)
         h = Fraction(1, 3)
         for m in AXES:
             def shifted(step):
                 w = list(v)
                 w[m - 1] += step
-                return hijk_from_v(w)
+                return _full(hijk_from_v(w), _H_CLASS)
             d_full = {k: (a - b) / (2 * h) for (k, a), b
                       in zip(shifted(h).items(), shifted(-h).values())}
             d_half = {k: (a - b) / h for (k, a), b
@@ -178,26 +199,24 @@ def _assert_same(got, want) -> None:
 
 
 def _assert_tables_match_dense(st_) -> None:
-    """Every key of the h and dh numerator tables holds the one numerator of
-    its symmetry class, and that numerator over its scale (D^3, D^2) is the
-    dense formula's value at the class's sorted index, with ==.  omega and
-    the shifted table over omega's scale, and every Codazzi row read by
+    """The h and dh numerator tables hold one integer per symmetry class, at
+    its sorted index, and each over its scale (D^3, D^2) is the dense
+    formula's value at every key of its class, with ==.  omega and the
+    shifted connection over omega's scale, and every Codazzi row read by
     `codazzi_values`, match the dense formulas with == and have their type,
     with and without the state's zero components vanishing."""
     v = [st_.v[m] for m in AXES]
     d = st_._D
     h_num, full_h = st_.h_numerators(), dense_h(v)
-    assert len(h_num) == 27
-    for key in product(AXES, AXES, AXES):
-        rep = tuple(sorted(key))
-        assert h_num[key] is h_num[rep]
-        _assert_same(_over(h_num[key], d ** 3), full_h[rep])
+    assert sorted(h_num) == sorted(set(_H_CLASS.values()))
+    for key, rep in _H_CLASS.items():
+        assert type(h_num[rep]) is int
+        _assert_same(Fraction(h_num[rep], d ** 3), full_h[key])
     dh_num, full_dh = st_.dh_numerators(), dense_dh(v)
-    assert len(dh_num) == 81
-    for j, k, l, m in product(AXES, AXES, AXES, AXES):
-        rep = (*sorted((j, k, l)), m)
-        assert dh_num[(j, k, l, m)] is dh_num[rep]
-        _assert_same(_over(dh_num[(j, k, l, m)], d ** 2), full_dh[rep])
+    assert sorted(dh_num) == sorted(set(_DH_CLASS.values()))
+    for key, rep in _DH_CLASS.items():
+        assert type(dh_num[rep]) is int
+        _assert_same(Fraction(dh_num[rep], d ** 2), full_dh[key])
     tables = dense_tables(st_)
     _, _, dense_om, dense_shifted = tables
     om, shifted = _omega_values(st_), _shifted_values(st_)
@@ -261,8 +280,8 @@ def test_exact_tables_match_dense_formulas(zero) -> None:
         _assert_tables_match_dense(st_)
         # exact values do not depend on the order of the factors
         v, d = [st_.v[m] for m in AXES], st_._D
-        assert _values(st_.h_numerators(), d ** 3) == dense_h(v)
-        assert _values(st_.dh_numerators(), d ** 2) == dense_dh(v)
+        assert _class_values(st_.h_numerators(), _H_CLASS, d ** 3) == dense_h(v)
+        assert _class_values(st_.dh_numerators(), _DH_CLASS, d ** 2) == dense_dh(v)
 
 
 @pytest.mark.parametrize("states", [_coprime_states, _axis_states])
@@ -325,12 +344,13 @@ def test_float_tables_match_dense_formulas_exactly(zero) -> None:
         d = st_._D
         h_float, dh_float = dense_h(fv), dense_dh(fv)
         fit_array = np.asarray(build_h_from_V(fv))
-        h_num, dh_num = st_.h_numerators(), st_.dh_numerators()
+        h_exact = _class_values(st_.h_numerators(), _H_CLASS, d ** 3)
+        dh_exact = _class_values(st_.dh_numerators(), _DH_CLASS, d ** 2)
         for i, j, k in product(AXES, AXES, AXES):
-            want = float(_over(h_num[(i, j, k)], d ** 3))
+            want = float(h_exact[(i, j, k)])
             assert h_float[(i, j, k)] == want == fit_array[i - 1, j - 1, k - 1], (i, j, k)
         for key in product(AXES, AXES, AXES, AXES):
-            assert dh_float[key] == float(_over(dh_num[key], d ** 2)), key
+            assert dh_float[key] == float(dh_exact[key]), key
 
 
 #: sha256 of `cmd_proof(trials=t, seed=s).to_json()`, keyed by (trials, seed).
@@ -696,16 +716,17 @@ def test_case3_solves_match_the_oracle() -> None:
 
 
 def _flip_first_constant(real):
-    def mutant(rows, order):
+    # both of the constant's columns, its rational and its sqrt(3) part
+    def mutant(rows, order, irrational):
         rows = [list(r) for r in rows]
-        rows[0][-1] = -rows[0][-1]
-        return real(rows, order)
+        rows[0][-2:] = [-rows[0][-2], -rows[0][-1]]
+        return real(rows, order, irrational)
     return mutant
 
 
 def _flip_first_solution(real):
-    def mutant(rows, order):
-        out = real(rows, order)
+    def mutant(rows, order, irrational):
+        out = real(rows, order, irrational)
         first = next(iter(out.solved), None)
         if first is not None:
             out.solved[first] = [-x for x in out.solved[first]]
@@ -741,7 +762,7 @@ def test_fraction_free_pivots_are_the_leading_minors() -> None:
     # leading minors 2, 2 and 4; pivot row k's entry in a column c it still
     # holds is the minor of rows 0..k and columns 0..k-1, c (Sylvester)
     rows = [[2, 1, 1, 3], [4, 3, 3, 5], [8, 7, 9, 1]]
-    out = eliminate_fraction_free(rows, [0, 1, 2])
+    out = eliminate_fraction_free(rows, [0, 1, 2], [False] * 3)
     assert [prow[j] for j, prow in out.pivots] == [2, 2, 4]
     for k, (j, prow) in enumerate(out.pivots):
         for c in range(k, 4):
@@ -757,53 +778,127 @@ def test_fraction_free_pivots_are_the_leading_minors() -> None:
 def test_fraction_free_skips_empty_columns_and_keeps_leftovers() -> None:
     # column 1 vanishes once column 0 is eliminated, so 2 is pivoted next;
     # row 3 is row 1 + row 2 in its coefficients, so it is left over, at the
-    # last pivot times its constant minus theirs: 3 (2 sqrt 3 - 6 - sqrt 3)
-    rows = [[1, 2, 0, ZSqrt3(1, 1)], [2, 4, 3, 5], [3, 6, 3, ZSqrt3(0, 2)]]
-    out = eliminate_fraction_free(rows, [0, 1, 2])
+    # last pivot times its constant minus theirs: 3 (2 sqrt 3 - 6 - sqrt 3).
+    # The constant takes two columns, its rational and its sqrt(3) part, and
+    # rows 1 and 3 are flagged irrational
+    rows = [[1, 2, 0, 1, 1], [2, 4, 3, 5, 0], [3, 6, 3, 0, 2]]
+    out = eliminate_fraction_free(rows, [0, 1, 2], [True, False, True])
     assert [(j, prow[j]) for j, prow in out.pivots] == [(0, 1), (2, 3)]
-    assert out.free == [1, 3] and out.last == 3
+    assert out.free == [1, 3, 4] and out.last == 3
     (leftover,) = out.leftovers
     assert leftover[0] == 0
-    assert (leftover[1].a, leftover[1].b) == (-18, 3)
+    assert (leftover[1], leftover[2]) == (-18, 3)
+    assert out.leftover_irrational == [True]
+    # row 2 took row 1's flag in its update, so both solutions carry it
+    assert out.solved_irrational == {0: True, 2: True}
+
+
+def test_fraction_free_flags_follow_the_updates() -> None:
+    # a row whose entry in the pivot column is zero is only rescaled and keeps
+    # its own flag; a solution takes a later one's flag only where it reads it
+    rows = [[1, 0, 1, 1], [0, 1, 2, 0], [1, 1, 0, 0]]
+    out = eliminate_fraction_free(rows, [0, 1], [True, False, False])
+    assert out.solved_irrational == {1: False, 0: True}
+    assert out.leftover_irrational == [True]
+    out = eliminate_fraction_free(rows, [1, 0], [True, False, False])
+    assert out.solved_irrational == {0: True, 1: False}
+
+
+#: QSqrt3's arithmetic, which a row build or an elimination must not reach.
+QSQRT3_ARITHMETIC = (
+    "__init__", "inverse", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+    "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__pow__",
+)
 
 
 def test_exact_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
-    # the integer rows of a nine-row solve are eliminated and back-substituted
-    # with no Fraction built and no QSqrt3 touched; those come only when the
-    # results are read
+    # with the state's scales computed first (they hold the cotangents and
+    # angle terms, built from Fractions), the nine rows of a nine-row solve
+    # are built from their plans and eliminated and back-substituted with no
+    # Fraction built and no QSqrt3 touched; those come only when the results
+    # are read
     st_ = _state(10, nonzero=(1, 2, 3))
-    rows = [codazzi_scalar(st_, i, j, k, l) for i, j, k in SET1_TRIPLES for l in AXES]
-    present = sorted({v for r in rows for v, c in r.coeffs.items() if c})
-    matrix = [[r.coeffs.get(v, 0) for v in present] + [r.const] for r in rows]
+    st_._row_scale()
 
     def refuse(*args, **kw):
-        raise AssertionError("field arithmetic inside the elimination")
+        raise AssertionError("field arithmetic inside the row build or the elimination")
 
     with monkeypatch.context() as m:
         m.setattr(Fraction, "__new__", refuse)
-        for name in ("__init__", "inverse", "__mul__", "__add__", "__sub__"):
+        for name in QSQRT3_ARITHMETIC:
             m.setattr(QSqrt3, name, refuse)
-        out = eliminate_fraction_free(matrix, range(len(present)))
-    # rank 5: one of the six unknowns stays free, as D_11 does in the checks
-    assert len(out.pivots) == 5 and len(out.free) == 2
+        rows = [codazzi_scalar(st_, i, j, k, l) for i, j, k in SET1_TRIPLES for l in AXES]
+        present = sorted({v for r in rows for v, c in r.coeffs.items() if c})
+        matrix = [[r.coeffs.get(v, 0) for v in present] + [r.const, r.root3] for r in rows]
+        out = eliminate_fraction_free(
+            matrix, range(len(present)), [r.irrational for r in rows]
+        )
+    assert all(type(x) is int for row in matrix for x in row)
+    # at a generic state every row meets a connection factor with sqrt(3)
+    assert all(r.irrational and r.root3 for r in rows)
+    # rank 5: one of the six unknowns stays free, as D_11 does in the checks,
+    # beside the constant's two columns
+    assert len(out.pivots) == 5 and len(out.free) == 3
     assert all(type(prow[j]) is int for j, prow in out.pivots)
 
 
 def test_mutant_dh_numerator_fails_the_checks_as_records(monkeypatch) -> None:
-    # one dh numerator, d h_11^2 / d v_1 at every key of its class, off by
-    # one: the rows stay integer, so every division stays exact, and the
-    # checks must report the wrong rows as failures
+    # one dh numerator, d h_11^2 / d v_1 (one class), off by one: the rows
+    # stay integer, so every division stays exact, and the checks must
+    # report the wrong rows as failures
     real = codazzi.hijk_gradient
 
     def off_by_one(v):
         dh = dict(real(v))
-        for key in ((1, 1, 2, 1), (1, 2, 1, 1), (2, 1, 1, 1)):
-            dh[key] = dh[key] + 1
+        dh[(1, 1, 2, 1)] = dh[(1, 1, 2, 1)] + 1
         return dh
 
     monkeypatch.setattr(codazzi, "hijk_gradient", off_by_one)
     for rec in (system1_check(seed=20, trials=10), case1_check(seed=22, trials=5)):
         assert not rec.passed and rec.failures, rec.check_id
+
+
+def _replace_group(plan, h_class, **fields):
+    """The plan with the group of h_class changed."""
+    return plan._replace(groups=tuple(
+        g._replace(**fields) if g.h_class == h_class else g for g in plan.groups
+    ))
+
+
+def test_mutant_plan_term_sign_fails_the_checks_as_records(monkeypatch) -> None:
+    # the scalar (1, 2, 2, 1) reads 2 omega_21^2 h_12^2 among its products;
+    # with that term's sign flipped, the rows stay integer and every division
+    # exact, and both checks that solve rows of (E1,E2,E2) must fail.  Both
+    # factors are nonzero at v2 = 0, so the constrained-angle case sees it
+    key, h_class = (1, 2, 2, 1), (1, 2, 2)
+    plan = codazzi._PLANS[key]
+    (group,) = [g for g in plan.groups if g.h_class == h_class]
+    assert group.terms == ((2, (2, 1, 2)),) and not group.irrational
+    monkeypatch.setitem(
+        codazzi._PLANS, key, _replace_group(plan, h_class, terms=((-2, (2, 1, 2)),))
+    )
+    records = (system1_check(seed=20, trials=10), case3_check(trials=5, seed=7))
+    assert [r.check_id for r in records] == ["derivative-comparison", "constrained-angle-case"]
+    for rec in records:
+        assert not rec.passed and rec.failures, rec.check_id
+
+
+def test_mutant_plan_without_a_sqrt3_flag_fails_the_type_check(monkeypatch) -> None:
+    # in the scalar (1, 1, 2, 2) the products of h_12^3 with the shifted
+    # connection S_13^2 come in with both signs: their sqrt(3) parts cancel,
+    # and the value is the QSqrt3 zero.  A plan that drops that group's flag
+    # gives the right value as a Fraction, and only the type check sees it
+    key, h_class = (1, 1, 2, 2), (1, 2, 3)
+    plan = codazzi._PLANS[key]
+    (group,) = [g for g in plan.groups if g.h_class == h_class]
+    assert group.irrational and (group.terms, group.by_sigma, group.by_inv) == ((), 0, 0)
+    monkeypatch.setitem(codazzi._PLANS, key, _replace_group(plan, h_class, irrational=False))
+    st_ = _state(10, nonzero=(1, 2, 3))
+    got = codazzi_values(st_, codazzi_scalar(st_, *key)).const
+    want = dense_scalar(st_, dense_tables(st_), *key).const
+    assert got == want == 0 and (type(got), type(want)) == (Fraction, QSqrt3)
+    with pytest.raises(AssertionError):
+        _assert_tables_match_dense(st_)
 
 
 def test_proof_replay_work_counts(monkeypatch) -> None:

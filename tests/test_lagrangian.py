@@ -17,7 +17,7 @@ import fd_oracle
 from exact_oracle import dense_omega
 from nkverify import lagrangian
 from nkverify.cli import FRAME_SAMPLE_POINTS, cmd_lagrangian, graph_immersion
-from nkverify.codazzi import hijk_from_v, random_frame_state
+from nkverify.codazzi import _H_CLASS, hijk_from_v, random_frame_state
 from nkverify.humfit import theorem_harness
 from nkverify.jet import Jet
 from nkverify.lagrangian import (
@@ -290,7 +290,7 @@ def test_relation_residual_against_exact_tables():
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    h[i, j, k] = float(h_exact[(i + 1, j + 1, k + 1)])
+                    h[i, j, k] = float(h_exact[_H_CLASS[(i + 1, j + 1, k + 1)]])
                     om[i, j, k] = float(om_exact[(i + 1, j + 1, k + 1)])
         thetas = [
             math.atan2(float(st.angles[a].s), float(st.angles[a].c)) for a in (1, 2, 3)
@@ -305,7 +305,7 @@ def test_relation_residual_flags_wrong_omega():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                h[i, j, k] = float(h_exact[(i + 1, j + 1, k + 1)])
+                h[i, j, k] = float(h_exact[_H_CLASS[(i + 1, j + 1, k + 1)]])
     thetas = [math.atan2(float(st.angles[a].s), float(st.angles[a].c)) for a in (1, 2, 3)]
     assert relation_h_omega_residual(h, np.zeros((3, 3, 3)), thetas) > 1e-3
 
