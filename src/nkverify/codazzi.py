@@ -599,15 +599,6 @@ class _Plan(NamedTuple):
     angle: int
 
 
-#: omega_ij^k = -omega_ik^j, so each key with j != k is read at (i, j, k)
-#: or (i, k, j), whichever has its last two slots ascending, with that sign.
-_OMEGA_KEY = {
-    (i, j, k): (1, (i, j, k)) if j < k else (-1, (i, k, j))
-    for i, j, k in product(AXES, AXES, AXES)
-    if j != k
-}
-
-
 def _compile_plan(i: int, j: int, k: int, l: int) -> _Plan:
     """The plan of the scalar (i, j, k, l), from the Codazzi formula.
 
@@ -617,8 +608,8 @@ def _compile_plan(i: int, j: int, k: int, l: int) -> _Plan:
     with S the shifted connection omega - eps/sqrt(3), whose sqrt(3) part
     is (sigma - iota) eps, and C the curl omega_ij^m - omega_ji^m, whose
     sqrt(3) part is 2 sigma eps_ijm; omega's own is sigma eps.  The rational
-    parts are omega's, read at `_OMEGA_KEY`; omega_ij^j = 0 adds nothing, and
-    terms of one group at one omega key are summed.
+    parts are omega's; omega_ij^j = 0 adds nothing, and terms of one group
+    at one omega key are summed.
     """
     dh = []
     for m in AXES:
@@ -637,9 +628,8 @@ def _compile_plan(i: int, j: int, k: int, l: int) -> _Plan:
             h_class = _H_CLASS[h_key]
             group = terms.setdefault(h_class, {})
             for c, key in omega:
-                if key in _OMEGA_KEY:
-                    flip, key = _OMEGA_KEY[key]
-                    group[key] = group.get(key, 0) + sign * c * flip
+                if key[1] != key[2]:
+                    group[key] = group.get(key, 0) + sign * c
             if eps:
                 by_sigma, by_inv = root3.get(h_class, (0, 0))
                 root3[h_class] = (by_sigma + sign * w_sigma * eps, by_inv + sign * w_inv * eps)
@@ -866,6 +856,7 @@ def eliminate_fraction_free(
         live.remove(j)
         for n, row in enumerate(active):
             a = row[j]
+            # divide_exactly inlined: this loop makes most of a solve's divisions
             for c in live:
                 q, r = divmod(p * row[c] - a * prow[c], prev)
                 if r:

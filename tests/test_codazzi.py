@@ -866,16 +866,18 @@ def _replace_group(plan, h_class, **fields):
 
 
 def test_mutant_plan_term_sign_fails_the_checks_as_records(monkeypatch) -> None:
-    # the scalar (1, 2, 2, 1) reads 2 omega_21^2 h_12^2 among its products;
-    # with that term's sign flipped, the rows stay integer and every division
-    # exact, and both checks that solve rows of (E1,E2,E2) must fail.  Both
-    # factors are nonzero at v2 = 0, so the constrained-angle case sees it
+    # the scalar (1, 2, 2, 1) reads h_12^2 (-omega_22^1 + omega_21^2) among
+    # its products; with the first term's sign flipped, the rows stay integer
+    # and every division exact, and both checks that solve rows of (E1,E2,E2)
+    # must fail.  Both factors are nonzero at v2 = 0, so the constrained-angle
+    # case sees it
     key, h_class = (1, 2, 2, 1), (1, 2, 2)
     plan = codazzi._PLANS[key]
     (group,) = [g for g in plan.groups if g.h_class == h_class]
-    assert group.terms == ((2, (2, 1, 2)),) and not group.irrational
+    assert group.terms == ((-1, (2, 2, 1)), (1, (2, 1, 2))) and not group.irrational
     monkeypatch.setitem(
-        codazzi._PLANS, key, _replace_group(plan, h_class, terms=((-2, (2, 1, 2)),))
+        codazzi._PLANS, key,
+        _replace_group(plan, h_class, terms=((1, (2, 2, 1)), (1, (2, 1, 2)))),
     )
     records = (system1_check(seed=20, trials=10), case3_check(trials=5, seed=7))
     assert [r.check_id for r in records] == ["derivative-comparison", "constrained-angle-case"]
