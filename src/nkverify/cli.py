@@ -34,7 +34,7 @@ from .codazzi import (
     frame_relation_check,
     system1_check,
 )
-from .humfit import FIT_TOL, HARNESS_TOL, CubicTensor, fit, theorem_harness, umbilical_lemma_check
+from .humfit import FIT_TOL, HARNESS_TOL, CubicTensor, fit, theorem_shadow, umbilical_lemma_check
 from .lagrangian import (
     Box,
     Immersion,
@@ -285,7 +285,14 @@ def cmd_lagrangian(
     tol: float | None = None,
     seed: int = 0,
 ) -> VerificationReport:
-    """Analyzer sweep over immersions on a grid x grid x grid parameter box."""
+    """Analyzer sweep over immersions on a grid x grid x grid parameter box.
+
+    Each immersion's map is evaluated once per grid, by `lagrangian_suite`.
+    Where it passes the Lagrangian test, the `theorem-shadow` record is
+    `humfit.theorem_shadow` of the suite's cubic forms, bounded by tol or
+    HARNESS_TOL; where it fails, that record is skipped.  Three
+    `umbilical-rigidity` records follow, seeded seed + n for n = 2, 3, 4.
+    """
     _require_count("grid", grid)
     _require_tol(tol)
     if example is not None:
@@ -294,20 +301,13 @@ def cmd_lagrangian(
         imms = load_manifest(manifest)
     else:
         imms = [example_by_label(label) for label in LAGRANGIAN_LABELS]
+    shadow_tol = HARNESS_TOL if tol is None else tol
     records = []
     for imm in imms:
         start = time.perf_counter()
-        suite = _stamp(lagrangian_suite(imm, grid=grid, tol=tol), start)
-        records.extend(suite)
-        if suite[0].passed:
-            start = time.perf_counter()
-            records.extend(
-                _stamp(
-                    [theorem_harness(imm, grid=grid, tol=(HARNESS_TOL if tol is None else tol))],
-                    start,
-                )
-            )
-        else:
+        suite = lagrangian_suite(imm, grid=grid, tol=tol)
+        records.extend(_stamp(suite, start))
+        if suite.cubic is None:
             records.append(
                 CheckRecord(
                     check_id=f"theorem-shadow[{imm.label}]",
@@ -316,6 +316,9 @@ def cmd_lagrangian(
                     details={"reason": "immersion failed the Lagrangian test"},
                 )
             )
+            continue
+        start = time.perf_counter()
+        records.extend(_stamp([theorem_shadow(imm.label, *suite.cubic, shadow_tol)], start))
     for n in (2, 3, 4):
         start = time.perf_counter()
         rec = umbilical_lemma_check(n, trials=100, seed=seed + n)

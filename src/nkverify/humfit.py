@@ -26,11 +26,12 @@ from .codazzi import hijk_from_v
 from .lagrangian import (
     SUITE_TOLS,
     Immersion,
+    Rows,
     is_lagrangian,
     require_lagrangian,
     second_fundamental_form,
 )
-from .report import CheckRecord, max_keep_nan, min_keep_nan, within
+from .report import CheckRecord, max_keep_nan, min_keep_nan, within, worst_residual
 
 #: Ten independent slots of a symmetric cubic tensor on R^3, ascending indices.
 COMPONENT_KEYS = ("111", "112", "113", "122", "123", "133", "222", "223", "233", "333")
@@ -110,13 +111,17 @@ class CubicTensor:
 _TRANSPOSES = tuple(permutations(range(3)))[1:]
 
 
-def symmetry_defect(c: np.ndarray) -> float:
-    """Largest deviation of a 3-index array from full symmetry; a NaN entry
-    is the result."""
+def symmetry_defect(c: np.ndarray) -> np.ndarray | float:
+    """Largest deviation from full symmetry of each 3-index array in c, whose
+    last three axes are the indices: a float for one array, an array over
+    the leading axes for a batch.  A NaN entry is its array's result."""
     c = np.asarray(c, dtype=float)
-    return max_keep_nan(
-        0.0, *(float(np.max(np.abs(c - c.transpose(axes)))) for axes in _TRANSPOSES)
-    )
+    lead = tuple(range(c.ndim - 3))
+    worst = np.zeros(c.shape[:-3])
+    for axes in _TRANSPOSES:
+        diff = np.abs(c - c.transpose(lead + tuple(len(lead) + a for a in axes)))
+        worst = np.maximum(worst, diff.max(axis=(-3, -2, -1)))  # both keep a NaN
+    return worst if lead else float(worst)
 
 
 def build_h_from_V(V: Sequence) -> CubicTensor:
@@ -216,12 +221,13 @@ def fit(h, tol: float = FIT_TOL) -> HUmbilicalFit | None:
     return HUmbilicalFit(u, lam, mu, resid)
 
 
-def umbilical_cubic(n: int, xi: Sequence[float]) -> np.ndarray:
-    """Cubic form of a totally umbilical shape operator, c_abc = d_ab xi_c."""
+def umbilical_cubic(n: int, xi: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Cubic form of a totally umbilical shape operator, c_abc = d_ab xi_c,
+    for each n-vector xi along the last axis of xi."""
     xi = np.asarray(xi, dtype=float)
-    c = np.zeros((n, n, n))
+    c = np.zeros(xi.shape[:-1] + (n, n, n))
     for a in range(n):
-        c[a, a, :] = xi
+        c[..., a, a, :] = xi
     return c
 
 
@@ -231,53 +237,66 @@ def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> Check
     Hence a symmetric second fundamental form of this shape vanishes, which is
     the totally geodesic conclusion in the umbilical case.  The asymmetry of
     c_abc = d_ab xi_c equals the sup norm of xi, so unit vectors xi are
-    rejected with margin at least 1/sqrt(n).
+    rejected with margin at least 1/sqrt(n).  The trials are drawn one at a
+    time and their cubic forms, with xi = 0 last, measured in one batch.
     """
     if n < 2:
         raise ValueError("the umbilical argument needs dimension at least 2")
     rng = random.Random(seed)
     floor = 1.0 / math.sqrt(n)
-    min_asym = math.inf
-    failures = []
+    xis = np.zeros((trials + 1, n))  # the last row stays xi = 0
     for t in range(trials):
         xi = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-        xi = xi / np.linalg.norm(xi)
-        asym = symmetry_defect(umbilical_cubic(n, xi))
-        min_asym = min_keep_nan(min_asym, asym)
-        if not asym >= floor * (1.0 - 1e-12):
-            failures.append({"trial": t, "xi": xi.tolist(), "asymmetry": asym})
-    zero_ok = symmetry_defect(umbilical_cubic(n, np.zeros(n))) == 0.0
-    if not zero_ok:
+        xis[t] = xi / np.linalg.norm(xi)
+    *asyms, zero_asym = symmetry_defect(umbilical_cubic(n, xis)).tolist()
+    failures = [
+        {"trial": t, "xi": xis[t].tolist(), "asymmetry": asym}
+        for t, asym in enumerate(asyms)
+        if not asym >= floor * (1.0 - 1e-12)
+    ]
+    if zero_asym != 0.0:
         failures.append({"trial": "xi=0", "asymmetry": "nonzero"})
     return CheckRecord(
         check_id=f"umbilical-rigidity[n={n}]",
         passed=not failures,
         samples=trials,
-        details={"dimension": n, "min_asymmetry": min_asym, "margin_floor": floor},
+        details={
+            "dimension": n,
+            "min_asymmetry": min_keep_nan(math.inf, *asyms),
+            "margin_floor": floor,
+        },
         failures=failures,
     )
 
 
 def theorem_harness(imm: Immersion, grid: int = 5, tol: float = HARNESS_TOL) -> CheckRecord:
-    """Totally geodesic shadow of the rigidity theorem on one immersion.
-
-    One is_lagrangian precheck and one second_fundamental_form call cover the
-    grid, and each point's cubic form is fed to the fitter; any point where an
-    H-umbilical fit succeeds while ||h|| is not within tol (`report.within`)
-    would be a falsification candidate, and is reported as a failure.
+    """Totally geodesic shadow of the rigidity theorem on one immersion, on
+    its own: one is_lagrangian precheck (at SUITE_TOLS["lagrangian"]) and
+    one second_fundamental_form call cover the grid, three map evaluations
+    in all, and `theorem_shadow` reads the cubic forms.  `cli.cmd_lagrangian`
+    runs `theorem_shadow` on the cubic forms of `lagrangian_suite` instead.
     """
     points = imm.domain.grid(grid)
     residuals = [chk.residual for chk in is_lagrangian(imm, points)]
     require_lagrangian(imm.label, points, residuals, SUITE_TOLS["lagrangian"])
     cs, _ = second_fundamental_form(imm, points)
+    return theorem_shadow(imm.label, points, cs, tol)
+
+
+def theorem_shadow(label: str, points: Rows, cs: np.ndarray, tol: float) -> CheckRecord:
+    """The `theorem-shadow[label]` record of the cubic forms cs (n, 3, 3, 3)
+    of a Lagrangian immersion at the rows of points.
+
+    Each point's cubic form is fed to the fitter; any point where an
+    H-umbilical fit succeeds while ||h|| is not within tol (`report.within`)
+    would be a falsification candidate, and is reported as a failure.
+    """
     failures = []
     fits = 0
     max_h = 0.0
     max_lam = 0.0
     max_mu = 0.0
-    max_sym_defect = 0.0
     for u, c in zip(points, cs):
-        max_sym_defect = max_keep_nan(max_sym_defect, symmetry_defect(c))
         h_norm = float(np.linalg.norm(c))
         max_h = max_keep_nan(max_h, h_norm)
         if not math.isfinite(h_norm):  # nothing to fit, and no pass on it
@@ -298,7 +317,7 @@ def theorem_harness(imm: Immersion, grid: int = 5, tol: float = HARNESS_TOL) -> 
                     }
                 )
     return CheckRecord(
-        check_id=f"theorem-shadow[{imm.label}]",
+        check_id=f"theorem-shadow[{label}]",
         passed=not failures,
         samples=len(points),
         tolerance=tol,
@@ -308,7 +327,7 @@ def theorem_harness(imm: Immersion, grid: int = 5, tol: float = HARNESS_TOL) -> 
             "grid_points": len(points),
             "max_abs_lambda": max_lam,
             "max_abs_mu": max_mu,
-            "max_symmetry_defect": max_sym_defect,
+            "max_symmetry_defect": worst_residual(symmetry_defect(cs)),
         },
         failures=failures,
     )

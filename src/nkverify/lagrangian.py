@@ -589,9 +589,16 @@ def example_by_label(label: str) -> Immersion:
 # grid suite
 
 
-def lagrangian_suite(
-    imm: Immersion, grid: int = 5, tol: float | None = None
-) -> list[CheckRecord]:
+class SuiteRecords(list):
+    """The records of `lagrangian_suite`, with `cubic`: the grid points
+    (n, 3) and the cubic forms c (n, 3, 3, 3) of its order-3 package, or
+    None when the immersion failed the Lagrangian test.  A caller reads h
+    there without evaluating the map again."""
+
+    cubic: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) -> SuiteRecords:
     """All per-immersion checks over a grid x grid x grid parameter sweep.
 
     One order-3 frame package for the whole grid, from one jet evaluation of
@@ -601,21 +608,24 @@ def lagrangian_suite(
     than evaluated on meaningless data.  Where some point is non-degenerate,
     the angle check also gates on the eigenframe relation and dtheta
     residuals, reports their worst values and the largest |E_i(theta_j)|.
+    The grid's cubic forms are handed on as the result's `cubic`.
     """
     bounds = {name: default if tol is None else tol for name, default in SUITE_TOLS.items()}
     points = imm.domain.grid(grid)
     tag = imm.label
     pkg = _Package(imm, points, 3)
     lag_worst = worst_residual(pkg.lagrangian_residual)
-    records = [
-        CheckRecord(
-            check_id=f"lagrangian[{tag}]",
-            passed=within(lag_worst, bounds["lagrangian"]),
-            samples=len(points),
-            tolerance=bounds["lagrangian"],
-            max_residual=lag_worst,
-        )
-    ]
+    records = SuiteRecords(
+        [
+            CheckRecord(
+                check_id=f"lagrangian[{tag}]",
+                passed=within(lag_worst, bounds["lagrangian"]),
+                samples=len(points),
+                tolerance=bounds["lagrangian"],
+                max_residual=lag_worst,
+            )
+        ]
+    )
     downstream = [name for name in SUITE_TOLS if name != "lagrangian"]
     if not records[0].passed:
         for name in downstream:
@@ -632,6 +642,7 @@ def lagrangian_suite(
 
     require_lagrangian(tag, pkg.us, pkg.lagrangian_residual)
     c = pkg.c
+    records.cubic = (pkg.us, c)
     worsts = {
         "minimality": worst_residual(norm(pkg.H)),
         "cubic-symmetry": worst_residual(

@@ -16,7 +16,8 @@ from nkverify.cli import (
     load_manifest,
     main,
 )
-from nkverify.humfit import COMPONENT_KEYS, build_h_from_V
+from nkverify.humfit import COMPONENT_KEYS, build_h_from_V, theorem_harness
+from nkverify.lagrangian import example_by_label
 
 STRUCTURE_IDS = [
     "frame-g-form",
@@ -43,6 +44,20 @@ def _tensor_file(tmp_path, V, name="tensor.json"):
     path = tmp_path / name
     path.write_text(build_h_from_V(V).to_json())
     return str(path)
+
+
+def _counted_examples(monkeypatch) -> list[str]:
+    """Labels of the built-in maps cli evaluates, one entry per map call."""
+    calls = []
+    real_example = cli.example_by_label
+
+    def counted_example(label):
+        imm = real_example(label)
+        imm.map_fn = lambda u, fn=imm.map_fn: calls.append(imm.label) or fn(u)
+        return imm
+
+    monkeypatch.setattr(cli, "example_by_label", counted_example)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +151,7 @@ def test_structure_exact_zero_residuals_pass_at_tol_zero(monkeypatch) -> None:
 
 def test_frame_record_evaluates_each_builtin_map_once(monkeypatch) -> None:
     # one order-2 jet evaluation per built-in covers all of its sample points
-    calls = []
-    real_example = cli.example_by_label
-
-    def counted_example(label):
-        imm = real_example(label)
-        imm.map_fn = lambda u, fn=imm.map_fn: calls.append(imm.label) or fn(u)
-        return imm
-
-    monkeypatch.setattr(cli, "example_by_label", counted_example)
+    calls = _counted_examples(monkeypatch)
     rec = cli.structure_frame_record(0)
     assert rec.passed
     assert rec.samples == len(LAGRANGIAN_LABELS) * len(cli.FRAME_SAMPLE_POINTS)
@@ -199,6 +206,48 @@ def test_lagrangian_failure_skips_downstream_records() -> None:
     ):
         rec = by_id[f"{prefix}[twisted-control]"]
         assert rec.status == "skip" and rec.passed
+
+
+@pytest.mark.parametrize("grid", [1, 3])
+def test_lagrangian_evaluates_each_map_once_per_grid(monkeypatch, grid) -> None:
+    # the suite's order-3 jet evaluation feeds the theorem shadow too, and
+    # the control fails the Lagrangian test on that same evaluation
+    calls = _counted_examples(monkeypatch)
+    assert cmd_lagrangian(grid=grid, seed=0).passed
+    assert calls == list(LAGRANGIAN_LABELS)
+    calls.clear()
+    assert not cmd_lagrangian(example="twisted-control", grid=grid, seed=0).passed
+    assert calls == ["twisted-control"]
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+def test_lagrangian_shadow_matches_the_standalone_harness(grid) -> None:
+    by_id = {r.check_id: r for r in cmd_lagrangian(grid=grid, seed=0).records}
+    for label in LAGRANGIAN_LABELS:
+        got = by_id[f"theorem-shadow[{label}]"]
+        want = theorem_harness(example_by_label(label), grid=grid)
+        assert (got.samples, got.passed) == (want.samples, want.passed)
+        for key in ("fit_successes", "grid_points"):
+            assert got.details[key] == want.details[key]
+        assert abs(got.max_residual - want.max_residual) <= 1e-15
+
+
+def test_lagrangian_tol_reaches_the_theorem_shadow(tmp_path) -> None:
+    # under --tol 1e-7 this graph passes lagrangian[near] (residual 1.25e-8);
+    # the shadow is gated by that verdict, with no precheck of its own at
+    # the default 1e-9 that would raise and end the command without a report
+    z = [0.0, 0.0, 1.0]
+    graph = {"left": {"axis": z, "angle": 0.5}, "right": {"axis": z, "angle": 0.5 + 1e-8}}
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"graph": graph, "label": "near"}))
+    report = cmd_lagrangian(manifest=str(path), grid=1, tol=1e-7, seed=0)
+    by_id = {r.check_id: r for r in report.records}
+    lag = by_id["lagrangian[near]"]
+    assert lag.passed and 1e-9 < lag.max_residual < 1e-7
+    shadow = by_id["theorem-shadow[near]"]
+    assert shadow.status is None and shadow.passed
+    assert (shadow.samples, shadow.tolerance) == (1, 1e-7)
+    assert main(["lagrangian", "--manifest", str(path), "--grid", "1", "--tol", "1e-7"]) == 0
 
 
 def test_lagrangian_umbilical_records_carry_derived_seeds() -> None:

@@ -214,18 +214,24 @@ def test_umbilical_lemma_dimensions():
 
 @pytest.mark.parametrize("nan_at", ["every call", "second call"])
 def test_umbilical_lemma_keeps_nan_asymmetry(monkeypatch, nan_at):
-    # min(inf, nan) and min(x, nan) both drop the NaN; the detail must not
-    real = humfit.symmetry_defect
-    calls = []
+    # min(inf, nan) and min(x, nan) both drop the NaN; the detail must not.
+    # The lemma measures its trials in one batch, so the NaN goes into the
+    # cubic form of every trial, or of the second only.
+    real = humfit.umbilical_cubic
+    trials = slice(0, -1) if nan_at == "every call" else 1  # the last row is xi = 0
 
-    def nan_asymmetry(c):
-        calls.append(c)
-        return math.nan if nan_at == "every call" or len(calls) == 2 else real(c)
+    def nan_in_batch(n, xi):
+        c = real(n, xi)
+        c[trials, 0, 0, 0] = math.nan
+        return c
 
-    monkeypatch.setattr(humfit, "symmetry_defect", nan_asymmetry)
+    monkeypatch.setattr(humfit, "umbilical_cubic", nan_in_batch)
     rec = umbilical_lemma_check(3, trials=5, seed=1)
     assert not rec.passed
     assert math.isnan(rec.details["min_asymmetry"])
+    failed = [f["trial"] for f in rec.failures]
+    assert failed == ([0, 1, 2, 3, 4] if nan_at == "every call" else [1])
+    assert all(math.isnan(f["asymmetry"]) for f in rec.failures)
 
 
 def test_theorem_harness_builtins():
@@ -273,6 +279,21 @@ def test_symmetry_defects_keep_nan():
     full = np.zeros((3, 3, 3))
     full[0, 1, 2] = math.nan
     assert math.isnan(symmetry_defect(full))
+
+
+def test_symmetry_defect_batches_over_leading_axes():
+    rng = np.random.default_rng(4)
+    batch = rng.standard_normal((2, 5, 3, 3, 3))
+    batch[1, 3, 2, 0, 1] = math.nan
+    got = symmetry_defect(batch)
+    assert got.shape == (2, 5)
+    for idx in np.ndindex(2, 5):
+        one = symmetry_defect(batch[idx])
+        assert isinstance(one, float)
+        if idx == (1, 3):
+            assert math.isnan(got[idx]) and math.isnan(one)
+        else:
+            assert got[idx] == one
 
 
 def test_theorem_harness_rejects_control():

@@ -18,7 +18,7 @@ from exact_oracle import dense_omega
 from nkverify import lagrangian
 from nkverify.cli import FRAME_SAMPLE_POINTS, cmd_lagrangian, graph_immersion
 from nkverify.codazzi import _H_CLASS, hijk_from_v, random_frame_state
-from nkverify.humfit import theorem_harness
+from nkverify.humfit import HARNESS_TOL, theorem_harness, theorem_shadow
 from nkverify.jet import Jet
 from nkverify.lagrangian import (
     EPSILON,
@@ -415,6 +415,7 @@ def test_lagrangian_suite_skips_downstream_on_control():
     records = lagrangian_suite(by_label("twisted-control"), grid=2)
     assert not records[0].passed
     assert records[0].max_residual > 0.1
+    assert records.cubic is None  # nothing for the theorem shadow to read
     for rec in records[1:]:
         assert rec.status == "skip"
         assert rec.passed
@@ -466,9 +467,16 @@ def test_curved_immersion_suite_and_eigenframe_checks():
     assert all(r.passed and r.status is None for r in records)
     codazzi = next(r for r in records if r.check_id.startswith("codazzi-residual"))
     assert codazzi.max_residual <= 1.001 * CHART_CODAZZI_RESIDUAL
+    # the suite hands on its grid and cubic forms; the shadow of them agrees
+    # with the standalone harness's in roundoff
+    points, cs = records.cubic
+    np.testing.assert_array_equal(points, imm.domain.grid(2))
+    shadow = theorem_shadow(imm.label, points, cs, HARNESS_TOL)
     records.append(theorem_harness(imm, grid=2))
     got = {r.check_id: (r.passed, r.max_residual) for r in records}
     assert got == CONJUGATION_RECORDS
+    assert shadow.details["fit_successes"] == records[-1].details["fit_successes"] == 0
+    assert shadow.max_residual == pytest.approx(records[-1].max_residual, abs=1e-15)
     angle = records[4]
     assert angle.details["degenerate_points"] == 0
     for key in ("frame_relation_worst", "dtheta_worst"):
@@ -489,10 +497,14 @@ def test_lagrangian_report_golden_digest():
     # harness read h from one package for the grid instead of one per point,
     # which moved only theorem-shadow[diagonal]'s max_residual (2.93e-16 ->
     # 2.25e-16) and max_symmetry_defect (2.50e-16 -> 1.73e-16), in roundoff
-    # (before: 09ea760d...7a9e70)
+    # (before: 09ea760d...7a9e70); re-recorded when cmd_lagrangian's shadow
+    # read c from the suite's order-3 package instead of an order-2 one,
+    # which moved only theorem-shadow[diagonal]'s max_residual (2.245e-16 ->
+    # 2.365e-16) and max_symmetry_defect (1.73e-16 -> 1.67e-16), in roundoff
+    # (before: 696c8ec5...a0061b)
     report = cmd_lagrangian(grid=2, seed=1).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "696c8ec5c2b93e6e7033b2bfa2dd6ab94171551c11b86ba0fb45446a64a0061b"
+        "273c07564cd1840aa8fd4e71fb679b4b6d921e5c21845f9c95fb32e9d4101133"
     )
 
 
