@@ -52,16 +52,25 @@ parts cancel.
 
 The exact solver eliminates these integer rows fraction-free (Bareiss),
 with the constant as two integer columns and the flag carried per row: each
-update is divided exactly by the previous pivot, every pivot is an integer
-minor of the small coefficients, and no Fraction or QSqrt3 is built until
-the results are read.  Then a solution's coefficients are divided once by
-the last pivot P and its constant by P L / D^2, the constant's own scale
-against the coefficients'; a leftover's coefficients are divided by P D^2
-and its constant by P L.  Pivots are still the first rows with a nonzero
-coefficient, so the pivot order, rank and free variables are those of
-value-form elimination, and a value is a QSqrt3 exactly where the
-rational-arithmetic formulas give a QSqrt3, so the reports keep their
-types.
+update is divided exactly by the previous pivot, and every pivot is an
+integer minor of the small coefficients.  It hands out the numerators
+(`Numerators`): with P the last pivot, a solution's coefficients are over P
+and its constant over P L / D^2, the constant's own scale against the
+coefficients'; a leftover's coefficients are over P D^2 and its constant
+over P L.  Pivots are still the first rows with a nonzero coefficient, so
+the pivot order, rank and free variables are those of value-form
+elimination, and a numerator is flagged irrational exactly where the
+rational-arithmetic formulas give a QSqrt3; a sqrt(3) part on a numerator
+that is not flagged raises.
+
+The checks decide on these numerators.  A leftover is tested for zero on
+its integers.  A closed form homogeneous of degree k in v is evaluated on
+w = D v, where it is D^k times its value at v, and compared with a
+numerator by cross-multiplication; so are the two solutions the derivative
+comparison subtracts, and the null-axis rows after the substitution, which
+stays on numerators too.  No Fraction or QSqrt3 is built from a solve on
+the way to a passing verdict: `Numerators.value` reads one into values only
+for a failure's details, with the types the value-form formulas give.
 """
 
 from __future__ import annotations
@@ -71,18 +80,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exact import (
-    SQRT3,
-    CirclePoint,
-    QSqrt3,
-    divide_exactly,
-    poly_identity_check,
-    rat_circle_point,
-)
+from .exact import CirclePoint, QSqrt3, divide_exactly, poly_identity_check
 from .report import CheckRecord
 
 AXES = (1, 2, 3)
@@ -111,10 +113,10 @@ DVar = tuple[int, int]  # (i, m) stands for the derivative E_i(v_m)
 
 
 class AffineExpr:
-    """A scalar of the form const + sum coeffs[(i,m)] * D_im.
+    """A scalar of the form const + sum coeffs[(i,m)] * D_im, as values.
 
-    Pure arithmetic container; zero tests are the owning state's business, so
-    coefficient dictionaries may carry explicit zeros.
+    What `Numerators.value` reads a solve's numerators into, for failure
+    details; the checks decide on the numerators.
     """
 
     __slots__ = ("const", "coeffs")
@@ -122,35 +124,6 @@ class AffineExpr:
     def __init__(self, const, coeffs: Mapping[DVar, object] | None = None) -> None:
         self.const = const
         self.coeffs: dict[DVar, object] = dict(coeffs) if coeffs else {}
-
-    def coeff(self, var: DVar, zero):
-        return self.coeffs.get(var, zero)
-
-    def __add__(self, other: "AffineExpr") -> "AffineExpr":
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            out[v] = out[v] + c if v in out else c
-        return AffineExpr(self.const + other.const, out)
-
-    def __sub__(self, other: "AffineExpr") -> "AffineExpr":
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            out[v] = out[v] - c if v in out else -c
-        return AffineExpr(self.const - other.const, out)
-
-    def scale(self, s) -> "AffineExpr":
-        return AffineExpr(self.const * s, {v: c * s for v, c in self.coeffs.items()})
-
-    def subst(self, var: DVar, expr: "AffineExpr") -> "AffineExpr":
-        """Replace D_var by the affine expression expr.
-
-        An exactly zero coefficient of D_var only drops the variable.
-        """
-        if var not in self.coeffs:
-            return self
-        c = self.coeffs[var]
-        rest = AffineExpr(self.const, {v: k for v, k in self.coeffs.items() if v != var})
-        return rest + expr.scale(c) if c else rest
 
     def __repr__(self) -> str:
         terms = "".join(
@@ -163,14 +136,18 @@ class AffineExpr:
 # states
 
 
+def _require_flag(root3: int, irrational: bool) -> None:
+    """A numerator that is not flagged irrational has no sqrt(3) part."""
+    if root3 and not irrational:
+        raise ArithmeticError("a sqrt(3) part on a numerator not flagged irrational")
+
+
 def _value(const: int, root3: int, irrational: bool, den: int):
     """const + root3 sqrt(3) over den, divided once: a QSqrt3 where the
-    numerator is flagged irrational, else a Fraction.  A numerator that is
-    not flagged has no sqrt(3) part."""
+    numerator is flagged irrational, else a Fraction."""
+    _require_flag(root3, irrational)
     if irrational:
         return QSqrt3(Fraction(const, den), Fraction(root3, den))
-    if root3:
-        raise ArithmeticError("a sqrt(3) part on a numerator not flagged irrational")
     return Fraction(const, den)
 
 
@@ -208,36 +185,49 @@ class _RowScale(NamedTuple):
 class FrameState:
     """Exact frame state over Q(sqrt(3)).
 
-    v entries are rationals.  An angle is a rational circle point, held as an
-    integer triple (C, S, E): cosine C/E and sine S/E over one common
-    denominator, not necessarily in lowest terms.  theta1 and theta2 are read
-    from their circle points; theta3 = -(theta1 + theta2) and the three
-    differences theta_a - theta_b, a < b, are built on the triples, a
-    reverse pair is (C, -S, E) and the diagonal (1, 0, 1).  Construction
-    rejects states where some sin(theta_a - theta_b) vanishes, since the
-    connection components divide by those factors.
+    v entries are rationals, held as w = D v with D the lcm of their
+    denominators; `v` builds the Fractions when read.  An angle is a
+    rational circle point, held as an integer triple (C, S, E): cosine C/E
+    and sine S/E over one common denominator, not necessarily in lowest
+    terms.  theta3 = -(theta1 + theta2) and the three differences
+    theta_a - theta_b, a < b, are built on the triples, a reverse pair is
+    (C, -S, E) and the diagonal (1, 0, 1).  Construction rejects states
+    where some sin(theta_a - theta_b) vanishes, since the connection
+    components divide by those factors.
 
-    The tables are lazy and hold only ints.  `_w` holds w = D v with D the
-    lcm of the denominators of v.  h and dh come from `hijk_from_v` and
-    `hijk_gradient` on w, at scales D^3 and D^2, once per symmetry class.
-    The three distinct cotangents are over their common denominator Q, with
-    cot(b, a) = -cot(a, b), and `_omega_scale()` puts omega at scale
-    6 D^3 Q.  The omega table holds the rational parts; the sqrt(3) part of
-    omega_ij^k is `_omega_scale().sigma` times eps_ijk, and the shifted
-    connection and the curl that `codazzi_scalar` reads are built from them
-    by its plans.  A Codazzi row's constant, `_row_scale()`, is over
-    L = lcm(6 D^6 Q, A), with A the common denominator of the three
+    The tables are lazy and hold only ints.  h and dh come from
+    `hijk_from_v` and `hijk_gradient` on w, at scales D^3 and D^2, once per
+    symmetry class.  The three distinct cotangents are over their common
+    denominator Q, with cot(b, a) = -cot(a, b), and `_omega_scale()` puts
+    omega at scale 6 D^3 Q.  The omega table holds the rational parts; the
+    sqrt(3) part of omega_ij^k is `_omega_scale().sigma` times eps_ijk, and
+    the shifted connection and the curl that `codazzi_scalar` reads are
+    built from them by its plans.  A Codazzi row's constant, `_row_scale()`,
+    is over L = lcm(6 D^6 Q, A), with A the common denominator of the three
     sin 2(theta_a - theta_b)/3, and its coefficients over D^2.
     """
 
     def __init__(self, v: Sequence[Fraction], theta1: CirclePoint, theta2: CirclePoint) -> None:
         self._set_v(v)
-        c1, s1, e1 = theta1.c.numerator, theta1.s.numerator, theta1.c.denominator
-        c2, s2, e2 = theta2.c.numerator, theta2.s.numerator, theta2.c.denominator
+        self._set_angles(
+            (theta1.c.numerator, theta1.s.numerator, theta1.c.denominator),
+            (theta2.c.numerator, theta2.s.numerator, theta2.c.denominator),
+        )
+
+    @classmethod
+    def _from_integers(cls, w: list[int], d: int, theta1: tuple, theta2: tuple) -> "FrameState":
+        """The state at v = w / D with the angles of two integer triples."""
+        st = object.__new__(cls)
+        st._set_w(w, d)
+        st._set_angles(theta1, theta2)
+        return st
+
+    def _set_angles(self, theta1: tuple, theta2: tuple) -> None:
+        (c1, s1, e1), (c2, s2, e2) = theta1, theta2
         # theta3 is the conjugate of the sum of theta1 and theta2
         self._theta = {
-            1: (c1, s1, e1),
-            2: (c2, s2, e2),
+            1: theta1,
+            2: theta2,
             3: (c1 * c2 - s1 * s2, -(s1 * c2 + c1 * s2), e1 * e2),
         }
         self._diffs: dict[tuple[int, int], tuple[int, int, int]] = {
@@ -253,10 +243,21 @@ class FrameState:
         self._cot = self._thirds = None
 
     def _set_v(self, v: Sequence[Fraction]) -> None:
-        self.v = {m: Fraction(v[m - 1]) for m in AXES}
-        self._D = lcm(*(x.denominator for x in self.v.values()))
-        self._w = [x.numerator * (self._D // x.denominator) for x in self.v.values()]
+        v = [Fraction(x) for x in v]
+        d = lcm(*(x.denominator for x in v))
+        self._set_w([x.numerator * (d // x.denominator) for x in v], d)
+        self._v = dict(zip(AXES, v))
+
+    def _set_w(self, w: list[int], d: int) -> None:
+        self._w, self._D, self._v = w, d, None
         self._h_num = self._dh_num = self._om_scale = self._rows = self._om_num = None
+
+    @property
+    def v(self) -> dict[int, Fraction]:
+        """v as Fractions, w / D, built when first read."""
+        if self._v is None:
+            self._v = {m: Fraction(x, self._D) for m, x in zip(AXES, self._w)}
+        return self._v
 
     def with_v(self, v: Sequence[Fraction]) -> "FrameState":
         """The state at another v with the same, already validated, angles.
@@ -363,19 +364,10 @@ class FrameState:
         c, s, _ = self._diffs[(a, b)]
         return Fraction(c, s)
 
-    def sin2(self, a: int, b: int) -> Fraction:
-        c, s, e = self._diffs[(a, b)]
-        return Fraction(2 * s * c, e * e)
-
     def _ec_numerator(self) -> int:
         """4 w1^2 - 3 (w2^2 + w3^2): D^2 times 4 v1^2 - 3 (v2^2 + v3^2)."""
         w1, w2, w3 = self._w
         return 4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3)
-
-    @property
-    def ec_value(self) -> Fraction:
-        """4 v1^2 - 3 (v2^2 + v3^2), from the integers w = D v over D^2."""
-        return Fraction(self._ec_numerator(), self._D * self._D)
 
     def describe(self) -> dict:
         return {
@@ -383,6 +375,11 @@ class FrameState:
             "theta1": self.angles[1],
             "theta2": self.angles[2],
         }
+
+
+def _draw_ratio(rng: random.Random) -> tuple[int, int]:
+    """A small random rational as (numerator, denominator), not reduced."""
+    return rng.randint(-9, 9), rng.randint(1, 9)
 
 
 def random_frame_state(
@@ -397,23 +394,33 @@ def random_frame_state(
     redrawn until nonzero.  States violating the validity constraints (or the
     4v1^2 - 3(v2^2+v3^2) != 0 condition, when required) are rejected and
     resampled, up to 500 draws.
+
+    The draw goes straight to integers: each v_m = a/b is reduced by one gcd
+    into w = D v, and each angle t = p/q to the half-angle triple
+    (q^2 - p^2, 2pq, q^2 + p^2) of `rat_circle_point`, unreduced.
     """
     zero = set(zero)
     nonzero = set(nonzero)
     for _ in range(500):
-        v = []
+        nums, dens = [], []
         for m in AXES:
             if m in zero:
-                v.append(Fraction(0))
-                continue
-            val = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            while m in nonzero and val == 0:
-                val = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            v.append(val)
-        t1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        t2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                a, b = 0, 1
+            else:
+                a, b = _draw_ratio(rng)
+                while m in nonzero and a == 0:
+                    a, b = _draw_ratio(rng)
+            g = gcd(a, b)
+            nums.append(a // g)
+            dens.append(b // g)
+        d = lcm(*dens)
+        w = [a * (d // b) for a, b in zip(nums, dens)]
+        angles = []
+        for _ in (1, 2):
+            p, q = _draw_ratio(rng)
+            angles.append((q * q - p * p, 2 * p * q, q * q + p * p))
         try:
-            st = FrameState(v, rat_circle_point(t1), rat_circle_point(t2))
+            st = FrameState._from_integers(w, d, *angles)
         except ValueError:
             continue
         if require_ec and not st._ec_numerator():
@@ -682,8 +689,8 @@ def codazzi_scalar(
 
     Returns the scalar that must vanish, affine in the unknowns D_am, as a
     `CodazziRow` read from the plan of (i, j, k, l): the dh numerators as
-    coefficients and the constant at the row scale L (see `_RowScale`).
-    `codazzi_values` divides them.  Only nonzero dh entries give
+    coefficients and the constant at the row scale L (see `_RowScale`),
+    never divided.  Only nonzero dh entries give
     coefficients, and a group of products whose h class is zero is skipped,
     so its flag is not raised.  The `vanishing` set lists components v_m
     assumed identically zero, whose derivatives D_am are then dropped as
@@ -723,37 +730,55 @@ def codazzi_scalar(
     return CodazziRow(coeffs, const, root3, irrational)
 
 
-def codazzi_values(st, row: CodazziRow) -> AffineExpr:
-    """A `codazzi_scalar` row as values: each numerator divided once, the
-    coefficients by D^2 and the constant by L.
-
-    The constant is a QSqrt3 exactly where the row is flagged irrational.
-    """
-    d2 = st._D * st._D
-    return AffineExpr(
-        _value(row.const, row.root3, row.irrational, st._row_scale().den),
-        {v: Fraction(c, d2) for v, c in row.coeffs.items()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # linear solving
+
+
+class Numerators(NamedTuple):
+    """An affine form in the unknowns D_am as integer numerators.
+
+    Its coefficient of D_am is coeffs[(a, m)] / coeff_den, with only nonzero
+    numerators held, and its constant is (const + root3 sqrt(3)) / const_den.
+    irrational says whether the constant reads as a QSqrt3; a numerator
+    that is not flagged has no sqrt(3) part.
+    """
+
+    coeffs: dict[DVar, int]
+    const: int
+    root3: int
+    irrational: bool
+    coeff_den: int
+    const_den: int
+
+    def is_zero(self) -> bool:
+        """Whether every numerator is zero, so the form is."""
+        return not (self.const or self.root3 or self.coeffs)
+
+    def value(self) -> AffineExpr:
+        """The form as values, each numerator divided once."""
+        return AffineExpr(
+            _value(self.const, self.root3, self.irrational, self.const_den),
+            {v: Fraction(c, self.coeff_den) for v, c in self.coeffs.items()},
+        )
 
 
 @dataclass
 class SolveResult:
     """Outcome of exact elimination on a set of Codazzi rows.
 
-    solutions: designated unknowns, as affine expressions in any never-pivoted
+    solutions: designated unknowns, as affine forms in any never-pivoted
     variables (constants when the system determines them fully).
     extras: other variables the elimination had to resolve along the way.
     leftovers: fully substituted rows that no pivot consumed; these are the
     compatibility constraints of the system.
+    Each is a `Numerators`: with P the last pivot and K = L / D^2, a
+    solution is over P (coefficients) and P K (constant), and a leftover
+    over P D^2 and P L.
     """
 
-    solutions: dict[DVar, AffineExpr]
-    extras: dict[DVar, AffineExpr]
-    leftovers: list[AffineExpr]
+    solutions: dict[DVar, Numerators]
+    extras: dict[DVar, Numerators]
+    leftovers: list[Numerators]
     rank: int
     n_rows: int
     free: list[DVar]
@@ -776,7 +801,7 @@ def solve_triple_system(
     families comparable across different subsystems sharing a free unknown.
 
     The integer rows are eliminated fraction-free (`eliminate_fraction_free`)
-    and divided once when the results are read.
+    and handed out as their numerators, divided by nothing.
     """
     if not st._ec_numerator():
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
@@ -883,7 +908,7 @@ def eliminate_fraction_free(
 
 
 def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
-    """Fraction-free elimination of a state's integer rows, read once.
+    """Fraction-free elimination of a state's integer rows, as numerators.
 
     The integer matrix is each scalar times D^2, with its constant's two
     columns times K = L / D^2 more.  Scaling rows scales no solution, and
@@ -891,6 +916,7 @@ def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
     with P the last pivot, a solution's coefficients are its numerators
     over P and its constant over P K.  A leftover is its row's residual
     times D^2, so its coefficients are over P D^2 and its constant over P L.
+    A sqrt(3) part on a numerator not flagged irrational raises.
     """
     col = {v: n for n, v in enumerate(present)}
     matrix = [[r.coeffs.get(v, 0) for v in present] + [r.const, r.root3] for r in rows]
@@ -899,11 +925,12 @@ def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
     )
     free = [present[c] for c in out.free[:-2]]
 
-    def read(nums, irrational, coeff_den, const_den) -> AffineExpr:
+    def read(nums, irrational, coeff_den, const_den) -> Numerators:
         *coeffs, const, root3 = nums
-        return AffineExpr(
-            _value(const, root3, irrational, const_den),
-            {v: Fraction(c, coeff_den) for v, c in zip(free, coeffs) if c},
+        _require_flag(root3, irrational)
+        return Numerators(
+            {v: c for v, c in zip(free, coeffs) if c}, const, root3, irrational, coeff_den,
+            const_den,
         )
 
     p, scale = out.last, st._row_scale()
@@ -916,6 +943,42 @@ def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
         for r, irrational in zip(out.leftovers, out.leftover_irrational)
     ]
     return final, leftovers
+
+
+def _substitute(st, row: CodazziRow, solutions: Mapping[DVar, Numerators]) -> Numerators:
+    """A Codazzi row with the solved unknowns replaced by their solutions.
+
+    The solutions of one solve share their scales, P and P K, so the result
+    is at a leftover's: its coefficients over P D^2 and its constant over
+    P L.  Its flag is the row's, or a substituted solution's.
+    """
+    p = next(iter(solutions.values())).coeff_den if solutions else 1
+    coeffs = {v: c * p for v, c in row.coeffs.items() if v not in solutions}
+    const, root3, irrational = row.const * p, row.root3 * p, row.irrational
+    for var, c in row.coeffs.items():
+        sol = solutions.get(var)
+        if sol is None or not c:
+            continue
+        for u, a in sol.coeffs.items():
+            coeffs[u] = coeffs.get(u, 0) + c * a
+        const += c * sol.const
+        root3 += c * sol.root3
+        irrational = irrational or sol.irrational
+    return Numerators(
+        {v: c for v, c in coeffs.items() if c}, const, root3, irrational,
+        p * st._D * st._D, p * st._row_scale().den,
+    )
+
+
+def _matches_root3(form: Numerators, num, den, degree: int, d: int) -> bool:
+    """Whether the constant of `form` is sqrt(3) num / (den D^degree).
+
+    A closed form homogeneous of that degree in v, read at w = D v as
+    sqrt(3) num / den, is D^degree times its value at v, so this compares
+    form with it by cross-multiplication: no rational part, and
+    root3 den D^degree = num const_den.  A NaN in num or den never matches.
+    """
+    return form.const == 0 and form.root3 * den * d ** degree == num * form.const_den
 
 
 # ---------------------------------------------------------------------------
@@ -934,33 +997,12 @@ def _quartic_brackets(v: Sequence) -> tuple:
     return b1, b2, b3, b4
 
 
-def compat_form_1(st):
-    """F1: the first bracketed compatibility form (without the v1 v2 prefactor)."""
-    b1, b2, _, _ = _quartic_brackets([st.v[m] for m in AXES])
-    return b1 * st.sin2(1, 2) - b2 * st.sin2(1, 3)
-
-
-def compat_form_2(st):
-    """F2: the second bracketed compatibility form (without the v1 v3 prefactor)."""
-    _, _, b3, b4 = _quartic_brackets([st.v[m] for m in AXES])
-    return b3 * st.sin2(1, 2) - b4 * st.sin2(1, 3)
-
-
 def det_product_form(v: Sequence):
     """The factored determinant: 4(v2^2+v3^2)|v|^2(2v1^2+v2^2+v3^2)(4v1^2-3(v2^2+v3^2))."""
     q1 = v[0] * v[0]
     q2 = v[1] * v[1]
     q3 = v[2] * v[2]
     return 4 * (q2 + q3) * (q1 + q2 + q3) * (2 * q1 + q2 + q3) * (4 * q1 - 3 * (q2 + q3))
-
-
-def _rational(x) -> Fraction:
-    """Coerce a rational-valued scalar that may be carried as QSqrt3."""
-    if isinstance(x, QSqrt3):
-        if x.b != 0:
-            raise ValueError(f"not rational: {x}")
-        return x.a
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +1049,66 @@ SET2_UNKNOWNS = ((3, 1), (1, 2), (3, 2), (1, 3), (3, 3))
 SHARED_FREE = ((1, 1),)
 
 
+def _compare_derivatives(st) -> tuple[list, list, bool]:
+    """The derivative comparison at one state, decided on numerators.
+
+    Returns the state's own failures, as (reason, extra); per shared
+    unknown, (label, var, failure, ratio), where ratio is the clearing
+    ratio product / (difference * |v|^6 * (4v1^2 - 3(v2^2+v3^2))) as an
+    integer pair (num, den), or None where the product vanishes; and
+    whether a solution depends on D_11.
+
+    The differences are cross-multiplied: a solution's coefficients are
+    over P and its constant over P K (`SolveResult`), so the gap of the two
+    constants is an integer pair over the product of their scales.  The
+    products v1 v2 F1 and v1 v3 F2 are 3 / (A D^6) times integers on w and
+    the angle numerators A sin 2(theta_a - theta_b)/3, and the norm is
+    D^-8 times |w|^6 (4 w1^2 - 3 (w2^2 + w3^2)), so the ratio is
+    3 prod e1 e2 D^2 / (A gap norm), with e1, e2 the constants' scales.
+    """
+    res1 = solve_triple_system(st, SET1_TRIPLES, SET1_UNKNOWNS, free_vars=SHARED_FREE)
+    res2 = solve_triple_system(st, SET2_TRIPLES, SET2_UNKNOWNS, free_vars=SHARED_FREE)
+    if res1.free or res2.free:
+        return [("singular subsystem", {"free1": res1.free, "free2": res2.free})], [], False
+    stray = [x for res in (res1, res2) for x in res.leftovers if not x.is_zero()]
+    if stray:
+        return [("nonzero leftover constraint", repr(stray[0].value()))], [], False
+    dependent = any(
+        SHARED_FREE[0] in e.coeffs for res in (res1, res2) for e in res.solutions.values()
+    )
+    w1, w2, w3 = st._w
+    b1, b2, b3, b4 = _quartic_brackets(st._w)
+    a, thirds = st._angle_thirds()
+    t12, t13 = thirds[(1, 2)], thirds[(1, 3)]
+    norm = (w1 * w1 + w2 * w2 + w3 * w3) ** 3 * st._ec_numerator()
+    pairs = []
+    for label, var, prod in (
+        ("K2", (1, 2), w1 * w2 * (b1 * t12 - b2 * t13)),
+        ("K3", (1, 3), w1 * w3 * (b3 * t12 - b4 * t13)),
+    ):
+        s1, s2 = res1.solutions[var], res2.solutions[var]
+        if any(
+            s1.coeffs.get(u, 0) * s2.coeff_den != s2.coeffs.get(u, 0) * s1.coeff_den
+            for u in {*s1.coeffs, *s2.coeffs}
+        ):
+            pairs.append((label, var, ("difference not gauge-free", {"var": var}), None))
+            continue
+        e1, e2 = s1.const_den, s2.const_den
+        gap, gap_root3 = s1.const * e2 - s2.const * e1, s1.root3 * e2 - s2.root3 * e1
+        gap_zero = not (gap or gap_root3)
+        if gap_zero != (prod == 0):
+            failure = ("vanishing mismatch", {"var": var, "gap_zero": gap_zero})
+            pairs.append((label, var, failure, None))
+        elif prod == 0:
+            pairs.append((label, var, None, None))
+        elif gap_root3:
+            pairs.append((label, var, ("irrational clearing ratio", {"var": var}), None))
+        else:
+            ratio = (3 * prod * e1 * e2 * st._D ** 2, a * gap * norm)
+            pairs.append((label, var, None, ratio))
+    return [], pairs, dependent
+
+
 def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
     """Compare the two overlapping derivative solves and their compatibility.
 
@@ -1017,11 +1119,13 @@ def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
     v1 v2 F1 (resp. v1 v3 F2) does, and the clearing factor
     product / (difference * |v|^6 * (4v1^2 - 3(v2^2+v3^2))) is a single
     rational constant, discovered at the first sample and reconfirmed at all
-    others.
+    others.  Every comparison is made on integer numerators
+    (`_compare_derivatives`); the factor becomes a Fraction only for the
+    report.
     """
     rng = random.Random(seed)
     failures = []
-    snapshot: dict[str, Fraction] = {}
+    snapshot: dict[str, tuple[int, int]] = {}
     kinds = {"generic": 0, "v1=0": 0, "v2=0": 0, "v3=0": 0}
     d11_dependent = 0
     for n in range(trials):
@@ -1036,58 +1140,28 @@ def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
             kind, kw = "generic", dict(nonzero=(1, 2, 3))
         kinds[kind] += 1
         st = random_frame_state(rng, require_ec=True, **kw)
-        res1 = solve_triple_system(st, SET1_TRIPLES, SET1_UNKNOWNS, free_vars=SHARED_FREE)
-        res2 = solve_triple_system(st, SET2_TRIPLES, SET2_UNKNOWNS, free_vars=SHARED_FREE)
 
         def fail(reason, extra=None):
             failures.append({"state": st.describe(), "reason": reason, "extra": extra})
 
-        if res1.free or res2.free:
-            fail("singular subsystem", {"free1": res1.free, "free2": res2.free})
-            continue
-        stray = [
-            x for res in (res1, res2) for x in res.leftovers
-            if x.const != 0 or any(c != 0 for c in x.coeffs.values())
-        ]
-        if stray:
-            fail("nonzero leftover constraint", repr(stray[0]))
-            continue
-        if any(
-            e.coeffs.get(SHARED_FREE[0], Fraction(0)) != 0
-            for res in (res1, res2) for e in res.solutions.values()
-        ):
-            d11_dependent += 1
-
-        w = st.v[1] ** 2 + st.v[2] ** 2 + st.v[3] ** 2
-        norm = w ** 3 * st.ec_value
-        pairs = (
-            ("K2", (1, 2), st.v[1] * st.v[2] * compat_form_1(st)),
-            ("K3", (1, 3), st.v[1] * st.v[3] * compat_form_2(st)),
-        )
-        for label, var, prod in pairs:
-            diff = res1.solutions[var] - res2.solutions[var]
-            if any(c != 0 for c in diff.coeffs.values()):
-                fail("difference not gauge-free", {"var": var})
+        failed, pairs, dependent = _compare_derivatives(st)
+        for reason, extra in failed:
+            fail(reason, extra)
+        d11_dependent += dependent
+        for label, var, failure, ratio in pairs:
+            if failure:
+                fail(*failure)
+            elif ratio is None:
                 continue
-            gap = diff.const
-            if (gap == 0) != (prod == 0):
-                fail("vanishing mismatch", {"var": var, "gap_zero": gap == 0})
-                continue
-            if prod == 0:
-                continue
-            try:
-                ratio = _rational(prod / (gap * norm))
-            except ValueError:
-                fail("irrational clearing ratio", {"var": var})
-                continue
-            if label not in snapshot:
+            elif label not in snapshot:
                 snapshot[label] = ratio
-            elif snapshot[label] != ratio:
-                fail("clearing factor drift", {"var": var, "seen": str(ratio)})
+            elif snapshot[label][0] * ratio[1] != ratio[0] * snapshot[label][1]:
+                fail("clearing factor drift", {"var": var, "seen": str(Fraction(*ratio))})
     details = {
         "kinds": kinds,
         "clearing_factors": {
-            k: f"({v}) * |v|^6 * (4 v1^2 - 3 (v2^2 + v3^2))" for k, v in snapshot.items()
+            k: f"({Fraction(*v)}) * |v|^6 * (4 v1^2 - 3 (v2^2 + v3^2))"
+            for k, v in snapshot.items()
         },
         "solutions_depending_on_D11": d11_dependent,
         "designated_rank": 5,
@@ -1101,6 +1175,35 @@ def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
     )
 
 
+#: The v1 values of the axis case: four fix a cubic, the fifth probes it.
+AXIS_NODES = tuple(Fraction(k) for k in (1, 2, 3, 4, 5))
+
+
+def case1_leftover(w1: int) -> tuple[int, int]:
+    """-v1^3/sqrt(3) = sqrt(3) (-v1^3)/3 at w1 = D v1, as (num, den): D^3
+    times its value at v1."""
+    return -w1 ** 3, 3
+
+
+def _axis_case(st0) -> list:
+    """The axis case at the angles of st0, decided on numerators: the
+    failures, as (reason, extra), of its solves at v = (x, 0, 0) for x in
+    `AXIS_NODES`, stopping at the first node that fails."""
+    vanishing = frozenset({2, 3})
+    for x in AXIS_NODES:
+        st = st0.with_v([x, Fraction(0), Fraction(0)])
+        res = solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing)
+        if len(res.leftovers) != 1 or res.leftovers[0].coeffs:
+            return [("unexpected elimination shape", None)]
+        if not res.solutions[(2, 1)].is_zero():
+            return [("D_21 not forced to zero", None)]
+        (leftover,) = res.leftovers
+        if not _matches_root3(leftover, *case1_leftover(st._w[0]), 3, st._D):
+            reason = "leftover is not -v1^3/sqrt(3)"
+            return [(reason, {"v1": x, "leftover": leftover.value().const})]
+    return []
+
+
 def case1_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     """The case v2 = v3 = 0: the leftover constraint forces v1 = 0.
 
@@ -1111,66 +1214,104 @@ def case1_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     """
     rng = random.Random(seed)
     failures = []
-    vanishing = frozenset({2, 3})
-    nodes = [Fraction(k) for k in (1, 2, 3, 4, 5)]
     for n in range(trials):
         st0 = random_frame_state(rng, require_ec=False, zero=(2, 3))
-
-        def leftover_at(v1: Fraction):
-            st = st0.with_v([v1, Fraction(0), Fraction(0)])
-            res = solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing)
-            if len(res.leftovers) != 1 or any(
-                c != 0 for c in res.leftovers[0].coeffs.values()
-            ):
-                raise AssertionError("unexpected elimination shape")
-            d21 = res.solutions[(2, 1)]
-            if d21.const != 0 or any(c != 0 for c in d21.coeffs.values()):
-                raise AssertionError("D_21 not forced to zero")
-            return res.leftovers[0].const
-
-        def fail(reason, extra=None):
+        for reason, extra in _axis_case(st0):
             failures.append({"angles": {k: st0.angles[k] for k in (1, 2)},
                              "reason": reason, "extra": extra})
-
-        try:
-            for x in nodes:
-                leftover = leftover_at(x)
-                if leftover != QSqrt3(0, -x ** 3 / 3):
-                    fail("leftover is not -v1^3/sqrt(3)", {"v1": x, "leftover": leftover})
-                    break
-        except AssertionError as e:
-            fail(str(e))
     return CheckRecord(
         check_id="axis-case",
         passed=not failures,
         samples=trials,
-        details={"constraint": "(-1/sqrt(3)) v1^3 = 0", "nodes": [str(x) for x in nodes]},
+        details={"constraint": "(-1/sqrt(3)) v1^3 = 0",
+                 "nodes": [str(x) for x in AXIS_NODES]},
         failures=failures[:5],
     )
 
 
-def _case2_displays(st) -> tuple[AffineExpr, AffineExpr]:
-    """The displayed pair of conditions on x = E_1(v_3) for the case v1 = 0."""
-    v2, v3 = st.v[2], st.v[3]
-    q2, q3 = v2 * v2, v3 * v3
-    x = (1, 3)
-    first = AffineExpr(
-        v3 * (3 * q2 ** 2 - q2 * q3 + q3 ** 2),
-        {x: QSqrt3(0, 15) * q2 * v2 * v3},
-    )
-    second = AffineExpr(
-        v2 * (3 * q2 ** 2 - 3 * q2 * q3 + 4 * q3 ** 2),
-        {x: QSqrt3(0, 3) * (4 * q2 ** 2 - 7 * q2 * q3 - q3 ** 2)},
-    )
+def _case2_displays(w2: int, w3: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The displayed pair of conditions on x = E_1(v_3) for the case v1 = 0,
+    at w = D v.
+
+    Each is c + sqrt(3) s x, returned as (c, s): the first is
+    v3 (3 v2^4 - v2^2 v3^2 + v3^4) + 15 sqrt(3) v2^3 v3 x and the second
+    v2 (3 v2^4 - 3 v2^2 v3^2 + 4 v3^4) + 3 sqrt(3) (4 v2^4 - 7 v2^2 v3^2 - v3^4) x.
+    c is homogeneous of degree 5 and s of degree 4, so at w they are D^5
+    and D^4 times their values at v.
+    """
+    q2, q3 = w2 * w2, w3 * w3
+    first = (w3 * (3 * q2 * q2 - q2 * q3 + q3 * q3), 15 * q2 * w2 * w3)
+    second = (w2 * (3 * q2 * q2 - 3 * q2 * q3 + 4 * q3 * q3),
+              3 * (4 * q2 * q2 - 7 * q2 * q3 - q3 * q3))
     return first, second
 
 
-def case2_resultant(v2, v3):
-    """Eliminant of the displayed pair: nonzero whenever v2 v3 != 0."""
-    q2, q3 = v2 * v2, v3 * v3
-    return QSqrt3(0, -3) * v3 * (
+def case2_resultant(w2: int, w3: int) -> int:
+    """Eliminant of the displayed pair, nonzero whenever v2 v3 != 0:
+    -3 sqrt(3) v3 (v3^8 + 6 v2^2 v3^6 + 12 v2^4 v3^4 + 10 v2^6 v3^2 + 3 v2^8),
+    as its sqrt(3) coefficient at w = D v, which is D^9 times that at v."""
+    q2, q3 = w2 * w2, w3 * w3
+    return -3 * w3 * (
         q3 ** 4 + 6 * q2 * q3 ** 3 + 12 * q2 ** 2 * q3 ** 2 + 10 * q2 ** 3 * q3 + 3 * q2 ** 4
     )
+
+
+CASE2_UNKNOWNS = ((2, 3), (1, 2), (2, 2), (1, 3))
+CASE2_FREE = (1, 3)
+
+
+def _clears_to(st, row: Numerators, display: tuple[int, int], factor: int) -> bool:
+    """Whether row * sqrt(3) (3 v2^2 + v3^2) is factor times the display.
+
+    row, a substituted row, is a form in x = E_1(v_3) alone.  Multiplied
+    out on integers: its constant (k + r sqrt(3)) / const_den times
+    sqrt(3) (3 w2^2 + w3^2) / D^2 must be factor c / D^5, so k = 0 and
+    3 r (3 w2^2 + w3^2) D^3 = factor c const_den, and its x coefficient
+    a / coeff_den times the same must be factor sqrt(3) s / D^4.
+    """
+    _, w2, w3 = st._w
+    clear, d = 3 * w2 * w2 + w3 * w3, st._D
+    c, s = display
+    a = row.coeffs.get(CASE2_FREE, 0)
+    return (
+        set(row.coeffs) <= {CASE2_FREE}
+        and row.const == 0
+        and 3 * row.root3 * clear * d ** 3 == factor * c * row.const_den
+        and a * clear * d * d == factor * s * row.coeff_den
+    )
+
+
+def _null_axis_case(st) -> list:
+    """The null-axis case at one state, decided on numerators: its
+    failures, as (reason, extra)."""
+    vanishing = frozenset({1})
+    res = solve_triple_system(st, [(1, 2, 1)], CASE2_UNKNOWNS, vanishing)
+    if res.free != [CASE2_FREE] or res.leftovers:
+        return [("unexpected solve shape", {"free": res.free, "leftovers": len(res.leftovers)})]
+    rows = [
+        _substitute(st, codazzi_scalar(st, 1, 2, 2, l, vanishing), res.solutions)
+        for l in AXES
+    ]
+    if not rows[0].is_zero():
+        return [("first substituted row does not vanish", None)]
+    first, second = _case2_displays(*st._w[1:])
+    failed = [
+        ("clearing factor mismatch", label)
+        for row, display, factor, label in (
+            (rows[1], first, 2, "first display"),
+            (rows[2], second, -1, "second display"),
+        )
+        if not _clears_to(st, row, display, factor)
+    ]
+    if failed:
+        return failed
+    (c1, s1), (c2, s2) = first, second
+    resultant = c1 * s2 - c2 * s1
+    if resultant != case2_resultant(*st._w[1:]):
+        return [("eliminant closed form mismatch", None)]
+    if resultant == 0:
+        return [("displayed pair unexpectedly compatible", None)]
+    return []
 
 
 def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
@@ -1181,53 +1322,16 @@ def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     and verifies each resulting row is the corresponding displayed condition
     times the clearing factor 2/(sqrt(3)(3 v2^2 + v3^2)) (second row: -1/2 of
     that).  Eliminating x from the displayed pair leaves a polynomial that
-    cannot vanish while v2 v3 != 0, so the case forces v2 = v3 = 0.
+    cannot vanish while v2 v3 != 0, so the case forces v2 = v3 = 0.  The
+    substitution, the displays and the eliminant are all on integer
+    numerators (`_null_axis_case`).
     """
     rng = random.Random(seed)
     failures = []
-    vanishing = frozenset({1})
-    unknowns = [(2, 3), (1, 2), (2, 2), (1, 3)]
-    x = (1, 3)
     for n in range(trials):
         st = random_frame_state(rng, require_ec=True, zero=(1,), nonzero=(2, 3))
-
-        def fail(reason, extra=None):
+        for reason, extra in _null_axis_case(st):
             failures.append({"state": st.describe(), "reason": reason, "extra": extra})
-
-        res = solve_triple_system(st, [(1, 2, 1)], unknowns, vanishing)
-        if res.free != [x] or res.leftovers:
-            fail("unexpected solve shape", {"free": res.free, "leftovers": len(res.leftovers)})
-            continue
-        rows = []
-        for l in AXES:
-            e = codazzi_values(st, codazzi_scalar(st, 1, 2, 2, l, vanishing))
-            for var, expr in res.solutions.items():
-                e = e.subst(var, expr)
-            rows.append(e)
-        if rows[0].const != 0 or any(c != 0 for c in rows[0].coeffs.values()):
-            fail("first substituted row does not vanish")
-            continue
-        first, second = _case2_displays(st)
-        q2, q3 = st.v[2] ** 2, st.v[3] ** 2
-        clear = SQRT3 * (3 * q2 + q3)
-        checks = (
-            (rows[1].scale(clear) - first.scale(2), "first display"),
-            (rows[2].scale(clear) - second.scale(-1), "second display"),
-        )
-        bad = False
-        for diffed, label in checks:
-            if diffed.const != 0 or any(c != 0 for c in diffed.coeffs.values()):
-                fail("clearing factor mismatch", label)
-                bad = True
-        if bad:
-            continue
-        zero = Fraction(0)
-        resultant = first.const * second.coeff(x, zero) - second.const * first.coeff(x, zero)
-        if resultant - case2_resultant(st.v[2], st.v[3]) != 0:
-            fail("eliminant closed form mismatch")
-            continue
-        if resultant == 0:
-            fail("displayed pair unexpectedly compatible")
     return CheckRecord(
         check_id="null-axis-case",
         passed=not failures,
@@ -1238,26 +1342,53 @@ def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     )
 
 
-def case3_closed_forms(v1, v3) -> tuple[QSqrt3, QSqrt3]:
+def case3_closed_forms(w1: int, w3: int) -> tuple[int, int, int]:
     """D23 and D21 of the case v2 = 0:
     v1 (6 v1^4 + 5 v1^2 v3^2 + 4 v3^4) / (3 sqrt(3) B) and
     -v3 (10 v1^4 + 8 v1^2 v3^2 + 3 v3^4) / (3 sqrt(3) B),
-    with B = 8 v1^4 + 6 v1^2 v3^2 + 3 v3^4 and sqrt(3) moved to the numerator."""
-    q1, q3 = v1 * v1, v3 * v3
+    with B = 8 v1^4 + 6 v1^2 v3^2 + 3 v3^4 and sqrt(3) moved to the numerator.
+    Returned at w = D v as (n23, n21, den), with D23 = sqrt(3) n23 / den
+    there; both are homogeneous of degree 1, so that is D times D23 at v."""
+    q1, q3 = w1 * w1, w3 * w3
     nine_b = 9 * (8 * q1 * q1 + 6 * q1 * q3 + 3 * q3 * q3)
-    d23 = v1 * (6 * q1 * q1 + 5 * q1 * q3 + 4 * q3 * q3) / nine_b
-    d21 = -v3 * (10 * q1 * q1 + 8 * q1 * q3 + 3 * q3 * q3) / nine_b
-    return QSqrt3(0, d23), QSqrt3(0, d21)
+    d23 = w1 * (6 * q1 * q1 + 5 * q1 * q3 + 4 * q3 * q3)
+    d21 = -w3 * (10 * q1 * q1 + 8 * q1 * q3 + 3 * q3 * q3)
+    return d23, d21, nine_b
 
 
-def case3_leftover(v1, v3) -> QSqrt3:
+def case3_leftover(w1: int, w3: int) -> tuple[int, int]:
     """The forcing leftover of the case v2 = 0:
-    -2 sqrt(3) v3 (v1^2 + v3^2)^3 / (3 (8 v1^4 + 6 v1^2 v3^2 + 3 v3^4))."""
-    q1, q3 = v1 * v1, v3 * v3
-    return QSqrt3(0, -2 * v3 * (q1 + q3) ** 3 / (3 * (8 * q1 * q1 + 6 * q1 * q3 + 3 * q3 * q3)))
+    -2 sqrt(3) v3 (v1^2 + v3^2)^3 / (3 (8 v1^4 + 6 v1^2 v3^2 + 3 v3^4)),
+    at w = D v as (num, den), with the leftover sqrt(3) num / den there:
+    D^3 times its value at v, as it is homogeneous of degree 3."""
+    q1, q3 = w1 * w1, w3 * w3
+    return -2 * w3 * (q1 + q3) ** 3, 3 * (8 * q1 * q1 + 6 * q1 * q3 + 3 * q3 * q3)
 
 
 CASE3_UNKNOWNS = ((1, 1), (1, 3), (2, 1), (2, 3))
+
+
+def _v2_zero_case(st) -> list:
+    """The case v2 = 0 at one state, decided on numerators: its failures,
+    as (reason, extra)."""
+    res = solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], CASE3_UNKNOWNS, frozenset({2}))
+    if res.free or any(e.coeffs for e in res.solutions.values()):
+        return [("derivatives not pinned", res.free)]
+    w1, _, w3 = st._w
+    d = st._D
+    n23, n21, den = case3_closed_forms(w1, w3)
+    d23, d21 = res.solutions[(2, 3)], res.solutions[(2, 1)]
+    if not (_matches_root3(d23, n23, den, 1, d) and _matches_root3(d21, n21, den, 1, d)):
+        return [("closed form mismatch", {"D23": d23.value().const, "D21": d21.value().const})]
+    num, den = case3_leftover(w1, w3)
+    left = res.leftovers
+    if any(x.coeffs for x in left) or len(left) != 2 or not (
+        (left[0].is_zero() and _matches_root3(left[1], num, den, 3, d))
+        or (_matches_root3(left[0], num, den, 3, d) and left[1].is_zero())
+    ):
+        consts = [x.value().const for x in left]
+        return [("leftovers are not 0 and the forcing leftover", {"leftovers": consts})]
+    return []
 
 
 def case3_check(trials: int = 60, seed: int = 0) -> CheckRecord:
@@ -1272,37 +1403,24 @@ def case3_check(trials: int = 60, seed: int = 0) -> CheckRecord:
     at v3 = 0, since v1^2 + v3^2 and 8 v1^4 + 6 v1^2 v3^2 + 3 v3^4 are
     positive.  The angle constraint (v1^2 + v3^2) sin 2(theta1 - theta2) =
     v1^2 sin 2(theta1 - theta3), which is F2 = 0 at v2 = 0, is therefore not
-    needed.  A drawn state outside the case is counted in `skipped`, and the
-    check fails when no state is checked, so a pass never rests on none.
+    needed.  Every comparison is made on integer numerators
+    (`_v2_zero_case`).  A drawn state outside the case is counted in
+    `skipped`, and the check fails when no state is checked, so a pass never
+    rests on none.
     """
     rng = random.Random(seed)
     failures = []
     skipped = checked = 0
-    vanishing = frozenset({2})
     for n in range(trials):
         st = random_frame_state(rng, zero=(2,), nonzero=(1, 3))
-        v1, v2, v3 = (st.v[m] for m in AXES)
-        if v2 != 0 or v1 == 0 or v3 == 0:
+        w1, w2, w3 = st._w
+        if w2 != 0 or w1 == 0 or w3 == 0:
             skipped += 1
             continue
-
-        def fail(reason, extra=None):
+        failed = _v2_zero_case(st)
+        for reason, extra in failed:
             failures.append({"state": st.describe(), "reason": reason, "extra": extra})
-
-        res = solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], CASE3_UNKNOWNS, vanishing)
-        if res.free or any(e.coeffs for e in res.solutions.values()):
-            fail("derivatives not pinned", res.free)
-            continue
-        got = (res.solutions[(2, 3)].const, res.solutions[(2, 1)].const)
-        if got != case3_closed_forms(v1, v3):
-            fail("closed form mismatch", {"D23": got[0], "D21": got[1]})
-            continue
-        consts = [x.const for x in res.leftovers]
-        forcing = case3_leftover(v1, v3)
-        if any(x.coeffs for x in res.leftovers) or consts not in ([0, forcing], [forcing, 0]):
-            fail("leftovers are not 0 and the forcing leftover", {"leftovers": consts})
-            continue
-        checked += 1
+        checked += not failed
     if not checked:
         failures.append({"reason": "no state was checked"})
     return CheckRecord(
@@ -1353,7 +1471,7 @@ def det_factorization_check(seed: int = 0, trials: int = 120) -> CheckRecord:
         failures.append({"reason": "polynomial identity failed"})
     for n in range(trials):
         st = random_frame_state(rng, require_ec=True)
-        if st.v[2] == 0 and st.v[3] == 0:
+        if st._w[1] == 0 == st._w[2]:
             skipped += 1
             continue
         if bracket_det(st._w) == 0:

@@ -1,4 +1,4 @@
-"""Value-form oracle for the proof layer's tables and Codazzi solves.
+"""Value-form oracle for the proof layer's tables, Codazzi solves and checks.
 
 Before the exact replay eliminated integer rows fraction-free, it built each
 Codazzi scalar from value tables (Fraction and QSqrt3) and eliminated those
@@ -7,10 +7,17 @@ and substituted into the others, and the solutions were back-substituted in
 reverse pivot order.  That code lives here as an
 independent reference.  Its tables come from the dense formulas below, not
 from the module's numerators, so it shares nothing with the solver under test
-but the state's v and its angle accessors (cot, sin2) and the AffineExpr
-container.  The constants the formulas need (0, 1/3, 1/(2 sqrt 3) and
-1/sqrt(3)) come from a ring object, `ExactRing` by default, so the same
-formulas also run on a float view of a state.
+but the state's v and its angle data and the AffineExpr container, whose
+arithmetic is here too.  The constants the formulas need (0, 1/3,
+1/(2 sqrt 3), 1/sqrt(3) and sin 2(theta_a - theta_b)) come from a ring
+object, `ExactRing` by default, so the same formulas also run on a float
+view of a state.
+
+The checks decide on integer numerators.  The value forms they compared
+before are kept here: a solve read into values (`solve_values`), the
+compatibility forms, the closed forms of the axis, null-axis and v2 = 0
+cases in Fraction and Q(sqrt 3), and each case's verdict at one state
+computed from those, to be held against the checks' integer verdicts.
 
 It also keeps the circle arithmetic in Fraction that exact states used
 before they held their angles as integer triples: sums, differences and
@@ -22,8 +29,31 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from nkverify.codazzi import AXES, AffineExpr, SolveResult, delta, epsilon
-from nkverify.exact import HALF_INV_SQRT3, INV_SQRT3, CirclePoint
+from nkverify import codazzi
+from nkverify.codazzi import (
+    AXES,
+    AXIS_NODES,
+    CASE2_FREE,
+    CASE2_UNKNOWNS,
+    CASE3_UNKNOWNS,
+    SET1_TRIPLES,
+    SET1_UNKNOWNS,
+    SET2_TRIPLES,
+    SET2_UNKNOWNS,
+    SHARED_FREE,
+    AffineExpr,
+    SolveResult,
+    delta,
+    epsilon,
+)
+from nkverify.exact import (
+    HALF_INV_SQRT3,
+    INV_SQRT3,
+    SQRT3,
+    CirclePoint,
+    QSqrt3,
+    rat_circle_point,
+)
 
 # ---------------------------------------------------------------------------
 # circle arithmetic
@@ -61,6 +91,105 @@ def angle_sub(p: CirclePoint, q: CirclePoint) -> CirclePoint:
     return on_circle(p.c * q.c + p.s * q.s, p.s * q.c - p.c * q.s)
 
 
+def fraction_frame_state(rng, require_ec=True, nonzero=(), zero=()):
+    """`random_frame_state` as it drew in Fraction arithmetic: each v_m and
+    each half-angle parameter t a Fraction, and the angles through
+    `rat_circle_point`, with the same RNG calls in the same order."""
+    zero, nonzero = set(zero), set(nonzero)
+    for _ in range(500):
+        v = []
+        for m in AXES:
+            if m in zero:
+                v.append(Fraction(0))
+                continue
+            val = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            while m in nonzero and val == 0:
+                val = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            v.append(val)
+        t1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        t2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        try:
+            st = codazzi.FrameState(v, rat_circle_point(t1), rat_circle_point(t2))
+        except ValueError:
+            continue
+        if require_ec and ec_value(st) == 0:
+            continue
+        return st
+    raise RuntimeError("could not sample a valid frame state")
+
+
+# ---------------------------------------------------------------------------
+# affine arithmetic and angle data in values
+
+
+def coeff(e: AffineExpr, var, zero):
+    return e.coeffs.get(var, zero)
+
+
+def add(a: AffineExpr, b: AffineExpr) -> AffineExpr:
+    out = dict(a.coeffs)
+    for v, c in b.coeffs.items():
+        out[v] = out[v] + c if v in out else c
+    return AffineExpr(a.const + b.const, out)
+
+
+def sub(a: AffineExpr, b: AffineExpr) -> AffineExpr:
+    out = dict(a.coeffs)
+    for v, c in b.coeffs.items():
+        out[v] = out[v] - c if v in out else -c
+    return AffineExpr(a.const - b.const, out)
+
+
+def scale(e: AffineExpr, s) -> AffineExpr:
+    return AffineExpr(e.const * s, {v: c * s for v, c in e.coeffs.items()})
+
+
+def subst(e: AffineExpr, var, expr: AffineExpr) -> AffineExpr:
+    """e with D_var replaced by expr; a zero coefficient only drops D_var."""
+    if var not in e.coeffs:
+        return e
+    c = e.coeffs[var]
+    rest = AffineExpr(e.const, {v: k for v, k in e.coeffs.items() if v != var})
+    return add(rest, scale(expr, c)) if c else rest
+
+
+def sin2(st, a: int, b: int) -> Fraction:
+    """sin 2(theta_a - theta_b) of an exact state, from its integer triple."""
+    c, s, e = st._diffs[(a, b)]
+    return Fraction(2 * s * c, e * e)
+
+
+def ec_value(st) -> Fraction:
+    """4 v1^2 - 3 (v2^2 + v3^2), in Fraction arithmetic on v."""
+    v1, v2, v3 = (st.v[m] for m in AXES)
+    return 4 * v1 * v1 - 3 * (v2 * v2 + v3 * v3)
+
+
+def codazzi_values(st, row) -> AffineExpr:
+    """A `codazzi_scalar` row as values: each numerator divided once, the
+    coefficients by D^2 and the constant by L.
+
+    The constant is a QSqrt3 exactly where the row is flagged irrational.
+    """
+    d2 = st._D * st._D
+    return AffineExpr(
+        codazzi._value(row.const, row.root3, row.irrational, st._row_scale().den),
+        {v: Fraction(c, d2) for v, c in row.coeffs.items()},
+    )
+
+
+def solve_values(res: SolveResult) -> SolveResult:
+    """A solve with its numerators read into values."""
+    return SolveResult(
+        solutions={u: e.value() for u, e in res.solutions.items()},
+        extras={u: e.value() for u, e in res.extras.items()},
+        leftovers=[e.value() for e in res.leftovers],
+        rank=res.rank,
+        n_rows=res.n_rows,
+        free=res.free,
+    )
+
+
 # ---------------------------------------------------------------------------
 # tables and solves
 
@@ -72,6 +201,7 @@ class ExactRing:
     third = Fraction(1, 3)
     sigma = HALF_INV_SQRT3
     inv_sqrt3 = INV_SQRT3
+    sin2 = staticmethod(sin2)
 
 
 def dense_h(v) -> dict:
@@ -178,25 +308,16 @@ def dense_scalar(st, tables, i, j, k, l, vanishing=frozenset(), ring=ExactRing) 
             const = const - om[(i, k, m)] * h[(j, m, l)]
         if h[(i, m, l)]:
             const = const + om[(j, k, m)] * h[(i, m, l)]
-    const = const - ring.third * st.sin2(i, j) * (
+    const = const - ring.third * ring.sin2(st, i, j) * (
         delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
     )
     return AffineExpr(const, coeffs)
 
 
-def _subst(e: AffineExpr, var, expr: AffineExpr) -> AffineExpr:
-    """e with D_var replaced by expr; a zero coefficient only drops D_var."""
-    if var not in e.coeffs:
-        return e
-    c = e.coeffs[var]
-    rest = AffineExpr(e.const, {v: k for v, k in e.coeffs.items() if v != var})
-    return rest + expr.scale(c) if c else rest
-
-
 def oracle_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> SolveResult:
     """`solve_triple_system` by value-form elimination, pivoting on the first
     row with a nonzero coefficient."""
-    if st.ec_value == 0:
+    if ec_value(st) == 0:
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
     tables = dense_tables(st)
     rows = [
@@ -208,21 +329,21 @@ def oracle_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> 
     defs, order, active = {}, [], list(rows)
     for var in extra_vars + designated:
         pivot_idx = next(
-            (idx for idx, r in enumerate(active) if r.coeff(var, ExactRing.zero) != 0), None
+            (idx for idx, r in enumerate(active) if coeff(r, var, ExactRing.zero) != 0), None
         )
         if pivot_idx is None:
             continue
         row = active.pop(pivot_idx)
-        a = row.coeff(var, ExactRing.zero)
+        a = coeff(row, var, ExactRing.zero)
         rest = AffineExpr(row.const, {w: c for w, c in row.coeffs.items() if w != var})
-        defs[var] = rest.scale(-(1 / a))
+        defs[var] = scale(rest, -(1 / a))
         order.append(var)
-        active = [_subst(r, var, defs[var]) for r in active]
+        active = [subst(r, var, defs[var]) for r in active]
     final = {}
     for var in reversed(order):
         e = defs[var]
         for w, we in final.items():
-            e = _subst(e, w, we)
+            e = subst(e, w, we)
         final[var] = e
     return SolveResult(
         solutions={u: final[u] for u in designated if u in final},
@@ -232,3 +353,189 @@ def oracle_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> 
         n_rows=len(rows),
         free=[u for u in designated if u not in final],
     )
+
+
+# ---------------------------------------------------------------------------
+# the checks' comparisons in values
+
+
+def rational(x) -> Fraction:
+    """Coerce a rational-valued scalar that may be carried as QSqrt3."""
+    if isinstance(x, QSqrt3):
+        if x.b != 0:
+            raise ValueError(f"not rational: {x}")
+        return x.a
+    return Fraction(x)
+
+
+def compat_form_1(st):
+    """F1: the first bracketed compatibility form (without the v1 v2 prefactor)."""
+    b1, b2, _, _ = codazzi._quartic_brackets([st.v[m] for m in AXES])
+    return b1 * sin2(st, 1, 2) - b2 * sin2(st, 1, 3)
+
+
+def compat_form_2(st):
+    """F2: the second bracketed compatibility form (without the v1 v3 prefactor)."""
+    _, _, b3, b4 = codazzi._quartic_brackets([st.v[m] for m in AXES])
+    return b3 * sin2(st, 1, 2) - b4 * sin2(st, 1, 3)
+
+
+def case2_displays(st) -> tuple[AffineExpr, AffineExpr]:
+    """The displayed pair of conditions on x = E_1(v_3) for the case v1 = 0."""
+    v2, v3 = st.v[2], st.v[3]
+    q2, q3 = v2 * v2, v3 * v3
+    first = AffineExpr(
+        v3 * (3 * q2 ** 2 - q2 * q3 + q3 ** 2),
+        {CASE2_FREE: QSqrt3(0, 15) * q2 * v2 * v3},
+    )
+    second = AffineExpr(
+        v2 * (3 * q2 ** 2 - 3 * q2 * q3 + 4 * q3 ** 2),
+        {CASE2_FREE: QSqrt3(0, 3) * (4 * q2 ** 2 - 7 * q2 * q3 - q3 ** 2)},
+    )
+    return first, second
+
+
+def case2_resultant(v2, v3):
+    """Eliminant of the displayed pair: nonzero whenever v2 v3 != 0."""
+    q2, q3 = v2 * v2, v3 * v3
+    return QSqrt3(0, -3) * v3 * (
+        q3 ** 4 + 6 * q2 * q3 ** 3 + 12 * q2 ** 2 * q3 ** 2 + 10 * q2 ** 3 * q3 + 3 * q2 ** 4
+    )
+
+
+def case3_closed_forms(v1, v3) -> tuple[QSqrt3, QSqrt3]:
+    """D23 and D21 of the case v2 = 0, with sqrt(3) moved to the numerator."""
+    q1, q3 = v1 * v1, v3 * v3
+    nine_b = 9 * (8 * q1 * q1 + 6 * q1 * q3 + 3 * q3 * q3)
+    d23 = v1 * (6 * q1 * q1 + 5 * q1 * q3 + 4 * q3 * q3) / nine_b
+    d21 = -v3 * (10 * q1 * q1 + 8 * q1 * q3 + 3 * q3 * q3) / nine_b
+    return QSqrt3(0, d23), QSqrt3(0, d21)
+
+
+def case3_leftover(v1, v3) -> QSqrt3:
+    """The forcing leftover of the case v2 = 0."""
+    q1, q3 = v1 * v1, v3 * v3
+    return QSqrt3(0, -2 * v3 * (q1 + q3) ** 3 / (3 * (8 * q1 * q1 + 6 * q1 * q3 + 3 * q3 * q3)))
+
+
+def _nonzero(e: AffineExpr) -> bool:
+    return e.const != 0 or any(c != 0 for c in e.coeffs.values())
+
+
+def compare_derivatives_values(st) -> tuple[list, list, bool]:
+    """`codazzi._compare_derivatives` in values: the clearing ratio is
+    prod / (gap * norm) in Fraction and Q(sqrt 3), with the products from
+    the compatibility forms."""
+    res1 = solve_values(codazzi.solve_triple_system(
+        st, SET1_TRIPLES, SET1_UNKNOWNS, free_vars=SHARED_FREE))
+    res2 = solve_values(codazzi.solve_triple_system(
+        st, SET2_TRIPLES, SET2_UNKNOWNS, free_vars=SHARED_FREE))
+    if res1.free or res2.free:
+        return [("singular subsystem", {"free1": res1.free, "free2": res2.free})], [], False
+    stray = [x for res in (res1, res2) for x in res.leftovers if _nonzero(x)]
+    if stray:
+        return [("nonzero leftover constraint", repr(stray[0]))], [], False
+    dependent = any(
+        coeff(e, SHARED_FREE[0], Fraction(0)) != 0
+        for res in (res1, res2) for e in res.solutions.values()
+    )
+    w = st.v[1] ** 2 + st.v[2] ** 2 + st.v[3] ** 2
+    norm = w ** 3 * ec_value(st)
+    pairs = []
+    for label, var, prod in (
+        ("K2", (1, 2), st.v[1] * st.v[2] * compat_form_1(st)),
+        ("K3", (1, 3), st.v[1] * st.v[3] * compat_form_2(st)),
+    ):
+        diff = sub(res1.solutions[var], res2.solutions[var])
+        if any(c != 0 for c in diff.coeffs.values()):
+            pairs.append((label, var, ("difference not gauge-free", {"var": var}), None))
+            continue
+        gap = diff.const
+        if (gap == 0) != (prod == 0):
+            pairs.append((label, var, ("vanishing mismatch", {"var": var, "gap_zero": gap == 0}),
+                          None))
+        elif prod == 0:
+            pairs.append((label, var, None, None))
+        else:
+            try:
+                ratio = rational(prod / (gap * norm))
+            except ValueError:
+                pairs.append((label, var, ("irrational clearing ratio", {"var": var}), None))
+                continue
+            pairs.append((label, var, None, ratio))
+    return [], pairs, dependent
+
+
+def axis_case_values(st0) -> list:
+    """`codazzi._axis_case` in values: each leftover compared with
+    QSqrt3(0, -v1^3/3)."""
+    vanishing = frozenset({2, 3})
+    for x in AXIS_NODES:
+        st = st0.with_v([x, Fraction(0), Fraction(0)])
+        res = solve_values(
+            codazzi.solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing)
+        )
+        if len(res.leftovers) != 1 or any(c != 0 for c in res.leftovers[0].coeffs.values()):
+            return [("unexpected elimination shape", None)]
+        if _nonzero(res.solutions[(2, 1)]):
+            return [("D_21 not forced to zero", None)]
+        leftover = res.leftovers[0].const
+        if leftover != QSqrt3(0, -x ** 3 / 3):
+            return [("leftover is not -v1^3/sqrt(3)", {"v1": x, "leftover": leftover})]
+    return []
+
+
+def null_axis_case_values(st) -> list:
+    """`codazzi._null_axis_case` in values: rows substituted in values and
+    compared with the displays times the clearing factor in Q(sqrt 3)."""
+    vanishing = frozenset({1})
+    x = CASE2_FREE
+    res = solve_values(codazzi.solve_triple_system(st, [(1, 2, 1)], CASE2_UNKNOWNS, vanishing))
+    if res.free != [x] or res.leftovers:
+        return [("unexpected solve shape", {"free": res.free, "leftovers": len(res.leftovers)})]
+    rows = []
+    for l in AXES:
+        e = codazzi_values(st, codazzi.codazzi_scalar(st, 1, 2, 2, l, vanishing))
+        for var, expr in res.solutions.items():
+            e = subst(e, var, expr)
+        rows.append(e)
+    if _nonzero(rows[0]):
+        return [("first substituted row does not vanish", None)]
+    first, second = case2_displays(st)
+    clear = SQRT3 * (3 * st.v[2] ** 2 + st.v[3] ** 2)
+    failed = [
+        ("clearing factor mismatch", label)
+        for diffed, label in (
+            (sub(scale(rows[1], clear), scale(first, 2)), "first display"),
+            (sub(scale(rows[2], clear), scale(second, -1)), "second display"),
+        )
+        if _nonzero(diffed)
+    ]
+    if failed:
+        return failed
+    zero = Fraction(0)
+    resultant = first.const * coeff(second, x, zero) - second.const * coeff(first, x, zero)
+    if resultant - case2_resultant(st.v[2], st.v[3]) != 0:
+        return [("eliminant closed form mismatch", None)]
+    if resultant == 0:
+        return [("displayed pair unexpectedly compatible", None)]
+    return []
+
+
+def v2_zero_case_values(st) -> list:
+    """`codazzi._v2_zero_case` in values: the solutions and leftovers
+    compared with the closed forms in Q(sqrt 3)."""
+    res = solve_values(
+        codazzi.solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], CASE3_UNKNOWNS, frozenset({2}))
+    )
+    if res.free or any(e.coeffs for e in res.solutions.values()):
+        return [("derivatives not pinned", res.free)]
+    v1, v3 = st.v[1], st.v[3]
+    got = (res.solutions[(2, 3)].const, res.solutions[(2, 1)].const)
+    if got != case3_closed_forms(v1, v3):
+        return [("closed form mismatch", {"D23": got[0], "D21": got[1]})]
+    consts = [x.const for x in res.leftovers]
+    forcing = case3_leftover(v1, v3)
+    if any(x.coeffs for x in res.leftovers) or consts not in ([0, forcing], [forcing, 0]):
+        return [("leftovers are not 0 and the forcing leftover", {"leftovers": consts})]
+    return []

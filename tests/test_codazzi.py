@@ -24,6 +24,7 @@ from nkverify.codazzi import (
     SHARED_FREE,
     AffineExpr,
     FrameState,
+    Numerators,
     case1_check,
     case2_check,
     case2_resultant,
@@ -31,8 +32,6 @@ from nkverify.codazzi import (
     case3_closed_forms,
     case3_leftover,
     codazzi_scalar,
-    codazzi_values,
-    compat_form_2,
     delta,
     det_factorization_check,
     det_product_form,
@@ -52,15 +51,22 @@ from nkverify.codazzi import (
 from nkverify.exact import HALF_INV_SQRT3, QSqrt3, rat_circle_point
 from nkverify.humfit import build_h_from_V
 
+import exact_oracle
 from exact_oracle import (
     angle_add,
     angle_sub,
+    codazzi_values,
+    compat_form_2,
     conjugate,
     dense_dh,
     dense_h,
     dense_scalar,
     dense_tables,
+    ec_value,
     oracle_solve,
+    sin2,
+    solve_values,
+    subst,
 )
 
 small_fractions = st.fractions(
@@ -299,6 +305,10 @@ class _FloatRing:
     sigma = 1 / (2 * math.sqrt(3))
     inv_sqrt3 = 1 / math.sqrt(3)
 
+    @staticmethod
+    def sin2(view, a: int, b: int) -> float:
+        return float(sin2(view._st, a, b))
+
 
 class _FloatView:
     """An exact state's v and angle data read as doubles: with `_FloatRing`,
@@ -311,9 +321,6 @@ class _FloatView:
 
     def cot(self, a: int, b: int) -> float:
         return float(self._st.cot(a, b))
-
-    def sin2(self, a: int, b: int) -> float:
-        return float(self._st.sin2(a, b))
 
 
 def _dyadic_states(rng: random.Random, zero, n: int) -> list[FrameState]:
@@ -384,8 +391,9 @@ def _random_v(rng: random.Random) -> list[Fraction]:
 def test_frame_state_angle_differences_match_angle_sub() -> None:
     # theta3 and three differences are built on integer triples; the reverse
     # pairs and the diagonal follow, and `with_v` states share them.  Each
-    # triple must give the Fraction circle arithmetic's point, on all nine
-    # ordered pairs of 40 drawn states and 4 `with_v` states of each
+    # triple must give the Fraction circle arithmetic's point, and the angle
+    # numerators A sin 2(theta_a - theta_b)/3 its doubled-angle sine, on all
+    # nine ordered pairs of 40 drawn states and 4 `with_v` states of each
     rng = random.Random(23)
     checked = 0
     while checked < 200:
@@ -398,15 +406,17 @@ def test_frame_state_angle_differences_match_angle_sub() -> None:
         angles = {1: p, 2: q, 3: conjugate(angle_add(p, q))}
         for st_ in [st0] + [st0.with_v(_random_v(rng)) for _ in range(4)]:
             assert st_.angles == angles
+            den, thirds = st_._angle_thirds()
             for a, b in product(AXES, AXES):
                 c, s, e = st_._diffs[(a, b)]
                 want = angle_sub(angles[a], angles[b])
                 assert (Fraction(c, e), Fraction(s, e)) == (want.c, want.s)
-                assert st_.sin2(a, b) == 2 * want.s * want.c
+                assert Fraction(3 * thirds[(a, b)], den) == 2 * want.s * want.c
                 if a != b:
                     assert st_.cot(a, b) == want.c / want.s
             v1, v2, v3 = (st_.v[m] for m in AXES)
-            assert st_.ec_value == 4 * v1 ** 2 - 3 * (v2 ** 2 + v3 ** 2)
+            gate = Fraction(st_._ec_numerator(), st_._D ** 2)
+            assert gate == 4 * v1 ** 2 - 3 * (v2 ** 2 + v3 ** 2)
             checked += 1
 
 
@@ -427,7 +437,27 @@ def test_exact_states_are_drawn_without_fraction_arithmetic(monkeypatch) -> None
             states.append(st0)
             states.extend(st0.with_v(_random_v(rng)) for _ in range(4))
     assert len(states) == 1000
-    assert all(st_.ec_value != 0 for st_ in states[::5])
+    assert all(ec_value(st_) != 0 for st_ in states[::5])
+
+
+@pytest.mark.parametrize("zero", ZERO_PATTERNS)
+def test_integer_draw_matches_the_fraction_draw(zero) -> None:
+    # the draw straight into w, D and the half-angle triples makes the
+    # Fraction draw's RNG calls in its order, and its states read back the
+    # same v, angles and descriptions, with the same angle data
+    kw = {"zero": zero, "nonzero": tuple(m for m in AXES if m not in zero)[:2]}
+    for require_ec in (True, False):
+        if require_ec and zero == (1, 2, 3):
+            continue
+        rng, ref_rng = random.Random(80 + len(zero)), random.Random(80 + len(zero))
+        for _ in range(60):
+            st_ = random_frame_state(rng, require_ec=require_ec, **kw)
+            ref = exact_oracle.fraction_frame_state(ref_rng, require_ec=require_ec, **kw)
+            assert rng.getstate() == ref_rng.getstate()
+            assert st_.describe() == ref.describe() and st_.angles == ref.angles
+            assert (st_._w, st_._D) == (ref._w, ref._D)
+            assert st_._cotangents() == ref._cotangents()
+            assert st_._angle_thirds() == ref._angle_thirds()
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +505,7 @@ def test_random_state_honors_pins() -> None:
     for _ in range(20):
         st_ = random_frame_state(rng, require_ec=True, zero=(2,), nonzero=(1, 3))
         assert st_.v[2] == 0 and st_.v[1] != 0 and st_.v[3] != 0
-        assert st_.ec_value != 0
+        assert ec_value(st_) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +548,7 @@ def test_zero_v_rows_are_inconsistent() -> None:
     )
     e = codazzi_values(st_, codazzi_scalar(st_, 1, 2, 1, 2))
     assert all(c == 0 for c in e.coeffs.values())
-    assert e.const == -Fraction(1, 3) * st_.sin2(1, 2) != 0
+    assert e.const == -Fraction(1, 3) * sin2(st_, 1, 2) != 0
     with pytest.raises(ValueError):
         solve_triple_system(st_, [(1, 2, 1)], [(1, 1)])
 
@@ -528,7 +558,7 @@ def test_affine_subst_matches_evaluation(a, b, c) -> None:
     e = AffineExpr(a, {(1, 1): b, (2, 2): c})
     sub = AffineExpr(Fraction(2), {(2, 2): Fraction(-1)})
     assignment = {(2, 2): Fraction(3, 2)}
-    direct = _evaluate(e.subst((1, 1), sub), assignment, Fraction(0))
+    direct = _evaluate(subst(e, (1, 1), sub), assignment, Fraction(0))
     full = dict(assignment)
     full[(1, 1)] = _evaluate(sub, assignment, Fraction(0))
     assert direct == _evaluate(e, full, Fraction(0))
@@ -540,12 +570,12 @@ def test_affine_subst_matches_evaluation(a, b, c) -> None:
 
 def test_solver_keeps_free_vars_symbolic() -> None:
     st_ = _state(10, nonzero=(1, 2, 3))
-    res = solve_triple_system(
+    res = solve_values(solve_triple_system(
         st_,
         [(1, 2, k) for k in AXES],
         [(2, 1), (1, 2), (2, 2), (1, 3), (2, 3)],
         free_vars=[(1, 1)],
-    )
+    ))
     assert not res.free and res.rank == 5 and res.n_rows == 9
     assert all(
         set(sol.coeffs) <= {(1, 1)} or
@@ -568,11 +598,11 @@ def test_solver_reports_undetermined_unknowns() -> None:
 
 def test_solver_solution_satisfies_rows() -> None:
     st_ = _state(12, nonzero=(1, 2, 3))
-    res = solve_triple_system(
+    res = solve_values(solve_triple_system(
         st_, [(1, 2, k) for k in AXES],
         [(2, 1), (1, 2), (2, 2), (1, 3), (2, 3)],
         free_vars=[(1, 1)],
-    )
+    ))
     assignment = {(1, 1): Fraction(7, 3)}
     for var, sol in {**res.solutions, **res.extras}.items():
         assignment[var] = _evaluate(sol, assignment, Fraction(0))
@@ -621,12 +651,17 @@ def _solve_outcome(solve, st_, shape):
     )
 
 
+def _exact_solve(st_, *shape):
+    """`solve_triple_system` with its numerators read into values."""
+    return solve_values(solve_triple_system(st_, *shape))
+
+
 def _oracle_mismatches(st_) -> list[str]:
     """The PROOF_SOLVES shapes where `solve_triple_system` and the oracle's
     value-form elimination give different results."""
     return [
         name for name, shape in PROOF_SOLVES.items()
-        if _solve_outcome(solve_triple_system, st_, shape)
+        if _solve_outcome(_exact_solve, st_, shape)
         != _solve_outcome(oracle_solve, st_, shape)
     ]
 
@@ -654,7 +689,7 @@ def _float_replay_mismatches(st_, shape, rng: random.Random) -> list:
     values, to rounding: 1e-12 of the largest row's sum of absolute terms.
     """
     triples, unknowns, vanishing, free_vars = shape
-    res = solve_triple_system(st_, *shape)
+    res = _exact_solve(st_, *shape)
     fst = _FloatView(st_)
     tables = dense_tables(fst, _FloatRing)
     rows = [
@@ -693,7 +728,7 @@ def test_float_solves_match_dense_replay(zero) -> None:
     for _ in range(8):
         st_ = random_frame_state(rng, require_ec=False, zero=zero)
         for name, shape in PROOF_SOLVES.items():
-            if st_.ec_value == 0:
+            if ec_value(st_) == 0:
                 with pytest.raises(ValueError):
                     solve_triple_system(st_, *shape)
                 continue
@@ -709,7 +744,7 @@ def test_case3_solves_match_the_oracle() -> None:
     rng = random.Random(56)
     for _ in range(60):
         st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3))
-        got = _solve_outcome(solve_triple_system, st_, PROOF_SOLVES["case3"])
+        got = _solve_outcome(_exact_solve, st_, PROOF_SOLVES["case3"])
         assert got == _solve_outcome(oracle_solve, st_, PROOF_SOLVES["case3"])
         solutions, _, leftovers, rank, n_rows, free = got
         assert (len(solutions), len(leftovers), rank, n_rows, free) == (4, 2, 4, 6, [])
@@ -978,13 +1013,15 @@ def test_case1_forces_v1_zero() -> None:
 
 def test_case1_probes_the_fifth_node(monkeypatch) -> None:
     # four nodes fix a cubic; a leftover that leaves -v1^3/sqrt(3) only at
-    # the fifth node must still fail
+    # the fifth node must still fail.  The leftover's constant numerator
+    # gains its scale, so its value gains 1
     real = codazzi.solve_triple_system
 
     def off_at_five(st_, triples, unknowns, vanishing=frozenset(), free_vars=()):
         res = real(st_, triples, unknowns, vanishing, free_vars)
         if st_.v[1] == 5:
-            res.leftovers = [AffineExpr(res.leftovers[0].const + 1, res.leftovers[0].coeffs)]
+            (left,) = res.leftovers
+            res.leftovers = [left._replace(const=left.const + left.const_den)]
         return res
 
     monkeypatch.setattr(codazzi, "solve_triple_system", off_at_five)
@@ -996,26 +1033,34 @@ def test_case1_probes_the_fifth_node(monkeypatch) -> None:
 
 
 def test_case2_displays_spot() -> None:
-    # v2 = 1, v3 -> 0 limit of the displayed pair: (0, 3 + 12 sqrt(3) x)
+    # v2 = 1, v3 -> 0 limit of the displayed pair: (0, 3 + 12 sqrt(3) x),
+    # held as (constant, sqrt(3) coefficient of x); D = 1, so w = v
+    first, second = _case2_displays(1, 0)
+    assert first == (0, 0)
+    assert second == (3, 12)
+    # the value-form displays of the oracle at a state with v = (0, 1, 0)
     st_ = FrameState(
         [Fraction(0), Fraction(1), Fraction(0)],
         rat_circle_point(Fraction(1, 4)),
         rat_circle_point(Fraction(2, 3)),
     )
-    first, second = _case2_displays(st_)
-    assert first.const == 0 and first.coeff((1, 3), Fraction(0)) == 0
-    assert second.const == 3
-    assert second.coeff((1, 3), Fraction(0)) == QSqrt3(0, 12)
+    values = exact_oracle.case2_displays(st_)
+    assert [(e.const, e.coeffs[(1, 3)]) for e in values] == [(0, 0), (3, QSqrt3(0, 12))]
 
 
 def test_case2_resultant_positive_terms() -> None:
-    assert case2_resultant(Fraction(1), Fraction(1)) == QSqrt3(0, -96)
-    assert case2_resultant(Fraction(1), Fraction(0)) == 0
+    # the sqrt(3) coefficient of the eliminant on w = D v, D^9 times its
+    # value at v, which is the oracle's
+    assert case2_resultant(1, 1) == -96
+    assert case2_resultant(1, 0) == 0
     rng = random.Random(23)
     for _ in range(30):
         v2 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         v3 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert case2_resultant(v2, v3) != 0
+        d = math.lcm(v2.denominator, v3.denominator)
+        got = case2_resultant(int(v2 * d), int(v3 * d))
+        assert got != 0
+        assert QSqrt3(0, Fraction(got, d ** 9)) == exact_oracle.case2_resultant(v2, v3)
 
 
 def test_case2_incompatibility() -> None:
@@ -1025,12 +1070,13 @@ def test_case2_incompatibility() -> None:
 
 
 def test_case3_closed_forms_spot() -> None:
-    # v = (1, 0, 0): D23 = 1/(4 sqrt 3), D21 = 0, and no forcing leftover
-    d23, d21 = case3_closed_forms(Fraction(1), Fraction(0))
-    assert d23 == QSqrt3(0, Fraction(1, 12)) and d21 == 0
-    assert case3_leftover(Fraction(1), Fraction(0)) == 0
+    # v = (1, 0, 0): D23 = 1/(4 sqrt 3), D21 = 0, and no forcing leftover;
+    # each form is sqrt(3) num / den, and D = 1
+    n23, n21, den = case3_closed_forms(1, 0)
+    assert Fraction(n23, den) == Fraction(1, 12) and n21 == 0
+    assert case3_leftover(1, 0)[0] == 0
     # v = (0, 0, 1): -2 sqrt(3) / (3 * 3)
-    assert case3_leftover(Fraction(0), Fraction(1)) == QSqrt3(0, Fraction(-2, 9))
+    assert Fraction(*case3_leftover(0, 1)) == Fraction(-2, 9)
 
 
 def test_constrained_angle_satisfies_relation() -> None:
@@ -1042,7 +1088,7 @@ def test_constrained_angle_satisfies_relation() -> None:
     for _ in range(40):
         st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3))
         q1, q3 = st_.v[1] ** 2, st_.v[3] ** 2
-        constraint = (q1 + q3) * st_.sin2(1, 2) - q1 * st_.sin2(1, 3)
+        constraint = (q1 + q3) * sin2(st_, 1, 2) - q1 * sin2(st_, 1, 3)
         assert compat_form_2(st_) == 4 * (q1 + q3) * constraint
 
 
@@ -1054,11 +1100,11 @@ def test_case3_leftover_is_free_of_the_angles() -> None:
     leftovers, solutions = set(), set()
     for _ in range(12):
         st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3)).with_v(v)
-        res = solve_triple_system(st_, *PROOF_SOLVES["case3"])
+        res = _exact_solve(st_, *PROOF_SOLVES["case3"])
         assert res.leftovers[0].const == 0
         leftovers.add(res.leftovers[1].const)
         solutions.add(res.solutions[(1, 1)].const)
-    assert leftovers == {case3_leftover(v[0], v[2])}
+    assert leftovers == {exact_oracle.case3_leftover(v[0], v[2])}
     assert len(solutions) == 12
 
 
@@ -1094,18 +1140,18 @@ def test_case3_fails_when_no_trial_reaches_the_variety(monkeypatch) -> None:
 
 
 def _off_by_one_d23(real):
-    def mutant(v1, v3):
-        d23, d21 = real(v1, v3)
-        return d23 + QSqrt3(0, 1), d21
+    # D23 at w gains sqrt(3): its numerator gains the denominator 9 B
+    def mutant(w1, w3):
+        n23, n21, den = real(w1, w3)
+        return n23 + den, n21, den
     return mutant
 
 
 def _five_v1_d23(real):
-    # 6 v1^4 becomes 5 v1^4 in the numerator of D23
-    def mutant(v1, v3):
-        d23, d21 = real(v1, v3)
-        q1, q3 = v1 * v1, v3 * v3
-        return d23 - QSqrt3(0, v1 * q1 * q1 / (9 * (8 * q1 * q1 + 6 * q1 * q3 + 3 * q3 * q3))), d21
+    # 6 v1^4 becomes 5 v1^4 in the numerator of D23: it loses w1^5 over 9 B
+    def mutant(w1, w3):
+        n23, n21, den = real(w1, w3)
+        return n23 - w1 ** 5, n21, den
     return mutant
 
 
@@ -1138,9 +1184,15 @@ def test_case3_unpinned_derivative_fails_the_check_as_a_record(monkeypatch) -> N
 @pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(-1), 0])
 def test_mutant_case3_leftover_fails_the_check_as_a_record(monkeypatch, factor) -> None:
     # -2 sqrt(3)/3 becomes -sqrt(3)/3, the opposite sign, or 0 (the leftover
-    # the check would accept if it only asked for the rows to be consistent)
+    # the check would accept if it only asked for the rows to be consistent),
+    # by scaling the closed form's numerator
     real = codazzi.case3_leftover
-    monkeypatch.setattr(codazzi, "case3_leftover", lambda v1, v3: real(v1, v3) * factor)
+
+    def mutant(w1, w3):
+        num, den = real(w1, w3)
+        return num * factor, den
+
+    monkeypatch.setattr(codazzi, "case3_leftover", mutant)
     rec = case3_check(trials=5, seed=7)
     assert not rec.passed and len(rec.failures) == 5
     assert all(
@@ -1216,11 +1268,12 @@ def test_det_factorization_fails_when_every_state_is_skipped() -> None:
 @pytest.mark.parametrize("which", [(0, 1), (0,), (1,)])
 def test_case3_nan_closed_form_fails(monkeypatch, which) -> None:
     # every comparison with a NaN is False; the check must read that as a
-    # mismatch, not as no mismatch
+    # mismatch, not as no mismatch.  The NaN replaces the numerator of D23,
+    # of D21 or of both
     real = codazzi.case3_closed_forms
 
-    def with_nan(v1, v3):
-        out = list(real(v1, v3))
+    def with_nan(w1, w3):
+        out = list(real(w1, w3))
         for idx in which:
             out[idx] = math.nan
         return tuple(out)
@@ -1238,7 +1291,7 @@ def test_every_overdetermined_solve_asserts_its_leftovers(monkeypatch) -> None:
 
     def with_stray_leftover(*args, **kw):
         res = real(*args, **kw)
-        res.leftovers = [*res.leftovers, AffineExpr(Fraction(1))]
+        res.leftovers = [*res.leftovers, Numerators({}, 1, 0, False, 1, 1)]
         return res
 
     monkeypatch.setattr(codazzi, "solve_triple_system", with_stray_leftover)
@@ -1253,3 +1306,147 @@ def test_every_overdetermined_solve_asserts_its_leftovers(monkeypatch) -> None:
     ]
     for rec in records:
         assert not rec.passed and rec.failures, rec.check_id
+
+
+# ---------------------------------------------------------------------------
+# the integer verdicts against the value-form comparisons of exact_oracle
+
+
+def _derivative_states(rng: random.Random, n: int) -> list[FrameState]:
+    """States drawn as `system1_check` draws them, one kind after another."""
+    kinds = ({"nonzero": (1, 2, 3)}, {"nonzero": (1, 2, 3)}, {"zero": (1,), "nonzero": (2, 3)},
+             {"zero": (2,), "nonzero": (1, 3)}, {"zero": (3,), "nonzero": (1, 2)})
+    return [random_frame_state(rng, require_ec=True, **kinds[k % 5]) for k in range(n)]
+
+
+def _derivative_verdicts(st_) -> tuple:
+    failed, pairs, dependent = codazzi._compare_derivatives(st_)
+    pairs = [(label, var, failure, None if ratio is None else Fraction(*ratio))
+             for label, var, failure, ratio in pairs]
+    return failed, pairs, dependent
+
+
+#: Per check: its integer verdict at one state, the value-form verdict of
+#: exact_oracle, and a draw of states as the check makes them.
+DIFFERENTIAL_CASES = {
+    "derivative-comparison": (
+        _derivative_verdicts, exact_oracle.compare_derivatives_values, _derivative_states,
+    ),
+    "axis-case": (
+        codazzi._axis_case, exact_oracle.axis_case_values,
+        lambda rng, n: [random_frame_state(rng, require_ec=False, zero=(2, 3)) for _ in range(n)],
+    ),
+    "null-axis-case": (
+        codazzi._null_axis_case, exact_oracle.null_axis_case_values,
+        lambda rng, n: [random_frame_state(rng, zero=(1,), nonzero=(2, 3)) for _ in range(n)],
+    ),
+    "constrained-angle-case": (
+        codazzi._v2_zero_case, exact_oracle.v2_zero_case_values,
+        lambda rng, n: [random_frame_state(rng, zero=(2,), nonzero=(1, 3)) for _ in range(n)],
+    ),
+}
+
+
+def _verdicts_disagree(case: str, states) -> list:
+    integer, values, _ = DIFFERENTIAL_CASES[case]
+    return [st_.describe() for st_ in states if integer(st_) != values(st_)]
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+def test_integer_verdicts_match_the_value_forms(case) -> None:
+    # at 60 states per case, drawn as the check draws them, every integer
+    # comparison decides as the value-form comparison it replaced: the same
+    # failures in the same order, the same clearing ratios and D_11 counts
+    integer, values, draw = DIFFERENTIAL_CASES[case]
+    states = draw(random.Random(70), 60)
+    assert _verdicts_disagree(case, states) == []
+    assert not any(_failed(case, integer(st_)) for st_ in states)
+
+
+def _shift_leftover_constants(real):
+    # every leftover's rational constant numerator gains the last pivot
+    def mutant(rows, order, irrational):
+        out = real(rows, order, irrational)
+        for row in out.leftovers:
+            row[-2] += out.last
+        return out
+    return mutant
+
+
+def _shift_solution_constants(real):
+    # in the solves whose input rows hash to an odd number (about half of
+    # them), each solution's rational constant numerator gains the last
+    # pivot, so the gap of two solves moves off its value; the choice
+    # depends on the rows alone, so a solve repeated on the same state is
+    # shifted alike
+    def mutant(rows, order, irrational):
+        out = real(rows, order, irrational)
+        if hash(tuple(map(tuple, rows))) % 2:
+            for nums in out.solved.values():
+                nums[-2] += out.last
+        return out
+    return mutant
+
+
+def _failed(case: str, verdict) -> bool:
+    if case == "derivative-comparison":
+        failed, pairs, _ = verdict
+        return bool(failed) or any(failure for _, _, failure, _ in pairs)
+    return bool(verdict)
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+def test_integer_verdicts_match_the_value_forms_on_mutant_solvers(monkeypatch, case) -> None:
+    # solvers with a sign flipped or a leftover shifted make comparisons
+    # fail; both sides read the same numerators, so they must fail alike,
+    # and each case must see failures under some mutant
+    integer, _, draw = DIFFERENTIAL_CASES[case]
+    real = codazzi.eliminate_fraction_free
+    failing = 0
+    for mutate in (_flip_first_constant, _flip_first_solution, _shift_leftover_constants,
+                   _shift_solution_constants):
+        monkeypatch.setattr(codazzi, "eliminate_fraction_free", mutate(real))
+        states = draw(random.Random(71), 12)
+        assert _verdicts_disagree(case, states) == [], mutate.__name__
+        failing += sum(_failed(case, integer(st_)) for st_ in states)
+    assert failing
+
+
+def test_unflagged_sqrt3_part_raises_when_handed_out(monkeypatch) -> None:
+    # an elimination that loses the flags hands out a sqrt(3) part on a
+    # solution not flagged irrational: the solve raises before any value
+    real = codazzi.eliminate_fraction_free
+
+    def unflagged(rows, order, irrational):
+        out = real(rows, order, irrational)
+        return out._replace(solved_irrational=dict.fromkeys(out.solved_irrational, False))
+
+    monkeypatch.setattr(codazzi, "eliminate_fraction_free", unflagged)
+    with pytest.raises(ArithmeticError):
+        solve_triple_system(_state(10, nonzero=(1, 2, 3)), SET1_TRIPLES, SET1_UNKNOWNS)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_passing_checks_build_no_value_forms(monkeypatch, seed) -> None:
+    # the six checks decide on numerators: on passing seeds they construct
+    # no QSqrt3 and read no solve or row into values
+    counts = {"QSqrt3": 0, "_value": 0}
+    real_init, real_value = QSqrt3.__init__, codazzi._value
+
+    def counted_init(self, *args, **kw):
+        counts["QSqrt3"] += 1
+        real_init(self, *args, **kw)
+
+    def counted_value(*args):
+        counts["_value"] += 1
+        return real_value(*args)
+
+    monkeypatch.setattr(QSqrt3, "__init__", counted_init)
+    monkeypatch.setattr(codazzi, "_value", counted_value)
+    report = cmd_proof(trials=20, seed=seed)
+    assert report.passed and len(report.records) == 6
+    assert counts == {"QSqrt3": 0, "_value": 0}
+    # the counters see a value read
+    _state(seed, nonzero=(1, 2, 3)).angles
+    solve_values(solve_triple_system(_state(10, nonzero=(1, 2, 3)), SET1_TRIPLES, SET1_UNKNOWNS))
+    assert counts["QSqrt3"] > 0 and counts["_value"] > 0
