@@ -344,18 +344,18 @@ def cmd_proof(trials: int = DEFAULT_TRIALS, seed: int = 0, mode: str = "all") ->
         raise ValueError(f"unknown mode {mode!r}")
     _require_count("trials", trials)
     checks = (
-        lambda s: frame_relation_check(trials=trials, seed=s),
-        lambda s: system1_check(seed=s, trials=trials),
-        lambda s: case1_check(seed=s, trials=trials),
-        lambda s: case2_check(seed=s, trials=trials),
-        lambda s: det_factorization_check(seed=s, trials=trials),
-        lambda s: case3_check(trials=trials, seed=s),
+        frame_relation_check,
+        system1_check,
+        case1_check,
+        case2_check,
+        det_factorization_check,
+        case3_check,
     )
     records = []
-    for offset, run in enumerate(checks, start=1):
+    for offset, check in enumerate(checks, start=1):
         sub_seed = seed + offset
         start = time.perf_counter()
-        rec = run(sub_seed)
+        rec = check(sub_seed, trials)
         rec.details.setdefault("seed", sub_seed)
         records.extend(_stamp([rec], start))
     return VerificationReport(

@@ -13,29 +13,25 @@ no angle constraint: its rows leave a leftover free of the angles that
 vanishes only at v3 = 0, so it too is checked at exact states with free
 rational angles.
 
-Each state caches its tables once: h, the gradient dh/dv and omega.  h and
-dh are symmetric in (i, j, k) and (j, k, l), so each is held once per
-symmetry class, at its sorted index (10 and 30 entries); `_H_CLASS` and
-`_DH_CLASS` map every key to its class.  The builders add only the terms
-whose Kronecker factor is nonzero, in the order of the full formulas, so each
-class gets exactly the dense expression's value at its sorted index.
-
-An exact state is built on integers from the draw: each angle is a triple
-(C, S, E) of integers with cosine C/E and sine S/E, so theta3 and the angle
-differences are integer sums and products, a cotangent or doubled-angle
-sine is one Fraction built from them, and the gate 4 v1^2 - 3(v2^2 + v3^2)
-is an integer over D^2.  Its tables are on integer numerators too.  With D
-the lcm of the denominators of v, w = D v is an integer vector, and the
-three distinct cotangents are put over one common denominator Q
-(cot(b, a) = -cot(a, b)).  h is then D^-3 times integers, dh D^-2 times
-integers and omega (6 D^3 Q)^-1 times an integer plus a sqrt(3) part.  That
-part comes only from 1/(2 sqrt 3), so it is sigma eps_ijk for one integer
-sigma, and it is nonzero only where i, j, k are distinct.  The same holds
-for the two connection factors the Codazzi scalars read: the shifted
-connection omega_im^l - eps_iml/sqrt(3) has omega's rational part and the
-sqrt(3) part (sigma - iota) eps_iml, with iota the numerator of 1/sqrt(3),
-and the curl omega_ij^m - omega_ji^m has the sqrt(3) part 2 sigma eps_ijm.
-So sqrt(3) is a column of its own: no table entry is anything but an int.
+A state is one integer record (`FrameState`).  With D the lcm of the
+denominators of v, it holds w = D v, an integer vector, and each angle as a
+triple (C, S, E) of integers with cosine C/E and sine S/E, so theta3 and the
+angle differences are integer sums and products, and the gate
+4 v1^2 - 3(v2^2 + v3^2) is an integer over D^2.  Its tables are integer
+numerators, each computed once, when a check first reads it.  h and dh come
+from the closed forms of `hijk_from_v` and `hijk_gradient` on w, at scales
+D^3 and D^2; both are symmetric in (i, j, k) and (j, k, l), so each is held
+once per symmetry class, at its sorted index (10 and 30 entries), and
+`_H_CLASS` and `_DH_CLASS` map every key to its class.  The three distinct
+cotangents are put over one common denominator Q (cot(b, a) = -cot(a, b)),
+and omega is (6 D^3 Q)^-1 times an integer plus a sqrt(3) part.  That part
+comes only from 1/(2 sqrt 3), so it is sigma eps_ijk for one integer sigma,
+and it is nonzero only where i, j, k are distinct.  The same holds for the
+two connection factors the Codazzi scalars read: the shifted connection
+omega_im^l - eps_iml/sqrt(3) has omega's rational part and the sqrt(3) part
+(sigma - iota) eps_iml, with iota the numerator of 1/sqrt(3), and the curl
+omega_ij^m - omega_ji^m has the sqrt(3) part 2 sigma eps_ijm.  So sqrt(3)
+is a column of its own: no table entry is anything but an int.
 
 Each Codazzi scalar (i, j, k, l) reads a plan compiled once, when it is
 first needed: its dh class keys, and its h-omega products grouped by h
@@ -47,8 +43,8 @@ constant, a sum of h-omega products plus the angle term, is one integer
 rational part and one integer sqrt(3) part at L = lcm(6 D^6 Q, A), with A
 the common denominator of the three sin 2(theta_a - theta_b)/3.  A group
 whose h class is zero is skipped, so the row is flagged irrational exactly
-where value-form arithmetic would have met a QSqrt3, even where the sqrt(3)
-parts cancel.
+where value-form arithmetic would have met an element of Q(sqrt 3), even
+where the sqrt(3) parts cancel.
 
 The exact solver eliminates these integer rows fraction-free (Bareiss),
 with the constant as two integer columns and the flag carried per row: each
@@ -60,17 +56,17 @@ coefficients'; a leftover's coefficients are over P D^2 and its constant
 over P L.  Pivots are still the first rows with a nonzero coefficient, so
 the pivot order, rank and free variables are those of value-form
 elimination, and a numerator is flagged irrational exactly where the
-rational-arithmetic formulas give a QSqrt3; a sqrt(3) part on a numerator
-that is not flagged raises.
+rational-arithmetic formulas give an element of Q(sqrt 3); a sqrt(3) part on
+a numerator that is not flagged raises.
 
 The checks decide on these numerators.  A leftover is tested for zero on
 its integers.  A closed form homogeneous of degree k in v is evaluated on
 w = D v, where it is D^k times its value at v, and compared with a
 numerator by cross-multiplication; so are the two solutions the derivative
 comparison subtracts, and the null-axis rows after the substitution, which
-stays on numerators too.  No Fraction or QSqrt3 is built from a solve on
-the way to a passing verdict: `Numerators.value` reads one into values only
-for a failure's details, with the types the value-form formulas give.
+stays on numerators too.  A failure's details are built from the integers:
+each number a Fraction, an angle its cosine and sine as {"c", "s"}, and a
+constant flagged irrational its rational and sqrt(3) parts as {"a", "b"}.
 """
 
 from __future__ import annotations
@@ -78,13 +74,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exact import CirclePoint, QSqrt3, divide_exactly, poly_identity_check
+from .exact import divide_exactly, poly_identity_check
 from .report import CheckRecord
 
 AXES = (1, 2, 3)
@@ -112,26 +107,6 @@ def delta(i: int, j: int) -> int:
 DVar = tuple[int, int]  # (i, m) stands for the derivative E_i(v_m)
 
 
-class AffineExpr:
-    """A scalar of the form const + sum coeffs[(i,m)] * D_im, as values.
-
-    What `Numerators.value` reads a solve's numerators into, for failure
-    details; the checks decide on the numerators.
-    """
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const, coeffs: Mapping[DVar, object] | None = None) -> None:
-        self.const = const
-        self.coeffs: dict[DVar, object] = dict(coeffs) if coeffs else {}
-
-    def __repr__(self) -> str:
-        terms = "".join(
-            f" + ({c})*D{v}" for v, c in sorted(self.coeffs.items())
-        )
-        return f"AffineExpr({self.const}{terms})"
-
-
 # ---------------------------------------------------------------------------
 # states
 
@@ -140,15 +115,6 @@ def _require_flag(root3: int, irrational: bool) -> None:
     """A numerator that is not flagged irrational has no sqrt(3) part."""
     if root3 and not irrational:
         raise ArithmeticError("a sqrt(3) part on a numerator not flagged irrational")
-
-
-def _value(const: int, root3: int, irrational: bool, den: int):
-    """const + root3 sqrt(3) over den, divided once: a QSqrt3 where the
-    numerator is flagged irrational, else a Fraction."""
-    _require_flag(root3, irrational)
-    if irrational:
-        return QSqrt3(Fraction(const, den), Fraction(root3, den))
-    return Fraction(const, den)
 
 
 class _OmegaScale(NamedTuple):
@@ -182,198 +148,159 @@ class _RowScale(NamedTuple):
     angle: dict[tuple[int, int], int]
 
 
-class FrameState:
-    """Exact frame state over Q(sqrt(3)).
+def _circle(triple: tuple[int, int, int]) -> dict[str, Fraction]:
+    """An integer triple (C, S, E) as a failure's details give an angle."""
+    c, s, e = triple
+    return {"c": Fraction(c, e), "s": Fraction(s, e)}
 
-    v entries are rationals, held as w = D v with D the lcm of their
-    denominators; `v` builds the Fractions when read.  An angle is a
-    rational circle point, held as an integer triple (C, S, E): cosine C/E
-    and sine S/E over one common denominator, not necessarily in lowest
-    terms.  theta3 = -(theta1 + theta2) and the three differences
-    theta_a - theta_b, a < b, are built on the triples, a reverse pair is
-    (C, -S, E) and the diagonal (1, 0, 1).  Construction rejects states
-    where some sin(theta_a - theta_b) vanishes, since the connection
-    components divide by those factors.
 
-    The tables are lazy and hold only ints.  h and dh come from
-    `hijk_from_v` and `hijk_gradient` on w, at scales D^3 and D^2, once per
-    symmetry class.  The three distinct cotangents are over their common
-    denominator Q, with cot(b, a) = -cot(a, b), and `_omega_scale()` puts
-    omega at scale 6 D^3 Q.  The omega table holds the rational parts; the
-    sqrt(3) part of omega_ij^k is `_omega_scale().sigma` times eps_ijk, and
-    the shifted connection and the curl that `codazzi_scalar` reads are
-    built from them by its plans.  A Codazzi row's constant, `_row_scale()`,
-    is over L = lcm(6 D^6 Q, A), with A the common denominator of the three
-    sin 2(theta_a - theta_b)/3, and its coefficients over D^2.
+class _Angles:
+    """The angle data of a state, shared by the states `with_v` builds.
+
+    theta holds the three integer triples, with theta3 = -(theta1 + theta2),
+    and diffs the triple of theta_a - theta_b for every ordered pair: the
+    three with a < b are built on the triples, a reverse pair is (C, -S, E)
+    and the diagonal (1, 0, 1).  Construction rejects angles where some
+    sin(theta_a - theta_b) vanishes, since the connection components divide
+    by those factors.
     """
 
-    def __init__(self, v: Sequence[Fraction], theta1: CirclePoint, theta2: CirclePoint) -> None:
-        self._set_v(v)
-        self._set_angles(
-            (theta1.c.numerator, theta1.s.numerator, theta1.c.denominator),
-            (theta2.c.numerator, theta2.s.numerator, theta2.c.denominator),
-        )
-
-    @classmethod
-    def _from_integers(cls, w: list[int], d: int, theta1: tuple, theta2: tuple) -> "FrameState":
-        """The state at v = w / D with the angles of two integer triples."""
-        st = object.__new__(cls)
-        st._set_w(w, d)
-        st._set_angles(theta1, theta2)
-        return st
-
-    def _set_angles(self, theta1: tuple, theta2: tuple) -> None:
+    def __init__(self, theta1: tuple, theta2: tuple) -> None:
         (c1, s1, e1), (c2, s2, e2) = theta1, theta2
         # theta3 is the conjugate of the sum of theta1 and theta2
-        self._theta = {
-            1: theta1,
-            2: theta2,
-            3: (c1 * c2 - s1 * s2, -(s1 * c2 + c1 * s2), e1 * e2),
-        }
-        self._diffs: dict[tuple[int, int], tuple[int, int, int]] = {
+        self.theta = {1: theta1, 2: theta2, 3: (c1 * c2 - s1 * s2, -(s1 * c2 + c1 * s2), e1 * e2)}
+        self.diffs: dict[tuple[int, int], tuple[int, int, int]] = {
             (a, a): (1, 0, 1) for a in AXES
         }
         for a, b in CANONICAL_PAIRS:
-            ca, sa, ea = self._theta[a]
-            cb, sb, eb = self._theta[b]
+            ca, sa, ea = self.theta[a]
+            cb, sb, eb = self.theta[b]
             c, s, e = ca * cb + sa * sb, sa * cb - ca * sb, ea * eb
-            self._diffs[(a, b)], self._diffs[(b, a)] = (c, s, e), (c, -s, e)
-        if any(self._diffs[ab][1] == 0 for ab in CANONICAL_PAIRS):
+            self.diffs[(a, b)], self.diffs[(b, a)] = (c, s, e), (c, -s, e)
+        if any(self.diffs[ab][1] == 0 for ab in CANONICAL_PAIRS):
             raise ValueError("state rejected: some sin(theta_a - theta_b) vanishes")
-        self._cot = self._thirds = None
 
-    def _set_v(self, v: Sequence[Fraction]) -> None:
-        v = [Fraction(x) for x in v]
-        d = lcm(*(x.denominator for x in v))
-        self._set_w([x.numerator * (d // x.denominator) for x in v], d)
-        self._v = dict(zip(AXES, v))
-
-    def _set_w(self, w: list[int], d: int) -> None:
-        self._w, self._D, self._v = w, d, None
-        self._h_num = self._dh_num = self._om_scale = self._rows = self._om_num = None
-
-    @property
-    def v(self) -> dict[int, Fraction]:
-        """v as Fractions, w / D, built when first read."""
-        if self._v is None:
-            self._v = {m: Fraction(x, self._D) for m, x in zip(AXES, self._w)}
-        return self._v
-
-    def with_v(self, v: Sequence[Fraction]) -> "FrameState":
-        """The state at another v with the same, already validated, angles.
-
-        The angle triples, their differences, the cotangent numerators and
-        the angle terms of the rows are shared, not rebuilt.
-        """
-        st = object.__new__(FrameState)
-        st._set_v(v)
-        st._theta, st._diffs = self._theta, self._diffs
-        st._cot, st._thirds = self._cotangents(), self._angle_thirds()
-        return st
-
-    @property
-    def angles(self) -> dict[int, CirclePoint]:
-        """theta1, theta2 and theta3 as circle points, built when read."""
-        return {
-            a: CirclePoint(Fraction(c, e), Fraction(s, e)) for a, (c, s, e) in self._theta.items()
-        }
-
-    # tables ---------------------------------------------------------------
-    def h_numerators(self) -> dict:
-        """h at scale D^3 per symmetry class: entry (i, j, k), i <= j <= k,
-        is D^3 h_ij^k."""
-        if self._h_num is None:
-            self._h_num = hijk_from_v(self._w)
-        return self._h_num
-
-    def dh_numerators(self) -> dict:
-        """dh at scale D^2 per symmetry class: entry (j, k, l, m),
-        j <= k <= l, is D^2 d h_jk^l / d v_m."""
-        if self._dh_num is None:
-            self._dh_num = hijk_gradient(self._w)
-        return self._dh_num
-
-    def omega_numerators(self) -> dict:
-        """omega's rational part at its scale: entry (i, j, k) is 6 D^3 Q
-        omega_ij^k less its sqrt(3) part, sigma eps_ijk."""
-        if self._om_num is None:
-            self._om_num = omega_numerators(self)
-        return self._om_num
-
-    # scales ---------------------------------------------------------------
-    def _cotangents(self) -> tuple[int, dict]:
+    @cached_property
+    def cotangents(self) -> tuple[int, dict]:
         """Q and the numerators 6 Q cot(a, b) for a != b.
 
-        Three cotangents are computed; cot(b, a) = -cot(a, b) gives the rest.
+        Three cotangents C/S are computed; cot(b, a) = -cot(a, b) gives the
+        rest.
         """
-        if self._cot is None:
-            cots = {ab: self.cot(*ab) for ab in CANONICAL_PAIRS}
-            q = lcm(*(c.denominator for c in cots.values()))
-            num = {}
-            for (a, b), c in cots.items():
-                num[(a, b)] = 6 * c.numerator * (q // c.denominator)
-                num[(b, a)] = -num[(a, b)]
-            self._cot = (q, num)
-        return self._cot
+        cots = {}
+        for ab in CANONICAL_PAIRS:
+            c, s, _ = self.diffs[ab]
+            cots[ab] = Fraction(c, s)
+        q = lcm(*(c.denominator for c in cots.values()))
+        num = {}
+        for (a, b), c in cots.items():
+            num[(a, b)] = 6 * c.numerator * (q // c.denominator)
+            num[(b, a)] = -num[(a, b)]
+        return q, num
 
-    def _omega_scale(self) -> _OmegaScale:
-        """omega at scale 6 D^3 Q: the cotangent numerators scale by D^3."""
-        if self._om_scale is None:
-            q, cot = self._cotangents()
-            d3 = self._D ** 3
-            d3q = d3 * q
-            self._om_scale = _OmegaScale(6 * d3q, d3q, 2 * d3q, cot, 6 * d3q * d3)
-        return self._om_scale
-
-    def _angle_thirds(self) -> tuple[int, dict]:
+    @cached_property
+    def thirds(self) -> tuple[int, dict]:
         """A and the numerators A sin 2(theta_a - theta_b)/3 for all (a, b).
 
         Three are computed; the reverse pairs are their negatives and the
         diagonal is zero.
         """
-        if self._thirds is None:
-            thirds = {}
-            for ab in CANONICAL_PAIRS:
-                c, s, e = self._diffs[ab]
-                thirds[ab] = Fraction(2 * s * c, 3 * e * e)
-            den = lcm(*(t.denominator for t in thirds.values()))
-            num = {(a, a): 0 for a in AXES}
-            for (a, b), t in thirds.items():
-                num[(a, b)] = t.numerator * (den // t.denominator)
-                num[(b, a)] = -num[(a, b)]
-            self._thirds = (den, num)
-        return self._thirds
+        thirds = {}
+        for ab in CANONICAL_PAIRS:
+            c, s, e = self.diffs[ab]
+            thirds[ab] = Fraction(2 * s * c, 3 * e * e)
+        den = lcm(*(t.denominator for t in thirds.values()))
+        num = {(a, a): 0 for a in AXES}
+        for (a, b), t in thirds.items():
+            num[(a, b)] = t.numerator * (den // t.denominator)
+            num[(b, a)] = -num[(a, b)]
+        return den, num
 
+
+class FrameState:
+    """Exact frame state, on integers.
+
+    v is held as w = D v, with D the lcm of the denominators of its entries.
+    An angle is a rational circle point, held as an integer triple (C, S, E):
+    cosine C/E and sine S/E over one common denominator, not necessarily in
+    lowest terms; `_Angles` builds theta3 and the differences and rejects
+    angles where some sin(theta_a - theta_b) vanishes.
+
+    The tables and scales are cached properties, each computed once, when a
+    check first reads it, and they hold only ints.  h and dh come from
+    `hijk_from_v` and `hijk_gradient` on w, at scales D^3 and D^2, once per
+    symmetry class.  The three distinct cotangents are over their common
+    denominator Q, and `_omega_scale` puts omega at scale 6 D^3 Q.  The
+    omega table holds the rational parts; the sqrt(3) part of omega_ij^k is
+    `_omega_scale.sigma` times eps_ijk, and the shifted connection and the
+    curl that `codazzi_scalar` reads are built from them by its plans.  A
+    Codazzi row's constant, `_row_scale`, is over L = lcm(6 D^6 Q, A), with
+    A the common denominator of the three sin 2(theta_a - theta_b)/3, and
+    its coefficients over D^2.
+    """
+
+    def __init__(self, w: list[int], d: int, theta1: tuple, theta2: tuple) -> None:
+        self._w, self._D, self._angles = w, d, _Angles(theta1, theta2)
+
+    def with_v(self, w: list[int], d: int) -> "FrameState":
+        """The state at v = w / D with the same, already validated, angles,
+        whose triples, cotangent numerators and angle terms are shared, not
+        rebuilt."""
+        st = object.__new__(FrameState)
+        st._w, st._D, st._angles = w, d, self._angles
+        return st
+
+    # tables ---------------------------------------------------------------
+    @cached_property
+    def h_numerators(self) -> dict:
+        """h at scale D^3 per symmetry class: entry (i, j, k), i <= j <= k,
+        is D^3 h_ij^k."""
+        return hijk_from_v(self._w)
+
+    @cached_property
+    def dh_numerators(self) -> dict:
+        """dh at scale D^2 per symmetry class: entry (j, k, l, m),
+        j <= k <= l, is D^2 d h_jk^l / d v_m."""
+        return hijk_gradient(self._w)
+
+    @cached_property
+    def omega_numerators(self) -> dict:
+        """omega's rational part at its scale: entry (i, j, k) is 6 D^3 Q
+        omega_ij^k less its sqrt(3) part, sigma eps_ijk."""
+        return omega_numerators(self)
+
+    # scales ---------------------------------------------------------------
+    @cached_property
+    def _omega_scale(self) -> _OmegaScale:
+        """omega at scale 6 D^3 Q: the cotangent numerators scale by D^3."""
+        q, cot = self._angles.cotangents
+        d3 = self._D ** 3
+        d3q = d3 * q
+        return _OmegaScale(6 * d3q, d3q, 2 * d3q, cot, 6 * d3q * d3)
+
+    @cached_property
     def _row_scale(self) -> _RowScale:
         """Row constants at L = lcm(6 D^6 Q, A), a multiple of D^2."""
-        if self._rows is None:
-            const_den = self._omega_scale().const_den
-            a, thirds = self._angle_thirds()
-            den = lcm(const_den, a)
-            mult = den // a
-            self._rows = _RowScale(
-                den,
-                den // self._D ** 2,
-                den // const_den,
-                {ab: x * mult for ab, x in thirds.items()},
-            )
-        return self._rows
+        const_den = self._omega_scale.const_den
+        a, thirds = self._angles.thirds
+        den = lcm(const_den, a)
+        mult = den // a
+        return _RowScale(
+            den, den // self._D ** 2, den // const_den, {ab: x * mult for ab, x in thirds.items()}
+        )
 
     # angle data -----------------------------------------------------------
-    def cot(self, a: int, b: int) -> Fraction:
-        c, s, _ = self._diffs[(a, b)]
-        return Fraction(c, s)
-
     def _ec_numerator(self) -> int:
         """4 w1^2 - 3 (w2^2 + w3^2): D^2 times 4 v1^2 - 3 (v2^2 + v3^2)."""
         w1, w2, w3 = self._w
         return 4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3)
 
     def describe(self) -> dict:
+        """v and the two drawn angles, as a failure's details give them."""
         return {
-            "v": [self.v[m] for m in AXES],
-            "theta1": self.angles[1],
-            "theta2": self.angles[2],
+            "v": [Fraction(x, self._D) for x in self._w],
+            "theta1": _circle(self._angles.theta[1]),
+            "theta2": _circle(self._angles.theta[2]),
         }
 
 
@@ -420,7 +347,7 @@ def random_frame_state(
             p, q = _draw_ratio(rng)
             angles.append((q * q - p * p, 2 * p * q, q * q + p * p))
         try:
-            st = FrameState._from_integers(w, d, *angles)
+            st = FrameState(w, d, *angles)
         except ValueError:
             continue
         if require_ec and not st._ec_numerator():
@@ -440,15 +367,6 @@ _DH_CLASS = {
     (j, k, l, m): (*sorted((j, k, l)), m) for j, k, l, m in product(AXES, AXES, AXES, AXES)
 }
 
-#: For each sorted (i, j, k): the slots among v_i, v_j, v_k whose Kronecker
-#: factor in v_i d_jk + v_j d_ki + v_k d_ij is one, in that order.
-_H_LINEAR = {
-    (i, j, k): tuple(
-        a for a, d in ((i, delta(j, k)), (j, delta(k, i)), (k, delta(i, j))) if d
-    )
-    for i, j, k in combinations_with_replacement(AXES, 3)
-}
-
 
 def hijk_from_v(v: Sequence) -> dict[tuple[int, int, int], object]:
     """Second fundamental form components from the vector field components.
@@ -456,51 +374,16 @@ def hijk_from_v(v: Sequence) -> dict[tuple[int, int, int], object]:
     h_ij^k = |v|^2 (v_i d_jk + v_j d_ki + v_k d_ij) - 5 v_i v_j v_k.
     Fully symmetric and trace-free in every slot, so the table holds the 10
     symmetry classes at their sorted indices; `_H_CLASS` maps any key to
-    its class.  Terms with a zero Kronecker factor are left out; the others
-    are added in the order written.
+    its class.  The comparisons j == k, ... are the Kronecker deltas: a
+    bool multiplies as 0 or 1.
     """
-    vv = {m: v[m - 1] for m in AXES}
-    v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
-    classes = {}
-    for (i, j, k), linear in _H_LINEAR.items():
-        cubic = 5 * vv[i] * vv[j] * vv[k]
-        if linear:
-            classes[(i, j, k)] = v2 * reduce(add, [vv[a] for a in linear]) - cubic
-        else:
-            classes[(i, j, k)] = -cubic
-    return classes
-
-
-def _gradient_terms(j: int, k: int, l: int, m: int) -> tuple:
-    """The nonzero-Kronecker terms of d h_jk^l / d v_m besides 2 v_m sum v_a.
-
-    Returns (count, quadratic): the integer factor of |v|^2 and the slot
-    pairs (p, q) of 5 sum v_p v_q, in formula order.
-    """
-    count = delta(j, m) * delta(k, l) + delta(k, m) * delta(l, j) + delta(l, m) * delta(j, k)
-    quadratic = tuple(
-        pq for pq, d in (((k, l), delta(j, m)), ((j, l), delta(k, m)), ((j, k), delta(l, m)))
-        if d
-    )
-    return count, quadratic
-
-
-#: Per sorted (j, k, l): the slots a of the linear sum v_a, which is h's
-#: (v_j d_kl + v_k d_lj + v_l d_jk), and per m the entry's key with its
-#: remaining terms.
-_DH_TERMS = {
-    jkl: (_H_LINEAR[jkl], tuple(((*jkl, m), *_gradient_terms(*jkl, m)) for m in AXES))
-    for jkl in combinations_with_replacement(AXES, 3)
-}
-
-
-def _sum_in_order(values: Mapping, keys: Sequence):
-    """values[keys[0]] + values[keys[1]] + ..., added left to right."""
-    it = iter(keys)
-    total = values[next(it)]
-    for key in it:
-        total = total + values[key]
-    return total
+    vv = dict(zip(AXES, v))
+    n = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
+    return {
+        (i, j, k): n * (vv[i] * (j == k) + vv[j] * (k == i) + vv[k] * (i == j))
+        - 5 * vv[i] * vv[j] * vv[k]
+        for i, j, k in combinations_with_replacement(AXES, 3)
+    }
 
 
 def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
@@ -510,31 +393,24 @@ def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
         + |v|^2 (d_jm d_kl + d_km d_lj + d_lm d_jk)
         - 5 (d_jm v_k v_l + v_j d_km v_l + v_j v_k d_lm),
     held for the 30 entries with j <= k <= l, the classes of the
-    permutations of (j, k, l); `_DH_CLASS` maps any key to its class.  Each
-    is built from the terms whose Kronecker factor is nonzero, added in the
-    order written.  The sums v_a (one per (j, k, l)) and the factors 2 v_m,
-    |v|^2 c and v_p v_q (p <= q, as sorted slots give) recur across
-    entries, so each is computed once.
+    permutations of (j, k, l); `_DH_CLASS` maps any key to its class.  The
+    Kronecker deltas are comparisons, as in `hijk_from_v`.
     """
-    vv = {m: v[m - 1] for m in AXES}
-    v2 = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
-    twice = {m: 2 * vv[m] for m in AXES}
-    v2_times = {c: v2 * c for c in (1, 2, 3)}
-    pair = {(p, q): vv[p] * vv[q] for p, q in combinations_with_replacement(AXES, 2)}
-    classes = {}
-    # every entry has a linear or a quadratic term (j, k, l distinct means m
-    # is one of them), and a nonzero count implies a linear term
-    for linear, entries in _DH_TERMS.values():
-        lin = _sum_in_order(vv, linear) if linear else None
-        for key, count, quadratic in entries:
-            val = twice[key[3]] * lin if linear else None
-            if count:
-                val = val + v2_times[count]
-            if quadratic:
-                quad = 5 * _sum_in_order(pair, quadratic)
-                val = val - quad if linear else -quad
-            classes[key] = val
-    return classes
+    vv = dict(zip(AXES, v))
+    n = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
+    out = {}
+    for j, k, l in combinations_with_replacement(AXES, 3):
+        vj, vk, vl = vv[j], vv[k], vv[l]
+        d_kl, d_lj, d_jk = k == l, l == j, j == k
+        linear = vj * d_kl + vk * d_lj + vl * d_jk
+        for m in AXES:
+            d_jm, d_km, d_lm = j == m, k == m, l == m
+            out[(j, k, l, m)] = (
+                2 * vv[m] * linear
+                + n * (d_jm * d_kl + d_km * d_lj + d_lm * d_jk)
+                - 5 * (d_jm * vk * vl + vj * d_km * vl + vj * vk * d_lm)
+            )
+    return out
 
 
 def omega_numerators(st) -> dict[tuple[int, int, int], int]:
@@ -547,7 +423,7 @@ def omega_numerators(st) -> dict[tuple[int, int, int], int]:
     distinct indices also hold 1/(2 sqrt 3); that sqrt(3) part is
     sigma eps_ijk and is not stored.
     """
-    cot = st._omega_scale().cot
+    cot = st._omega_scale.cot
     v1, v2, v3 = st._w
     q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
     five_v = 5 * v1 * v2 * v3
@@ -672,7 +548,7 @@ class CodazziRow(NamedTuple):
 
     coeffs maps each unknown D_am to its coefficient, at scale D^2, and the
     constant is const + root3 sqrt(3), at the state's row scale L.
-    irrational says whether the constant is a QSqrt3: whether a nonzero h
+    irrational says whether the constant is in Q(sqrt 3): whether a nonzero h
     class met a connection factor with a sqrt(3) part.
     """
 
@@ -697,9 +573,9 @@ def codazzi_scalar(
     well.
     """
     plan = _PLANS[(i, j, k, l)]
-    h = st.h_numerators()
-    dh = st.dh_numerators()
-    om = st.omega_numerators()
+    h = st.h_numerators
+    dh = st.dh_numerators
+    om = st.omega_numerators
     # for i == j both terms of an m land on one unknown and are summed
     coeffs: dict[DVar, int] = {}
     for var, key, sign in plan.dh:
@@ -721,8 +597,8 @@ def codazzi_scalar(
                 by_sigma += x * w_sigma
                 by_inv += x * w_inv
     # one integer factor takes the sums to L
-    rows = st._row_scale()
-    scale = st._omega_scale()
+    rows = st._row_scale
+    scale = st._omega_scale
     const = const * rows.const_mult
     if plan.angle:
         const -= rows.angle[(i, j)] * plan.angle
@@ -739,7 +615,7 @@ class Numerators(NamedTuple):
 
     Its coefficient of D_am is coeffs[(a, m)] / coeff_den, with only nonzero
     numerators held, and its constant is (const + root3 sqrt(3)) / const_den.
-    irrational says whether the constant reads as a QSqrt3; a numerator
+    irrational says whether the constant is in Q(sqrt 3); a numerator
     that is not flagged has no sqrt(3) part.
     """
 
@@ -754,12 +630,23 @@ class Numerators(NamedTuple):
         """Whether every numerator is zero, so the form is."""
         return not (self.const or self.root3 or self.coeffs)
 
-    def value(self) -> AffineExpr:
-        """The form as values, each numerator divided once."""
-        return AffineExpr(
-            _value(self.const, self.root3, self.irrational, self.const_den),
-            {v: Fraction(c, self.coeff_den) for v, c in self.coeffs.items()},
-        )
+    def const_detail(self):
+        """The constant as a failure's details give it: a Fraction, or where
+        it is flagged irrational its rational and sqrt(3) parts as
+        {"a", "b"}, each numerator divided once."""
+        _require_flag(self.root3, self.irrational)
+        if self.irrational:
+            return {"a": Fraction(self.const, self.const_den),
+                    "b": Fraction(self.root3, self.const_den)}
+        return Fraction(self.const, self.const_den)
+
+    def detail(self) -> dict:
+        """The form as a failure's details give it: its constant and its
+        coefficients, as Fractions."""
+        return {
+            "const": self.const_detail(),
+            "coeffs": {v: Fraction(c, self.coeff_den) for v, c in sorted(self.coeffs.items())},
+        }
 
 
 @dataclass
@@ -853,7 +740,7 @@ def eliminate_fraction_free(
 
     Each row lists integer coefficients and then its constant, which may
     take two columns, a rational and a sqrt(3) part; `irrational` flags the
-    rows whose constant is a QSqrt3.  Columns are
+    rows whose constant is in Q(sqrt 3).  Columns are
     pivoted in `order`, each on the first active row whose entry is nonzero;
     a column with none is skipped.  Every update p * r - a * pivot_row is
     one divmod by the previous pivot, so each entry stays an integer minor
@@ -861,10 +748,10 @@ def eliminate_fraction_free(
     ArithmeticError.  An update with a != 0 takes the pivot row's flag into
     the row; a row whose entry in the pivot column is zero is only rescaled
     and keeps its own, so a row is flagged exactly where value-form
-    elimination would have mixed a QSqrt3 into it.  Back substitution in
-    reverse pivot order keeps last times each solution on integers: those
-    numerators are Cramer's rule's, and each of its divisions by a pivot is
-    exact too (`divide_exactly`).
+    elimination would have mixed an element of Q(sqrt 3) into it.  Back
+    substitution in reverse pivot order keeps last times each solution on
+    integers: those numerators are Cramer's rule's, and each of its
+    divisions by a pivot is exact too (`divide_exactly`).
     """
     active = [list(r) for r in rows]
     flags = list(irrational)
@@ -933,7 +820,7 @@ def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
             const_den,
         )
 
-    p, scale = out.last, st._row_scale()
+    p, scale = out.last, st._row_scale
     final = {
         present[j]: read(nums, out.solved_irrational[j], p, p * scale.coeff_mult)
         for j, nums in out.solved.items()
@@ -966,7 +853,7 @@ def _substitute(st, row: CodazziRow, solutions: Mapping[DVar, Numerators]) -> Nu
         irrational = irrational or sol.irrational
     return Numerators(
         {v: c for v, c in coeffs.items() if c}, const, root3, irrational,
-        p * st._D * st._D, p * st._row_scale().den,
+        p * st._D * st._D, p * st._row_scale.den,
     )
 
 
@@ -1009,7 +896,7 @@ def det_product_form(v: Sequence):
 # verification checks
 
 
-def frame_relation_check(trials: int = 120, seed: int = 0) -> CheckRecord:
+def frame_relation_check(seed: int = 0, trials: int = 120) -> CheckRecord:
     """h_ij^k cos(th_j - th_k) = (eps_ijk/(2 sqrt 3) - omega_ij^k) sin(th_j - th_k).
 
     Exact identity linking the cubic-form components and the connection
@@ -1024,13 +911,13 @@ def frame_relation_check(trials: int = 120, seed: int = 0) -> CheckRecord:
     failures = []
     for n in range(trials):
         st = random_frame_state(rng, require_ec=False)
-        h = st.h_numerators()
-        om = st.omega_numerators()
-        six_q = 6 * st._cotangents()[0]
+        h = st.h_numerators
+        om = st.omega_numerators
+        six_q = 6 * st._angles.cotangents[0]
         for i, j, k in product(AXES, AXES, AXES):
             if j == k:
                 continue
-            c, s, _ = st._diffs[(j, k)]
+            c, s, _ = st._angles.diffs[(j, k)]
             if six_q * h[_H_CLASS[(i, j, k)]] * c + om[(i, j, k)] * s:
                 failures.append({"state": st.describe(), "index": (i, j, k)})
     return CheckRecord(
@@ -1072,13 +959,13 @@ def _compare_derivatives(st) -> tuple[list, list, bool]:
         return [("singular subsystem", {"free1": res1.free, "free2": res2.free})], [], False
     stray = [x for res in (res1, res2) for x in res.leftovers if not x.is_zero()]
     if stray:
-        return [("nonzero leftover constraint", repr(stray[0].value()))], [], False
+        return [("nonzero leftover constraint", stray[0].detail())], [], False
     dependent = any(
         SHARED_FREE[0] in e.coeffs for res in (res1, res2) for e in res.solutions.values()
     )
     w1, w2, w3 = st._w
     b1, b2, b3, b4 = _quartic_brackets(st._w)
-    a, thirds = st._angle_thirds()
+    a, thirds = st._angles.thirds
     t12, t13 = thirds[(1, 2)], thirds[(1, 3)]
     norm = (w1 * w1 + w2 * w2 + w3 * w3) ** 3 * st._ec_numerator()
     pairs = []
@@ -1176,7 +1063,7 @@ def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
 
 
 #: The v1 values of the axis case: four fix a cubic, the fifth probes it.
-AXIS_NODES = tuple(Fraction(k) for k in (1, 2, 3, 4, 5))
+AXIS_NODES = (1, 2, 3, 4, 5)
 
 
 def case1_leftover(w1: int) -> tuple[int, int]:
@@ -1191,7 +1078,7 @@ def _axis_case(st0) -> list:
     `AXIS_NODES`, stopping at the first node that fails."""
     vanishing = frozenset({2, 3})
     for x in AXIS_NODES:
-        st = st0.with_v([x, Fraction(0), Fraction(0)])
+        st = st0.with_v([x, 0, 0], 1)
         res = solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing)
         if len(res.leftovers) != 1 or res.leftovers[0].coeffs:
             return [("unexpected elimination shape", None)]
@@ -1200,7 +1087,7 @@ def _axis_case(st0) -> list:
         (leftover,) = res.leftovers
         if not _matches_root3(leftover, *case1_leftover(st._w[0]), 3, st._D):
             reason = "leftover is not -v1^3/sqrt(3)"
-            return [(reason, {"v1": x, "leftover": leftover.value().const})]
+            return [(reason, {"v1": x, "leftover": leftover.const_detail()})]
     return []
 
 
@@ -1217,7 +1104,7 @@ def case1_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     for n in range(trials):
         st0 = random_frame_state(rng, require_ec=False, zero=(2, 3))
         for reason, extra in _axis_case(st0):
-            failures.append({"angles": {k: st0.angles[k] for k in (1, 2)},
+            failures.append({"angles": {k: _circle(st0._angles.theta[k]) for k in (1, 2)},
                              "reason": reason, "extra": extra})
     return CheckRecord(
         check_id="axis-case",
@@ -1379,19 +1266,19 @@ def _v2_zero_case(st) -> list:
     n23, n21, den = case3_closed_forms(w1, w3)
     d23, d21 = res.solutions[(2, 3)], res.solutions[(2, 1)]
     if not (_matches_root3(d23, n23, den, 1, d) and _matches_root3(d21, n21, den, 1, d)):
-        return [("closed form mismatch", {"D23": d23.value().const, "D21": d21.value().const})]
+        return [("closed form mismatch", {"D23": d23.const_detail(), "D21": d21.const_detail()})]
     num, den = case3_leftover(w1, w3)
     left = res.leftovers
     if any(x.coeffs for x in left) or len(left) != 2 or not (
         (left[0].is_zero() and _matches_root3(left[1], num, den, 3, d))
         or (_matches_root3(left[0], num, den, 3, d) and left[1].is_zero())
     ):
-        consts = [x.value().const for x in left]
+        consts = [x.const_detail() for x in left]
         return [("leftovers are not 0 and the forcing leftover", {"leftovers": consts})]
     return []
 
 
-def case3_check(trials: int = 60, seed: int = 0) -> CheckRecord:
+def case3_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     """The case v2 = 0: the rows alone force v3 = 0, for every angle.
 
     At exact states with v2 = 0, v1 v3 != 0 and free rational angles, the

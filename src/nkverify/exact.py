@@ -179,14 +179,6 @@ def divide_exactly(x: int, d: int) -> int:
     return q
 
 
-#: sqrt(3) as a field element.
-SQRT3 = QSqrt3(0, 1)
-#: 1/sqrt(3) == sqrt(3)/3.
-INV_SQRT3 = QSqrt3(0, Fraction(1, 3))
-#: 1/(2*sqrt(3)) == sqrt(3)/6.
-HALF_INV_SQRT3 = QSqrt3(0, Fraction(1, 6))
-
-
 @dataclass(frozen=True)
 class CirclePoint:
     """An exact point (c, s) on the unit circle: c**2 + s**2 == 1 over Q.

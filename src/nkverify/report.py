@@ -16,8 +16,6 @@ from typing import Any
 
 import numpy as np
 
-from .exact import CirclePoint, QSqrt3
-
 
 def max_keep_nan(*values):
     """max(values), except that a NaN among them is the result.
@@ -63,10 +61,6 @@ def jsonable(x: Any) -> Any:
         return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, QSqrt3):
-        return {"a": jsonable(x.a), "b": jsonable(x.b)}
-    if isinstance(x, CirclePoint):
-        return {"c": jsonable(x.c), "s": jsonable(x.s)}
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple, set, frozenset)):

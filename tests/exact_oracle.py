@@ -7,17 +7,22 @@ and substituted into the others, and the solutions were back-substituted in
 reverse pivot order.  That code lives here as an
 independent reference.  Its tables come from the dense formulas below, not
 from the module's numerators, so it shares nothing with the solver under test
-but the state's v and its angle data and the AffineExpr container, whose
-arithmetic is here too.  The constants the formulas need (0, 1/3,
-1/(2 sqrt 3), 1/sqrt(3) and sin 2(theta_a - theta_b)) come from a ring
-object, `ExactRing` by default, so the same formulas also run on a float
-view of a state.
+but the state's integers.  The constants the formulas need (0, 1/3,
+1/(2 sqrt 3), 1/sqrt(3) and sin 2(theta_a - theta_b)) and the state's v and
+cotangents come from a ring object, `ExactRing` by default, so the same
+formulas also run on the state read as doubles.
 
-The checks decide on integer numerators.  The value forms they compared
-before are kept here: a solve read into values (`solve_values`), the
+A state holds only integers; the value view of it is here: v as Fractions
+(`v_of`), the angles as circle points (`angles_of`), the cotangents
+(`cot`), and the constructor from Fraction v and circle points
+(`frame_state`).  The checks decide on integer numerators.  The value forms
+they compared before are kept here: the affine forms (`AffineExpr`), a row
+or a solve read into values (`codazzi_values`, `solve_values`), the
 compatibility forms, the closed forms of the axis, null-axis and v2 = 0
 cases in Fraction and Q(sqrt 3), and each case's verdict at one state
-computed from those, to be held against the checks' integer verdicts.
+computed from those, to be held against the checks' integer verdicts.  A
+value becomes a failure's detail through `detail`, the JSON that the report
+gave QSqrt3 and CirclePoint values.
 
 It also keeps the circle arithmetic in Fraction that exact states used
 before they held their angles as integer triples: sums, differences and
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from typing import Mapping
 
 from nkverify import codazzi
 from nkverify.codazzi import (
@@ -41,19 +48,21 @@ from nkverify.codazzi import (
     SET2_TRIPLES,
     SET2_UNKNOWNS,
     SHARED_FREE,
-    AffineExpr,
+    DVar,
+    FrameState,
+    Numerators,
     SolveResult,
     delta,
     epsilon,
 )
-from nkverify.exact import (
-    HALF_INV_SQRT3,
-    INV_SQRT3,
-    SQRT3,
-    CirclePoint,
-    QSqrt3,
-    rat_circle_point,
-)
+from nkverify.exact import CirclePoint, QSqrt3, rat_circle_point
+
+#: sqrt(3) as a field element.
+SQRT3 = QSqrt3(0, 1)
+#: 1/sqrt(3) == sqrt(3)/3.
+INV_SQRT3 = QSqrt3(0, Fraction(1, 3))
+#: 1/(2*sqrt(3)) == sqrt(3)/6.
+HALF_INV_SQRT3 = QSqrt3(0, Fraction(1, 6))
 
 # ---------------------------------------------------------------------------
 # circle arithmetic
@@ -91,6 +100,64 @@ def angle_sub(p: CirclePoint, q: CirclePoint) -> CirclePoint:
     return on_circle(p.c * q.c + p.s * q.s, p.s * q.c - p.c * q.s)
 
 
+# ---------------------------------------------------------------------------
+# the value view of a state
+
+
+def integers(v) -> tuple[list[int], int]:
+    """Rational v as (w, D): D the lcm of the denominators and w = D v."""
+    v = [Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def frame_state(v, theta1: CirclePoint, theta2: CirclePoint) -> FrameState:
+    """The state at rational v and two circle points, each point in lowest
+    terms as its triple (C, S, E)."""
+    return FrameState(
+        *integers(v), *((p.c.numerator, p.s.numerator, p.c.denominator) for p in (theta1, theta2))
+    )
+
+
+def v_of(st) -> dict[int, Fraction]:
+    """v as Fractions, w / D."""
+    return {m: Fraction(x, st._D) for m, x in zip(AXES, st._w)}
+
+
+def angles_of(st) -> dict[int, CirclePoint]:
+    """theta1, theta2 and theta3 as circle points."""
+    return {
+        a: CirclePoint(Fraction(c, e), Fraction(s, e)) for a, (c, s, e) in st._angles.theta.items()
+    }
+
+
+def cot(st, a: int, b: int) -> Fraction:
+    """cot(theta_a - theta_b), from the state's triple of the difference."""
+    c, s, _ = st._angles.diffs[(a, b)]
+    return Fraction(c, s)
+
+
+def detail(x):
+    """A value as a failure's details give it: a QSqrt3 as {"a", "b"}, a
+    circle point as {"c", "s"}, a rational as a Fraction, and containers
+    item by item."""
+    if isinstance(x, QSqrt3):
+        return {"a": x.a, "b": x.b}
+    if isinstance(x, CirclePoint):
+        return {"c": x.c, "s": x.s}
+    if isinstance(x, dict):
+        return {k: detail(y) for k, y in x.items()}
+    if isinstance(x, list):
+        return [detail(y) for y in x]
+    return Fraction(x)
+
+
+def describe(st) -> dict:
+    """`FrameState.describe` from the value view."""
+    angles = angles_of(st)
+    return detail({"v": [v_of(st)[m] for m in AXES], "theta1": angles[1], "theta2": angles[2]})
+
+
 def fraction_frame_state(rng, require_ec=True, nonzero=(), zero=()):
     """`random_frame_state` as it drew in Fraction arithmetic: each v_m and
     each half-angle parameter t a Fraction, and the angles through
@@ -109,7 +176,7 @@ def fraction_frame_state(rng, require_ec=True, nonzero=(), zero=()):
         t1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         t2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         try:
-            st = codazzi.FrameState(v, rat_circle_point(t1), rat_circle_point(t2))
+            st = frame_state(v, rat_circle_point(t1), rat_circle_point(t2))
         except ValueError:
             continue
         if require_ec and ec_value(st) == 0:
@@ -120,6 +187,20 @@ def fraction_frame_state(rng, require_ec=True, nonzero=(), zero=()):
 
 # ---------------------------------------------------------------------------
 # affine arithmetic and angle data in values
+
+
+class AffineExpr:
+    """A scalar of the form const + sum coeffs[(i,m)] * D_im, as values."""
+
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, const, coeffs: Mapping[DVar, object] | None = None) -> None:
+        self.const = const
+        self.coeffs: dict[DVar, object] = dict(coeffs) if coeffs else {}
+
+    def __repr__(self) -> str:
+        terms = "".join(f" + ({c})*D{v}" for v, c in sorted(self.coeffs.items()))
+        return f"AffineExpr({self.const}{terms})"
 
 
 def coeff(e: AffineExpr, var, zero):
@@ -155,14 +236,31 @@ def subst(e: AffineExpr, var, expr: AffineExpr) -> AffineExpr:
 
 def sin2(st, a: int, b: int) -> Fraction:
     """sin 2(theta_a - theta_b) of an exact state, from its integer triple."""
-    c, s, e = st._diffs[(a, b)]
+    c, s, e = st._angles.diffs[(a, b)]
     return Fraction(2 * s * c, e * e)
 
 
 def ec_value(st) -> Fraction:
     """4 v1^2 - 3 (v2^2 + v3^2), in Fraction arithmetic on v."""
-    v1, v2, v3 = (st.v[m] for m in AXES)
+    v1, v2, v3 = (v_of(st)[m] for m in AXES)
     return 4 * v1 * v1 - 3 * (v2 * v2 + v3 * v3)
+
+
+def _value(const: int, root3: int, irrational: bool, den: int):
+    """const + root3 sqrt(3) over den, divided once: a QSqrt3 where the
+    numerator is flagged irrational, else a Fraction."""
+    codazzi._require_flag(root3, irrational)
+    if irrational:
+        return QSqrt3(Fraction(const, den), Fraction(root3, den))
+    return Fraction(const, den)
+
+
+def numerator_values(e: Numerators) -> AffineExpr:
+    """A form's numerators as values, each divided once."""
+    return AffineExpr(
+        _value(e.const, e.root3, e.irrational, e.const_den),
+        {v: Fraction(c, e.coeff_den) for v, c in e.coeffs.items()},
+    )
 
 
 def codazzi_values(st, row) -> AffineExpr:
@@ -173,7 +271,7 @@ def codazzi_values(st, row) -> AffineExpr:
     """
     d2 = st._D * st._D
     return AffineExpr(
-        codazzi._value(row.const, row.root3, row.irrational, st._row_scale().den),
+        _value(row.const, row.root3, row.irrational, st._row_scale.den),
         {v: Fraction(c, d2) for v, c in row.coeffs.items()},
     )
 
@@ -181,9 +279,9 @@ def codazzi_values(st, row) -> AffineExpr:
 def solve_values(res: SolveResult) -> SolveResult:
     """A solve with its numerators read into values."""
     return SolveResult(
-        solutions={u: e.value() for u, e in res.solutions.items()},
-        extras={u: e.value() for u, e in res.extras.items()},
-        leftovers=[e.value() for e in res.leftovers],
+        solutions={u: numerator_values(e) for u, e in res.solutions.items()},
+        extras={u: numerator_values(e) for u, e in res.extras.items()},
+        leftovers=[numerator_values(e) for e in res.leftovers],
         rank=res.rank,
         n_rows=res.n_rows,
         free=res.free,
@@ -195,12 +293,15 @@ def solve_values(res: SolveResult) -> SolveResult:
 
 
 class ExactRing:
-    """The constants of the dense formulas, in Q(sqrt(3))."""
+    """The constants of the dense formulas, in Q(sqrt(3)), and the state's
+    v, cotangents and doubled-angle sines as values."""
 
     zero = Fraction(0)
     third = Fraction(1, 3)
     sigma = HALF_INV_SQRT3
     inv_sqrt3 = INV_SQRT3
+    v = staticmethod(v_of)
+    cot = staticmethod(cot)
     sin2 = staticmethod(sin2)
 
 
@@ -234,19 +335,20 @@ def dense_dh(v) -> dict:
 def dense_omega(st, ring=ExactRing) -> dict:
     """The connection components by their nine displayed formulas, with one
     `cot` call per use, as values (Fraction or QSqrt3)."""
-    v1, v2, v3 = st.v[1], st.v[2], st.v[3]
+    v = ring.v(st)
+    v1, v2, v3 = v[1], v[2], v[3]
     q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
     five_v = 5 * v1 * v2 * v3
     displays = {
-        (1, 1, 2): -v2 * (-4 * q1 + q2 + q3) * st.cot(1, 2),
-        (1, 1, 3): -v3 * (-4 * q1 + q2 + q3) * st.cot(1, 3),
-        (2, 2, 1): -v1 * (q1 - 4 * q2 + q3) * st.cot(2, 1),
-        (2, 2, 3): -v3 * (q1 - 4 * q2 + q3) * st.cot(2, 3),
-        (3, 3, 1): -v1 * (q1 + q2 - 4 * q3) * st.cot(3, 1),
-        (3, 3, 2): -v2 * (q1 + q2 - 4 * q3) * st.cot(3, 2),
-        (1, 2, 3): ring.sigma + five_v * st.cot(2, 3),
-        (2, 3, 1): ring.sigma + five_v * st.cot(3, 1),
-        (3, 1, 2): ring.sigma + five_v * st.cot(1, 2),
+        (1, 1, 2): -v2 * (-4 * q1 + q2 + q3) * ring.cot(st, 1, 2),
+        (1, 1, 3): -v3 * (-4 * q1 + q2 + q3) * ring.cot(st, 1, 3),
+        (2, 2, 1): -v1 * (q1 - 4 * q2 + q3) * ring.cot(st, 2, 1),
+        (2, 2, 3): -v3 * (q1 - 4 * q2 + q3) * ring.cot(st, 2, 3),
+        (3, 3, 1): -v1 * (q1 + q2 - 4 * q3) * ring.cot(st, 3, 1),
+        (3, 3, 2): -v2 * (q1 + q2 - 4 * q3) * ring.cot(st, 3, 2),
+        (1, 2, 3): ring.sigma + five_v * ring.cot(st, 2, 3),
+        (2, 3, 1): ring.sigma + five_v * ring.cot(st, 3, 1),
+        (3, 1, 2): ring.sigma + five_v * ring.cot(st, 1, 2),
     }
     out = {}
     for i, j, k in product(AXES, AXES, AXES):
@@ -266,7 +368,7 @@ def dense_tables(st, ring=ExactRing):
     index the state's table computes it at; the shifted entry subtracts
     eps/sqrt(3) only where eps != 0, so a rational omega stays a Fraction.
     """
-    v = [st.v[m] for m in AXES]
+    v = [ring.v(st)[m] for m in AXES]
     full_h, full_dh = dense_h(v), dense_dh(v)
     h = {key: full_h[tuple(sorted(key))] for key in full_h}
     dh = {(j, k, l, m): full_dh[(*sorted((j, k, l)), m)] for j, k, l, m in full_dh}
@@ -370,19 +472,19 @@ def rational(x) -> Fraction:
 
 def compat_form_1(st):
     """F1: the first bracketed compatibility form (without the v1 v2 prefactor)."""
-    b1, b2, _, _ = codazzi._quartic_brackets([st.v[m] for m in AXES])
+    b1, b2, _, _ = codazzi._quartic_brackets([v_of(st)[m] for m in AXES])
     return b1 * sin2(st, 1, 2) - b2 * sin2(st, 1, 3)
 
 
 def compat_form_2(st):
     """F2: the second bracketed compatibility form (without the v1 v3 prefactor)."""
-    _, _, b3, b4 = codazzi._quartic_brackets([st.v[m] for m in AXES])
+    _, _, b3, b4 = codazzi._quartic_brackets([v_of(st)[m] for m in AXES])
     return b3 * sin2(st, 1, 2) - b4 * sin2(st, 1, 3)
 
 
 def case2_displays(st) -> tuple[AffineExpr, AffineExpr]:
     """The displayed pair of conditions on x = E_1(v_3) for the case v1 = 0."""
-    v2, v3 = st.v[2], st.v[3]
+    v2, v3 = v_of(st)[2], v_of(st)[3]
     q2, q3 = v2 * v2, v3 * v3
     first = AffineExpr(
         v3 * (3 * q2 ** 2 - q2 * q3 + q3 ** 2),
@@ -434,17 +536,20 @@ def compare_derivatives_values(st) -> tuple[list, list, bool]:
         return [("singular subsystem", {"free1": res1.free, "free2": res2.free})], [], False
     stray = [x for res in (res1, res2) for x in res.leftovers if _nonzero(x)]
     if stray:
-        return [("nonzero leftover constraint", repr(stray[0]))], [], False
+        leftover = stray[0]
+        form = {"const": leftover.const, "coeffs": dict(sorted(leftover.coeffs.items()))}
+        return [("nonzero leftover constraint", detail(form))], [], False
     dependent = any(
         coeff(e, SHARED_FREE[0], Fraction(0)) != 0
         for res in (res1, res2) for e in res.solutions.values()
     )
-    w = st.v[1] ** 2 + st.v[2] ** 2 + st.v[3] ** 2
+    v = v_of(st)
+    w = v[1] ** 2 + v[2] ** 2 + v[3] ** 2
     norm = w ** 3 * ec_value(st)
     pairs = []
     for label, var, prod in (
-        ("K2", (1, 2), st.v[1] * st.v[2] * compat_form_1(st)),
-        ("K3", (1, 3), st.v[1] * st.v[3] * compat_form_2(st)),
+        ("K2", (1, 2), v[1] * v[2] * compat_form_1(st)),
+        ("K3", (1, 3), v[1] * v[3] * compat_form_2(st)),
     ):
         diff = sub(res1.solutions[var], res2.solutions[var])
         if any(c != 0 for c in diff.coeffs.values()):
@@ -471,7 +576,7 @@ def axis_case_values(st0) -> list:
     QSqrt3(0, -v1^3/3)."""
     vanishing = frozenset({2, 3})
     for x in AXIS_NODES:
-        st = st0.with_v([x, Fraction(0), Fraction(0)])
+        st = st0.with_v([x, 0, 0], 1)
         res = solve_values(
             codazzi.solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing)
         )
@@ -480,8 +585,8 @@ def axis_case_values(st0) -> list:
         if _nonzero(res.solutions[(2, 1)]):
             return [("D_21 not forced to zero", None)]
         leftover = res.leftovers[0].const
-        if leftover != QSqrt3(0, -x ** 3 / 3):
-            return [("leftover is not -v1^3/sqrt(3)", {"v1": x, "leftover": leftover})]
+        if leftover != QSqrt3(0, Fraction(-x ** 3, 3)):
+            return [("leftover is not -v1^3/sqrt(3)", {"v1": x, "leftover": detail(leftover)})]
     return []
 
 
@@ -502,7 +607,7 @@ def null_axis_case_values(st) -> list:
     if _nonzero(rows[0]):
         return [("first substituted row does not vanish", None)]
     first, second = case2_displays(st)
-    clear = SQRT3 * (3 * st.v[2] ** 2 + st.v[3] ** 2)
+    clear = SQRT3 * (3 * v_of(st)[2] ** 2 + v_of(st)[3] ** 2)
     failed = [
         ("clearing factor mismatch", label)
         for diffed, label in (
@@ -515,7 +620,7 @@ def null_axis_case_values(st) -> list:
         return failed
     zero = Fraction(0)
     resultant = first.const * coeff(second, x, zero) - second.const * coeff(first, x, zero)
-    if resultant - case2_resultant(st.v[2], st.v[3]) != 0:
+    if resultant - case2_resultant(v_of(st)[2], v_of(st)[3]) != 0:
         return [("eliminant closed form mismatch", None)]
     if resultant == 0:
         return [("displayed pair unexpectedly compatible", None)]
@@ -530,12 +635,12 @@ def v2_zero_case_values(st) -> list:
     )
     if res.free or any(e.coeffs for e in res.solutions.values()):
         return [("derivatives not pinned", res.free)]
-    v1, v3 = st.v[1], st.v[3]
+    v1, v3 = v_of(st)[1], v_of(st)[3]
     got = (res.solutions[(2, 3)].const, res.solutions[(2, 1)].const)
     if got != case3_closed_forms(v1, v3):
-        return [("closed form mismatch", {"D23": got[0], "D21": got[1]})]
+        return [("closed form mismatch", detail({"D23": got[0], "D21": got[1]}))]
     consts = [x.const for x in res.leftovers]
     forcing = case3_leftover(v1, v3)
     if any(x.coeffs for x in res.leftovers) or consts not in ([0, forcing], [forcing, 0]):
-        return [("leftovers are not 0 and the forcing leftover", {"leftovers": consts})]
+        return [("leftovers are not 0 and the forcing leftover", {"leftovers": detail(consts)})]
     return []

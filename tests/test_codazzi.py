@@ -1,6 +1,7 @@
 """Tests for the exact Codazzi verification: tables, solver, case checks."""
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,6 @@ from nkverify.codazzi import (
     SET2_TRIPLES,
     SET2_UNKNOWNS,
     SHARED_FREE,
-    AffineExpr,
     FrameState,
     Numerators,
     case1_check,
@@ -46,27 +46,34 @@ from nkverify.codazzi import (
     _case2_displays,
     _DH_CLASS,
     _H_CLASS,
-    _value,
 )
-from nkverify.exact import HALF_INV_SQRT3, QSqrt3, rat_circle_point
+from nkverify.exact import CirclePoint, QSqrt3, rat_circle_point
 from nkverify.humfit import build_h_from_V
+from nkverify.report import jsonable
 
 import exact_oracle
 from exact_oracle import (
+    HALF_INV_SQRT3,
+    AffineExpr,
     angle_add,
     angle_sub,
+    angles_of,
     codazzi_values,
     compat_form_2,
     conjugate,
+    cot,
     dense_dh,
     dense_h,
     dense_scalar,
     dense_tables,
     ec_value,
+    frame_state,
+    integers,
     oracle_solve,
     sin2,
     solve_values,
     subst,
+    v_of,
 )
 
 small_fractions = st.fractions(
@@ -100,21 +107,21 @@ def _class_values(table: dict, classes: dict, den) -> dict:
 def _connection_values(st_, root3) -> dict:
     """omega's rational numerators plus root3 eps_ijk sqrt(3), over omega's
     scale: a QSqrt3 where i, j, k are distinct."""
-    den = st_._omega_scale().den
+    den = st_._omega_scale.den
     return {
-        key: _value(x, root3 * epsilon(*key), epsilon(*key) != 0, den)
-        for key, x in st_.omega_numerators().items()
+        key: exact_oracle._value(x, root3 * epsilon(*key), epsilon(*key) != 0, den)
+        for key, x in st_.omega_numerators.items()
     }
 
 
 def _omega_values(st_) -> dict:
-    return _connection_values(st_, st_._omega_scale().sigma)
+    return _connection_values(st_, st_._omega_scale.sigma)
 
 
 def _shifted_values(st_) -> dict:
     """The shifted connection omega_im^l - eps_iml/sqrt(3) as values: omega's
     rational part, and the sqrt(3) part (sigma - iota) eps_iml."""
-    scale = st_._omega_scale()
+    scale = st_._omega_scale
     return _connection_values(st_, scale.sigma - scale.inv_sqrt3)
 
 
@@ -211,14 +218,14 @@ def _assert_tables_match_dense(st_) -> None:
     shifted connection over omega's scale, and every Codazzi row read by
     `codazzi_values`, match the dense formulas with == and have their type,
     with and without the state's zero components vanishing."""
-    v = [st_.v[m] for m in AXES]
+    v = [v_of(st_)[m] for m in AXES]
     d = st_._D
-    h_num, full_h = st_.h_numerators(), dense_h(v)
+    h_num, full_h = st_.h_numerators, dense_h(v)
     assert sorted(h_num) == sorted(set(_H_CLASS.values()))
     for key, rep in _H_CLASS.items():
         assert type(h_num[rep]) is int
         _assert_same(Fraction(h_num[rep], d ** 3), full_h[key])
-    dh_num, full_dh = st_.dh_numerators(), dense_dh(v)
+    dh_num, full_dh = st_.dh_numerators, dense_dh(v)
     assert sorted(dh_num) == sorted(set(_DH_CLASS.values()))
     for key, rep in _DH_CLASS.items():
         assert type(dh_num[rep]) is int
@@ -260,7 +267,7 @@ def _coprime_states(seed: int, n: int) -> list[FrameState]:
         t1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         t2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         try:
-            out.append(FrameState(v, rat_circle_point(t1), rat_circle_point(t2)))
+            out.append(frame_state(v, rat_circle_point(t1), rat_circle_point(t2)))
         except ValueError:
             continue
     return out
@@ -273,7 +280,7 @@ def _axis_states(seed: int, n: int) -> list[FrameState]:
     out = []
     for _ in range(n):
         st0 = random_frame_state(rng, require_ec=False, zero=(2, 3))
-        out.extend(st0.with_v([Fraction(x), Fraction(0), Fraction(0)]) for x in range(1, 6))
+        out.extend(st0.with_v([x, 0, 0], 1) for x in range(1, 6))
     return out
 
 
@@ -285,9 +292,9 @@ def test_exact_tables_match_dense_formulas(zero) -> None:
         st_ = random_frame_state(rng, require_ec=False, zero=zero)
         _assert_tables_match_dense(st_)
         # exact values do not depend on the order of the factors
-        v, d = [st_.v[m] for m in AXES], st_._D
-        assert _class_values(st_.h_numerators(), _H_CLASS, d ** 3) == dense_h(v)
-        assert _class_values(st_.dh_numerators(), _DH_CLASS, d ** 2) == dense_dh(v)
+        v, d = [v_of(st_)[m] for m in AXES], st_._D
+        assert _class_values(st_.h_numerators, _H_CLASS, d ** 3) == dense_h(v)
+        assert _class_values(st_.dh_numerators, _DH_CLASS, d ** 2) == dense_dh(v)
 
 
 @pytest.mark.parametrize("states", [_coprime_states, _axis_states])
@@ -298,7 +305,9 @@ def test_exact_tables_match_dense_formulas_on_integer_edge_states(states) -> Non
 
 
 class _FloatRing:
-    """The constants of exact_oracle's dense formulas as doubles."""
+    """The constants of exact_oracle's dense formulas, and a state's v and
+    angle data, as doubles: with it the dense formulas run in float
+    arithmetic, with no Fraction or QSqrt3 operation."""
 
     zero = 0.0
     third = 1 / 3
@@ -306,21 +315,16 @@ class _FloatRing:
     inv_sqrt3 = 1 / math.sqrt(3)
 
     @staticmethod
-    def sin2(view, a: int, b: int) -> float:
-        return float(sin2(view._st, a, b))
+    def v(st_) -> dict[int, float]:
+        return {m: float(x) for m, x in v_of(st_).items()}
 
+    @staticmethod
+    def cot(st_, a: int, b: int) -> float:
+        return float(cot(st_, a, b))
 
-class _FloatView:
-    """An exact state's v and angle data read as doubles: with `_FloatRing`,
-    the dense formulas of exact_oracle run in float arithmetic, with no
-    Fraction or QSqrt3 operation."""
-
-    def __init__(self, st_: FrameState) -> None:
-        self._st = st_
-        self.v = {m: float(st_.v[m]) for m in AXES}
-
-    def cot(self, a: int, b: int) -> float:
-        return float(self._st.cot(a, b))
+    @staticmethod
+    def sin2(st_, a: int, b: int) -> float:
+        return float(sin2(st_, a, b))
 
 
 def _dyadic_states(rng: random.Random, zero, n: int) -> list[FrameState]:
@@ -333,7 +337,7 @@ def _dyadic_states(rng: random.Random, zero, n: int) -> list[FrameState]:
         t1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         t2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         try:
-            out.append(FrameState(v, rat_circle_point(t1), rat_circle_point(t2)))
+            out.append(frame_state(v, rat_circle_point(t1), rat_circle_point(t2)))
         except ValueError:
             continue
     return out
@@ -346,13 +350,13 @@ def test_float_tables_match_dense_formulas_exactly(zero) -> None:
     # agree with ==, at every key, permuted ones included
     rng = random.Random(40 + len(zero))
     for st_ in _dyadic_states(rng, zero, 8):
-        fv = [float(st_.v[m]) for m in AXES]
+        fv = [float(v_of(st_)[m]) for m in AXES]
         assert all(fv[m - 1] == 0 for m in zero)
         d = st_._D
         h_float, dh_float = dense_h(fv), dense_dh(fv)
         fit_array = np.asarray(build_h_from_V(fv))
-        h_exact = _class_values(st_.h_numerators(), _H_CLASS, d ** 3)
-        dh_exact = _class_values(st_.dh_numerators(), _DH_CLASS, d ** 2)
+        h_exact = _class_values(st_.h_numerators, _H_CLASS, d ** 3)
+        dh_exact = _class_values(st_.dh_numerators, _DH_CLASS, d ** 2)
         for i, j, k in product(AXES, AXES, AXES):
             want = float(h_exact[(i, j, k)])
             assert h_float[(i, j, k)] == want == fit_array[i - 1, j - 1, k - 1], (i, j, k)
@@ -400,21 +404,21 @@ def test_frame_state_angle_differences_match_angle_sub() -> None:
         p = rat_circle_point(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         q = rat_circle_point(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         try:
-            st0 = FrameState(_random_v(rng), p, q)
+            st0 = frame_state(_random_v(rng), p, q)
         except ValueError:
             continue
         angles = {1: p, 2: q, 3: conjugate(angle_add(p, q))}
-        for st_ in [st0] + [st0.with_v(_random_v(rng)) for _ in range(4)]:
-            assert st_.angles == angles
-            den, thirds = st_._angle_thirds()
+        for st_ in [st0] + [st0.with_v(*integers(_random_v(rng))) for _ in range(4)]:
+            assert angles_of(st_) == angles
+            den, thirds = st_._angles.thirds
             for a, b in product(AXES, AXES):
-                c, s, e = st_._diffs[(a, b)]
+                c, s, e = st_._angles.diffs[(a, b)]
                 want = angle_sub(angles[a], angles[b])
                 assert (Fraction(c, e), Fraction(s, e)) == (want.c, want.s)
                 assert Fraction(3 * thirds[(a, b)], den) == 2 * want.s * want.c
                 if a != b:
-                    assert st_.cot(a, b) == want.c / want.s
-            v1, v2, v3 = (st_.v[m] for m in AXES)
+                    assert cot(st_, a, b) == want.c / want.s
+            v1, v2, v3 = (v_of(st_)[m] for m in AXES)
             gate = Fraction(st_._ec_numerator(), st_._D ** 2)
             assert gate == 4 * v1 ** 2 - 3 * (v2 ** 2 + v3 ** 2)
             checked += 1
@@ -435,7 +439,7 @@ def test_exact_states_are_drawn_without_fraction_arithmetic(monkeypatch) -> None
         for _ in range(200):
             st0 = random_frame_state(rng)
             states.append(st0)
-            states.extend(st0.with_v(_random_v(rng)) for _ in range(4))
+            states.extend(st0.with_v(*integers(_random_v(rng))) for _ in range(4))
     assert len(states) == 1000
     assert all(ec_value(st_) != 0 for st_ in states[::5])
 
@@ -444,7 +448,8 @@ def test_exact_states_are_drawn_without_fraction_arithmetic(monkeypatch) -> None
 def test_integer_draw_matches_the_fraction_draw(zero) -> None:
     # the draw straight into w, D and the half-angle triples makes the
     # Fraction draw's RNG calls in its order, and its states read back the
-    # same v, angles and descriptions, with the same angle data
+    # same v, angles and descriptions, with the same angle data; the
+    # description, built from the integers, is the value view's
     kw = {"zero": zero, "nonzero": tuple(m for m in AXES if m not in zero)[:2]}
     for require_ec in (True, False):
         if require_ec and zero == (1, 2, 3):
@@ -454,10 +459,11 @@ def test_integer_draw_matches_the_fraction_draw(zero) -> None:
             st_ = random_frame_state(rng, require_ec=require_ec, **kw)
             ref = exact_oracle.fraction_frame_state(ref_rng, require_ec=require_ec, **kw)
             assert rng.getstate() == ref_rng.getstate()
-            assert st_.describe() == ref.describe() and st_.angles == ref.angles
+            assert st_.describe() == exact_oracle.describe(ref) == ref.describe()
+            assert angles_of(st_) == angles_of(ref)
             assert (st_._w, st_._D) == (ref._w, ref._D)
-            assert st_._cotangents() == ref._cotangents()
-            assert st_._angle_thirds() == ref._angle_thirds()
+            assert st_._angles.cotangents == ref._angles.cotangents
+            assert st_._angles.thirds == ref._angles.thirds
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +483,12 @@ def test_omega_spot_values() -> None:
     om = _omega_values(st_)
     assert om[(1, 2, 3)] == HALF_INV_SQRT3
     assert om[(2, 3, 1)] == HALF_INV_SQRT3
-    st2 = FrameState(
+    st2 = frame_state(
         [Fraction(0), Fraction(1), Fraction(0)],
         rat_circle_point(Fraction(1, 3)),
         rat_circle_point(Fraction(1, 7)),
     )
-    assert _omega_values(st2)[(1, 1, 2)] == -st2.cot(1, 2)
+    assert _omega_values(st2)[(1, 1, 2)] == -cot(st2, 1, 2)
 
 
 def test_frame_relation_identity() -> None:
@@ -497,14 +503,15 @@ def test_frame_relation_identity() -> None:
 def test_state_rejects_equal_angles() -> None:
     p = rat_circle_point(Fraction(2, 5))
     with pytest.raises(ValueError):
-        FrameState([Fraction(1), Fraction(1), Fraction(1)], p, p)
+        frame_state([Fraction(1), Fraction(1), Fraction(1)], p, p)
 
 
 def test_random_state_honors_pins() -> None:
     rng = random.Random(4)
     for _ in range(20):
         st_ = random_frame_state(rng, require_ec=True, zero=(2,), nonzero=(1, 3))
-        assert st_.v[2] == 0 and st_.v[1] != 0 and st_.v[3] != 0
+        v = v_of(st_)
+        assert v[2] == 0 and v[1] != 0 and v[3] != 0
         assert ec_value(st_) != 0
 
 
@@ -541,7 +548,7 @@ def test_repeated_direction_components_vanish_identically() -> None:
 
 def test_zero_v_rows_are_inconsistent() -> None:
     # at v = 0 the unknowns drop out but an angle term survives: no solution
-    st_ = FrameState(
+    st_ = frame_state(
         [Fraction(0)] * 3,
         rat_circle_point(Fraction(1, 2)),
         rat_circle_point(Fraction(1, 5)),
@@ -684,16 +691,15 @@ def _float_replay_mismatches(st_, shape, rng: random.Random) -> list:
 
     Every variable the solve leaves unpinned gets a random rational value,
     the solutions and extras are evaluated there exactly, and each dense row,
-    built in doubles on the state's `_FloatView` with `_FloatRing`, is evaluated there.  Sorted,
-    the residuals must be `rank` zeros (the pivot rows) and the leftovers'
+    built in doubles with `_FloatRing`, is evaluated there.  Sorted, the
+    residuals must be `rank` zeros (the pivot rows) and the leftovers'
     values, to rounding: 1e-12 of the largest row's sum of absolute terms.
     """
     triples, unknowns, vanishing, free_vars = shape
     res = _exact_solve(st_, *shape)
-    fst = _FloatView(st_)
-    tables = dense_tables(fst, _FloatRing)
+    tables = dense_tables(st_, _FloatRing)
     rows = [
-        dense_scalar(fst, tables, i, j, k, l, vanishing, _FloatRing)
+        dense_scalar(st_, tables, i, j, k, l, vanishing, _FloatRing)
         for i, j, k in triples for l in AXES
     ]
     solved = {**res.solutions, **res.extras}
@@ -853,7 +859,7 @@ def test_exact_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
     # Fraction built and no QSqrt3 touched; those come only when the results
     # are read
     st_ = _state(10, nonzero=(1, 2, 3))
-    st_._row_scale()
+    st_._row_scale
 
     def refuse(*args, **kw):
         raise AssertionError("field arithmetic inside the row build or the elimination")
@@ -877,18 +883,19 @@ def test_exact_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
     assert all(type(prow[j]) is int for j, prow in out.pivots)
 
 
-def test_mutant_dh_numerator_fails_the_checks_as_records(monkeypatch) -> None:
+def _dh_off_by_one(real):
     # one dh numerator, d h_11^2 / d v_1 (one class), off by one: the rows
-    # stay integer, so every division stays exact, and the checks must
-    # report the wrong rows as failures
-    real = codazzi.hijk_gradient
-
-    def off_by_one(v):
+    # stay integer, so every division stays exact
+    def mutant(v):
         dh = dict(real(v))
         dh[(1, 1, 2, 1)] = dh[(1, 1, 2, 1)] + 1
         return dh
+    return mutant
 
-    monkeypatch.setattr(codazzi, "hijk_gradient", off_by_one)
+
+def test_mutant_dh_numerator_fails_the_checks_as_records(monkeypatch) -> None:
+    # the checks must report the wrong rows as failures
+    monkeypatch.setattr(codazzi, "hijk_gradient", _dh_off_by_one(codazzi.hijk_gradient))
     for rec in (system1_check(seed=20, trials=10), case1_check(seed=22, trials=5)):
         assert not rec.passed and rec.failures, rec.check_id
 
@@ -1011,20 +1018,22 @@ def test_case1_forces_v1_zero() -> None:
     assert rec.details["constraint"] == "(-1/sqrt(3)) v1^3 = 0"
 
 
-def test_case1_probes_the_fifth_node(monkeypatch) -> None:
-    # four nodes fix a cubic; a leftover that leaves -v1^3/sqrt(3) only at
-    # the fifth node must still fail.  The leftover's constant numerator
-    # gains its scale, so its value gains 1
-    real = codazzi.solve_triple_system
-
-    def off_at_five(st_, triples, unknowns, vanishing=frozenset(), free_vars=()):
+def _off_at_five(real):
+    # the axis case's leftover at v1 = 5 only: its constant numerator gains
+    # its scale, so its value gains 1
+    def mutant(st_, triples, unknowns, vanishing=frozenset(), free_vars=()):
         res = real(st_, triples, unknowns, vanishing, free_vars)
-        if st_.v[1] == 5:
+        if st_._w[0] == 5 * st_._D:
             (left,) = res.leftovers
             res.leftovers = [left._replace(const=left.const + left.const_den)]
         return res
+    return mutant
 
-    monkeypatch.setattr(codazzi, "solve_triple_system", off_at_five)
+
+def test_case1_probes_the_fifth_node(monkeypatch) -> None:
+    # four nodes fix a cubic; a leftover that leaves -v1^3/sqrt(3) only at
+    # the fifth node must still fail
+    monkeypatch.setattr(codazzi, "solve_triple_system", _off_at_five(codazzi.solve_triple_system))
     rec = case1_check(seed=22, trials=3)
     assert not rec.passed
     assert len(rec.failures) == 3
@@ -1039,7 +1048,7 @@ def test_case2_displays_spot() -> None:
     assert first == (0, 0)
     assert second == (3, 12)
     # the value-form displays of the oracle at a state with v = (0, 1, 0)
-    st_ = FrameState(
+    st_ = frame_state(
         [Fraction(0), Fraction(1), Fraction(0)],
         rat_circle_point(Fraction(1, 4)),
         rat_circle_point(Fraction(2, 3)),
@@ -1087,7 +1096,7 @@ def test_constrained_angle_satisfies_relation() -> None:
     rng = random.Random(27)
     for _ in range(40):
         st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3))
-        q1, q3 = st_.v[1] ** 2, st_.v[3] ** 2
+        q1, q3 = v_of(st_)[1] ** 2, v_of(st_)[3] ** 2
         constraint = (q1 + q3) * sin2(st_, 1, 2) - q1 * sin2(st_, 1, 3)
         assert compat_form_2(st_) == 4 * (q1 + q3) * constraint
 
@@ -1099,7 +1108,7 @@ def test_case3_leftover_is_free_of_the_angles() -> None:
     v = [Fraction(3, 4), Fraction(0), Fraction(-5, 7)]
     leftovers, solutions = set(), set()
     for _ in range(12):
-        st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3)).with_v(v)
+        st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3)).with_v(*integers(v))
         res = _exact_solve(st_, *PROOF_SOLVES["case3"])
         assert res.leftovers[0].const == 0
         leftovers.add(res.leftovers[1].const)
@@ -1181,18 +1190,23 @@ def test_case3_unpinned_derivative_fails_the_check_as_a_record(monkeypatch) -> N
     ]
 
 
+def _scaled_leftover(factor):
+    # the forcing leftover's numerator times factor
+    def make(real):
+        def mutant(w1, w3):
+            num, den = real(w1, w3)
+            return num * factor, den
+        return mutant
+    return make
+
+
 @pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(-1), 0])
 def test_mutant_case3_leftover_fails_the_check_as_a_record(monkeypatch, factor) -> None:
     # -2 sqrt(3)/3 becomes -sqrt(3)/3, the opposite sign, or 0 (the leftover
-    # the check would accept if it only asked for the rows to be consistent),
-    # by scaling the closed form's numerator
-    real = codazzi.case3_leftover
-
-    def mutant(w1, w3):
-        num, den = real(w1, w3)
-        return num * factor, den
-
-    monkeypatch.setattr(codazzi, "case3_leftover", mutant)
+    # the check would accept if it only asked for the rows to be consistent)
+    monkeypatch.setattr(
+        codazzi, "case3_leftover", _scaled_leftover(factor)(codazzi.case3_leftover)
+    )
     rec = case3_check(trials=5, seed=7)
     assert not rec.passed and len(rec.failures) == 5
     assert all(
@@ -1284,17 +1298,20 @@ def test_case3_nan_closed_form_fails(monkeypatch, which) -> None:
     assert all(f["reason"] == "closed form mismatch" for f in rec.failures)
 
 
-def test_every_overdetermined_solve_asserts_its_leftovers(monkeypatch) -> None:
-    # one more leftover row, with a nonzero constant, in every solve: each
-    # check that solves an overdetermined system must fail as a record
-    real = codazzi.solve_triple_system
-
-    def with_stray_leftover(*args, **kw):
+def _stray_leftover(real):
+    # one more leftover row, with the constant 1, in every solve
+    def mutant(*args, **kw):
         res = real(*args, **kw)
         res.leftovers = [*res.leftovers, Numerators({}, 1, 0, False, 1, 1)]
         return res
+    return mutant
 
-    monkeypatch.setattr(codazzi, "solve_triple_system", with_stray_leftover)
+
+def test_every_overdetermined_solve_asserts_its_leftovers(monkeypatch) -> None:
+    # each check that solves an overdetermined system must fail as a record
+    monkeypatch.setattr(
+        codazzi, "solve_triple_system", _stray_leftover(codazzi.solve_triple_system)
+    )
     records = (
         system1_check(seed=20, trials=5),
         case1_check(seed=22, trials=3),
@@ -1306,6 +1323,115 @@ def test_every_overdetermined_solve_asserts_its_leftovers(monkeypatch) -> None:
     ]
     for rec in records:
         assert not rec.passed and rec.failures, rec.check_id
+
+
+#: The checks with the (seed, trials) each mutant below runs them at.
+_ALL_CHECKS = (
+    ("frame_relation_check", 3, 5), ("system1_check", 20, 10), ("case1_check", 22, 5),
+    ("case2_check", 24, 5), ("det_factorization_check", 26, 5), ("case3_check", 7, 5),
+)
+_SOLVING_CHECKS = tuple(c for c in _ALL_CHECKS if c[0] not in (
+    "frame_relation_check", "det_factorization_check"))
+
+#: Per mutant: the codazzi function it replaces, how, and the checks it runs.
+FAILURE_MUTANTS = {
+    "dh-off-by-one": ("hijk_gradient", _dh_off_by_one, _ALL_CHECKS),
+    "fifth-node": ("solve_triple_system", _off_at_five, (("case1_check", 22, 3),)),
+    "d23-off-by-one": ("case3_closed_forms", _off_by_one_d23, (("case3_check", 7, 5),)),
+    "d23-five-v1": ("case3_closed_forms", _five_v1_d23, (("case3_check", 7, 5),)),
+    "leftover-half": ("case3_leftover", _scaled_leftover(Fraction(1, 2)), (("case3_check", 7, 5),)),
+    "leftover-negated": ("case3_leftover", _scaled_leftover(-1), (("case3_check", 7, 5),)),
+    "leftover-zero": ("case3_leftover", _scaled_leftover(0), (("case3_check", 7, 5),)),
+    "stray-leftover": ("solve_triple_system", _stray_leftover, _SOLVING_CHECKS),
+}
+
+#: sha256 of each check's failures under each mutant, as the report writes
+#: them (`jsonable`, canonical JSON), with two details blanked: the form of a
+#: nonzero leftover constraint and the axis case's v1.  Recorded while the
+#: checks still read their failure details through Fraction and QSqrt3
+#: values; those two details changed form when the details came to be built
+#: from the integers, and `test_failure_details_read_the_numerators` pins
+#: their new form.
+FAILURE_DIGESTS = {
+    "dh-off-by-one": {
+        "frame_relation_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "system1_check": "e590960275af1c57bfb6df4580bc7107a13b3c21efcd59dd6cefac184e272452",
+        "case1_check": "24329802ea2ee2a94f71d715dca11b8099c99812c7421fee0cbe7bd250050ccd",
+        "case2_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "det_factorization_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "case3_check": "1d19dc375a809855f1ca292868386e22e47b3af88ebb703f725ff85055367663",
+    },
+    "fifth-node": {
+        "case1_check": "fe0434b68800c2a84d8e0569cadaabf8a354caa4a837d26cc2d595e7d4b13b31",
+    },
+    "d23-off-by-one": {
+        "case3_check": "118821d897df2b04484bfc74ecc808147119718cbe54f1378839697f3ae0e0e8",
+    },
+    "d23-five-v1": {
+        "case3_check": "118821d897df2b04484bfc74ecc808147119718cbe54f1378839697f3ae0e0e8",
+    },
+    "leftover-half": {
+        "case3_check": "1d878e8e6fedcda78b5a6215b5d8526ee256fa5b1462042df01e93d8721f1830",
+    },
+    "leftover-negated": {
+        "case3_check": "1d878e8e6fedcda78b5a6215b5d8526ee256fa5b1462042df01e93d8721f1830",
+    },
+    "leftover-zero": {
+        "case3_check": "1d878e8e6fedcda78b5a6215b5d8526ee256fa5b1462042df01e93d8721f1830",
+    },
+    "stray-leftover": {
+        "system1_check": "e590960275af1c57bfb6df4580bc7107a13b3c21efcd59dd6cefac184e272452",
+        "case1_check": "fed470414095208b5bfa2fc6bee049585ef217e5f93ef3922b25b02ae1a2754b",
+        "case2_check": "98dd44fa1e428f96ad3c20bc290712c29eb399ce2224b7f86e11888342c2ff61",
+        "case3_check": "fb1d8af637a7233b06ebb752e9ab0c8d53e5f5fb8536df123047d2b97d5b93f4",
+    },
+}
+
+
+def _blanked(failures) -> list:
+    out = jsonable(failures)
+    for f in out:
+        if f.get("reason") == "nonzero leftover constraint":
+            f["extra"] = None
+        elif f.get("reason") == "leftover is not -v1^3/sqrt(3)":
+            f["extra"]["v1"] = None
+    return out
+
+
+def _mutant_failures(monkeypatch, mutant: str) -> dict:
+    """Each check's failures under the mutant, as the report writes them."""
+    attr, make, checks = FAILURE_MUTANTS[mutant]
+    with monkeypatch.context() as m:
+        m.setattr(codazzi, attr, make(getattr(codazzi, attr)))
+        return {
+            name: jsonable(getattr(codazzi, name)(seed=seed, trials=trials).failures)
+            for name, seed, trials in checks
+        }
+
+
+@pytest.mark.parametrize("mutant", FAILURE_MUTANTS)
+def test_failure_details_are_pinned(monkeypatch, mutant) -> None:
+    got = {
+        name: hashlib.sha256(json.dumps(_blanked(failures), sort_keys=True).encode()).hexdigest()
+        for name, failures in _mutant_failures(monkeypatch, mutant).items()
+    }
+    assert got == FAILURE_DIGESTS[mutant]
+
+
+def test_failure_details_read_the_numerators(monkeypatch) -> None:
+    # the two details that `FAILURE_DIGESTS` blanks, in the form they take
+    # from the integers: a nonzero leftover constraint as its constant (a
+    # Fraction, or {"a", "b"} where it is flagged irrational) and its
+    # coefficients, and the axis case's v1 as the int node
+    leftovers = [
+        f["extra"] for f in _mutant_failures(monkeypatch, "dh-off-by-one")["system1_check"]
+    ]
+    assert leftovers[0] == {"const": {"a": "0/1", "b": "0/1"}, "coeffs": {"(1, 1)": "1/1"}}
+    assert leftovers[4] == {"const": "0/1", "coeffs": {"(1, 1)": "1/9"}}
+    stray = _mutant_failures(monkeypatch, "stray-leftover")["system1_check"]
+    assert [f["extra"] for f in stray] == [{"const": "1/1", "coeffs": {}}] * 5
+    axis = _mutant_failures(monkeypatch, "fifth-node")["case1_check"]
+    assert [f["extra"]["v1"] for f in axis] == [5] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -1426,27 +1552,41 @@ def test_unflagged_sqrt3_part_raises_when_handed_out(monkeypatch) -> None:
         solve_triple_system(_state(10, nonzero=(1, 2, 3)), SET1_TRIPLES, SET1_UNKNOWNS)
 
 
+def _count_value_forms(monkeypatch) -> dict:
+    """Counters of QSqrt3 and CirclePoint constructions, installed."""
+    counts = {"QSqrt3": 0, "CirclePoint": 0}
+    for cls in (QSqrt3, CirclePoint):
+        def counted(self, *args, _real=cls.__init__, _name=cls.__name__, **kw):
+            counts[_name] += 1
+            _real(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def _assert_counters_see_a_value_read(counts, seed: int) -> None:
+    angles_of(_state(seed, nonzero=(1, 2, 3)))
+    solve_values(solve_triple_system(_state(10, nonzero=(1, 2, 3)), SET1_TRIPLES, SET1_UNKNOWNS))
+    assert counts["QSqrt3"] > 0 and counts["CirclePoint"] > 0
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_passing_checks_build_no_value_forms(monkeypatch, seed) -> None:
     # the six checks decide on numerators: on passing seeds they construct
-    # no QSqrt3 and read no solve or row into values
-    counts = {"QSqrt3": 0, "_value": 0}
-    real_init, real_value = QSqrt3.__init__, codazzi._value
-
-    def counted_init(self, *args, **kw):
-        counts["QSqrt3"] += 1
-        real_init(self, *args, **kw)
-
-    def counted_value(*args):
-        counts["_value"] += 1
-        return real_value(*args)
-
-    monkeypatch.setattr(QSqrt3, "__init__", counted_init)
-    monkeypatch.setattr(codazzi, "_value", counted_value)
+    # no QSqrt3 and no CirclePoint
+    counts = _count_value_forms(monkeypatch)
     report = cmd_proof(trials=20, seed=seed)
     assert report.passed and len(report.records) == 6
-    assert counts == {"QSqrt3": 0, "_value": 0}
-    # the counters see a value read
-    _state(seed, nonzero=(1, 2, 3)).angles
-    solve_values(solve_triple_system(_state(10, nonzero=(1, 2, 3)), SET1_TRIPLES, SET1_UNKNOWNS))
-    assert counts["QSqrt3"] > 0 and counts["_value"] > 0
+    assert counts == {"QSqrt3": 0, "CirclePoint": 0}
+    _assert_counters_see_a_value_read(counts, seed)
+
+
+@pytest.mark.parametrize("mutant", FAILURE_MUTANTS)
+def test_failing_checks_build_no_value_forms(monkeypatch, mutant) -> None:
+    # a failure's details are built from the integers too: under each mutant
+    # the checks fail, and construct no QSqrt3 and no CirclePoint
+    counts = _count_value_forms(monkeypatch)
+    failures = _mutant_failures(monkeypatch, mutant)
+    assert any(failures.values())
+    assert counts == {"QSqrt3": 0, "CirclePoint": 0}
+    _assert_counters_see_a_value_read(counts, 0)

@@ -8,9 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nkverify.exact import (
-    HALF_INV_SQRT3,
-    INV_SQRT3,
-    SQRT3,
     CirclePoint,
     QSqrt3,
     divide_exactly,
@@ -18,7 +15,15 @@ from nkverify.exact import (
     rat_circle_point,
 )
 
-from exact_oracle import CIRCLE_ONE, angle_add, angle_sub, conjugate
+from exact_oracle import (
+    CIRCLE_ONE,
+    HALF_INV_SQRT3,
+    INV_SQRT3,
+    SQRT3,
+    angle_add,
+    angle_sub,
+    conjugate,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40

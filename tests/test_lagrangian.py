@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fd_oracle
-from exact_oracle import dense_omega
+from exact_oracle import angles_of, dense_omega, v_of
 from nkverify import lagrangian
 from nkverify.cli import FRAME_SAMPLE_POINTS, cmd_lagrangian, graph_immersion
 from nkverify.codazzi import _H_CLASS, hijk_from_v, random_frame_state
@@ -283,7 +283,7 @@ def test_relation_residual_against_exact_tables():
     # construction, so the float residual must be pure roundoff
     for seed in range(5):
         st = random_frame_state(random.Random(seed))
-        h_exact = hijk_from_v([st.v[1], st.v[2], st.v[3]])
+        h_exact = hijk_from_v([v_of(st)[m] for m in (1, 2, 3)])
         om_exact = dense_omega(st)
         h = np.zeros((3, 3, 3))
         om = np.zeros((3, 3, 3))
@@ -292,21 +292,21 @@ def test_relation_residual_against_exact_tables():
                 for k in range(3):
                     h[i, j, k] = float(h_exact[_H_CLASS[(i + 1, j + 1, k + 1)]])
                     om[i, j, k] = float(om_exact[(i + 1, j + 1, k + 1)])
-        thetas = [
-            math.atan2(float(st.angles[a].s), float(st.angles[a].c)) for a in (1, 2, 3)
-        ]
+        angles = angles_of(st)
+        thetas = [math.atan2(float(angles[a].s), float(angles[a].c)) for a in (1, 2, 3)]
         assert relation_h_omega_residual(h, om, thetas) < 1e-12
 
 
 def test_relation_residual_flags_wrong_omega():
     st = random_frame_state(random.Random(3))
-    h_exact = hijk_from_v([st.v[1], st.v[2], st.v[3]])
+    h_exact = hijk_from_v([v_of(st)[m] for m in (1, 2, 3)])
     h = np.zeros((3, 3, 3))
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 h[i, j, k] = float(h_exact[_H_CLASS[(i + 1, j + 1, k + 1)]])
-    thetas = [math.atan2(float(st.angles[a].s), float(st.angles[a].c)) for a in (1, 2, 3)]
+    angles = angles_of(st)
+    thetas = [math.atan2(float(angles[a].s), float(angles[a].c)) for a in (1, 2, 3)]
     assert relation_h_omega_residual(h, np.zeros((3, 3, 3)), thetas) > 1e-3
 
 

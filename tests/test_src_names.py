@@ -1,5 +1,6 @@
 """Every name that src/ defines is used by the engine, the benchmark or the
-scripts: a definition reached only by tests belongs in tests/."""
+scripts: a definition or module-level constant reached only by tests
+belongs in tests/."""
 
 import ast
 import re
@@ -19,11 +20,27 @@ ALLOWED = {
 }
 
 
+def _assigned(node) -> list:
+    """The names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def _definitions():
     """(qualified name, bare name, file, line) of every function, class and
-    method under src/, dunder methods aside: Python calls those itself."""
+    method under src/, dunder methods aside: Python calls those itself, and
+    of every name a module-level assignment binds, dunder names aside too."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
+        for node in tree.body:
+            for name in _assigned(node):
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield name, name, path, node.lineno
         owner = {
             id(member): node.name
             for node in ast.walk(tree)
