@@ -166,19 +166,27 @@ def structure_g_records(
 
 def structure_frame_record(seed: int, tol: float | None = None) -> CheckRecord:
     """G takes its canonical alternating form on adapted frames of the
-    built-in Lagrangian examples."""
+    built-in Lagrangian examples.  A frame that cannot be built (a
+    ValueError, such as `angle_functions` raises on a pair (A, B) that is
+    not symmetric and commuting) fails the record, with the message in its
+    details."""
     frame_tol = 1e-4 if tol is None else tol
-    residuals = [
-        fc.orientation_residual
-        for label in LAGRANGIAN_LABELS
-        for fc in frame_components(example_by_label(label), FRAME_SAMPLE_POINTS)
-    ]
+    details = {"seed": seed, "examples": list(LAGRANGIAN_LABELS)}
+    try:
+        residuals = [
+            fc.orientation_residual
+            for label in LAGRANGIAN_LABELS
+            for fc in frame_components(example_by_label(label), FRAME_SAMPLE_POINTS)
+        ]
+    except ValueError as exc:
+        details["error"] = str(exc)
+        return CheckRecord("frame-g-form", passed=False, tolerance=frame_tol, details=details)
     return _structure_record(
         "frame-g-form",
         worst_residual(residuals),
         frame_tol,
         len(residuals),
-        {"seed": seed, "examples": list(LAGRANGIAN_LABELS)},
+        details,
     )
 
 

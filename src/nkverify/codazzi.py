@@ -13,25 +13,24 @@ no angle constraint: its rows leave a leftover free of the angles that
 vanishes only at v3 = 0, so it too is checked at exact states with free
 rational angles.
 
-A state is one integer record (`FrameState`).  With D the lcm of the
-denominators of v, it holds w = D v, an integer vector, and each angle as a
-triple (C, S, E) of integers with cosine C/E and sine S/E, so theta3 and the
-angle differences are integer sums and products, and the gate
-4 v1^2 - 3(v2^2 + v3^2) is an integer over D^2.  Its tables are integer
-numerators, each computed once, when a check first reads it.  h and dh come
-from the closed forms of `hijk_from_v` and `hijk_gradient` on w, at scales
-D^3 and D^2; both are symmetric in (i, j, k) and (j, k, l), so each is held
-once per symmetry class, at its sorted index (10 and 30 entries), and
-`_H_CLASS` and `_DH_CLASS` map every key to its class.  The three distinct
-cotangents are put over one common denominator Q (cot(b, a) = -cot(a, b)),
-and omega is (6 D^3 Q)^-1 times an integer plus a sqrt(3) part.  That part
-comes only from 1/(2 sqrt 3), so it is sigma eps_ijk for one integer sigma,
-and it is nonzero only where i, j, k are distinct.  The same holds for the
-two connection factors the Codazzi scalars read: the shifted connection
-omega_im^l - eps_iml/sqrt(3) has omega's rational part and the sqrt(3) part
-(sigma - iota) eps_iml, with iota the numerator of 1/sqrt(3), and the curl
-omega_ij^m - omega_ji^m has the sqrt(3) part 2 sigma eps_ijm.  So sqrt(3)
-is a column of its own: no table entry is anything but an int.
+A state (`FrameState`) is a point and its angles, all integers.  The point
+(`_Point`) holds w = D v, with D the lcm of the denominators of v, and what
+depends on v alone: h and dh from the closed forms of `hijk_from_v` and
+`hijk_gradient` on w, at scales D^3 and D^2, once per symmetry class (10
+and 30 entries; `_H_CLASS` and `_DH_CLASS` map every key to its class), and
+the gate 4 v1^2 - 3(v2^2 + v3^2) over D^2.  The angles (`_Angles`) hold
+each angle as a triple (C, S, E) with cosine C/E and sine S/E, the three
+distinct cotangents over one common denominator Q (cot(b, a) =
+-cot(a, b)), and per D the scales the states there share.  Only omega
+reads both: it is (6 D^3 Q)^-1 times an integer plus a sqrt(3) part that
+comes only from 1/(2 sqrt 3), so it is sigma eps_ijk for one integer sigma.
+The same holds for the two connection factors the Codazzi scalars read:
+the shifted connection omega_im^l - eps_iml/sqrt(3) has omega's rational
+part and the sqrt(3) part (sigma - iota) eps_iml, with iota the numerator
+of 1/sqrt(3), and the curl omega_ij^m - omega_ji^m has the sqrt(3) part
+2 sigma eps_ijm.  So sqrt(3) is a column of its own: no table entry is
+anything but an int.  Each table is computed once, when first read; the
+axis case builds its five nodes' points once per call.
 
 Each Codazzi scalar (i, j, k, l) reads a plan compiled once, when it is
 first needed: its dh class keys, and its h-omega products grouped by h
@@ -44,10 +43,12 @@ rational part and one integer sqrt(3) part at L = lcm(6 D^6 Q, A), with A
 the common denominator of the three sin 2(theta_a - theta_b)/3.  A group
 whose h class is zero is skipped, so the row is flagged irrational exactly
 where value-form arithmetic would have met an element of Q(sqrt 3), even
-where the sqrt(3) parts cancel.
+where the sqrt(3) parts cancel.  A solve compiles its shape once per
+(triples, vanishing), its scalars and the sorted columns of the unknowns
+they read, and writes each row straight into a dense integer matrix.
 
-The exact solver eliminates these integer rows fraction-free (Bareiss),
-with the constant as two integer columns and the flag carried per row: each
+The exact solver eliminates that matrix fraction-free (Bareiss), with the
+constant as two integer columns and the flag carried per row: each
 update is divided exactly by the previous pivot, and every pivot is an
 integer minor of the small coefficients.  It hands out the numerators
 (`Numerators`): with P the last pivot, a solution's coefficients are over P
@@ -66,7 +67,8 @@ numerator by cross-multiplication; so are the two solutions the derivative
 comparison subtracts, and the null-axis rows after the substitution, which
 stays on numerators too.  A failure's details are built from the integers:
 each number a Fraction, an angle its cosine and sine as {"c", "s"}, and a
-constant flagged irrational its rational and sqrt(3) parts as {"a", "b"}.
+constant flagged irrational its rational and sqrt(3) parts as {"a", "b"};
+a failed comparison with a closed form gives that form as "expected".
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import gcd, lcm, nan
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import divide_exactly, poly_identity_check
@@ -85,19 +87,10 @@ from .report import CheckRecord
 AXES = (1, 2, 3)
 CANONICAL_PAIRS = ((1, 2), (1, 3), (2, 3))
 
-_EPS_TABLE = {
-    (1, 2, 3): 1,
-    (2, 3, 1): 1,
-    (3, 1, 2): 1,
-    (1, 3, 2): -1,
-    (3, 2, 1): -1,
-    (2, 1, 3): -1,
-}
-
 
 def epsilon(i: int, j: int, k: int) -> int:
     """Totally antisymmetric symbol on {1,2,3}."""
-    return _EPS_TABLE.get((i, j, k), 0)
+    return (i - j) * (j - k) * (k - i) // 2
 
 
 def delta(i: int, j: int) -> int:
@@ -117,31 +110,19 @@ def _require_flag(root3: int, irrational: bool) -> None:
         raise ArithmeticError("a sqrt(3) part on a numerator not flagged irrational")
 
 
-class _OmegaScale(NamedTuple):
-    """The scale of a state's omega numerators and the numerators it needs.
+class _Scales(NamedTuple):
+    """The scales of the states at one set of angles and one D.
 
-    den is the scale of omega; sigma and inv_sqrt3 are the sqrt(3)
-    coefficients of 1/(2 sqrt 3) = sqrt(3)/6 and 1/sqrt(3) = sqrt(3)/3 at
-    that scale, and cot holds cot(theta_a - theta_b) at it, keyed by (a, b);
-    const_den = D^3 den is the scale of a sum of h-omega products.
+    omega is at omega_den = 6 D^3 Q, where sigma and inv_sqrt3 are the
+    sqrt(3) coefficients of 1/(2 sqrt 3) and 1/sqrt(3).  A row's constant
+    is at den = L, coeff_mult = L / D^2 times its coefficients' scale;
+    const_mult takes a sum of h-omega products, at D^3 omega_den, to L, and
+    angle[(a, b)] is sin 2(theta_a - theta_b)/3 at L.
     """
 
-    den: int
+    omega_den: int
     sigma: int
     inv_sqrt3: int
-    cot: dict[tuple[int, int], int]
-    const_den: int
-
-
-class _RowScale(NamedTuple):
-    """The scale of a state's Codazzi rows and the numerators they need.
-
-    den is the scale of a row's constant, L, and coeff_mult = den / D^2 its
-    ratio to the scale of the coefficients, the dh numerators'.
-    const_mult = den / const_den carries a sum of h-omega products to L, and
-    angle holds sin 2(theta_a - theta_b)/3 at it, keyed by (a, b).
-    """
-
     den: int
     coeff_mult: int
     const_mult: int
@@ -155,14 +136,15 @@ def _circle(triple: tuple[int, int, int]) -> dict[str, Fraction]:
 
 
 class _Angles:
-    """The angle data of a state, shared by the states `with_v` builds.
+    """The angle data of a state, shared by the states `at` builds.
 
     theta holds the three integer triples, with theta3 = -(theta1 + theta2),
     and diffs the triple of theta_a - theta_b for every ordered pair: the
     three with a < b are built on the triples, a reverse pair is (C, -S, E)
     and the diagonal (1, 0, 1).  Construction rejects angles where some
     sin(theta_a - theta_b) vanishes, since the connection components divide
-    by those factors.
+    by those factors.  The cotangents, the angle terms and the scales at
+    each denominator D are computed once, when first read.
     """
 
     def __init__(self, theta1: tuple, theta2: tuple) -> None:
@@ -179,46 +161,78 @@ class _Angles:
             self.diffs[(a, b)], self.diffs[(b, a)] = (c, s, e), (c, -s, e)
         if any(self.diffs[ab][1] == 0 for ab in CANONICAL_PAIRS):
             raise ValueError("state rejected: some sin(theta_a - theta_b) vanishes")
+        self._by_d: dict[int, _Scales] = {}
 
     @cached_property
     def cotangents(self) -> tuple[int, dict]:
-        """Q and the numerators 6 Q cot(a, b) for a != b.
-
-        Three cotangents C/S are computed; cot(b, a) = -cot(a, b) gives the
-        rest.
-        """
-        cots = {}
-        for ab in CANONICAL_PAIRS:
-            c, s, _ = self.diffs[ab]
-            cots[ab] = Fraction(c, s)
-        q = lcm(*(c.denominator for c in cots.values()))
-        num = {}
-        for (a, b), c in cots.items():
-            num[(a, b)] = 6 * c.numerator * (q // c.denominator)
-            num[(b, a)] = -num[(a, b)]
-        return q, num
+        """Q and the numerators 6 Q cot(a, b) for a != b, from the three
+        cotangents C/S of the canonical pairs."""
+        q, num = self._over_lcm(lambda c, s, e: (c, s))
+        return q, {ab: 6 * x for ab, x in num.items()}
 
     @cached_property
     def thirds(self) -> tuple[int, dict]:
-        """A and the numerators A sin 2(theta_a - theta_b)/3 for all (a, b).
+        """A and the numerators A sin 2(theta_a - theta_b)/3 for all (a, b),
+        from 2 S C / (3 E^2) on the canonical pairs; the diagonal is zero."""
+        a, num = self._over_lcm(lambda c, s, e: (2 * s * c, 3 * e * e))
+        return a, {(b, b): 0 for b in AXES} | num
 
-        Three are computed; the reverse pairs are their negatives and the
-        diagonal is zero.
-        """
-        thirds = {}
+    def _over_lcm(self, fraction) -> tuple[int, dict]:
+        """fraction(C, S, E) = (n, d) at the triple of each canonical pair
+        (a, b), in lowest terms and then over the least common denominator,
+        which is positive: it, and the numerators by (a, b) and, negated, by
+        (b, a)."""
+        reduced = []
         for ab in CANONICAL_PAIRS:
-            c, s, e = self.diffs[ab]
-            thirds[ab] = Fraction(2 * s * c, 3 * e * e)
-        den = lcm(*(t.denominator for t in thirds.values()))
-        num = {(a, a): 0 for a in AXES}
-        for (a, b), t in thirds.items():
-            num[(a, b)] = t.numerator * (den // t.denominator)
+            n, d = fraction(*self.diffs[ab])
+            g = gcd(n, d)
+            reduced.append((n // g, d // g))
+        den = lcm(*(d for _, d in reduced))
+        num = {}
+        for (a, b), (n, d) in zip(CANONICAL_PAIRS, reduced):
+            num[(a, b)] = n * (den // d)
             num[(b, a)] = -num[(a, b)]
         return den, num
 
+    def scales(self, d: int) -> _Scales:
+        """The scales at the denominator d, computed once per d and shared by
+        the states at these angles and d."""
+        if d not in self._by_d:
+            q, _ = self.cotangents
+            d3q = d ** 3 * q
+            const_den = 6 * d3q * d ** 3
+            a, thirds = self.thirds
+            den = lcm(const_den, a)
+            angle = {ab: x * (den // a) for ab, x in thirds.items()}
+            self._by_d[d] = _Scales(6 * d3q, d3q, 2 * d3q, den, den // d ** 2,
+                                    den // const_den, angle)
+        return self._by_d[d]
+
+
+class _Point:
+    """The tables of one v = w / D, which no angle enters, shared by the
+    states at v: h and dh, each computed when first read, and
+    ec = 4 w1^2 - 3 (w2^2 + w3^2), D^2 times the gate at v."""
+
+    def __init__(self, w: list[int], d: int) -> None:
+        self.w, self.d = w, d
+        w1, w2, w3 = w
+        self.ec = 4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3)
+
+    @cached_property
+    def h(self) -> dict:
+        """h at scale D^3: entry (i, j, k), i <= j <= k, is D^3 h_ij^k."""
+        return hijk_from_v(self.w)
+
+    @cached_property
+    def dh(self) -> dict:
+        """dh at scale D^2: entry (j, k, l, m), j <= k <= l, is
+        D^2 d h_jk^l / d v_m."""
+        return hijk_gradient(self.w)
+
 
 class FrameState:
-    """Exact frame state, on integers.
+    """Exact frame state, on integers: a `_Point` and an `_Angles`.
 
     v is held as w = D v, with D the lcm of the denominators of its entries.
     An angle is a rational circle point, held as an integer triple (C, S, E):
@@ -226,42 +240,23 @@ class FrameState:
     lowest terms; `_Angles` builds theta3 and the differences and rejects
     angles where some sin(theta_a - theta_b) vanishes.
 
-    The tables and scales are cached properties, each computed once, when a
-    check first reads it, and they hold only ints.  h and dh come from
-    `hijk_from_v` and `hijk_gradient` on w, at scales D^3 and D^2, once per
-    symmetry class.  The three distinct cotangents are over their common
-    denominator Q, and `_omega_scale` puts omega at scale 6 D^3 Q.  The
-    omega table holds the rational parts; the sqrt(3) part of omega_ij^k is
-    `_omega_scale.sigma` times eps_ijk, and the shifted connection and the
-    curl that `codazzi_scalar` reads are built from them by its plans.  A
-    Codazzi row's constant, `_row_scale`, is over L = lcm(6 D^6 Q, A), with
-    A the common denominator of the three sin 2(theta_a - theta_b)/3, and
-    its coefficients over D^2.
+    Every table holds only ints and is computed once, when a check first
+    reads it.  h and dh belong to the point and the scales (`_Scales`) to
+    the angles, at each D; only omega needs both.  The omega table holds
+    the rational parts at 6 D^3 Q; the sqrt(3) part of omega_ij^k is
+    `_scales.sigma` times eps_ijk.
     """
 
     def __init__(self, w: list[int], d: int, theta1: tuple, theta2: tuple) -> None:
-        self._w, self._D, self._angles = w, d, _Angles(theta1, theta2)
+        self._point, self._angles = _Point(w, d), _Angles(theta1, theta2)
+        self._w, self._D = w, d
 
-    def with_v(self, w: list[int], d: int) -> "FrameState":
-        """The state at v = w / D with the same, already validated, angles,
-        whose triples, cotangent numerators and angle terms are shared, not
-        rebuilt."""
+    def at(self, point: _Point) -> "FrameState":
+        """The state at the point's v with the same, already validated,
+        angles, whose data and scales are shared, not rebuilt."""
         st = object.__new__(FrameState)
-        st._w, st._D, st._angles = w, d, self._angles
+        st._point, st._angles, st._w, st._D = point, self._angles, point.w, point.d
         return st
-
-    # tables ---------------------------------------------------------------
-    @cached_property
-    def h_numerators(self) -> dict:
-        """h at scale D^3 per symmetry class: entry (i, j, k), i <= j <= k,
-        is D^3 h_ij^k."""
-        return hijk_from_v(self._w)
-
-    @cached_property
-    def dh_numerators(self) -> dict:
-        """dh at scale D^2 per symmetry class: entry (j, k, l, m),
-        j <= k <= l, is D^2 d h_jk^l / d v_m."""
-        return hijk_gradient(self._w)
 
     @cached_property
     def omega_numerators(self) -> dict:
@@ -269,31 +264,9 @@ class FrameState:
         omega_ij^k less its sqrt(3) part, sigma eps_ijk."""
         return omega_numerators(self)
 
-    # scales ---------------------------------------------------------------
-    @cached_property
-    def _omega_scale(self) -> _OmegaScale:
-        """omega at scale 6 D^3 Q: the cotangent numerators scale by D^3."""
-        q, cot = self._angles.cotangents
-        d3 = self._D ** 3
-        d3q = d3 * q
-        return _OmegaScale(6 * d3q, d3q, 2 * d3q, cot, 6 * d3q * d3)
-
-    @cached_property
-    def _row_scale(self) -> _RowScale:
-        """Row constants at L = lcm(6 D^6 Q, A), a multiple of D^2."""
-        const_den = self._omega_scale.const_den
-        a, thirds = self._angles.thirds
-        den = lcm(const_den, a)
-        mult = den // a
-        return _RowScale(
-            den, den // self._D ** 2, den // const_den, {ab: x * mult for ab, x in thirds.items()}
-        )
-
-    # angle data -----------------------------------------------------------
-    def _ec_numerator(self) -> int:
-        """4 w1^2 - 3 (w2^2 + w3^2): D^2 times 4 v1^2 - 3 (v2^2 + v3^2)."""
-        w1, w2, w3 = self._w
-        return 4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3)
+    @property
+    def _scales(self) -> _Scales:
+        return self._angles.scales(self._D)
 
     def describe(self) -> dict:
         """v and the two drawn angles, as a failure's details give them."""
@@ -350,7 +323,7 @@ def random_frame_state(
             st = FrameState(w, d, *angles)
         except ValueError:
             continue
-        if require_ec and not st._ec_numerator():
+        if require_ec and not st._point.ec:
             continue
         return st
     raise RuntimeError("could not sample a valid frame state")
@@ -413,40 +386,37 @@ def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
     return out
 
 
+#: The keys of omega in the order of its table.
+_OMEGA_KEYS = tuple(product(AXES, AXES, AXES))
+
+
 def omega_numerators(st) -> dict[tuple[int, int, int], int]:
     """Rational parts of the connection components omega_ij^k of the
     induced metric, at the state's scale (see `FrameState`).
 
     The nine displayed formulas determine everything through the skew
     symmetry omega_ij^k = -omega_ik^j (and omega_ij^j = 0).  They are
-    evaluated on w = D v and the scaled cotangents.  The three displays with
-    distinct indices also hold 1/(2 sqrt 3); that sqrt(3) part is
-    sigma eps_ijk and is not stored.
+    evaluated on w = D v and the cotangent numerators 6 Q cot, which do not
+    depend on D: d_ab is the display (a, a, b) and e_a the display
+    (a, a+1, a+2), cyclically.  The three e_a also hold 1/(2 sqrt 3); that
+    sqrt(3) part is sigma eps_ijk and is not stored.
     """
-    cot = st._omega_scale.cot
+    _, cot = st._angles.cotangents
     v1, v2, v3 = st._w
     q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
     five_v = 5 * v1 * v2 * v3
-    displays = {
-        (1, 1, 2): -v2 * (-4 * q1 + q2 + q3) * cot[(1, 2)],
-        (1, 1, 3): -v3 * (-4 * q1 + q2 + q3) * cot[(1, 3)],
-        (2, 2, 1): -v1 * (q1 - 4 * q2 + q3) * cot[(2, 1)],
-        (2, 2, 3): -v3 * (q1 - 4 * q2 + q3) * cot[(2, 3)],
-        (3, 3, 1): -v1 * (q1 + q2 - 4 * q3) * cot[(3, 1)],
-        (3, 3, 2): -v2 * (q1 + q2 - 4 * q3) * cot[(3, 2)],
-        (1, 2, 3): five_v * cot[(2, 3)],
-        (2, 3, 1): five_v * cot[(3, 1)],
-        (3, 1, 2): five_v * cot[(1, 2)],
-    }
-    out = {}
-    for i, j, k in product(AXES, AXES, AXES):
-        if j == k:
-            out[(i, j, k)] = 0
-        elif (i, j, k) in displays:
-            out[(i, j, k)] = displays[(i, j, k)]
-        else:
-            out[(i, j, k)] = -displays[(i, k, j)]
-    return out
+    d12 = -v2 * (-4 * q1 + q2 + q3) * cot[(1, 2)]
+    d13 = -v3 * (-4 * q1 + q2 + q3) * cot[(1, 3)]
+    d21 = -v1 * (q1 - 4 * q2 + q3) * cot[(2, 1)]
+    d23 = -v3 * (q1 - 4 * q2 + q3) * cot[(2, 3)]
+    d31 = -v1 * (q1 + q2 - 4 * q3) * cot[(3, 1)]
+    d32 = -v2 * (q1 + q2 - 4 * q3) * cot[(3, 2)]
+    e1, e2, e3 = five_v * cot[(2, 3)], five_v * cot[(3, 1)], five_v * cot[(1, 2)]
+    return dict(zip(_OMEGA_KEYS, (
+        0, d12, d13, -d12, 0, e1, -d13, -e1, 0,
+        0, -d21, -e2, d21, 0, d23, e2, -d23, 0,
+        0, e3, -d31, -e3, 0, -d32, d31, d32, 0,
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +428,7 @@ class _Group(NamedTuple):
 
     Their connection factors sum to the sum of c omega_key over `terms`, on
     omega's rational numerators, plus sqrt(3) times
-    by_sigma sigma + by_inv iota (see `_OmegaScale`).  irrational says
+    by_sigma sigma + by_inv iota (see `_Scales`).  irrational says
     whether any of the factors has a sqrt(3) part, even where those cancel.
     """
 
@@ -532,15 +502,71 @@ def _compile_plan(i: int, j: int, k: int, l: int) -> _Plan:
     )
 
 
-class _Plans(dict):
-    """The plans by (i, j, k, l), each compiled when it is first read."""
+class _Compiled(dict):
+    """Values by key, each compiled by build(*key) when it is first read."""
 
-    def __missing__(self, key: tuple[int, int, int, int]) -> _Plan:
-        plan = self[key] = _compile_plan(*key)
-        return plan
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.build(*key)
+        return value
 
 
-_PLANS = _Plans()
+def _compile_shape(triples: tuple, vanishing: frozenset[int]) -> tuple:
+    """The shape of a solve: the scalars (i, j, k, l), l = 1, 2, 3 for each
+    triple in order, the unknowns D_am they read, a in (i, j) and m not
+    vanishing, sorted, and each unknown's column."""
+    columns = tuple(sorted(
+        {(a, m) for i, j, _ in triples for a in (i, j) for m in AXES if m not in vanishing}
+    ))
+    keys = tuple((i, j, k, l) for i, j, k in triples for l in AXES)
+    return keys, columns, {var: n for n, var in enumerate(columns)}
+
+
+#: The plans by (i, j, k, l) and the shapes by (triples, vanishing).
+_PLANS = _Compiled(_compile_plan)
+_SHAPES = _Compiled(_compile_shape)
+
+
+def _codazzi_rows(st, keys, col: Mapping[DVar, int]) -> tuple[list[list[int]], list[bool]]:
+    """The Codazzi scalars `keys` as integer rows and their flags, each row
+    read from its plan when it is built: its dh numerators summed into the
+    columns of `col` (an unknown not in col is dropped), at scale D^2, then
+    its constant's rational and sqrt(3) parts at L (`_Scales`).  A group of
+    products whose h class is zero is skipped, so its flag is not raised.
+    """
+    h, dh, om = st._point.h, st._point.dh, st.omega_numerators
+    scale = st._scales
+    width = len(col) + 2
+    matrix, flags = [], []
+    for key in keys:
+        plan = _PLANS[key]
+        row = [0] * width
+        # for i == j both terms of an m land on one unknown and are summed
+        for var, dh_key, sign in plan.dh:
+            c = col.get(var)
+            if c is not None:
+                row[c] += sign * dh[dh_key]
+        # every product is an h numerator times an omega-scale numerator, so
+        # the sums are at the product of the two scales
+        const = by_sigma = by_inv = 0
+        irrational = False
+        for h_class, terms, w_sigma, w_inv, irr in plan.groups:
+            x = h[h_class]
+            if x:
+                const += x * sum([c * om[k] for c, k in terms])
+                if irr:
+                    irrational = True
+                    by_sigma += x * w_sigma
+                    by_inv += x * w_inv
+        # one integer factor takes the sums to L
+        row[-2] = const * scale.const_mult - scale.angle[key[:2]] * plan.angle
+        row[-1] = (by_sigma * scale.sigma + by_inv * scale.inv_sqrt3) * scale.const_mult
+        matrix.append(row)
+        flags.append(irrational)
+    return matrix, flags
 
 
 class CodazziRow(NamedTuple):
@@ -564,46 +590,16 @@ def codazzi_scalar(
     """JE_l-component of the antisymmetrized Codazzi equation on (E_i,E_j,E_k).
 
     Returns the scalar that must vanish, affine in the unknowns D_am, as a
-    `CodazziRow` read from the plan of (i, j, k, l): the dh numerators as
-    coefficients and the constant at the row scale L (see `_RowScale`),
-    never divided.  Only nonzero dh entries give
-    coefficients, and a group of products whose h class is zero is skipped,
-    so its flag is not raised.  The `vanishing` set lists components v_m
-    assumed identically zero, whose derivatives D_am are then dropped as
-    well.
+    `CodazziRow`: the one-row case of `_codazzi_rows`, in the columns of the
+    triple's shape.  An unknown is held where one of its dh numerators is
+    nonzero.  The `vanishing` set lists components v_m assumed identically
+    zero, whose derivatives D_am are then dropped as well.
     """
-    plan = _PLANS[(i, j, k, l)]
-    h = st.h_numerators
-    dh = st.dh_numerators
-    om = st.omega_numerators
-    # for i == j both terms of an m land on one unknown and are summed
-    coeffs: dict[DVar, int] = {}
-    for var, key, sign in plan.dh:
-        if var[1] in vanishing:
-            continue
-        c = dh[key]
-        if c:
-            coeffs[var] = coeffs[var] + sign * c if var in coeffs else sign * c
-    # every product is an h numerator times an omega-scale numerator, so the
-    # sums are at the product of the two scales
-    const = by_sigma = by_inv = 0
-    irrational = False
-    for h_class, terms, w_sigma, w_inv, irr in plan.groups:
-        x = h[h_class]
-        if x:
-            const += x * sum([c * om[key] for c, key in terms])
-            if irr:
-                irrational = True
-                by_sigma += x * w_sigma
-                by_inv += x * w_inv
-    # one integer factor takes the sums to L
-    rows = st._row_scale
-    scale = st._omega_scale
-    const = const * rows.const_mult
-    if plan.angle:
-        const -= rows.angle[(i, j)] * plan.angle
-    root3 = (by_sigma * scale.sigma + by_inv * scale.inv_sqrt3) * rows.const_mult
-    return CodazziRow(coeffs, const, root3, irrational)
+    _, _, col = _SHAPES[(((i, j, k),), vanishing)]
+    (row,), (irrational,) = _codazzi_rows(st, [(i, j, k, l)], col)
+    dh, plan = st._point.dh, _PLANS[(i, j, k, l)]
+    coeffs = {var: row[col[var]] for var, key, _ in plan.dh if var in col and dh[key]}
+    return CodazziRow(coeffs, row[-2], row[-1], irrational)
 
 
 # ---------------------------------------------------------------------------
@@ -687,25 +683,49 @@ def solve_triple_system(
     they survive as symbols in the returned expressions, which makes solution
     families comparable across different subsystems sharing a free unknown.
 
-    The integer rows are eliminated fraction-free (`eliminate_fraction_free`)
-    and handed out as their numerators, divided by nothing.
+    The rows go straight into an integer matrix in the shape's columns
+    (`_codazzi_rows`), each scalar times D^2 and its constant's two columns
+    times K = L / D^2 more; a column that is zero at the state is never
+    pivoted and holds no numerator.  It is eliminated fraction-free
+    (`eliminate_fraction_free`) and handed out as its numerators: with P
+    the last pivot, a solution's coefficients are over P and its constant
+    over P K, as scaling the constant's columns scales it by 1/K, and a
+    leftover, its row's residual times D^2, is over P D^2 and P L.  A
+    sqrt(3) part on a numerator not flagged irrational raises.
     """
-    if not st._ec_numerator():
+    if not st._point.ec:
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
-    rows = []
-    for (i, j, k) in triples:
-        for l in AXES:
-            rows.append(codazzi_scalar(st, i, j, k, l, vanishing))
-    present: list[DVar] = sorted({v for r in rows for v, c in r.coeffs.items() if c})
+    keys, columns, col = _SHAPES[(tuple(triples), vanishing)]
+    matrix, flags = _codazzi_rows(st, keys, col)
     designated = list(unknowns)
-    extra_vars = [v for v in present if v not in designated and v not in free_vars]
-    final, leftovers = _eliminate_integers(st, rows, present, extra_vars + designated)
+    extra_vars = [v for v in columns if v not in designated and v not in free_vars]
+    out = eliminate_fraction_free(
+        matrix, [col[v] for v in extra_vars + designated if v in col], flags
+    )
+    free = [columns[c] for c in out.free[:-2]]
+
+    def read(nums, irrational, coeff_den, const_den) -> Numerators:
+        *coeffs, const, root3 = nums
+        _require_flag(root3, irrational)
+        return Numerators(
+            {v: c for v, c in zip(free, coeffs) if c}, const, root3, irrational, coeff_den,
+            const_den,
+        )
+
+    p, scale = out.last, st._scales
+    final = {
+        columns[j]: read(nums, out.solved_irrational[j], p, p * scale.coeff_mult)
+        for j, nums in out.solved.items()
+    }
     return SolveResult(
         solutions={u: final[u] for u in designated if u in final},
         extras={v: final[v] for v in extra_vars if v in final},
-        leftovers=leftovers,
+        leftovers=[
+            read(r, irrational, p * st._D * st._D, p * scale.den)
+            for r, irrational in zip(out.leftovers, out.leftover_irrational)
+        ],
         rank=len(final),
-        n_rows=len(rows),
+        n_rows=len(keys),
         free=[u for u in designated if u not in final],
     )
 
@@ -794,44 +814,6 @@ def eliminate_fraction_free(
     return FractionFree(pivots, live, solved, leftovers, prev, solved_flags, flags)
 
 
-def _eliminate_integers(st, rows, present, pivot_vars) -> tuple[dict, list]:
-    """Fraction-free elimination of a state's integer rows, as numerators.
-
-    The integer matrix is each scalar times D^2, with its constant's two
-    columns times K = L / D^2 more.  Scaling rows scales no solution, and
-    scaling the constant's columns scales each solution's constant by 1/K:
-    with P the last pivot, a solution's coefficients are its numerators
-    over P and its constant over P K.  A leftover is its row's residual
-    times D^2, so its coefficients are over P D^2 and its constant over P L.
-    A sqrt(3) part on a numerator not flagged irrational raises.
-    """
-    col = {v: n for n, v in enumerate(present)}
-    matrix = [[r.coeffs.get(v, 0) for v in present] + [r.const, r.root3] for r in rows]
-    out = eliminate_fraction_free(
-        matrix, [col[v] for v in pivot_vars if v in col], [r.irrational for r in rows]
-    )
-    free = [present[c] for c in out.free[:-2]]
-
-    def read(nums, irrational, coeff_den, const_den) -> Numerators:
-        *coeffs, const, root3 = nums
-        _require_flag(root3, irrational)
-        return Numerators(
-            {v: c for v, c in zip(free, coeffs) if c}, const, root3, irrational, coeff_den,
-            const_den,
-        )
-
-    p, scale = out.last, st._row_scale
-    final = {
-        present[j]: read(nums, out.solved_irrational[j], p, p * scale.coeff_mult)
-        for j, nums in out.solved.items()
-    }
-    leftovers = [
-        read(r, irrational, p * st._D * st._D, p * scale.den)
-        for r, irrational in zip(out.leftovers, out.leftover_irrational)
-    ]
-    return final, leftovers
-
-
 def _substitute(st, row: CodazziRow, solutions: Mapping[DVar, Numerators]) -> Numerators:
     """A Codazzi row with the solved unknowns replaced by their solutions.
 
@@ -853,7 +835,7 @@ def _substitute(st, row: CodazziRow, solutions: Mapping[DVar, Numerators]) -> Nu
         irrational = irrational or sol.irrational
     return Numerators(
         {v: c for v, c in coeffs.items() if c}, const, root3, irrational,
-        p * st._D * st._D, p * st._row_scale.den,
+        p * st._D * st._D, p * st._scales.den,
     )
 
 
@@ -866,6 +848,14 @@ def _matches_root3(form: Numerators, num, den, degree: int, d: int) -> bool:
     root3 den D^degree = num const_den.  A NaN in num or den never matches.
     """
     return form.const == 0 and form.root3 * den * d ** degree == num * form.const_den
+
+
+def _root3_detail(num, den, degree: int, d: int) -> dict:
+    """The closed form of `_matches_root3`, sqrt(3) num / (den D^degree), as
+    a failure's details give an irrational constant: {"a", "b"}.  A NaN in
+    num or den is written as NaN."""
+    scale = den * d ** degree
+    return {"a": Fraction(0), "b": Fraction(num, scale) if num == num and scale == scale else nan}
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +901,7 @@ def frame_relation_check(seed: int = 0, trials: int = 120) -> CheckRecord:
     failures = []
     for n in range(trials):
         st = random_frame_state(rng, require_ec=False)
-        h = st.h_numerators
+        h = st._point.h
         om = st.omega_numerators
         six_q = 6 * st._angles.cotangents[0]
         for i, j, k in product(AXES, AXES, AXES):
@@ -967,7 +957,7 @@ def _compare_derivatives(st) -> tuple[list, list, bool]:
     b1, b2, b3, b4 = _quartic_brackets(st._w)
     a, thirds = st._angles.thirds
     t12, t13 = thirds[(1, 2)], thirds[(1, 3)]
-    norm = (w1 * w1 + w2 * w2 + w3 * w3) ** 3 * st._ec_numerator()
+    norm = (w1 * w1 + w2 * w2 + w3 * w3) ** 3 * st._point.ec
     pairs = []
     for label, var, prod in (
         ("K2", (1, 2), w1 * w2 * (b1 * t12 - b2 * t13)),
@@ -1072,22 +1062,25 @@ def case1_leftover(w1: int) -> tuple[int, int]:
     return -w1 ** 3, 3
 
 
-def _axis_case(st0) -> list:
+def _axis_case(st0, nodes: Sequence[_Point]) -> list:
     """The axis case at the angles of st0, decided on numerators: the
-    failures, as (reason, extra), of its solves at v = (x, 0, 0) for x in
-    `AXIS_NODES`, stopping at the first node that fails."""
+    failures, as (reason, extra), of its solves at the nodes, the points
+    v = (x, 0, 0) for x in `AXIS_NODES`, stopping at the first that fails."""
     vanishing = frozenset({2, 3})
-    for x in AXIS_NODES:
-        st = st0.with_v([x, 0, 0], 1)
+    for node in nodes:
+        st = st0.at(node)
+        x = node.w[0]
         res = solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing)
         if len(res.leftovers) != 1 or res.leftovers[0].coeffs:
             return [("unexpected elimination shape", None)]
         if not res.solutions[(2, 1)].is_zero():
             return [("D_21 not forced to zero", None)]
         (leftover,) = res.leftovers
-        if not _matches_root3(leftover, *case1_leftover(st._w[0]), 3, st._D):
+        num, den = case1_leftover(x)
+        if not _matches_root3(leftover, num, den, 3, st._D):
             reason = "leftover is not -v1^3/sqrt(3)"
-            return [(reason, {"v1": x, "leftover": leftover.const_detail()})]
+            expected = _root3_detail(num, den, 3, st._D)
+            return [(reason, {"v1": x, "leftover": leftover.const_detail(), "expected": expected})]
     return []
 
 
@@ -1098,12 +1091,15 @@ def case1_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     one constraint, a polynomial of degree at most 3 in v1.  It is compared
     with -v1^3/sqrt(3) exactly at v1 = 1, ..., 5: four nodes fix the cubic and
     the fifth probes it.  The only real root of -v1^3/sqrt(3) is v1 = 0.
+    The five nodes' h and dh depend on v alone, so each call builds them
+    once and the trials share them; the nodes of a trial share its scales.
     """
     rng = random.Random(seed)
+    nodes = [_Point([x, 0, 0], 1) for x in AXIS_NODES]
     failures = []
     for n in range(trials):
         st0 = random_frame_state(rng, require_ec=False, zero=(2, 3))
-        for reason, extra in _axis_case(st0):
+        for reason, extra in _axis_case(st0, nodes):
             failures.append({"angles": {k: _circle(st0._angles.theta[k]) for k in (1, 2)},
                              "reason": reason, "extra": extra})
     return CheckRecord(
@@ -1266,7 +1262,9 @@ def _v2_zero_case(st) -> list:
     n23, n21, den = case3_closed_forms(w1, w3)
     d23, d21 = res.solutions[(2, 3)], res.solutions[(2, 1)]
     if not (_matches_root3(d23, n23, den, 1, d) and _matches_root3(d21, n21, den, 1, d)):
-        return [("closed form mismatch", {"D23": d23.const_detail(), "D21": d21.const_detail()})]
+        expected = {"D23": _root3_detail(n23, den, 1, d), "D21": _root3_detail(n21, den, 1, d)}
+        return [("closed form mismatch",
+                 {"D23": d23.const_detail(), "D21": d21.const_detail(), "expected": expected})]
     num, den = case3_leftover(w1, w3)
     left = res.leftovers
     if any(x.coeffs for x in left) or len(left) != 2 or not (
@@ -1274,7 +1272,9 @@ def _v2_zero_case(st) -> list:
         or (_matches_root3(left[0], num, den, 3, d) and left[1].is_zero())
     ):
         consts = [x.const_detail() for x in left]
-        return [("leftovers are not 0 and the forcing leftover", {"leftovers": consts})]
+        expected = _root3_detail(num, den, 3, d)
+        return [("leftovers are not 0 and the forcing leftover",
+                 {"leftovers": consts, "expected": expected})]
     return []
 
 

@@ -608,7 +608,10 @@ def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) ->
     than evaluated on meaningless data.  Where some point is non-degenerate,
     the angle check also gates on the eigenframe relation and dtheta
     residuals, reports their worst values and the largest |E_i(theta_j)|.
-    The grid's cubic forms are handed on as the result's `cubic`.
+    Where an adapted frame cannot be built (`angle_functions` raises
+    ValueError), the angle-sum and orientation records fail with the
+    message in their details.  The grid's cubic forms are handed on as the
+    result's `cubic`.
     """
     bounds = {name: default if tol is None else tol for name, default in SUITE_TOLS.items()}
     points = imm.domain.grid(grid)
@@ -656,8 +659,13 @@ def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) ->
     eigen_worsts = {"frame_relation_worst": 0.0, "dtheta_worst": 0.0}
     dtheta_max_abs = 0.0
     degenerate_points = 0
+    frame_error = None
     for i in range(len(points)):
-        fc = _adapted_frame(pkg, i)
+        try:
+            fc = _adapted_frame(pkg, i)
+        except ValueError as exc:  # from angle_functions: the frame checks fail
+            frame_error = str(exc)
+            break
         if fc.degenerate:
             degenerate_points += 1
         else:
@@ -673,6 +681,12 @@ def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) ->
         bound = bounds[name]
         details = {}
         passed = within(worsts[name], bound)
+        if frame_error is not None and name in ("angle-sum", "orientation"):
+            records.append(CheckRecord(
+                check_id=f"{name}[{tag}]", passed=False, samples=len(points), tolerance=bound,
+                details={"error": frame_error},
+            ))
+            continue
         if name == "angle-sum":
             details = {"degenerate_points": degenerate_points, "grid_points": len(points)}
             if degenerate_points < len(points):

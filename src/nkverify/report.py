@@ -54,7 +54,11 @@ def min_keep_nan(*values):
 
 
 def jsonable(x: Any) -> Any:
-    """Recursively convert exact and numpy scalars to JSON-stable values."""
+    """Recursively convert exact and numpy scalars to JSON-stable values.
+
+    Any other type raises TypeError: a value the report cannot write
+    exactly, such as an element of Q(sqrt 3), is never rounded to a float.
+    """
     if x is None or isinstance(x, (bool, int, str)):
         return x
     if isinstance(x, float):
@@ -68,9 +72,9 @@ def jsonable(x: Any) -> Any:
         if isinstance(x, (set, frozenset)):
             items = sorted(items, key=str)
         return [jsonable(v) for v in items]
-    if hasattr(x, "item"):  # numpy scalars
+    if isinstance(x, np.generic):  # numpy scalars
         return jsonable(x.item())
-    return float(x)  # anything else real-valued
+    raise TypeError(f"a report cannot hold a {type(x).__name__}: {x!r}")
 
 
 @dataclass

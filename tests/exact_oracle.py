@@ -18,6 +18,7 @@ A state holds only integers; the value view of it is here: v as Fractions
 (`frame_state`).  The checks decide on integer numerators.  The value forms
 they compared before are kept here: the affine forms (`AffineExpr`), a row
 or a solve read into values (`codazzi_values`, `solve_values`), the
+integer solve with its rows built one at a time (`row_by_row_solve`), the
 compatibility forms, the closed forms of the axis, null-axis and v2 = 0
 cases in Fraction and Q(sqrt 3), and each case's verdict at one state
 computed from those, to be held against the checks' integer verdicts.  A
@@ -271,7 +272,7 @@ def codazzi_values(st, row) -> AffineExpr:
     """
     d2 = st._D * st._D
     return AffineExpr(
-        _value(row.const, row.root3, row.irrational, st._row_scale.den),
+        _value(row.const, row.root3, row.irrational, st._scales.den),
         {v: Fraction(c, d2) for v, c in row.coeffs.items()},
     )
 
@@ -457,6 +458,50 @@ def oracle_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> 
     )
 
 
+def row_by_row_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> SolveResult:
+    """`solve_triple_system` as it was before its rows went straight into the
+    matrix: each row built alone by `codazzi_scalar`, the columns the
+    unknowns with a nonzero coefficient at this state (`present`), and the
+    rows' dicts turned into the dense integer matrix, then read out into
+    `Numerators` as the solver does."""
+    if not st._point.ec:
+        raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
+    rows = [
+        codazzi.codazzi_scalar(st, i, j, k, l, vanishing) for i, j, k in triples for l in AXES
+    ]
+    present = sorted({v for r in rows for v, c in r.coeffs.items() if c})
+    designated = list(unknowns)
+    extra_vars = [v for v in present if v not in designated and v not in free_vars]
+    col = {v: n for n, v in enumerate(present)}
+    out = codazzi.eliminate_fraction_free(
+        [[r.coeffs.get(v, 0) for v in present] + [r.const, r.root3] for r in rows],
+        [col[v] for v in extra_vars + designated if v in col],
+        [r.irrational for r in rows],
+    )
+    free = [present[c] for c in out.free[:-2]]
+
+    def read(nums, irrational, coeff_den, const_den) -> Numerators:
+        *coeffs, const, root3 = nums
+        codazzi._require_flag(root3, irrational)
+        return Numerators({v: c for v, c in zip(free, coeffs) if c}, const, root3, irrational,
+                          coeff_den, const_den)
+
+    p, scale = out.last, st._scales
+    final = {
+        present[j]: read(nums, out.solved_irrational[j], p, p * scale.coeff_mult)
+        for j, nums in out.solved.items()
+    }
+    return SolveResult(
+        solutions={u: final[u] for u in designated if u in final},
+        extras={v: final[v] for v in extra_vars if v in final},
+        leftovers=[read(r, irrational, p * st._D * st._D, p * scale.den)
+                   for r, irrational in zip(out.leftovers, out.leftover_irrational)],
+        rank=len(final),
+        n_rows=len(rows),
+        free=[u for u in designated if u not in final],
+    )
+
+
 # ---------------------------------------------------------------------------
 # the checks' comparisons in values
 
@@ -573,10 +618,10 @@ def compare_derivatives_values(st) -> tuple[list, list, bool]:
 
 def axis_case_values(st0) -> list:
     """`codazzi._axis_case` in values: each leftover compared with
-    QSqrt3(0, -v1^3/3)."""
+    QSqrt3(0, -v1^3/3), which a failure's details give as expected."""
     vanishing = frozenset({2, 3})
     for x in AXIS_NODES:
-        st = st0.with_v([x, 0, 0], 1)
+        st = st0.at(codazzi._Point([x, 0, 0], 1))
         res = solve_values(
             codazzi.solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing)
         )
@@ -584,9 +629,10 @@ def axis_case_values(st0) -> list:
             return [("unexpected elimination shape", None)]
         if _nonzero(res.solutions[(2, 1)]):
             return [("D_21 not forced to zero", None)]
-        leftover = res.leftovers[0].const
-        if leftover != QSqrt3(0, Fraction(-x ** 3, 3)):
-            return [("leftover is not -v1^3/sqrt(3)", {"v1": x, "leftover": detail(leftover)})]
+        leftover, expected = res.leftovers[0].const, QSqrt3(0, Fraction(-x ** 3, 3))
+        if leftover != expected:
+            extra = {"v1": x, "leftover": detail(leftover), "expected": detail(expected)}
+            return [("leftover is not -v1^3/sqrt(3)", extra)]
     return []
 
 
@@ -629,7 +675,8 @@ def null_axis_case_values(st) -> list:
 
 def v2_zero_case_values(st) -> list:
     """`codazzi._v2_zero_case` in values: the solutions and leftovers
-    compared with the closed forms in Q(sqrt 3)."""
+    compared with the closed forms in Q(sqrt 3), which a failure's details
+    give as expected."""
     res = solve_values(
         codazzi.solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], CASE3_UNKNOWNS, frozenset({2}))
     )
@@ -637,10 +684,14 @@ def v2_zero_case_values(st) -> list:
         return [("derivatives not pinned", res.free)]
     v1, v3 = v_of(st)[1], v_of(st)[3]
     got = (res.solutions[(2, 3)].const, res.solutions[(2, 1)].const)
-    if got != case3_closed_forms(v1, v3):
-        return [("closed form mismatch", detail({"D23": got[0], "D21": got[1]}))]
+    want = case3_closed_forms(v1, v3)
+    if got != want:
+        expected = {"D23": want[0], "D21": want[1]}
+        return [("closed form mismatch",
+                 detail({"D23": got[0], "D21": got[1], "expected": expected}))]
     consts = [x.const for x in res.leftovers]
     forcing = case3_leftover(v1, v3)
     if any(x.coeffs for x in res.leftovers) or consts not in ([0, forcing], [forcing, 0]):
-        return [("leftovers are not 0 and the forcing leftover", {"leftovers": detail(consts)})]
+        extra = {"leftovers": detail(consts), "expected": detail(forcing)}
+        return [("leftovers are not 0 and the forcing leftover", extra)]
     return []

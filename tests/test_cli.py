@@ -607,3 +607,67 @@ def test_main_repeated_runs_write_identical_files(tmp_path) -> None:
         main(["proof", "--trials", "3", "--seed", "6", "--format", "json",
               "--out", str(path)])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_report_refuses_values_it_cannot_write_exactly() -> None:
+    # a Q(sqrt 3) element would have been written as a rounded float, a
+    # circle point would have raised by accident; both raise TypeError now,
+    # while numpy scalars are still read through .item()
+    from fractions import Fraction
+
+    from nkverify.exact import CirclePoint, QSqrt3
+    from nkverify.report import jsonable
+
+    for value in (QSqrt3(0, Fraction(-1, 3)), CirclePoint(Fraction(3, 5), Fraction(4, 5))):
+        with pytest.raises(TypeError):
+            jsonable({"extra": [value]})
+    assert jsonable([np.float64(0.5), np.int64(3), np.bool_(True)]) == [0.5, 3, True]
+
+
+def _refuse_angles(monkeypatch) -> str:
+    """angle_functions patched to raise as it does on a pair (A, B) that is
+    not symmetric and commuting; returns its message."""
+    from nkverify import lagrangian
+
+    message = "angle functions need symmetric commuting A, B"
+
+    def refuse(A, B):
+        raise ValueError(message)
+
+    monkeypatch.setattr(lagrangian, "angle_functions", refuse)
+    return message
+
+
+def test_angle_function_error_fails_the_frame_records(monkeypatch, tmp_path) -> None:
+    # a frame that cannot be built fails frame-g-form, angle-sum and
+    # orientation as records with the message in their details: exit 1 and a
+    # report, not a usage error; the other records are unchanged
+    message = _refuse_angles(monkeypatch)
+    out = tmp_path / "structure.json"
+    as_json = ["--format", "json", "--out", str(out)]
+    assert main(["structure", "--samples", "5", "--seed", "1", *as_json]) == 1
+    checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [k for k, c in checks.items() if not c["passed"]] == ["frame-g-form"]
+    assert checks["frame-g-form"]["details"]["error"] == message
+    out = tmp_path / "lagrangian.json"
+    as_json = ["--format", "json", "--out", str(out)]
+    assert main(["lagrangian", "--example", "diagonal", "--grid", "1", *as_json]) == 1
+    checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    failed = sorted(k for k, c in checks.items() if not c["passed"])
+    assert failed == ["angle-sum[diagonal]", "orientation[diagonal]"]
+    assert all(checks[k]["details"] == {"error": message} for k in failed)
+
+
+def test_angle_function_error_still_writes_every_pipeline_report(monkeypatch, tmp_path) -> None:
+    import importlib.util
+    from pathlib import Path
+
+    _refuse_angles(monkeypatch)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all.py"
+    spec = importlib.util.spec_from_file_location("run_all", script)
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    small = ["--grid", "1", "--samples", "5", "--trials", "1", "--out", str(tmp_path)]
+    assert run_all.run(small) == 1
+    for name in ("structure", "lagrangian", "proof", "fit"):
+        assert json.loads((tmp_path / f"{name}.json").read_text())["checks"]

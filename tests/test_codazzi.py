@@ -16,6 +16,7 @@ from nkverify import codazzi
 from nkverify.cli import cmd_proof
 from nkverify.codazzi import (
     AXES,
+    AXIS_NODES,
     CANONICAL_PAIRS,
     CASE3_UNKNOWNS,
     SET1_TRIPLES,
@@ -46,6 +47,7 @@ from nkverify.codazzi import (
     _case2_displays,
     _DH_CLASS,
     _H_CLASS,
+    _Point,
 )
 from nkverify.exact import CirclePoint, QSqrt3, rat_circle_point
 from nkverify.humfit import build_h_from_V
@@ -107,7 +109,7 @@ def _class_values(table: dict, classes: dict, den) -> dict:
 def _connection_values(st_, root3) -> dict:
     """omega's rational numerators plus root3 eps_ijk sqrt(3), over omega's
     scale: a QSqrt3 where i, j, k are distinct."""
-    den = st_._omega_scale.den
+    den = st_._scales.omega_den
     return {
         key: exact_oracle._value(x, root3 * epsilon(*key), epsilon(*key) != 0, den)
         for key, x in st_.omega_numerators.items()
@@ -115,13 +117,13 @@ def _connection_values(st_, root3) -> dict:
 
 
 def _omega_values(st_) -> dict:
-    return _connection_values(st_, st_._omega_scale.sigma)
+    return _connection_values(st_, st_._scales.sigma)
 
 
 def _shifted_values(st_) -> dict:
     """The shifted connection omega_im^l - eps_iml/sqrt(3) as values: omega's
     rational part, and the sqrt(3) part (sigma - iota) eps_iml."""
-    scale = st_._omega_scale
+    scale = st_._scales
     return _connection_values(st_, scale.sigma - scale.inv_sqrt3)
 
 
@@ -220,12 +222,12 @@ def _assert_tables_match_dense(st_) -> None:
     with and without the state's zero components vanishing."""
     v = [v_of(st_)[m] for m in AXES]
     d = st_._D
-    h_num, full_h = st_.h_numerators, dense_h(v)
+    h_num, full_h = st_._point.h, dense_h(v)
     assert sorted(h_num) == sorted(set(_H_CLASS.values()))
     for key, rep in _H_CLASS.items():
         assert type(h_num[rep]) is int
         _assert_same(Fraction(h_num[rep], d ** 3), full_h[key])
-    dh_num, full_dh = st_.dh_numerators, dense_dh(v)
+    dh_num, full_dh = st_._point.dh, dense_dh(v)
     assert sorted(dh_num) == sorted(set(_DH_CLASS.values()))
     for key, rep in _DH_CLASS.items():
         assert type(dh_num[rep]) is int
@@ -275,12 +277,12 @@ def _coprime_states(seed: int, n: int) -> list[FrameState]:
 
 def _axis_states(seed: int, n: int) -> list[FrameState]:
     """`case1_check`'s states: v = (v1, 0, 0) at v1 = 1, ..., 5 (D = 1), built
-    with `with_v` from a sampled state with v2 = v3 = 0."""
+    with `at` from a sampled state with v2 = v3 = 0."""
     rng = random.Random(seed)
     out = []
     for _ in range(n):
         st0 = random_frame_state(rng, require_ec=False, zero=(2, 3))
-        out.extend(st0.with_v([x, 0, 0], 1) for x in range(1, 6))
+        out.extend(st0.at(_Point([x, 0, 0], 1)) for x in range(1, 6))
     return out
 
 
@@ -293,8 +295,8 @@ def test_exact_tables_match_dense_formulas(zero) -> None:
         _assert_tables_match_dense(st_)
         # exact values do not depend on the order of the factors
         v, d = [v_of(st_)[m] for m in AXES], st_._D
-        assert _class_values(st_.h_numerators, _H_CLASS, d ** 3) == dense_h(v)
-        assert _class_values(st_.dh_numerators, _DH_CLASS, d ** 2) == dense_dh(v)
+        assert _class_values(st_._point.h, _H_CLASS, d ** 3) == dense_h(v)
+        assert _class_values(st_._point.dh, _DH_CLASS, d ** 2) == dense_dh(v)
 
 
 @pytest.mark.parametrize("states", [_coprime_states, _axis_states])
@@ -355,8 +357,8 @@ def test_float_tables_match_dense_formulas_exactly(zero) -> None:
         d = st_._D
         h_float, dh_float = dense_h(fv), dense_dh(fv)
         fit_array = np.asarray(build_h_from_V(fv))
-        h_exact = _class_values(st_.h_numerators, _H_CLASS, d ** 3)
-        dh_exact = _class_values(st_.dh_numerators, _DH_CLASS, d ** 2)
+        h_exact = _class_values(st_._point.h, _H_CLASS, d ** 3)
+        dh_exact = _class_values(st_._point.dh, _DH_CLASS, d ** 2)
         for i, j, k in product(AXES, AXES, AXES):
             want = float(h_exact[(i, j, k)])
             assert h_float[(i, j, k)] == want == fit_array[i - 1, j - 1, k - 1], (i, j, k)
@@ -394,10 +396,10 @@ def _random_v(rng: random.Random) -> list[Fraction]:
 
 def test_frame_state_angle_differences_match_angle_sub() -> None:
     # theta3 and three differences are built on integer triples; the reverse
-    # pairs and the diagonal follow, and `with_v` states share them.  Each
+    # pairs and the diagonal follow, and `at` states share them.  Each
     # triple must give the Fraction circle arithmetic's point, and the angle
     # numerators A sin 2(theta_a - theta_b)/3 its doubled-angle sine, on all
-    # nine ordered pairs of 40 drawn states and 4 `with_v` states of each
+    # nine ordered pairs of 40 drawn states and 4 `at` states of each
     rng = random.Random(23)
     checked = 0
     while checked < 200:
@@ -408,7 +410,7 @@ def test_frame_state_angle_differences_match_angle_sub() -> None:
         except ValueError:
             continue
         angles = {1: p, 2: q, 3: conjugate(angle_add(p, q))}
-        for st_ in [st0] + [st0.with_v(*integers(_random_v(rng))) for _ in range(4)]:
+        for st_ in [st0] + [st0.at(_Point(*integers(_random_v(rng)))) for _ in range(4)]:
             assert angles_of(st_) == angles
             den, thirds = st_._angles.thirds
             for a, b in product(AXES, AXES):
@@ -419,7 +421,7 @@ def test_frame_state_angle_differences_match_angle_sub() -> None:
                 if a != b:
                     assert cot(st_, a, b) == want.c / want.s
             v1, v2, v3 = (v_of(st_)[m] for m in AXES)
-            gate = Fraction(st_._ec_numerator(), st_._D ** 2)
+            gate = Fraction(st_._point.ec, st_._D ** 2)
             assert gate == 4 * v1 ** 2 - 3 * (v2 ** 2 + v3 ** 2)
             checked += 1
 
@@ -439,7 +441,7 @@ def test_exact_states_are_drawn_without_fraction_arithmetic(monkeypatch) -> None
         for _ in range(200):
             st0 = random_frame_state(rng)
             states.append(st0)
-            states.extend(st0.with_v(*integers(_random_v(rng))) for _ in range(4))
+            states.extend(st0.at(_Point(*integers(_random_v(rng)))) for _ in range(4))
     assert len(states) == 1000
     assert all(ec_value(st_) != 0 for st_ in states[::5])
 
@@ -464,6 +466,24 @@ def test_integer_draw_matches_the_fraction_draw(zero) -> None:
             assert (st_._w, st_._D) == (ref._w, ref._D)
             assert st_._angles.cotangents == ref._angles.cotangents
             assert st_._angles.thirds == ref._angles.thirds
+
+
+def test_angle_tables_match_fraction_arithmetic() -> None:
+    # the cotangent and angle-term numerators, reduced with gcd and lcm on
+    # ints, are those of Fraction arithmetic: Q and A the lcm of the reduced
+    # denominators, the same numerators, the reverse pairs negated and the
+    # diagonal of the angle terms zero, at 3000 draws
+    rng = random.Random(26)
+    for _ in range(3000):
+        angles = random_frame_state(rng, require_ec=False)._angles
+        cots = {ab: Fraction(c, s) for ab, (c, s, _) in angles.diffs.items() if ab[0] != ab[1]}
+        thirds = {ab: Fraction(2 * s * c, 3 * e * e) for ab, (c, s, e) in angles.diffs.items()}
+        q = math.lcm(*(x.denominator for x in cots.values()))
+        a = math.lcm(*(x.denominator for x in thirds.values()))
+        assert angles.cotangents == (q, {ab: 6 * x * q for ab, x in cots.items()})
+        assert angles.thirds == (a, {ab: x * a for ab, x in thirds.items()})
+        assert all(type(x) is int for x in [*angles.cotangents[1].values(),
+                                            *angles.thirds[1].values()])
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +776,43 @@ def test_case3_solves_match_the_oracle() -> None:
         assert (len(solutions), len(leftovers), rank, n_rows, free) == (4, 2, 4, 6, [])
 
 
+#: Per solve shape: states drawn as the check that makes the solve draws
+#: them, n at a time; the axis case's five nodes per drawn angle pair.
+SHAPE_STATES = {
+    "system1/set1": lambda rng, n: _derivative_states(rng, n),
+    "system1/set2": lambda rng, n: _derivative_states(rng, n),
+    "case1": lambda rng, n: [
+        st0.at(_Point([x, 0, 0], 1))
+        for st0 in (random_frame_state(rng, require_ec=False, zero=(2, 3)) for _ in range(n // 5))
+        for x in AXIS_NODES
+    ],
+    "case2": lambda rng, n: [random_frame_state(rng, zero=(1,), nonzero=(2, 3)) for _ in range(n)],
+    "case3": lambda rng, n: [random_frame_state(rng, zero=(2,), nonzero=(1, 3)) for _ in range(n)],
+}
+
+
+@pytest.mark.parametrize("name", PROOF_SOLVES)
+def test_solve_matches_the_row_by_row_reference(name) -> None:
+    # the rows built straight into the matrix, in the shape's columns, give
+    # the result of rows built one at a time through `codazzi_scalar` and
+    # eliminated in the columns present at the state: every field, with its
+    # flags, scales and dict order, at 60 states drawn as the check draws
+    # them and 25 of each zero pattern, where a refused state must raise alike
+    shape = PROOF_SOLVES[name]
+    rng = random.Random(90)
+    states = SHAPE_STATES[name](rng, 60)
+    states += [random_frame_state(rng, require_ec=False, zero=z) for z in ZERO_PATTERNS
+               for _ in range(25)]
+    for st_ in states:
+        if not st_._point.ec:
+            for solve in (solve_triple_system, exact_oracle.row_by_row_solve):
+                with pytest.raises(ValueError):
+                    solve(st_, *shape)
+            continue
+        got, want = solve_triple_system(st_, *shape), exact_oracle.row_by_row_solve(st_, *shape)
+        assert got == want and repr(got) == repr(want), st_.describe()
+
+
 def _flip_first_constant(real):
     # both of the constant's columns, its rational and its sqrt(3) part
     def mutant(rows, order, irrational):
@@ -853,13 +910,12 @@ QSQRT3_ARITHMETIC = (
 
 
 def test_exact_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
-    # with the state's scales computed first (they hold the cotangents and
-    # angle terms, built from Fractions), the nine rows of a nine-row solve
-    # are built from their plans and eliminated and back-substituted with no
-    # Fraction built and no QSqrt3 touched; those come only when the results
-    # are read
+    # the state's scales, the nine rows of a nine-row solve built from their
+    # plans, and their elimination and back substitution build no Fraction
+    # and touch no QSqrt3; those come only when the results are read.  The
+    # scales, with the cotangents and angle terms, are computed under the
+    # refusal too
     st_ = _state(10, nonzero=(1, 2, 3))
-    st_._row_scale
 
     def refuse(*args, **kw):
         raise AssertionError("field arithmetic inside the row build or the elimination")
@@ -951,16 +1007,18 @@ def test_proof_replay_work_counts(monkeypatch) -> None:
     # computed (39, 180, 15), and re-recorded when the constrained-angle case
     # became exact: it draws its 3 states with random_frame_state, makes one
     # 6-row solve each, and no longer builds 12 companion solves (36 rows) or
-    # 3 rows of (E1,E2,E3) per state
-    counts = dict.fromkeys(("solve_triple_system", "codazzi_scalar", "random_frame_state"), 0)
+    # 3 rows of (E1,E2,E3) per state.  Every row, a solve's or a
+    # substitution's, is built by the one row loop `_codazzi_rows`, which
+    # counts the rows it is handed
+    counts = dict.fromkeys(("solve_triple_system", "_codazzi_rows", "random_frame_state"), 0)
     for name in counts:
         def counted(*args, _real=getattr(codazzi, name), _name=name, **kw):
-            counts[_name] += 1
+            counts[_name] += len(args[1]) if _name == "_codazzi_rows" else 1
             return _real(*args, **kw)
 
         monkeypatch.setattr(codazzi, name, counted)
     assert cmd_proof(trials=3, seed=3).passed
-    assert counts == {"solve_triple_system": 27, "codazzi_scalar": 135, "random_frame_state": 18}
+    assert counts == {"solve_triple_system": 27, "_codazzi_rows": 135, "random_frame_state": 18}
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1068,23 @@ def test_system1_seed_stability() -> None:
     a = system1_check(seed=21, trials=15)
     b = system1_check(seed=21, trials=15)
     assert a.as_dict() == b.as_dict()
+
+
+def test_axis_case_builds_its_node_tables_once_per_call(monkeypatch) -> None:
+    # h and dh at v = (x, 0, 0) depend on v alone: one call builds them for
+    # the five nodes, whatever the trials, and the next call builds its own,
+    # so a table builder patched between calls reaches every node
+    counts = dict.fromkeys(("hijk_gradient", "hijk_from_v"), 0)
+    for name in counts:
+        def counted(*args, _real=getattr(codazzi, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(codazzi, name, counted)
+    assert case1_check(seed=22, trials=20).passed
+    assert counts == {"hijk_gradient": 5, "hijk_from_v": 5}
+    assert case1_check(seed=22, trials=3).passed
+    assert counts == {"hijk_gradient": 10, "hijk_from_v": 10}
 
 
 def test_case1_forces_v1_zero() -> None:
@@ -1108,7 +1183,7 @@ def test_case3_leftover_is_free_of_the_angles() -> None:
     v = [Fraction(3, 4), Fraction(0), Fraction(-5, 7)]
     leftovers, solutions = set(), set()
     for _ in range(12):
-        st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3)).with_v(*integers(v))
+        st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3)).at(_Point(*integers(v)))
         res = _exact_solve(st_, *PROOF_SOLVES["case3"])
         assert res.leftovers[0].const == 0
         leftovers.add(res.leftovers[1].const)
@@ -1351,7 +1426,12 @@ FAILURE_MUTANTS = {
 #: checks still read their failure details through Fraction and QSqrt3
 #: values; those two details changed form when the details came to be built
 #: from the integers, and `test_failure_details_read_the_numerators` pins
-#: their new form.
+#: their new form.  The eight case1_check and case3_check entries whose
+#: failures compare a leftover or a solution with a closed form were
+#: re-recorded when those failures came to give the closed form as
+#: "expected" (before: dh-off-by-one/case3 1d19dc37, fifth-node fe0434b6,
+#: d23-off-by-one and d23-five-v1 118821d8, the three leftover mutants
+#: 1d878e8e, stray-leftover/case3 fb1d8af6); the others stayed.
 FAILURE_DIGESTS = {
     "dh-off-by-one": {
         "frame_relation_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -1359,31 +1439,31 @@ FAILURE_DIGESTS = {
         "case1_check": "24329802ea2ee2a94f71d715dca11b8099c99812c7421fee0cbe7bd250050ccd",
         "case2_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "det_factorization_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "case3_check": "1d19dc375a809855f1ca292868386e22e47b3af88ebb703f725ff85055367663",
+        "case3_check": "70a67dbb7e170da988786006f6993ffe29b27a7174a4d83d2af24f6fa57e851c",
     },
     "fifth-node": {
-        "case1_check": "fe0434b68800c2a84d8e0569cadaabf8a354caa4a837d26cc2d595e7d4b13b31",
+        "case1_check": "d9632cde6e879f48f150874eb30532dd7643170c98e784db147a894368880ac2",
     },
     "d23-off-by-one": {
-        "case3_check": "118821d897df2b04484bfc74ecc808147119718cbe54f1378839697f3ae0e0e8",
+        "case3_check": "0f0a25bc365b6515e95fd71db7a6c78f91f4bfd7016f2d55b8290b9a19317b50",
     },
     "d23-five-v1": {
-        "case3_check": "118821d897df2b04484bfc74ecc808147119718cbe54f1378839697f3ae0e0e8",
+        "case3_check": "d670fe00ac678ce716341df78e5445cee9bef0c2bf3d7efe0b0a5a2b795b2007",
     },
     "leftover-half": {
-        "case3_check": "1d878e8e6fedcda78b5a6215b5d8526ee256fa5b1462042df01e93d8721f1830",
+        "case3_check": "d5a16780f17107ad564674ddbd775ddf8d61ead00e11ca592d21e3b287ede8c0",
     },
     "leftover-negated": {
-        "case3_check": "1d878e8e6fedcda78b5a6215b5d8526ee256fa5b1462042df01e93d8721f1830",
+        "case3_check": "8f2336a995dfd89d11174cc11bdccf260f574c8e173bdf25ecf5200c07deebf3",
     },
     "leftover-zero": {
-        "case3_check": "1d878e8e6fedcda78b5a6215b5d8526ee256fa5b1462042df01e93d8721f1830",
+        "case3_check": "f199ff61baa2dad84ed1c2fc4bbb3cea983455bd3eafea112609e50e194f11f7",
     },
     "stray-leftover": {
         "system1_check": "e590960275af1c57bfb6df4580bc7107a13b3c21efcd59dd6cefac184e272452",
         "case1_check": "fed470414095208b5bfa2fc6bee049585ef217e5f93ef3922b25b02ae1a2754b",
         "case2_check": "98dd44fa1e428f96ad3c20bc290712c29eb399ce2224b7f86e11888342c2ff61",
-        "case3_check": "fb1d8af637a7233b06ebb752e9ab0c8d53e5f5fb8536df123047d2b97d5b93f4",
+        "case3_check": "88245bf2b1cd1b95a6872d88025c2c603947b155c17f2f2b0a01382366675d49",
     },
 }
 
@@ -1434,6 +1514,32 @@ def test_failure_details_read_the_numerators(monkeypatch) -> None:
     assert [f["extra"]["v1"] for f in axis] == [5] * 3
 
 
+def test_failure_details_give_the_closed_form_compared_with(monkeypatch) -> None:
+    # a failure that compares a leftover or a solution with a closed form
+    # names that form as "expected", so mutants of the form differ
+    assert FAILURE_DIGESTS["d23-off-by-one"] != FAILURE_DIGESTS["d23-five-v1"]
+    leftover_mutants = ("leftover-half", "leftover-negated", "leftover-zero")
+    assert len({FAILURE_DIGESTS[m]["case3_check"] for m in leftover_mutants}) == 3
+    axis = _mutant_failures(monkeypatch, "fifth-node")["case1_check"]
+    assert [f["extra"]["expected"] for f in axis] == [{"a": "0/1", "b": "-125/3"}] * 3
+    # the expected values are the mutated closed forms at each failing state:
+    # D23 + sqrt(3)/D, and the forcing leftover times the factor
+    for mutant, factor in (("d23-off-by-one", None), ("leftover-half", Fraction(1, 2)),
+                           ("leftover-negated", -1), ("leftover-zero", 0)):
+        failures = _mutant_failures(monkeypatch, mutant)["case3_check"]
+        assert len(failures) == 5
+        for f in failures:
+            v1, _, v3 = (Fraction(x) for x in f["state"]["v"])
+            d = math.lcm(v1.denominator, v3.denominator)
+            got = f["extra"]["expected"]
+            if factor is None:
+                d23, d21 = exact_oracle.case3_closed_forms(v1, v3)
+                assert {k: Fraction(got[k]["b"]) for k in got} == {
+                    "D23": d23.b + Fraction(1, d), "D21": d21.b}
+            else:
+                assert Fraction(got["b"]) == factor * exact_oracle.case3_leftover(v1, v3).b
+
+
 # ---------------------------------------------------------------------------
 # the integer verdicts against the value-form comparisons of exact_oracle
 
@@ -1459,7 +1565,8 @@ DIFFERENTIAL_CASES = {
         _derivative_verdicts, exact_oracle.compare_derivatives_values, _derivative_states,
     ),
     "axis-case": (
-        codazzi._axis_case, exact_oracle.axis_case_values,
+        lambda st0: codazzi._axis_case(st0, [_Point([x, 0, 0], 1) for x in AXIS_NODES]),
+        exact_oracle.axis_case_values,
         lambda rng, n: [random_frame_state(rng, require_ec=False, zero=(2, 3)) for _ in range(n)],
     ),
     "null-axis-case": (
