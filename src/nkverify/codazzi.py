@@ -64,11 +64,12 @@ The checks decide on these numerators.  A leftover is tested for zero on
 its integers.  A closed form homogeneous of degree k in v is evaluated on
 w = D v, where it is D^k times its value at v, and compared with a
 numerator by cross-multiplication; so are the two solutions the derivative
-comparison subtracts, and the null-axis rows after the substitution, which
-stays on numerators too.  A failure's details are built from the integers:
-each number a Fraction, an angle its cosine and sine as {"c", "s"}, and a
-constant flagged irrational its rational and sqrt(3) parts as {"a", "b"};
-a failed comparison with a closed form gives that form as "expected".
+comparison subtracts, and the null-axis rows with the (E1,E2,E1) solutions
+substituted, which are the leftovers of one solve of both triples.  A
+failure's details are built from the integers: each number a Fraction, an
+angle its cosine and sine as {"c", "s"}, and a constant flagged irrational
+its rational and sqrt(3) parts as {"a", "b"}; a failed comparison with a
+closed form gives that form as "expected".
 """
 
 from __future__ import annotations
@@ -593,7 +594,10 @@ def codazzi_scalar(
     `CodazziRow`: the one-row case of `_codazzi_rows`, in the columns of the
     triple's shape.  An unknown is held where one of its dh numerators is
     nonzero.  The `vanishing` set lists components v_m assumed identically
-    zero, whose derivatives D_am are then dropped as well.
+    zero, whose derivatives D_am are then dropped as well.  No check reads
+    a row alone, since every solve builds its rows in one `_codazzi_rows`
+    call: it serves the tests, which compare it with other row builders, and
+    the benchmark's tracer, which counts its calls.
     """
     _, _, col = _SHAPES[(((i, j, k),), vanishing)]
     (row,), (irrational,) = _codazzi_rows(st, [(i, j, k, l)], col)
@@ -649,21 +653,19 @@ class Numerators(NamedTuple):
 class SolveResult:
     """Outcome of exact elimination on a set of Codazzi rows.
 
-    solutions: designated unknowns, as affine forms in any never-pivoted
-    variables (constants when the system determines them fully).
-    extras: other variables the elimination had to resolve along the way.
-    leftovers: fully substituted rows that no pivot consumed; these are the
-    compatibility constraints of the system.
-    Each is a `Numerators`: with P the last pivot and K = L / D^2, a
+    solutions: the designated unknowns a pivot determines, as affine forms
+    in the columns never pivoted (constants when the system determines them
+    fully).
+    leftovers: the rows no pivot consumed, with every solution substituted;
+    these are the compatibility constraints of the system.
+    free: the designated unknowns no pivot determines.
+    Each form is a `Numerators`: with P the last pivot and K = L / D^2, a
     solution is over P (coefficients) and P K (constant), and a leftover
     over P D^2 and P L.
     """
 
     solutions: dict[DVar, Numerators]
-    extras: dict[DVar, Numerators]
     leftovers: list[Numerators]
-    rank: int
-    n_rows: int
     free: list[DVar]
 
 
@@ -672,16 +674,17 @@ def solve_triple_system(
     triples: Sequence[tuple[int, int, int]],
     unknowns: Sequence[DVar],
     vanishing: frozenset[int] = frozenset(),
-    free_vars: Sequence[DVar] = (),
 ) -> SolveResult:
     """Exact Gaussian elimination on the rows of the given Codazzi triples.
 
-    Rows are the JE_l-components (l = 1,2,3) of each triple, in order.
-    Variables not listed in `unknowns` but present in the rows are eliminated
-    first, so the designated solutions never silently depend on them unless
-    the system leaves them free.  Variables in `free_vars` are never pivoted;
-    they survive as symbols in the returned expressions, which makes solution
-    families comparable across different subsystems sharing a free unknown.
+    Rows are the JE_l-components (l = 1,2,3) of each triple, in order.  Only
+    the columns of `unknowns` are pivoted, in that order, each on the first
+    row left with a nonzero entry there; every other column of the shape
+    survives as a symbol in the solutions and leftovers, which makes
+    solution families comparable across subsystems sharing such an unknown.
+    So where the rows of the first triples have full rank in the unknowns,
+    every pivot is one of them, and the leftovers are the later triples'
+    rows with the solutions substituted.
 
     The rows go straight into an integer matrix in the shape's columns
     (`_codazzi_rows`), each scalar times D^2 and its constant's two columns
@@ -697,11 +700,7 @@ def solve_triple_system(
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
     keys, columns, col = _SHAPES[(tuple(triples), vanishing)]
     matrix, flags = _codazzi_rows(st, keys, col)
-    designated = list(unknowns)
-    extra_vars = [v for v in columns if v not in designated and v not in free_vars]
-    out = eliminate_fraction_free(
-        matrix, [col[v] for v in extra_vars + designated if v in col], flags
-    )
+    out = eliminate_fraction_free(matrix, [col[v] for v in unknowns if v in col], flags)
     free = [columns[c] for c in out.free[:-2]]
 
     def read(nums, irrational, coeff_den, const_den) -> Numerators:
@@ -718,15 +717,12 @@ def solve_triple_system(
         for j, nums in out.solved.items()
     }
     return SolveResult(
-        solutions={u: final[u] for u in designated if u in final},
-        extras={v: final[v] for v in extra_vars if v in final},
+        solutions={u: final[u] for u in unknowns if u in final},
         leftovers=[
             read(r, irrational, p * st._D * st._D, p * scale.den)
             for r, irrational in zip(out.leftovers, out.leftover_irrational)
         ],
-        rank=len(final),
-        n_rows=len(keys),
-        free=[u for u in designated if u not in final],
+        free=[u for u in unknowns if u not in final],
     )
 
 
@@ -812,31 +808,6 @@ def eliminate_fraction_free(
         solved_flags[j] = flag
     leftovers = [[row[c] for c in live] for row in active]
     return FractionFree(pivots, live, solved, leftovers, prev, solved_flags, flags)
-
-
-def _substitute(st, row: CodazziRow, solutions: Mapping[DVar, Numerators]) -> Numerators:
-    """A Codazzi row with the solved unknowns replaced by their solutions.
-
-    The solutions of one solve share their scales, P and P K, so the result
-    is at a leftover's: its coefficients over P D^2 and its constant over
-    P L.  Its flag is the row's, or a substituted solution's.
-    """
-    p = next(iter(solutions.values())).coeff_den if solutions else 1
-    coeffs = {v: c * p for v, c in row.coeffs.items() if v not in solutions}
-    const, root3, irrational = row.const * p, row.root3 * p, row.irrational
-    for var, c in row.coeffs.items():
-        sol = solutions.get(var)
-        if sol is None or not c:
-            continue
-        for u, a in sol.coeffs.items():
-            coeffs[u] = coeffs.get(u, 0) + c * a
-        const += c * sol.const
-        root3 += c * sol.root3
-        irrational = irrational or sol.irrational
-    return Numerators(
-        {v: c for v, c in coeffs.items() if c}, const, root3, irrational,
-        p * st._D * st._D, p * st._scales.den,
-    )
 
 
 def _matches_root3(form: Numerators, num, den, degree: int, d: int) -> bool:
@@ -943,8 +914,8 @@ def _compare_derivatives(st) -> tuple[list, list, bool]:
     D^-8 times |w|^6 (4 w1^2 - 3 (w2^2 + w3^2)), so the ratio is
     3 prod e1 e2 D^2 / (A gap norm), with e1, e2 the constants' scales.
     """
-    res1 = solve_triple_system(st, SET1_TRIPLES, SET1_UNKNOWNS, free_vars=SHARED_FREE)
-    res2 = solve_triple_system(st, SET2_TRIPLES, SET2_UNKNOWNS, free_vars=SHARED_FREE)
+    res1 = solve_triple_system(st, SET1_TRIPLES, SET1_UNKNOWNS)
+    res2 = solve_triple_system(st, SET2_TRIPLES, SET2_UNKNOWNS)
     if res1.free or res2.free:
         return [("singular subsystem", {"free1": res1.free, "free2": res2.free})], [], False
     stray = [x for res in (res1, res2) for x in res.leftovers if not x.is_zero()]
@@ -1139,18 +1110,19 @@ def case2_resultant(w2: int, w3: int) -> int:
     )
 
 
-CASE2_UNKNOWNS = ((2, 3), (1, 2), (2, 2), (1, 3))
+CASE2_UNKNOWNS = ((2, 3), (1, 2), (2, 2))
 CASE2_FREE = (1, 3)
 
 
 def _clears_to(st, row: Numerators, display: tuple[int, int], factor: int) -> bool:
     """Whether row * sqrt(3) (3 v2^2 + v3^2) is factor times the display.
 
-    row, a substituted row, is a form in x = E_1(v_3) alone.  Multiplied
-    out on integers: its constant (k + r sqrt(3)) / const_den times
-    sqrt(3) (3 w2^2 + w3^2) / D^2 must be factor c / D^5, so k = 0 and
-    3 r (3 w2^2 + w3^2) D^3 = factor c const_den, and its x coefficient
-    a / coeff_den times the same must be factor sqrt(3) s / D^4.
+    row, a leftover of the null-axis solve, is a form in x = E_1(v_3)
+    alone.  Multiplied out on integers: its constant
+    (k + r sqrt(3)) / const_den times sqrt(3) (3 w2^2 + w3^2) / D^2 must be
+    factor c / D^5, so k = 0 and 3 r (3 w2^2 + w3^2) D^3 = factor c
+    const_den, and its x coefficient a / coeff_den times the same must be
+    factor sqrt(3) s / D^4.
     """
     _, w2, w3 = st._w
     clear, d = 3 * w2 * w2 + w3 * w3, st._D
@@ -1167,14 +1139,10 @@ def _clears_to(st, row: Numerators, display: tuple[int, int], factor: int) -> bo
 def _null_axis_case(st) -> list:
     """The null-axis case at one state, decided on numerators: its
     failures, as (reason, extra)."""
-    vanishing = frozenset({1})
-    res = solve_triple_system(st, [(1, 2, 1)], CASE2_UNKNOWNS, vanishing)
-    if res.free != [CASE2_FREE] or res.leftovers:
+    res = solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], CASE2_UNKNOWNS, frozenset({1}))
+    if res.free or len(res.leftovers) != 3:
         return [("unexpected solve shape", {"free": res.free, "leftovers": len(res.leftovers)})]
-    rows = [
-        _substitute(st, codazzi_scalar(st, 1, 2, 2, l, vanishing), res.solutions)
-        for l in AXES
-    ]
+    rows = res.leftovers
     if not rows[0].is_zero():
         return [("first substituted row does not vanish", None)]
     first, second = _case2_displays(*st._w[1:])
@@ -1200,14 +1168,17 @@ def _null_axis_case(st) -> list:
 def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
     """The case v1 = 0: the two substituted conditions are incompatible.
 
-    Solves the (E1,E2,E1) components for E2(v3), E1(v2), E2(v2) in terms of
-    the free unknown x = E1(v3), substitutes into the (E1,E2,E2) components,
-    and verifies each resulting row is the corresponding displayed condition
-    times the clearing factor 2/(sqrt(3)(3 v2^2 + v3^2)) (second row: -1/2 of
-    that).  Eliminating x from the displayed pair leaves a polynomial that
-    cannot vanish while v2 v3 != 0, so the case forces v2 = v3 = 0.  The
-    substitution, the displays and the eliminant are all on integer
-    numerators (`_null_axis_case`).
+    One solve of the six components of (E1,E2,E1) and (E1,E2,E2) pivots
+    E2(v3), E1(v2) and E2(v2), leaving x = E1(v3) free.  The three
+    (E1,E2,E1) rows come first and have full rank in those unknowns, so
+    they hold every pivot, and the three leftovers are the (E1,E2,E2)
+    components with the solutions substituted.  The first must vanish, and
+    each other one must be its displayed condition times the clearing
+    factor 2/(sqrt(3)(3 v2^2 + v3^2)) (second row: -1/2 of that).
+    Eliminating x from the displayed pair leaves a polynomial that cannot
+    vanish while v2 v3 != 0, so the case forces v2 = v3 = 0.  The leftovers,
+    the displays and the eliminant are all on integer numerators
+    (`_null_axis_case`).
     """
     rng = random.Random(seed)
     failures = []

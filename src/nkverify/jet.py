@@ -7,9 +7,9 @@ coefficients.  The coefficients sit on the last axis of a numpy array, in
 degree-major order (1, t_0, t_1, t_2, t_0^2, t_0 t_1, ...); the leading axes
 are the jet's own shape, so one Jet is a whole array of jets -- a grid batch,
 a frame, a tensor.  +, -, * act elementwise with numpy broadcasting over that
-shape, and * is the truncated (Cauchy) product.  The reciprocal, square root
-and any entire function are composed through their Taylor series at the
-constant term (Griewank and Walther, Evaluating Derivatives, ch. 13).
+shape, and * is the truncated (Cauchy) product.  Real powers and any entire
+function are composed through their Taylor series at the constant term
+(Griewank and Walther, Evaluating Derivatives, ch. 13).
 
 Jets enter a parametrized map as its argument u = u_0 + t (`Jet.variables`),
 so the map's output carries all its partial derivatives up to order K at u_0,
@@ -233,12 +233,6 @@ class Jet:
             taylor.append(binom * a0 ** (exponent - k))
             binom *= (exponent - k) / (k + 1)
         return self.compose(taylor)
-
-    def reciprocal(self) -> "Jet":
-        return self.power(-1.0)
-
-    def sqrt(self) -> "Jet":
-        return self.power(0.5)
 
     def entire(self, series: Callable[[int], float]) -> "Jet":
         """f(self) for the entire function f(x) = sum_m series(m) x^m.

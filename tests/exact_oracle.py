@@ -281,10 +281,7 @@ def solve_values(res: SolveResult) -> SolveResult:
     """A solve with its numerators read into values."""
     return SolveResult(
         solutions={u: numerator_values(e) for u, e in res.solutions.items()},
-        extras={u: numerator_values(e) for u, e in res.extras.items()},
         leftovers=[numerator_values(e) for e in res.leftovers],
-        rank=res.rank,
-        n_rows=res.n_rows,
         free=res.free,
     )
 
@@ -417,20 +414,17 @@ def dense_scalar(st, tables, i, j, k, l, vanishing=frozenset(), ring=ExactRing) 
     return AffineExpr(const, coeffs)
 
 
-def oracle_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> SolveResult:
-    """`solve_triple_system` by value-form elimination, pivoting on the first
-    row with a nonzero coefficient."""
+def oracle_solve(st, triples, unknowns, vanishing=frozenset()) -> SolveResult:
+    """`solve_triple_system` by value-form elimination, pivoting the
+    unknowns in order, each on the first row with a nonzero coefficient."""
     if ec_value(st) == 0:
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
     tables = dense_tables(st)
     rows = [
         dense_scalar(st, tables, i, j, k, l, vanishing) for i, j, k in triples for l in AXES
     ]
-    present = sorted({v for r in rows for v, c in r.coeffs.items() if c != 0})
-    designated = list(unknowns)
-    extra_vars = [v for v in present if v not in designated and v not in free_vars]
     defs, order, active = {}, [], list(rows)
-    for var in extra_vars + designated:
+    for var in unknowns:
         pivot_idx = next(
             (idx for idx, r in enumerate(active) if coeff(r, var, ExactRing.zero) != 0), None
         )
@@ -449,16 +443,13 @@ def oracle_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> 
             e = subst(e, w, we)
         final[var] = e
     return SolveResult(
-        solutions={u: final[u] for u in designated if u in final},
-        extras={v: final[v] for v in extra_vars if v in final},
+        solutions={u: final[u] for u in unknowns if u in final},
         leftovers=active,
-        rank=len(order),
-        n_rows=len(rows),
-        free=[u for u in designated if u not in final],
+        free=[u for u in unknowns if u not in final],
     )
 
 
-def row_by_row_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=()) -> SolveResult:
+def row_by_row_solve(st, triples, unknowns, vanishing=frozenset()) -> SolveResult:
     """`solve_triple_system` as it was before its rows went straight into the
     matrix: each row built alone by `codazzi_scalar`, the columns the
     unknowns with a nonzero coefficient at this state (`present`), and the
@@ -470,12 +461,10 @@ def row_by_row_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=())
         codazzi.codazzi_scalar(st, i, j, k, l, vanishing) for i, j, k in triples for l in AXES
     ]
     present = sorted({v for r in rows for v, c in r.coeffs.items() if c})
-    designated = list(unknowns)
-    extra_vars = [v for v in present if v not in designated and v not in free_vars]
     col = {v: n for n, v in enumerate(present)}
     out = codazzi.eliminate_fraction_free(
         [[r.coeffs.get(v, 0) for v in present] + [r.const, r.root3] for r in rows],
-        [col[v] for v in extra_vars + designated if v in col],
+        [col[v] for v in unknowns if v in col],
         [r.irrational for r in rows],
     )
     free = [present[c] for c in out.free[:-2]]
@@ -492,13 +481,10 @@ def row_by_row_solve(st, triples, unknowns, vanishing=frozenset(), free_vars=())
         for j, nums in out.solved.items()
     }
     return SolveResult(
-        solutions={u: final[u] for u in designated if u in final},
-        extras={v: final[v] for v in extra_vars if v in final},
+        solutions={u: final[u] for u in unknowns if u in final},
         leftovers=[read(r, irrational, p * st._D * st._D, p * scale.den)
                    for r, irrational in zip(out.leftovers, out.leftover_irrational)],
-        rank=len(final),
-        n_rows=len(rows),
-        free=[u for u in designated if u not in final],
+        free=[u for u in unknowns if u not in final],
     )
 
 
@@ -573,10 +559,8 @@ def compare_derivatives_values(st) -> tuple[list, list, bool]:
     """`codazzi._compare_derivatives` in values: the clearing ratio is
     prod / (gap * norm) in Fraction and Q(sqrt 3), with the products from
     the compatibility forms."""
-    res1 = solve_values(codazzi.solve_triple_system(
-        st, SET1_TRIPLES, SET1_UNKNOWNS, free_vars=SHARED_FREE))
-    res2 = solve_values(codazzi.solve_triple_system(
-        st, SET2_TRIPLES, SET2_UNKNOWNS, free_vars=SHARED_FREE))
+    res1 = solve_values(codazzi.solve_triple_system(st, SET1_TRIPLES, SET1_UNKNOWNS))
+    res2 = solve_values(codazzi.solve_triple_system(st, SET2_TRIPLES, SET2_UNKNOWNS))
     if res1.free or res2.free:
         return [("singular subsystem", {"free1": res1.free, "free2": res2.free})], [], False
     stray = [x for res in (res1, res2) for x in res.leftovers if _nonzero(x)]
@@ -637,19 +621,16 @@ def axis_case_values(st0) -> list:
 
 
 def null_axis_case_values(st) -> list:
-    """`codazzi._null_axis_case` in values: rows substituted in values and
-    compared with the displays times the clearing factor in Q(sqrt 3)."""
-    vanishing = frozenset({1})
+    """`codazzi._null_axis_case` in values: the leftovers of the same
+    six-row solve, read into values and compared with the displays times the
+    clearing factor in Q(sqrt 3)."""
     x = CASE2_FREE
-    res = solve_values(codazzi.solve_triple_system(st, [(1, 2, 1)], CASE2_UNKNOWNS, vanishing))
-    if res.free != [x] or res.leftovers:
+    res = solve_values(
+        codazzi.solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], CASE2_UNKNOWNS, frozenset({1}))
+    )
+    if res.free or len(res.leftovers) != 3:
         return [("unexpected solve shape", {"free": res.free, "leftovers": len(res.leftovers)})]
-    rows = []
-    for l in AXES:
-        e = codazzi_values(st, codazzi.codazzi_scalar(st, 1, 2, 2, l, vanishing))
-        for var, expr in res.solutions.items():
-            e = subst(e, var, expr)
-        rows.append(e)
+    rows = res.leftovers
     if _nonzero(rows[0]):
         return [("first substituted row does not vanish", None)]
     first, second = case2_displays(st)

@@ -18,12 +18,13 @@ from nkverify.codazzi import (
     AXES,
     AXIS_NODES,
     CANONICAL_PAIRS,
+    CASE2_FREE,
+    CASE2_UNKNOWNS,
     CASE3_UNKNOWNS,
     SET1_TRIPLES,
     SET1_UNKNOWNS,
     SET2_TRIPLES,
     SET2_UNKNOWNS,
-    SHARED_FREE,
     FrameState,
     Numerators,
     case1_check,
@@ -71,6 +72,7 @@ from exact_oracle import (
     ec_value,
     frame_state,
     integers,
+    numerator_values,
     oracle_solve,
     sin2,
     solve_values,
@@ -597,13 +599,14 @@ def test_affine_subst_matches_evaluation(a, b, c) -> None:
 
 def test_solver_keeps_free_vars_symbolic() -> None:
     st_ = _state(10, nonzero=(1, 2, 3))
+    # D_11 is not designated, so it is never pivoted
     res = solve_values(solve_triple_system(
         st_,
         [(1, 2, k) for k in AXES],
         [(2, 1), (1, 2), (2, 2), (1, 3), (2, 3)],
-        free_vars=[(1, 1)],
     ))
-    assert not res.free and res.rank == 5 and res.n_rows == 9
+    assert not res.free and len(res.solutions) == 5
+    assert len(res.solutions) + len(res.leftovers) == 9
     assert all(
         set(sol.coeffs) <= {(1, 1)} or
         all(c == 0 for v, c in sol.coeffs.items() if v != (1, 1))
@@ -620,7 +623,7 @@ def test_solver_reports_undetermined_unknowns() -> None:
         st_, [(1, 2, 1)], [(2, 3), (1, 2), (2, 2), (1, 3)], frozenset({1})
     )
     assert res.free == [(1, 3)]
-    assert res.rank == 3
+    assert len(res.solutions) == 3
 
 
 def test_solver_solution_satisfies_rows() -> None:
@@ -628,10 +631,9 @@ def test_solver_solution_satisfies_rows() -> None:
     res = solve_values(solve_triple_system(
         st_, [(1, 2, k) for k in AXES],
         [(2, 1), (1, 2), (2, 2), (1, 3), (2, 3)],
-        free_vars=[(1, 1)],
     ))
     assignment = {(1, 1): Fraction(7, 3)}
-    for var, sol in {**res.solutions, **res.extras}.items():
+    for var, sol in res.solutions.items():
         assignment[var] = _evaluate(sol, assignment, Fraction(0))
     for k in AXES:
         for l in AXES:
@@ -643,13 +645,13 @@ def test_solver_solution_satisfies_rows() -> None:
 # the integer solve against the value-form oracle
 
 
-#: (triples, unknowns, vanishing, free_vars) of every solve the checks make.
+#: (triples, unknowns, vanishing) of every solve the checks make.
 PROOF_SOLVES = {
-    "system1/set1": (SET1_TRIPLES, SET1_UNKNOWNS, frozenset(), SHARED_FREE),
-    "system1/set2": (SET2_TRIPLES, SET2_UNKNOWNS, frozenset(), SHARED_FREE),
-    "case1": (((1, 2, 1),), ((2, 1), (1, 1)), frozenset({2, 3}), ()),
-    "case2": (((1, 2, 1),), ((2, 3), (1, 2), (2, 2), (1, 3)), frozenset({1}), ()),
-    "case3": (((1, 2, 1), (1, 2, 2)), CASE3_UNKNOWNS, frozenset({2}), ()),
+    "system1/set1": (SET1_TRIPLES, SET1_UNKNOWNS, frozenset()),
+    "system1/set2": (SET2_TRIPLES, SET2_UNKNOWNS, frozenset()),
+    "case1": (((1, 2, 1),), ((2, 1), (1, 1)), frozenset({2, 3})),
+    "case2": (((1, 2, 1), (1, 2, 2)), CASE2_UNKNOWNS, frozenset({1})),
+    "case3": (((1, 2, 1), (1, 2, 2)), CASE3_UNKNOWNS, frozenset({2})),
 }
 
 
@@ -670,10 +672,7 @@ def _solve_outcome(solve, st_, shape):
         return str(e)
     return (
         {u: _expr_outcome(e) for u, e in res.solutions.items()},
-        {u: _expr_outcome(e) for u, e in res.extras.items()},
         [_expr_outcome(e) for e in res.leftovers],
-        res.rank,
-        res.n_rows,
         res.free,
     )
 
@@ -710,20 +709,20 @@ def _float_replay_mismatches(st_, shape, rng: random.Random) -> list:
     """The rows of `shape` whose float replay disagrees with the exact solve.
 
     Every variable the solve leaves unpinned gets a random rational value,
-    the solutions and extras are evaluated there exactly, and each dense row,
-    built in doubles with `_FloatRing`, is evaluated there.  Sorted, the
-    residuals must be `rank` zeros (the pivot rows) and the leftovers'
+    the solutions are evaluated there exactly, and each dense row, built in
+    doubles with `_FloatRing`, is evaluated there.  Sorted, the residuals
+    must be one zero per solution (the pivot rows) and the leftovers'
     values, to rounding: 1e-12 of the largest row's sum of absolute terms.
     """
-    triples, unknowns, vanishing, free_vars = shape
+    triples, unknowns, vanishing = shape
     res = _exact_solve(st_, *shape)
     tables = dense_tables(st_, _FloatRing)
     rows = [
         dense_scalar(st_, tables, i, j, k, l, vanishing, _FloatRing)
         for i, j, k in triples for l in AXES
     ]
-    solved = {**res.solutions, **res.extras}
-    variables = {*unknowns, *free_vars, *(var for r in rows for var in r.coeffs)}
+    solved = res.solutions
+    variables = {*unknowns, *(var for r in rows for var in r.coeffs)}
     assignment = {
         var: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         for var in sorted(variables) if var not in solved
@@ -735,8 +734,10 @@ def _float_replay_mismatches(st_, shape, rng: random.Random) -> list:
         terms = [r.const, *(c * float(assignment[var]) for var, c in r.coeffs.items())]
         residuals.append(math.fsum(terms))
         scale = max(scale, sum(abs(t) for t in terms))
-    want = [0.0] * res.rank + [float(_evaluate(e, assignment, Fraction(0))) for e in res.leftovers]
-    assert len(want) == res.n_rows == len(rows)
+    want = [0.0] * len(solved) + [
+        float(_evaluate(e, assignment, Fraction(0))) for e in res.leftovers
+    ]
+    assert len(solved) + len(res.leftovers) == len(rows)
     return [
         (got, w) for got, w in zip(sorted(residuals), sorted(want))
         if not abs(got - w) <= 1e-12 * scale
@@ -772,8 +773,8 @@ def test_case3_solves_match_the_oracle() -> None:
         st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3))
         got = _solve_outcome(_exact_solve, st_, PROOF_SOLVES["case3"])
         assert got == _solve_outcome(oracle_solve, st_, PROOF_SOLVES["case3"])
-        solutions, _, leftovers, rank, n_rows, free = got
-        assert (len(solutions), len(leftovers), rank, n_rows, free) == (4, 2, 4, 6, [])
+        solutions, leftovers, free = got
+        assert (len(solutions), len(leftovers), free) == (4, 2, [])
 
 
 #: Per solve shape: states drawn as the check that makes the solve draws
@@ -1007,9 +1008,10 @@ def test_proof_replay_work_counts(monkeypatch) -> None:
     # computed (39, 180, 15), and re-recorded when the constrained-angle case
     # became exact: it draws its 3 states with random_frame_state, makes one
     # 6-row solve each, and no longer builds 12 companion solves (36 rows) or
-    # 3 rows of (E1,E2,E3) per state.  Every row, a solve's or a
-    # substitution's, is built by the one row loop `_codazzi_rows`, which
-    # counts the rows it is handed
+    # 3 rows of (E1,E2,E3) per state.  Every row is a solve's, built by the
+    # one row loop `_codazzi_rows`, which counts the rows it is handed; the
+    # null-axis case's 6 rows per state are those of one solve, where they
+    # were 3 solved and 3 built alone for the substitution
     counts = dict.fromkeys(("solve_triple_system", "_codazzi_rows", "random_frame_state"), 0)
     for name in counts:
         def counted(*args, _real=getattr(codazzi, name), _name=name, **kw):
@@ -1096,8 +1098,8 @@ def test_case1_forces_v1_zero() -> None:
 def _off_at_five(real):
     # the axis case's leftover at v1 = 5 only: its constant numerator gains
     # its scale, so its value gains 1
-    def mutant(st_, triples, unknowns, vanishing=frozenset(), free_vars=()):
-        res = real(st_, triples, unknowns, vanishing, free_vars)
+    def mutant(st_, triples, unknowns, vanishing=frozenset()):
+        res = real(st_, triples, unknowns, vanishing)
         if st_._w[0] == 5 * st_._D:
             (left,) = res.leftovers
             res.leftovers = [left._replace(const=left.const + left.const_den)]
@@ -1151,6 +1153,46 @@ def test_case2_incompatibility() -> None:
     rec = case2_check(seed=24, trials=20)
     assert rec.passed
     assert rec.details["clearing_factor"] == "2 / (sqrt(3) (3 v2^2 + v3^2))"
+
+
+def test_null_axis_leftovers_are_the_substituted_rows() -> None:
+    # the leftovers of the six-row solve are the (E1,E2,2,l) rows with the
+    # solutions of the three (E1,E2,1,l) rows substituted, which is how the
+    # null-axis case read them before: equal values of equal types (a
+    # flagged numerator reads as a QSqrt3), and equal flags, at 300 states
+    # drawn as case2_check draws them
+    rng = random.Random(29)
+    vanishing = frozenset({1})
+    for _ in range(300):
+        st_ = random_frame_state(rng, zero=(1,), nonzero=(2, 3))
+        three = _exact_solve(st_, [(1, 2, 1)], (*CASE2_UNKNOWNS, CASE2_FREE), vanishing)
+        assert three.free == [CASE2_FREE]
+        substituted = []
+        for l in AXES:
+            e = codazzi_values(st_, codazzi_scalar(st_, 1, 2, 2, l, vanishing))
+            for var, expr in three.solutions.items():
+                e = subst(e, var, expr)
+            substituted.append(e)
+        six = solve_triple_system(st_, *PROOF_SOLVES["case2"])
+        assert not six.free and len(six.solutions) == 3
+        got = [numerator_values(e) for e in six.leftovers]
+        assert [_expr_outcome(e) for e in got] == [_expr_outcome(e) for e in substituted]
+        assert [e.irrational for e in six.leftovers] == [
+            isinstance(e.const, QSqrt3) for e in substituted
+        ]
+
+
+def test_null_axis_case_reads_no_row_alone(monkeypatch) -> None:
+    # one six-row solve per trial, and no row built alone by codazzi_scalar
+    counts = dict.fromkeys(("solve_triple_system", "codazzi_scalar"), 0)
+    for name in counts:
+        def counted(*args, _real=getattr(codazzi, name), _name=name, **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(codazzi, name, counted)
+    assert case2_check(seed=24, trials=20).passed
+    assert counts == {"solve_triple_system": 20, "codazzi_scalar": 0}
 
 
 def test_case3_closed_forms_spot() -> None:
@@ -1432,6 +1474,10 @@ FAILURE_MUTANTS = {
 #: "expected" (before: dh-off-by-one/case3 1d19dc37, fifth-node fe0434b6,
 #: d23-off-by-one and d23-five-v1 118821d8, the three leftover mutants
 #: 1d878e8e, stray-leftover/case3 fb1d8af6); the others stayed.
+#: stray-leftover/case2 was re-recorded (before: 98dd44fa) when the null-axis
+#: case came to read the leftovers of one six-row solve: its shape detail
+#: went from {"free": [(1, 3)], "leftovers": 1} to {"free": [],
+#: "leftovers": 4}.
 FAILURE_DIGESTS = {
     "dh-off-by-one": {
         "frame_relation_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -1462,7 +1508,7 @@ FAILURE_DIGESTS = {
     "stray-leftover": {
         "system1_check": "e590960275af1c57bfb6df4580bc7107a13b3c21efcd59dd6cefac184e272452",
         "case1_check": "fed470414095208b5bfa2fc6bee049585ef217e5f93ef3922b25b02ae1a2754b",
-        "case2_check": "98dd44fa1e428f96ad3c20bc290712c29eb399ce2224b7f86e11888342c2ff61",
+        "case2_check": "693a2891f175f0bdedd9955f1ef47ddac752a1bd87ed395045f16f340227b1b9",
         "case3_check": "88245bf2b1cd1b95a6872d88025c2c603947b155c17f2f2b0a01382366675d49",
     },
 }
@@ -1632,7 +1678,9 @@ def _failed(case: str, verdict) -> bool:
 def test_integer_verdicts_match_the_value_forms_on_mutant_solvers(monkeypatch, case) -> None:
     # solvers with a sign flipped or a leftover shifted make comparisons
     # fail; both sides read the same numerators, so they must fail alike,
-    # and each case must see failures under some mutant
+    # and each case must see failures under some mutant.  The null-axis case
+    # reads leftovers and no solution, so only the mutants of the first
+    # constant and of the leftovers reach it
     integer, _, draw = DIFFERENTIAL_CASES[case]
     real = codazzi.eliminate_fraction_free
     failing = 0

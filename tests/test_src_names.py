@@ -1,9 +1,15 @@
 """Every name that src/ defines is used by the engine, the benchmark or the
 scripts: a definition or module-level constant reached only by tests
-belongs in tests/."""
+belongs in tests/.
+
+A name counts where it appears in code: as a name, or as a word of a string
+literal, since the benchmark's tracer names its targets in strings.  A
+comment or a docstring that mentions a name does not use it."""
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +23,10 @@ ALLOWED = {
     "the chart layer once the benchmark stops tracing it",
     "Chart.coords": "serves only the chart tests; moves to tests/ with the chart layer "
     "once the benchmark stops tracing it",
+    "BRACKET": "built with CONNECTION, which the Koszul formula derives from it; only "
+    "the structure tests read it, to check CONNECTION against the brackets",
+    "METRIC": "built with CONNECTION, which the Koszul formula derives from it; only "
+    "the structure tests read it, to check the left-invariant basis against it",
 }
 
 
@@ -57,12 +67,34 @@ def _definitions():
             yield qual, node.name, path, node.lineno
 
 
+def _code_words(text: str) -> list[tuple[int, str]]:
+    """(line, word) of every word in the code of a module: its names and the
+    words of its string literals, each at the line its token starts on, but
+    none of a comment or a docstring."""
+    docstrings = [
+        range(node.body[0].lineno, node.body[0].end_lineno + 1)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    ]
+    words = []
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        line = tok.start[0]
+        if tok.type == tokenize.COMMENT or (
+            tok.type == tokenize.STRING and any(line in span for span in docstrings)
+        ):
+            continue
+        words.extend((line, word) for word in re.findall(r"\w+", tok.string))
+    return words
+
+
 def test_every_src_definition_is_used_outside_tests():
-    texts = {path: path.read_text() for base in USERS for path in sorted(base.rglob("*.py"))}
-    words = Counter(re.findall(r"\w+", "\n".join(texts.values())))
+    code = {path: _code_words(path.read_text())
+            for base in USERS for path in sorted(base.rglob("*.py"))}
+    words = Counter(word for found in code.values() for _, word in found)
     unused = [
         qual
         for qual, name, path, line in _definitions()
-        if words[name] == re.findall(r"\w+", texts[path].splitlines()[line - 1]).count(name)
+        if words[name] == sum(1 for at, word in code[path] if (at, word) == (line, name))
     ]
     assert sorted(unused) == sorted(ALLOWED)
