@@ -16,9 +16,10 @@ rational angles.
 A state (`FrameState`) is a point and its angles, all integers.  The point
 (`_Point`) holds w = D v, with D the lcm of the denominators of v, and what
 depends on v alone: h and dh from the closed forms of `hijk_from_v` and
-`hijk_gradient` on w, at scales D^3 and D^2, once per symmetry class (10
-and 30 entries; `_H_CLASS` and `_DH_CLASS` map every key to its class), and
-the gate 4 v1^2 - 3(v2^2 + v3^2) over D^2.  The angles (`_Angles`) hold
+`hijk_gradient` on w, at scales D^3 and D^2, once per symmetry class, as
+tuples of 10 and 30 entries (`_H_CLASS` and `_DH_CLASS` map every key to
+its class's position; omega's 27 entries are in the order of
+`_OMEGA_KEYS`), and the gate 4 v1^2 - 3(v2^2 + v3^2) over D^2.  The angles (`_Angles`) hold
 each angle as a triple (C, S, E) with cosine C/E and sine S/E, the three
 distinct cotangents over one common denominator Q (cot(b, a) =
 -cot(a, b)), and per D the scales the states there share.  Only omega
@@ -32,8 +33,8 @@ of 1/sqrt(3), and the curl omega_ij^m - omega_ji^m has the sqrt(3) part
 anything but an int.  Each table is computed once, when first read; the
 axis case builds its five nodes' points once per call.
 
-Each Codazzi scalar (i, j, k, l) reads a plan compiled once, when it is
-first needed: its dh class keys, and its h-omega products grouped by h
+Each Codazzi scalar (i, j, k, l) has a plan compiled once, when it is
+first needed: its dh positions, and its h-omega products grouped by h
 class, each group holding the omega keys of its rational part, the integer
 weights of sigma and iota in its sqrt(3) part, and a flag that says whether
 any of its connection factors has a sqrt(3) part at all.  A row's
@@ -41,11 +42,15 @@ D-coefficients are the integer dh numerators, at scale D^2, and its
 constant, a sum of h-omega products plus the angle term, is one integer
 rational part and one integer sqrt(3) part at L = lcm(6 D^6 Q, A), with A
 the common denominator of the three sin 2(theta_a - theta_b)/3.  A group
-whose h class is zero is skipped, so the row is flagged irrational exactly
-where value-form arithmetic would have met an element of Q(sqrt 3), even
-where the sqrt(3) parts cancel.  A solve compiles its shape once per
-(triples, vanishing), its scalars and the sorted columns of the unknowns
-they read, and writes each row straight into a dense integer matrix.
+whose h class is zero raises no flag, so the row is flagged irrational
+exactly where value-form arithmetic would have met an element of
+Q(sqrt 3), even where the sqrt(3) parts cancel.  A solve's shape, per
+(triples, vanishing), is its scalars and the sorted columns of the
+unknowns they read.  Its rows are built by one kernel per shape, compiled
+when the shape is first solved: a straight-line function generated from
+the plans, with no loop and no lookup by key, that reads h, dh and omega
+by position and returns the dense integer matrix and the rows' flags.
+Nothing is compiled at import.
 
 The exact solver eliminates that matrix fraction-free (Bareiss), with the
 constant as two integer columns and the flag carried per row: each
@@ -80,7 +85,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm, nan
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import divide_exactly, poly_identity_check
 from .report import CheckRecord
@@ -221,13 +226,13 @@ class _Point:
         self.ec = 4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3)
 
     @cached_property
-    def h(self) -> dict:
-        """h at scale D^3: entry (i, j, k), i <= j <= k, is D^3 h_ij^k."""
+    def h(self) -> tuple:
+        """h at scale D^3: the entry at _H_CLASS[(i, j, k)] is D^3 h_ij^k."""
         return hijk_from_v(self.w)
 
     @cached_property
-    def dh(self) -> dict:
-        """dh at scale D^2: entry (j, k, l, m), j <= k <= l, is
+    def dh(self) -> tuple:
+        """dh at scale D^2: the entry at _DH_CLASS[(j, k, l, m)] is
         D^2 d h_jk^l / d v_m."""
         return hijk_gradient(self.w)
 
@@ -260,9 +265,10 @@ class FrameState:
         return st
 
     @cached_property
-    def omega_numerators(self) -> dict:
-        """omega's rational part at its scale: entry (i, j, k) is 6 D^3 Q
-        omega_ij^k less its sqrt(3) part, sigma eps_ijk."""
+    def omega_numerators(self) -> tuple:
+        """omega's rational part at its scale, in the order of `_OMEGA_KEYS`:
+        the entry of (i, j, k) is 6 D^3 Q omega_ij^k less its sqrt(3) part,
+        sigma eps_ijk."""
         return omega_numerators(self)
 
     @property
@@ -334,66 +340,70 @@ def random_frame_state(
 # component tables
 
 
-#: Each key of h and its symmetry class's sorted index, the key its table
-#: holds it at; likewise for dh, which is symmetric in its first three slots.
-_H_CLASS = {key: tuple(sorted(key)) for key in product(AXES, AXES, AXES)}
+#: The symmetry classes of h in table order, the sorted indices ascending,
+#: and each key of h at its class's position; likewise for dh, which is
+#: symmetric in its first three slots, with m the fastest index.
+_H_CLASSES = tuple(combinations_with_replacement(AXES, 3))
+_H_CLASS = {key: _H_CLASSES.index(tuple(sorted(key))) for key in product(AXES, AXES, AXES)}
 _DH_CLASS = {
-    (j, k, l, m): (*sorted((j, k, l)), m) for j, k, l, m in product(AXES, AXES, AXES, AXES)
+    (j, k, l, m): 3 * _H_CLASS[(j, k, l)] + m - 1
+    for j, k, l, m in product(AXES, AXES, AXES, AXES)
 }
 
 
-def hijk_from_v(v: Sequence) -> dict[tuple[int, int, int], object]:
+def hijk_from_v(v: Sequence) -> tuple:
     """Second fundamental form components from the vector field components.
 
     h_ij^k = |v|^2 (v_i d_jk + v_j d_ki + v_k d_ij) - 5 v_i v_j v_k.
     Fully symmetric and trace-free in every slot, so the table holds the 10
-    symmetry classes at their sorted indices; `_H_CLASS` maps any key to
-    its class.  The comparisons j == k, ... are the Kronecker deltas: a
-    bool multiplies as 0 or 1.
+    symmetry classes, in the order of `_H_CLASSES`; `_H_CLASS` maps any key
+    to its class's position.  The comparisons j == k, ... are the Kronecker
+    deltas: a bool multiplies as 0 or 1.
     """
     vv = dict(zip(AXES, v))
     n = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
-    return {
-        (i, j, k): n * (vv[i] * (j == k) + vv[j] * (k == i) + vv[k] * (i == j))
-        - 5 * vv[i] * vv[j] * vv[k]
-        for i, j, k in combinations_with_replacement(AXES, 3)
-    }
+    return tuple(
+        n * (vv[i] * (j == k) + vv[j] * (k == i) + vv[k] * (i == j)) - 5 * vv[i] * vv[j] * vv[k]
+        for i, j, k in _H_CLASSES
+    )
 
 
-def hijk_gradient(v: Sequence) -> dict[tuple[int, int, int, int], object]:
-    """Partial derivatives: entry (j,k,l,m), j <= k <= l, is d h_jk^l / d v_m.
+def hijk_gradient(v: Sequence) -> tuple:
+    """Partial derivatives d h_jk^l / d v_m, j <= k <= l.
 
     d h_jk^l / d v_m = 2 v_m (v_j d_kl + v_k d_lj + v_l d_jk)
         + |v|^2 (d_jm d_kl + d_km d_lj + d_lm d_jk)
         - 5 (d_jm v_k v_l + v_j d_km v_l + v_j v_k d_lm),
     held for the 30 entries with j <= k <= l, the classes of the
-    permutations of (j, k, l); `_DH_CLASS` maps any key to its class.  The
+    permutations of (j, k, l), each class of h followed by m = 1, 2, 3;
+    `_DH_CLASS` maps any key (j, k, l, m) to its entry's position.  The
     Kronecker deltas are comparisons, as in `hijk_from_v`.
     """
     vv = dict(zip(AXES, v))
     n = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
-    out = {}
-    for j, k, l in combinations_with_replacement(AXES, 3):
+    out = []
+    for j, k, l in _H_CLASSES:
         vj, vk, vl = vv[j], vv[k], vv[l]
         d_kl, d_lj, d_jk = k == l, l == j, j == k
         linear = vj * d_kl + vk * d_lj + vl * d_jk
         for m in AXES:
             d_jm, d_km, d_lm = j == m, k == m, l == m
-            out[(j, k, l, m)] = (
+            out.append(
                 2 * vv[m] * linear
                 + n * (d_jm * d_kl + d_km * d_lj + d_lm * d_jk)
                 - 5 * (d_jm * vk * vl + vj * d_km * vl + vj * vk * d_lm)
             )
-    return out
+    return tuple(out)
 
 
 #: The keys of omega in the order of its table.
 _OMEGA_KEYS = tuple(product(AXES, AXES, AXES))
 
 
-def omega_numerators(st) -> dict[tuple[int, int, int], int]:
+def omega_numerators(st) -> tuple:
     """Rational parts of the connection components omega_ij^k of the
-    induced metric, at the state's scale (see `FrameState`).
+    induced metric, at the state's scale (see `FrameState`), in the order
+    of `_OMEGA_KEYS`.
 
     The nine displayed formulas determine everything through the skew
     symmetry omega_ij^k = -omega_ik^j (and omega_ij^j = 0).  They are
@@ -413,11 +423,11 @@ def omega_numerators(st) -> dict[tuple[int, int, int], int]:
     d31 = -v1 * (q1 + q2 - 4 * q3) * cot[(3, 1)]
     d32 = -v2 * (q1 + q2 - 4 * q3) * cot[(3, 2)]
     e1, e2, e3 = five_v * cot[(2, 3)], five_v * cot[(3, 1)], five_v * cot[(1, 2)]
-    return dict(zip(_OMEGA_KEYS, (
+    return (
         0, d12, d13, -d12, 0, e1, -d13, -e1, 0,
         0, -d21, -e2, d21, 0, d23, e2, -d23, 0,
         0, e3, -d31, -e3, 0, -d32, d31, d32, 0,
-    )))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +453,12 @@ class _Group(NamedTuple):
 class _Plan(NamedTuple):
     """What the Codazzi scalar (i, j, k, l) reads, compiled once.
 
-    dh lists (unknown, dh class, sign) per D-coefficient term, in formula
+    dh lists (unknown, dh position, sign) per D-coefficient term, in formula
     order; groups are its h-omega products by h class; angle is the integer
     factor of sin 2(theta_i - theta_j)/3.
     """
 
-    dh: tuple[tuple[DVar, tuple[int, int, int, int], int], ...]
+    dh: tuple[tuple[DVar, int, int], ...]
     groups: tuple[_Group, ...]
     angle: int
 
@@ -479,7 +489,7 @@ def _compile_plan(i: int, j: int, k: int, l: int) -> _Plan:
             (-1, (j, m, l), ((1, (i, k, m)),), 1, 0, epsilon(i, k, m)),
             (1, (i, m, l), ((1, (j, k, m)),), 1, 0, epsilon(j, k, m)),
         ):
-            h_class = _H_CLASS[h_key]
+            h_class = tuple(sorted(h_key))
             group = terms.setdefault(h_class, {})
             for c, key in omega:
                 if key[1] != key[2]:
@@ -526,48 +536,87 @@ def _compile_shape(triples: tuple, vanishing: frozenset[int]) -> tuple:
     return keys, columns, {var: n for n, var in enumerate(columns)}
 
 
-#: The plans by (i, j, k, l) and the shapes by (triples, vanishing).
-_PLANS = _Compiled(_compile_plan)
-_SHAPES = _Compiled(_compile_shape)
+def _linear(terms: Iterable[tuple[int, str]]) -> str:
+    """The source of the sum of c x over (c, x), x an expression of a
+    kernel's source: "0" where every c is zero."""
+    out = "".join(
+        " %s %s%s" % ("-" if c < 0 else "+", "" if abs(c) == 1 else "%d * " % abs(c), x)
+        for c, x in terms if c
+    )
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
-def _codazzi_rows(st, keys, col: Mapping[DVar, int]) -> tuple[list[list[int]], list[bool]]:
-    """The Codazzi scalars `keys` as integer rows and their flags, each row
-    read from its plan when it is built: its dh numerators summed into the
-    columns of `col` (an unknown not in col is dropped), at scale D^2, then
-    its constant's rational and sqrt(3) parts at L (`_Scales`).  A group of
-    products whose h class is zero is skipped, so its flag is not raised.
+def _compile_kernel(triples: tuple, vanishing: frozenset[int]):
+    """The row builder of a shape: one straight-line function
+    rows(h, dh, om, scale) of a state's tables, h, dh and omega read by
+    position, that returns the shape's integer matrix and its rows' flags.
+
+    It is generated from the scalars' plans, and reads as they do.  A row's
+    entry in a column is the signed sum of its dh numerators there, at scale
+    D^2; for i == j both terms of an m land on one unknown and are summed,
+    and an unknown not in the shape's columns is dropped.  Its constant's
+    rational part sums, over the groups, the h numerator times the group's
+    omega numerators, at D^3 times omega's scale, which const_mult takes to
+    L, less the angle term at L; its sqrt(3) part is sigma and iota, each
+    times its h-weighted sum, taken to L alike (`_Scales`).  A row is
+    flagged irrational where the h class of some group with a sqrt(3)
+    factor is nonzero, so a group whose h class is zero raises no flag.
+    Only the plans' integers and table positions enter the source, each
+    formatted as an integer.
     """
-    h, dh, om = st._point.h, st._point.dh, st.omega_numerators
-    scale = st._scales
-    width = len(col) + 2
-    matrix, flags = [], []
+    keys, _, col = _SHAPES[(triples, vanishing)]
+    rows, flags = [], []
     for key in keys:
         plan = _PLANS[key]
-        row = [0] * width
-        # for i == j both terms of an m land on one unknown and are summed
-        for var, dh_key, sign in plan.dh:
-            c = col.get(var)
-            if c is not None:
-                row[c] += sign * dh[dh_key]
-        # every product is an h numerator times an omega-scale numerator, so
-        # the sums are at the product of the two scales
-        const = by_sigma = by_inv = 0
-        irrational = False
-        for h_class, terms, w_sigma, w_inv, irr in plan.groups:
-            x = h[h_class]
-            if x:
-                const += x * sum([c * om[k] for c, k in terms])
-                if irr:
-                    irrational = True
-                    by_sigma += x * w_sigma
-                    by_inv += x * w_inv
-        # one integer factor takes the sums to L
-        row[-2] = const * scale.const_mult - scale.angle[key[:2]] * plan.angle
-        row[-1] = (by_sigma * scale.sigma + by_inv * scale.inv_sqrt3) * scale.const_mult
-        matrix.append(row)
-        flags.append(irrational)
-    return matrix, flags
+        by_column: list[dict[int, int]] = [{} for _ in col]
+        for var, pos, sign in plan.dh:
+            if var in col:
+                terms = by_column[col[var]]
+                terms[pos] = terms.get(pos, 0) + sign
+        entries = [_linear((c, "dh[%d]" % pos) for pos, c in t.items()) for t in by_column]
+        products, by_sigma, by_inv, irrational = [], [], [], []
+        for g in plan.groups:
+            x = "h%d" % _H_CLASS[g.h_class]
+            factor = _linear((c, "om[%d]" % _OMEGA_KEYS.index(om_key)) for c, om_key in g.terms)
+            if factor != "0":
+                products.append((1, "%s * (%s)" % (x, factor)))
+            if g.irrational:
+                irrational.append(x)
+                by_sigma.append((g.by_sigma, x))
+                by_inv.append((g.by_inv, x))
+        parts = [(1, "%s * (%s)" % (name, total))
+                 for name, total in (("sg", _linear(by_sigma)), ("iv", _linear(by_inv)))
+                 if total != "0"]
+        const = [(1, "(%s) * cm" % _linear(products))] if products else []
+        const.append((-plan.angle, "ang[%d, %d]" % key[:2]))
+        root3 = "(%s) * cm" % _linear(parts) if parts else "0"
+        rows.append("        [%s],\n" % ", ".join(entries + [_linear(const), root3]))
+        flags.append("(%s) != 0" % " or ".join(irrational) if irrational else "False")
+    source = (
+        "def rows(h, dh, om, scale):\n"
+        "    %s = h\n"
+        "    cm, sg, iv, ang = scale.const_mult, scale.sigma, scale.inv_sqrt3, scale.angle\n"
+        "    return [\n%s    ], [%s]\n"
+    ) % (", ".join("h%d" % n for n in range(len(_H_CLASSES))), "".join(rows), ", ".join(flags))
+    namespace: dict = {"__builtins__": {}}
+    exec(compile(source, "<codazzi kernel>", "exec"), namespace)
+    return namespace["rows"]
+
+
+#: The plans by (i, j, k, l), and the shapes and their row kernels by
+#: (triples, vanishing); nothing is compiled until a check first reads it.
+_PLANS = _Compiled(_compile_plan)
+_SHAPES = _Compiled(_compile_shape)
+_KERNELS = _Compiled(_compile_kernel)
+
+
+def _codazzi_rows(st, shape: tuple) -> tuple[list[list[int]], list[bool]]:
+    """The rows of the shape (triples, vanishing) at the state, as integers,
+    and their flags, built by the shape's kernel (`_compile_kernel`)."""
+    point = st._point
+    return _KERNELS[shape](point.h, point.dh, st.omega_numerators, st._scales)
 
 
 class CodazziRow(NamedTuple):
@@ -591,18 +640,20 @@ def codazzi_scalar(
     """JE_l-component of the antisymmetrized Codazzi equation on (E_i,E_j,E_k).
 
     Returns the scalar that must vanish, affine in the unknowns D_am, as a
-    `CodazziRow`: the one-row case of `_codazzi_rows`, in the columns of the
-    triple's shape.  An unknown is held where one of its dh numerators is
-    nonzero.  The `vanishing` set lists components v_m assumed identically
-    zero, whose derivatives D_am are then dropped as well.  No check reads
-    a row alone, since every solve builds its rows in one `_codazzi_rows`
-    call: it serves the tests, which compare it with other row builders, and
-    the benchmark's tracer, which counts its calls.
+    `CodazziRow`: row l of the triple's shape, built by that shape's kernel
+    (`_codazzi_rows`), in its columns.  An unknown is held where one of its
+    dh numerators is nonzero.  The `vanishing` set lists components v_m
+    assumed identically zero, whose derivatives D_am are then dropped as
+    well.  No check reads a row alone, since every solve builds its rows in
+    one `_codazzi_rows` call: it serves the tests, which compare it with
+    other row builders, and the benchmark's tracer, which counts its calls.
     """
-    _, _, col = _SHAPES[(((i, j, k),), vanishing)]
-    (row,), (irrational,) = _codazzi_rows(st, [(i, j, k, l)], col)
+    shape = (((i, j, k),), vanishing)
+    _, _, col = _SHAPES[shape]
+    matrix, flags = _codazzi_rows(st, shape)
+    row, irrational = matrix[l - 1], flags[l - 1]
     dh, plan = st._point.dh, _PLANS[(i, j, k, l)]
-    coeffs = {var: row[col[var]] for var, key, _ in plan.dh if var in col and dh[key]}
+    coeffs = {var: row[col[var]] for var, pos, _ in plan.dh if var in col and dh[pos]}
     return CodazziRow(coeffs, row[-2], row[-1], irrational)
 
 
@@ -686,7 +737,7 @@ def solve_triple_system(
     every pivot is one of them, and the leftovers are the later triples'
     rows with the solutions substituted.
 
-    The rows go straight into an integer matrix in the shape's columns
+    The shape's kernel builds the rows as an integer matrix in its columns
     (`_codazzi_rows`), each scalar times D^2 and its constant's two columns
     times K = L / D^2 more; a column that is zero at the state is never
     pivoted and holds no numerator.  It is eliminated fraction-free
@@ -698,8 +749,9 @@ def solve_triple_system(
     """
     if not st._point.ec:
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
-    keys, columns, col = _SHAPES[(tuple(triples), vanishing)]
-    matrix, flags = _codazzi_rows(st, keys, col)
+    shape = (tuple(triples), vanishing)
+    _, columns, col = _SHAPES[shape]
+    matrix, flags = _codazzi_rows(st, shape)
     out = eliminate_fraction_free(matrix, [col[v] for v in unknowns if v in col], flags)
     free = [columns[c] for c in out.free[:-2]]
 
@@ -758,10 +810,11 @@ def eliminate_fraction_free(
     take two columns, a rational and a sqrt(3) part; `irrational` flags the
     rows whose constant is in Q(sqrt 3).  Columns are
     pivoted in `order`, each on the first active row whose entry is nonzero;
-    a column with none is skipped.  Every update p * r - a * pivot_row is
-    one divmod by the previous pivot, so each entry stays an integer minor
-    of the input (Sylvester's identity), and a nonzero remainder raises
-    ArithmeticError.  An update with a != 0 takes the pivot row's flag into
+    a column with none is skipped.  Every nonzero update p * r - a * pivot_row
+    is one divmod by the previous pivot, none at the first pivot, where that
+    is 1, so each entry stays an integer minor of the input (Sylvester's
+    identity), and a nonzero remainder raises ArithmeticError.  An update
+    with a != 0 takes the pivot row's flag into
     the row; a row whose entry in the pivot column is zero is only rescaled
     and keeps its own, so a row is flagged exactly where value-form
     elimination would have mixed an element of Q(sqrt 3) into it.  Back
@@ -784,12 +837,19 @@ def eliminate_fraction_free(
         live.remove(j)
         for n, row in enumerate(active):
             a = row[j]
-            # divide_exactly inlined: this loop makes most of a solve's divisions
-            for c in live:
-                q, r = divmod(p * row[c] - a * prow[c], prev)
-                if r:
-                    raise ArithmeticError(f"{prev} does not divide an update")
-                row[c] = q
+            if prev == 1:
+                for c in live:
+                    row[c] = p * row[c] - a * prow[c]
+            else:
+                # divide_exactly inlined: this loop makes most of a solve's
+                # divisions; an update that is zero needs none
+                for c in live:
+                    x = p * row[c] - a * prow[c]
+                    if x:
+                        x, r = divmod(x, prev)
+                        if r:
+                            raise ArithmeticError(f"{prev} does not divide an update")
+                    row[c] = x
             if a and pflag:
                 flags[n] = True
         pivots.append((j, prow))
@@ -875,11 +935,11 @@ def frame_relation_check(seed: int = 0, trials: int = 120) -> CheckRecord:
         h = st._point.h
         om = st.omega_numerators
         six_q = 6 * st._angles.cotangents[0]
-        for i, j, k in product(AXES, AXES, AXES):
+        for n, (i, j, k) in enumerate(_OMEGA_KEYS):
             if j == k:
                 continue
             c, s, _ = st._angles.diffs[(j, k)]
-            if six_q * h[_H_CLASS[(i, j, k)]] * c + om[(i, j, k)] * s:
+            if six_q * h[_H_CLASS[(i, j, k)]] * c + om[n] * s:
                 failures.append({"state": st.describe(), "index": (i, j, k)})
     return CheckRecord(
         check_id="frame-relation",

@@ -127,13 +127,12 @@ def symmetry_defect(c: np.ndarray) -> np.ndarray | float:
 def build_h_from_V(V: Sequence) -> CubicTensor:
     """Cubic form of the minimal normal-form family driven by one vector,
     `codazzi.hijk_from_v` in exact rationals.  Its table holds one entry per
-    symmetry class, at the sorted index, and the ascending component keys
-    are exactly those indices.
+    symmetry class, the sorted indices ascending, which is the order of
+    `COMPONENT_KEYS`.
 
     Equals the H-umbilical pattern with U1 = V/|V|, mu = |V|^3, lambda = -2 mu.
     """
-    h = hijk_from_v([Fraction(float(x)) for x in V])
-    return CubicTensor(tuple(h[tuple(int(ch) for ch in key)] for key in COMPONENT_KEYS))
+    return CubicTensor(hijk_from_v([Fraction(float(x)) for x in V]))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,10 @@ A state holds only integers; the value view of it is here: v as Fractions
 (`cot`), and the constructor from Fraction v and circle points
 (`frame_state`).  The checks decide on integer numerators.  The value forms
 they compared before are kept here: the affine forms (`AffineExpr`), a row
-or a solve read into values (`codazzi_values`, `solve_values`), the
-integer solve with its rows built one at a time (`row_by_row_solve`), the
+or a solve read into values (`codazzi_values`, `solve_values`), the rows
+read from their plans by the interpreted loop the row kernels replaced
+(`reference_rows`), the integer solve with its rows built one at a time
+(`row_by_row_solve`), the
 compatibility forms, the closed forms of the axis, null-axis and v2 = 0
 cases in Fraction and Q(sqrt 3), and each case's verdict at one state
 computed from those, to be held against the checks' integer verdicts.  A
@@ -412,6 +414,51 @@ def dense_scalar(st, tables, i, j, k, l, vanishing=frozenset(), ring=ExactRing) 
         delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l)
     )
     return AffineExpr(const, coeffs)
+
+
+#: Each key of omega at its position in the state's table.
+_OMEGA_AT = {key: n for n, key in enumerate(codazzi._OMEGA_KEYS)}
+
+
+def reference_rows(st, keys, col: Mapping[DVar, int]) -> tuple[list[list[int]], list[bool]]:
+    """The Codazzi scalars `keys` as integer rows and their flags, each row
+    read from its plan when it is built: the row loop the shapes' kernels
+    replaced, kept as their reference.  A row's dh numerators are summed
+    into the columns of `col` (an unknown not in col is dropped), at scale
+    D^2, then its constant's rational and sqrt(3) parts are taken at L
+    (`_Scales`).  A group of products whose h class is zero is skipped, so
+    its flag is not raised.
+    """
+    h, dh, om = st._point.h, st._point.dh, st.omega_numerators
+    scale = st._scales
+    width = len(col) + 2
+    matrix, flags = [], []
+    for key in keys:
+        plan = codazzi._PLANS[key]
+        row = [0] * width
+        # for i == j both terms of an m land on one unknown and are summed
+        for var, dh_pos, sign in plan.dh:
+            c = col.get(var)
+            if c is not None:
+                row[c] += sign * dh[dh_pos]
+        # every product is an h numerator times an omega-scale numerator, so
+        # the sums are at the product of the two scales
+        const = by_sigma = by_inv = 0
+        irrational = False
+        for h_class, terms, w_sigma, w_inv, irr in plan.groups:
+            x = h[codazzi._H_CLASS[h_class]]
+            if x:
+                const += x * sum([c * om[_OMEGA_AT[k]] for c, k in terms])
+                if irr:
+                    irrational = True
+                    by_sigma += x * w_sigma
+                    by_inv += x * w_inv
+        # one integer factor takes the sums to L
+        row[-2] = const * scale.const_mult - scale.angle[key[:2]] * plan.angle
+        row[-1] = (by_sigma * scale.sigma + by_inv * scale.inv_sqrt3) * scale.const_mult
+        matrix.append(row)
+        flags.append(irrational)
+    return matrix, flags
 
 
 def oracle_solve(st, triples, unknowns, vanishing=frozenset()) -> SolveResult:

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +118,7 @@ def _connection_values(st_, root3) -> dict:
     den = st_._scales.omega_den
     return {
         key: exact_oracle._value(x, root3 * epsilon(*key), epsilon(*key) != 0, den)
-        for key, x in st_.omega_numerators.items()
+        for key, x in zip(codazzi._OMEGA_KEYS, st_.omega_numerators)
     }
 
 
@@ -143,8 +147,8 @@ def test_h_spot_values_on_first_axis() -> None:
 
 @given(v_triples)
 def test_h_totally_symmetric_and_trace_free(v) -> None:
-    # one entry per symmetry class, at its sorted index
-    assert sorted(hijk_from_v(v)) == sorted(set(_H_CLASS.values()))
+    # one entry per symmetry class, at its class's position
+    assert list(range(len(hijk_from_v(v)))) == sorted(set(_H_CLASS.values()))
     h = _full(hijk_from_v(v), _H_CLASS)
     for i, j, k in product(AXES, AXES, AXES):
         assert h[(i, j, k)] == h[(j, i, k)] == h[(i, k, j)]
@@ -217,7 +221,7 @@ def _assert_same(got, want) -> None:
 
 def _assert_tables_match_dense(st_) -> None:
     """The h and dh numerator tables hold one integer per symmetry class, at
-    its sorted index, and each over its scale (D^3, D^2) is the dense
+    its class's position, and each over its scale (D^3, D^2) is the dense
     formula's value at every key of its class, with ==.  omega and the
     shifted connection over omega's scale, and every Codazzi row read by
     `codazzi_values`, match the dense formulas with == and have their type,
@@ -225,12 +229,12 @@ def _assert_tables_match_dense(st_) -> None:
     v = [v_of(st_)[m] for m in AXES]
     d = st_._D
     h_num, full_h = st_._point.h, dense_h(v)
-    assert sorted(h_num) == sorted(set(_H_CLASS.values()))
+    assert list(range(len(h_num))) == sorted(set(_H_CLASS.values()))
     for key, rep in _H_CLASS.items():
         assert type(h_num[rep]) is int
         _assert_same(Fraction(h_num[rep], d ** 3), full_h[key])
     dh_num, full_dh = st_._point.dh, dense_dh(v)
-    assert sorted(dh_num) == sorted(set(_DH_CLASS.values()))
+    assert list(range(len(dh_num))) == sorted(set(_DH_CLASS.values()))
     for key, rep in _DH_CLASS.items():
         assert type(dh_num[rep]) is int
         _assert_same(Fraction(dh_num[rep], d ** 2), full_dh[key])
@@ -944,9 +948,9 @@ def _dh_off_by_one(real):
     # one dh numerator, d h_11^2 / d v_1 (one class), off by one: the rows
     # stay integer, so every division stays exact
     def mutant(v):
-        dh = dict(real(v))
-        dh[(1, 1, 2, 1)] = dh[(1, 1, 2, 1)] + 1
-        return dh
+        dh = list(real(v))
+        dh[_DH_CLASS[(1, 1, 2, 1)]] += 1
+        return tuple(dh)
     return mutant
 
 
@@ -978,6 +982,8 @@ def test_mutant_plan_term_sign_fails_the_checks_as_records(monkeypatch) -> None:
         codazzi._PLANS, key,
         _replace_group(plan, h_class, terms=((1, (2, 2, 1)), (1, (2, 1, 2)))),
     )
+    # the row kernels are compiled from the plans: build them afresh
+    monkeypatch.setattr(codazzi, "_KERNELS", codazzi._Compiled(codazzi._compile_kernel))
     records = (system1_check(seed=20, trials=10), case3_check(trials=5, seed=7))
     assert [r.check_id for r in records] == ["derivative-comparison", "constrained-angle-case"]
     for rec in records:
@@ -994,6 +1000,7 @@ def test_mutant_plan_without_a_sqrt3_flag_fails_the_type_check(monkeypatch) -> N
     (group,) = [g for g in plan.groups if g.h_class == h_class]
     assert group.irrational and (group.terms, group.by_sigma, group.by_inv) == ((), 0, 0)
     monkeypatch.setitem(codazzi._PLANS, key, _replace_group(plan, h_class, irrational=False))
+    monkeypatch.setattr(codazzi, "_KERNELS", codazzi._Compiled(codazzi._compile_kernel))
     st_ = _state(10, nonzero=(1, 2, 3))
     got = codazzi_values(st_, codazzi_scalar(st_, *key)).const
     want = dense_scalar(st_, dense_tables(st_), *key).const
@@ -1008,19 +1015,102 @@ def test_proof_replay_work_counts(monkeypatch) -> None:
     # computed (39, 180, 15), and re-recorded when the constrained-angle case
     # became exact: it draws its 3 states with random_frame_state, makes one
     # 6-row solve each, and no longer builds 12 companion solves (36 rows) or
-    # 3 rows of (E1,E2,E3) per state.  Every row is a solve's, built by the
-    # one row loop `_codazzi_rows`, which counts the rows it is handed; the
-    # null-axis case's 6 rows per state are those of one solve, where they
-    # were 3 solved and 3 built alone for the substitution
+    # 3 rows of (E1,E2,E3) per state.  Every row is a solve's, built by its
+    # shape's kernel through `_codazzi_rows`, which counts the rows it
+    # returns; the null-axis case's 6 rows per state are those of one solve,
+    # where they were 3 solved and 3 built alone for the substitution
     counts = dict.fromkeys(("solve_triple_system", "_codazzi_rows", "random_frame_state"), 0)
     for name in counts:
         def counted(*args, _real=getattr(codazzi, name), _name=name, **kw):
-            counts[_name] += len(args[1]) if _name == "_codazzi_rows" else 1
-            return _real(*args, **kw)
+            out = _real(*args, **kw)
+            counts[_name] += len(out[0]) if _name == "_codazzi_rows" else 1
+            return out
 
         monkeypatch.setattr(codazzi, name, counted)
     assert cmd_proof(trials=3, seed=3).passed
     assert counts == {"solve_triple_system": 27, "_codazzi_rows": 135, "random_frame_state": 18}
+
+
+#: The shapes (triples, vanishing) of the solves `cmd_proof` makes.
+PROOF_SHAPES = {(triples, vanishing) for triples, _, vanishing in PROOF_SOLVES.values()}
+
+
+def _kernel_states() -> list[FrameState]:
+    """States with each zero pattern the checks draw: generic, v1 = 0,
+    v2 = 0, v3 = 0, and the axis nodes v = (x, 0, 0)."""
+    rng = random.Random(61)
+    states = [
+        random_frame_state(rng, require_ec=False, zero=zero, nonzero=set(AXES) - set(zero))
+        for zero in ((), (1,), (2,), (3,)) for _ in range(3)
+    ]
+    return states + _axis_states(62, 1)
+
+
+def _assert_kernel_matches_reference(st_, shape, kernel=None) -> None:
+    """The shape's kernel gives the reference loop's matrix and flags, each
+    entry an int and each flag a bool; with one row per key, every row read
+    alone by the reference too."""
+    keys, _, col = codazzi._SHAPES[shape]
+    point = st_._point
+    kernel = kernel or codazzi._KERNELS[shape]
+    matrix, flags = kernel(point.h, point.dh, st_.omega_numerators, st_._scales)
+    assert (matrix, flags) == exact_oracle.reference_rows(st_, keys, col), shape
+    assert all(type(x) is int for row in matrix for x in row)
+    assert all(type(f) is bool for f in flags)
+    for key, row, flag in zip(keys, matrix, flags):
+        assert ([row], [flag]) == exact_oracle.reference_rows(st_, [key], col), key
+
+
+def test_kernels_match_the_reference_rows() -> None:
+    # the five solve shapes and the 27 one-triple shapes, whose 81 rows are
+    # compared one by one as well; the latter both with no component
+    # vanishing and with the state's zero components vanishing
+    for st_ in _kernel_states():
+        zeros = frozenset(m for m in AXES if st_._w[m - 1] == 0)
+        triple_shapes = [
+            ((ijk,), vanishing)
+            for ijk in product(AXES, AXES, AXES) for vanishing in {frozenset(), zeros}
+        ]
+        for shape in [*PROOF_SHAPES, *triple_shapes]:
+            _assert_kernel_matches_reference(st_, shape)
+
+
+def test_kernel_with_a_flipped_product_sign_fails_the_reference(monkeypatch) -> None:
+    # the first solve shape's kernel compiled from a plan of (1, 2, 2, 1) with
+    # the sign of one omega term of its h_12^2 product flipped
+    key, h_class = (1, 2, 2, 1), (1, 2, 2)
+    shape = (SET1_TRIPLES, frozenset())
+    plan = codazzi._PLANS[key]
+    with monkeypatch.context() as m:
+        m.setitem(codazzi._PLANS, key, _replace_group(plan, h_class, terms=(
+            (1, (2, 2, 1)), (1, (2, 1, 2)))))
+        mutant = codazzi._compile_kernel(*shape)
+    st_ = _state(10, nonzero=(1, 2, 3))
+    _assert_kernel_matches_reference(st_, shape)
+    with pytest.raises(AssertionError):
+        _assert_kernel_matches_reference(st_, shape, mutant)
+
+
+def test_kernels_compile_once_per_shape(monkeypatch) -> None:
+    # importing the module compiles nothing: the kernels compile while the
+    # first checks run, one per shape, and a second proof compiles none
+    probe = "import nkverify.codazzi as c; print(len(c._PLANS), len(c._SHAPES), len(c._KERNELS))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(codazzi.__file__).parents[1])},
+    )
+    assert out.stdout.split() == ["0", "0", "0"]
+    compiled = []
+
+    def build(*shape):
+        compiled.append(shape)
+        return codazzi._compile_kernel(*shape)
+
+    monkeypatch.setattr(codazzi, "_KERNELS", codazzi._Compiled(build))
+    assert cmd_proof(trials=3, seed=3).passed
+    assert len(compiled) == 5 and set(compiled) == PROOF_SHAPES
+    assert cmd_proof(trials=3, seed=3).passed
+    assert len(compiled) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,12 @@ from nkverify import humfit
 from nkverify.humfit import (
     COMPONENT_KEYS,
     CubicTensor,
-    HUmbilicalFit,
     build_h_from_V,
     fit,
     symmetry_defect,
     theorem_harness,
     umbilical_cubic,
     umbilical_lemma_check,
-    _least_squares,
     _normalize,
     _pattern_pair,
 )

@@ -23,10 +23,8 @@ from nkverify.jet import Jet
 from nkverify.lagrangian import (
     EPSILON,
     TWIST_ROTATION,
-    AngleData,
     Box,
     Immersion,
-    LagrangianCheck,
     ab_operators,
     angle_functions,
     angle_sum_defect,
