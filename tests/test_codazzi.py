@@ -1048,8 +1048,8 @@ def _kernel_states() -> list[FrameState]:
 
 def _assert_kernel_matches_reference(st_, shape, kernel=None) -> None:
     """The shape's kernel gives the reference loop's matrix and flags, each
-    entry an int and each flag a bool; with one row per key, every row read
-    alone by the reference too."""
+    entry an int and each flag a bool, and each of its rows equals the
+    reference's build of that row's key alone."""
     keys, _, col = codazzi._SHAPES[shape]
     point = st_._point
     kernel = kernel or codazzi._KERNELS[shape]
