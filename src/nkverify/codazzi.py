@@ -27,43 +27,36 @@ reads both: it is (6 D^3 Q)^-1 times an integer plus a sqrt(3) part that
 comes only from 1/(2 sqrt 3), so it is sigma eps_ijk for one integer sigma.
 The same holds for the two connection factors the Codazzi scalars read:
 the shifted connection omega_im^l - eps_iml/sqrt(3) has omega's rational
-part and the sqrt(3) part (sigma - iota) eps_iml, with iota the numerator
-of 1/sqrt(3), and the curl omega_ij^m - omega_ji^m has the sqrt(3) part
+part and the sqrt(3) part -sigma eps_iml, since 1/sqrt(3) is 2 sigma at
+omega's scale, and the curl omega_ij^m - omega_ji^m has the sqrt(3) part
 2 sigma eps_ijm.  So sqrt(3) is a column of its own: no table entry is
 anything but an int.  Each table is computed once, when first read; the
 axis case builds its five nodes' points once per call.
 
 Each Codazzi scalar (i, j, k, l) has a plan compiled once, when it is
 first needed: its dh positions, and its h-omega products grouped by h
-class, each group holding the omega keys of its rational part, the integer
-weights of sigma and iota in its sqrt(3) part, and a flag that says whether
-any of its connection factors has a sqrt(3) part at all.  A row's
-D-coefficients are the integer dh numerators, at scale D^2, and its
-constant, a sum of h-omega products plus the angle term, is one integer
-rational part and one integer sqrt(3) part at L = lcm(6 D^6 Q, A), with A
-the common denominator of the three sin 2(theta_a - theta_b)/3.  A group
-whose h class is zero raises no flag, so the row is flagged irrational
-exactly where value-form arithmetic would have met an element of
-Q(sqrt 3), even where the sqrt(3) parts cancel.  A solve's shape, per
-(triples, vanishing), is its scalars and the sorted columns of the
-unknowns they read.  Its rows are built by one kernel per shape, compiled
-when the shape is first solved: a straight-line function generated from
-the plans, with no loop and no lookup by key, that reads h, dh and omega
-by position and returns the dense integer matrix and the rows' flags.
-Nothing is compiled at import.
+class, each group holding the omega keys of its rational part and the
+integer weight of sigma in its sqrt(3) part.  A row's D-coefficients are
+the integer dh numerators, at scale D^2, and its constant, a sum of
+h-omega products plus the angle term, is one integer rational part and
+one integer sqrt(3) part at L = lcm(6 D^6 Q, A), with A the common
+denominator of the three sin 2(theta_a - theta_b)/3, so a row is a list
+of ints.  A solve's shape, per (triples, vanishing), is its
+scalars and the sorted columns of the unknowns they read.  Its rows are
+built by one kernel per shape, compiled when the shape is first solved: a
+straight-line function generated from the plans, with no loop, no lookup
+by key and no test, that reads h, dh and omega by position and returns
+the dense integer matrix.  Nothing is compiled at import.
 
 The exact solver eliminates that matrix fraction-free (Bareiss), with the
-constant as two integer columns and the flag carried per row: each
-update is divided exactly by the previous pivot, and every pivot is an
-integer minor of the small coefficients.  It hands out the numerators
-(`Numerators`): with P the last pivot, a solution's coefficients are over P
-and its constant over P L / D^2, the constant's own scale against the
-coefficients'; a leftover's coefficients are over P D^2 and its constant
-over P L.  Pivots are still the first rows with a nonzero coefficient, so
-the pivot order, rank and free variables are those of value-form
-elimination, and a numerator is flagged irrational exactly where the
-rational-arithmetic formulas give an element of Q(sqrt 3); a sqrt(3) part on
-a numerator that is not flagged raises.
+constant as two integer columns: each update is divided exactly by the
+previous pivot, and every pivot is an integer minor of the small
+coefficients.  It hands out the numerators (`Numerators`): with P the
+last pivot, a solution's coefficients are over P and its constant over
+P L / D^2, the constant's own scale against the coefficients'; a
+leftover's coefficients are over P D^2 and its constant over P L.  Pivots
+are still the first rows with a nonzero coefficient, so the pivot order,
+rank and free variables are those of value-form elimination.
 
 The checks decide on these numerators.  A leftover is tested for zero on
 its integers.  A closed form homogeneous of degree k in v is evaluated on
@@ -72,9 +65,9 @@ numerator by cross-multiplication; so are the two solutions the derivative
 comparison subtracts, and the null-axis rows with the (E1,E2,E1) solutions
 substituted, which are the leftovers of one solve of both triples.  A
 failure's details are built from the integers: each number a Fraction, an
-angle its cosine and sine as {"c", "s"}, and a constant flagged irrational
-its rational and sqrt(3) parts as {"a", "b"}; a failed comparison with a
-closed form gives that form as "expected".
+angle its cosine and sine as {"c", "s"}, and a constant whose sqrt(3)
+numerator is nonzero its rational and sqrt(3) parts as {"a", "b"}; a failed
+comparison with a closed form gives that form as "expected".
 """
 
 from __future__ import annotations
@@ -110,25 +103,18 @@ DVar = tuple[int, int]  # (i, m) stands for the derivative E_i(v_m)
 # states
 
 
-def _require_flag(root3: int, irrational: bool) -> None:
-    """A numerator that is not flagged irrational has no sqrt(3) part."""
-    if root3 and not irrational:
-        raise ArithmeticError("a sqrt(3) part on a numerator not flagged irrational")
-
-
 class _Scales(NamedTuple):
     """The scales of the states at one set of angles and one D.
 
-    omega is at omega_den = 6 D^3 Q, where sigma and inv_sqrt3 are the
-    sqrt(3) coefficients of 1/(2 sqrt 3) and 1/sqrt(3).  A row's constant
-    is at den = L, coeff_mult = L / D^2 times its coefficients' scale;
-    const_mult takes a sum of h-omega products, at D^3 omega_den, to L, and
-    angle[(a, b)] is sin 2(theta_a - theta_b)/3 at L.
+    omega is at 6 D^3 Q, where sigma = D^3 Q is the sqrt(3) coefficient of
+    1/(2 sqrt 3); 1/sqrt(3) is 2 sigma there, so every sqrt(3) part in the
+    rows is an integer times sigma.  A row's constant is at den = L,
+    coeff_mult = L / D^2 times its coefficients' scale; const_mult takes a
+    sum of h-omega products, at 6 D^6 Q, to L, and angle[(a, b)] is
+    sin 2(theta_a - theta_b)/3 at L.
     """
 
-    omega_den: int
     sigma: int
-    inv_sqrt3: int
     den: int
     coeff_mult: int
     const_mult: int
@@ -210,8 +196,7 @@ class _Angles:
             a, thirds = self.thirds
             den = lcm(const_den, a)
             angle = {ab: x * (den // a) for ab, x in thirds.items()}
-            self._by_d[d] = _Scales(6 * d3q, d3q, 2 * d3q, den, den // d ** 2,
-                                    den // const_den, angle)
+            self._by_d[d] = _Scales(d3q, den, den // d ** 2, den // const_den, angle)
         return self._by_d[d]
 
 
@@ -438,16 +423,13 @@ class _Group(NamedTuple):
     """The h-omega products of one Codazzi scalar that share an h class.
 
     Their connection factors sum to the sum of c omega_key over `terms`, on
-    omega's rational numerators, plus sqrt(3) times
-    by_sigma sigma + by_inv iota (see `_Scales`).  irrational says
-    whether any of the factors has a sqrt(3) part, even where those cancel.
+    omega's rational numerators, plus sqrt(3) times by_sigma sigma (see
+    `_Scales`).
     """
 
     h_class: tuple[int, int, int]
     terms: tuple[tuple[int, tuple[int, int, int]], ...]
     by_sigma: int
-    by_inv: int
-    irrational: bool
 
 
 class _Plan(NamedTuple):
@@ -470,44 +452,39 @@ def _compile_plan(i: int, j: int, k: int, l: int) -> _Plan:
         h_jk^m S_im^l - h_ik^m S_jm^l - C_ij^m h_mk^l
         - omega_ik^m h_jm^l + omega_jk^m h_im^l,
     with S the shifted connection omega - eps/sqrt(3), whose sqrt(3) part
-    is (sigma - iota) eps, and C the curl omega_ij^m - omega_ji^m, whose
-    sqrt(3) part is 2 sigma eps_ijm; omega's own is sigma eps.  The rational
-    parts are omega's; omega_ij^j = 0 adds nothing, and terms of one group
-    at one omega key are summed.
+    is -sigma eps, as 1/sqrt(3) is 2 sigma, and C the curl
+    omega_ij^m - omega_ji^m, whose sqrt(3) part is 2 sigma eps_ijm; omega's
+    own is sigma eps.  The rational parts are omega's; omega_ij^j = 0 adds
+    nothing, and terms of one group at one omega key are summed, as are
+    its sigma weights.  A group whose sums are all zero adds nothing and is
+    left out.
     """
     dh = []
     for m in AXES:
         dh.append(((i, m), _DH_CLASS[(j, k, l, m)], 1))
         dh.append(((j, m), _DH_CLASS[(i, k, l, m)], -1))
     terms: dict = {}  # h class -> {omega key: coefficient}
-    root3: dict = {}  # h class -> (by_sigma, by_inv), where a factor has sqrt(3)
+    root3: dict = {}  # h class -> weight of sigma
     for m in AXES:
-        for sign, h_key, omega, w_sigma, w_inv, eps in (
-            (1, (j, k, m), ((1, (i, m, l)),), 1, -1, epsilon(i, m, l)),
-            (-1, (i, k, m), ((1, (j, m, l)),), 1, -1, epsilon(j, m, l)),
-            (-1, (m, k, l), ((1, (i, j, m)), (-1, (j, i, m))), 2, 0, epsilon(i, j, m)),
-            (-1, (j, m, l), ((1, (i, k, m)),), 1, 0, epsilon(i, k, m)),
-            (1, (i, m, l), ((1, (j, k, m)),), 1, 0, epsilon(j, k, m)),
+        for sign, h_key, omega, weight, eps in (
+            (1, (j, k, m), ((1, (i, m, l)),), -1, epsilon(i, m, l)),
+            (-1, (i, k, m), ((1, (j, m, l)),), -1, epsilon(j, m, l)),
+            (-1, (m, k, l), ((1, (i, j, m)), (-1, (j, i, m))), 2, epsilon(i, j, m)),
+            (-1, (j, m, l), ((1, (i, k, m)),), 1, epsilon(i, k, m)),
+            (1, (i, m, l), ((1, (j, k, m)),), 1, epsilon(j, k, m)),
         ):
             h_class = tuple(sorted(h_key))
             group = terms.setdefault(h_class, {})
             for c, key in omega:
                 if key[1] != key[2]:
                     group[key] = group.get(key, 0) + sign * c
-            if eps:
-                by_sigma, by_inv = root3.get(h_class, (0, 0))
-                root3[h_class] = (by_sigma + sign * w_sigma * eps, by_inv + sign * w_inv * eps)
+            root3[h_class] = root3.get(h_class, 0) + sign * weight * eps
     return _Plan(
         tuple(dh),
         tuple(
-            _Group(
-                h_class,
-                tuple((c, key) for key, c in group.items() if c),
-                *root3.get(h_class, (0, 0)),
-                h_class in root3,
-            )
+            _Group(h_class, tuple((c, key) for key, c in group.items() if c), root3[h_class])
             for h_class, group in terms.items()
-            if h_class in root3 or any(group.values())
+            if root3[h_class] or any(group.values())
         ),
         delta(j, k) * delta(i, l) + delta(i, k) * delta(j, l),
     )
@@ -551,7 +528,8 @@ def _linear(terms: Iterable[tuple[int, str]]) -> str:
 def _compile_kernel(triples: tuple, vanishing: frozenset[int]):
     """The row builder of a shape: one straight-line function
     rows(h, dh, om, scale) of a state's tables, h, dh and omega read by
-    position, that returns the shape's integer matrix and its rows' flags.
+    position, that returns the shape's integer matrix.  It uses only +, -
+    and *.
 
     It is generated from the scalars' plans, and reads as they do.  A row's
     entry in a column is the signed sum of its dh numerators there, at scale
@@ -559,15 +537,13 @@ def _compile_kernel(triples: tuple, vanishing: frozenset[int]):
     and an unknown not in the shape's columns is dropped.  Its constant's
     rational part sums, over the groups, the h numerator times the group's
     omega numerators, at D^3 times omega's scale, which const_mult takes to
-    L, less the angle term at L; its sqrt(3) part is sigma and iota, each
-    times its h-weighted sum, taken to L alike (`_Scales`).  A row is
-    flagged irrational where the h class of some group with a sqrt(3)
-    factor is nonzero, so a group whose h class is zero raises no flag.
-    Only the plans' integers and table positions enter the source, each
-    formatted as an integer.
+    L, less the angle term at L; its sqrt(3) part is the sum of the h
+    numerators times the groups' sigma weights, times sigma const_mult
+    (`_Scales`).  Only the plans' integers and table positions enter the
+    source, each formatted as an integer.
     """
     keys, _, col = _SHAPES[(triples, vanishing)]
-    rows, flags = [], []
+    rows = []
     for key in keys:
         plan = _PLANS[key]
         by_column: list[dict[int, int]] = [{} for _ in col]
@@ -576,30 +552,25 @@ def _compile_kernel(triples: tuple, vanishing: frozenset[int]):
                 terms = by_column[col[var]]
                 terms[pos] = terms.get(pos, 0) + sign
         entries = [_linear((c, "dh[%d]" % pos) for pos, c in t.items()) for t in by_column]
-        products, by_sigma, by_inv, irrational = [], [], [], []
+        products, by_sigma = [], []
         for g in plan.groups:
             x = "h%d" % _H_CLASS[g.h_class]
             factor = _linear((c, "om[%d]" % _OMEGA_KEYS.index(om_key)) for c, om_key in g.terms)
             if factor != "0":
                 products.append((1, "%s * (%s)" % (x, factor)))
-            if g.irrational:
-                irrational.append(x)
-                by_sigma.append((g.by_sigma, x))
-                by_inv.append((g.by_inv, x))
-        parts = [(1, "%s * (%s)" % (name, total))
-                 for name, total in (("sg", _linear(by_sigma)), ("iv", _linear(by_inv)))
-                 if total != "0"]
+            by_sigma.append((g.by_sigma, x))
         const = [(1, "(%s) * cm" % _linear(products))] if products else []
         const.append((-plan.angle, "ang[%d, %d]" % key[:2]))
-        root3 = "(%s) * cm" % _linear(parts) if parts else "0"
+        root3 = _linear(by_sigma)
+        root3 = "(%s) * r3" % root3 if root3 != "0" else "0"
         rows.append("        [%s],\n" % ", ".join(entries + [_linear(const), root3]))
-        flags.append("(%s) != 0" % " or ".join(irrational) if irrational else "False")
     source = (
         "def rows(h, dh, om, scale):\n"
         "    %s = h\n"
-        "    cm, sg, iv, ang = scale.const_mult, scale.sigma, scale.inv_sqrt3, scale.angle\n"
-        "    return [\n%s    ], [%s]\n"
-    ) % (", ".join("h%d" % n for n in range(len(_H_CLASSES))), "".join(rows), ", ".join(flags))
+        "    cm, ang = scale.const_mult, scale.angle\n"
+        "    r3 = scale.sigma * cm\n"
+        "    return [\n%s    ]\n"
+    ) % (", ".join("h%d" % n for n in range(len(_H_CLASSES))), "".join(rows))
     namespace: dict = {"__builtins__": {}}
     exec(compile(source, "<codazzi kernel>", "exec"), namespace)
     return namespace["rows"]
@@ -612,9 +583,9 @@ _SHAPES = _Compiled(_compile_shape)
 _KERNELS = _Compiled(_compile_kernel)
 
 
-def _codazzi_rows(st, shape: tuple) -> tuple[list[list[int]], list[bool]]:
+def _codazzi_rows(st, shape: tuple) -> list[list[int]]:
     """The rows of the shape (triples, vanishing) at the state, as integers,
-    and their flags, built by the shape's kernel (`_compile_kernel`)."""
+    built by the shape's kernel (`_compile_kernel`)."""
     point = st._point
     return _KERNELS[shape](point.h, point.dh, st.omega_numerators, st._scales)
 
@@ -624,14 +595,11 @@ class CodazziRow(NamedTuple):
 
     coeffs maps each unknown D_am to its coefficient, at scale D^2, and the
     constant is const + root3 sqrt(3), at the state's row scale L.
-    irrational says whether the constant is in Q(sqrt 3): whether a nonzero h
-    class met a connection factor with a sqrt(3) part.
     """
 
     coeffs: dict[DVar, int]
     const: int
     root3: int
-    irrational: bool
 
 
 def codazzi_scalar(
@@ -650,11 +618,10 @@ def codazzi_scalar(
     """
     shape = (((i, j, k),), vanishing)
     _, _, col = _SHAPES[shape]
-    matrix, flags = _codazzi_rows(st, shape)
-    row, irrational = matrix[l - 1], flags[l - 1]
+    row = _codazzi_rows(st, shape)[l - 1]
     dh, plan = st._point.dh, _PLANS[(i, j, k, l)]
     coeffs = {var: row[col[var]] for var, pos, _ in plan.dh if var in col and dh[pos]}
-    return CodazziRow(coeffs, row[-2], row[-1], irrational)
+    return CodazziRow(coeffs, row[-2], row[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +633,11 @@ class Numerators(NamedTuple):
 
     Its coefficient of D_am is coeffs[(a, m)] / coeff_den, with only nonzero
     numerators held, and its constant is (const + root3 sqrt(3)) / const_den.
-    irrational says whether the constant is in Q(sqrt 3); a numerator
-    that is not flagged has no sqrt(3) part.
     """
 
     coeffs: dict[DVar, int]
     const: int
     root3: int
-    irrational: bool
     coeff_den: int
     const_den: int
 
@@ -683,10 +647,10 @@ class Numerators(NamedTuple):
 
     def const_detail(self):
         """The constant as a failure's details give it: a Fraction, or where
-        it is flagged irrational its rational and sqrt(3) parts as
-        {"a", "b"}, each numerator divided once."""
-        _require_flag(self.root3, self.irrational)
-        if self.irrational:
+        its sqrt(3) numerator is nonzero its rational and sqrt(3) parts as
+        {"a", "b"}, each numerator divided once.  So a sqrt(3) part is never
+        dropped, and one that cancels is not written."""
+        if self.root3:
             return {"a": Fraction(self.const, self.const_den),
                     "b": Fraction(self.root3, self.const_den)}
         return Fraction(self.const, self.const_den)
@@ -744,36 +708,30 @@ def solve_triple_system(
     (`eliminate_fraction_free`) and handed out as its numerators: with P
     the last pivot, a solution's coefficients are over P and its constant
     over P K, as scaling the constant's columns scales it by 1/K, and a
-    leftover, its row's residual times D^2, is over P D^2 and P L.  A
-    sqrt(3) part on a numerator not flagged irrational raises.
+    leftover, its row's residual times D^2, is over P D^2 and P L.  The
+    constant's sqrt(3) part is eliminated as a column like any other.
     """
     if not st._point.ec:
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
     shape = (tuple(triples), vanishing)
     _, columns, col = _SHAPES[shape]
-    matrix, flags = _codazzi_rows(st, shape)
-    out = eliminate_fraction_free(matrix, [col[v] for v in unknowns if v in col], flags)
+    matrix = _codazzi_rows(st, shape)
+    out = eliminate_fraction_free(matrix, [col[v] for v in unknowns if v in col])
     free = [columns[c] for c in out.free[:-2]]
 
-    def read(nums, irrational, coeff_den, const_den) -> Numerators:
+    def read(nums, coeff_den, const_den) -> Numerators:
         *coeffs, const, root3 = nums
-        _require_flag(root3, irrational)
         return Numerators(
-            {v: c for v, c in zip(free, coeffs) if c}, const, root3, irrational, coeff_den,
-            const_den,
+            {v: c for v, c in zip(free, coeffs) if c}, const, root3, coeff_den, const_den
         )
 
     p, scale = out.last, st._scales
     final = {
-        columns[j]: read(nums, out.solved_irrational[j], p, p * scale.coeff_mult)
-        for j, nums in out.solved.items()
+        columns[j]: read(nums, p, p * scale.coeff_mult) for j, nums in out.solved.items()
     }
     return SolveResult(
         solutions={u: final[u] for u in unknowns if u in final},
-        leftovers=[
-            read(r, irrational, p * st._D * st._D, p * scale.den)
-            for r, irrational in zip(out.leftovers, out.leftover_irrational)
-        ],
+        leftovers=[read(r, p * st._D * st._D, p * scale.den) for r in out.leftovers],
         free=[u for u in unknowns if u not in final],
     )
 
@@ -788,8 +746,6 @@ class FractionFree(NamedTuple):
     leftovers: the rows no pivot consumed, over `free`: `last` times what
     value-form elimination leaves of them.
     last: the last pivot, 1 when nothing was pivoted.
-    solved_irrational, leftover_irrational: the flags of the solutions, by
-    column, and of the leftovers, in order.
     """
 
     pivots: list
@@ -797,45 +753,35 @@ class FractionFree(NamedTuple):
     solved: dict
     leftovers: list
     last: int
-    solved_irrational: dict
-    leftover_irrational: list
 
 
-def eliminate_fraction_free(
-    rows: Sequence[Sequence[int]], order: Sequence[int], irrational: Sequence[bool]
-) -> FractionFree:
+def eliminate_fraction_free(rows: Sequence[Sequence[int]], order: Sequence[int]) -> FractionFree:
     """Bareiss's integer-preserving Gaussian elimination.
 
     Each row lists integer coefficients and then its constant, which may
-    take two columns, a rational and a sqrt(3) part; `irrational` flags the
-    rows whose constant is in Q(sqrt 3).  Columns are
-    pivoted in `order`, each on the first active row whose entry is nonzero;
-    a column with none is skipped.  Every nonzero update p * r - a * pivot_row
-    is one divmod by the previous pivot, none at the first pivot, where that
-    is 1, so each entry stays an integer minor of the input (Sylvester's
-    identity), and a nonzero remainder raises ArithmeticError.  An update
-    with a != 0 takes the pivot row's flag into
-    the row; a row whose entry in the pivot column is zero is only rescaled
-    and keeps its own, so a row is flagged exactly where value-form
-    elimination would have mixed an element of Q(sqrt 3) into it.  Back
+    take two columns, a rational and a sqrt(3) part, so an element of
+    Q(sqrt 3) is a pair of integer columns.  Columns are pivoted in
+    `order`, each on the first active row whose entry is nonzero; a column
+    with none is skipped.  Every nonzero update p * r - a * pivot_row is one
+    divmod by the previous pivot, none at the first pivot, where that is 1,
+    so each entry stays an integer minor of the input (Sylvester's
+    identity), and a nonzero remainder raises ArithmeticError.  Back
     substitution in reverse pivot order keeps last times each solution on
     integers: those numerators are Cramer's rule's, and each of its
     divisions by a pivot is exact too (`divide_exactly`).
     """
     active = [list(r) for r in rows]
-    flags = list(irrational)
     live = list(range(len(rows[0])))
-    pivots, pivot_flags = [], []
+    pivots = []
     prev = 1
     for j in order:
         idx = next((n for n, row in enumerate(active) if row[j]), None)
         if idx is None:
             continue
         prow = active.pop(idx)
-        pflag = flags.pop(idx)
         p = prow[j]
         live.remove(j)
-        for n, row in enumerate(active):
+        for row in active:
             a = row[j]
             if prev == 1:
                 for c in live:
@@ -850,24 +796,18 @@ def eliminate_fraction_free(
                         if r:
                             raise ArithmeticError(f"{prev} does not divide an update")
                     row[c] = x
-            if a and pflag:
-                flags[n] = True
         pivots.append((j, prow))
-        pivot_flags.append(pflag)
         prev = p
     solved: dict = {}
-    solved_flags: dict = {}
-    for (j, prow), flag in zip(reversed(pivots), reversed(pivot_flags)):
+    for j, prow in reversed(pivots):
         acc = [prev * prow[c] for c in live]
         for jw, later in solved.items():
             a = prow[jw]
             if a:
                 acc = [x + a * y for x, y in zip(acc, later)]
-                flag = flag or solved_flags[jw]
         solved[j] = [divide_exactly(-x, prow[j]) for x in acc]
-        solved_flags[j] = flag
     leftovers = [[row[c] for c in live] for row in active]
-    return FractionFree(pivots, live, solved, leftovers, prev, solved_flags, flags)
+    return FractionFree(pivots, live, solved, leftovers, prev)
 
 
 def _matches_root3(form: Numerators, num, den, degree: int, d: int) -> bool:
@@ -883,7 +823,7 @@ def _matches_root3(form: Numerators, num, den, degree: int, d: int) -> bool:
 
 def _root3_detail(num, den, degree: int, d: int) -> dict:
     """The closed form of `_matches_root3`, sqrt(3) num / (den D^degree), as
-    a failure's details give an irrational constant: {"a", "b"}.  A NaN in
+    a failure's details give a constant with a sqrt(3) part: {"a", "b"}.  A NaN in
     num or den is written as NaN."""
     scale = den * d ** degree
     return {"a": Fraction(0), "b": Fraction(num, scale) if num == num and scale == scale else nan}

@@ -104,6 +104,8 @@ class CubicTensor:
             raise ValueError("a cubic tensor file holds one JSON object")
         if payload.get("n", 3) != 3:
             raise ValueError("only n = 3 tensors are supported by the fitter")
+        if "components" not in payload:
+            raise ValueError("a cubic tensor file needs a components object keyed by index")
         return cls.from_components(payload["components"])
 
 

@@ -643,7 +643,6 @@ def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) ->
             )
         return records
 
-    require_lagrangian(tag, pkg.us, pkg.lagrangian_residual)
     c = pkg.c
     records.cubic = (pkg.us, c)
     worsts = {

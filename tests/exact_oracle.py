@@ -249,11 +249,11 @@ def ec_value(st) -> Fraction:
     return 4 * v1 * v1 - 3 * (v2 * v2 + v3 * v3)
 
 
-def _value(const: int, root3: int, irrational: bool, den: int):
+def _value(const: int, root3: int, den: int):
     """const + root3 sqrt(3) over den, divided once: a QSqrt3 where the
-    numerator is flagged irrational, else a Fraction."""
-    codazzi._require_flag(root3, irrational)
-    if irrational:
+    sqrt(3) numerator is nonzero, else a Fraction, as `Numerators.const_detail`
+    writes it.  Either compares equal to the field element it is."""
+    if root3:
         return QSqrt3(Fraction(const, den), Fraction(root3, den))
     return Fraction(const, den)
 
@@ -261,20 +261,17 @@ def _value(const: int, root3: int, irrational: bool, den: int):
 def numerator_values(e: Numerators) -> AffineExpr:
     """A form's numerators as values, each divided once."""
     return AffineExpr(
-        _value(e.const, e.root3, e.irrational, e.const_den),
+        _value(e.const, e.root3, e.const_den),
         {v: Fraction(c, e.coeff_den) for v, c in e.coeffs.items()},
     )
 
 
 def codazzi_values(st, row) -> AffineExpr:
     """A `codazzi_scalar` row as values: each numerator divided once, the
-    coefficients by D^2 and the constant by L.
-
-    The constant is a QSqrt3 exactly where the row is flagged irrational.
-    """
+    coefficients by D^2 and the constant by L."""
     d2 = st._D * st._D
     return AffineExpr(
-        _value(row.const, row.root3, row.irrational, st._scales.den),
+        _value(row.const, row.root3, st._scales.den),
         {v: Fraction(c, d2) for v, c in row.coeffs.items()},
     )
 
@@ -420,19 +417,18 @@ def dense_scalar(st, tables, i, j, k, l, vanishing=frozenset(), ring=ExactRing) 
 _OMEGA_AT = {key: n for n, key in enumerate(codazzi._OMEGA_KEYS)}
 
 
-def reference_rows(st, keys, col: Mapping[DVar, int]) -> tuple[list[list[int]], list[bool]]:
-    """The Codazzi scalars `keys` as integer rows and their flags, each row
-    read from its plan when it is built: the row loop the shapes' kernels
-    replaced, kept as their reference.  A row's dh numerators are summed
-    into the columns of `col` (an unknown not in col is dropped), at scale
-    D^2, then its constant's rational and sqrt(3) parts are taken at L
-    (`_Scales`).  A group of products whose h class is zero is skipped, so
-    its flag is not raised.
+def reference_rows(st, keys, col: Mapping[DVar, int]) -> list[list[int]]:
+    """The Codazzi scalars `keys` as integer rows, each read from its plan
+    when it is built: the row loop the shapes' kernels replaced, kept as
+    their reference.  A row's dh numerators are summed into the columns of
+    `col` (an unknown not in col is dropped), at scale D^2, then its
+    constant's rational and sqrt(3) parts are taken at L (`_Scales`).  A
+    group of products whose h class is zero is skipped.
     """
     h, dh, om = st._point.h, st._point.dh, st.omega_numerators
     scale = st._scales
     width = len(col) + 2
-    matrix, flags = [], []
+    matrix = []
     for key in keys:
         plan = codazzi._PLANS[key]
         row = [0] * width
@@ -443,22 +439,17 @@ def reference_rows(st, keys, col: Mapping[DVar, int]) -> tuple[list[list[int]], 
                 row[c] += sign * dh[dh_pos]
         # every product is an h numerator times an omega-scale numerator, so
         # the sums are at the product of the two scales
-        const = by_sigma = by_inv = 0
-        irrational = False
-        for h_class, terms, w_sigma, w_inv, irr in plan.groups:
+        const = by_sigma = 0
+        for h_class, terms, w_sigma in plan.groups:
             x = h[codazzi._H_CLASS[h_class]]
             if x:
                 const += x * sum([c * om[_OMEGA_AT[k]] for c, k in terms])
-                if irr:
-                    irrational = True
-                    by_sigma += x * w_sigma
-                    by_inv += x * w_inv
+                by_sigma += x * w_sigma
         # one integer factor takes the sums to L
         row[-2] = const * scale.const_mult - scale.angle[key[:2]] * plan.angle
-        row[-1] = (by_sigma * scale.sigma + by_inv * scale.inv_sqrt3) * scale.const_mult
+        row[-1] = by_sigma * scale.sigma * scale.const_mult
         matrix.append(row)
-        flags.append(irrational)
-    return matrix, flags
+    return matrix
 
 
 def oracle_solve(st, triples, unknowns, vanishing=frozenset()) -> SolveResult:
@@ -512,25 +503,19 @@ def row_by_row_solve(st, triples, unknowns, vanishing=frozenset()) -> SolveResul
     out = codazzi.eliminate_fraction_free(
         [[r.coeffs.get(v, 0) for v in present] + [r.const, r.root3] for r in rows],
         [col[v] for v in unknowns if v in col],
-        [r.irrational for r in rows],
     )
     free = [present[c] for c in out.free[:-2]]
 
-    def read(nums, irrational, coeff_den, const_den) -> Numerators:
+    def read(nums, coeff_den, const_den) -> Numerators:
         *coeffs, const, root3 = nums
-        codazzi._require_flag(root3, irrational)
-        return Numerators({v: c for v, c in zip(free, coeffs) if c}, const, root3, irrational,
-                          coeff_den, const_den)
+        return Numerators({v: c for v, c in zip(free, coeffs) if c}, const, root3, coeff_den,
+                          const_den)
 
     p, scale = out.last, st._scales
-    final = {
-        present[j]: read(nums, out.solved_irrational[j], p, p * scale.coeff_mult)
-        for j, nums in out.solved.items()
-    }
+    final = {present[j]: read(nums, p, p * scale.coeff_mult) for j, nums in out.solved.items()}
     return SolveResult(
         solutions={u: final[u] for u in unknowns if u in final},
-        leftovers=[read(r, irrational, p * st._D * st._D, p * scale.den)
-                   for r, irrational in zip(out.leftovers, out.leftover_irrational)],
+        leftovers=[read(r, p * st._D * st._D, p * scale.den) for r in out.leftovers],
         free=[u for u in unknowns if u not in final],
     )
 

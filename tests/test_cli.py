@@ -446,6 +446,29 @@ def test_main_bad_count_or_tolerance_exits_two(argv, capsys) -> None:
     assert capsys.readouterr().err.startswith("nkverify: error:")
 
 
+def test_main_lagrangian_tol_above_the_precondition_reports_at_that_bound(
+    tmp_path, capsys
+) -> None:
+    # a graph 3e-6 off the diagonal has a Lagrangian residual of about 4.2e-6,
+    # above the 1e-6 precondition of the standalone readers.  The suite gates
+    # its checks on its own lagrangian[...] record, so with --tol 1e-3 every
+    # record is read at that bound, and at the default bound that record fails
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        [{"graph": {"right": {"axis": [1, 2, 3], "angle": 3e-6}}, "label": "near-diagonal"}]
+    ))
+    argv = ["lagrangian", "--manifest", str(path), "--grid", "2", "--format", "json"]
+    assert main([*argv, "--tol", "1e-3"]) == 0
+    checks = {c["check_id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    lag = checks["lagrangian[near-diagonal]"]
+    assert lag["passed"] and 1e-6 < lag["max_residual"] < 1e-3
+    assert checks["theorem-shadow[near-diagonal]"]["status"] is None
+    assert main(argv) == 1
+    checks = {c["check_id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks["lagrangian[near-diagonal]"]["passed"]
+    assert checks["minimality[near-diagonal]"]["status"] == "skip"
+
+
 def test_main_example_and_manifest_conflict_exits_two(tmp_path, capsys) -> None:
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"example": "diagonal"}))
@@ -477,28 +500,38 @@ def test_main_malformed_fit_json_exits_two(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    "command, payload, extra, env",
+    "command, payload, extra, env, message",
     [
-        ("fit", [1.0, 2.0], [], {}),
+        ("fit", [1.0, 2.0], [], {}, "holds one JSON object"),
+        ("fit", {"n": 3}, [], {}, "needs a components object"),
         (
             "fit",
             {"n": 3, "components": {**dict.fromkeys(COMPONENT_KEYS, 0.0), "123": math.inf}},
             [],
             {},
+            "component 123 is not a finite number",
         ),
-        ("lagrangian", {"graph": {}, "box": [None, 0.5]}, [], {}),
-        ("lagrangian", {"graph": {"left": {"axis": 1.0, "angle": 0.5}}}, [], {}),
-        ("lagrangian", {"graph": {}, "box": [-40, 40]}, [], {}),
-        ("proof", None, ["--trials", "1"], {"NKVERIFY_SEED": "abc"}),
+        ("lagrangian", {"graph": {}, "box": [None, 0.5]}, [], {}, "box bound must be a number"),
+        (
+            "lagrangian",
+            {"graph": {"left": {"axis": 1.0, "angle": 0.5}}},
+            [],
+            {},
+            "axis must be a nonzero 3-vector",
+        ),
+        ("lagrangian", {"graph": {}, "box": [-40, 40]}, [], {}, "too large to sum"),
+        ("proof", None, ["--trials", "1"], {"NKVERIFY_SEED": "abc"}, "must be an integer"),
         (
             "fit",
             json.loads(build_h_from_V([1.0, 0.0, 0.0]).to_json()),
             ["--out", "{tmp}/missing/report.json"],
             {},
+            "No such file or directory",
         ),
     ],
     ids=[
         "fit-not-an-object",
+        "fit-no-components",
         "fit-infinite-component",
         "box-not-numbers",
         "axis-not-a-list",
@@ -508,7 +541,7 @@ def test_main_malformed_fit_json_exits_two(tmp_path, capsys) -> None:
     ],
 )
 def test_main_malformed_input_exits_two(
-    tmp_path, capsys, monkeypatch, command, payload, extra, env
+    tmp_path, capsys, monkeypatch, command, payload, extra, env, message
 ) -> None:
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
@@ -522,6 +555,7 @@ def test_main_malformed_input_exits_two(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("nkverify: error:") and err.count("\n") == 1
+    assert message in err
 
 
 def test_main_fit_takes_no_seed(tmp_path, capsys) -> None:

@@ -114,10 +114,10 @@ def _class_values(table: dict, classes: dict, den) -> dict:
 
 def _connection_values(st_, root3) -> dict:
     """omega's rational numerators plus root3 eps_ijk sqrt(3), over omega's
-    scale: a QSqrt3 where i, j, k are distinct."""
-    den = st_._scales.omega_den
+    scale 6 D^3 Q: a QSqrt3 where i, j, k are distinct."""
+    den = 6 * st_._D ** 3 * st_._angles.cotangents[0]
     return {
-        key: exact_oracle._value(x, root3 * epsilon(*key), epsilon(*key) != 0, den)
+        key: exact_oracle._value(x, root3 * epsilon(*key), den)
         for key, x in zip(codazzi._OMEGA_KEYS, st_.omega_numerators)
     }
 
@@ -128,9 +128,9 @@ def _omega_values(st_) -> dict:
 
 def _shifted_values(st_) -> dict:
     """The shifted connection omega_im^l - eps_iml/sqrt(3) as values: omega's
-    rational part, and the sqrt(3) part (sigma - iota) eps_iml."""
-    scale = st_._scales
-    return _connection_values(st_, scale.sigma - scale.inv_sqrt3)
+    rational part, and the sqrt(3) part -sigma eps_iml, as 1/sqrt(3) is
+    2 sigma at omega's scale."""
+    return _connection_values(st_, -st_._scales.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +223,10 @@ def _assert_tables_match_dense(st_) -> None:
     """The h and dh numerator tables hold one integer per symmetry class, at
     its class's position, and each over its scale (D^3, D^2) is the dense
     formula's value at every key of its class, with ==.  omega and the
-    shifted connection over omega's scale, and every Codazzi row read by
-    `codazzi_values`, match the dense formulas with == and have their type,
-    with and without the state's zero components vanishing."""
+    shifted connection over omega's scale match the dense formulas with ==
+    and have their type, and every Codazzi row read by `codazzi_values`
+    has the dense row's values, with and without the state's zero
+    components vanishing."""
     v = [v_of(st_)[m] for m in AXES]
     d = st_._D
     h_num, full_h = st_._point.h, dense_h(v)
@@ -249,7 +250,7 @@ def _assert_tables_match_dense(st_) -> None:
         for i, j, k, l in product(AXES, AXES, AXES, AXES):
             got = codazzi_values(st_, codazzi_scalar(st_, i, j, k, l, vanishing))
             want = dense_scalar(st_, tables, i, j, k, l, vanishing)
-            _assert_same(got.const, want.const)
+            assert got.const == want.const, (i, j, k, l, got.const, want.const)
             assert got.coeffs.keys() == want.coeffs.keys()
             for var, c in want.coeffs.items():
                 _assert_same(got.coeffs[var], c)
@@ -659,14 +660,9 @@ PROOF_SOLVES = {
 }
 
 
-def _typed(x):
-    """A value with its type: the report writes a Fraction and a QSqrt3
-    differently."""
-    return type(x).__name__, x
-
-
 def _expr_outcome(e):
-    return _typed(e.const), {v: _typed(c) for v, c in e.coeffs.items() if c != 0}
+    """A form's values: a QSqrt3 with no sqrt(3) part equals its Fraction."""
+    return e.const, {v: c for v, c in e.coeffs.items() if c != 0}
 
 
 def _solve_outcome(solve, st_, shape):
@@ -771,7 +767,7 @@ def test_float_solves_match_dense_replay(zero) -> None:
 
 def test_case3_solves_match_the_oracle() -> None:
     # 60 states drawn as case3_check draws them: the four solutions and both
-    # leftovers, with their types, are those of value-form elimination
+    # leftovers, as values, are those of value-form elimination
     rng = random.Random(56)
     for _ in range(60):
         st_ = random_frame_state(rng, zero=(2,), nonzero=(1, 3))
@@ -801,7 +797,7 @@ def test_solve_matches_the_row_by_row_reference(name) -> None:
     # the rows built straight into the matrix, in the shape's columns, give
     # the result of rows built one at a time through `codazzi_scalar` and
     # eliminated in the columns present at the state: every field, with its
-    # flags, scales and dict order, at 60 states drawn as the check draws
+    # scales and dict order, at 60 states drawn as the check draws
     # them and 25 of each zero pattern, where a refused state must raise alike
     shape = PROOF_SOLVES[name]
     rng = random.Random(90)
@@ -820,16 +816,16 @@ def test_solve_matches_the_row_by_row_reference(name) -> None:
 
 def _flip_first_constant(real):
     # both of the constant's columns, its rational and its sqrt(3) part
-    def mutant(rows, order, irrational):
+    def mutant(rows, order):
         rows = [list(r) for r in rows]
         rows[0][-2:] = [-rows[0][-2], -rows[0][-1]]
-        return real(rows, order, irrational)
+        return real(rows, order)
     return mutant
 
 
 def _flip_first_solution(real):
-    def mutant(rows, order, irrational):
-        out = real(rows, order, irrational)
+    def mutant(rows, order):
+        out = real(rows, order)
         first = next(iter(out.solved), None)
         if first is not None:
             out.solved[first] = [-x for x in out.solved[first]]
@@ -865,7 +861,7 @@ def test_fraction_free_pivots_are_the_leading_minors() -> None:
     # leading minors 2, 2 and 4; pivot row k's entry in a column c it still
     # holds is the minor of rows 0..k and columns 0..k-1, c (Sylvester)
     rows = [[2, 1, 1, 3], [4, 3, 3, 5], [8, 7, 9, 1]]
-    out = eliminate_fraction_free(rows, [0, 1, 2], [False] * 3)
+    out = eliminate_fraction_free(rows, [0, 1, 2])
     assert [prow[j] for j, prow in out.pivots] == [2, 2, 4]
     for k, (j, prow) in enumerate(out.pivots):
         for c in range(k, 4):
@@ -882,29 +878,14 @@ def test_fraction_free_skips_empty_columns_and_keeps_leftovers() -> None:
     # column 1 vanishes once column 0 is eliminated, so 2 is pivoted next;
     # row 3 is row 1 + row 2 in its coefficients, so it is left over, at the
     # last pivot times its constant minus theirs: 3 (2 sqrt 3 - 6 - sqrt 3).
-    # The constant takes two columns, its rational and its sqrt(3) part, and
-    # rows 1 and 3 are flagged irrational
+    # The constant takes two columns, its rational and its sqrt(3) part
     rows = [[1, 2, 0, 1, 1], [2, 4, 3, 5, 0], [3, 6, 3, 0, 2]]
-    out = eliminate_fraction_free(rows, [0, 1, 2], [True, False, True])
+    out = eliminate_fraction_free(rows, [0, 1, 2])
     assert [(j, prow[j]) for j, prow in out.pivots] == [(0, 1), (2, 3)]
     assert out.free == [1, 3, 4] and out.last == 3
     (leftover,) = out.leftovers
     assert leftover[0] == 0
     assert (leftover[1], leftover[2]) == (-18, 3)
-    assert out.leftover_irrational == [True]
-    # row 2 took row 1's flag in its update, so both solutions carry it
-    assert out.solved_irrational == {0: True, 2: True}
-
-
-def test_fraction_free_flags_follow_the_updates() -> None:
-    # a row whose entry in the pivot column is zero is only rescaled and keeps
-    # its own flag; a solution takes a later one's flag only where it reads it
-    rows = [[1, 0, 1, 1], [0, 1, 2, 0], [1, 1, 0, 0]]
-    out = eliminate_fraction_free(rows, [0, 1], [True, False, False])
-    assert out.solved_irrational == {1: False, 0: True}
-    assert out.leftover_irrational == [True]
-    out = eliminate_fraction_free(rows, [1, 0], [True, False, False])
-    assert out.solved_irrational == {0: True, 1: False}
 
 
 #: QSqrt3's arithmetic, which a row build or an elimination must not reach.
@@ -932,12 +913,10 @@ def test_exact_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
         rows = [codazzi_scalar(st_, i, j, k, l) for i, j, k in SET1_TRIPLES for l in AXES]
         present = sorted({v for r in rows for v, c in r.coeffs.items() if c})
         matrix = [[r.coeffs.get(v, 0) for v in present] + [r.const, r.root3] for r in rows]
-        out = eliminate_fraction_free(
-            matrix, range(len(present)), [r.irrational for r in rows]
-        )
+        out = eliminate_fraction_free(matrix, range(len(present)))
     assert all(type(x) is int for row in matrix for x in row)
-    # at a generic state every row meets a connection factor with sqrt(3)
-    assert all(r.irrational and r.root3 for r in rows)
+    # at a generic state every row has a sqrt(3) part
+    assert all(r.root3 for r in rows)
     # rank 5: one of the six unknowns stays free, as D_11 does in the checks,
     # beside the constant's two columns
     assert len(out.pivots) == 5 and len(out.free) == 3
@@ -977,7 +956,7 @@ def test_mutant_plan_term_sign_fails_the_checks_as_records(monkeypatch) -> None:
     key, h_class = (1, 2, 2, 1), (1, 2, 2)
     plan = codazzi._PLANS[key]
     (group,) = [g for g in plan.groups if g.h_class == h_class]
-    assert group.terms == ((-1, (2, 2, 1)), (1, (2, 1, 2))) and not group.irrational
+    assert group.terms == ((-1, (2, 2, 1)), (1, (2, 1, 2))) and group.by_sigma == 0
     monkeypatch.setitem(
         codazzi._PLANS, key,
         _replace_group(plan, h_class, terms=((1, (2, 2, 1)), (1, (2, 1, 2)))),
@@ -988,25 +967,6 @@ def test_mutant_plan_term_sign_fails_the_checks_as_records(monkeypatch) -> None:
     assert [r.check_id for r in records] == ["derivative-comparison", "constrained-angle-case"]
     for rec in records:
         assert not rec.passed and rec.failures, rec.check_id
-
-
-def test_mutant_plan_without_a_sqrt3_flag_fails_the_type_check(monkeypatch) -> None:
-    # in the scalar (1, 1, 2, 2) the products of h_12^3 with the shifted
-    # connection S_13^2 come in with both signs: their sqrt(3) parts cancel,
-    # and the value is the QSqrt3 zero.  A plan that drops that group's flag
-    # gives the right value as a Fraction, and only the type check sees it
-    key, h_class = (1, 1, 2, 2), (1, 2, 3)
-    plan = codazzi._PLANS[key]
-    (group,) = [g for g in plan.groups if g.h_class == h_class]
-    assert group.irrational and (group.terms, group.by_sigma, group.by_inv) == ((), 0, 0)
-    monkeypatch.setitem(codazzi._PLANS, key, _replace_group(plan, h_class, irrational=False))
-    monkeypatch.setattr(codazzi, "_KERNELS", codazzi._Compiled(codazzi._compile_kernel))
-    st_ = _state(10, nonzero=(1, 2, 3))
-    got = codazzi_values(st_, codazzi_scalar(st_, *key)).const
-    want = dense_scalar(st_, dense_tables(st_), *key).const
-    assert got == want == 0 and (type(got), type(want)) == (Fraction, QSqrt3)
-    with pytest.raises(AssertionError):
-        _assert_tables_match_dense(st_)
 
 
 def test_proof_replay_work_counts(monkeypatch) -> None:
@@ -1023,7 +983,7 @@ def test_proof_replay_work_counts(monkeypatch) -> None:
     for name in counts:
         def counted(*args, _real=getattr(codazzi, name), _name=name, **kw):
             out = _real(*args, **kw)
-            counts[_name] += len(out[0]) if _name == "_codazzi_rows" else 1
+            counts[_name] += len(out) if _name == "_codazzi_rows" else 1
             return out
 
         monkeypatch.setattr(codazzi, name, counted)
@@ -1047,18 +1007,17 @@ def _kernel_states() -> list[FrameState]:
 
 
 def _assert_kernel_matches_reference(st_, shape, kernel=None) -> None:
-    """The shape's kernel gives the reference loop's matrix and flags, each
-    entry an int and each flag a bool, and each of its rows equals the
-    reference's build of that row's key alone."""
+    """The shape's kernel gives the reference loop's matrix, each entry an
+    int, and each of its rows equals the reference's build of that row's key
+    alone."""
     keys, _, col = codazzi._SHAPES[shape]
     point = st_._point
     kernel = kernel or codazzi._KERNELS[shape]
-    matrix, flags = kernel(point.h, point.dh, st_.omega_numerators, st_._scales)
-    assert (matrix, flags) == exact_oracle.reference_rows(st_, keys, col), shape
+    matrix = kernel(point.h, point.dh, st_.omega_numerators, st_._scales)
+    assert matrix == exact_oracle.reference_rows(st_, keys, col), shape
     assert all(type(x) is int for row in matrix for x in row)
-    assert all(type(f) is bool for f in flags)
-    for key, row, flag in zip(keys, matrix, flags):
-        assert ([row], [flag]) == exact_oracle.reference_rows(st_, [key], col), key
+    for key, row in zip(keys, matrix):
+        assert [row] == exact_oracle.reference_rows(st_, [key], col), key
 
 
 def test_kernels_match_the_reference_rows() -> None:
@@ -1248,9 +1207,8 @@ def test_case2_incompatibility() -> None:
 def test_null_axis_leftovers_are_the_substituted_rows() -> None:
     # the leftovers of the six-row solve are the (E1,E2,2,l) rows with the
     # solutions of the three (E1,E2,1,l) rows substituted, which is how the
-    # null-axis case read them before: equal values of equal types (a
-    # flagged numerator reads as a QSqrt3), and equal flags, at 300 states
-    # drawn as case2_check draws them
+    # null-axis case read them before: equal values, at 300 states drawn as
+    # case2_check draws them
     rng = random.Random(29)
     vanishing = frozenset({1})
     for _ in range(300):
@@ -1267,9 +1225,6 @@ def test_null_axis_leftovers_are_the_substituted_rows() -> None:
         assert not six.free and len(six.solutions) == 3
         got = [numerator_values(e) for e in six.leftovers]
         assert [_expr_outcome(e) for e in got] == [_expr_outcome(e) for e in substituted]
-        assert [e.irrational for e in six.leftovers] == [
-            isinstance(e.const, QSqrt3) for e in substituted
-        ]
 
 
 def test_null_axis_case_reads_no_row_alone(monkeypatch) -> None:
@@ -1509,7 +1464,7 @@ def _stray_leftover(real):
     # one more leftover row, with the constant 1, in every solve
     def mutant(*args, **kw):
         res = real(*args, **kw)
-        res.leftovers = [*res.leftovers, Numerators({}, 1, 0, False, 1, 1)]
+        res.leftovers = [*res.leftovers, Numerators({}, 1, 0, 1, 1)]
         return res
     return mutant
 
@@ -1637,17 +1592,36 @@ def test_failure_details_are_pinned(monkeypatch, mutant) -> None:
 def test_failure_details_read_the_numerators(monkeypatch) -> None:
     # the two details that `FAILURE_DIGESTS` blanks, in the form they take
     # from the integers: a nonzero leftover constraint as its constant (a
-    # Fraction, or {"a", "b"} where it is flagged irrational) and its
+    # Fraction, or {"a", "b"} where its sqrt(3) numerator is nonzero) and its
     # coefficients, and the axis case's v1 as the int node
     leftovers = [
         f["extra"] for f in _mutant_failures(monkeypatch, "dh-off-by-one")["system1_check"]
     ]
-    assert leftovers[0] == {"const": {"a": "0/1", "b": "0/1"}, "coeffs": {"(1, 1)": "1/1"}}
+    assert leftovers[0] == {"const": "0/1", "coeffs": {"(1, 1)": "1/1"}}
     assert leftovers[4] == {"const": "0/1", "coeffs": {"(1, 1)": "1/9"}}
     stray = _mutant_failures(monkeypatch, "stray-leftover")["system1_check"]
     assert [f["extra"] for f in stray] == [{"const": "1/1", "coeffs": {}}] * 5
     axis = _mutant_failures(monkeypatch, "fifth-node")["case1_check"]
     assert [f["extra"]["v1"] for f in axis] == [5] * 3
+
+
+def test_a_constant_is_written_with_a_sqrt3_part_exactly_where_it_has_one() -> None:
+    # in the scalar (1, 1, 2, 2) the products of h_12^3 with the shifted
+    # connection S_13^2 come in with both signs, so their sqrt(3) parts
+    # cancel: the value-form sum is the QSqrt3 zero, and the row's sqrt(3)
+    # numerator is 0, so its constant is written as a Fraction
+    st_ = _state(10, nonzero=(1, 2, 3))
+    key = (1, 1, 2, 2)
+    row = codazzi_scalar(st_, *key)
+    want = dense_scalar(st_, dense_tables(st_), *key).const
+    assert type(want) is QSqrt3 and want == 0 and (row.const, row.root3) == (0, 0)
+    form = Numerators(row.coeffs, row.const, row.root3, st_._D ** 2, st_._scales.den)
+    assert jsonable(form.const_detail()) == "0/1"
+    # a nonzero sqrt(3) numerator is written as {"a", "b"}, also with no
+    # rational part; a zero one as a Fraction
+    assert jsonable(Numerators({}, 2, 3, 1, 6).const_detail()) == {"a": "1/3", "b": "1/2"}
+    assert jsonable(Numerators({}, 0, -1, 1, 3).const_detail()) == {"a": "0/1", "b": "-1/3"}
+    assert jsonable(Numerators({}, 4, 0, 1, 6).const_detail()) == "2/3"
 
 
 def test_failure_details_give_the_closed_form_compared_with(monkeypatch) -> None:
@@ -1734,8 +1708,8 @@ def test_integer_verdicts_match_the_value_forms(case) -> None:
 
 def _shift_leftover_constants(real):
     # every leftover's rational constant numerator gains the last pivot
-    def mutant(rows, order, irrational):
-        out = real(rows, order, irrational)
+    def mutant(rows, order):
+        out = real(rows, order)
         for row in out.leftovers:
             row[-2] += out.last
         return out
@@ -1748,8 +1722,8 @@ def _shift_solution_constants(real):
     # pivot, so the gap of two solves moves off its value; the choice
     # depends on the rows alone, so a solve repeated on the same state is
     # shifted alike
-    def mutant(rows, order, irrational):
-        out = real(rows, order, irrational)
+    def mutant(rows, order):
+        out = real(rows, order)
         if hash(tuple(map(tuple, rows))) % 2:
             for nums in out.solved.values():
                 nums[-2] += out.last
@@ -1781,20 +1755,6 @@ def test_integer_verdicts_match_the_value_forms_on_mutant_solvers(monkeypatch, c
         assert _verdicts_disagree(case, states) == [], mutate.__name__
         failing += sum(_failed(case, integer(st_)) for st_ in states)
     assert failing
-
-
-def test_unflagged_sqrt3_part_raises_when_handed_out(monkeypatch) -> None:
-    # an elimination that loses the flags hands out a sqrt(3) part on a
-    # solution not flagged irrational: the solve raises before any value
-    real = codazzi.eliminate_fraction_free
-
-    def unflagged(rows, order, irrational):
-        out = real(rows, order, irrational)
-        return out._replace(solved_irrational=dict.fromkeys(out.solved_irrational, False))
-
-    monkeypatch.setattr(codazzi, "eliminate_fraction_free", unflagged)
-    with pytest.raises(ArithmeticError):
-        solve_triple_system(_state(10, nonzero=(1, 2, 3)), SET1_TRIPLES, SET1_UNKNOWNS)
 
 
 def _count_value_forms(monkeypatch) -> dict:

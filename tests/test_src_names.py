@@ -4,7 +4,9 @@ belongs in tests/.
 
 A name counts where it appears in code: as a name, or as a word of a string
 literal, since the benchmark's tracer names its targets in strings.  A
-comment or a docstring that mentions a name does not use it."""
+comment or a docstring that mentions a name does not use it.  A class field
+counts as its bare name, so a field whose name appears only where it is
+declared is unused."""
 
 import ast
 import io
@@ -43,8 +45,10 @@ def _assigned(node) -> list:
 
 def _definitions():
     """(qualified name, bare name, file, line) of every function, class and
-    method under src/, dunder methods aside: Python calls those itself, and
-    of every name a module-level assignment binds, dunder names aside too."""
+    method under src/, dunder methods aside: Python calls those itself; of
+    every name a module-level assignment binds, dunder names aside too; and
+    of every annotated class field, the fields of a NamedTuple or a
+    dataclass among them."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
@@ -58,6 +62,11 @@ def _definitions():
             for member in node.body
         }
         for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                        name = member.target.id
+                        yield f"{node.name}.{name}", name, path, member.lineno
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
