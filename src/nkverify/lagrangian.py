@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jet import Jet, size, stack
-from .nkgeom import CONNECTION, G_ARRAY, G, J, P, PointS3S3, g, norm
+from .nkgeom import CONNECTION, G_ARRAY, J, P, PointS3S3, g, norm
 from .quat import ImaginaryQuaternion, Quaternion, exp_im
 from .report import CheckRecord, max_keep_nan, within, worst_residual
 
@@ -114,7 +114,7 @@ def _gamma(X: Jet, W: Jet) -> Jet:
 
 def _per_point(residuals: np.ndarray) -> np.ndarray:
     """The largest residual at each point (the first axis); NaN stays NaN."""
-    return np.max(residuals.reshape(len(residuals), -1), axis=1)
+    return np.max(residuals, axis=tuple(range(1, residuals.ndim)))
 
 
 def _map_jet(imm: Immersion, us: np.ndarray, order: int) -> Jet:
@@ -181,6 +181,8 @@ class _Package:
 
     def __init__(self, imm: Immersion, us: Sequence[float] | np.ndarray, order: int) -> None:
         self.us = np.asarray(us, dtype=float).reshape(-1, 3)
+        if not len(self.us):
+            raise ValueError(f"{imm.label}: no parameter rows to evaluate")
         pq = _map_jet(imm, self.us, order)
         n = len(self.us)
         # V_a = Im(conj(p) d_a p), Im(conj(q) d_a q), a jet of order - 1
@@ -297,68 +299,121 @@ def _ab_structure(pkg: _Package) -> np.ndarray:
 
 @dataclass
 class AngleData:
-    thetas: tuple[float, float, float]
-    coeffs: np.ndarray  # rows: eigenvector components in the input frame
-    degenerate: bool
-    cos2: np.ndarray
-    sin2: np.ndarray
+    """The joint eigenstructure of a stack of pairs (A, B), indexed by the
+    stack's leading axes."""
+
+    thetas: np.ndarray  # (..., 3)
+    coeffs: np.ndarray  # (..., 3, 3): rows are eigenvectors in the input frame
+    degenerate: np.ndarray  # (...,) bool
+    cos2: np.ndarray  # (..., 3)
+    sin2: np.ndarray  # (..., 3)
 
 
-def _clusters(values: np.ndarray, gap: float = 1e-8):
-    """(start, stop) of the runs of ascending values that lie within gap of
-    their run's first value."""
-    i = 0
-    while i < len(values):
-        j = i + 1
-        while j < len(values) and values[j] - values[i] < gap:
-            j += 1
-        yield i, j
-        i = j
+#: Values of cos(2 theta), or of an eigenvalue of A, this close to their
+#: run's first value count as equal.
+CLUSTER_GAP = 1e-8
+#: The runs of more than one value among three ascending values, by layout.
+_RUNS = ((0, 3), (0, 2), (1, 3))
+
+
+def _runs(values: np.ndarray):
+    """(run, rows) for each run of more than one value that some rows of the
+    ascending values (m, 3) share: a run holds the values within CLUSTER_GAP
+    of its first one, and the next run starts at the first value that is
+    not."""
+    first = values[:, 1] - values[:, 0] < CLUSTER_GAP
+    layout = np.where(
+        first,
+        np.where(values[:, 2] - values[:, 0] < CLUSTER_GAP, 0, 1),
+        np.where(values[:, 2] - values[:, 1] < CLUSTER_GAP, 2, 3),
+    )
+    for code, run in enumerate(_RUNS):
+        rows = np.flatnonzero(layout == code)
+        if len(rows):
+            yield run, rows
+
+
+def _within_gate(defects: np.ndarray) -> np.ndarray:
+    """Is every defect of a pair at most 1e-6, at each pair of a stack?  A
+    NaN defect is not."""
+    return _per_point(np.abs(defects)) <= 1e-6
 
 
 def angle_functions(A: np.ndarray, B: np.ndarray) -> AngleData:
-    """Simultaneous eigenstructure of the commuting pair (A, B).
+    """Simultaneous eigenstructure of the commuting pairs (A, B), stacks
+    (..., 3, 3), from one eigh call over the stack.
 
     Eigenvectors satisfy A e_i = cos(2 theta_i) e_i, B e_i = sin(2 theta_i) e_i
     with theta_i in [0, pi), ordered by ascending cos(2 theta); values of
-    cos(2 theta) within 1e-8 of each other count as equal and are ordered by
-    ascending sin(2 theta).  Eigenvector signs are canonicalized.  The
-    degeneracy flag is set when two (cos, sin) eigenpairs coincide within the
-    gap threshold, which predicts a totally geodesic submanifold.
+    cos(2 theta) within CLUSTER_GAP of each other count as equal and are
+    ordered by ascending sin(2 theta).  Inside each cluster of A's
+    eigenvalues B is diagonalized, batched over the pairs that share a
+    cluster layout.  Eigenvector signs are canonicalized.  The degeneracy
+    flag is set when two (cos, sin) eigenpairs coincide within the gap
+    threshold, which predicts a totally geodesic submanifold.  Each pair
+    gets what it would get alone.  A pair that is not symmetric and
+    commuting, or not jointly diagonalizable, within 1e-6 (a NaN entry
+    included) raises ValueError; the first such pair in stack order sets
+    the message.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if (
-        np.max(np.abs(A - A.T)) > 1e-6
-        or np.max(np.abs(B - B.T)) > 1e-6
-        or np.max(np.abs(A @ B - B @ A)) > 1e-6
-    ):
-        raise ValueError("angle functions need symmetric commuting A, B")
-    w, U = np.linalg.eigh(A)
-    for i, j in _clusters(w):  # diagonalize B inside each A-eigenvalue cluster
-        if j - i > 1:
-            block = U[:, i:j]
-            _, Ub = np.linalg.eigh(block.T @ B @ block)
-            U[:, i:j] = block @ Ub
-    cos2 = np.diag(U.T @ A @ U).copy()
-    sin2 = np.diag(U.T @ B @ U).copy()
-    if np.max(np.abs(U.T @ B @ U - np.diag(sin2))) > 1e-6:
-        raise ValueError("A and B could not be jointly diagonalized")
-    order = np.argsort(cos2, kind="stable")
-    for i, j in _clusters(cos2[order]):
-        order[i:j] = order[i:j][np.argsort(sin2[order[i:j]], kind="stable")]
-    cos2, sin2, U = cos2[order], sin2[order], U[:, order]
-    for col in range(3):  # canonical signs: largest-magnitude entry positive
-        lead = int(np.argmax(np.abs(U[:, col])))
-        if U[lead, col] < 0:
-            U[:, col] = -U[:, col]
-    thetas = tuple(math.atan2(s, c) / 2 % math.pi for c, s in zip(cos2, sin2))
-    degenerate = any(
-        abs(cos2[i] - cos2[j]) < DEGENERACY_GAP and abs(sin2[i] - sin2[j]) < DEGENERACY_GAP
-        for i in range(3)
-        for j in range(i + 1, 3)
+    lead = A.shape[:-2]
+    A, B = A.reshape(-1, 3, 3), B.reshape(-1, 3, 3)
+    symmetric = _within_gate(
+        np.stack((A - A.swapaxes(1, 2), B - B.swapaxes(1, 2), A @ B - B @ A), axis=1)
     )
-    return AngleData(thetas, U.T, degenerate, cos2, sin2)
+    refused = np.flatnonzero(~symmetric)
+    if len(refused):
+        _eigenstructure(A[: refused[0]], B[: refused[0]])  # an earlier pair may fail first
+        raise ValueError("angle functions need symmetric commuting A, B")
+    cos2, sin2, U = _eigenstructure(A, B)
+    order = np.argsort(cos2, axis=1, kind="stable")
+    for (i, j), rows in _runs(np.take_along_axis(cos2, order, 1)):
+        run = order[rows, i:j]
+        by_sin = np.argsort(np.take_along_axis(sin2[rows], run, 1), axis=1, kind="stable")
+        order[rows, i:j] = np.take_along_axis(run, by_sin, 1)
+    cos2, sin2 = np.take_along_axis(cos2, order, 1), np.take_along_axis(sin2, order, 1)
+    U = np.take_along_axis(U, order[:, None], 2)
+    # canonical signs: the largest-magnitude entry of each eigenvector positive
+    lead_entry = np.take_along_axis(U, np.abs(U).argmax(axis=1)[:, None], 1)
+    U = np.where(lead_entry < 0, -U, U)
+    # math.atan2, not np.arctan2, which may round differently
+    cs = zip(cos2.ravel().tolist(), sin2.ravel().tolist())
+    thetas = np.reshape([math.atan2(s, c) / 2 % math.pi for c, s in cs], cos2.shape)
+    i, j = [0, 0, 1], [1, 2, 2]
+    degenerate = (
+        (np.abs(cos2[:, i] - cos2[:, j]) < DEGENERACY_GAP)
+        & (np.abs(sin2[:, i] - sin2[:, j]) < DEGENERACY_GAP)
+    ).any(axis=1)
+    return AngleData(
+        thetas.reshape(*lead, 3),
+        U.swapaxes(1, 2).reshape(*lead, 3, 3),
+        degenerate.reshape(lead),
+        cos2.reshape(*lead, 3),
+        sin2.reshape(*lead, 3),
+    )
+
+
+def _eigenstructure(
+    A: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(2 theta), sin(2 theta) (m, 3) and the eigenvector columns U
+    (m, 3, 3) of symmetric commuting pairs (m, 3, 3), unordered: A's
+    eigenbasis, with B diagonalized inside each cluster of A's eigenvalues.
+    Raises ValueError where B is then not diagonal within 1e-6."""
+    w, U = np.linalg.eigh(A)
+    for (i, j), rows in _runs(w):
+        block = U[rows][:, :, i:j]
+        Ub = np.linalg.eigh(block.swapaxes(1, 2) @ B[rows] @ block)[1]
+        U[rows, :, i:j] = block @ Ub
+    Ut = U.swapaxes(1, 2)
+    cos2 = (Ut @ A @ U).diagonal(0, 1, 2).copy()
+    BU = Ut @ B @ U
+    sin2 = BU.diagonal(0, 1, 2).copy()
+    if not _within_gate(BU - sin2[:, :, None] * np.eye(3)).all():
+        raise ValueError("A and B could not be jointly diagonalized")
+    return cos2, sin2, U
 
 
 def angle_sum_defect(thetas: Sequence[float]) -> float:
@@ -368,22 +423,17 @@ def angle_sum_defect(thetas: Sequence[float]) -> float:
 
 
 def relation_h_omega_residual(
-    h: np.ndarray, omega: np.ndarray, thetas: Sequence[float]
-) -> float:
+    h: np.ndarray, omega: np.ndarray, thetas: np.ndarray
+) -> np.ndarray:
     """Residual of the frame relation linking h, omega and the angles:
     h_ij^k cos(th_j - th_k) = (eps_ijk/(2 sqrt 3) - omega_ij^k) sin(th_j - th_k)
-    for j != k."""
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if j == k:
-                    continue
-                d = thetas[j] - thetas[k]
-                lhs = h[i, j, k] * math.cos(d)
-                rhs = (EPSILON[i, j, k] / (2 * _SQRT3) - omega[i, j, k]) * math.sin(d)
-                worst = max_keep_nan(worst, abs(lhs - rhs))
-    return worst
+    for j != k; the largest violation at each point of stacks h, omega
+    (..., 3, 3, 3) and thetas (..., 3).  NaN stays NaN."""
+    thetas = np.asarray(thetas, dtype=float)
+    d = (thetas[..., :, None] - thetas[..., None, :])[..., None, :, :]  # [i, j, k]
+    lhs = h * np.cos(d)
+    rhs = (EPSILON / (2 * _SQRT3) - omega) * np.sin(d)
+    return np.abs(lhs - rhs)[..., ~np.eye(3, dtype=bool)].max(axis=(-2, -1))
 
 
 @dataclass
@@ -404,7 +454,8 @@ class AdaptedFrameData:
 
 
 def frame_components(imm: Immersion, us: Rows) -> list[AdaptedFrameData]:
-    """Adapted-frame analysis at each row of us, from one order-2 package.
+    """Adapted-frame analysis at each row of us, from one order-2 package
+    and one adapted-frame pass over all of its points.
 
     Diagonalizes (A, B) on the orthonormalized pushforward frame, flips one
     frame vector if needed so the G tensor takes its canonical frame form
@@ -413,58 +464,71 @@ def frame_components(imm: Immersion, us: Rows) -> list[AdaptedFrameData]:
     and the angle derivatives is checked only at non-degenerate points; the
     built-in examples are all degenerate (hence totally geodesic), so there
     the flag is reported instead.  A row that fails the Lagrangian
-    precondition raises ValueError.
+    precondition raises ValueError, and so does an empty us.
     """
     pkg = _Package(imm, us, 2)
     require_lagrangian(imm.label, pkg.us, pkg.lagrangian_residual)
-    return [_adapted_frame(pkg, i) for i in range(len(pkg.us))]
+    return _adapted_frames(pkg)
 
 
 def _rotated(R: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """A frame table re-expressed in the frame F_i = sum_b R_ib E_b, with R
-    held constant: t_F = R (x) R (x) R . t."""
-    return np.einsum("ai,bj,kl,ijl->abk", R, R, R, table)
+    """Frame tables (..., 3, 3, 3) re-expressed in the frames
+    F_i = sum_b R_ib E_b, with R (..., 3, 3) held constant:
+    t_F = R (x) R (x) R . t."""
+    return np.einsum("...ai,...bj,...kl,...ijl->...abk", R, R, R, table)
 
 
-def _adapted_frame(pkg: _Package, i: int) -> AdaptedFrameData:
-    """The adapted-frame analysis at point i of an order >= 2 package."""
-    ang = angle_functions(pkg.A[i], pkg.B[i])
+def _adapted_frames(pkg: _Package) -> list[AdaptedFrameData]:
+    """The adapted-frame analysis at every point of an order >= 2 package,
+    in one pass over all of them: each point gets what it would get alone."""
+    ang = angle_functions(pkg.A, pkg.B)
     R = ang.coeffs.copy()
 
-    frame = R @ pkg.E[i]
-    probe = g(G(frame[0], frame[1]), J(frame[2]))
-    if probe > 0:  # canonical form requires g(G(E1,E2), JE3) = -1/sqrt(3)
-        R[2] = -R[2]
-        frame[2] = -1.0 * frame[2]
-    jframe = J(frame)
-    target = np.einsum("ijk,kd->ijd", -EPSILON / _SQRT3, jframe)
-    G_frame = np.einsum("dab,ia,jb->ijd", G_ARRAY, frame, frame)
-    orientation_residual = worst_residual(norm(G_frame - target))
+    frame = R @ pkg.E
+    probe = g(np.einsum("dab,na,nb->nd", G_ARRAY, frame[:, 0], frame[:, 1]), J(frame[:, 2]))
+    flip = probe > 0  # canonical form requires g(G(E1,E2), JE3) = -1/sqrt(3)
+    R[flip, 2] = -R[flip, 2]
+    frame[flip, 2] = -1.0 * frame[flip, 2]
+    target = np.einsum("ijk,nkd->nijd", -EPSILON / _SQRT3, J(frame))
+    G_frame = np.einsum("dab,nia,njb->nijd", G_ARRAY, frame, frame)
+    orientation = _per_point(norm(G_frame - target))
+    h, omega = _rotated(R, pkg.c), _rotated(R, pkg.omega)
 
-    eigen = (None, None, None)
-    if not ang.degenerate:
-        eigen = _eigenfield_checks(pkg, i, R, ang)
+    eigen = [(None, None, None)] * len(R)
+    rows = np.flatnonzero(~ang.degenerate)
+    if len(rows):
+        checks = _eigenfield_checks(pkg, rows, R[rows], ang, h[rows], omega[rows])
+        for k, values in zip(rows.tolist(), zip(*(x.tolist() for x in checks))):
+            eigen[k] = values
 
-    return AdaptedFrameData(
-        frame=frame,
-        thetas=ang.thetas,
-        h=_rotated(R, pkg.c[i]),
-        omega=_rotated(R, pkg.omega[i]),
-        H=pkg.H[i],
-        degenerate=ang.degenerate,
-        orientation_residual=orientation_residual,
-        eq_residual=eigen[0],
-        dtheta_residual=eigen[1],
-        dtheta_max_abs=eigen[2],
-    )
+    return [
+        AdaptedFrameData(
+            frame=frame[k],
+            thetas=tuple(thetas),
+            h=h[k],
+            omega=omega[k],
+            H=pkg.H[k],
+            degenerate=degenerate,
+            orientation_residual=residual,
+            eq_residual=eigen[k][0],
+            dtheta_residual=eigen[k][1],
+            dtheta_max_abs=eigen[k][2],
+        )
+        for k, (thetas, degenerate, residual) in enumerate(
+            zip(ang.thetas.tolist(), ang.degenerate.tolist(), orientation.tolist())
+        )
+    ]
 
 
 def _eigenframe_rates(
-    pkg: _Package, i: int, R: np.ndarray, ang: AngleData
+    pkg: _Package, rows: np.ndarray, R: np.ndarray, ang: AngleData, omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Connection components omega[a, b, k] = g(nabla_{F_a} F_b, F_k) of the
-    eigenframe field F_a = sum_b R_ab E_b, whose rows R follow the simple
-    joint eigenbasis of (A, B), and the angle derivatives [a, j] = F_a(theta_j).
+    """Connection components omega[n, a, b, k] = g(nabla_{F_a} F_b, F_k) of
+    the eigenframe fields F_a = sum_b R_ab E_b at the given package rows,
+    whose R (n, 3, 3) follow the simple joint eigenbasis of (A, B) there (ang
+    holds every package point), and the angle derivatives
+    [n, a, j] = F_a(theta_j); omega (n, 3, 3, 3) is the rotated omega of E
+    there, with R held constant.
 
     First-order perturbation of that eigenbasis: along F_a, with
     A' = R (F_a A) R^T and B' likewise, R moves by F_a(R) = K R with K
@@ -473,29 +537,36 @@ def _eigenframe_rates(
     eigenvalues move by A'_bb and B'_bb.  So omega is the rotated omega of E
     plus K.
     """
-    lam, mu = ang.cos2, ang.sin2
-    dirs = R @ pkg.S[i]  # parameter directions of F_a
-    dA = R @ np.einsum("ac,bkc->abk", dirs, pkg.dA[i]) @ R.T
-    dB = R @ np.einsum("ac,bkc->abk", dirs, pkg.dB[i]) @ R.T
-    dlam, dmu = lam[:, None] - lam[None, :], mu[:, None] - mu[None, :]
-    K = (dA * dlam + dB * dmu) / (dlam**2 + dmu**2 + np.eye(3))
-    omega = _rotated(R, pkg.omega[i]) + K
-    dlam_a, dmu_a = dA.diagonal(0, 1, 2), dB.diagonal(0, 1, 2)
+    lam, mu = ang.cos2[rows][:, None], ang.sin2[rows][:, None]  # [n, ., j]
+    dirs = R @ pkg.S[rows]  # parameter directions of F_a
+    Rl, Rr = R[:, None], R.swapaxes(1, 2)[:, None]
+    dA = Rl @ np.einsum("nac,nbkc->nabk", dirs, pkg.dA[rows]) @ Rr
+    dB = Rl @ np.einsum("nac,nbkc->nabk", dirs, pkg.dB[rows]) @ Rr
+    dlam, dmu = lam.swapaxes(1, 2) - lam, mu.swapaxes(1, 2) - mu
+    K = (dA * dlam[:, None] + dB * dmu[:, None]) / (dlam**2 + dmu**2 + np.eye(3))[:, None]
+    omega = omega + K
+    dlam_a, dmu_a = dA.diagonal(0, 2, 3), dB.diagonal(0, 2, 3)
     return omega, (lam * dmu_a - mu * dlam_a) / (2.0 * (lam**2 + mu**2))
 
 
 def _eigenfield_checks(
-    pkg: _Package, i: int, R: np.ndarray, ang: AngleData
-) -> tuple[float, float, float]:
-    """Frame relation and angle-derivative checks with the eigenframe field
-    (see _eigenframe_rates): the frame relation residual, the dtheta residual
-    and the largest |F_a(theta_j)|.  In the eigenframe h is the rotated c,
-    since F_a(R) only adds tangent terms to nabla_{F_a} F_b."""
-    omega, deriv = _eigenframe_rates(pkg, i, R, ang)
-    h = _rotated(R, pkg.c[i])
-    eq_residual = relation_h_omega_residual(h, omega, ang.thetas)
-    dtheta_residual = worst_residual(np.abs(deriv + h.diagonal(0, 0, 1)))
-    return eq_residual, dtheta_residual, worst_residual(np.abs(deriv))
+    pkg: _Package,
+    rows: np.ndarray,
+    R: np.ndarray,
+    ang: AngleData,
+    h: np.ndarray,
+    omega: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame relation and angle-derivative checks with the eigenframe fields
+    at the given package rows (see _eigenframe_rates), where h and omega
+    (n, 3, 3, 3) are c and omega rotated into those frames: the frame
+    relation residual, the dtheta residual and the largest |F_a(theta_j)|
+    at each row.  In the eigenframe h is the rotated c, since F_a(R) only
+    adds tangent terms to nabla_{F_a} F_b."""
+    omega, deriv = _eigenframe_rates(pkg, rows, R, ang, omega)
+    eq_residual = relation_h_omega_residual(h, omega, ang.thetas[rows])
+    dtheta_residual = _per_point(np.abs(deriv + h.diagonal(0, 1, 2)))
+    return eq_residual, dtheta_residual, _per_point(np.abs(deriv))
 
 
 def codazzi_residual(imm: Immersion, us: Rows) -> np.ndarray:
@@ -602,7 +673,8 @@ def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) ->
     """All per-immersion checks over a grid x grid x grid parameter sweep.
 
     One order-3 frame package for the whole grid, from one jet evaluation of
-    the map, feeds every check.  Each check is bounded by its SUITE_TOLS entry,
+    the map, and one adapted-frame pass over all of its points (one
+    `angle_functions` call) feed every check.  Each check is bounded by its SUITE_TOLS entry,
     or by tol when given, and passes by `report.within`.  If the Lagrangian
     test fails anywhere, the downstream checks are reported as skipped rather
     than evaluated on meaningless data.  Where some point is non-degenerate,
@@ -659,12 +731,11 @@ def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) ->
     dtheta_max_abs = 0.0
     degenerate_points = 0
     frame_error = None
-    for i in range(len(points)):
-        try:
-            fc = _adapted_frame(pkg, i)
-        except ValueError as exc:  # from angle_functions: the frame checks fail
-            frame_error = str(exc)
-            break
+    try:
+        frames = _adapted_frames(pkg)
+    except ValueError as exc:  # from angle_functions: the frame checks fail
+        frame_error, frames = str(exc), []
+    for fc in frames:
         if fc.degenerate:
             degenerate_points += 1
         else:

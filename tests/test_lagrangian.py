@@ -506,11 +506,18 @@ def test_lagrangian_report_golden_digest():
     )
 
 
+def _injected_checks(injected):
+    """A stand-in for `_eigenfield_checks` that reports the frame relation
+    and dtheta residuals injected, and 0.0 for the largest |E_i(theta_j)|,
+    at every row it is given."""
+    return lambda pkg, rows, *rest: tuple(np.full(len(rows), v) for v in injected + (0.0,))
+
+
 @pytest.mark.parametrize(
     "injected", [(1e-3, 0.0), (0.0, 1e-3), (math.nan, 0.0), (0.0, math.nan)]
 )
 def test_angle_sum_gates_on_eigenframe_residuals(monkeypatch, injected):
-    monkeypatch.setattr(lagrangian, "_eigenfield_checks", lambda *args: injected + (0.0,))
+    monkeypatch.setattr(lagrangian, "_eigenfield_checks", _injected_checks(injected))
     records = lagrangian_suite(_conjugation_immersion(), grid=1)
     angle = next(r for r in records if r.check_id.startswith("angle-sum"))
     assert not angle.passed
@@ -545,7 +552,7 @@ def test_zero_tolerance_gates_angle_sum_on_exact_zeros(monkeypatch):
     monkeypatch.setattr(lagrangian._Package, "__init__", exactly_lagrangian)
     monkeypatch.setattr(lagrangian, "angle_sum_defect", lambda thetas: 0.0)
     for injected, passed in (((0.0, 0.0), True), ((0.0, 5e-324), False), ((math.nan, 0.0), False)):
-        monkeypatch.setattr(lagrangian, "_eigenfield_checks", lambda *args, v=injected: v + (0.0,))
+        monkeypatch.setattr(lagrangian, "_eigenfield_checks", _injected_checks(injected))
         records = lagrangian_suite(_conjugation_immersion(), grid=1, tol=0.0)
         angle = next(r for r in records if r.check_id.startswith("angle-sum"))
         assert angle.status is None and angle.max_residual == 0.0
@@ -789,11 +796,15 @@ def test_eigenframe_rates_agree_with_the_finite_difference_oracle(name):
     imm = _oracle_case(name)
     us = np.random.default_rng(6).uniform(-0.4, 0.4, (3, 3))
     pkg = lagrangian._Package(imm, us, 3)
+    ang = angle_functions(pkg.A, pkg.B)
+    assert not ang.degenerate.any()
+    rows, rotated = np.arange(len(us)), lagrangian._rotated(ang.coeffs, pkg.omega)
+    omegas, derivs = lagrangian._eigenframe_rates(pkg, rows, ang.coeffs, ang, rotated)
     for k, u in enumerate(us):
-        ang = angle_functions(pkg.A[k], pkg.B[k])
-        assert not ang.degenerate
-        omega, deriv = lagrangian._eigenframe_rates(pkg, k, ang.coeffs, ang)
-        omega_fd, deriv_fd = fd_oracle.eigenframe_rates(imm, u, ang.coeffs, pkg.S[k], ang.thetas)
+        omega, deriv = omegas[k], derivs[k]
+        omega_fd, deriv_fd = fd_oracle.eigenframe_rates(
+            imm, u, ang.coeffs[k], pkg.S[k], ang.thetas[k]
+        )
         assert np.max(np.abs(omega)) > 0.4  # the eigenbasis does rotate
         assert np.max(np.abs(omega - omega_fd)) < 1e-7
         assert np.max(np.abs(deriv - deriv_fd)) < 1e-7
