@@ -42,21 +42,32 @@ h-omega products plus the angle term, is one integer rational part and
 one integer sqrt(3) part at L = lcm(6 D^6 Q, A), with A the common
 denominator of the three sin 2(theta_a - theta_b)/3, so a row is a list
 of ints.  A solve's shape, per (triples, vanishing), is its
-scalars and the sorted columns of the unknowns they read.  Its rows are
-built by one kernel per shape, compiled when the shape is first solved: a
-straight-line function generated from the plans, with no loop, no lookup
-by key and no test, that reads h, dh and omega by position and returns
-the dense integer matrix.  Nothing is compiled at import.
+scalars and the sorted columns of the unknowns they read.  The source of
+its rows is generated from the plans, with no loop, no lookup by key and
+no test, reading h, dh and omega by position, and a shape's row kernel
+is that source as one function that returns the dense integer matrix.
 
 The exact solver eliminates that matrix fraction-free (Bareiss), with the
 constant as two integer columns: each update is divided exactly by the
 previous pivot, and every pivot is an integer minor of the small
-coefficients.  It hands out the numerators (`Numerators`): with P the
-last pivot, a solution's coefficients are over P and its constant over
-P L / D^2, the constant's own scale against the coefficients'; a
-leftover's coefficients are over P D^2 and its constant over P L.  Pivots
-are still the first rows with a nonzero coefficient, so the pivot order,
-rank and free variables are those of value-form elimination.
+coefficients.  Pivots are the first rows with a nonzero coefficient, so
+the pivot order, rank and free variables are those of value-form
+elimination.  Each solve key, the shape with the unknowns it pivots, the
+solutions its caller reads and the zero pattern of w, has a solver: one
+straight-line function that builds the rows on local variables,
+eliminates them on a pivot schedule fixed when it is compiled, the
+general routine's at one fixed state with that zero pattern, and
+back-substitutes.  An entry that is 0 in the row source enters no
+update.  At each step the solver checks that the general routine would
+take its scheduled pivot; a state on a pivot locus fails a check and is
+solved by that routine, `eliminate_fraction_free`, with the same result.
+A schedule, per pivot its unknown and the scalar of its row, lists the
+pivot hypotheses of the solve.  Row kernels and solvers are compiled
+when a solve first needs them, never at import.  The solve hands out the
+numerators (`Numerators`): with P the last pivot, a solution's
+coefficients are over P and its constant over P L / D^2, the constant's
+own scale against the coefficients'; a leftover's coefficients are over
+P D^2 and its constant over P L.
 
 The checks decide on these numerators.  A leftover is tested for zero on
 its integers.  A closed form homogeneous of degree k in v is evaluated on
@@ -202,13 +213,15 @@ class _Angles:
 
 class _Point:
     """The tables of one v = w / D, which no angle enters, shared by the
-    states at v: h and dh, each computed when first read, and
-    ec = 4 w1^2 - 3 (w2^2 + w3^2), D^2 times the gate at v."""
+    states at v: h and dh, each computed when first read,
+    ec = 4 w1^2 - 3 (w2^2 + w3^2), D^2 times the gate at v, and the zero
+    pattern of w, which is part of a solver's key (`_compile_solver`)."""
 
     def __init__(self, w: list[int], d: int) -> None:
         self.w, self.d = w, d
         w1, w2, w3 = w
         self.ec = 4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3)
+        self.zeros = (w1 == 0, w2 == 0, w3 == 0)
 
     @cached_property
     def h(self) -> tuple:
@@ -525,22 +538,22 @@ def _linear(terms: Iterable[tuple[int, str]]) -> str:
     return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
-def _compile_kernel(triples: tuple, vanishing: frozenset[int]):
-    """The row builder of a shape: one straight-line function
-    rows(h, dh, om, scale) of a state's tables, h, dh and omega read by
-    position, that returns the shape's integer matrix.  It uses only +, -
-    and *.
+def _row_entries(triples: tuple, vanishing: frozenset[int]) -> list[list[str]]:
+    """The source of each entry of a shape's integer matrix, row by row: an
+    expression in a state's tables, read by position, or "0" where the entry
+    is zero at every state.  It uses only +, - and *.
 
     It is generated from the scalars' plans, and reads as they do.  A row's
     entry in a column is the signed sum of its dh numerators there, at scale
     D^2; for i == j both terms of an m land on one unknown and are summed,
     and an unknown not in the shape's columns is dropped.  Its constant's
-    rational part sums, over the groups, the h numerator times the group's
-    omega numerators, at D^3 times omega's scale, which const_mult takes to
-    L, less the angle term at L; its sqrt(3) part is the sum of the h
-    numerators times the groups' sigma weights, times sigma const_mult
-    (`_Scales`).  Only the plans' integers and table positions enter the
-    source, each formatted as an integer.
+    rational part sums, over the groups, the h numerator hN times the
+    group's omega numerators om[n], at D^3 times omega's scale, which cm =
+    const_mult takes to L, less the angle term ang[i, j] at L; its sqrt(3)
+    part is the sum of the h numerators times the groups' sigma weights,
+    times r3 = sigma const_mult (`_Scales`).  Only the plans' integers and
+    table positions enter the source, each formatted as an integer; the
+    names are those `_KERNEL_HEAD` binds.
     """
     keys, _, col = _SHAPES[(triples, vanishing)]
     rows = []
@@ -562,15 +575,28 @@ def _compile_kernel(triples: tuple, vanishing: frozenset[int]):
         const = [(1, "(%s) * cm" % _linear(products))] if products else []
         const.append((-plan.angle, "ang[%d, %d]" % key[:2]))
         root3 = _linear(by_sigma)
-        root3 = "(%s) * r3" % root3 if root3 != "0" else "0"
-        rows.append("        [%s],\n" % ", ".join(entries + [_linear(const), root3]))
-    source = (
-        "def rows(h, dh, om, scale):\n"
-        "    %s = h\n"
-        "    cm, ang = scale.const_mult, scale.angle\n"
-        "    r3 = scale.sigma * cm\n"
-        "    return [\n%s    ]\n"
-    ) % (", ".join("h%d" % n for n in range(len(_H_CLASSES))), "".join(rows))
+        rows.append(entries + [_linear(const), "(%s) * r3" % root3 if root3 != "0" else "0"])
+    return rows
+
+
+#: The lines that bind the names `_row_entries` reads, from h, dh, om and
+#: scale: the ten h numerators and the scales of the constant's columns.
+_KERNEL_HEAD = (
+    "    %s = h\n"
+    "    cm, ang = scale.const_mult, scale.angle\n"
+    "    r3 = scale.sigma * cm\n"
+) % ", ".join("h%d" % n for n in range(len(_H_CLASSES)))
+
+
+def _compile_kernel(triples: tuple, vanishing: frozenset[int]):
+    """The row builder of a shape: one straight-line function
+    rows(h, dh, om, scale) of a state's tables, with no loop, no lookup by
+    key and no test, that returns the shape's integer matrix, each entry
+    as `_row_entries` writes it."""
+    rows = "".join(
+        "        [%s],\n" % ", ".join(row) for row in _row_entries(triples, vanishing)
+    )
+    source = "def rows(h, dh, om, scale):\n%s    return [\n%s    ]\n" % (_KERNEL_HEAD, rows)
     namespace: dict = {"__builtins__": {}}
     exec(compile(source, "<codazzi kernel>", "exec"), namespace)
     return namespace["rows"]
@@ -613,8 +639,9 @@ def codazzi_scalar(
     dh numerators is nonzero.  The `vanishing` set lists components v_m
     assumed identically zero, whose derivatives D_am are then dropped as
     well.  No check reads a row alone, since every solve builds its rows in
-    one `_codazzi_rows` call: it serves the tests, which compare it with
-    other row builders, and the benchmark's tracer, which counts its calls.
+    its solver (`_compile_solver`): it serves the tests, which compare it
+    with other row builders, and the benchmark's tracer, which counts its
+    calls.
     """
     shape = (((i, j, k),), vanishing)
     _, _, col = _SHAPES[shape]
@@ -668,9 +695,9 @@ class Numerators(NamedTuple):
 class SolveResult:
     """Outcome of exact elimination on a set of Codazzi rows.
 
-    solutions: the designated unknowns a pivot determines, as affine forms
-    in the columns never pivoted (constants when the system determines them
-    fully).
+    solutions: the designated unknowns a pivot determines and the caller
+    reads, as affine forms in the columns never pivoted (constants when the
+    system determines them fully).
     leftovers: the rows no pivot consumed, with every solution substituted;
     these are the compatibility constraints of the system.
     free: the designated unknowns no pivot determines.
@@ -689,6 +716,7 @@ def solve_triple_system(
     triples: Sequence[tuple[int, int, int]],
     unknowns: Sequence[DVar],
     vanishing: frozenset[int] = frozenset(),
+    read: Sequence[DVar] | None = None,
 ) -> SolveResult:
     """Exact Gaussian elimination on the rows of the given Codazzi triples.
 
@@ -699,47 +727,220 @@ def solve_triple_system(
     solution families comparable across subsystems sharing such an unknown.
     So where the rows of the first triples have full rank in the unknowns,
     every pivot is one of them, and the leftovers are the later triples'
-    rows with the solutions substituted.
+    rows with the solutions substituted.  Only the solutions of the
+    unknowns in `read` are built, of every designated unknown when it is
+    None.
 
-    The shape's kernel builds the rows as an integer matrix in its columns
-    (`_codazzi_rows`), each scalar times D^2 and its constant's two columns
-    times K = L / D^2 more; a column that is zero at the state is never
-    pivoted and holds no numerator.  It is eliminated fraction-free
-    (`eliminate_fraction_free`) and handed out as its numerators: with P
-    the last pivot, a solution's coefficients are over P and its constant
-    over P K, as scaling the constant's columns scales it by 1/K, and a
-    leftover, its row's residual times D^2, is over P D^2 and P L.  The
-    constant's sqrt(3) part is eliminated as a column like any other.
+    The rows are the shape's integer matrix in its columns, each scalar
+    times D^2 and its constant's two columns times K = L / D^2 more; a
+    column that is zero at the state is never pivoted and holds no
+    numerator.  They are eliminated fraction-free (Bareiss) and handed out
+    as their numerators: with P the last pivot, a solution's coefficients
+    are over P and its constant over P K, as scaling the constant's columns
+    scales it by 1/K, and a leftover, its row's residual times D^2, is over
+    P D^2 and P L.  The constant's sqrt(3) part is eliminated as a column
+    like any other.
+
+    The solve runs the solver compiled for its key, the shape, the
+    unknowns, `read` and the zero pattern of w (`_compile_solver`): rows,
+    elimination on the pivot schedule fixed for that key, back
+    substitution and read-out in one straight-line function.  A state that
+    breaks the schedule, a pivot locus, is solved by the general path
+    instead (`_solve_rows`), and both give the same result.
     """
-    if not st._point.ec:
+    point = st._point
+    if not point.ec:
         raise ValueError("solve requires 4 v1^2 - 3 (v2^2 + v3^2) != 0")
-    shape = (tuple(triples), vanishing)
+    key = (tuple(triples), vanishing, tuple(unknowns),
+           None if read is None else tuple(read), point.zeros)
+    res = _SOLVERS[key](st)
+    return _solve_rows(st, *key[:4]) if res is None else res
+
+
+def _solve_rows(st, triples: tuple, vanishing: frozenset[int], unknowns: tuple,
+                read: tuple | None) -> SolveResult:
+    """The general path of `solve_triple_system`: the shape's matrix, built
+    by its kernel (`_codazzi_rows`), eliminated by `eliminate_fraction_free`
+    and read into `Numerators`."""
+    shape = (triples, vanishing)
     _, columns, col = _SHAPES[shape]
-    matrix = _codazzi_rows(st, shape)
-    out = eliminate_fraction_free(matrix, [col[v] for v in unknowns if v in col])
+    out = eliminate_fraction_free(_codazzi_rows(st, shape), [col[v] for v in unknowns if v in col])
     free = [columns[c] for c in out.free[:-2]]
 
-    def read(nums, coeff_den, const_den) -> Numerators:
+    def form(nums, coeff_den, const_den) -> Numerators:
         *coeffs, const, root3 = nums
         return Numerators(
             {v: c for v, c in zip(free, coeffs) if c}, const, root3, coeff_den, const_den
         )
 
     p, scale = out.last, st._scales
-    final = {
-        columns[j]: read(nums, p, p * scale.coeff_mult) for j, nums in out.solved.items()
-    }
+    solved = {columns[j]: nums for j, nums in out.solved.items()}
     return SolveResult(
-        solutions={u: final[u] for u in unknowns if u in final},
-        leftovers=[read(r, p * st._D * st._D, p * scale.den) for r in out.leftovers],
-        free=[u for u in unknowns if u not in final],
+        solutions={
+            u: form(solved[u], p, p * scale.coeff_mult)
+            for u in unknowns if u in solved and (read is None or u in read)
+        },
+        leftovers=[form(r, p * st._D * st._D, p * scale.den) for r in out.leftovers],
+        free=[u for u in unknowns if u not in solved],
     )
+
+
+#: The state whose pivots fix each solver's schedule (`_compile_solver`):
+#: w = (7, 11, 13) with the components of the key's zero pattern set to 0,
+#: D = 1, and the angles of the half-angle points t = 3/11 and 5/17.
+_SCHEDULE_W = (7, 11, 13)
+_SCHEDULE_ANGLES = ((112, 66, 130), (264, 170, 314))
+
+
+def _inexact(d: int):
+    """Raise for a division by d that leaves a remainder: a solver never
+    truncates a quotient."""
+    raise ArithmeticError(f"{d} does not divide an update")
+
+
+def _compile_solver(triples: tuple, vanishing: frozenset[int], unknowns: tuple,
+                    read: tuple | None, zeros: tuple):
+    """The solver of one key: a straight-line function solve(st) that
+    builds the shape's rows as `_row_entries` writes them, eliminates them
+    as `eliminate_fraction_free` does on a fixed pivot schedule, and
+    returns the `SolveResult` of `_solve_rows`, or None where the state
+    breaks the schedule.
+
+    The schedule is the general routine's at one fixed state with the
+    key's zero pattern (`_SCHEDULE_W`), so it does not depend on the states
+    a run draws.  At each designated column in order, the solver checks
+    that the general routine would take the same step: every active row
+    before the scheduled pivot row is zero there and the pivot is not, or,
+    where no row is scheduled, every active row is zero there.  Otherwise
+    it returns None.  An entry that is "0" in the row source, or has been
+    checked zero, is known zero: it enters no update, and an update whose
+    terms are all known zero is not made.  Every update after the first
+    pivot is one divmod by the previous pivot, every back substitution one
+    by its own pivot, and a nonzero remainder raises ArithmeticError.  Back
+    substitution runs for the solutions in `read` and those they read.
+    The function keeps its schedule as `schedule`: per pivot in order, the
+    unknown and the scalar (i, j, k, l) of its row, the pivot hypotheses of
+    the solve.
+    """
+    shape = (triples, vanishing)
+    keys, columns, col = _SHAPES[shape]
+    order = [col[v] for v in unknowns if v in col]
+    fixed = FrameState([0 if z else x for z, x in zip(zeros, _SCHEDULE_W)], 1, *_SCHEDULE_ANGLES)
+    point = fixed._point
+    out = eliminate_fraction_free(
+        _KERNELS[shape](point.h, point.dh, fixed.omega_numerators, fixed._scales), order
+    )
+    pivot_row = {j: r for (j, _), r in zip(out.pivots, out.pivot_rows)}
+    lines = []
+    entry = {}  # (row, column) -> the local that holds it, or "0"
+    # the rows
+    for r, row in enumerate(_row_entries(*shape)):
+        for c, x in enumerate(row):
+            entry[r, c] = x if x == "0" else "e%d_%d" % (r, c)
+            if x != "0":
+                lines.append("%s = %s" % (entry[r, c], x))
+    # the forward pass on the schedule, each step checked
+    active, live = list(range(len(keys))), list(range(len(columns) + 2))
+    pivots, prev = [], None
+    for j in order:
+        r = pivot_row.get(j)
+        for n in active if r is None else active[:active.index(r)]:
+            if entry[n, j] != "0":
+                lines.append("if %s: return None" % entry[n, j])
+                entry[n, j] = "0"
+        if r is None:
+            continue
+        p = entry[r, j]
+        lines.append("if not %s: return None" % p)
+        active.remove(r)
+        live.remove(j)
+        for n in active:
+            a = entry[n, j]
+            for c in live:
+                terms = [(1, "%s * %s" % (p, entry[n, c]))] if entry[n, c] != "0" else []
+                if a != "0" and entry[r, c] != "0":
+                    terms.append((-1, "%s * %s" % (a, entry[r, c])))
+                if not terms:
+                    continue
+                x = entry[n, c] = "e%d_%d" % (n, c)
+                if prev is None:
+                    lines.append("%s = %s" % (x, _linear(terms)))
+                else:
+                    lines.append("%s, m = divmod(%s, %s)" % (x, _linear(terms), prev))
+                    lines.append("if m: _inexact(%s)" % prev)
+        pivots.append((j, r))
+        prev = p
+    # back substitution of the solutions read and of those they read
+    last = prev or "1"
+    final = {columns[j]: j for j, _ in pivots}
+    wanted = [u for u in unknowns if u in final and (read is None or u in read)]
+    needed = {final[u] for u in wanted}
+    for k, (j, r) in enumerate(pivots):
+        if j in needed:
+            needed.update(jw for jw, _ in pivots[k + 1:] if entry[r, jw] != "0")
+    solved: dict = {}
+    for j, r in reversed(pivots):
+        if j not in needed:
+            continue
+        nums = {}
+        for c in live:
+            terms = [(1, "%s * %s" % (last, entry[r, c]))] if entry[r, c] != "0" else []
+            terms += [(1, "%s * %s" % (entry[r, jw], y[c])) for jw, y in solved.items()
+                      if entry[r, jw] != "0" and y[c] != "0"]
+            nums[c] = "s%d_%d" % (j, c) if terms else "0"
+            if terms:
+                lines.append("%s, m = divmod(-(%s), %s)" % (nums[c], _linear(terms), entry[r, j]))
+                lines.append("if m: _inexact(%s)" % entry[r, j])
+        solved[j] = nums
+
+    # the read-out: a form's nonzero coefficients, in the order of the free
+    # columns, its constant and its scales
+    def form(nums: dict, name: str, coeff_den: str, const_den: str) -> str:
+        coeffs = [(columns[c], nums[c]) for c in live[:-2] if nums[c] != "0"]
+        lines.append("%s = {}" % name)
+        lines.extend("if %s: %s[%r] = %s" % (x, name, v, x) for v, x in coeffs)
+        const, root3 = (nums[c] for c in live[-2:])
+        return "_new(Numerators, (%s, %s, %s, %s, %s))" % (name, const, root3, coeff_den, const_den)
+
+    if wanted:
+        lines.append("sk = %s * scale.coeff_mult" % last)
+    if active:
+        lines.append("ld, lk = %s * st._D * st._D, %s * scale.den" % (last, last))
+    solutions = [
+        "%r: %s" % (u, form(solved[final[u]], "cs%d" % final[u], last, "sk")) for u in wanted
+    ]
+    leftovers = [form({c: entry[n, c] for c in live}, "ce%d" % n, "ld", "lk") for n in active]
+    lines.append("return SolveResult({%s}, [%s], %r)" % (
+        ", ".join(solutions), ", ".join(leftovers), [u for u in unknowns if u not in final]))
+    source = (
+        "def solve(st):\n"
+        "    point = st._point\n"
+        "    h, dh, om, scale = point.h, point.dh, st.omega_numerators, st._scales\n"
+        "%s%s"
+    ) % (_KERNEL_HEAD, "".join("    %s\n" % line for line in lines))
+    # _new builds a Numerators from a tuple, as NamedTuple._make does, with
+    # no Python-level __new__ to call
+    namespace: dict = {
+        "__builtins__": {}, "divmod": divmod, "_inexact": _inexact, "_new": tuple.__new__,
+        "Numerators": Numerators, "SolveResult": SolveResult,
+    }
+    exec(compile(source, "<codazzi solver>", "exec"), namespace)
+    solve = namespace["solve"]
+    solve.schedule = tuple((columns[j], keys[r]) for j, r in pivots)
+    return solve
+
+
+#: The solvers by (triples, vanishing, unknowns, read, zero pattern of w);
+#: each is compiled when a solve first reads it.
+_SOLVERS = _Compiled(_compile_solver)
 
 
 class FractionFree(NamedTuple):
     """Outcome of `eliminate_fraction_free` on integer rows.
 
     pivots: (column, pivot row) in pivot order; the pivot is row[column].
+    pivot_rows: the input index of each pivot row, in pivot order; with the
+    columns of `pivots` it is the schedule a solver fixes (`_compile_solver`).
     free: the columns never pivoted, the constant's columns among them.
     solved: per pivoted column, `last` times its solution (an affine form in
     the never-pivoted columns) as integer numerators over `free`.
@@ -749,6 +950,7 @@ class FractionFree(NamedTuple):
     """
 
     pivots: list
+    pivot_rows: list
     free: list
     solved: dict
     leftovers: list
@@ -756,7 +958,8 @@ class FractionFree(NamedTuple):
 
 
 def eliminate_fraction_free(rows: Sequence[Sequence[int]], order: Sequence[int]) -> FractionFree:
-    """Bareiss's integer-preserving Gaussian elimination.
+    """Bareiss's integer-preserving Gaussian elimination, the one general
+    path of the exact solves.
 
     Each row lists integer coefficients and then its constant, which may
     take two columns, a rational and a sqrt(3) part, so an element of
@@ -769,16 +972,21 @@ def eliminate_fraction_free(rows: Sequence[Sequence[int]], order: Sequence[int])
     substitution in reverse pivot order keeps last times each solution on
     integers: those numerators are Cramer's rule's, and each of its
     divisions by a pivot is exact too (`divide_exactly`).
+
+    It fixes the schedule of each compiled solver, at one state, and solves
+    every state that breaks one (`_compile_solver`).
     """
     active = [list(r) for r in rows]
+    index = list(range(len(rows)))
     live = list(range(len(rows[0])))
-    pivots = []
+    pivots, pivot_rows = [], []
     prev = 1
     for j in order:
         idx = next((n for n, row in enumerate(active) if row[j]), None)
         if idx is None:
             continue
         prow = active.pop(idx)
+        pivot_rows.append(index.pop(idx))
         p = prow[j]
         live.remove(j)
         for row in active:
@@ -807,7 +1015,7 @@ def eliminate_fraction_free(rows: Sequence[Sequence[int]], order: Sequence[int])
                 acc = [x + a * y for x, y in zip(acc, later)]
         solved[j] = [divide_exactly(-x, prow[j]) for x in acc]
     leftovers = [[row[c] for c in live] for row in active]
-    return FractionFree(pivots, live, solved, leftovers, prev)
+    return FractionFree(pivots, pivot_rows, live, solved, leftovers, prev)
 
 
 def _matches_root3(form: Numerators, num, den, degree: int, d: int) -> bool:
@@ -1041,7 +1249,7 @@ def _axis_case(st0, nodes: Sequence[_Point]) -> list:
     for node in nodes:
         st = st0.at(node)
         x = node.w[0]
-        res = solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing)
+        res = solve_triple_system(st, [(1, 2, 1)], [(2, 1), (1, 1)], vanishing, [(2, 1)])
         if len(res.leftovers) != 1 or res.leftovers[0].coeffs:
             return [("unexpected elimination shape", None)]
         if not res.solutions[(2, 1)].is_zero():
@@ -1139,7 +1347,7 @@ def _clears_to(st, row: Numerators, display: tuple[int, int], factor: int) -> bo
 def _null_axis_case(st) -> list:
     """The null-axis case at one state, decided on numerators: its
     failures, as (reason, extra)."""
-    res = solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], CASE2_UNKNOWNS, frozenset({1}))
+    res = solve_triple_system(st, [(1, 2, 1), (1, 2, 2)], CASE2_UNKNOWNS, frozenset({1}), ())
     if res.free or len(res.leftovers) != 3:
         return [("unexpected solve shape", {"free": res.free, "leftovers": len(res.leftovers)})]
     rows = res.leftovers
