@@ -40,9 +40,10 @@ from .lagrangian import (
     Immersion,
     PointS3S3,
     example_by_label,
-    frame_components,
+    frame_pass,
     lagrangian_suite,
     rotation_matrix,
+    suite_pass,
 )
 from .nkgeom import G, J, P, g, g_ambient, norm, random_samples
 from .quat import ImaginaryQuaternion, exp_im
@@ -166,17 +167,20 @@ def structure_g_records(
 
 def structure_frame_record(seed: int, tol: float | None = None) -> CheckRecord:
     """G takes its canonical alternating form on adapted frames of the
-    built-in Lagrangian examples.  A frame that cannot be built (a
+    built-in Lagrangian examples, from one `lagrangian.frame_pass` over all
+    three: one order-2 package and one adapted-frame pass, whose time is
+    the record's --timings total.  A frame that cannot be built (a
     ValueError, such as `angle_functions` raises on a pair (A, B) that is
     not symmetric and commuting) fails the record, with the message in its
     details."""
     frame_tol = 1e-4 if tol is None else tol
     details = {"seed": seed, "examples": list(LAGRANGIAN_LABELS)}
+    imms = [example_by_label(label) for label in LAGRANGIAN_LABELS]
     try:
         residuals = [
             fc.orientation_residual
-            for label in LAGRANGIAN_LABELS
-            for fc in frame_components(example_by_label(label), FRAME_SAMPLE_POINTS)
+            for frames in frame_pass(imms, FRAME_SAMPLE_POINTS)
+            for fc in frames
         ]
     except ValueError as exc:
         details["error"] = str(exc)
@@ -295,10 +299,13 @@ def cmd_lagrangian(
 ) -> VerificationReport:
     """Analyzer sweep over immersions on a grid x grid x grid parameter box.
 
-    Each immersion's map is evaluated once per grid, by `lagrangian_suite`.
-    Where it passes the Lagrangian test, the `theorem-shadow` record is
-    `humfit.theorem_shadow` of the suite's cubic forms, bounded by tol or
-    HARNESS_TOL; where it fails, that record is skipped.  Three
+    One `lagrangian.suite_pass` analyses every immersion at once, evaluating
+    each map once on the grid's jets, and `lagrangian_suite` reads each
+    immersion's records from its share.  The suite records of all
+    immersions share one --timings total, that of the pass and the reads.
+    Where an immersion passes the Lagrangian test, the `theorem-shadow`
+    record is `humfit.theorem_shadow` of the suite's cubic forms, bounded by
+    tol or HARNESS_TOL; where it fails, that record is skipped.  Three
     `umbilical-rigidity` records follow, seeded seed + n for n = 2, 3, 4.
     """
     _require_count("grid", grid)
@@ -310,11 +317,15 @@ def cmd_lagrangian(
     else:
         imms = [example_by_label(label) for label in LAGRANGIAN_LABELS]
     shadow_tol = HARNESS_TOL if tol is None else tol
+    start = time.perf_counter()
+    suites = [
+        lagrangian_suite(imm, grid=grid, tol=tol, rows=rows)
+        for imm, rows in zip(imms, suite_pass(imms, grid, tol))
+    ]
+    _stamp([rec for suite in suites for rec in suite], start)
     records = []
-    for imm in imms:
-        start = time.perf_counter()
-        suite = lagrangian_suite(imm, grid=grid, tol=tol)
-        records.extend(_stamp(suite, start))
+    for imm, suite in zip(imms, suites):
+        records.extend(suite)
         if suite.cubic is None:
             records.append(
                 CheckRecord(

@@ -81,15 +81,62 @@ def _grad_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
     return src, factor
 
 
+#: Rows per BLAS call of the truncated product.  BLAS picks its kernel by the
+#: operands' shape and layout, so a row's sum may round differently with the
+#: rows beside it; in calls of 2 to this many rows, on pair-major memory,
+#: each row gets what it gets alone.  One row is padded to two: a one-row
+#: product would run a matrix-vector kernel.  The blocks also bound the
+#: gathered products held at once, so the product's temporaries do not grow
+#: with its rows.
+_BLOCK = 256
+
+
+def _summed(pairs: np.ndarray, scatter: np.ndarray) -> np.ndarray:
+    """The coefficient products pairs (..., P) summed into their targets,
+    (..., size), by one BLAS call on pair-major memory, which is how numpy
+    lays out gathered products.  One row is padded to two."""
+    flat = pairs.reshape(-1, len(scatter))
+    rows = len(flat)
+    if rows == 1:
+        flat = np.concatenate((flat, flat))
+    out = np.asfortranarray(flat) @ scatter
+    return out[:rows].reshape(pairs.shape[:-1] + scatter.shape[1:])
+
+
 def _product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """The truncated product of coefficient arrays, broadcast over their
+    leading axes.  Each row of the result is the same, bit for bit, however
+    many rows share the call: more rows than one BLAS call takes are
+    multiplied and summed in blocks along the first leading axis."""
     if order <= 1:  # (a_0 + a' t)(b_0 + b' t) = a_0 b_0 + (a_0 b' + a' b_0) t
         out = a[..., :1] * b
         out[..., 1:] += a[..., 1:] * b[..., :1]
         return out
     left, right, scatter = _product_tables(order)
-    pairs = a[..., left] * b[..., right]
-    lead = pairs.shape[:-1]
-    return (pairs.reshape(-1, pairs.shape[-1]) @ scatter).reshape(lead + (scatter.shape[1],))
+    lead = a.shape[:-1]
+    if lead != b.shape[:-1]:
+        lead = np.broadcast(a[..., 0], b[..., 0]).shape
+    rows = math.prod(lead)
+    if rows <= _BLOCK:
+        return _summed(a[..., left] * b[..., right], scatter)
+    out = np.empty(lead + scatter.shape[1:])
+    inner = rows // lead[0]
+    if inner > _BLOCK:  # each leading index is more than one call
+        a, b = np.broadcast_to(a, lead + a.shape[-1:]), np.broadcast_to(b, lead + b.shape[-1:])
+        for i in range(lead[0]):
+            out[i] = _product(a[i], b[i], order)
+        return out
+    # the factors gathered once, on all leading axes of the result; their
+    # products formed and summed a block of leading indices at a time
+    ga, gb = a[..., left], b[..., right]
+    ga = ga.reshape((1,) * (len(lead) + 1 - ga.ndim) + ga.shape)
+    gb = gb.reshape((1,) * (len(lead) + 1 - gb.ndim) + gb.shape)
+    step = _BLOCK // inner
+    for i in range(0, lead[0], step):
+        block = slice(i, i + step)
+        pairs = (ga[block] if len(ga) > 1 else ga) * (gb[block] if len(gb) > 1 else gb)
+        out[block] = _summed(pairs, scatter)
+    return out
 
 
 def _axis(axis: int) -> int:

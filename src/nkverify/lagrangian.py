@@ -5,7 +5,9 @@ induced frame geometry (second fundamental form, mean curvature, the split of
 the product structure P into A + JB, angle functions), fixes the frame
 orientation against the G tensor, and evaluates the Codazzi-equation residual.
 Every derivative comes from evaluating the map once on truncated Taylor jets
-(see jet.py) for a whole batch of parameter points.  Ships the built-in
+(see jet.py) for a whole batch of parameter points, and several immersions
+share one frame package and one pass of checks (`suite_pass`, `frame_pass`),
+each getting what it gets alone.  Ships the built-in
 example immersions: the two sphere factors, the diagonal, and a twisted
 non-Lagrangian control.
 """
@@ -164,6 +166,12 @@ def _tables(nabla, E, JE):
     return g(nabla, JE[..., None, None, :, :]), g(nabla, E[..., None, None, :, :])
 
 
+def _slices(lengths: Sequence[int]) -> list[slice]:
+    """Consecutive slices of the given lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return [slice(end - n, end) for n, end in zip(lengths, ends)]
+
+
 class _Package:
     """Frame package at the rows of us, from one jet evaluation of the map.
 
@@ -177,13 +185,33 @@ class _Package:
     curvature H and the derivatives dA, dB (n, 3, 3, 3) of A/B along the
     parameter axes (last index).  Order 3 adds dc (n, 3, 3, 3, 3), the
     derivative of c along E_x (first index after n), for Codazzi.
+
+    imm may also be a list of immersions, with us the list of their row
+    sets: the package then holds their rows in turn, from one jet evaluation
+    of each map, and `segments` gives each immersion's slice of them.  Every
+    row gets, bit for bit, what its immersion's own package gives it (the jet
+    product does not depend on the batch), and every error is the one the
+    immersions' own packages, built in turn, would raise first.
     """
 
-    def __init__(self, imm: Immersion, us: Sequence[float] | np.ndarray, order: int) -> None:
-        self.us = np.asarray(us, dtype=float).reshape(-1, 3)
-        if not len(self.us):
-            raise ValueError(f"{imm.label}: no parameter rows to evaluate")
-        pq = _map_jet(imm, self.us, order)
+    def __init__(
+        self, imm: Immersion | Sequence[Immersion], us: Rows | Sequence[Rows], order: int
+    ) -> None:
+        imms, row_sets = ([imm], [us]) if isinstance(imm, Immersion) else (list(imm), list(us))
+        us, jets = [], []
+        for k, (one, rows) in enumerate(zip(imms, row_sets)):
+            try:
+                us.append(np.asarray(rows, dtype=float).reshape(-1, 3))
+                if not len(us[-1]):
+                    raise ValueError(f"{one.label}: no parameter rows to evaluate")
+                jets.append(_map_jet(one, us[-1], order))
+            except ValueError:
+                if k:  # a rank failure of an earlier immersion comes first
+                    _Package(imms[:k], row_sets[:k], order)
+                raise
+        self.us = us[0] if len(us) == 1 else np.concatenate(us)
+        self.segments = _slices([len(rows) for rows in us])
+        pq = jets[0] if len(jets) == 1 else Jet(np.concatenate([j.c for j in jets]), order)
         n = len(self.us)
         # V_a = Im(conj(p) d_a p), Im(conj(q) d_a q), a jet of order - 1
         p, dp = pq.truncate(order - 1)[:, None], pq.grad().moveaxis(-1, 1)
@@ -191,9 +219,10 @@ class _Package:
         V = V.reshape(n, 3, 6)
         self.V = V.value
         low = np.linalg.eigvalsh(g(self.V[:, :, None], self.V[:, None])).min(axis=-1)
-        for u, m in zip(self.us, low):
-            if not m > RANK_FLOOR:
-                raise ValueError(f"{imm.label}: pushforward rank-deficient at u={u.tolist()}")
+        for one, part in zip(imms, self.segments):
+            for u, m in zip(self.us[part], low[part]):
+                if not m > RANK_FLOOR:
+                    raise ValueError(f"{one.label}: pushforward rank-deficient at u={u.tolist()}")
         E, S = _orthonormalize(V)
         JE = J(E)
         first = min(order - 1, 1)  # A/B are read to first order: values, dA, dB
@@ -216,6 +245,14 @@ class _Package:
         self.dA, self.dB = A.grad().value, B.grad().value
         if order >= 3:
             self.dc = np.einsum("nxd,nabkd->nxabk", self.S, c.grad().value)
+
+    def take(self, rows: np.ndarray | slice) -> "_Package":
+        """The package of the given rows only (without `segments`)."""
+        part = object.__new__(_Package)
+        for key, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(part, key, value[rows])
+        return part
 
 
 @dataclass(frozen=True)
@@ -466,9 +503,21 @@ def frame_components(imm: Immersion, us: Rows) -> list[AdaptedFrameData]:
     the flag is reported instead.  A row that fails the Lagrangian
     precondition raises ValueError, and so does an empty us.
     """
-    pkg = _Package(imm, us, 2)
-    require_lagrangian(imm.label, pkg.us, pkg.lagrangian_residual)
-    return _adapted_frames(pkg)
+    return frame_pass([imm], us)[0]
+
+
+def frame_pass(imms: Sequence[Immersion], us: Rows) -> list[list[AdaptedFrameData]]:
+    """`frame_components` of each immersion at the rows of us, from one
+    order-2 package over all of them and one adapted-frame pass.  Each
+    immersion gets, bit for bit, what it gets alone.  The Lagrangian
+    precondition of every immersion is checked, in turn, before any frame is
+    built; a pass that cannot build a frame raises the message of the first
+    immersion, in turn, that cannot."""
+    pkg = _Package(imms, [us] * len(imms), 2)
+    for imm, part in zip(imms, pkg.segments):
+        require_lagrangian(imm.label, pkg.us[part], pkg.lagrangian_residual[part])
+    frames = _adapted_frames(pkg)
+    return [frames[part] for part in pkg.segments]
 
 
 def _rotated(R: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -669,33 +718,109 @@ class SuiteRecords(list):
     cubic: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) -> SuiteRecords:
+@dataclass
+class SuiteRows:
+    """One immersion's share of a `suite_pass`: its grid points (n, 3) and
+    Lagrangian residuals (n,).  Where it passes the Lagrangian test, also
+    its cubic forms c (n, 3, 3, 3), the per-point residuals (n,) of the
+    minimality, cubic-symmetry, ab-structure and codazzi-residual checks,
+    and its adapted frames, or the message of the ValueError that refused
+    them."""
+
+    points: np.ndarray
+    lagrangian_residual: np.ndarray
+    c: np.ndarray | None = None
+    residuals: dict[str, np.ndarray] | None = None
+    frames: list[AdaptedFrameData] | None = None
+    frame_error: str | None = None
+
+
+def _frames_or_error(pkg: _Package) -> tuple[list[AdaptedFrameData], str | None]:
+    try:
+        return _adapted_frames(pkg), None
+    except ValueError as exc:  # from angle_functions: the frame checks fail
+        return [], str(exc)
+
+
+def suite_pass(imms: Sequence[Immersion], grid: int, tol: float | None = None) -> list[SuiteRows]:
+    """What `lagrangian_suite` reads, for several immersions in one pass:
+    one share per immersion, for its grid x grid x grid parameter sweep.
+
+    Each map is evaluated once on jets, and one order-3 frame package holds
+    every immersion's grid in turn.  Over the rows of the immersions that
+    pass the Lagrangian test (bounded by tol, else its SUITE_TOLS entry), one
+    adapted-frame pass (one `angle_functions` call) and one evaluation of
+    each per-point residual follow.  Each immersion gets, bit for bit, what
+    it gets alone.  Where the frame pass raises, those immersions get one
+    pass each, so each fails or passes its frame checks as it does alone.
+    """
+    bound = SUITE_TOLS["lagrangian"] if tol is None else tol
+    pkg = _Package(imms, [imm.domain.grid(grid) for imm in imms], 3)
+    shares = [SuiteRows(pkg.us[part], pkg.lagrangian_residual[part]) for part in pkg.segments]
+    ok = [within(worst_residual(share.lagrangian_residual), bound) for share in shares]
+    passing = [share for share, passed in zip(shares, ok) if passed]
+    if not passing:
+        return shares
+    if len(passing) == len(shares):
+        sub = pkg
+    else:
+        rows = np.arange(len(pkg.us))
+        sub = pkg.take(np.concatenate([rows[part] for part, a in zip(pkg.segments, ok) if a]))
+    c = sub.c
+    residuals = {
+        "minimality": norm(sub.H),
+        "cubic-symmetry": _per_point(
+            np.abs(np.stack((c - c.transpose(0, 2, 1, 3), c - c.transpose(0, 1, 3, 2)), axis=1))
+        ),
+        "ab-structure": _ab_structure(sub),
+        "codazzi-residual": _codazzi(sub),
+    }
+    parts = _slices([len(share.points) for share in passing])
+    frames, error = _frames_or_error(sub)
+    framed = [(frames[part], None) for part in parts] if error is None else [
+        _frames_or_error(sub.take(part)) for part in parts
+    ]
+    for share, part, (share_frames, share_error) in zip(passing, parts, framed):
+        share.frames, share.frame_error = share_frames, share_error
+        share.c = c[part]
+        share.residuals = {name: values[part] for name, values in residuals.items()}
+    return shares
+
+
+def lagrangian_suite(
+    imm: Immersion, grid: int = 5, tol: float | None = None, rows: SuiteRows | None = None
+) -> SuiteRecords:
     """All per-immersion checks over a grid x grid x grid parameter sweep.
 
-    One order-3 frame package for the whole grid, from one jet evaluation of
-    the map, and one adapted-frame pass over all of its points (one
-    `angle_functions` call) feed every check.  Each check is bounded by its SUITE_TOLS entry,
-    or by tol when given, and passes by `report.within`.  If the Lagrangian
-    test fails anywhere, the downstream checks are reported as skipped rather
-    than evaluated on meaningless data.  Where some point is non-degenerate,
-    the angle check also gates on the eigenframe relation and dtheta
-    residuals, reports their worst values and the largest |E_i(theta_j)|.
-    Where an adapted frame cannot be built (`angle_functions` raises
-    ValueError), the angle-sum and orientation records fail with the
-    message in their details.  The grid's cubic forms are handed on as the
-    result's `cubic`.
+    The checks read the immersion's share of a `suite_pass`: rows, when a
+    pass over several immersions with this grid and tol handed it on (as
+    `cli.cmd_lagrangian` does), else a pass of this immersion alone.  Either
+    way one order-3 frame package, from one jet evaluation of the map, and
+    one adapted-frame pass feed every check.  Each check is bounded by its
+    SUITE_TOLS entry, or by tol when given, and passes by `report.within`.
+    If the Lagrangian test fails anywhere, the downstream checks are
+    reported as skipped rather than evaluated on meaningless data.  Where
+    some point is non-degenerate, the angle check also gates on the
+    eigenframe relation and dtheta residuals, reports their worst values and
+    the largest |E_i(theta_j)|.  Where an adapted frame cannot be built
+    (`angle_functions` raises ValueError), the angle-sum and orientation
+    records fail with the message in their details.  The grid's cubic forms
+    are handed on as the result's `cubic`.  The records carry no time of
+    their own: `cli.cmd_lagrangian` stamps the records of every immersion of
+    one pass with that pass's --timings total.
     """
     bounds = {name: default if tol is None else tol for name, default in SUITE_TOLS.items()}
-    points = imm.domain.grid(grid)
+    if rows is None:
+        [rows] = suite_pass([imm], grid, tol)
+    samples = len(rows.points)
     tag = imm.label
-    pkg = _Package(imm, points, 3)
-    lag_worst = worst_residual(pkg.lagrangian_residual)
+    lag_worst = worst_residual(rows.lagrangian_residual)
     records = SuiteRecords(
         [
             CheckRecord(
                 check_id=f"lagrangian[{tag}]",
                 passed=within(lag_worst, bounds["lagrangian"]),
-                samples=len(points),
+                samples=samples,
                 tolerance=bounds["lagrangian"],
                 max_residual=lag_worst,
             )
@@ -715,27 +840,13 @@ def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) ->
             )
         return records
 
-    c = pkg.c
-    records.cubic = (pkg.us, c)
-    worsts = {
-        "minimality": worst_residual(norm(pkg.H)),
-        "cubic-symmetry": worst_residual(
-            np.abs(np.stack((c - c.transpose(0, 2, 1, 3), c - c.transpose(0, 1, 3, 2))))
-        ),
-        "ab-structure": worst_residual(_ab_structure(pkg)),
-        "angle-sum": 0.0,
-        "orientation": 0.0,
-        "codazzi-residual": worst_residual(_codazzi(pkg)),
-    }
+    records.cubic = (rows.points, rows.c)
+    worsts = {name: worst_residual(values) for name, values in rows.residuals.items()}
+    worsts["angle-sum"] = worsts["orientation"] = 0.0
     eigen_worsts = {"frame_relation_worst": 0.0, "dtheta_worst": 0.0}
     dtheta_max_abs = 0.0
     degenerate_points = 0
-    frame_error = None
-    try:
-        frames = _adapted_frames(pkg)
-    except ValueError as exc:  # from angle_functions: the frame checks fail
-        frame_error, frames = str(exc), []
-    for fc in frames:
+    for fc in rows.frames:
         if fc.degenerate:
             degenerate_points += 1
         else:
@@ -751,15 +862,15 @@ def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) ->
         bound = bounds[name]
         details = {}
         passed = within(worsts[name], bound)
-        if frame_error is not None and name in ("angle-sum", "orientation"):
+        if rows.frame_error is not None and name in ("angle-sum", "orientation"):
             records.append(CheckRecord(
-                check_id=f"{name}[{tag}]", passed=False, samples=len(points), tolerance=bound,
-                details={"error": frame_error},
+                check_id=f"{name}[{tag}]", passed=False, samples=samples, tolerance=bound,
+                details={"error": rows.frame_error},
             ))
             continue
         if name == "angle-sum":
-            details = {"degenerate_points": degenerate_points, "grid_points": len(points)}
-            if degenerate_points < len(points):
+            details = {"degenerate_points": degenerate_points, "grid_points": samples}
+            if degenerate_points < samples:
                 # the eigenframe residuals gate the angle check where they exist
                 details.update(eigen_worsts, dtheta_max_abs=dtheta_max_abs)
                 passed = passed and all(within(v, bound) for v in eigen_worsts.values())
@@ -767,7 +878,7 @@ def lagrangian_suite(imm: Immersion, grid: int = 5, tol: float | None = None) ->
             CheckRecord(
                 check_id=f"{name}[{tag}]",
                 passed=passed,
-                samples=len(points),
+                samples=samples,
                 tolerance=bound,
                 max_residual=worsts[name],
                 details=details,

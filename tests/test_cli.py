@@ -101,15 +101,15 @@ def test_structure_nan_residuals_fail_their_checks(monkeypatch) -> None:
     # the check fails and reports it
     monkeypatch.setattr(cli, "g_ambient", _nan_at_middle_sample(cli.g_ambient))
     monkeypatch.setattr(cli, "G", _nan_at_middle_sample(cli.G))
-    real_frame = cli.frame_components
+    real_frames = cli.frame_pass
 
-    def nan_at_second_frame(imm, us):
-        fcs = real_frame(imm, us)
-        if imm.label == LAGRANGIAN_LABELS[0]:
-            fcs[1].orientation_residual = math.nan
-        return fcs
+    def nan_at_second_frame(imms, us):
+        frames = real_frames(imms, us)
+        assert imms[0].label == LAGRANGIAN_LABELS[0]
+        frames[0][1].orientation_residual = math.nan
+        return frames
 
-    monkeypatch.setattr(cli, "frame_components", nan_at_second_frame)
+    monkeypatch.setattr(cli, "frame_pass", nan_at_second_frame)
     rng = np.random.default_rng(0)
     records = (
         cli.structure_algebra_records(3, rng, 0)
@@ -128,15 +128,15 @@ def test_structure_exact_zero_residuals_pass_at_tol_zero(monkeypatch) -> None:
     # every structure check passes an exactly zero residual at tol 0, as
     # p-squared always did
     monkeypatch.setattr(cli, "G", lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)))
-    real_frame = cli.frame_components
+    real_frames = cli.frame_pass
 
-    def exact_frame(imm, us):
-        fcs = real_frame(imm, us)
-        for fc in fcs:
+    def exact_frame(imms, us):
+        frames = real_frames(imms, us)
+        for fc in (fc for fcs in frames for fc in fcs):
             fc.orientation_residual = 0.0
-        return fcs
+        return frames
 
-    monkeypatch.setattr(cli, "frame_components", exact_frame)
+    monkeypatch.setattr(cli, "frame_pass", exact_frame)
     records = cli.structure_g_records(3, np.random.default_rng(0), 0, tol=0.0) + [
         cli.structure_frame_record(0, tol=0.0)
     ]

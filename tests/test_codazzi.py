@@ -1244,6 +1244,35 @@ def test_a_solver_runs_exactly_where_the_general_routine_takes_its_schedule(
     assert refused
 
 
+def test_a_row_left_nonzero_at_a_skipped_column_is_refused() -> None:
+    # the solver of the rows of (E1,E2,E1) in all six unknowns at v2 = 0
+    # pivots on D_11, D_12 and D_21: at D_13 the row left is zero at every
+    # v2 = 0 state, so the solver checks that it is.  Only a hand-built dh
+    # breaks that: one entry of D_13's column moved by 1.  The solver then
+    # passes its first two pivots, refuses the state at D_13, and the caller
+    # gets the general routine's result, which pivots on D_13
+    every = tuple((a, m) for a in (1, 2) for m in AXES)
+    key = (((1, 2, 1),), frozenset(), every, None, (False, True, False))
+    keys, columns, col = codazzi._SHAPES[key[:2]]
+    solve = codazzi._SOLVERS[key]
+    assert [u for u, _ in solve.schedule] == [(1, 1), (1, 2), (2, 1)]
+    st_ = FrameState([7, 0, 13], 1, (3, 4, 5), (5, 12, 13))
+    assert solve(st_) is not None
+    st_ = FrameState([7, 0, 13], 1, (3, 4, 5), (5, 12, 13))
+    dh = list(st_._point.dh)
+    assert [row[col[(1, 3)]] for row in codazzi._row_entries(*key[:2])][2] == "dh[14]"
+    dh[14] += 1
+    st_._point.dh = tuple(dh)
+    out = eliminate_fraction_free(codazzi._codazzi_rows(st_, key[:2]), list(range(len(every))))
+    taken = [(columns[j], keys[r]) for (j, _), r in zip(out.pivots, out.pivot_rows)]
+    assert taken[:2] == list(solve.schedule[:2]) and taken[2][0] == (1, 3)
+    assert solve(st_) is None
+    got = solve_triple_system(st_, [(1, 2, 1)], every)
+    want = codazzi._solve_rows(st_, *key[:4])
+    assert got == want and repr(got) == repr(want)
+    assert got.free == [(2, 1), (2, 2), (2, 3)] and (1, 3) in got.solutions
+
+
 def test_a_solver_checks_every_remainder() -> None:
     # Bareiss's divisions are exact on any integer matrix, so a remainder
     # shows only with divmod replaced: a remainder at any one of the

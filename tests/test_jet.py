@@ -39,6 +39,47 @@ def test_product_is_the_truncated_polynomial_product(order):
         assert np.allclose(got[i, j], _reference_product(a.c[i, j], b.c[j], order), atol=1e-14)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 255, 256, 257, 3072, 3840])
+@pytest.mark.parametrize("order", [2, 3])
+def test_each_product_row_is_what_it_is_alone(order, rows):
+    # BLAS picks its kernel by the operands' shape (a matrix-vector kernel
+    # for one row, another matrix kernel past some thousands of rows), so a
+    # product row must not depend on the rows that share its call: the same
+    # bits as the jet of that row alone, also where an operand broadcasts
+    rng = np.random.default_rng(rows)
+    a = rng.standard_normal((rows, size(order)))
+    b = rng.standard_normal((rows, size(order)))
+    got = (Jet(a, order) * Jet(b, order)).c
+    for k in range(rows):
+        assert np.array_equal(got[k], (Jet(a[k], order) * Jet(b[k], order)).c), k
+    # (rows, 1) times (1, 2): 2 * rows product rows from one call
+    pair = rng.standard_normal((2, size(order)))
+    got = (Jet(a[:, None], order) * Jet(pair[None], order)).c
+    assert got.shape == (rows, 2, size(order))
+    for k in range(rows):
+        for j in range(2):
+            assert np.array_equal(got[k, j], (Jet(a[k], order) * Jet(pair[j], order)).c), (k, j)
+
+
+@pytest.mark.parametrize(
+    "order, left, right",
+    [
+        (2, (40, 1, 2, 4, 1), (40, 3, 2, 1, 4)),  # p * dp: 2 grid points a block
+        (3, (3, 300), (300,)),  # 300 rows per leading index: one block each, then split
+        (3, (513,), ()),  # blocks of 256, 256 and 1 rows
+    ],
+)
+def test_blocked_product_rows_are_what_they_are_alone(order, left, right):
+    rng = np.random.default_rng(len(left))
+    a = rng.standard_normal(left + (size(order),))
+    b = rng.standard_normal(right + (size(order),))
+    got = (Jet(a, order) * Jet(b, order)).c
+    lead = np.broadcast_shapes(left, right)
+    a, b = np.broadcast_to(a, got.shape), np.broadcast_to(b, got.shape)
+    for index in np.ndindex(lead):
+        assert np.array_equal(got[index], (Jet(a[index], order) * Jet(b[index], order)).c), index
+
+
 def test_polynomial_identities():
     us = np.array([[0.3, -1.2, 2.0], [0.0, 0.0, 0.0]])
     x, y, z = Jet.variables(us, 3)[0], Jet.variables(us, 3)[1], Jet.variables(us, 3)[2]

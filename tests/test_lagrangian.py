@@ -568,7 +568,12 @@ def test_zero_tolerance_gates_angle_sum_on_exact_zeros(monkeypatch):
     ],
 )
 def test_suite_nan_residual_fails_its_check(monkeypatch, target, check):
-    monkeypatch.setattr(lagrangian, target, lambda *args: math.nan)
+    def nan(first, *rest):  # at every point of a package, or for one point
+        if isinstance(first, lagrangian._Package):
+            return np.full(len(first.us), math.nan)
+        return math.nan
+
+    monkeypatch.setattr(lagrangian, target, nan)
     records = lagrangian_suite(by_label("diagonal"), grid=1)
     rec = next(r for r in records if r.check_id.startswith(check))
     assert not rec.passed and math.isnan(rec.max_residual)
