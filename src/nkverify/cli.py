@@ -177,11 +177,9 @@ def structure_frame_record(seed: int, tol: float | None = None) -> CheckRecord:
     details = {"seed": seed, "examples": list(LAGRANGIAN_LABELS)}
     imms = [example_by_label(label) for label in LAGRANGIAN_LABELS]
     try:
-        residuals = [
-            fc.orientation_residual
-            for frames in frame_pass(imms, FRAME_SAMPLE_POINTS)
-            for fc in frames
-        ]
+        residuals = np.concatenate(
+            [frames["orientation"] for frames in frame_pass(imms, FRAME_SAMPLE_POINTS)]
+        )
     except ValueError as exc:
         details["error"] = str(exc)
         return CheckRecord("frame-g-form", passed=False, tolerance=frame_tol, details=details)

@@ -1165,6 +1165,11 @@ def _compare_derivatives(st) -> tuple[list, list, bool]:
     return [], pairs, dependent
 
 
+#: The clearing ratio product / (difference * |v|^6 * (4v1^2 - 3(v2^2+v3^2)))
+#: of both shared solutions of the derivative comparison, as (num, den).
+CLEARING_RATIO = (-12, 5)
+
+
 def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
     """Compare the two overlapping derivative solves and their compatibility.
 
@@ -1173,15 +1178,15 @@ def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
     free symbol.  The differences of the shared solutions D_12 and D_13 are
     then honest scalars; each vanishes exactly when the corresponding product
     v1 v2 F1 (resp. v1 v3 F2) does, and the clearing factor
-    product / (difference * |v|^6 * (4v1^2 - 3(v2^2+v3^2))) is a single
-    rational constant, discovered at the first sample and reconfirmed at all
-    others.  Every comparison is made on integer numerators
-    (`_compare_derivatives`); the factor becomes a Fraction only for the
-    report.
+    product / (difference * |v|^6 * (4v1^2 - 3(v2^2+v3^2))) is the constant
+    CLEARING_RATIO at every sample where the product does not vanish.  Every
+    comparison is made on integer numerators (`_compare_derivatives`), the
+    ratio with the constant by cross-multiplication; the factor becomes a
+    Fraction only for the report.
     """
     rng = random.Random(seed)
     failures = []
-    snapshot: dict[str, tuple[int, int]] = {}
+    compared: set[str] = set()
     kinds = {"generic": 0, "v1=0": 0, "v2=0": 0, "v3=0": 0}
     d11_dependent = 0
     for n in range(trials):
@@ -1209,16 +1214,15 @@ def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
                 fail(*failure)
             elif ratio is None:
                 continue
-            elif label not in snapshot:
-                snapshot[label] = ratio
-            elif snapshot[label][0] * ratio[1] != ratio[0] * snapshot[label][1]:
-                fail("clearing factor drift", {"var": var, "seen": str(Fraction(*ratio))})
+            elif ratio[0] * CLEARING_RATIO[1] != CLEARING_RATIO[0] * ratio[1]:
+                fail("clearing factor mismatch",
+                     {"var": var, "seen": Fraction(*ratio), "expected": Fraction(*CLEARING_RATIO)})
+            else:
+                compared.add(label)
+    factor = f"({Fraction(*CLEARING_RATIO)}) * |v|^6 * (4 v1^2 - 3 (v2^2 + v3^2))"
     details = {
         "kinds": kinds,
-        "clearing_factors": {
-            k: f"({Fraction(*v)}) * |v|^6 * (4 v1^2 - 3 (v2^2 + v3^2))"
-            for k, v in snapshot.items()
-        },
+        "clearing_factors": {label: factor for label in sorted(compared)},
         "solutions_depending_on_D11": d11_dependent,
         "designated_rank": 5,
     }

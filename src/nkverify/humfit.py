@@ -278,8 +278,7 @@ def theorem_harness(imm: Immersion, grid: int = 5, tol: float = HARNESS_TOL) -> 
     runs `theorem_shadow` on the cubic forms of `lagrangian_suite` instead.
     """
     points = imm.domain.grid(grid)
-    residuals = [chk.residual for chk in is_lagrangian(imm, points)]
-    require_lagrangian(imm.label, points, residuals, SUITE_TOLS["lagrangian"])
+    require_lagrangian(imm.label, points, is_lagrangian(imm, points), SUITE_TOLS["lagrangian"])
     cs, _ = second_fundamental_form(imm, points)
     return theorem_shadow(imm.label, points, cs, tol)
 

@@ -7,7 +7,8 @@ orientation against the G tensor, and evaluates the Codazzi-equation residual.
 Every derivative comes from evaluating the map once on truncated Taylor jets
 (see jet.py) for a whole batch of parameter points, and several immersions
 share one frame package and one pass of checks (`suite_pass`, `frame_pass`),
-each getting what it gets alone.  Ships the built-in
+each getting what it gets alone.  A pass hands on its results as arrays
+over its rows, which the checks reduce to records.  Ships the built-in
 example immersions: the two sphere factors, the diagonal, and a twisted
 non-Lagrangian control.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from .jet import Jet, size, stack
 from .nkgeom import CONNECTION, G_ARRAY, J, P, PointS3S3, g, norm
 from .quat import ImaginaryQuaternion, Quaternion, exp_im
-from .report import CheckRecord, max_keep_nan, within, worst_residual
+from .report import CheckRecord, within, worst_residual
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -62,14 +63,10 @@ class Box:
     lo: tuple[float, float, float]
     hi: tuple[float, float, float]
 
-    def grid(self, n: int) -> list[np.ndarray]:
+    def grid(self, n: int) -> np.ndarray:
+        """The n x n x n grid points (n^3, 3), the last axis varying fastest."""
         axes = [np.linspace(l, h, n) for l, h in zip(self.lo, self.hi)]
-        return [
-            np.array([a, b, c])
-            for a in axes[0]
-            for b in axes[1]
-            for c in axes[2]
-        ]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @dataclass
@@ -172,6 +169,11 @@ def _slices(lengths: Sequence[int]) -> list[slice]:
     return [slice(end - n, end) for n, end in zip(lengths, ends)]
 
 
+def _rows(arrays: dict, rows: np.ndarray | slice) -> dict[str, np.ndarray]:
+    """The given rows of each array among the values of arrays."""
+    return {key: value[rows] for key, value in arrays.items() if isinstance(value, np.ndarray)}
+
+
 class _Package:
     """Frame package at the rows of us, from one jet evaluation of the map.
 
@@ -249,30 +251,19 @@ class _Package:
     def take(self, rows: np.ndarray | slice) -> "_Package":
         """The package of the given rows only (without `segments`)."""
         part = object.__new__(_Package)
-        for key, value in vars(self).items():
-            if isinstance(value, np.ndarray):
-                setattr(part, key, value[rows])
+        vars(part).update(_rows(vars(self), rows))
         return part
 
 
-@dataclass(frozen=True)
-class LagrangianCheck:
-    ok: bool
-    residual: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_lagrangian(imm: Immersion, us: Rows) -> list[LagrangianCheck]:
-    """Does J map the tangent space into the normal space, at each row of us?
+def is_lagrangian(imm: Immersion, us: Rows) -> np.ndarray:
+    """How far J is from mapping the tangent space into the normal space, at
+    each row of us: the residuals (n,).
 
     The residual is the largest |g(J E_a, E_b)| over an orthonormal tangent
-    frame, so the test is scale-free in the parametrization; a row is ok when
-    it is below the suite's bound SUITE_TOLS["lagrangian"].
+    frame, so the test is scale-free in the parametrization; the suite's
+    bound is SUITE_TOLS["lagrangian"].
     """
-    tol = SUITE_TOLS["lagrangian"]
-    return [LagrangianCheck(r < tol, r) for r in _Package(imm, us, 1).lagrangian_residual.tolist()]
+    return _Package(imm, us, 1).lagrangian_residual
 
 
 def require_lagrangian(
@@ -290,7 +281,7 @@ def _checked_rows(imm: Immersion, us: Rows, order: int) -> _Package:
     """Frame package of the given order at the rows of us, once is_lagrangian
     has passed the precondition at every row."""
     us = np.asarray(us, dtype=float).reshape(-1, 3)
-    require_lagrangian(imm.label, us, [chk.residual for chk in is_lagrangian(imm, us)])
+    require_lagrangian(imm.label, us, is_lagrangian(imm, us))
     return _Package(imm, us, order)
 
 
@@ -453,10 +444,11 @@ def _eigenstructure(
     return cos2, sin2, U
 
 
-def angle_sum_defect(thetas: Sequence[float]) -> float:
-    """Distance of theta_1 + theta_2 + theta_3 to the nearest multiple of pi."""
-    s = float(sum(thetas))
-    return abs(s - math.pi * round(s / math.pi))
+def angle_sum_defect(thetas: np.ndarray) -> np.ndarray:
+    """Distance of theta_1 + theta_2 + theta_3 to the nearest multiple of pi,
+    at each triple of a stack (..., 3)."""
+    s = np.sum(thetas, axis=-1)
+    return np.abs(s - math.pi * np.round(s / math.pi))
 
 
 def relation_h_omega_residual(
@@ -473,26 +465,10 @@ def relation_h_omega_residual(
     return np.abs(lhs - rhs)[..., ~np.eye(3, dtype=bool)].max(axis=(-2, -1))
 
 
-@dataclass
-class AdaptedFrameData:
-    """Everything the analyzer knows at one parameter point."""
-
-    frame: np.ndarray  # (3, 6): the (alpha, beta) components of F_1, F_2, F_3
-    thetas: tuple[float, float, float]
-    h: np.ndarray
-    omega: np.ndarray
-    H: np.ndarray  # (6,): the components of the mean curvature vector
-    degenerate: bool
-    orientation_residual: float
-    # the eigenframe checks, at non-degenerate points only
-    eq_residual: float | None  # frame relation
-    dtheta_residual: float | None  # E_i(theta_j) = -h_jj^i
-    dtheta_max_abs: float | None  # the largest |E_i(theta_j)|
-
-
-def frame_components(imm: Immersion, us: Rows) -> list[AdaptedFrameData]:
-    """Adapted-frame analysis at each row of us, from one order-2 package
-    and one adapted-frame pass over all of its points.
+def frame_components(imm: Immersion, us: Rows) -> dict[str, np.ndarray]:
+    """Adapted-frame analysis at the rows of us, from one order-2 package
+    and one adapted-frame pass over all of them: the arrays over the rows
+    that `_adapted_frames` gives.
 
     Diagonalizes (A, B) on the orthonormalized pushforward frame, flips one
     frame vector if needed so the G tensor takes its canonical frame form
@@ -506,18 +482,19 @@ def frame_components(imm: Immersion, us: Rows) -> list[AdaptedFrameData]:
     return frame_pass([imm], us)[0]
 
 
-def frame_pass(imms: Sequence[Immersion], us: Rows) -> list[list[AdaptedFrameData]]:
+def frame_pass(imms: Sequence[Immersion], us: Rows) -> list[dict[str, np.ndarray]]:
     """`frame_components` of each immersion at the rows of us, from one
-    order-2 package over all of them and one adapted-frame pass.  Each
-    immersion gets, bit for bit, what it gets alone.  The Lagrangian
-    precondition of every immersion is checked, in turn, before any frame is
-    built; a pass that cannot build a frame raises the message of the first
-    immersion, in turn, that cannot."""
+    order-2 package over all of them and one adapted-frame pass: one record
+    of arrays per immersion, its rows of the pass.  Each immersion gets, bit
+    for bit, what it gets alone.  The Lagrangian precondition of every
+    immersion is checked, in turn, before any frame is built; a pass that
+    cannot build a frame raises the message of the first immersion, in
+    turn, that cannot."""
     pkg = _Package(imms, [us] * len(imms), 2)
     for imm, part in zip(imms, pkg.segments):
         require_lagrangian(imm.label, pkg.us[part], pkg.lagrangian_residual[part])
     frames = _adapted_frames(pkg)
-    return [frames[part] for part in pkg.segments]
+    return [_rows(frames, part) for part in pkg.segments]
 
 
 def _rotated(R: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -527,9 +504,18 @@ def _rotated(R: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("...ai,...bj,...kl,...ijl->...abk", R, R, R, table)
 
 
-def _adapted_frames(pkg: _Package) -> list[AdaptedFrameData]:
+def _adapted_frames(pkg: _Package) -> dict[str, np.ndarray]:
     """The adapted-frame analysis at every point of an order >= 2 package,
-    in one pass over all of them: each point gets what it would get alone."""
+    in one pass over all of them: each point gets what it would get alone.
+
+    One record of arrays over the points: the adapted frames `frame` (n, 3,
+    6), the angles `thetas` (n, 3), the cubic and connection components `h`
+    and `omega` (n, 3, 3, 3) in those frames, the mean curvature `H` (n, 6),
+    the `degenerate` flags (n,), and the residuals (n,) of the G frame form
+    (`orientation`) and of the eigenframe checks: the frame relation
+    (`frame_relation`), dtheta (`dtheta`) and the largest |E_i(theta_j)|
+    (`dtheta_max_abs`).  The eigenframe checks run at non-degenerate points
+    only, and read 0.0 at the others."""
     ang = angle_functions(pkg.A, pkg.B)
     R = ang.coeffs.copy()
 
@@ -540,33 +526,15 @@ def _adapted_frames(pkg: _Package) -> list[AdaptedFrameData]:
     frame[flip, 2] = -1.0 * frame[flip, 2]
     target = np.einsum("ijk,nkd->nijd", -EPSILON / _SQRT3, J(frame))
     G_frame = np.einsum("dab,nia,njb->nijd", G_ARRAY, frame, frame)
-    orientation = _per_point(norm(G_frame - target))
     h, omega = _rotated(R, pkg.c), _rotated(R, pkg.omega)
-
-    eigen = [(None, None, None)] * len(R)
+    eigen = np.zeros((3, len(R)))
     rows = np.flatnonzero(~ang.degenerate)
-    if len(rows):
-        checks = _eigenfield_checks(pkg, rows, R[rows], ang, h[rows], omega[rows])
-        for k, values in zip(rows.tolist(), zip(*(x.tolist() for x in checks))):
-            eigen[k] = values
-
-    return [
-        AdaptedFrameData(
-            frame=frame[k],
-            thetas=tuple(thetas),
-            h=h[k],
-            omega=omega[k],
-            H=pkg.H[k],
-            degenerate=degenerate,
-            orientation_residual=residual,
-            eq_residual=eigen[k][0],
-            dtheta_residual=eigen[k][1],
-            dtheta_max_abs=eigen[k][2],
-        )
-        for k, (thetas, degenerate, residual) in enumerate(
-            zip(ang.thetas.tolist(), ang.degenerate.tolist(), orientation.tolist())
-        )
-    ]
+    eigen[:, rows] = _eigenfield_checks(pkg, rows, R[rows], ang, h[rows], omega[rows])
+    return {
+        "frame": frame, "thetas": ang.thetas, "h": h, "omega": omega, "H": pkg.H,
+        "degenerate": ang.degenerate, "orientation": _per_point(norm(G_frame - target)),
+        "frame_relation": eigen[0], "dtheta": eigen[1], "dtheta_max_abs": eigen[2],
+    }
 
 
 def _eigenframe_rates(
@@ -722,24 +690,35 @@ class SuiteRecords(list):
 class SuiteRows:
     """One immersion's share of a `suite_pass`: its grid points (n, 3) and
     Lagrangian residuals (n,).  Where it passes the Lagrangian test, also
-    its cubic forms c (n, 3, 3, 3), the per-point residuals (n,) of the
-    minimality, cubic-symmetry, ab-structure and codazzi-residual checks,
-    and its adapted frames, or the message of the ValueError that refused
-    them."""
+    its cubic forms c (n, 3, 3, 3) and its residual table: arrays (n,) by
+    name, one per downstream check of `lagrangian_suite` (minimality,
+    cubic-symmetry, ab-structure, codazzi-residual, and from its adapted
+    frames angle-sum and orientation), the eigenframe residuals
+    `frame_relation`, `dtheta` and `dtheta_max_abs` (0.0 at degenerate
+    points) and the `degenerate` flags.  Where the frame pass refused the
+    immersion, the table holds no frame entries and frame_error holds the
+    message of the ValueError."""
 
     points: np.ndarray
     lagrangian_residual: np.ndarray
     c: np.ndarray | None = None
     residuals: dict[str, np.ndarray] | None = None
-    frames: list[AdaptedFrameData] | None = None
     frame_error: str | None = None
 
 
-def _frames_or_error(pkg: _Package) -> tuple[list[AdaptedFrameData], str | None]:
+#: The entries of a frame record that a suite share's residual table holds.
+_FRAME_ENTRIES = ("orientation", "frame_relation", "dtheta", "dtheta_max_abs", "degenerate")
+
+
+def _frame_residuals(pkg: _Package) -> tuple[dict[str, np.ndarray], str | None]:
+    """The frame entries of the residual table at every point of the
+    package, or none and the message of the ValueError that refused them."""
     try:
-        return _adapted_frames(pkg), None
+        frames = _adapted_frames(pkg)
     except ValueError as exc:  # from angle_functions: the frame checks fail
-        return [], str(exc)
+        return {}, str(exc)
+    table = {name: frames[name] for name in _FRAME_ENTRIES}
+    return {"angle-sum": angle_sum_defect(frames["thetas"]), **table}, None
 
 
 def suite_pass(imms: Sequence[Immersion], grid: int, tol: float | None = None) -> list[SuiteRows]:
@@ -750,9 +729,10 @@ def suite_pass(imms: Sequence[Immersion], grid: int, tol: float | None = None) -
     every immersion's grid in turn.  Over the rows of the immersions that
     pass the Lagrangian test (bounded by tol, else its SUITE_TOLS entry), one
     adapted-frame pass (one `angle_functions` call) and one evaluation of
-    each per-point residual follow.  Each immersion gets, bit for bit, what
-    it gets alone.  Where the frame pass raises, those immersions get one
-    pass each, so each fails or passes its frame checks as it does alone.
+    each per-point residual follow, into one residual table whose rows each
+    share takes.  Each immersion gets, bit for bit, what it gets alone.
+    Where the frame pass raises, those immersions get one pass each, so
+    each fails or passes its frame checks as it does alone.
     """
     bound = SUITE_TOLS["lagrangian"] if tol is None else tol
     pkg = _Package(imms, [imm.domain.grid(grid) for imm in imms], 3)
@@ -776,14 +756,13 @@ def suite_pass(imms: Sequence[Immersion], grid: int, tol: float | None = None) -
         "codazzi-residual": _codazzi(sub),
     }
     parts = _slices([len(share.points) for share in passing])
-    frames, error = _frames_or_error(sub)
-    framed = [(frames[part], None) for part in parts] if error is None else [
-        _frames_or_error(sub.take(part)) for part in parts
+    frames, error = _frame_residuals(sub)
+    framed = [(_rows(frames, part), None) for part in parts] if error is None else [
+        _frame_residuals(sub.take(part)) for part in parts
     ]
     for share, part, (share_frames, share_error) in zip(passing, parts, framed):
-        share.frames, share.frame_error = share_frames, share_error
-        share.c = c[part]
-        share.residuals = {name: values[part] for name, values in residuals.items()}
+        share.c, share.frame_error = c[part], share_error
+        share.residuals = {**_rows(residuals, part), **share_frames}
     return shares
 
 
@@ -796,18 +775,19 @@ def lagrangian_suite(
     pass over several immersions with this grid and tol handed it on (as
     `cli.cmd_lagrangian` does), else a pass of this immersion alone.  Either
     way one order-3 frame package, from one jet evaluation of the map, and
-    one adapted-frame pass feed every check.  Each check is bounded by its
-    SUITE_TOLS entry, or by tol when given, and passes by `report.within`.
-    If the Lagrangian test fails anywhere, the downstream checks are
-    reported as skipped rather than evaluated on meaningless data.  Where
-    some point is non-degenerate, the angle check also gates on the
-    eigenframe relation and dtheta residuals, reports their worst values and
-    the largest |E_i(theta_j)|.  Where an adapted frame cannot be built
-    (`angle_functions` raises ValueError), the angle-sum and orientation
-    records fail with the message in their details.  The grid's cubic forms
-    are handed on as the result's `cubic`.  The records carry no time of
-    their own: `cli.cmd_lagrangian` stamps the records of every immersion of
-    one pass with that pass's --timings total.
+    one adapted-frame pass feed every check, and each check reduces one
+    array of the share's residual table with `report.worst_residual`.  Each
+    check is bounded by its SUITE_TOLS entry, or by tol when given, and
+    passes by `report.within`.  If the Lagrangian test fails anywhere, the
+    downstream checks are reported as skipped rather than evaluated on
+    meaningless data.  Where some point is non-degenerate, the angle check
+    also gates on the eigenframe relation and dtheta residuals, reports their
+    worst values and the largest |E_i(theta_j)|.  Where an adapted frame
+    cannot be built (`angle_functions` raises ValueError), the angle-sum and
+    orientation records fail with the message in their details.  The grid's
+    cubic forms are handed on as the result's `cubic`.  The records carry no
+    time of their own: `cli.cmd_lagrangian` stamps the records of every
+    immersion of one pass with that pass's --timings total.
     """
     bounds = {name: default if tol is None else tol for name, default in SUITE_TOLS.items()}
     if rows is None:
@@ -841,46 +821,36 @@ def lagrangian_suite(
         return records
 
     records.cubic = (rows.points, rows.c)
-    worsts = {name: worst_residual(values) for name, values in rows.residuals.items()}
-    worsts["angle-sum"] = worsts["orientation"] = 0.0
-    eigen_worsts = {"frame_relation_worst": 0.0, "dtheta_worst": 0.0}
-    dtheta_max_abs = 0.0
-    degenerate_points = 0
-    for fc in rows.frames:
-        if fc.degenerate:
-            degenerate_points += 1
-        else:
-            for key, value in (
-                ("frame_relation_worst", fc.eq_residual),
-                ("dtheta_worst", fc.dtheta_residual),
-            ):
-                eigen_worsts[key] = max_keep_nan(eigen_worsts[key], value)
-            dtheta_max_abs = max_keep_nan(dtheta_max_abs, fc.dtheta_max_abs)
-        worsts["angle-sum"] = max_keep_nan(worsts["angle-sum"], angle_sum_defect(fc.thetas))
-        worsts["orientation"] = max_keep_nan(worsts["orientation"], fc.orientation_residual)
+    table = rows.residuals
     for name in downstream:
         bound = bounds[name]
-        details = {}
-        passed = within(worsts[name], bound)
-        if rows.frame_error is not None and name in ("angle-sum", "orientation"):
+        if name not in table:  # the frame pass refused this immersion
             records.append(CheckRecord(
                 check_id=f"{name}[{tag}]", passed=False, samples=samples, tolerance=bound,
                 details={"error": rows.frame_error},
             ))
             continue
+        worst = worst_residual(table[name])
+        passed = within(worst, bound)
+        details = {}
         if name == "angle-sum":
+            degenerate_points = int(np.count_nonzero(table["degenerate"]))
             details = {"degenerate_points": degenerate_points, "grid_points": samples}
             if degenerate_points < samples:
                 # the eigenframe residuals gate the angle check where they exist
-                details.update(eigen_worsts, dtheta_max_abs=dtheta_max_abs)
-                passed = passed and all(within(v, bound) for v in eigen_worsts.values())
+                eigen = {
+                    "frame_relation_worst": worst_residual(table["frame_relation"]),
+                    "dtheta_worst": worst_residual(table["dtheta"]),
+                }
+                details.update(eigen, dtheta_max_abs=worst_residual(table["dtheta_max_abs"]))
+                passed = passed and all(within(v, bound) for v in eigen.values())
         records.append(
             CheckRecord(
                 check_id=f"{name}[{tag}]",
                 passed=passed,
                 samples=samples,
                 tolerance=bound,
-                max_residual=worsts[name],
+                max_residual=worst,
                 details=details,
             )
         )

@@ -15,7 +15,8 @@ G = nabla J is the constant array G_ARRAY.
 
 Each formula has one array form: g, norm, J, P, G, embed and g_ambient take
 (..., 6) component arrays (g, J and P also take jets) and act over the
-leading axes at once; TangentVector.components() hands an object's
+leading axes at once, G and g_ambient as stacked products that round each
+pair as its own product does; TangentVector.components() hands an object's
 components to them.  random_samples draws a base point and a tangent pair
 per sample, in that order, so a batched suite reads the same rng stream as a
 per-sample loop.
@@ -201,12 +202,11 @@ def P(X):
 def G(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """G(x, y) of component arrays: G_ARRAY @ y @ x for each pair of vectors.
 
-    A batch is contracted one pair at a time, since a batched contraction
-    sums in another order and moves the last bits of G.
+    Both contractions are stacked matrix-vector products over the leading
+    axes, so each pair rounds as G_ARRAY @ y @ x of its own vectors does; an
+    einsum sums in another order and moves the last bits of G.
     """
-    x, y = np.broadcast_arrays(x, y)
-    pairs = zip(x.reshape(-1, 6), y.reshape(-1, 6))
-    return np.array([G_ARRAY @ yk @ xk for xk, yk in pairs]).reshape(x.shape)
+    return ((G_ARRAY @ y[..., None, :, None])[..., 0] @ x[..., :, None])[..., 0]
 
 
 def embed(pq: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -234,18 +234,12 @@ def g_ambient(pq: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The metric from its definition, (1/2)(<X, Y> + <JX, JY>) in ambient
     R^8, of components X, Y at base points pq.
 
-    Each 8-vector product is its own np.dot, as in the per-vector formula:
-    np.dot rounds as the BLAS dot kernel does, and a batched einsum or sum
-    rounds differently in the last bits.
+    The 8-vector products are np.vecdot over the leading axes, which rounds
+    each as np.dot of the pair does; a batched einsum or sum rounds
+    differently in the last bits.
     """
-    ex, ey, ejx, ejy = np.broadcast_arrays(
-        embed(pq, X), embed(pq, Y), embed(pq, J(X)), embed(pq, J(Y))
-    )
-    shape = ex.shape[:-1]
-    ex, ey, ejx, ejy = (e.reshape(-1, 8) for e in (ex, ey, ejx, ejy))
-    plain = np.array([np.dot(a, b) for a, b in zip(ex, ey)])
-    turned = np.array([np.dot(a, b) for a, b in zip(ejx, ejy)])
-    return (0.5 * (plain + turned)).reshape(shape)
+    turned = np.vecdot(embed(pq, J(X)), embed(pq, J(Y)))
+    return 0.5 * (np.vecdot(embed(pq, X), embed(pq, Y)) + turned)
 
 
 def unit_points(raw: np.ndarray) -> np.ndarray:

@@ -7,12 +7,16 @@ form, the rotated h and omega, and at non-degenerate points the eigenframe
 checks.  That code lives here as the reference: the pass must give every
 field of every point bit for bit.  The one change is in the two gates of
 `angle_functions`, which compare NaN-safely (`not defect <= 1e-6`), so that
-a pair with a NaN entry raises here as it does in the pass.
+a pair with a NaN entry raises here as it does in the pass.  Each point's
+result is a `FrameData`, whose fields are named as the entries of the
+pass's record of arrays; the eigenframe residuals read 0.0 at degenerate
+points, where the checks do not run.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,13 +24,29 @@ import numpy as np
 from nkverify.lagrangian import (
     DEGENERACY_GAP,
     EPSILON,
-    AdaptedFrameData,
     AngleData,
 )
 from nkverify.nkgeom import G_ARRAY, G, J, g, norm
 from nkverify.report import max_keep_nan, worst_residual
 
 _SQRT3 = math.sqrt(3.0)
+
+
+@dataclass
+class FrameData:
+    """Everything the analyzer knows at one parameter point."""
+
+    frame: np.ndarray  # (3, 6): the (alpha, beta) components of F_1, F_2, F_3
+    thetas: tuple[float, float, float]
+    h: np.ndarray
+    omega: np.ndarray
+    H: np.ndarray  # (6,): the components of the mean curvature vector
+    degenerate: bool
+    orientation: float
+    # the eigenframe checks, 0.0 at degenerate points
+    frame_relation: float
+    dtheta: float  # E_i(theta_j) = -h_jj^i
+    dtheta_max_abs: float  # the largest |E_i(theta_j)|
 
 
 def clusters(values: np.ndarray, gap: float = 1e-8):
@@ -101,7 +121,7 @@ def rotated(R: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("ai,bj,kl,ijl->abk", R, R, R, table)
 
 
-def adapted_frame(pkg, i: int) -> AdaptedFrameData:
+def adapted_frame(pkg, i: int) -> FrameData:
     """The adapted-frame analysis at point i of an order >= 2 package."""
     ang = angle_functions(pkg.A[i], pkg.B[i])
     R = ang.coeffs.copy()
@@ -114,22 +134,22 @@ def adapted_frame(pkg, i: int) -> AdaptedFrameData:
     jframe = J(frame)
     target = np.einsum("ijk,kd->ijd", -EPSILON / _SQRT3, jframe)
     G_frame = np.einsum("dab,ia,jb->ijd", G_ARRAY, frame, frame)
-    orientation_residual = worst_residual(norm(G_frame - target))
+    orientation = worst_residual(norm(G_frame - target))
 
-    eigen = (None, None, None)
+    eigen = (0.0, 0.0, 0.0)
     if not ang.degenerate:
         eigen = eigenfield_checks(pkg, i, R, ang)
 
-    return AdaptedFrameData(
+    return FrameData(
         frame=frame,
         thetas=ang.thetas,
         h=rotated(R, pkg.c[i]),
         omega=rotated(R, pkg.omega[i]),
         H=pkg.H[i],
         degenerate=ang.degenerate,
-        orientation_residual=orientation_residual,
-        eq_residual=eigen[0],
-        dtheta_residual=eigen[1],
+        orientation=orientation,
+        frame_relation=eigen[0],
+        dtheta=eigen[1],
         dtheta_max_abs=eigen[2],
     )
 
@@ -158,6 +178,6 @@ def eigenfield_checks(pkg, i: int, R: np.ndarray, ang: AngleData) -> tuple[float
     return eq_residual, dtheta_residual, worst_residual(np.abs(deriv))
 
 
-def adapted_frames(pkg) -> list[AdaptedFrameData]:
+def adapted_frames(pkg) -> list[FrameData]:
     """The per-point analysis at every point of the package, in point order."""
     return [adapted_frame(pkg, i) for i in range(len(pkg.us))]

@@ -106,7 +106,7 @@ def test_structure_nan_residuals_fail_their_checks(monkeypatch) -> None:
     def nan_at_second_frame(imms, us):
         frames = real_frames(imms, us)
         assert imms[0].label == LAGRANGIAN_LABELS[0]
-        frames[0][1].orientation_residual = math.nan
+        frames[0]["orientation"][1] = math.nan
         return frames
 
     monkeypatch.setattr(cli, "frame_pass", nan_at_second_frame)
@@ -132,8 +132,8 @@ def test_structure_exact_zero_residuals_pass_at_tol_zero(monkeypatch) -> None:
 
     def exact_frame(imms, us):
         frames = real_frames(imms, us)
-        for fc in (fc for fcs in frames for fc in fcs):
-            fc.orientation_residual = 0.0
+        for record in frames:
+            record["orientation"][:] = 0.0
         return frames
 
     monkeypatch.setattr(cli, "frame_pass", exact_frame)

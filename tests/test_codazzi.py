@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nkverify import codazzi
-from nkverify.cli import cmd_proof
+from nkverify.cli import DEFAULT_TRIALS, cmd_proof
 from nkverify.codazzi import (
     AXES,
     AXIS_NODES,
@@ -1725,7 +1725,33 @@ _ALL_CHECKS = (
 _SOLVING_CHECKS = tuple(c for c in _ALL_CHECKS if c[0] not in (
     "frame_relation_check", "det_factorization_check"))
 
-#: Per mutant: the codazzi function it replaces, how, and the checks it runs.
+def _scaled_angle_term(factor: int):
+    """A plan cache whose plans have their angle term times factor."""
+    def make(plans):
+        def build(*key):
+            plan = codazzi._compile_plan(*key)
+            return plan._replace(angle=factor * plan.angle)
+        return codazzi._Compiled(build)
+    return make
+
+
+def _recompile(m) -> None:
+    """Fresh row kernels and solvers, which are compiled from the plans."""
+    m.setattr(codazzi, "_KERNELS", codazzi._Compiled(codazzi._compile_kernel))
+    m.setattr(codazzi, "_SOLVERS", codazzi._Compiled(codazzi._compile_solver))
+
+
+#: The six proof checks with the (seed, trials) `cmd_proof` runs them at by
+#: default.
+_PROOF_DEFAULTS = tuple(
+    (name, offset, DEFAULT_TRIALS) for offset, name in enumerate((
+        "frame_relation_check", "system1_check", "case1_check", "case2_check",
+        "det_factorization_check", "case3_check",
+    ), start=1)
+)
+
+#: Per mutant: the codazzi function (or cache) it replaces, how, and the
+#: checks it runs.
 FAILURE_MUTANTS = {
     "dh-off-by-one": ("hijk_gradient", _dh_off_by_one, _ALL_CHECKS),
     "fifth-node": ("solve_triple_system", _off_at_five, (("case1_check", 22, 3),)),
@@ -1735,6 +1761,8 @@ FAILURE_MUTANTS = {
     "leftover-negated": ("case3_leftover", _scaled_leftover(-1), (("case3_check", 7, 5),)),
     "leftover-zero": ("case3_leftover", _scaled_leftover(0), (("case3_check", 7, 5),)),
     "stray-leftover": ("solve_triple_system", _stray_leftover, _SOLVING_CHECKS),
+    "angle-term-negated": ("_PLANS", _scaled_angle_term(-1), _PROOF_DEFAULTS),
+    "angle-term-times-minus-7": ("_PLANS", _scaled_angle_term(-7), _PROOF_DEFAULTS),
 }
 
 #: sha256 of each check's failures under each mutant, as the report writes
@@ -1752,7 +1780,10 @@ FAILURE_MUTANTS = {
 #: stray-leftover/case2 was re-recorded (before: 98dd44fa) when the null-axis
 #: case came to read the leftovers of one six-row solve: its shape detail
 #: went from {"free": [(1, 3)], "leftovers": 1} to {"free": [],
-#: "leftovers": 4}.
+#: "leftovers": 4}.  The two angle-term mutants were recorded when the
+#: derivative comparison came to compare its clearing ratio with the stated
+#: constant CLEARING_RATIO instead of its first sample's ratio; before, every
+#: check passed under both.
 FAILURE_DIGESTS = {
     "dh-off-by-one": {
         "frame_relation_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -1786,6 +1817,22 @@ FAILURE_DIGESTS = {
         "case2_check": "693a2891f175f0bdedd9955f1ef47ddac752a1bd87ed395045f16f340227b1b9",
         "case3_check": "88245bf2b1cd1b95a6872d88025c2c603947b155c17f2f2b0a01382366675d49",
     },
+    "angle-term-negated": {
+        "frame_relation_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "system1_check": "76e9e8a74c5448dd2d12471f0ce4993a5bf1c416d34b4f6d0318c63747af8f25",
+        "case1_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "case2_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "det_factorization_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "case3_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    },
+    "angle-term-times-minus-7": {
+        "frame_relation_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "system1_check": "8b2752611a2af12c68a6dc502a63b34cdc4a50a9387ef1ef7c86569d25527ac4",
+        "case1_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "case2_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "det_factorization_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "case3_check": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    },
 }
 
 
@@ -1804,6 +1851,8 @@ def _mutant_failures(monkeypatch, mutant: str) -> dict:
     attr, make, checks = FAILURE_MUTANTS[mutant]
     with monkeypatch.context() as m:
         m.setattr(codazzi, attr, make(getattr(codazzi, attr)))
+        if attr == "_PLANS":
+            _recompile(m)
         return {
             name: jsonable(getattr(codazzi, name)(seed=seed, trials=trials).failures)
             for name, seed, trials in checks
@@ -1817,6 +1866,25 @@ def test_failure_details_are_pinned(monkeypatch, mutant) -> None:
         for name, failures in _mutant_failures(monkeypatch, mutant).items()
     }
     assert got == FAILURE_DIGESTS[mutant]
+
+
+@pytest.mark.parametrize(
+    "factor, seen", [(-1, Fraction(12, 5)), (-7, Fraction(12, 35))], ids=["negated", "times-minus-7"]
+)
+def test_angle_term_mutants_fail_the_derivative_comparison(monkeypatch, factor, seen) -> None:
+    # the angle term of the plans reaches only the clearing ratio, so
+    # `nkverify proof` at its defaults fails the derivative comparison alone,
+    # with every failure naming the ratio seen and the stated constant
+    monkeypatch.setattr(codazzi, "_PLANS", _scaled_angle_term(factor)(codazzi._PLANS))
+    _recompile(monkeypatch)
+    report = cmd_proof()
+    assert [r.check_id for r in report.records if not r.passed] == ["derivative-comparison"]
+    rec = report.records[1]
+    assert rec.failures and rec.details["clearing_factors"] == {}
+    for failure in rec.failures:
+        assert failure["reason"] == "clearing factor mismatch"
+        assert failure["extra"]["seen"] == seen
+        assert failure["extra"]["expected"] == Fraction(*codazzi.CLEARING_RATIO) == Fraction(-12, 5)
 
 
 def test_failure_details_read_the_numerators(monkeypatch) -> None:

@@ -6,6 +6,7 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,7 @@ from nkverify.humfit import HARNESS_TOL, theorem_harness, theorem_shadow
 from nkverify.jet import Jet
 from nkverify.lagrangian import (
     EPSILON,
+    SUITE_TOLS,
     TWIST_ROTATION,
     Box,
     Immersion,
@@ -74,20 +76,21 @@ def test_builtin_examples_roster():
 
 
 def test_three_builtins_are_lagrangian():
+    tol = SUITE_TOLS["lagrangian"]
     for label in ("factor_left", "factor_right", "diagonal"):
         imm = by_label(label)
-        for u, chk in zip(SAMPLE_POINTS, is_lagrangian(imm, SAMPLE_POINTS)):
-            assert chk.ok, (label, u, chk.residual)
-            assert chk.residual < 1e-9
+        for u, residual in zip(SAMPLE_POINTS, is_lagrangian(imm, SAMPLE_POINTS)):
+            assert residual < tol, (label, u, residual)
+            assert residual < 1e-9
 
 
 def test_twisted_control_is_not_lagrangian():
     imm = by_label("twisted-control")
-    checks = is_lagrangian(imm, SAMPLE_POINTS)
-    assert len(checks) == len(SAMPLE_POINTS)
-    for chk in checks:
-        assert not chk.ok
-        assert chk.residual > 0.1
+    residuals = is_lagrangian(imm, SAMPLE_POINTS)
+    assert residuals.shape == (len(SAMPLE_POINTS),)
+    for residual in residuals:
+        assert not residual < SUITE_TOLS["lagrangian"]
+        assert residual > 0.1
 
 
 def test_twist_rotation_is_orthogonal():
@@ -181,11 +184,17 @@ def test_angle_functions_joint_cluster():
         assert abs(float(row @ B @ row) - s) < 1e-10
 
 
+def _points(record: dict) -> list[SimpleNamespace]:
+    """The rows of a record of arrays, one namespace per point."""
+    return [SimpleNamespace(**dict(zip(record, row))) for row in zip(*record.values())]
+
+
 def test_frame_components_diagonal():
-    [fc] = frame_components(by_label("diagonal"), [SAMPLE_POINTS[0]])
+    [fc] = _points(frame_components(by_label("diagonal"), [SAMPLE_POINTS[0]]))
     assert fc.degenerate
-    assert fc.eq_residual is None and fc.dtheta_residual is None
-    assert fc.orientation_residual < 1e-4
+    # the eigenframe checks do not run at a degenerate point
+    assert fc.frame_relation == fc.dtheta == fc.dtheta_max_abs == 0.0
+    assert fc.orientation < 1e-4
     assert np.max(np.abs(fc.omega + fc.omega.transpose(0, 2, 1))) < 1e-8
     assert np.max(np.abs(fc.h)) < 1e-5
     assert np.max(np.abs(fc.h - fc.h.transpose(1, 0, 2))) < 1e-6
@@ -197,8 +206,8 @@ def test_frame_components_diagonal():
 
 def test_orientation_invariant_all_builtins():
     for label in ("factor_left", "factor_right", "diagonal"):
-        [fc] = frame_components(by_label(label), [SAMPLE_POINTS[1]])
-        assert fc.orientation_residual < 1e-4, label
+        [fc] = _points(frame_components(by_label(label), [SAMPLE_POINTS[1]]))
+        assert fc.orientation < 1e-4, label
 
 
 def _angle_gap(a, b):
@@ -214,11 +223,11 @@ def test_frame_components_batch_matches_one_row_calls(label):
     # one-row frame for an orthogonal Q, and h, omega follow by Q; on the
     # conjugation immersion Q is the identity and the eigenframe fields agree.
     imm = _conjugation_immersion() if label == "conjugation" else by_label(label)
-    batch = frame_components(imm, FRAME_SAMPLE_POINTS)
+    batch = _points(frame_components(imm, FRAME_SAMPLE_POINTS))
     assert len(batch) == len(FRAME_SAMPLE_POINTS)
     close = {"rtol": 0, "atol": 1e-13}
     for fc, u in zip(batch, FRAME_SAMPLE_POINTS):
-        [one] = frame_components(imm, [u])
+        [one] = _points(frame_components(imm, [u]))
         assert fc.degenerate == one.degenerate == (label != "conjugation")
         assert np.max(_angle_gap(fc.thetas, one.thetas)) < 1e-13
         Q = g(fc.frame[:, None], one.frame[None])
@@ -229,10 +238,10 @@ def test_frame_components_batch_matches_one_row_calls(label):
         np.testing.assert_allclose(fc.h, lagrangian._rotated(Q, one.h), **close)
         np.testing.assert_allclose(fc.omega, lagrangian._rotated(Q, one.omega), **close)
         np.testing.assert_allclose(fc.H, one.H, **close)
-        assert fc.orientation_residual == pytest.approx(one.orientation_residual, abs=1e-15)
-        for field in ("eq_residual", "dtheta_residual", "dtheta_max_abs"):
+        assert fc.orientation == pytest.approx(one.orientation, abs=1e-15)
+        for field in ("frame_relation", "dtheta", "dtheta_max_abs"):
             if fc.degenerate:
-                assert getattr(fc, field) is getattr(one, field) is None
+                assert getattr(fc, field) == getattr(one, field) == 0.0
             else:
                 assert getattr(fc, field) == pytest.approx(getattr(one, field), abs=1e-13)
 
@@ -244,9 +253,7 @@ def test_row_readers_match_one_row_calls():
     imm = _conjugation_immersion()
     us = np.array(imm.domain.grid(3))
     readers = {
-        "is_lagrangian": lambda rows: np.array(
-            [(chk.residual, chk.ok) for chk in is_lagrangian(imm, rows)]
-        ).T,
+        "is_lagrangian": lambda rows: (is_lagrangian(imm, rows),),
         "second_fundamental_form": lambda rows: second_fundamental_form(imm, rows),
         "ab_operators": lambda rows: ab_operators(imm, rows),
         "p_split_residual": lambda rows: (p_split_residual(imm, rows),),
@@ -362,7 +369,7 @@ def test_analytic_jacobian_matches_numeric():
         for x, y, z in zip(jets, exact, oracle):
             assert norm(x - y.components()) < 1e-14
             assert np.max(np.abs(x - z)) < 1e-9
-        assert is_lagrangian(numeric, [u])[0].residual < 1e-15
+        assert is_lagrangian(numeric, [u])[0] < 1e-15
         assert codazzi_residual(numeric, [u])[0] < 1e-14
 
 
@@ -389,6 +396,27 @@ def test_box_grid_and_contains():
     assert {tuple(p) for p in pts} == {
         (x, y, z) for x in (-1.0, 1.0) for y in (0.0, 1.0) for z in (2.0, 3.0)
     }
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_box_grid_is_the_product_of_the_axes_last_fastest(n):
+    box = Box((-1.0, 0.0, 2.0), (1.0, 0.5, 3.0))
+    axes = [np.linspace(lo, hi, n) for lo, hi in zip(box.lo, box.hi)]
+    want = [[a, b, c] for a in axes[0] for b in axes[1] for c in axes[2]]
+    assert np.array_equal(box.grid(n), want) and box.grid(n).shape == (n**3, 3)
+
+
+def test_angle_sum_defect_of_a_stack_is_each_triple_alone():
+    rng = np.random.default_rng(28)
+    thetas = np.concatenate([
+        rng.uniform(0.0, math.pi, (2000, 3)),
+        [[math.pi / 3] * 3, [0.0, 0.0, 0.0], [math.pi / 2, math.pi / 4, math.pi / 4]],
+    ])
+    want = []
+    for triple in thetas.tolist():
+        s = triple[0] + triple[1] + triple[2]
+        want.append(abs(s - math.pi * round(s / math.pi)))
+    assert np.array_equal(angle_sum_defect(thetas), want)
 
 
 def test_lagrangian_suite_diagonal():
@@ -481,10 +509,10 @@ def test_curved_immersion_suite_and_eigenframe_checks():
         assert 0.0 < angle.details[key] < 1e-7
     # the angles are constant, so the dtheta check compares zero with zero
     assert angle.details["dtheta_max_abs"] < 1e-12
-    for fc in frame_components(imm, imm.domain.grid(2)):
+    for fc in _points(frame_components(imm, imm.domain.grid(2))):
         assert not fc.degenerate
-        assert fc.eq_residual is not None and fc.dtheta_residual is not None
-        assert fc.eq_residual < 1e-5 and fc.dtheta_residual < 1e-5
+        assert fc.frame_relation > 0.0 and fc.dtheta > 0.0
+        assert fc.frame_relation < 1e-5 and fc.dtheta < 1e-5
         h_norm = math.sqrt(float(np.sum(fc.h**2)))
         assert h_norm == pytest.approx(math.sqrt(3 / 8), abs=1e-6)
 
@@ -550,7 +578,7 @@ def test_zero_tolerance_gates_angle_sum_on_exact_zeros(monkeypatch):
         self.lagrangian_residual = np.zeros(len(self.us))
 
     monkeypatch.setattr(lagrangian._Package, "__init__", exactly_lagrangian)
-    monkeypatch.setattr(lagrangian, "angle_sum_defect", lambda thetas: 0.0)
+    monkeypatch.setattr(lagrangian, "angle_sum_defect", lambda thetas: np.zeros(len(thetas)))
     for injected, passed in (((0.0, 0.0), True), ((0.0, 5e-324), False), ((math.nan, 0.0), False)):
         monkeypatch.setattr(lagrangian, "_eigenfield_checks", _injected_checks(injected))
         records = lagrangian_suite(_conjugation_immersion(), grid=1, tol=0.0)
@@ -568,10 +596,8 @@ def test_zero_tolerance_gates_angle_sum_on_exact_zeros(monkeypatch):
     ],
 )
 def test_suite_nan_residual_fails_its_check(monkeypatch, target, check):
-    def nan(first, *rest):  # at every point of a package, or for one point
-        if isinstance(first, lagrangian._Package):
-            return np.full(len(first.us), math.nan)
-        return math.nan
+    def nan(first, *rest):  # at every point of a package, or of a stack of angles
+        return np.full(len(first.us if isinstance(first, lagrangian._Package) else first), math.nan)
 
     monkeypatch.setattr(lagrangian, target, nan)
     records = lagrangian_suite(by_label("diagonal"), grid=1)
@@ -588,7 +614,7 @@ def test_nan_lagrangian_residual_fails_and_skips_downstream(monkeypatch):
         self.lagrangian_residual = np.full(len(self.us), math.nan)
 
     monkeypatch.setattr(lagrangian._Package, "__init__", nan_residuals)
-    assert not is_lagrangian(by_label("diagonal"), [SAMPLE_POINTS[0]])[0]
+    assert not is_lagrangian(by_label("diagonal"), [SAMPLE_POINTS[0]])[0] < SUITE_TOLS["lagrangian"]
     records = lagrangian_suite(by_label("diagonal"), grid=1)
     assert not records[0].passed and math.isnan(records[0].max_residual)
     assert all(r.status == "skip" for r in records[1:])

@@ -162,8 +162,11 @@ def _ref_g_records(g_samples, rng, seed, tol=None):
 # tests
 
 
-@pytest.mark.parametrize("samples", [1, 7, 1000])
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+#: (seed, samples): three sizes at four seeds, and one stack of 5000.
+STRUCTURE_RUNS = [(seed, n) for seed in (0, 1, 2, 3) for n in (1, 7, 1000)] + [(1, 5000)]
+
+
+@pytest.mark.parametrize("seed, samples", STRUCTURE_RUNS)
 def test_batched_structure_records_match_per_sample_loops(seed, samples) -> None:
     # one rng through both suites, as cmd_structure runs them, so the stream
     # each leaves behind is checked too
@@ -195,6 +198,34 @@ def test_array_forms_keep_the_reference_bits() -> None:
         assert np.array_equal(G(x, y), _ref_G_tensor(X, Y).components())
         assert G_tensor(X, Y) == _ref_G_tensor(X, Y)
         assert np.array_equal(embed(pq, x), _ref_embed(X))
+    # G and g_ambient on stacks, on one vector or base point against a
+    # stack, and on an outer broadcast: each entry is the reference of its
+    # own pair, bit for bit
+    bases = [random_point(rng) for _ in range(40)]
+    Xs = [random_tangent(rng, base) for base in bases]
+    Ys = [random_tangent(rng, base) for base in bases]
+    pq = np.array([base.as_array() for base in bases])
+    x, y = (np.array([V.components() for V in Vs]) for Vs in (Xs, Ys))
+
+    def at(i, comps):
+        return TangentVector.from_components(bases[i], comps)
+
+    n = len(bases)
+    cases = {
+        "stack": (G(x, y), g_ambient(pq, x, y), lambda k: (Xs[k], Ys[k])),
+        "one-against-a-stack": (
+            G(x[0], y), g_ambient(pq[0], x[0], y), lambda k: (Xs[0], at(0, y[k])),
+        ),
+        "outer": (
+            G(x[:, None], y[None]), g_ambient(pq[:, None], x[:, None], y[None]),
+            lambda k: (Xs[k // n], at(k // n, y[k % n])),
+        ),
+    }
+    for name, (got_G, got_metric, pair) in cases.items():
+        got_G, got_metric = got_G.reshape(-1, 6), got_metric.reshape(-1)
+        want = [pair(k) for k in range(len(got_metric))]
+        assert np.array_equal(got_G, [_ref_G_tensor(X, Y).components() for X, Y in want]), name
+        assert np.array_equal(got_metric, [_ref_metric_g_ambient(X, Y) for X, Y in want]), name
 
 
 def test_unit_points_keeps_the_point_checks() -> None:
