@@ -19,10 +19,14 @@ depends on v alone: h and dh from the closed forms of `hijk_from_v` and
 `hijk_gradient` on w, at scales D^3 and D^2, once per symmetry class, as
 tuples of 10 and 30 entries (`_H_CLASS` and `_DH_CLASS` map every key to
 its class's position; omega's 27 entries are in the order of
-`_OMEGA_KEYS`), and the gate 4 v1^2 - 3(v2^2 + v3^2) over D^2.  The angles (`_Angles`) hold
+`_OMEGA_KEYS`), and the gate 4 v1^2 - 3(v2^2 + v3^2) over D^2.  Both closed
+forms are their cubics and quadratics in w written out, with only +, - and
+*, so they hold on any commutative ring.  The angles (`_Angles`) hold
 each angle as a triple (C, S, E) with cosine C/E and sine S/E, the three
 distinct cotangents over one common denominator Q (cot(b, a) =
--cot(a, b)), and per D the scales the states there share.  Only omega
+-cot(a, b)), and per D the scales the states there share; the triples of
+the differences, the cotangents and the angle terms are written out for
+the three pairs a < b, with no loop.  Only omega
 reads both: it is (6 D^3 Q)^-1 times an integer plus a sqrt(3) part that
 comes only from 1/(2 sqrt 3), so it is sigma eps_ijk for one integer sigma.
 The same holds for the two connection factors the Codazzi scalars read:
@@ -30,8 +34,10 @@ the shifted connection omega_im^l - eps_iml/sqrt(3) has omega's rational
 part and the sqrt(3) part -sigma eps_iml, since 1/sqrt(3) is 2 sigma at
 omega's scale, and the curl omega_ij^m - omega_ji^m has the sqrt(3) part
 2 sigma eps_ijm.  So sqrt(3) is a column of its own: no table entry is
-anything but an int.  Each table is computed once, when first read; the
-axis case builds its five nodes' points once per call.
+anything but an int.  Each table is computed once, when first read, and
+stored on its point, angles or state (`_lazy`); the axis case builds its
+five nodes' points once per call, and the nodes of a trial share its
+angles' tables.
 
 Each Codazzi scalar (i, j, k, l) has a plan compiled once, when it is
 first needed: its dh positions, and its h-omega products grouped by h
@@ -86,7 +92,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm, nan
 from typing import Iterable, NamedTuple, Sequence
@@ -95,7 +100,6 @@ from .exact import divide_exactly, poly_identity_check
 from .report import CheckRecord
 
 AXES = (1, 2, 3)
-CANONICAL_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 def epsilon(i: int, j: int, k: int) -> int:
@@ -112,6 +116,23 @@ DVar = tuple[int, int]  # (i, m) stands for the derivative E_i(v_m)
 
 # ---------------------------------------------------------------------------
 # states
+
+
+class _lazy:
+    """A method read as an attribute: computed on the first read and stored
+    in the instance's __dict__, where every later read finds it before this
+    descriptor.  It is functools.cached_property without the lock that one
+    takes on every first read (Python 3.11): threads that race on a first
+    read each compute the same value, and whichever store lands serves."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class _Scales(NamedTuple):
@@ -143,59 +164,68 @@ class _Angles:
 
     theta holds the three integer triples, with theta3 = -(theta1 + theta2),
     and diffs the triple of theta_a - theta_b for every ordered pair: the
-    three with a < b are built on the triples, a reverse pair is (C, -S, E)
-    and the diagonal (1, 0, 1).  Construction rejects angles where some
-    sin(theta_a - theta_b) vanishes, since the connection components divide
-    by those factors.  The cotangents, the angle terms and the scales at
-    each denominator D are computed once, when first read.
+    three with a < b are written out on the triples, a reverse pair is
+    (C, -S, E) and the diagonal (1, 0, 1).  Construction rejects angles
+    where some sin(theta_a - theta_b) vanishes, since the connection
+    components divide by those factors.  The cotangents and the angle terms
+    reduce the three pairs a < b on integers, one gcd each and one lcm, with
+    no loop; they are computed once, when first read (`_lazy`), and the
+    scales once per denominator D.  `FrameState.at` hands these angles to
+    every state it builds, so those states share all three.
     """
 
     def __init__(self, theta1: tuple, theta2: tuple) -> None:
         (c1, s1, e1), (c2, s2, e2) = theta1, theta2
         # theta3 is the conjugate of the sum of theta1 and theta2
-        self.theta = {1: theta1, 2: theta2, 3: (c1 * c2 - s1 * s2, -(s1 * c2 + c1 * s2), e1 * e2)}
-        self.diffs: dict[tuple[int, int], tuple[int, int, int]] = {
-            (a, a): (1, 0, 1) for a in AXES
-        }
-        for a, b in CANONICAL_PAIRS:
-            ca, sa, ea = self.theta[a]
-            cb, sb, eb = self.theta[b]
-            c, s, e = ca * cb + sa * sb, sa * cb - ca * sb, ea * eb
-            self.diffs[(a, b)], self.diffs[(b, a)] = (c, s, e), (c, -s, e)
-        if any(self.diffs[ab][1] == 0 for ab in CANONICAL_PAIRS):
+        c3, s3, e3 = c1 * c2 - s1 * s2, -(s1 * c2 + c1 * s2), e1 * e2
+        self.theta = {1: theta1, 2: theta2, 3: (c3, s3, e3)}
+        s12, s13, s23 = s1 * c2 - c1 * s2, s1 * c3 - c1 * s3, s2 * c3 - c2 * s3
+        if not (s12 and s13 and s23):
             raise ValueError("state rejected: some sin(theta_a - theta_b) vanishes")
+        c12, c13, c23 = c1 * c2 + s1 * s2, c1 * c3 + s1 * s3, c2 * c3 + s2 * s3
+        e12, e13, e23 = e1 * e2, e1 * e3, e2 * e3
+        self.diffs: dict[tuple[int, int], tuple[int, int, int]] = {
+            (1, 1): (1, 0, 1), (2, 2): (1, 0, 1), (3, 3): (1, 0, 1),
+            (1, 2): (c12, s12, e12), (2, 1): (c12, -s12, e12),
+            (1, 3): (c13, s13, e13), (3, 1): (c13, -s13, e13),
+            (2, 3): (c23, s23, e23), (3, 2): (c23, -s23, e23),
+        }
         self._by_d: dict[int, _Scales] = {}
 
-    @cached_property
+    @_lazy
     def cotangents(self) -> tuple[int, dict]:
         """Q and the numerators 6 Q cot(a, b) for a != b, from the three
-        cotangents C/S of the canonical pairs."""
-        q, num = self._over_lcm(lambda c, s, e: (c, s))
-        return q, {ab: 6 * x for ab, x in num.items()}
+        cotangents C/S of the canonical pairs, each in lowest terms and then
+        over their least common denominator Q, which is positive."""
+        d = self.diffs
+        (c12, s12, _), (c13, s13, _), (c23, s23, _) = d[(1, 2)], d[(1, 3)], d[(2, 3)]
+        g12, g13, g23 = gcd(c12, s12), gcd(c13, s13), gcd(c23, s23)
+        s12, s13, s23 = s12 // g12, s13 // g13, s23 // g23
+        q = lcm(s12, s13, s23)
+        k12 = 6 * (c12 // g12) * (q // s12)
+        k13 = 6 * (c13 // g13) * (q // s13)
+        k23 = 6 * (c23 // g23) * (q // s23)
+        return q, {(1, 2): k12, (2, 1): -k12, (1, 3): k13, (3, 1): -k13,
+                   (2, 3): k23, (3, 2): -k23}
 
-    @cached_property
+    @_lazy
     def thirds(self) -> tuple[int, dict]:
         """A and the numerators A sin 2(theta_a - theta_b)/3 for all (a, b),
-        from 2 S C / (3 E^2) on the canonical pairs; the diagonal is zero."""
-        a, num = self._over_lcm(lambda c, s, e: (2 * s * c, 3 * e * e))
-        return a, {(b, b): 0 for b in AXES} | num
-
-    def _over_lcm(self, fraction) -> tuple[int, dict]:
-        """fraction(C, S, E) = (n, d) at the triple of each canonical pair
-        (a, b), in lowest terms and then over the least common denominator,
-        which is positive: it, and the numerators by (a, b) and, negated, by
-        (b, a)."""
-        reduced = []
-        for ab in CANONICAL_PAIRS:
-            n, d = fraction(*self.diffs[ab])
-            g = gcd(n, d)
-            reduced.append((n // g, d // g))
-        den = lcm(*(d for _, d in reduced))
-        num = {}
-        for (a, b), (n, d) in zip(CANONICAL_PAIRS, reduced):
-            num[(a, b)] = n * (den // d)
-            num[(b, a)] = -num[(a, b)]
-        return den, num
+        from 2 S C / (3 E^2) on the canonical pairs, each in lowest terms and
+        then over their least common denominator A; the diagonal is zero and
+        a reverse pair the negated numerator."""
+        d = self.diffs
+        (c12, s12, e12), (c13, s13, e13), (c23, s23, e23) = d[(1, 2)], d[(1, 3)], d[(2, 3)]
+        n12, n13, n23 = 2 * s12 * c12, 2 * s13 * c13, 2 * s23 * c23
+        d12, d13, d23 = 3 * e12 * e12, 3 * e13 * e13, 3 * e23 * e23
+        g12, g13, g23 = gcd(n12, d12), gcd(n13, d13), gcd(n23, d23)
+        d12, d13, d23 = d12 // g12, d13 // g13, d23 // g23
+        a = lcm(d12, d13, d23)
+        t12 = (n12 // g12) * (a // d12)
+        t13 = (n13 // g13) * (a // d13)
+        t23 = (n23 // g23) * (a // d23)
+        return a, {(1, 1): 0, (2, 2): 0, (3, 3): 0, (1, 2): t12, (2, 1): -t12,
+                   (1, 3): t13, (3, 1): -t13, (2, 3): t23, (3, 2): -t23}
 
     def scales(self, d: int) -> _Scales:
         """The scales at the denominator d, computed once per d and shared by
@@ -213,7 +243,8 @@ class _Angles:
 
 class _Point:
     """The tables of one v = w / D, which no angle enters, shared by the
-    states at v: h and dh, each computed when first read,
+    states at v: h and dh, from the written-out polynomials of
+    `hijk_from_v` and `hijk_gradient` on w, each computed when first read,
     ec = 4 w1^2 - 3 (w2^2 + w3^2), D^2 times the gate at v, and the zero
     pattern of w, which is part of a solver's key (`_compile_solver`)."""
 
@@ -223,12 +254,12 @@ class _Point:
         self.ec = 4 * w1 * w1 - 3 * (w2 * w2 + w3 * w3)
         self.zeros = (w1 == 0, w2 == 0, w3 == 0)
 
-    @cached_property
+    @_lazy
     def h(self) -> tuple:
         """h at scale D^3: the entry at _H_CLASS[(i, j, k)] is D^3 h_ij^k."""
         return hijk_from_v(self.w)
 
-    @cached_property
+    @_lazy
     def dh(self) -> tuple:
         """dh at scale D^2: the entry at _DH_CLASS[(j, k, l, m)] is
         D^2 d h_jk^l / d v_m."""
@@ -262,7 +293,7 @@ class FrameState:
         st._point, st._angles, st._w, st._D = point, self._angles, point.w, point.d
         return st
 
-    @cached_property
+    @_lazy
     def omega_numerators(self) -> tuple:
         """omega's rational part at its scale, in the order of `_OMEGA_KEYS`:
         the entry of (i, j, k) is 6 D^3 Q omega_ij^k less its sqrt(3) part,
@@ -283,8 +314,20 @@ class FrameState:
 
 
 def _draw_ratio(rng: random.Random) -> tuple[int, int]:
-    """A small random rational as (numerator, denominator), not reduced."""
-    return rng.randint(-9, 9), rng.randint(1, 9)
+    """A small random rational as (numerator, denominator), not reduced:
+    (rng.randint(-9, 9), rng.randint(1, 9)), drawn as CPython's
+    `Random._randbelow_with_getrandbits` draws them, which randint calls:
+    k = n.bit_length() random bits, redrawn while r >= n, for n = 19 and
+    n = 9.  So the stream, and the generator's state after it, are those of
+    the two randint calls, in one call frame in place of three each."""
+    bits = rng.getrandbits
+    a = bits(5)
+    while a >= 19:
+        a = bits(5)
+    b = bits(4)
+    while b >= 9:
+        b = bits(4)
+    return a - 9, b + 1
 
 
 def random_frame_state(
@@ -302,7 +345,10 @@ def random_frame_state(
 
     The draw goes straight to integers: each v_m = a/b is reduced by one gcd
     into w = D v, and each angle t = p/q to the half-angle triple
-    (q^2 - p^2, 2pq, q^2 + p^2) of `rat_circle_point`, unreduced.
+    (q^2 - p^2, 2pq, q^2 + p^2) of `rat_circle_point`, unreduced.  Every
+    ratio comes from `_draw_ratio`, whose stream is that of
+    (rng.randint(-9, 9), rng.randint(1, 9)), so the states and the
+    generator's state after them are those of randint draws.
     """
     zero = set(zero)
     nonzero = set(nonzero)
@@ -355,14 +401,25 @@ def hijk_from_v(v: Sequence) -> tuple:
     h_ij^k = |v|^2 (v_i d_jk + v_j d_ki + v_k d_ij) - 5 v_i v_j v_k.
     Fully symmetric and trace-free in every slot, so the table holds the 10
     symmetry classes, in the order of `_H_CLASSES`; `_H_CLASS` maps any key
-    to its class's position.  The comparisons j == k, ... are the Kronecker
-    deltas: a bool multiplies as 0 or 1.
+    to its class's position.  Each class is its cubic written out, with
+    q_m = v_m^2: 111 is v1 (3 q2 + 3 q3 - 2 q1), 112 is v2 (q2 + q3 - 4 q1),
+    123 is -5 v1 v2 v3, and the others follow by permuting the axes.  It
+    uses only +, - and * of the entries and integer constants, so it holds
+    on any commutative ring that has them, a polynomial ring among them.
     """
-    vv = dict(zip(AXES, v))
-    n = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
-    return tuple(
-        n * (vv[i] * (j == k) + vv[j] * (k == i) + vv[k] * (i == j)) - 5 * vv[i] * vv[j] * vv[k]
-        for i, j, k in _H_CLASSES
+    v1, v2, v3 = v
+    q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
+    return (
+        v1 * (3 * q2 + 3 * q3 - 2 * q1),
+        v2 * (q2 + q3 - 4 * q1),
+        v3 * (q2 + q3 - 4 * q1),
+        v1 * (q1 + q3 - 4 * q2),
+        -5 * v1 * v2 * v3,
+        v1 * (q1 + q2 - 4 * q3),
+        v2 * (3 * q1 + 3 * q3 - 2 * q2),
+        v3 * (q1 + q3 - 4 * q2),
+        v2 * (q1 + q2 - 4 * q3),
+        v3 * (3 * q1 + 3 * q2 - 2 * q3),
     )
 
 
@@ -374,24 +431,28 @@ def hijk_gradient(v: Sequence) -> tuple:
         - 5 (d_jm v_k v_l + v_j d_km v_l + v_j v_k d_lm),
     held for the 30 entries with j <= k <= l, the classes of the
     permutations of (j, k, l), each class of h followed by m = 1, 2, 3;
-    `_DH_CLASS` maps any key (j, k, l, m) to its entry's position.  The
-    Kronecker deltas are comparisons, as in `hijk_from_v`.
+    `_DH_CLASS` maps any key (j, k, l, m) to its entry's position.  Each
+    entry is the derivative of its class's cubic in `hijk_from_v`, a
+    quadratic written out with q_m = v_m^2 and p_ab = v_a v_b: 111 gives
+    (3 q2 + 3 q3 - 6 q1, 6 p12, 6 p13), 112 gives
+    (-8 p12, 3 q2 + q3 - 4 q1, 2 p23) and 123 gives (-5 p23, -5 p13, -5 p12).
+    Like `hijk_from_v` it uses only +, - and *.
     """
-    vv = dict(zip(AXES, v))
-    n = vv[1] * vv[1] + vv[2] * vv[2] + vv[3] * vv[3]
-    out = []
-    for j, k, l in _H_CLASSES:
-        vj, vk, vl = vv[j], vv[k], vv[l]
-        d_kl, d_lj, d_jk = k == l, l == j, j == k
-        linear = vj * d_kl + vk * d_lj + vl * d_jk
-        for m in AXES:
-            d_jm, d_km, d_lm = j == m, k == m, l == m
-            out.append(
-                2 * vv[m] * linear
-                + n * (d_jm * d_kl + d_km * d_lj + d_lm * d_jk)
-                - 5 * (d_jm * vk * vl + vj * d_km * vl + vj * vk * d_lm)
-            )
-    return tuple(out)
+    v1, v2, v3 = v
+    q1, q2, q3 = v1 * v1, v2 * v2, v3 * v3
+    p12, p13, p23 = v1 * v2, v1 * v3, v2 * v3
+    return (
+        3 * q2 + 3 * q3 - 6 * q1, 6 * p12, 6 * p13,
+        -8 * p12, 3 * q2 + q3 - 4 * q1, 2 * p23,
+        -8 * p13, 2 * p23, q2 + 3 * q3 - 4 * q1,
+        3 * q1 + q3 - 4 * q2, -8 * p12, 2 * p13,
+        -5 * p23, -5 * p13, -5 * p12,
+        3 * q1 + q2 - 4 * q3, 2 * p12, -8 * p13,
+        6 * p12, 3 * q1 + 3 * q3 - 6 * q2, 6 * p23,
+        2 * p13, -8 * p23, q1 + 3 * q3 - 4 * q2,
+        2 * p12, q1 + 3 * q2 - 4 * q3, -8 * p23,
+        6 * p13, 6 * p23, 3 * q1 + 3 * q2 - 6 * q3,
+    )
 
 
 #: The keys of omega in the order of its table.
@@ -1083,11 +1144,11 @@ def frame_relation_check(seed: int = 0, trials: int = 120) -> CheckRecord:
         h = st._point.h
         om = st.omega_numerators
         six_q = 6 * st._angles.cotangents[0]
-        for n, (i, j, k) in enumerate(_OMEGA_KEYS):
+        for pos, (i, j, k) in enumerate(_OMEGA_KEYS):
             if j == k:
                 continue
             c, s, _ = st._angles.diffs[(j, k)]
-            if six_q * h[_H_CLASS[(i, j, k)]] * c + om[n] * s:
+            if six_q * h[_H_CLASS[(i, j, k)]] * c + om[pos] * s:
                 failures.append({"state": st.describe(), "index": (i, j, k)})
     return CheckRecord(
         check_id="frame-relation",

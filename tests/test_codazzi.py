@@ -1,5 +1,6 @@
 """Tests for the exact Codazzi verification: tables, solver, case checks."""
 
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +22,6 @@ from nkverify.cli import DEFAULT_TRIALS, cmd_proof
 from nkverify.codazzi import (
     AXES,
     AXIS_NODES,
-    CANONICAL_PAIRS,
     CASE2_FREE,
     CASE2_UNKNOWNS,
     CASE3_UNKNOWNS,
@@ -50,6 +50,7 @@ from nkverify.codazzi import (
     solve_triple_system,
     system1_check,
     _case2_displays,
+    _draw_ratio,
     _DH_CLASS,
     _H_CLASS,
     _Point,
@@ -83,6 +84,9 @@ from exact_oracle import (
     subst,
     v_of,
 )
+
+#: The pairs (a, b) of axes with a < b.
+CANONICAL_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 small_fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -211,6 +215,52 @@ def test_h_gradient_by_richardson_differences() -> None:
 
 
 ZERO_PATTERNS = [(), (1,), (2,), (2, 3), (1, 2, 3)]
+
+
+class _Ring:
+    """An integer that adds, subtracts and multiplies with its own kind and
+    with ints, and does nothing else: a bool operand raises, as it would on
+    a polynomial ring whose constants are ints."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    @staticmethod
+    def _value(x) -> int:
+        if type(x) is _Ring:
+            return x.n
+        if type(x) is int:
+            return x
+        raise TypeError(f"a ring element takes no {type(x).__name__} operand")
+
+    def __add__(self, x):
+        return _Ring(self.n + self._value(x))
+
+    def __sub__(self, x):
+        return _Ring(self.n - self._value(x))
+
+    def __rsub__(self, x):
+        return _Ring(self._value(x) - self.n)
+
+    def __mul__(self, x):
+        return _Ring(self.n * self._value(x))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+@pytest.mark.parametrize("zero", ZERO_PATTERNS)
+def test_h_and_dh_use_only_ring_operations(zero) -> None:
+    # the tables are +, - and * of w and integer constants, so they run on a
+    # polynomial ring such as Z[v, k, s], and there equal their int values
+    rng = random.Random(90 + len(zero))
+    for _ in range(20):
+        w = random_frame_state(rng, require_ec=False, zero=zero)._w
+        for table in (hijk_from_v, hijk_gradient):
+            got = table([_Ring(x) for x in w])
+            assert all(type(x) is _Ring for x in got)
+            assert [x.n for x in got] == list(table(w))
 
 
 def _assert_same(got, want) -> None:
@@ -473,6 +523,17 @@ def test_integer_draw_matches_the_fraction_draw(zero) -> None:
             assert (st_._w, st_._D) == (ref._w, ref._D)
             assert st_._angles.cotangents == ref._angles.cotangents
             assert st_._angles.thirds == ref._angles.thirds
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2026])
+def test_draw_ratio_is_the_randint_stream(seed) -> None:
+    # every golden digest rests on this stream: pair for pair the draw is
+    # (randint(-9, 9), randint(1, 9)), and it leaves the generator where
+    # the two randint calls leave it
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(10_000):
+        assert _draw_ratio(rng) == (ref.randint(-9, 9), ref.randint(1, 9))
+    assert rng.getstate() == ref.getstate()
 
 
 def test_angle_tables_match_fraction_arithmetic() -> None:
@@ -1366,6 +1427,35 @@ def test_axis_case_builds_its_node_tables_once_per_call(monkeypatch) -> None:
     assert counts == {"hijk_gradient": 5, "hijk_from_v": 5}
     assert case1_check(seed=22, trials=3).passed
     assert counts == {"hijk_gradient": 10, "hijk_from_v": 10}
+
+
+def test_axis_case_builds_its_angle_tables_once_per_state(monkeypatch) -> None:
+    # a trial's five nodes read its angles through FrameState.at: the
+    # cotangents, the angle terms and the scales at the nodes' D = 1 are
+    # built once per drawn state, when first read, and shared by the nodes
+    angles = random_frame_state(random.Random(5), require_ec=False)._angles
+    assert not {"cotangents", "thirds"} & set(vars(angles))
+    built: dict = {"cotangents": [], "thirds": [], "_Scales": 0}
+    for name in ("cotangents", "thirds"):
+        real = codazzi._Angles.__dict__[name].func
+
+        @functools.wraps(real)
+        def counted(self, _real=real, _name=name):
+            built[_name].append(self)
+            return _real(self)
+
+        monkeypatch.setattr(codazzi._Angles, name, codazzi._lazy(counted))
+
+    def scales(*args, _real=codazzi._Scales):
+        built["_Scales"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(codazzi, "_Scales", scales)
+    for trials, total in ((20, 20), (3, 23)):
+        assert case1_check(seed=22, trials=trials).passed
+        for name in ("cotangents", "thirds"):
+            assert len(built[name]) == len({id(a) for a in built[name]}) == total
+        assert built["_Scales"] == total
 
 
 def test_case1_forces_v1_zero() -> None:
