@@ -3,7 +3,8 @@
 
 Produces structure, lagrangian, proof and fit reports under --out (default
 reports/), prints each text summary, and exits with the worst status seen:
-0 all passed, 1 a verification failed, 2 bad arguments (a count below 1).
+0 all passed, 1 a verification failed, 2 bad arguments (a count below 1 or a
+seed below 0).
 Each suite's header line gives its wall time.  With --timings the JSON
 reports keep each check's elapsed_ms; without it they are byte-identical for
 a fixed seed.
@@ -40,9 +41,9 @@ def run(argv: list[str] | None = None) -> int:
         help="keep each check's elapsed_ms in the JSON reports",
     )
     args = parser.parse_args(argv)
-    for name in ("grid", "samples", "trials"):
-        if getattr(args, name) < 1:
-            parser.error(f"--{name} must be at least 1, got {getattr(args, name)}")
+    for name, least in (("seed", 0), ("grid", 1), ("samples", 1), ("trials", 1)):
+        if getattr(args, name) < least:
+            parser.error(f"--{name} must be at least {least}, got {getattr(args, name)}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

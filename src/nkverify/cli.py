@@ -47,7 +47,7 @@ from .lagrangian import (
 )
 from .nkgeom import G, J, P, g, g_ambient, norm, random_samples
 from .quat import ImaginaryQuaternion, exp_im
-from .report import CheckRecord, VerificationReport, within, worst_residual
+from .report import CheckRecord, VerificationReport, residual_record
 
 #: Parameter points at which adapted frames of the built-ins are probed.
 FRAME_SAMPLE_POINTS = (
@@ -74,11 +74,12 @@ def default_seed() -> int:
         raise ValueError(f"NKVERIFY_SEED must be an integer, got {raw!r}") from None
 
 
-def _require_count(name: str, value: int) -> None:
-    """Reject a sample, grid or trial count that would leave checks with
-    nothing to check."""
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+def _require_at_least(name: str, value: int, least: int = 1) -> None:
+    """Reject a sample, grid or trial count below 1, which would leave checks
+    with nothing to check, or a seed below 0: random.Random seeds with the
+    seed's absolute value, so -s would replay the streams of s."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _require_tol(tol: float | None) -> None:
@@ -100,20 +101,6 @@ def _stamp(records: Sequence[CheckRecord], start: float) -> list[CheckRecord]:
 
 # ---------------------------------------------------------------------------
 # structure
-
-
-def _structure_record(
-    check_id: str, worst: float, bound: float, samples: int, details: dict
-) -> CheckRecord:
-    """The record of a structure check, passed by `report.within`."""
-    return CheckRecord(
-        check_id=check_id,
-        passed=within(worst, bound),
-        samples=samples,
-        tolerance=bound,
-        max_residual=worst,
-        details=details,
-    )
 
 
 def structure_algebra_records(
@@ -138,13 +125,7 @@ def structure_algebra_records(
         "metric-forms-agree": np.abs(g(X, Y) - g_ambient(pq, X, Y)),
     }
     return [
-        _structure_record(
-            name,
-            worst_residual(residuals[name]),
-            default_tol if tol is None else tol,
-            samples,
-            {"seed": seed},
-        )
+        residual_record(name, residuals[name], default_tol if tol is None else tol, {"seed": seed})
         for name, default_tol in algebra.items()
     ]
 
@@ -157,7 +138,7 @@ def structure_g_records(
     g_tol = 1e-5 if tol is None else tol
     _, X, Y = random_samples(rng, g_samples)  # G is left-invariant: no base point
     return [
-        _structure_record(name, worst_residual(values), g_tol, g_samples, {"seed": seed})
+        residual_record(name, values, g_tol, {"seed": seed})
         for name, values in (
             ("g-vanishing-diagonal", norm(G(X, X))),
             ("g-antisymmetry", norm(G(X, Y) + G(Y, X))),
@@ -183,13 +164,7 @@ def structure_frame_record(seed: int, tol: float | None = None) -> CheckRecord:
     except ValueError as exc:
         details["error"] = str(exc)
         return CheckRecord("frame-g-form", passed=False, tolerance=frame_tol, details=details)
-    return _structure_record(
-        "frame-g-form",
-        worst_residual(residuals),
-        frame_tol,
-        len(residuals),
-        details,
-    )
+    return residual_record("frame-g-form", residuals, frame_tol, details)
 
 
 def cmd_structure(
@@ -197,7 +172,8 @@ def cmd_structure(
 ) -> VerificationReport:
     """Pointwise invariants of J, P and g, the skewness of G, and the
     canonical frame form of G on adapted Lagrangian frames."""
-    _require_count("samples", samples)
+    _require_at_least("samples", samples)
+    _require_at_least("seed", seed, 0)
     _require_tol(tol)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
@@ -280,12 +256,18 @@ def _manifest_entry(entry) -> Immersion:
 
 def load_manifest(path: str) -> list[Immersion]:
     """Immersions from a JSON manifest: a single entry or a list of entries,
-    each naming a built-in example or a rotation-graph composition."""
+    each naming a built-in example or a rotation-graph composition, no two
+    with the same label, since a report tells immersions apart by label."""
     payload = json.loads(Path(path).read_text())
     entries = payload if isinstance(payload, list) else [payload]
     if not entries:
         raise ValueError("manifest: no entries")
-    return [_manifest_entry(e) for e in entries]
+    imms = [_manifest_entry(e) for e in entries]
+    labels = [imm.label for imm in imms]
+    for pos, label in enumerate(labels):
+        if label in labels[:pos]:
+            raise ValueError(f"manifest: two entries are labelled {label!r}")
+    return imms
 
 
 def cmd_lagrangian(
@@ -302,11 +284,12 @@ def cmd_lagrangian(
     immersion's records from its share.  The suite records of all
     immersions share one --timings total, that of the pass and the reads.
     Where an immersion passes the Lagrangian test, the `theorem-shadow`
-    record is `humfit.theorem_shadow` of the suite's cubic forms, bounded by
-    tol or HARNESS_TOL; where it fails, that record is skipped.  Three
+    record is `humfit.theorem_shadow` of the cubic forms of its share,
+    bounded by tol or HARNESS_TOL; where it fails, that record is skipped.  Three
     `umbilical-rigidity` records follow, seeded seed + n for n = 2, 3, 4.
     """
-    _require_count("grid", grid)
+    _require_at_least("grid", grid)
+    _require_at_least("seed", seed, 0)
     _require_tol(tol)
     if example is not None:
         imms = [example_by_label(example)]
@@ -316,15 +299,15 @@ def cmd_lagrangian(
         imms = [example_by_label(label) for label in LAGRANGIAN_LABELS]
     shadow_tol = HARNESS_TOL if tol is None else tol
     start = time.perf_counter()
+    shares = suite_pass(imms, grid, tol)
     suites = [
-        lagrangian_suite(imm, grid=grid, tol=tol, rows=rows)
-        for imm, rows in zip(imms, suite_pass(imms, grid, tol))
+        lagrangian_suite(imm, grid=grid, tol=tol, rows=rows) for imm, rows in zip(imms, shares)
     ]
     _stamp([rec for suite in suites for rec in suite], start)
     records = []
-    for imm, suite in zip(imms, suites):
+    for imm, rows, suite in zip(imms, shares, suites):
         records.extend(suite)
-        if suite.cubic is None:
+        if rows.c is None:
             records.append(
                 CheckRecord(
                     check_id=f"theorem-shadow[{imm.label}]",
@@ -335,7 +318,7 @@ def cmd_lagrangian(
             )
             continue
         start = time.perf_counter()
-        records.extend(_stamp([theorem_shadow(imm.label, *suite.cubic, shadow_tol)], start))
+        records.extend(_stamp([theorem_shadow(imm.label, rows.points, rows.c, shadow_tol)], start))
     for n in (2, 3, 4):
         start = time.perf_counter()
         rec = umbilical_lemma_check(n, trials=100, seed=seed + n)
@@ -359,7 +342,8 @@ def cmd_proof(trials: int = DEFAULT_TRIALS, seed: int = 0, mode: str = "all") ->
     and differ only in the report's meta; the command line has no mode."""
     if mode not in ("exact", "all"):
         raise ValueError(f"unknown mode {mode!r}")
-    _require_count("trials", trials)
+    _require_at_least("trials", trials)
+    _require_at_least("seed", seed, 0)
     checks = (
         frame_relation_check,
         system1_check,

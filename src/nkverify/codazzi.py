@@ -97,7 +97,7 @@ from math import gcd, lcm, nan
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import divide_exactly, poly_identity_check
-from .report import CheckRecord
+from .report import CheckRecord, failure_record
 
 AXES = (1, 2, 3)
 
@@ -1150,12 +1150,8 @@ def frame_relation_check(seed: int = 0, trials: int = 120) -> CheckRecord:
             c, s, _ = st._angles.diffs[(j, k)]
             if six_q * h[_H_CLASS[(i, j, k)]] * c + om[pos] * s:
                 failures.append({"state": st.describe(), "index": (i, j, k)})
-    return CheckRecord(
-        check_id="frame-relation",
-        passed=not failures,
-        samples=trials,
-        details={"identities_per_state": 18},
-        failures=failures[:5],
+    return failure_record(
+        "frame-relation", failures, trials, details={"identities_per_state": 18}
     )
 
 
@@ -1287,13 +1283,7 @@ def system1_check(seed: int = 0, trials: int = 100) -> CheckRecord:
         "solutions_depending_on_D11": d11_dependent,
         "designated_rank": 5,
     }
-    return CheckRecord(
-        check_id="derivative-comparison",
-        passed=not failures,
-        samples=trials,
-        details=details,
-        failures=failures[:5],
-    )
+    return failure_record("derivative-comparison", failures, trials, details=details)
 
 
 #: The v1 values of the axis case: four fix a cubic, the fifth probes it.
@@ -1346,13 +1336,10 @@ def case1_check(seed: int = 0, trials: int = 60) -> CheckRecord:
         for reason, extra in _axis_case(st0, nodes):
             failures.append({"angles": {k: _circle(st0._angles.theta[k]) for k in (1, 2)},
                              "reason": reason, "extra": extra})
-    return CheckRecord(
-        check_id="axis-case",
-        passed=not failures,
-        samples=trials,
+    return failure_record(
+        "axis-case", failures, trials,
         details={"constraint": "(-1/sqrt(3)) v1^3 = 0",
                  "nodes": [str(x) for x in AXIS_NODES]},
-        failures=failures[:5],
     )
 
 
@@ -1459,13 +1446,10 @@ def case2_check(seed: int = 0, trials: int = 60) -> CheckRecord:
         st = random_frame_state(rng, require_ec=True, zero=(1,), nonzero=(2, 3))
         for reason, extra in _null_axis_case(st):
             failures.append({"state": st.describe(), "reason": reason, "extra": extra})
-    return CheckRecord(
-        check_id="null-axis-case",
-        passed=not failures,
-        samples=trials,
+    return failure_record(
+        "null-axis-case", failures, trials,
         details={"clearing_factor": "2 / (sqrt(3) (3 v2^2 + v3^2))",
                  "second_row_scale": "-1/2"},
-        failures=failures[:5],
     )
 
 
@@ -1554,11 +1538,8 @@ def case3_check(seed: int = 0, trials: int = 60) -> CheckRecord:
         checked += not failed
     if not checked:
         failures.append({"reason": "no state was checked"})
-    return CheckRecord(
-        check_id="constrained-angle-case",
-        passed=not failures,
-        samples=trials,
-        skipped=skipped,
+    return failure_record(
+        "constrained-angle-case", failures, trials, skipped=skipped,
         details={
             "closed_forms": {
                 "D23": "v1 (6 v1^4 + 5 v1^2 v3^2 + 4 v3^4) / (3 sqrt(3) B)",
@@ -1569,7 +1550,6 @@ def case3_check(seed: int = 0, trials: int = 60) -> CheckRecord:
             "forces": "v3 = 0",
             "angle_constraint": "F2 = 0 at v2 = 0; not needed",
         },
-        failures=failures[:5],
     )
 
 
@@ -1620,13 +1600,9 @@ def det_factorization_check(seed: int = 0, trials: int = 120) -> CheckRecord:
     )
     if not parity_ok:
         failures.append({"reason": "angle parity argument failed"})
-    return CheckRecord(
-        check_id="determinant-factorization",
-        passed=not failures,
-        samples=trials,
-        skipped=skipped,
+    return failure_record(
+        "determinant-factorization", failures, trials, skipped=skipped,
         details={"sign_convention": "det = b1 b4 - b2 b3 = -(matrix determinant)",
                  "nonvanishing_given_constraint": skipped < trials and not vanished,
                  "angle_parity": parity_ok},
-        failures=failures[:5],
     )

@@ -275,7 +275,7 @@ def theorem_harness(imm: Immersion, grid: int = 5, tol: float = HARNESS_TOL) -> 
     its own: one is_lagrangian precheck (at SUITE_TOLS["lagrangian"]) and
     one second_fundamental_form call cover the grid, three map evaluations
     in all, and `theorem_shadow` reads the cubic forms.  `cli.cmd_lagrangian`
-    runs `theorem_shadow` on the cubic forms of `lagrangian_suite` instead.
+    runs `theorem_shadow` on the cubic forms of a `suite_pass` share instead.
     """
     points = imm.domain.grid(grid)
     require_lagrangian(imm.label, points, is_lagrangian(imm, points), SUITE_TOLS["lagrangian"])

@@ -86,8 +86,8 @@ def _grad_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
 #: rows beside it; in calls of 2 to this many rows, on pair-major memory,
 #: each row gets what it gets alone.  One row is padded to two: a one-row
 #: product would run a matrix-vector kernel.  The blocks also bound the
-#: gathered products held at once, so the product's temporaries do not grow
-#: with its rows.
+#: gathered products held at once, so those temporaries do not grow with the
+#: product's rows.
 _BLOCK = 256
 
 
@@ -107,7 +107,8 @@ def _product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """The truncated product of coefficient arrays, broadcast over their
     leading axes.  Each row of the result is the same, bit for bit, however
     many rows share the call: more rows than one BLAS call takes are
-    multiplied and summed in blocks along the first leading axis."""
+    broadcast, flattened, and multiplied and summed a block of rows at a
+    time."""
     if order <= 1:  # (a_0 + a' t)(b_0 + b' t) = a_0 b_0 + (a_0 b' + a' b_0) t
         out = a[..., :1] * b
         out[..., 1:] += a[..., 1:] * b[..., :1]
@@ -119,24 +120,13 @@ def _product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     rows = math.prod(lead)
     if rows <= _BLOCK:
         return _summed(a[..., left] * b[..., right], scatter)
-    out = np.empty(lead + scatter.shape[1:])
-    inner = rows // lead[0]
-    if inner > _BLOCK:  # each leading index is more than one call
-        a, b = np.broadcast_to(a, lead + a.shape[-1:]), np.broadcast_to(b, lead + b.shape[-1:])
-        for i in range(lead[0]):
-            out[i] = _product(a[i], b[i], order)
-        return out
-    # the factors gathered once, on all leading axes of the result; their
-    # products formed and summed a block of leading indices at a time
-    ga, gb = a[..., left], b[..., right]
-    ga = ga.reshape((1,) * (len(lead) + 1 - ga.ndim) + ga.shape)
-    gb = gb.reshape((1,) * (len(lead) + 1 - gb.ndim) + gb.shape)
-    step = _BLOCK // inner
-    for i in range(0, lead[0], step):
-        block = slice(i, i + step)
-        pairs = (ga[block] if len(ga) > 1 else ga) * (gb[block] if len(gb) > 1 else gb)
-        out[block] = _summed(pairs, scatter)
-    return out
+    a = np.broadcast_to(a, lead + a.shape[-1:]).reshape(rows, -1)
+    b = np.broadcast_to(b, lead + b.shape[-1:]).reshape(rows, -1)
+    out = np.empty((rows, scatter.shape[1]))
+    for i in range(0, rows, _BLOCK):
+        block = slice(i, i + _BLOCK)
+        out[block] = _summed(a[block, left] * b[block, right], scatter)
+    return out.reshape(lead + scatter.shape[1:])
 
 
 def _axis(axis: int) -> int:

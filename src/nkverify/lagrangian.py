@@ -21,10 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .codazzi import epsilon
 from .jet import Jet, size, stack
 from .nkgeom import CONNECTION, G_ARRAY, J, P, PointS3S3, g, norm
 from .quat import ImaginaryQuaternion, Quaternion, exp_im
-from .report import CheckRecord, within, worst_residual
+from .report import CheckRecord, residual_record, within, worst_residual
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -49,11 +50,8 @@ SUITE_TOLS = {
 #: Parameter points, one per row: an (n, 3) array or a list of 3-vectors.
 Rows = Sequence[Sequence[float]]
 
-EPSILON = np.zeros((3, 3, 3))
-for _even in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    EPSILON[_even] = 1.0
-for _odd in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-    EPSILON[_odd] = -1.0
+#: The Levi-Civita symbol EPSILON[i, j, k] on indices 0, 1, 2.
+EPSILON = np.fromfunction(epsilon, (3, 3, 3), dtype=int).astype(float)
 
 
 @dataclass(frozen=True)
@@ -677,15 +675,6 @@ def example_by_label(label: str) -> Immersion:
 # grid suite
 
 
-class SuiteRecords(list):
-    """The records of `lagrangian_suite`, with `cubic`: the grid points
-    (n, 3) and the cubic forms c (n, 3, 3, 3) of its order-3 package, or
-    None when the immersion failed the Lagrangian test.  A caller reads h
-    there without evaluating the map again."""
-
-    cubic: tuple[np.ndarray, np.ndarray] | None = None
-
-
 @dataclass
 class SuiteRows:
     """One immersion's share of a `suite_pass`: its grid points (n, 3) and
@@ -697,7 +686,9 @@ class SuiteRows:
     `frame_relation`, `dtheta` and `dtheta_max_abs` (0.0 at degenerate
     points) and the `degenerate` flags.  Where the frame pass refused the
     immersion, the table holds no frame entries and frame_error holds the
-    message of the ValueError."""
+    message of the ValueError.  A caller reads the cubic forms here, as the
+    theorem shadow of `cli.cmd_lagrangian` does, without evaluating the map
+    again."""
 
     points: np.ndarray
     lagrangian_residual: np.ndarray
@@ -710,17 +701,6 @@ class SuiteRows:
 _FRAME_ENTRIES = ("orientation", "frame_relation", "dtheta", "dtheta_max_abs", "degenerate")
 
 
-def _frame_residuals(pkg: _Package) -> tuple[dict[str, np.ndarray], str | None]:
-    """The frame entries of the residual table at every point of the
-    package, or none and the message of the ValueError that refused them."""
-    try:
-        frames = _adapted_frames(pkg)
-    except ValueError as exc:  # from angle_functions: the frame checks fail
-        return {}, str(exc)
-    table = {name: frames[name] for name in _FRAME_ENTRIES}
-    return {"angle-sum": angle_sum_defect(frames["thetas"]), **table}, None
-
-
 def suite_pass(imms: Sequence[Immersion], grid: int, tol: float | None = None) -> list[SuiteRows]:
     """What `lagrangian_suite` reads, for several immersions in one pass:
     one share per immersion, for its grid x grid x grid parameter sweep.
@@ -730,7 +710,8 @@ def suite_pass(imms: Sequence[Immersion], grid: int, tol: float | None = None) -
     pass the Lagrangian test (bounded by tol, else its SUITE_TOLS entry), one
     adapted-frame pass (one `angle_functions` call) and one evaluation of
     each per-point residual follow, into one residual table whose rows each
-    share takes.  Each immersion gets, bit for bit, what it gets alone.
+    share takes; each share's angle-sum defects are read from its own rows
+    of the pass.  Each immersion gets, bit for bit, what it gets alone.
     Where the frame pass raises, those immersions get one pass each, so
     each fails or passes its frame checks as it does alone.
     """
@@ -755,37 +736,43 @@ def suite_pass(imms: Sequence[Immersion], grid: int, tol: float | None = None) -
         "ab-structure": _ab_structure(sub),
         "codazzi-residual": _codazzi(sub),
     }
+    try:
+        frames = _adapted_frames(sub)
+    except ValueError:  # from angle_functions: each immersion gets a pass alone
+        frames = None
     parts = _slices([len(share.points) for share in passing])
-    frames, error = _frame_residuals(sub)
-    framed = [(_rows(frames, part), None) for part in parts] if error is None else [
-        _frame_residuals(sub.take(part)) for part in parts
-    ]
-    for share, part, (share_frames, share_error) in zip(passing, parts, framed):
-        share.c, share.frame_error = c[part], share_error
-        share.residuals = {**_rows(residuals, part), **share_frames}
+    for share, part in zip(passing, parts):
+        share.c, share.residuals = c[part], _rows(residuals, part)
+        try:
+            own = _rows(frames, part) if frames is not None else _adapted_frames(sub.take(part))
+        except ValueError as exc:  # the frame checks of this immersion fail
+            share.frame_error = str(exc)
+            continue
+        share.residuals["angle-sum"] = angle_sum_defect(own["thetas"])
+        share.residuals.update({name: own[name] for name in _FRAME_ENTRIES})
     return shares
 
 
 def lagrangian_suite(
     imm: Immersion, grid: int = 5, tol: float | None = None, rows: SuiteRows | None = None
-) -> SuiteRecords:
+) -> list[CheckRecord]:
     """All per-immersion checks over a grid x grid x grid parameter sweep.
 
     The checks read the immersion's share of a `suite_pass`: rows, when a
     pass over several immersions with this grid and tol handed it on (as
     `cli.cmd_lagrangian` does), else a pass of this immersion alone.  Either
     way one order-3 frame package, from one jet evaluation of the map, and
-    one adapted-frame pass feed every check, and each check reduces one
-    array of the share's residual table with `report.worst_residual`.  Each
-    check is bounded by its SUITE_TOLS entry, or by tol when given, and
-    passes by `report.within`.  If the Lagrangian test fails anywhere, the
-    downstream checks are reported as skipped rather than evaluated on
-    meaningless data.  Where some point is non-degenerate, the angle check
-    also gates on the eigenframe relation and dtheta residuals, reports their
-    worst values and the largest |E_i(theta_j)|.  Where an adapted frame
-    cannot be built (`angle_functions` raises ValueError), the angle-sum and
-    orientation records fail with the message in their details.  The grid's
-    cubic forms are handed on as the result's `cubic`.  The records carry no
+    one adapted-frame pass feed every check, and each check's record is the
+    `report.residual_record` of one array of the share's residual table,
+    bounded by its SUITE_TOLS entry, or by tol when given.  If the Lagrangian
+    test fails anywhere, the downstream checks are reported as skipped
+    rather than evaluated on meaningless data.  Where some point is
+    non-degenerate, the angle check also gates on the eigenframe relation
+    and dtheta residuals, reports their worst values and the largest
+    |E_i(theta_j)|.  Where an adapted frame cannot be built
+    (`angle_functions` raises ValueError), the angle-sum and orientation
+    records fail with the message in their details.  A caller that reads
+    the grid's cubic forms reads them from the share.  The records carry no
     time of their own: `cli.cmd_lagrangian` stamps the records of every
     immersion of one pass with that pass's --timings total.
     """
@@ -794,18 +781,9 @@ def lagrangian_suite(
         [rows] = suite_pass([imm], grid, tol)
     samples = len(rows.points)
     tag = imm.label
-    lag_worst = worst_residual(rows.lagrangian_residual)
-    records = SuiteRecords(
-        [
-            CheckRecord(
-                check_id=f"lagrangian[{tag}]",
-                passed=within(lag_worst, bounds["lagrangian"]),
-                samples=samples,
-                tolerance=bounds["lagrangian"],
-                max_residual=lag_worst,
-            )
-        ]
-    )
+    records = [
+        residual_record(f"lagrangian[{tag}]", rows.lagrangian_residual, bounds["lagrangian"])
+    ]
     downstream = [name for name in SUITE_TOLS if name != "lagrangian"]
     if not records[0].passed:
         for name in downstream:
@@ -820,7 +798,6 @@ def lagrangian_suite(
             )
         return records
 
-    records.cubic = (rows.points, rows.c)
     table = rows.residuals
     for name in downstream:
         bound = bounds[name]
@@ -830,28 +807,19 @@ def lagrangian_suite(
                 details={"error": rows.frame_error},
             ))
             continue
-        worst = worst_residual(table[name])
-        passed = within(worst, bound)
-        details = {}
+        record = residual_record(f"{name}[{tag}]", table[name], bound)
         if name == "angle-sum":
             degenerate_points = int(np.count_nonzero(table["degenerate"]))
-            details = {"degenerate_points": degenerate_points, "grid_points": samples}
+            record.details = {"degenerate_points": degenerate_points, "grid_points": samples}
             if degenerate_points < samples:
                 # the eigenframe residuals gate the angle check where they exist
                 eigen = {
                     "frame_relation_worst": worst_residual(table["frame_relation"]),
                     "dtheta_worst": worst_residual(table["dtheta"]),
                 }
-                details.update(eigen, dtheta_max_abs=worst_residual(table["dtheta_max_abs"]))
-                passed = passed and all(within(v, bound) for v in eigen.values())
-        records.append(
-            CheckRecord(
-                check_id=f"{name}[{tag}]",
-                passed=passed,
-                samples=samples,
-                tolerance=bound,
-                max_residual=worst,
-                details=details,
-            )
-        )
+                record.details.update(
+                    eigen, dtheta_max_abs=worst_residual(table["dtheta_max_abs"])
+                )
+                record.passed = record.passed and all(within(v, bound) for v in eigen.values())
+        records.append(record)
     return records

@@ -131,8 +131,8 @@ class TangentVector:
         return TangentVector(self.base, self.alpha.scaled(t), self.beta.scaled(t))
 
 
-def _left_invariant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(BRACKET, METRIC, J_MATRIX, CONNECTION) in the left-invariant basis
+def _left_invariant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(BRACKET, METRIC, CONNECTION) in the left-invariant basis
     e_0..e_5 = (p*i, 0), (p*j, 0), (p*k, 0), (0, q*i), (0, q*j), (0, q*k).
 
     BRACKET[c, a, b] is the c-component of [e_a, e_b]; CONNECTION[d, a, b] is
@@ -145,7 +145,6 @@ def _left_invariant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     metric = np.block(
         [[4.0 / 3.0 * eye, -2.0 / 3.0 * eye], [-2.0 / 3.0 * eye, 4.0 / 3.0 * eye]]
     )
-    j_matrix = np.block([[-eye, 2.0 * eye], [-2.0 * eye, eye]]) / _SQRT3
     bracket = np.zeros((6, 6, 6))
     for off in (0, 3):
         for a in range(3):
@@ -154,10 +153,14 @@ def _left_invariant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     lowered = np.einsum("cd,dab->cab", metric, bracket)  # g([e_a, e_b], e_c)
     koszul = 0.5 * (lowered - lowered.transpose(2, 0, 1) + lowered.transpose(1, 2, 0))
     connection = np.einsum("dc,cab->dab", np.linalg.inv(metric), koszul)
-    return bracket, metric, j_matrix, connection
+    return bracket, metric, connection
 
 
-BRACKET, METRIC, J_MATRIX, CONNECTION = _left_invariant_tables()
+BRACKET, METRIC, CONNECTION = _left_invariant_tables()
+#: sqrt(3) J^T, an integer matrix: X @ _J_INTEGER is (2b - a, b - 2a).
+_J_INTEGER = np.kron([[-1, -2], [2, 1]], np.eye(3))
+#: J_MATRIX[c, a] is the c-component of J e_a.
+J_MATRIX = _J_INTEGER.T / _SQRT3
 #: G_ARRAY[d, a, b] is the d-component of
 #: G(e_a, e_b) = Gamma(e_a, J e_b) - J Gamma(e_a, e_b).
 G_ARRAY = np.einsum("dac,cb->dab", CONNECTION, J_MATRIX) - np.einsum(
@@ -170,8 +173,6 @@ G_ARRAY = np.einsum("dac,cb->dab", CONNECTION, J_MATRIX) - np.einsum(
 # base points given as (..., 2, 4) arrays of (p, q)
 
 _P_MATRIX = np.roll(np.eye(6), 3, axis=0)
-#: sqrt(3) J^T, an integer matrix: X @ _J_INTEGER is (2b - a, b - 2a).
-_J_INTEGER = np.rint(_SQRT3 * J_MATRIX.T)
 
 
 def g(X, Y):

@@ -1,6 +1,8 @@
 """Check records and deterministic report serialization.
 
 Every verification routine in the package returns one or more CheckRecords.
+A bounded check builds its record here, as a residual record (the worst of
+a residual array against a bound) or a failure record (a list of failures).
 Reports serialize to canonical JSON: keys sorted, records ordered by check id,
 exact scalars rendered as fraction strings.  Timing data is carried in memory
 but serialized as null unless explicitly requested, so that two runs with the
@@ -120,6 +122,31 @@ class CheckRecord:
         return bits[0] + (
             " (" + ", ".join(bits[1:]) + ")" if len(bits) > 1 else ""
         )
+
+
+def residual_record(
+    check_id: str, residuals, bound: float, details: dict | None = None
+) -> CheckRecord:
+    """The record of a residual check: one sample per residual, the worst of
+    them (`worst_residual`) as max_residual, passed by `within` the bound."""
+    worst = worst_residual(residuals)
+    return CheckRecord(
+        check_id,
+        passed=within(worst, bound),
+        samples=np.size(residuals),
+        tolerance=bound,
+        max_residual=worst,
+        details={} if details is None else details,
+    )
+
+
+def failure_record(check_id: str, failures: list, samples: int, **fields) -> CheckRecord:
+    """The record of a check that lists its failures: it passes when there
+    is none, and keeps the first five.  fields are further CheckRecord
+    fields, such as skipped and details."""
+    return CheckRecord(
+        check_id, passed=not failures, samples=samples, failures=failures[:5], **fields
+    )
 
 
 @dataclass

@@ -446,6 +446,13 @@ def test_main_bad_count_or_tolerance_exits_two(argv, capsys) -> None:
     assert capsys.readouterr().err.startswith("nkverify: error:")
 
 
+def test_negative_seed_is_refused_by_every_seeded_command() -> None:
+    # random.Random seeds with |seed|, so -7 would replay seed 7's streams
+    for command in (cmd_structure, cmd_lagrangian, cmd_proof):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -7"):
+            command(seed=-7)
+
+
 def test_main_lagrangian_tol_above_the_precondition_reports_at_that_bound(
     tmp_path, capsys
 ) -> None:
@@ -521,6 +528,17 @@ def test_main_malformed_fit_json_exits_two(tmp_path, capsys) -> None:
         ),
         ("lagrangian", {"graph": {}, "box": [-40, 40]}, [], {}, "too large to sum"),
         ("proof", None, ["--trials", "1"], {"NKVERIFY_SEED": "abc"}, "must be an integer"),
+        ("structure", None, ["--seed", "-1"], {}, "seed must be at least 0, got -1"),
+        ("lagrangian", {"graph": {}}, ["--seed", "-1"], {}, "seed must be at least 0, got -1"),
+        ("proof", None, ["--seed", "-1"], {}, "seed must be at least 0, got -1"),
+        ("proof", None, [], {"NKVERIFY_SEED": "-1"}, "seed must be at least 0, got -1"),
+        (
+            "lagrangian",
+            [{"graph": {}}, {"graph": {"right": {"axis": [1, 2, 3], "angle": 0.9}}}],
+            ["--grid", "1"],
+            {},
+            "two entries are labelled 'manifest-graph'",
+        ),
         (
             "fit",
             json.loads(build_h_from_V([1.0, 0.0, 0.0]).to_json()),
@@ -537,6 +555,11 @@ def test_main_malformed_fit_json_exits_two(tmp_path, capsys) -> None:
         "axis-not-a-list",
         "box-overflows-the-series",
         "seed-env-not-an-integer",
+        "structure-seed-negative",
+        "lagrangian-seed-negative",
+        "proof-seed-negative",
+        "seed-env-negative",
+        "manifest-label-repeated",
         "out-directory-missing",
     ],
 )
@@ -551,6 +574,7 @@ def test_main_malformed_input_exits_two(
         "fit": ["fit", str(path)],
         "lagrangian": ["lagrangian", "--manifest", str(path)],
         "proof": ["proof"],
+        "structure": ["structure"],
     }[command] + [arg.format(tmp=tmp_path) for arg in extra]
     assert main(argv) == 2
     err = capsys.readouterr().err

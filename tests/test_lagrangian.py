@@ -39,6 +39,7 @@ from nkverify.lagrangian import (
     p_split_residual,
     relation_h_omega_residual,
     second_fundamental_form,
+    suite_pass,
 )
 from nkverify.nkgeom import PointS3S3, TangentVector, g, norm
 from nkverify.quat import ImaginaryQuaternion, Quaternion, dexp_im, exp_im
@@ -438,10 +439,12 @@ def test_lagrangian_suite_diagonal():
 
 
 def test_lagrangian_suite_skips_downstream_on_control():
-    records = lagrangian_suite(by_label("twisted-control"), grid=2)
+    imm = by_label("twisted-control")
+    [share] = suite_pass([imm], 2)
+    records = lagrangian_suite(imm, grid=2, rows=share)
     assert not records[0].passed
     assert records[0].max_residual > 0.1
-    assert records.cubic is None  # nothing for the theorem shadow to read
+    assert share.c is None  # nothing for the theorem shadow to read
     for rec in records[1:]:
         assert rec.status == "skip"
         assert rec.passed
@@ -488,14 +491,15 @@ CONJUGATION_RECORDS = {
 
 def test_curved_immersion_suite_and_eigenframe_checks():
     imm = _conjugation_immersion()
-    records = lagrangian_suite(imm, grid=2)
+    [share] = suite_pass([imm], 2)
+    records = lagrangian_suite(imm, grid=2, rows=share)
     assert len(records) == 7
     assert all(r.passed and r.status is None for r in records)
     codazzi = next(r for r in records if r.check_id.startswith("codazzi-residual"))
     assert codazzi.max_residual <= 1.001 * CHART_CODAZZI_RESIDUAL
-    # the suite hands on its grid and cubic forms; the shadow of them agrees
-    # with the standalone harness's in roundoff
-    points, cs = records.cubic
+    # the suite's share holds its grid and cubic forms; the shadow of them
+    # agrees with the standalone harness's in roundoff
+    points, cs = share.points, share.c
     np.testing.assert_array_equal(points, imm.domain.grid(2))
     shadow = theorem_shadow(imm.label, points, cs, HARNESS_TOL)
     records.append(theorem_harness(imm, grid=2))

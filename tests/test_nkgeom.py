@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from nkverify import nkgeom
 from nkverify.nkgeom import (
     BRACKET,
     CONNECTION,
@@ -283,6 +284,13 @@ def test_constant_tables_match_pointwise_structure() -> None:
         assert np.array_equal(J(ea), J_MATRIX[:, a])
         for b, eb in enumerate(basis):
             assert g(ea, eb) == METRIC[a, b]
+
+
+def test_j_integer_squares_to_minus_three_exactly() -> None:
+    # J^2 = -1 with J = _J_INTEGER^T / sqrt(3): the integer table alone
+    # carries it, with no rounding
+    assert np.array_equal(nkgeom._J_INTEGER @ nkgeom._J_INTEGER, -3.0 * np.eye(6))
+    assert np.array_equal(J_MATRIX, nkgeom._J_INTEGER.T / math.sqrt(3.0))
 
 
 def test_connection_torsion_free_exact() -> None:

@@ -40,6 +40,16 @@ def test_zero_count_exits_2_before_any_suite(tmp_path, flag) -> None:
     assert not out.exists()
 
 
+def test_negative_seed_exits_2_before_any_suite(tmp_path) -> None:
+    out = tmp_path / "reports"
+    proc = _run("--seed", "-1", "--out", str(out))
+    assert proc.returncode == 2
+    assert "error: --seed must be at least 0, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def _checks(out: Path) -> dict:
     return {
         name: json.loads((out / f"{name}.json").read_text())["checks"]
