@@ -159,13 +159,10 @@ def _normalize(u: np.ndarray) -> np.ndarray:
 def _pattern_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal basis tensors of the normal form at direction u:
     T1 = u (x) u (x) u and T2 = the symmetrized u (x) (Id - u u^T)."""
-    T1 = np.einsum("a,b,c->abc", u, u, u)
+    # + 0.0 turns a -0.0 entry into 0.0, as np.einsum's sums into zeros do
+    T1 = (u[:, None] * u)[..., None] * u + 0.0
     P = np.eye(3) - np.outer(u, u)
-    T2 = (
-        np.einsum("a,bc->abc", u, P)
-        + np.einsum("b,ac->abc", u, P)
-        + np.einsum("c,ab->abc", u, P)
-    )
+    T2 = u[:, None, None] * P + u[:, None] * P[:, None] + u * P[..., None] + 0.0
     return T1, T2
 
 
@@ -211,8 +208,11 @@ def fit(h, tol: float = FIT_TOL) -> HUmbilicalFit | None:
     nrm = float(np.linalg.norm(full))
     if nrm < tol:
         return HUmbilicalFit(np.array([1.0, 0.0, 0.0]), 0.0, 0.0, nrm)
-    u = min(_candidates(full), key=lambda cand: _least_squares(full, cand)[2])
-    lam, mu, resid = _least_squares(full, u)
+    # each candidate solved once; min keeps the first of equal residuals
+    lam, mu, resid, u = min(
+        (_least_squares(full, cand) + (cand,) for cand in _candidates(full)),
+        key=lambda solved: solved[2],
+    )
     if not resid < tol:
         return None
     # (U1, lam, mu) and (-U1, -lam, -mu) describe the same tensor
@@ -238,17 +238,21 @@ def umbilical_lemma_check(n: int = 3, trials: int = 100, seed: int = 0) -> Check
     Hence a symmetric second fundamental form of this shape vanishes, which is
     the totally geodesic conclusion in the umbilical case.  The asymmetry of
     c_abc = d_ab xi_c equals the sup norm of xi, so unit vectors xi are
-    rejected with margin at least 1/sqrt(n).  The trials are drawn one at a
-    time and their cubic forms, with xi = 0 last, measured in one batch.
+    rejected with margin at least 1/sqrt(n).  The gaussians of all trials
+    are drawn in one list, trial by trial as a per-trial loop draws them, and
+    normalised with one np.vecdot, which rounds as np.linalg.norm's dot does;
+    their cubic forms, with xi = 0 last, are measured in one batch.  At least
+    one trial is required: a record on no trial would pass on nothing.
     """
     if n < 2:
         raise ValueError("the umbilical argument needs dimension at least 2")
+    if trials < 1:
+        raise ValueError(f"the umbilical check needs at least one trial, got {trials}")
     rng = random.Random(seed)
     floor = 1.0 / math.sqrt(n)
+    gauss = np.array([rng.gauss(0.0, 1.0) for _ in range(trials * n)]).reshape(trials, n)
     xis = np.zeros((trials + 1, n))  # the last row stays xi = 0
-    for t in range(trials):
-        xi = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-        xis[t] = xi / np.linalg.norm(xi)
+    xis[:trials] = gauss / np.sqrt(np.vecdot(gauss, gauss))[:, None]
     *asyms, zero_asym = symmetry_defect(umbilical_cubic(n, xis)).tolist()
     failures = [
         {"trial": t, "xi": xis[t].tolist(), "asymmetry": asym}
@@ -289,8 +293,11 @@ def theorem_shadow(label: str, points: Rows, cs: np.ndarray, tol: float) -> Chec
 
     Each point's cubic form is fed to the fitter; any point where an
     H-umbilical fit succeeds while ||h|| is not within tol (`report.within`)
-    would be a falsification candidate, and is reported as a failure.
+    would be a falsification candidate, and is reported as a failure.  At
+    least one point is required: a record on no point would pass on nothing.
     """
+    if len(points) == 0:
+        raise ValueError(f"theorem-shadow[{label}] needs at least one point, got 0")
     failures = []
     fits = 0
     max_h = 0.0

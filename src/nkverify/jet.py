@@ -108,7 +108,9 @@ def _product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     leading axes.  Each row of the result is the same, bit for bit, however
     many rows share the call: more rows than one BLAS call takes are
     broadcast, flattened, and multiplied and summed a block of rows at a
-    time."""
+    time.  So callers stack independent products on a leading axis and take
+    them in one call, as the quaternion product, the quaternion dot and the
+    metric g of two jets do."""
     if order <= 1:  # (a_0 + a' t)(b_0 + b' t) = a_0 b_0 + (a_0 b' + a' b_0) t
         out = a[..., :1] * b
         out[..., 1:] += a[..., 1:] * b[..., :1]
@@ -250,7 +252,8 @@ class Jet:
 
     def compose(self, taylor: Sequence[np.ndarray]) -> "Jet":
         """f(self) from taylor[k] = f^(k)(a_0) / k! at the constant terms a_0,
-        k = 0 .. order: Horner's rule in the part t without constant term."""
+        k = 0 .. order: Horner's rule in the part t without constant term.
+        Leading axes of taylor[k] beyond the jet's shape lead the result's."""
         t = self.c.copy()
         t[..., 0] = 0.0
         out = np.zeros(np.broadcast_shapes(self.c.shape, np.shape(taylor[0]) + (1,)))
@@ -271,23 +274,28 @@ class Jet:
             binom *= (exponent - k) / (k + 1)
         return self.compose(taylor)
 
-    def entire(self, series: Callable[[int], float]) -> "Jet":
-        """f(self) for the entire function f(x) = sum_m series(m) x^m.
+    def entire(self, *series: Callable[[int], float]) -> "Jet":
+        """f(self) for each entire function f(x) = sum_m series(m) x^m, the
+        results stacked on a new first axis.
 
         Each Taylor coefficient f^(k)(a_0) / k! is summed from the power
         series, with terms until they fall below 1e-18 at the largest |a_0|,
-        so no value of a_0 (zero included) needs its own branch.
+        so no value of a_0 (zero included) needs its own branch.  All the
+        functions are composed in one Horner pass; each result is the same,
+        bit for bit, as that function's pass alone.
         """
         a0 = self.value
         bound = max(1.0, float(np.max(np.abs(a0))))
-        rows = 1
-        try:
-            while rows < _MAX_TERMS and abs(series(rows)) * (2.0 * bound) ** rows > 1e-18:
-                rows += 1
-        except OverflowError:  # the terms outgrow a float before they fall off
-            raise ValueError(f"jet series argument {bound:g} is too large to sum") from None
-        taylor = (a0[..., None] ** np.arange(rows)) @ _taylor_matrix(series, rows, self.order)
-        return self.compose(list(np.moveaxis(taylor, -1, 0)))
+        taylors = []
+        for f in series:
+            rows = 1
+            try:
+                while rows < _MAX_TERMS and abs(f(rows)) * (2.0 * bound) ** rows > 1e-18:
+                    rows += 1
+            except OverflowError:  # the terms outgrow a float before they fall off
+                raise ValueError(f"jet series argument {bound:g} is too large to sum") from None
+            taylors.append((a0[..., None] ** np.arange(rows)) @ _taylor_matrix(f, rows, self.order))
+        return self.compose(list(np.moveaxis(np.stack(taylors), -1, 0)))
 
 
 @cache

@@ -16,10 +16,12 @@ G = nabla J is the constant array G_ARRAY.
 Each formula has one array form: g, norm, J, P, G, embed and g_ambient take
 (..., 6) component arrays (g, J and P also take jets) and act over the
 leading axes at once, G and g_ambient as stacked products that round each
-pair as its own product does; TangentVector.components() hands an object's
-components to them.  random_samples draws a base point and a tangent pair
-per sample, in that order, so a batched suite reads the same rng stream as a
-per-sample loop.
+pair as its own product does, and g of two jets of one shape as one stacked
+jet product; TangentVector.components() hands an object's components to
+them.  random_samples draws a base point and a tangent pair per sample, in
+that order, into preallocated rows, so a batched suite reads the same rng
+stream as a per-sample loop; it maps the uniforms to [-1, 1) once, after the
+loop.
 
 Charts built from the quaternion exponential, with Christoffel symbols from
 Richardson-extrapolated central differences of the chart metric, and
@@ -35,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import jet
 from .jet import Jet
 from .quat import ImaginaryQuaternion, Quaternion, dexp_im, exp_im, log_unit
 
@@ -178,10 +181,22 @@ _P_MATRIX = np.roll(np.eye(6), 3, axis=0)
 def g(X, Y):
     """The metric g of component arrays or jets,
     (4/3)(<a, a'> + <b, b'>) - (2/3)(<a, b'> + <a', b>), each inner product
-    summed left to right."""
-    xy = X * Y
+    summed left to right.
+
+    For two jets of one shape the three componentwise products are one
+    stacked `jet._product` call; jets that broadcast are multiplied apart,
+    as stacking them would copy the broadcast.
+    """
+    if isinstance(X, Jet) and isinstance(Y, Jet) and X.shape == Y.shape:
+        x, y, order = X._common(Y)
+        left = np.concatenate((x, x[..., :3, :], y[..., :3, :]), axis=-2)
+        right = np.concatenate((y, y[..., 3:, :], x[..., 3:, :]), axis=-2)
+        products = Jet(jet._product(left, right, order), order)
+        xy, ab, ba = products[..., :6], products[..., 6:9], products[..., 9:]
+    else:
+        xy, ab, ba = X * Y, X[..., :3] * Y[..., 3:], Y[..., :3] * X[..., 3:]
     aa = xy[..., :3].sum(-1) + xy[..., 3:].sum(-1)
-    cross = (X[..., :3] * Y[..., 3:]).sum(-1) + (Y[..., :3] * X[..., 3:]).sum(-1)
+    cross = ab.sum(-1) + ba.sum(-1)
     return (4.0 / 3.0) * aa - (2.0 / 3.0) * cross
 
 
@@ -268,15 +283,19 @@ def random_samples(
     and tangent components X, Y (n, 6).
 
     The draws stay per sample, base point first, so the rng stream is the one
-    a per-sample loop reads; drawing each array at once would change it.  One
-    uniform draw of 12 gives the pair: the generator fills it in the order
-    that two draws of 6 would.
+    a per-sample loop of standard_normal((2, 4)) and uniform(-1.0, 1.0, 12)
+    reads; drawing each array at once would change it.  One draw of 12
+    uniforms gives the pair, in the order that two draws of 6 would.  Each
+    draw fills its preallocated row, and the uniforms u in [0, 1) become
+    -1 + 2u in one pass after the loop: 2u is exact, so that is
+    uniform(-1.0, 1.0) bit for bit, and the generator ends in the same state.
     """
     raw = np.empty((n, 2, 4))
     XY = np.empty((n, 12))
     for k in range(n):
-        raw[k] = rng.standard_normal((2, 4))
-        XY[k] = rng.uniform(-1.0, 1.0, 12)
+        rng.standard_normal(out=raw[k])
+        rng.random(out=XY[k])
+    XY = -1.0 + 2.0 * XY
     X, Y = XY[:, :6], XY[:, 6:]
     return unit_points(raw), X, Y
 

@@ -8,19 +8,124 @@ Components may also be jets (`nkverify.jet.Jet`): the arithmetic, from_array
 and exp_im then carry truncated Taylor polynomials through unchanged, so a
 map written with these types returns its own derivatives when it is given a
 jet argument.  Float components keep their float operations.
+
+The product and the dot products are read from term tables (`_bilinear`).
+Where one side's components are jets of one order and shape and the other's
+are too, or are floats, all the terms of a table are taken in one stacked
+operation -- one `jet._product` call for two jet sides -- and summed over
+the stack; the result is the same, bit for bit, as the written-out sum of
+the components' own products.  exp_im composes its two series in one Horner
+pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
+from . import jet
 from .jet import Jet
 
 # Below this norm, sin|a|/|a| and friends switch to series to avoid 0/0.
 _SERIES_CUTOFF = 1e-6
+
+#: A bilinear form as a term table: output k is the sum, left to right, of
+#: sign * a[i] * b[j] over the terms (i, j, sign) of row k, each row's first
+#: sign +1.  _HAMILTON is the quaternion product of (w, x, y, z) components.
+_HAMILTON = (
+    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+    ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+    ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)),
+)
+#: The Euclidean products of four and of three components.
+_DOT4 = (((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)),)
+_DOT3 = (_DOT4[0][:3],)
+#: One factor times each of three components, the factor on the left.
+_SCALE3 = (((0, 0, 1),), ((0, 1, 1),), ((0, 2, 1),))
+
+
+def _side(comps: tuple) -> tuple[np.ndarray | tuple, int | None] | None:
+    """The components as one stack with their jet order: for jets of one
+    order and shape, their coefficient arrays stacked on a new first axis;
+    for floats, the floats and None; for anything else, None."""
+    first = comps[0]
+    if isinstance(first, Jet):
+        order, shape = first.order, first.c.shape
+        if all(isinstance(x, Jet) and x.order == order and x.c.shape == shape for x in comps):
+            return np.array([x.c for x in comps]), order
+    elif all(isinstance(x, float) for x in comps):
+        return comps, None
+    return None
+
+
+@cache
+def _plan(table: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """A term table's left and right component indices, term-major (term t
+    of row k at t * rows + k), and the signs of terms 1 on, None where all
+    are +1."""
+    terms = range(len(table[0]))
+    left = np.array([row[t][0] for t in terms for row in table])
+    right = np.array([row[t][1] for t in terms for row in table])
+    signs = np.array([[row[t][2] for row in table] for t in terms[1:]], dtype=float)
+    return left, right, None if np.all(signs == 1.0) else signs
+
+
+def _lifted(stack: np.ndarray, ndim: int) -> np.ndarray:
+    """A stack with unit axes after its first, to at least ndim axes, so
+    that stacks of different jet shapes broadcast."""
+    if stack.ndim >= ndim:
+        return stack
+    return stack.reshape(stack.shape[:1] + (1,) * (ndim - stack.ndim) + stack.shape[1:])
+
+
+def _bilinear(a: tuple, b: tuple, table: tuple) -> tuple:
+    """Each row of a term table at the components a and b.
+
+    Where each side is jets of one order and shape, or floats, and one side
+    is jets, the terms are formed in one stacked operation -- jet times jet
+    by one `jet._product` call over the stacked pairs, at the lower order --
+    and each row is summed over the stack, x - y as x + (-1 * y), which is
+    the same float.  Otherwise each term is formed by the components' own
+    operators, x - y as written.  Both give what the written-out sum gives,
+    bit for bit.
+    """
+    sa, sb = _side(a), _side(b)
+    if sa is None or sb is None or (sa[1] is None and sb[1] is None):
+        return tuple(_row(a, b, row) for row in table)
+    (A, order_a), (B, order_b) = sa, sb
+    left, right, signs = _plan(table)
+    A, B = np.asarray(A)[left], np.asarray(B)[right]
+    A, B = _lifted(A, B.ndim), _lifted(B, A.ndim)
+    if order_a is None or order_b is None:
+        order, terms = order_a if order_b is None else order_b, A * B
+    else:
+        order = min(order_a, order_b)
+        if order_a != order_b:
+            A, B = A[..., : jet.size(order)], B[..., : jet.size(order)]
+        terms = jet._product(A, B, order)
+    terms = terms.reshape((-1, len(table)) + terms.shape[1:])
+    out = terms[0]
+    if len(terms) > 1:
+        rest = terms[1:]
+        if signs is not None:
+            rest = rest * signs.reshape(signs.shape + (1,) * (rest.ndim - 2))
+        out = out + rest[0]
+        for term in rest[1:]:
+            out += term
+    return tuple(Jet(c, order) for c in out)
+
+
+def _row(a: tuple, b: tuple, row: tuple):
+    """One row of a term table, each term by the components' own operators."""
+    (i, j, _), *rest = row
+    out = a[i] * b[j]
+    for i, j, sign in rest:
+        out = out + a[i] * b[j] if sign > 0 else out - a[i] * b[j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,16 +155,15 @@ class Quaternion:
     def imag(self) -> "ImaginaryQuaternion":
         return ImaginaryQuaternion(self.x, self.y, self.z)
 
+    def _components(self) -> tuple:
+        return self.w, self.x, self.y, self.z
+
     def __mul__(self, other: "Quaternion") -> "Quaternion":
+        """The Hamilton product, from the term table _HAMILTON: one
+        `jet._product` call for two quaternions of jets."""
         if not isinstance(other, Quaternion):
             return NotImplemented
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
+        return Quaternion(*_bilinear(self._components(), other._components(), _HAMILTON))
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
@@ -96,10 +200,9 @@ class Quaternion:
         return self.scaled(1.0 / n)
 
     def dot(self, other: "Quaternion") -> float:
-        """Euclidean 4-product."""
-        return (
-            self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-        )
+        """Euclidean 4-product, summed left to right: one `jet._product` call
+        for two quaternions of jets."""
+        return _bilinear(self._components(), other._components(), _DOT4)[0]
 
 
 @dataclass(frozen=True)
@@ -144,8 +247,12 @@ class ImaginaryQuaternion:
     def scaled(self, t: float) -> "ImaginaryQuaternion":
         return ImaginaryQuaternion(t * self.x, t * self.y, t * self.z)
 
+    def _components(self) -> tuple:
+        return self.x, self.y, self.z
+
     def dot(self, other: "ImaginaryQuaternion") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
+        """Euclidean 3-product, summed left to right, as Quaternion.dot."""
+        return _bilinear(self._components(), other._components(), _DOT3)[0]
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -172,12 +279,15 @@ def exp_im(alpha: ImaginaryQuaternion) -> Quaternion:
     For |alpha| below the series cutoff, sin|a|/|a| is evaluated as
     1 - |a|^2/6 so the direction factor never divides by zero.  With jet
     components it is cos(sqrt s) + (sin(sqrt s)/sqrt s) alpha for s = |alpha|^2;
-    both are entire in s, so their jets need no cutoff.
+    both are entire in s, so their jets need no cutoff.  The two series are
+    composed in one Horner pass, and the sinc factor times (x, y, z) is one
+    stacked product: for jets of order K, 2 + max(K - 1, 0) `jet._product`
+    calls in all, counting the one of |alpha|^2.
     """
     n2 = alpha.dot(alpha)
     if isinstance(n2, Jet):
-        sinc = n2.entire(_sinc_sqrt)
-        return Quaternion(n2.entire(_cos_sqrt), sinc * alpha.x, sinc * alpha.y, sinc * alpha.z)
+        cos_sinc = n2.entire(_cos_sqrt, _sinc_sqrt)
+        return Quaternion(cos_sinc[0], *_bilinear((cos_sinc[1],), alpha._components(), _SCALE3))
     r = math.sqrt(n2)  # alpha.norm(), as computed there
     if r < _SERIES_CUTOFF:
         s = 1.0 - r * r / 6.0

@@ -1,6 +1,7 @@
 """H-umbilical fitter: construction, recovery, rejection, rigidity lemma."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from nkverify.humfit import (
     fit,
     symmetry_defect,
     theorem_harness,
+    theorem_shadow,
     umbilical_cubic,
     umbilical_lemma_check,
     _normalize,
@@ -85,6 +87,48 @@ def test_pattern_tensor_normal_form():
     assert full[0, 2, 2] == pytest.approx(mu)
     assert full[1, 1, 1] == 0.0 and full[1, 2, 2] == 0.0
     assert symmetry_defect(full) < 1e-15
+
+
+def test_pattern_pair_is_the_einsum_forms():
+    # broadcast products, signs of zero included: the einsums sum into a
+    # zeroed array, which turns -0.0 into 0.0
+    rng = np.random.default_rng(11)
+    units = rng.standard_normal((4000, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    units[::3, 1] = 0.0
+    units[1::3, 2] = -0.0
+    units[::5] *= -1.0
+    for u in units:
+        P = np.eye(3) - np.outer(u, u)
+        T1 = np.einsum("a,b,c->abc", u, u, u)
+        T2 = (
+            np.einsum("a,bc->abc", u, P)
+            + np.einsum("b,ac->abc", u, P)
+            + np.einsum("c,ab->abc", u, P)
+        )
+        got = _pattern_pair(u)
+        assert got[0].tobytes() == T1.tobytes() and got[1].tobytes() == T2.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_solves_each_candidate_once(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    full = (
+        pattern_tensor(rng.standard_normal(3), rng.normal(), abs(rng.normal()))
+        if seed % 2
+        else np.asarray(CubicTensor.from_full(rng.standard_normal((3, 3, 3))))
+    )
+    solved = []
+    real = humfit._least_squares
+    monkeypatch.setattr(humfit, "_least_squares", lambda c, u: solved.append(u) or real(c, u))
+    result = fit(full, tol=float(np.linalg.norm(full)))  # accepts any proper fit
+    cands = humfit._candidates(full)
+    assert len(solved) == len(cands) == 4
+    # the first candidate of least residual, as min picks it
+    residuals = [real(full, u)[2] for u in cands]
+    best = cands[residuals.index(min(residuals))]
+    assert result.residual == min(residuals)
+    assert np.array_equal(np.abs(result.U1), np.abs(best))
 
 
 def test_fit_zero_tensor():
@@ -230,6 +274,35 @@ def test_umbilical_lemma_keeps_nan_asymmetry(monkeypatch, nan_at):
     failed = [f["trial"] for f in rec.failures]
     assert failed == ([0, 1, 2, 3, 4] if nan_at == "every call" else [1])
     assert all(math.isnan(f["asymmetry"]) for f in rec.failures)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_umbilical_xis_are_the_per_trial_draws(monkeypatch, n):
+    # one list of gaussians and one np.vecdot give the unit vectors that a
+    # gauss loop and np.linalg.norm per trial give, bit for bit
+    seen = []
+    real = humfit.umbilical_cubic
+    monkeypatch.setattr(humfit, "umbilical_cubic", lambda m, xi: seen.append(xi) or real(m, xi))
+    umbilical_lemma_check(n, trials=100, seed=n)
+    rng = random.Random(n)
+    want = np.zeros((101, n))
+    for t in range(100):
+        xi = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+        want[t] = xi / np.linalg.norm(xi)
+    assert seen[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_umbilical_lemma_refuses_too_few_trials(trials):
+    # a record on no trial would pass on nothing; a negative count used to
+    # end in an unpacking error
+    with pytest.raises(ValueError, match=f"^the umbilical check needs at least one trial, got {trials}$"):
+        umbilical_lemma_check(3, trials=trials)
+
+
+def test_theorem_shadow_refuses_no_points():
+    with pytest.raises(ValueError, match=r"^theorem-shadow\[diagonal\] needs at least one point, got 0$"):
+        theorem_shadow("diagonal", np.zeros((0, 3)), np.zeros((0, 3, 3, 3)), 1e-5)
 
 
 def test_theorem_harness_builtins():

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from nkverify.jet import Jet, _monomials, size, stack
 from nkverify.nkgeom import PointS3S3
-from nkverify.quat import ImaginaryQuaternion, Quaternion, dexp_im, exp_im
+from nkverify.quat import (
+    ImaginaryQuaternion,
+    Quaternion,
+    _cos_sqrt,
+    _sinc_sqrt,
+    dexp_im,
+    exp_im,
+)
 
 
 def _coef(jet, exponents):
@@ -78,6 +85,26 @@ def test_blocked_product_rows_are_what_they_are_alone(order, left, right):
     a, b = np.broadcast_to(a, got.shape), np.broadcast_to(b, got.shape)
     for index in np.ndindex(lead):
         assert np.array_equal(got[index], (Jet(a[index], order) * Jet(b[index], order)).c), index
+
+
+def _exp_series(m):
+    return 1.0 / math.factorial(m)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 300])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_joint_compose_is_each_series_alone(order, rows):
+    # several entire functions share one Horner pass, stacked on a new first
+    # axis; each is the same, bit for bit, as its own pass
+    rng = np.random.default_rng([order, rows])
+    x = Jet(rng.standard_normal((rows, size(order))), order)
+    series = (_cos_sqrt, _sinc_sqrt, _exp_series)
+    joint = x.entire(*series)
+    assert joint.shape == (3, rows) and joint.order == order
+    for k, f in enumerate(series):
+        alone = x.entire(f)
+        assert alone.shape == (1, rows)
+        assert joint.c[k].tobytes() == alone.c[0].tobytes(), f.__name__
 
 
 def test_polynomial_identities():

@@ -43,6 +43,7 @@ from nkverify.lagrangian import (
 )
 from nkverify.nkgeom import PointS3S3, TangentVector, g, norm
 from nkverify.quat import ImaginaryQuaternion, Quaternion, dexp_im, exp_im
+from test_quat import _counted_products
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's seeded curved immersion)
@@ -487,6 +488,17 @@ CONJUGATION_RECORDS = {
     "codazzi-residual[conjugation]": (True, 4.615288235178178e-16),
     "theorem-shadow[conjugation]": (True, 0.6123724356957949),
 }
+
+
+def test_conjugation_evaluation_takes_eight_jet_products(monkeypatch):
+    # order 3: exp_im takes |u|^2, two Horner steps and sinc * u (4); of the
+    # four quaternion products two are jet times jet (2), and the unit check
+    # of the point takes |p|^2 and |q|^2 (2).  Written out component by
+    # component, the same evaluation took 50.
+    imm = _conjugation_immersion()
+    calls = _counted_products(monkeypatch)
+    imm.point(Jet.variables(imm.domain.grid(2), 3))
+    assert calls == [3] * 8
 
 
 def test_curved_immersion_suite_and_eigenframe_checks():

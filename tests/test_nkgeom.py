@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nkverify import nkgeom
+from nkverify.jet import size
 from nkverify.nkgeom import (
     BRACKET,
     CONNECTION,
@@ -23,9 +24,11 @@ from nkverify.nkgeom import (
     g,
     g_ambient,
     norm,
+    random_samples,
 )
 from nkverify.quat import ImaginaryQuaternion, Quaternion
 from random_tangents import promote, random_point, random_tangent
+from test_quat import _counted_products, _sparse_jet
 
 I_IM = ImaginaryQuaternion(1.0, 0.0, 0.0)
 ZERO_IM = ImaginaryQuaternion.zero()
@@ -357,3 +360,52 @@ def test_G_extension_independent() -> None:
     X, Y = random_tangent(rng, base), random_tangent(rng, base)
     alt = _G_chart(Chart(base), X, Y, rng.uniform(-1, 1, 6))
     assert np.max(np.abs((alt - G_tensor(X, Y)).components())) < 1e-7
+
+
+# -- the metric of two jets and the sample draws -----------------------------
+
+
+def _written_g(X, Y):
+    """g with each componentwise product its own jet product."""
+    xy = X * Y
+    aa = xy[..., :3].sum(-1) + xy[..., 3:].sum(-1)
+    cross = (X[..., :3] * Y[..., 3:]).sum(-1) + (Y[..., :3] * X[..., 3:]).sum(-1)
+    return (4.0 / 3.0) * aa - (2.0 / 3.0) * cross
+
+
+@pytest.mark.parametrize("rows", [1, 2, 300])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_g_of_two_jets_is_the_written_out_g(monkeypatch, order, rows):
+    rng = np.random.default_rng([order, rows])
+    X, Y = _sparse_jet(rng, (rows, 6), order), _sparse_jet(rng, (rows, 6), order)
+    want = _written_g(X, Y)
+    calls = _counted_products(monkeypatch)
+    got = g(X, Y)
+    assert calls == [order]  # three componentwise products, one call
+    assert (got.c.shape, got.order) == (want.c.shape, want.order)
+    assert got.c.tobytes() == want.c.tobytes()
+    # jets that broadcast are multiplied apart: no copy of the broadcast
+    calls.clear()
+    assert g(X, Y[0]).c.shape == (rows, size(order))
+    assert len(calls) == 3
+
+
+def _looped_samples(rng, n):
+    """The per-sample draws random_samples stands for."""
+    raw = np.empty((n, 2, 4))
+    XY = np.empty((n, 12))
+    for k in range(n):
+        raw[k] = rng.standard_normal((2, 4))
+        XY[k] = rng.uniform(-1.0, 1.0, 12)
+    return raw, XY
+
+
+@pytest.mark.parametrize("n", [1, 5, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_random_samples_are_the_per_sample_draws(seed, n):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    pq, X, Y = random_samples(rng, n)
+    raw, XY = _looped_samples(ref, n)
+    assert pq.tobytes() == nkgeom.unit_points(raw).tobytes()
+    assert X.tobytes() == XY[:, :6].tobytes() and Y.tobytes() == XY[:, 6:].tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state

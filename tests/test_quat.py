@@ -1,4 +1,5 @@
-"""Tests for the quaternion layer: Hamilton algebra, exp/log, differentials."""
+"""Tests for the quaternion layer: Hamilton algebra, exp/log, differentials,
+and the stacked jet products against the written-out sums."""
 
 import math
 
@@ -7,7 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nkverify.quat import ImaginaryQuaternion, Quaternion, dexp_im, exp_im, log_unit
+from nkverify import jet
+from nkverify.jet import Jet, size
+from nkverify.quat import (
+    ImaginaryQuaternion,
+    Quaternion,
+    _cos_sqrt,
+    _sinc_sqrt,
+    dexp_im,
+    exp_im,
+    log_unit,
+)
 from random_tangents import promote
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -168,3 +179,151 @@ def test_dexp_small_norm_branch() -> None:
 def test_dexp_at_zero_is_inclusion() -> None:
     e = ImaginaryQuaternion(0.3, 0.1, -0.5)
     assert dexp_im(ImaginaryQuaternion.zero(), e) == promote(e)
+
+
+# -- stacked jet products ------------------------------------------------------
+
+
+def _sparse_jet(rng, shape, order):
+    """A jet of the given shape, half its coefficients zeros of either sign,
+    so that products and sums land on zeros of both signs."""
+    c = rng.standard_normal(shape + (size(order),))
+    zero = rng.random(c.shape) < 0.5
+    c[zero] = np.where(rng.random(c.shape) < 0.5, 0.0, -0.0)[zero]
+    return Jet(c, order)
+
+
+def _sparse_jets(rng, count, rows, order):
+    """count sparse jets of shape (rows,)."""
+    jets = _sparse_jet(rng, (count, rows), order)
+    return [jets[k] for k in range(count)]
+
+
+def _sparse_floats(rng, count):
+    return [float(x) for x in rng.choice([0.0, -0.0, 0.5, -1.25, 3.0], count)]
+
+
+def _components(rng, kind, count, rows, order):
+    """Components of one kind: jets, jets of shape () that broadcast, jets of
+    one order lower, floats, or a mix of floats and jets."""
+    if kind == "floats":
+        return _sparse_floats(rng, count)
+    if kind == "broadcast jets":
+        return [Jet(x.c[0], order) for x in _sparse_jets(rng, count, 1, order)]
+    if kind == "lower jets":
+        return _sparse_jets(rng, count, rows, max(order - 1, 0))
+    comps = _sparse_jets(rng, count, rows, order)
+    if kind == "mixed":
+        comps[1:3] = _sparse_floats(rng, 2)
+    return comps
+
+
+def _bits(values):
+    """Each value's shape, order and bytes: equal bits, signs of zero included."""
+    return [
+        (v.c.shape, v.order, v.c.tobytes()) if isinstance(v, Jet) else np.float64(v).tobytes()
+        for v in values
+    ]
+
+
+def _parts(q):
+    return q.w, q.x, q.y, q.z
+
+
+def _written_product(a, b):
+    return (
+        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+    )
+
+
+def _written_exp_im(a):
+    """exp_im of jets as one series at a time and one product per component."""
+    n2 = a.x * a.x + a.y * a.y + a.z * a.z
+    sinc = n2.entire(_sinc_sqrt)[0]
+    return n2.entire(_cos_sqrt)[0], sinc * a.x, sinc * a.y, sinc * a.z
+
+
+KIND_PAIRS = [
+    ("jets", "jets"),
+    ("floats", "jets"),
+    ("jets", "floats"),
+    ("jets", "broadcast jets"),
+    ("lower jets", "jets"),
+    ("mixed", "jets"),
+    ("jets", "mixed"),
+    ("floats", "floats"),
+]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 300])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("kinds", KIND_PAIRS, ids="-".join)
+def test_stacked_product_and_dot_are_the_written_out_sums(kinds, order, rows):
+    rng = np.random.default_rng([order, rows, KIND_PAIRS.index(kinds)])
+    a = Quaternion(*_components(rng, kinds[0], 4, rows, order))
+    b = Quaternion(*_components(rng, kinds[1], 4, rows, order))
+    assert _bits(_parts(a * b)) == _bits(_written_product(a, b))
+    assert _bits([a.dot(b)]) == _bits([a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z])
+    ia, ib = a.imag, b.imag
+    assert _bits([ia.dot(ib)]) == _bits([ia.x * ib.x + ia.y * ib.y + ia.z * ib.z])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 300])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["jets", "mixed"])
+def test_stacked_exp_im_is_the_written_out_exp_im(kind, order, rows):
+    rng = np.random.default_rng([order, rows])
+    a = ImaginaryQuaternion(*_components(rng, kind, 3, rows, order)[::-1])
+    assert _bits(_parts(exp_im(a))) == _bits(_written_exp_im(a))
+
+
+@pytest.mark.parametrize("kinds, order", [(("jets", "jets"), 1), (("floats", "jets"), 3)])
+def test_stacked_products_meet_zeros_of_both_signs(kinds, order):
+    # the sparse operands above do reach signed zeros in the stacked sums
+    # (a BLAS sum of order 2 or more starts from +0.0, so not there)
+    rng = np.random.default_rng(order)
+    a = Quaternion(*_components(rng, kinds[0], 4, 300, order))
+    b = Quaternion(*_components(rng, kinds[1], 4, 300, order))
+    c = np.array([x.c for x in _parts(a * b)])
+    zeros = c[c == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+def _counted_products(monkeypatch) -> list:
+    calls = []
+    real = jet._product
+
+    def counted(a, b, order):
+        calls.append(order)
+        return real(a, b, order)
+
+    monkeypatch.setattr(jet, "_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_one_product_call_per_jet_quaternion_product_and_dot(monkeypatch, order):
+    rng = np.random.default_rng(order)
+    a, b = (Quaternion(*_sparse_jets(rng, 4, 5, order)) for _ in range(2))
+    floats = Quaternion(0.5, -1.0, 0.0, 2.0)
+    calls = _counted_products(monkeypatch)
+    a * b
+    a.dot(b)
+    a.imag.dot(b.imag)
+    assert calls == [order] * 3
+    a * floats
+    floats * a
+    assert len(calls) == 3  # a jet times a float is no truncated product
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_exp_im_product_calls(monkeypatch, order):
+    # |alpha|^2, the Horner steps after the first of the joint compose, and
+    # the sinc factor times (x, y, z)
+    alpha = ImaginaryQuaternion.from_array(Jet.variables([[0.3, -0.2, 0.1]], order))
+    calls = _counted_products(monkeypatch)
+    exp_im(alpha)
+    assert len(calls) == 2 + max(order - 1, 0)
